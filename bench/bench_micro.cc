@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include "cluster/distance.h"
-#include "cluster/hamerly.h"
 #include "cluster/kernels/kernel.h"
 #include "cluster/kmeans.h"
 #include "cluster/merge.h"
@@ -80,39 +79,24 @@ void BM_LloydIteration(benchmark::State& state) {
 BENCHMARK(BM_LloydIteration)->Arg(2500)->Arg(12500)->Arg(50000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_HamerlyFit(benchmark::State& state) {
-  // Full Hamerly run to convergence vs BM_LloydFit below, same seeds.
-  const size_t n = static_cast<size_t>(state.range(0));
-  const Dataset points = MakePoints(n, 6, 4);
-  const WeightedDataset data = WeightedDataset::FromUnweighted(points);
-  Rng rng(5);
-  auto seeds = SelectSeeds(data, 40, SeedingMethod::kRandom, &rng);
-  for (auto _ : state) {
-    Rng iter_rng(6);
-    auto model =
-        RunHamerlyLloyd(data, *seeds, LloydConfig{}, &iter_rng);
-    benchmark::DoNotOptimize(model);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_HamerlyFit)->Arg(2500)->Arg(12500)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_LloydFit(benchmark::State& state) {
+  // Full run to convergence, same seeds, with the assignment step's bound
+  // pruning off (second arg 0) and on (1).
   const size_t n = static_cast<size_t>(state.range(0));
   const Dataset points = MakePoints(n, 6, 4);
   const WeightedDataset data = WeightedDataset::FromUnweighted(points);
   Rng rng(5);
   auto seeds = SelectSeeds(data, 40, SeedingMethod::kRandom, &rng);
+  LloydConfig config;
+  config.accelerate = state.range(1) != 0;
   for (auto _ : state) {
     Rng iter_rng(6);
-    auto model =
-        RunWeightedLloyd(data, *seeds, LloydConfig{}, &iter_rng);
+    auto model = RunWeightedLloyd(data, *seeds, config, &iter_rng);
     benchmark::DoNotOptimize(model);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_LloydFit)->Arg(2500)->Arg(12500)
+BENCHMARK(BM_LloydFit)->ArgsProduct({{2500, 12500}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelLloydFit(benchmark::State& state) {

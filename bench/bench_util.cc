@@ -20,7 +20,10 @@ void ExperimentGrid::Register(FlagParser* parser) {
               "independent data versions per size (paper: 5)")
       .AddInt("max-n", &max_n, "drop sweep sizes above this (0 = keep all)")
       .AddBool("quick", &quick,
-               "fast sanity configuration (small sizes, R=3, 1 version)");
+               "fast sanity configuration (small sizes, R=3, 1 version)")
+      .AddBool("accelerate", &accelerate,
+               "bound-pruned assignment step; exact, 0 = the paper's full "
+               "scan");
 }
 
 void ExperimentGrid::Finalize() {
@@ -50,6 +53,7 @@ RunStats RunSerial(const Dataset& cell, const ExperimentGrid& grid,
   config.k = static_cast<size_t>(grid.k);
   config.restarts = static_cast<size_t>(grid.restarts);
   config.seed = seed;
+  config.lloyd.accelerate = grid.accelerate;
   const Stopwatch watch;
   auto model = KMeans(config).Fit(cell);
   PMKM_CHECK(model.ok()) << model.status();
@@ -67,6 +71,8 @@ RunStats RunPartialMerge(const Dataset& cell, const ExperimentGrid& grid,
   config.partial.k = static_cast<size_t>(grid.k);
   config.partial.restarts = static_cast<size_t>(grid.restarts);
   config.partial.seed = seed;
+  config.partial.lloyd.accelerate = grid.accelerate;
+  config.merge.lloyd.accelerate = grid.accelerate;
   config.num_partitions = splits;
   config.num_threads = threads;
   config.seed = seed ^ 0xabcdef;
@@ -126,7 +132,8 @@ void PrintBanner(const std::string& experiment_id,
                "for Massive Data\n"
                "Sets using Data Streams\" — k=" << grid.k
             << ", R=" << grid.restarts << ", D=" << grid.dim
-            << ", versions=" << grid.versions << "\n";
+            << ", versions=" << grid.versions
+            << ", accelerate=" << (grid.accelerate ? 1 : 0) << "\n";
   std::cout << "==========================================================="
                "=====================\n";
 }

@@ -34,7 +34,12 @@ struct ExperimentGrid {
   int64_t dim = 6;
   uint64_t data_seed = 2004; // ICDE 2004 ;-)
 
-  /// Registers --k/--restarts/--versions/--max-n/--quick flags.
+  /// LloydConfig::accelerate for RunSerial/RunPartialMerge. The result is
+  /// identical either way; --accelerate=0 times the paper's unoptimised
+  /// assignment scan.
+  bool accelerate = true;
+
+  /// Registers --k/--restarts/--versions/--max-n/--quick/--accelerate.
   void Register(FlagParser* parser);
 
   /// Applies --quick / --max-n adjustments after parsing.

@@ -11,7 +11,11 @@
 #      address-keyed ordering diverges here);
 #   3. through a pmkm_serve daemon (remote submission path: protocol
 #      encode/decode and the service job machinery add no bytes of
-#      nondeterminism on top of the engine).
+#      nondeterminism on top of the engine);
+#   4. across distance kernels (--kernel=auto vs the scalar reference:
+#      the bound-pruned assignment takes a skipped point's distance from
+#      a scalar loop and a scanned point's from the SIMD kernel, so the
+#      two must agree bit for bit).
 #
 # Every run is cmp'd file-by-file against the --cores=1 reference.
 #
@@ -54,19 +58,21 @@ echo "== determinism check: ${CELLS} cells x ${POINTS} points =="
 "${GENBUCKETS}" --out="${WORK}/buckets" --mode=cells \
   --cells="${CELLS}" --n="${POINTS}" > /dev/null
 
-ENGINE_FLAGS=(--k=6 --restarts=4 --kernel=scalar --quiet)
+ENGINE_FLAGS=(--k=6 --restarts=4 --quiet)
 
-run_local() {  # run_local <outdir> <cores>
-  "${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --cores="$2" \
-    --out="${WORK}/$1" "${WORK}"/buckets/*.pmkb > /dev/null
+run_local() {  # run_local <outdir> <cores> [kernel]
+  "${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --kernel="${3:-scalar}" \
+    --cores="$2" --out="${WORK}/$1" "${WORK}"/buckets/*.pmkb > /dev/null
 }
 
 # Reference plus the parallelism sweep; cores4 twice from two distinct
-# process invocations (ASLR re-randomizes between them).
+# process invocations (ASLR re-randomizes between them); then the host's
+# best kernel against the scalar reference.
 run_local cores1 1
 run_local cores4 4
 run_local cores4_again 4
 run_local cores16 16
+run_local kernel_auto 4 auto
 
 # Remote: the same spec through a pmkm_serve daemon.
 "${SERVE}" --endpoint="unix:${WORK}/serve.sock" --workers=2 \
@@ -83,7 +89,7 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [[ -n "${ENDPOINT}" ]] || { echo "FAIL: no listen line"; exit 1; }
-"${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --cores=4 \
+"${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --kernel=scalar --cores=4 \
   --server="${ENDPOINT}" --out="${WORK}/remote" \
   "${WORK}"/buckets/*.pmkb > "${WORK}/client.log" 2>&1 || {
   echo "FAIL: remote client"; cat "${WORK}/client.log"; exit 1
@@ -95,7 +101,7 @@ SERVE_PID=""
 MODELS=0
 for ref in "${WORK}"/cores1/*.pmkm; do
   base="$(basename "${ref}")"
-  for variant in cores4 cores4_again cores16 remote; do
+  for variant in cores4 cores4_again cores16 kernel_auto remote; do
     cmp -s "${ref}" "${WORK}/${variant}/${base}" || {
       echo "FAIL: ${variant}/${base} differs from the --cores=1 reference"
       exit 1
@@ -108,5 +114,5 @@ done
 }
 
 echo "ok: ${MODELS} models byte-identical across cores=1/4/16, a second"
-echo "    process invocation, and the pmkm_serve path"
+echo "    process invocation, --kernel=auto, and the pmkm_serve path"
 echo "== determinism check passed =="

@@ -16,7 +16,10 @@
 //    accumulation) and resolves the argmin in a fixed order — strictly
 //    smaller distance wins, ties break toward the lower centroid index.
 //    Assignments, and therefore centroids, are bitwise identical across
-//    scalar/AVX2/NEON, which keeps Lloyd/Hamerly/parallel parity exact.
+//    scalar/AVX2/NEON, which keeps Lloyd/parallel parity exact. The
+//    pruned Lloyd assignment (cluster/lloyd.cc) relies on this: it takes
+//    a skipped point's distance from a scalar loop with the same
+//    per-lane operation order.
 
 #ifndef PMKM_CLUSTER_KERNELS_KERNEL_H_
 #define PMKM_CLUSTER_KERNELS_KERNEL_H_

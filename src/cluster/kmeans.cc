@@ -1,7 +1,5 @@
 #include "cluster/kmeans.h"
 
-#include "cluster/hamerly.h"
-
 namespace pmkm {
 
 Result<ClusteringModel> KMeans::FitWeighted(
@@ -21,11 +19,15 @@ Result<ClusteringModel> KMeans::FitWeighted(
         SelectSeeds(data, config_.k, config_.seeding, &rng));
     PMKM_ASSIGN_OR_RETURN(
         ClusteringModel model,
-        config_.accelerate
-            ? RunHamerlyLloyd(data, std::move(seeds), config_.lloyd, &rng)
-            : RunWeightedLloyd(data, std::move(seeds), config_.lloyd,
-                               &rng));
+        RunWeightedLloyd(data, std::move(seeds), config_.lloyd, &rng));
     if (model.sse < best.sse) best = std::move(model);
+  }
+  // Only a non-finite SSE fails `< +inf` in every restart: the data holds
+  // a NaN or infinite coordinate or weight (or squares that overflow).
+  if (best.centroids.empty()) {
+    return Status::InvalidArgument(
+        "k-means error is not finite in any restart: the data contains a "
+        "non-finite coordinate or weight");
   }
   return best;
 }

@@ -4,6 +4,11 @@
 // representation with minimal error (paper §2 / §5.2: "we ran the serial
 // k-means with 10 different sets of initial seeds, and selected the
 // representation with the minimum mean square error").
+//
+// Each restart runs the one weighted Lloyd loop (cluster/lloyd.h), whose
+// assignment step is bound-pruned by default; lloyd.accelerate = false
+// selects the paper's unoptimised full scan with a bitwise-identical
+// result.
 
 #ifndef PMKM_CLUSTER_KMEANS_H_
 #define PMKM_CLUSTER_KMEANS_H_
@@ -24,14 +29,6 @@ struct KMeansConfig {
   SeedingMethod seeding = SeedingMethod::kRandom;
 
   LloydConfig lloyd;
-
-  /// Use the Hamerly-accelerated iteration (cluster/hamerly.h) instead of
-  /// the plain Lloyd scan. Exact: assignments per iteration are identical;
-  /// only the work per iteration shrinks. Off by default to mirror the
-  /// paper's unoptimized implementation (§4: "we do not exploit many
-  /// optimizations such as improved search mechanism for finding the
-  /// nearest centroid").
-  bool accelerate = false;
 
   /// Master seed; restart r of a Fit call uses an independent child stream
   /// so results are reproducible yet restarts are decorrelated.

@@ -14,6 +14,160 @@ namespace {
 /// small enough that assign/dist2 scratch stays in L1/L2.
 constexpr size_t kAssignTile = 256;
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Relative slack δ of the pruning test, and the range a bound must lie in
+// to be used at all (see Assigner::AssignTile).
+constexpr double kSlack = 1e-9;
+constexpr double kMinBound = 1e-100;
+constexpr double kMaxBound = 1e100;
+
+// Squared L2 with the operation order of every DistanceKernel lane: one
+// accumulator, ascending d, separate multiply and add (src/ builds with
+// -ffp-contract=off). Bitwise equal to the kernels' distance for the pair.
+double SqDist(const double* a, const double* b, size_t dim) {
+  double acc = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double diff = a[d] - b[d];
+    acc += diff * diff;
+  }
+  return acc;
+}
+
+// The assignment step (the paper's step 2). Every pass yields, for each
+// point, exactly the (assign, dist2) a full kernel.AssignBlock scan would.
+// With pruning on, it keeps Hamerly's lower bound l[i] on the distance from
+// point i to every centroid other than its own, and skips the k-way scan
+// for points whose bounds prove the nearest centroid unchanged.
+class Assigner {
+ public:
+  Assigner(const DistanceKernel& kernel, const WeightedDataset& data,
+           size_t k, bool prune)
+      : kernel_(kernel),
+        points_(data.points().data()),
+        k_(k),
+        dim_(data.dim()),
+        prune_(prune) {
+    if (!prune_) return;
+    const size_t tile_cap = std::min(data.size(), kAssignTile);
+    lower_.resize(data.size());
+    centroids_.resize(k * dim_);
+    drift_.resize(k);
+    s_.resize(k);
+    second2_.resize(tile_cap);
+    gather_points_.resize(tile_cap * dim_);
+    gather_assign_.resize(tile_cap);
+    gather_dist2_.resize(tile_cap);
+    gather_idx_.resize(tile_cap);
+  }
+
+  /// Starts a pass against `centroids`. The pass scans every point unless
+  /// the bounds left by the previous pass are still valid.
+  void BeginPass(const Dataset& centroids) {
+    block_.Load(centroids);
+    if (!prune_) return;
+    const double* c = centroids.data();
+    pruned_pass_ = bounds_valid_;
+    bounds_valid_ = true;
+    if (pruned_pass_) {
+      kernel_.CentroidDriftAndSeparation(centroids_.data(), c, block_, k_,
+                                         dim_, drift_.data(), s_.data());
+      double max_drift = 0.0;
+      for (double d : drift_) {
+        max_drift = std::isnan(d) ? kInf : std::max(max_drift, d);
+      }
+      if (max_drift > 0.0) {
+        const double shift = max_drift * (1.0 + kSlack);
+        for (double& l : lower_) l = (l - shift) * (1.0 - kSlack);
+      }
+    }
+    std::copy(c, c + k_ * dim_, centroids_.begin());
+  }
+
+  /// Forces the next pass to scan every point: a repair reassigned a
+  /// point outside the assignment step, and a rescan is simpler than
+  /// arguing its bound still holds.
+  void Invalidate() { bounds_valid_ = false; }
+
+  /// Fills assign[i0, i0 + tile) and dist2[0, tile). assign holds the
+  /// previous pass's assignments on entry.
+  void AssignTile(size_t i0, size_t tile, uint32_t* assign, double* dist2) {
+    const double* points = points_ + i0 * dim_;
+    if (!pruned_pass_) {
+      kernel_.AssignBlock(points, tile, dim_, block_, assign + i0, dist2,
+                          prune_ ? second2_.data() : nullptr);
+      if (prune_) {
+        for (size_t t = 0; t < tile; ++t) {
+          lower_[i0 + t] = std::sqrt(second2_[t]) * (1.0 - kSlack);
+        }
+      }
+      return;
+    }
+    // Exactness. Let D_j be the exact distance from x to centroid j and a
+    // the point's previous assignment. The scan returns (a, fl(d²_a)) iff
+    // fl(d²_j) > fl(d²_a) for every j ≠ a (strict, so tie-breaking by
+    // index never comes into play). A computed squared distance is within
+    // a relative γ ≈ (dim + 2)·2⁻⁵³ of D², so D_j > D_a·(1 + 2γ) for all
+    // j ≠ a suffices. The test below implies that, since δ = kSlack ≫ γ:
+    //  - l[i] ≤ min_{j≠a} D_j is invariant. A scan sets l[i] to
+    //    √fl(second2)·(1 − δ); a pass whose centroids moved by at most M
+    //    lowers it to (l[i] − M·(1 + δ))·(1 − δ). The (1 ± δ) factors
+    //    absorb the rounding of √, of M and of the subtraction, so each
+    //    update lands below the exact bound and no error accumulates.
+    //  - s[a] is ½·min_{j≠a} ‖c_a − c_j‖ up to γ, and the triangle
+    //    inequality gives D_j ≥ 2·s[a] − D_a.
+    // Bounds outside [kMinBound, kMaxBound] are not used, so no square
+    // involved under- or overflows. NaN compares false and falls through
+    // to the scan.
+    const double* centroids = centroids_.data();
+    size_t m = 0;
+    for (size_t t = 0; t < tile; ++t) {
+      const size_t i = i0 + t;
+      const size_t a = assign[i];
+      const double* x = points + t * dim_;
+      const double d2 = SqDist(x, centroids + a * dim_, dim_);
+      const double bound = std::max(s_[a], lower_[i]) * (1.0 - kSlack);
+      if (bound > kMinBound && bound < kMaxBound &&
+          std::sqrt(d2) * (1.0 + kSlack) < bound) {
+        dist2[t] = d2;
+        continue;
+      }
+      std::copy(x, x + dim_, gather_points_.data() + m * dim_);
+      gather_idx_[m++] = t;
+    }
+    if (m == 0) return;
+    kernel_.AssignBlock(gather_points_.data(), m, dim_, block_,
+                        gather_assign_.data(), gather_dist2_.data(),
+                        second2_.data());
+    for (size_t g = 0; g < m; ++g) {
+      const size_t t = gather_idx_[g];
+      assign[i0 + t] = gather_assign_[g];
+      dist2[t] = gather_dist2_[g];
+      lower_[i0 + t] = std::sqrt(second2_[g]) * (1.0 - kSlack);
+    }
+  }
+
+ private:
+  const DistanceKernel& kernel_;
+  const double* points_;
+  const size_t k_;
+  const size_t dim_;
+  const bool prune_;
+  bool bounds_valid_ = false;
+  bool pruned_pass_ = false;
+  CentroidBlock block_;
+  std::vector<double> lower_;      // l[i], per point
+  std::vector<double> centroids_;  // the centroids l[] refers to
+  std::vector<double> drift_;
+  std::vector<double> s_;
+  std::vector<double> second2_;
+  // Points that need the scan, packed for AssignBlock.
+  std::vector<double> gather_points_;
+  std::vector<uint32_t> gather_assign_;
+  std::vector<double> gather_dist2_;
+  std::vector<size_t> gather_idx_;
+};
+
 }  // namespace
 
 Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
@@ -48,7 +202,7 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
   // starved centroids.
   std::vector<double> farthest_dist(k);
   std::vector<size_t> farthest_idx(k);
-  CentroidBlock block;
+  Assigner assigner(kernel, data, k, config.accelerate);
 
   double prev_sse = std::numeric_limits<double>::infinity();
   double sse = prev_sse;
@@ -61,12 +215,11 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
     std::fill(farthest_dist.begin(), farthest_dist.end(), -1.0);
-    block.Load(model.centroids);
+    assigner.BeginPass(model.centroids);
     sse = 0.0;
     for (size_t i0 = 0; i0 < n; i0 += kAssignTile) {
       const size_t tile = std::min(kAssignTile, n - i0);
-      kernel.AssignBlock(points + i0 * dim, tile, dim, block,
-                         assign.data() + i0, dist2.data());
+      assigner.AssignTile(i0, tile, assign.data(), dist2.data());
       for (size_t t = 0; t < tile; ++t) {
         const size_t i = i0 + t;
         const size_t j = assign[i];
@@ -112,6 +265,7 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
       cluster_weight[donor] -= w;
       cluster_weight[j] = w;
       assign[i] = static_cast<uint32_t>(j);
+      assigner.Invalidate();
       sse -= w * farthest_dist[donor];
       farthest_dist[donor] = 0.0;  // donor no longer eligible this round
     }
@@ -138,13 +292,12 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
 
   // Final bookkeeping against the final centroids.
   {
-    block.Load(model.centroids);
+    assigner.BeginPass(model.centroids);
     std::fill(model.weights.begin(), model.weights.end(), 0.0);
     double final_sse = 0.0;
     for (size_t i0 = 0; i0 < n; i0 += kAssignTile) {
       const size_t tile = std::min(kAssignTile, n - i0);
-      kernel.AssignBlock(points + i0 * dim, tile, dim, block,
-                         assign.data() + i0, dist2.data());
+      assigner.AssignTile(i0, tile, assign.data(), dist2.data());
       for (size_t t = 0; t < tile; ++t) {
         const size_t i = i0 + t;
         model.weights[assign[i]] += weights[i];

@@ -4,6 +4,14 @@
 // assignment by Euclidean distance, weighted centroid recalculation
 // µ_j = Σ w_i c_i / Σ w_i, and the convergence criterion
 // MSE(n-1) − MSE(n) ≤ ε with ε = 1e-9 (paper §2/§3.3).
+//
+// This is the only Lloyd loop. Its assignment step is either a full scan
+// of every point against all k centroids, or that scan pruned by Hamerly's
+// triangle-inequality bounds (Hamerly, SDM'10) — one of the "improvements
+// for step 2 that limit the points that have to be re-sorted" the paper
+// names but does not use (§2, §4). The pruned step reproduces every
+// point's assignment and squared distance bit for bit, so both produce
+// identical models; LloydConfig::accelerate picks one.
 
 #ifndef PMKM_CLUSTER_LLOYD_H_
 #define PMKM_CLUSTER_LLOYD_H_
@@ -36,6 +44,13 @@ struct LloydConfig {
   /// Assignments are bit-identical across kernels, so this only affects
   /// speed.
   const DistanceKernel* kernel = nullptr;
+
+  /// Prune the assignment step with Hamerly's bounds. Exact: the model is
+  /// bitwise identical either way, so this too only affects speed. false
+  /// is the paper's unoptimised configuration (§4: "we do not exploit
+  /// many optimizations such as improved search mechanism for finding the
+  /// nearest centroid"), kept for timing the T2/F6 reproduction.
+  bool accelerate = true;
 };
 
 /// Runs weighted Lloyd from the given initial centroids until convergence.

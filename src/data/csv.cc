@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -11,7 +12,8 @@ namespace pmkm {
 namespace {
 
 // Splits one CSV line into numeric fields. Returns false if any field is
-// not a finite number.
+// not a number. strtod also accepts "nan", "inf" and out-of-range values
+// (as ±inf); the caller rejects those.
 bool ParseNumericLine(const std::string& line,
                       std::vector<double>* fields) {
   fields->clear();
@@ -107,6 +109,13 @@ Result<Dataset> ReadCsv(const std::string& path) {
           "non-numeric CSV row at line " + std::to_string(line_no) +
           " in " + path);
     }
+    for (size_t c = 0; c < fields.size(); ++c) {
+      if (!std::isfinite(fields[c])) {
+        return Status::InvalidArgument(
+            "non-finite value at line " + std::to_string(line_no) +
+            ", column " + std::to_string(c + 1) + " in " + path);
+      }
+    }
     if (dim == 0) {
       dim = fields.size();
     } else if (fields.size() != dim) {
@@ -136,7 +145,7 @@ Result<WeightedDataset> ReadWeightedCsv(const std::string& path) {
   for (size_t i = 0; i < raw.size(); ++i) {
     const auto row = raw.Row(i);
     const double w = row[dim];
-    if (w <= 0.0) {
+    if (!(w > 0.0)) {
       return Status::InvalidArgument(
           "non-positive weight at data row " + std::to_string(i) + " in " +
           path);

@@ -104,8 +104,9 @@ void ApplyChunkOverride(const EngineOptions& options, size_t max_points,
 // journal written under a different fingerprint must not be resumed:
 // mixing cells clustered under different configs (or chunkings) would
 // silently change the output, so the engine starts fresh instead. The
-// kernel is deliberately excluded (assignments are bit-identical across
-// kernels) and so is the clone count (the merge pools partitions in id
+// kernel and LloydConfig::accelerate are deliberately excluded (the
+// assignments are bit-identical across kernels and with or without
+// pruning) and so is the clone count (the merge pools partitions in id
 // order, independent of arrival interleaving).
 uint64_t ConfigFingerprint(const EngineOptions& options,
                            const PhysicalPlan& plan) {
@@ -122,7 +123,6 @@ uint64_t ConfigFingerprint(const EngineOptions& options,
   mix(options.partial.restarts);
   mix(static_cast<uint64_t>(options.partial.seeding));
   mix(options.partial.seed);
-  mix(options.partial.accelerate ? 1 : 0);
   mix_f64(options.partial.lloyd.epsilon);
   mix(options.partial.lloyd.max_iterations);
   mix(options.merge.k);

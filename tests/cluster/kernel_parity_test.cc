@@ -12,7 +12,6 @@
 #include <cmath>
 #include <vector>
 
-#include "cluster/hamerly.h"
 #include "cluster/kmeans.h"
 #include "cluster/lloyd.h"
 #include "cluster/seeding.h"
@@ -158,6 +157,9 @@ TEST_P(KernelParityTest, WeightedLloydFitIdenticalAcrossKernels) {
 }
 
 TEST_P(KernelParityTest, HamerlyFitIdenticalAcrossKernels) {
+  // The bound-pruned assignment takes skipped points' distances from a
+  // scalar loop and scanned points' from the kernel, so its output on
+  // every kernel must equal the unpruned scalar fit.
   const size_t dim = GetParam();
   const Dataset points = MakePoints(2000, dim, 22);
   const WeightedDataset data = MakeWeighted(points, 23);
@@ -167,17 +169,19 @@ TEST_P(KernelParityTest, HamerlyFitIdenticalAcrossKernels) {
 
   LloydConfig ref_config;
   ref_config.track_assignments = true;
+  ref_config.accelerate = false;
   ref_config.kernel = &GetKernel(KernelKind::kScalar);
   Rng ref_rng(25);
-  auto ref = RunHamerlyLloyd(data, *seeds, ref_config, &ref_rng);
+  auto ref = RunWeightedLloyd(data, *seeds, ref_config, &ref_rng);
   ASSERT_TRUE(ref.ok()) << ref.status();
 
   for (const DistanceKernel* kernel : AvailableKernels()) {
     SCOPED_TRACE(kernel->name());
     LloydConfig config = ref_config;
+    config.accelerate = true;
     config.kernel = kernel;
     Rng rng(25);
-    auto model = RunHamerlyLloyd(data, *seeds, config, &rng);
+    auto model = RunWeightedLloyd(data, *seeds, config, &rng);
     ASSERT_TRUE(model.ok()) << model.status();
     EXPECT_EQ(model->centroids, ref->centroids);
     EXPECT_EQ(model->assignments, ref->assignments);
@@ -194,15 +198,15 @@ INSTANTIATE_TEST_SUITE_P(Dims, KernelParityTest,
 
 TEST(KernelParityEndToEnd, FitEqualAcrossKernelFlagValues) {
   // The user-facing contract: KMeans().Fit under --kernel=scalar equals
-  // Fit under any other available --kernel value, including the
-  // Hamerly-accelerated path, on a 10k-point cell.
+  // Fit under any other available --kernel value, with the assignment
+  // step's bound pruning off and on, on a 10k-point cell.
   const Dataset cell = MakePoints(10000, 6, 30);
   for (bool accelerate : {false, true}) {
-    SCOPED_TRACE(accelerate ? "hamerly" : "lloyd");
+    SCOPED_TRACE(accelerate ? "pruned" : "full scan");
     KMeansConfig config;
     config.k = 40;
     config.restarts = 2;
-    config.accelerate = accelerate;
+    config.lloyd.accelerate = accelerate;
     config.lloyd.kernel = &GetKernel(KernelKind::kScalar);
     auto ref = KMeans(config).Fit(cell);
     ASSERT_TRUE(ref.ok()) << ref.status();

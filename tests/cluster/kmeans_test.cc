@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "cluster/distance.h"
 #include "cluster/metrics.h"
@@ -34,6 +35,18 @@ TEST(KMeansTest, FewerPointsThanKFails) {
   const Dataset data = GenerateUniform(5, 2, 0.0, 1.0, &rng);
   const KMeans kmeans(SmallConfig(10));
   EXPECT_TRUE(kmeans.Fit(data).status().IsInvalidArgument());
+}
+
+TEST(KMeansTest, NonFiniteInputIsRejected) {
+  // Every restart's SSE is non-finite, so none can be kept: an error, not
+  // an OK model with no centroids.
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    Rng rng(11);
+    Dataset data = GenerateUniform(50, 2, 0.0, 1.0, &rng);
+    data.mutable_data()[7] = bad;
+    const auto model = KMeans(SmallConfig(3)).Fit(data);
+    EXPECT_TRUE(model.status().IsInvalidArgument()) << bad;
+  }
 }
 
 TEST(KMeansTest, RecoversWellSeparatedClusters) {

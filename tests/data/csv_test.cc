@@ -111,6 +111,27 @@ TEST_F(CsvTest, WeightedRejectsNonPositiveWeight) {
   EXPECT_TRUE(ReadWeightedCsv(path).status().IsInvalidArgument());
 }
 
+TEST_F(CsvTest, NonFiniteFieldRejectedWithLineAndColumn) {
+  // strtod parses all of these; none may reach the clustering.
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "Infinity", "1e999"}) {
+    SCOPED_TRACE(bad);
+    const std::string path = Path("nf.csv");
+    std::ofstream(path) << "x,y\n1.0,2.0\n3.0," << bad << "\n";
+    const Status st = ReadCsv(path).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << st;
+    EXPECT_NE(st.ToString().find("line 3, column 2"), std::string::npos)
+        << st;
+  }
+}
+
+TEST_F(CsvTest, WeightedRejectsNaNWeight) {
+  const std::string path = Path("wnan.csv");
+  std::ofstream(path) << "a0,weight\n1.0,2.0\n1.0,nan\n";
+  const Status st = ReadWeightedCsv(path).status();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.ToString().find("line 3, column 2"), std::string::npos) << st;
+}
+
 TEST_F(CsvTest, ScientificNotationParsed) {
   const std::string path = Path("sci.csv");
   std::ofstream(path) << "1e3,-2.5E-2\n";

@@ -12,9 +12,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "cluster/serialize.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "data/generator.h"
@@ -319,13 +321,15 @@ class CheckpointEngineTest : public CheckpointTest {
     return paths;
   }
 
-  PipelineBuilder Builder() const {
+  PipelineBuilder Builder(bool accelerate = true) const {
     KMeansConfig partial;
     partial.k = 4;
     partial.restarts = 2;
     partial.seed = 7;
+    partial.lloyd.accelerate = accelerate;
     MergeKMeansConfig merge;
     merge.k = 4;
+    merge.lloyd.accelerate = accelerate;
     ResourceModel resources;
     resources.cores = 3;
     resources.memory_bytes_per_operator = 6 * 8 * 4 * 100;  // ~100-pt chunks
@@ -407,6 +411,47 @@ TEST_F(CheckpointEngineTest, ResumedRunIsBitwiseIdentical) {
   auto loaded = LoadCheckpoint(CkptDir());
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->run_complete);
+}
+
+TEST_F(CheckpointEngineTest, PruningSwitchDoesNotBlockResume) {
+  // LloydConfig::accelerate changes no output byte, so the fingerprint
+  // ignores it: a journal written with pruning off resumes with it on.
+  const std::vector<std::string> paths = WriteBuckets(3, 400);
+  auto reference =
+      Builder(/*accelerate=*/false).WithCheckpoint(CkptDir()).Run(paths);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  {
+    // Keep header + kRunBegin + the first cell, as if killed after it.
+    auto recovery = RecoverJournal(CheckpointJournalPath(CkptDir()));
+    ASSERT_TRUE(recovery.ok());
+    ASSERT_GE(recovery->records.size(), 3u);
+    size_t keep = internal::kJournalHeaderBytes;
+    for (size_t i = 0; i < 2; ++i) {
+      keep += internal::kRecordFixedBytes + recovery->records[i].payload.size();
+    }
+    std::vector<char> journal = ReadJournal();
+    journal.resize(keep);
+    WriteJournal(journal);
+  }
+  auto resumed =
+      Builder(/*accelerate=*/true).WithCheckpoint(CkptDir()).Run(paths);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->report.cells_resumed, 1u);
+
+  const auto model_bytes = [this](const ClusteringModel& model) {
+    const std::string path = (dir_ / "model.pmkm").string();
+    EXPECT_TRUE(SaveModel(path, model).ok());
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  ASSERT_EQ(resumed->cells.size(), reference->cells.size());
+  for (const auto& [id, cell] : reference->cells) {
+    SCOPED_TRACE(id.ToString());
+    auto it = resumed->cells.find(id);
+    ASSERT_NE(it, resumed->cells.end());
+    EXPECT_TRUE(model_bytes(cell.model) == model_bytes(it->second.model));
+  }
 }
 
 TEST_F(CheckpointEngineTest, NoResumeRecomputesEverything) {
