@@ -53,22 +53,26 @@ int Main(int argc, char** argv) {
     double e_pm = 0.0, sse_raw = 0.0, iters = 0.0, ms = 0.0;
     for (int64_t v = 0; v < grid.versions; ++v) {
       const Dataset cell = MakeCell(n, grid, v);
-      PartialMergeConfig config;
-      config.partial.k = static_cast<size_t>(grid.k);
-      config.partial.restarts = static_cast<size_t>(grid.restarts);
-      config.partial.seed = 5000 + static_cast<uint64_t>(v);
-      config.num_partitions = static_cast<size_t>(splits);
-      config.seed = 77 + static_cast<uint64_t>(v);
-      config.merge.k = 0;
-      config.merge.seeding = variant.method;
-      config.merge.restarts = variant.restarts;
-      config.merge.seed = 99 + static_cast<uint64_t>(v);
-      auto result = PartialMergeKMeans(config).Run(cell);
-      PMKM_CHECK(result.ok()) << result.status();
-      e_pm += result->model.sse;
-      sse_raw += Sse(result->model.centroids, cell);
-      iters += static_cast<double>(result->model.iterations);
-      ms += result->merge_seconds * 1e3;
+      KMeansConfig partial;
+      partial.k = static_cast<size_t>(grid.k);
+      partial.restarts = static_cast<size_t>(grid.restarts);
+      partial.seed = 5000 + static_cast<uint64_t>(v);
+      MergeKMeansConfig merge;
+      merge.k = partial.k;
+      merge.seeding = variant.method;
+      merge.restarts = variant.restarts;
+      merge.seed = 99 + static_cast<uint64_t>(v);
+      Dataset shuffled = cell;
+      Rng rng(77 + static_cast<uint64_t>(v));
+      shuffled.Shuffle(&rng);
+      RunStats stats;
+      const ClusteringModel model =
+          RunOnEngine(std::move(shuffled), static_cast<size_t>(splits),
+                      partial, merge, &stats);
+      e_pm += model.sse;
+      sse_raw += Sse(model.centroids, cell);
+      iters += static_cast<double>(model.iterations);
+      ms += stats.merge_ms;
     }
     const double inv = 1.0 / static_cast<double>(grid.versions);
     std::string name = variant.name;

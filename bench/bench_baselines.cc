@@ -66,24 +66,22 @@ int Main(int argc, char** argv) {
       serial_sse += s.sse_raw;
     }
     {
-      const RunStats s = RunPartialMerge(cell, grid, 10, 1, seed);
+      ClusteringModel merged;
+      const RunStats s = RunPartialMerge(cell, grid, 10, seed, &merged);
       add(1, "partial/merge 10-split", s.total_ms, s.sse_raw);
-    }
-    {
-      // Partial/merge plus a 3-iteration raw refinement pass (second
-      // look): the cheap fix for the E_pm-vs-raw gap.
-      PartialMergeConfig config;
-      config.partial.k = k;
-      config.partial.restarts = static_cast<size_t>(grid.restarts);
-      config.partial.seed = seed;
-      config.num_partitions = 10;
-      config.seed = seed ^ 0xabcdef;
-      config.refine_iterations = 3;
+      // A second look at the raw cell: 3 Lloyd iterations seeded with the
+      // merged centroids, the cheap fix for the E_pm-vs-raw gap.
+      LloydConfig refine;
+      refine.max_iterations = 3;
+      refine.accelerate = grid.accelerate;
+      Rng rng(seed);
       const Stopwatch watch;
-      auto result = PartialMergeKMeans(config).Run(cell);
-      PMKM_CHECK(result.ok()) << result.status();
-      add(2, "pm 10-split + refine3", watch.ElapsedMillis(),
-          Sse(result->model.centroids, cell));
+      auto refined = RunWeightedLloyd(WeightedDataset::FromUnweighted(cell),
+                                      std::move(merged.centroids), refine,
+                                      &rng);
+      PMKM_CHECK(refined.ok()) << refined.status();
+      add(2, "pm 10-split + refine3", s.total_ms + watch.ElapsedMillis(),
+          Sse(refined->centroids, cell));
     }
     {
       BirchConfig config;

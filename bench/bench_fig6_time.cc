@@ -88,8 +88,8 @@ int Main(int argc, char** argv) {
       const Dataset cell = MakeCell(n, grid, v);
       const uint64_t seed = 2000 + static_cast<uint64_t>(v);
       serial.push_back(RunSerial(cell, grid, seed));
-      five.push_back(RunPartialMerge(cell, grid, 5, 1, seed));
-      ten.push_back(RunPartialMerge(cell, grid, 10, 1, seed));
+      five.push_back(RunPartialMerge(cell, grid, 5, seed));
+      ten.push_back(RunPartialMerge(cell, grid, 10, seed));
     }
     const RunStats s = Average(serial);
     const RunStats f = Average(five);

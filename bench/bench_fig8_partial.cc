@@ -35,8 +35,8 @@ int Main(int argc, char** argv) {
     for (int64_t v = 0; v < grid.versions; ++v) {
       const Dataset cell = MakeCell(n, grid, v);
       const uint64_t seed = 4000 + static_cast<uint64_t>(v);
-      five.push_back(RunPartialMerge(cell, grid, 5, 1, seed));
-      ten.push_back(RunPartialMerge(cell, grid, 10, 1, seed));
+      five.push_back(RunPartialMerge(cell, grid, 5, seed));
+      ten.push_back(RunPartialMerge(cell, grid, 10, seed));
     }
     const RunStats f = Average(five);
     const RunStats t = Average(ten);

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "common/stopwatch.h"
 #include "histogram/ecvq.h"
 #include "histogram/histogram.h"
 
@@ -43,21 +42,15 @@ int Main(int argc, char** argv) {
   for (int64_t k : {10, 20, 40, 80}) {
     ExperimentGrid kgrid = grid;
     kgrid.k = k;
-    const Stopwatch watch;
-    PartialMergeConfig config;
-    config.partial.k = static_cast<size_t>(k);
-    config.partial.restarts = static_cast<size_t>(grid.restarts);
-    config.num_partitions = 10;
-    auto result = PartialMergeKMeans(config).Run(cell);
-    PMKM_CHECK(result.ok()) << result.status();
-    const double cluster_ms = watch.ElapsedMillis();
-    auto hist = MultivariateHistogram::Build(result->model, cell);
+    ClusteringModel model;
+    const RunStats stats = RunPartialMerge(cell, kgrid, 10, 1, &model);
+    auto hist = MultivariateHistogram::Build(model, cell);
     PMKM_CHECK(hist.ok()) << hist.status();
     std::cout << FmtInt(k, 5) << " | "
               << FmtInt(static_cast<int64_t>(hist->num_buckets()), 7)
               << " | " << Fmt(hist->CompressionRatio(cell.size()), 10, 1)
               << "x | " << Fmt(hist->ReconstructionMse(cell), 12, 3)
-              << " | " << Fmt(cluster_ms, 10)
+              << " | " << Fmt(stats.total_ms, 10)
               << "\n";
   }
 

@@ -10,7 +10,6 @@
 #include "cluster/kernels/kernel.h"
 #include "cluster/kmeans.h"
 #include "cluster/merge.h"
-#include "cluster/parallel_lloyd.h"
 #include "cluster/partial.h"
 #include "common/logging.h"
 #include "data/generator.h"
@@ -97,25 +96,6 @@ void BM_LloydFit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_LloydFit)->ArgsProduct({{2500, 12500}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ParallelLloydFit(benchmark::State& state) {
-  // §3.4 option 3: the SortDataPoint step fanned over worker threads.
-  const size_t n = static_cast<size_t>(state.range(0));
-  const Dataset points = MakePoints(n, 6, 4);
-  const WeightedDataset data = WeightedDataset::FromUnweighted(points);
-  Rng rng(5);
-  auto seeds = SelectSeeds(data, 40, SeedingMethod::kRandom, &rng);
-  ThreadPool pool(ThreadPool::DefaultThreadCount());
-  for (auto _ : state) {
-    Rng iter_rng(6);
-    auto model = RunWeightedLloydParallel(data, *seeds, LloydConfig{},
-                                          &iter_rng, &pool);
-    benchmark::DoNotOptimize(model);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ParallelLloydFit)->Arg(12500)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PartialChunk(benchmark::State& state) {

@@ -9,6 +9,7 @@
 #include "cluster/metrics.h"
 #include "common/stopwatch.h"
 #include "obs/json.h"
+#include "stream/engine.h"
 
 namespace pmkm {
 namespace bench {
@@ -65,26 +66,54 @@ RunStats RunSerial(const Dataset& cell, const ExperimentGrid& grid,
   return stats;
 }
 
+ClusteringModel RunOnEngine(Dataset cell, size_t splits,
+                            const KMeansConfig& partial,
+                            const MergeKMeansConfig& merge,
+                            RunStats* stats) {
+  PMKM_CHECK(splits >= 1 && !cell.empty());
+  const size_t chunk = (cell.size() + splits - 1) / splits;
+  ResourceModel one_machine;
+  one_machine.cores = 1;
+  auto run = PipelineBuilder()
+                 .WithPartialKMeans(partial)
+                 .WithMerge(merge)
+                 .WithResources(one_machine)
+                 .WithChunkPoints(chunk)
+                 .RunInMemory({GridBucket{GridCellId{0, 0}, std::move(cell)}});
+  PMKM_CHECK(run.ok()) << run.status();
+  CellClustering& result = run->cells.at(GridCellId{0, 0});
+  stats->partial_ms = 0.0;
+  for (const OperatorStats& op : run->operator_stats) {
+    if (op.name.starts_with("partial-kmeans")) {
+      stats->partial_ms += op.cpu_seconds * 1e3;
+    }
+  }
+  stats->merge_ms = result.merge_seconds * 1e3;
+  stats->total_ms = run->wall_seconds * 1e3;
+  return std::move(result.model);
+}
+
 RunStats RunPartialMerge(const Dataset& cell, const ExperimentGrid& grid,
-                         size_t splits, size_t threads, uint64_t seed) {
-  PartialMergeConfig config;
-  config.partial.k = static_cast<size_t>(grid.k);
-  config.partial.restarts = static_cast<size_t>(grid.restarts);
-  config.partial.seed = seed;
-  config.partial.lloyd.accelerate = grid.accelerate;
-  config.merge.lloyd.accelerate = grid.accelerate;
-  config.num_partitions = splits;
-  config.num_threads = threads;
-  config.seed = seed ^ 0xabcdef;
-  auto result = PartialMergeKMeans(config).Run(cell);
-  PMKM_CHECK(result.ok()) << result.status();
+                         size_t splits, uint64_t seed,
+                         ClusteringModel* model) {
+  KMeansConfig partial;
+  partial.k = static_cast<size_t>(grid.k);
+  partial.restarts = static_cast<size_t>(grid.restarts);
+  partial.seed = seed;
+  partial.lloyd.accelerate = grid.accelerate;
+  MergeKMeansConfig merge;
+  merge.k = partial.k;
+  merge.lloyd.accelerate = grid.accelerate;
+  Dataset shuffled = cell;  // randomly distributed chunks (paper §5.1)
+  Rng rng(seed ^ 0xabcdef);
+  shuffled.Shuffle(&rng);
   RunStats stats;
-  stats.partial_ms = result->partial_seconds * 1e3;
-  stats.merge_ms = result->merge_seconds * 1e3;
-  stats.total_ms = result->total_seconds * 1e3;
-  stats.min_mse = result->model.sse;  // E_pm
-  stats.sse_raw = Sse(result->model.centroids, cell);
-  stats.iterations = static_cast<double>(result->model.iterations);
+  ClusteringModel merged =
+      RunOnEngine(std::move(shuffled), splits, partial, merge, &stats);
+  stats.min_mse = merged.sse;  // E_pm
+  stats.sse_raw = Sse(merged.centroids, cell);
+  stats.iterations = static_cast<double>(merged.iterations);
+  if (model != nullptr) *model = std::move(merged);
   return stats;
 }
 

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "cluster/kmeans.h"
-#include "cluster/partial_merge.h"
+#include "cluster/merge.h"
 #include "common/flags.h"
 #include "data/generator.h"
 
@@ -63,11 +63,25 @@ struct RunStats {
 RunStats RunSerial(const Dataset& cell, const ExperimentGrid& grid,
                    uint64_t seed);
 
+/// Partial/merge k-means of one cell on the stream engine
+/// (PipelineBuilder::RunInMemory) with one partial clone — the paper's
+/// single-machine rows. The cell is cut into `splits` chunks of
+/// ceil(N/splits) points in the order given, so the caller's point order
+/// is the slicing strategy. Fills the time columns of `*stats` from the
+/// run itself (partial_ms: the clones' CPU time, t_{C0-Ci}; merge_ms:
+/// the cell's merge time; total_ms: the run's wall time) and returns the
+/// merged model.
+ClusteringModel RunOnEngine(Dataset cell, size_t splits,
+                            const KMeansConfig& partial,
+                            const MergeKMeansConfig& merge, RunStats* stats);
+
 /// Partial/merge k-means with the given split count, run with the paper's
-/// configuration (R restarts per partition, heaviest-weight merge seeding).
-/// `threads` = 1 reproduces the single-machine rows.
+/// configuration (R restarts per partition, heaviest-weight merge seeding)
+/// over randomly distributed chunks. The merged model is also stored in
+/// `*model` when given.
 RunStats RunPartialMerge(const Dataset& cell, const ExperimentGrid& grid,
-                         size_t splits, size_t threads, uint64_t seed);
+                         size_t splits, uint64_t seed,
+                         ClusteringModel* model = nullptr);
 
 /// Averages stats over several runs.
 RunStats Average(const std::vector<RunStats>& runs);

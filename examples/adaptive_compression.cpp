@@ -7,16 +7,17 @@
 //
 //   $ ./build/examples/adaptive_compression [--n=20000] [--lambda=50]
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 
 #include "cluster/metrics.h"
-#include "cluster/partial_merge.h"
 #include "cluster/validity.h"
 #include "common/flags.h"
 #include "data/generator.h"
 #include "histogram/adaptive.h"
 #include "histogram/histogram.h"
+#include "stream/engine.h"
 
 int main(int argc, char** argv) {
   int64_t n = 20000;
@@ -56,12 +57,18 @@ int main(int argc, char** argv) {
   std::cout << "\n  final k = " << adaptive->model.k() << " (from "
             << adaptive->pooled_centroids << " pooled codewords)\n";
 
-  // --- Fixed-k pipeline at the same final k ------------------------------
-  pmkm::PartialMergeConfig fconfig;
-  fconfig.partial.k = adaptive->model.k();
-  fconfig.partial.restarts = 5;
-  fconfig.num_partitions = static_cast<size_t>(splits);
-  auto fixed = pmkm::PartialMergeKMeans(fconfig).Run(cell);
+  // --- Fixed-k pipeline at the same final k, on the stream engine ------
+  pmkm::KMeansConfig partial;
+  partial.k = adaptive->model.k();
+  partial.restarts = 5;
+  pmkm::MergeKMeansConfig merge;
+  merge.k = partial.k;
+  const size_t parts = static_cast<size_t>(std::max<int64_t>(1, splits));
+  auto fixed = pmkm::PipelineBuilder()
+                   .WithPartialKMeans(partial)
+                   .WithMerge(merge)
+                   .WithChunkPoints((cell.size() + parts - 1) / parts)
+                   .RunInMemory({pmkm::GridBucket{{0, 0}, cell}});
   if (!fixed.ok()) {
     std::cerr << fixed.status() << "\n";
     return 1;
@@ -81,7 +88,7 @@ int main(int argc, char** argv) {
   };
   std::cout << "\ncomparison at equal final k:\n";
   report("adaptive", adaptive->model);
-  report("fixed-k", fixed->model);
+  report("fixed-k", fixed->cells.at({0, 0}).model);
 
   std::cout << "\nThe adaptive pipeline discovers the bucket budget from "
                "the data (small or\nsimple partitions emit fewer "

@@ -12,10 +12,10 @@
 #include "baselines/online.h"
 #include "baselines/stream_ls.h"
 #include "cluster/metrics.h"
-#include "cluster/partial_merge.h"
 #include "common/flags.h"
 #include "common/stopwatch.h"
 #include "data/generator.h"
+#include "stream/engine.h"
 
 namespace {
 
@@ -61,17 +61,22 @@ int main(int argc, char** argv) {
              model->k());
   }
   {
-    pmkm::PartialMergeConfig config;
-    config.partial.k = kk;
-    config.partial.restarts = 5;
-    config.num_partitions = 10;
+    // Ten memory-sized chunks through the stream engine.
+    pmkm::KMeansConfig partial;
+    partial.k = kk;
+    partial.restarts = 5;
+    pmkm::MergeKMeansConfig merge;
+    merge.k = kk;
     const pmkm::Stopwatch watch;
-    auto result = pmkm::PartialMergeKMeans(config).Run(cell);
-    PMKM_CHECK(result.ok()) << result.status();
-    PrintRow("partial/merge (paper)", "O(N/p)",
-             watch.ElapsedMillis(),
-             pmkm::Sse(result->model.centroids, cell),
-             result->model.k());
+    auto run = pmkm::PipelineBuilder()
+                   .WithPartialKMeans(partial)
+                   .WithMerge(merge)
+                   .WithChunkPoints((cell.size() + 9) / 10)
+                   .RunInMemory({pmkm::GridBucket{{0, 0}, cell}});
+    PMKM_CHECK(run.ok()) << run.status();
+    const pmkm::ClusteringModel& model = run->cells.at({0, 0}).model;
+    PrintRow("partial/merge (paper)", "O(N/p)", watch.ElapsedMillis(),
+             pmkm::Sse(model.centroids, cell), model.k());
   }
   {
     pmkm::BirchConfig config;

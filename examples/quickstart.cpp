@@ -3,17 +3,18 @@
 //   $ ./build/examples/quickstart [--n=20000] [--k=40] [--splits=10]
 //
 // Generates a MISR-like 6-attribute cell, clusters it with the paper's
-// algorithm (partial k-means per chunk, weighted merge), and prints the
-// quality/time summary plus the heaviest centroids.
+// algorithm on the stream engine (partial k-means per memory-sized chunk,
+// weighted merge), and prints the quality/time summary plus the heaviest
+// centroids.
 
 #include <algorithm>
 #include <iostream>
 #include <numeric>
 
 #include "cluster/metrics.h"
-#include "cluster/partial_merge.h"
 #include "common/flags.h"
 #include "data/generator.h"
+#include "stream/engine.h"
 
 int main(int argc, char** argv) {
   int64_t n = 20000;
@@ -40,26 +41,36 @@ int main(int argc, char** argv) {
   std::cout << "cell: " << cell.size() << " points x " << cell.dim()
             << " attributes\n";
 
-  // 2. Configure the paper's algorithm: k-means on each of `splits`
-  //    random chunks (best of R restarts), then a weighted merge seeded
-  //    from the heaviest centroids.
-  pmkm::PartialMergeConfig config;
-  config.partial.k = static_cast<size_t>(k);
-  config.partial.restarts = static_cast<size_t>(restarts);
-  config.num_partitions = static_cast<size_t>(splits);
+  // 2. Run the paper's algorithm: k-means on each of `splits` chunks
+  //    (best of R restarts), then a weighted merge seeded from the
+  //    heaviest centroids. The generated points arrive in random order,
+  //    so consecutive chunks are the paper's randomly distributed ones.
+  pmkm::KMeansConfig partial;
+  partial.k = static_cast<size_t>(k);
+  partial.restarts = static_cast<size_t>(restarts);
+  pmkm::MergeKMeansConfig merge;
+  merge.k = partial.k;
+  const size_t parts = static_cast<size_t>(std::max<int64_t>(1, splits));
+  const pmkm::GridCellId id{0, 0};
 
-  auto result = pmkm::PartialMergeKMeans(config).Run(cell);
-  if (!result.ok()) {
-    std::cerr << "clustering failed: " << result.status() << "\n";
+  auto run = pmkm::PipelineBuilder()
+                 .WithPartialKMeans(partial)
+                 .WithMerge(merge)
+                 .WithChunkPoints((cell.size() + parts - 1) / parts)
+                 .RunInMemory({pmkm::GridBucket{id, cell}});
+  if (!run.ok()) {
+    std::cerr << "clustering failed: " << run.status() << "\n";
     return 1;
   }
 
   // 3. Inspect the model.
-  const pmkm::ClusteringModel& model = result->model;
+  const pmkm::CellClustering& result = run->cells.at(id);
+  const pmkm::ClusteringModel& model = result.model;
   std::cout << "k = " << model.k() << " centroids from "
-            << result->pooled_centroids << " pooled partial centroids\n";
-  std::cout << "partial phase: " << result->partial_seconds * 1e3
-            << " ms, merge: " << result->merge_seconds * 1e3 << " ms\n";
+            << result.pooled_centroids << " pooled partial centroids\n";
+  std::cout << "run: " << run->wall_seconds * 1e3 << " ms on "
+            << run->plan.partial_clones << " partial clone(s), merge: "
+            << result.merge_seconds * 1e3 << " ms\n";
   std::cout << "E_pm (merge objective)  = " << model.sse << "\n";
   std::cout << "SSE on raw points       = "
             << pmkm::Sse(model.centroids, cell) << "\n";

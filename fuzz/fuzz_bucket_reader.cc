@@ -3,8 +3,10 @@
 // arbitrary bytes. A hostile header must be rejected by Open() before it
 // can drive an allocation (dim cap, count-vs-file-size check), and a
 // corrupt payload must surface as a Status (checksum / truncation), never
-// a crash. Accepted data must be structurally consistent.
+// a crash. Accepted data must be structurally consistent and finite: a
+// NaN or ±inf coordinate is rejected, never handed to k-means.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -25,6 +27,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       pmkm::Result<bool> more = reader.Next(257, &chunk);
       if (!more.ok() || !more.value()) break;
       if (chunk.dim() != reader.dim()) std::abort();
+      for (double v : chunk.values()) {
+        if (!std::isfinite(v)) std::abort();
+      }
       seen += chunk.size();
       if (seen > reader.total_points()) std::abort();  // over-delivery
     }
@@ -37,6 +42,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     const pmkm::GridBucket& b = bucket.value();
     if (b.points.values().size() != b.points.size() * b.points.dim()) {
       std::abort();
+    }
+    for (double v : b.points.values()) {
+      if (!std::isfinite(v)) std::abort();
     }
   }
   return 0;

@@ -16,7 +16,11 @@
 
 namespace pmkm {
 
-/// ‖a − b‖² for raw pointers of length `dim`.
+/// ‖a − b‖² for raw pointers of length `dim`. Uses the operation order of
+/// every DistanceKernel lane (one accumulator, ascending d, separate
+/// multiply and add), so it is bitwise equal to the kernels' distance for
+/// the pair — which holds only because src/ builds with -ffp-contract=off.
+/// The pruned assignment step in lloyd.cc relies on that equality.
 inline double SquaredL2(const double* a, const double* b, size_t dim) {
   double acc = 0.0;
   for (size_t d = 0; d < dim; ++d) {

@@ -76,8 +76,8 @@ class CentroidBlock {
   size_t padded_k_ = 0;
 };
 
-/// One distance-kernel implementation. Stateless and thread-safe: the
-/// parallel Lloyd shards and cloned stream operators share one instance.
+/// One distance-kernel implementation. Stateless and thread-safe: cloned
+/// stream operators share one instance.
 class DistanceKernel {
  public:
   virtual ~DistanceKernel() = default;

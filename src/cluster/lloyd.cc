@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "cluster/distance.h"
 #include "cluster/kernels/kernel.h"
 
 namespace pmkm {
@@ -21,18 +22,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kSlack = 1e-9;
 constexpr double kMinBound = 1e-100;
 constexpr double kMaxBound = 1e100;
-
-// Squared L2 with the operation order of every DistanceKernel lane: one
-// accumulator, ascending d, separate multiply and add (src/ builds with
-// -ffp-contract=off). Bitwise equal to the kernels' distance for the pair.
-double SqDist(const double* a, const double* b, size_t dim) {
-  double acc = 0.0;
-  for (size_t d = 0; d < dim; ++d) {
-    const double diff = a[d] - b[d];
-    acc += diff * diff;
-  }
-  return acc;
-}
 
 // The assignment step (the paper's step 2). Every pass yields, for each
 // point, exactly the (assign, dist2) a full kernel.AssignBlock scan would.
@@ -125,7 +114,7 @@ class Assigner {
       const size_t i = i0 + t;
       const size_t a = assign[i];
       const double* x = points + t * dim_;
-      const double d2 = SqDist(x, centroids + a * dim_, dim_);
+      const double d2 = SquaredL2(x, centroids + a * dim_, dim_);
       const double bound = std::max(s_[a], lower_[i]) * (1.0 - kSlack);
       if (bound > kMinBound && bound < kMaxBound &&
           std::sqrt(d2) * (1.0 + kSlack) < bound) {

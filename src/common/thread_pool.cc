@@ -54,9 +54,4 @@ void ThreadPool::Shutdown() {
   }
 }
 
-size_t ThreadPool::DefaultThreadCount() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : hc;
-}
-
 }  // namespace pmkm

@@ -53,9 +53,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Hardware concurrency with a floor of 1.
-  static size_t DefaultThreadCount();
-
  private:
   void WorkerLoop() PMKM_EXCLUDES(mu_);
 

@@ -1,6 +1,7 @@
 #include "data/io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 
@@ -66,10 +67,28 @@ Status CommitTmp(const std::string& path) {
   return FsyncPath(parent.empty() ? std::string(".") : parent.string());
 }
 
+// Rejects NaN and ±inf: one such coordinate poisons every distance, SSE
+// and centroid it touches. `first_point` is the file index of values[0]'s
+// point; indices in the message are 0-based.
+Status CheckFinite(const double* values, size_t num_points, size_t dim,
+                   size_t first_point, const std::string& path) {
+  for (size_t i = 0; i < num_points * dim; ++i) {
+    if (!std::isfinite(values[i])) {
+      return Status::InvalidArgument(
+          "non-finite value at point " +
+          std::to_string(first_point + i / dim) + ", column " +
+          std::to_string(i % dim) + " (0-based) in " + path);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status WriteGridBucket(const std::string& path, const GridBucket& bucket) {
   PMKM_RETURN_NOT_OK(FaultRegistry::Global().Hit("io.write"));
+  PMKM_RETURN_NOT_OK(CheckFinite(bucket.points.data(), bucket.points.size(),
+                                 bucket.points.dim(), 0, path));
   const std::string tmp = TmpPath(path);
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot open for writing: " + tmp);
@@ -174,6 +193,8 @@ Status GridBucketWriter::Append(std::span<const double> point) {
   if (point.size() != dim_) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
+  PMKM_RETURN_NOT_OK(
+      CheckFinite(point.data(), 1, dim_, points_written_, path_));
   const size_t bytes = dim_ * sizeof(double);
   out_->write(reinterpret_cast<const char*>(point.data()),
               static_cast<std::streamsize>(bytes));
@@ -294,6 +315,7 @@ Result<bool> GridBucketReader::Next(size_t max_points, Dataset* out) {
   }
   running_hash_ = internal::Fnv1a64(
       buf.data(), buf.size() * sizeof(double), running_hash_);
+  PMKM_RETURN_NOT_OK(CheckFinite(buf.data(), take, dim_, points_read_, path_));
   points_read_ += take;
   PMKM_ASSIGN_OR_RETURN(*out, Dataset::FromFlat(dim_, std::move(buf)));
   return true;

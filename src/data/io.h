@@ -34,7 +34,8 @@ struct GridBucket {
 /// `<path>.tmp` sibling, fsync'd, renamed into place, and the parent
 /// directory fsync'd (see data/manifest.h for the commit protocol), so a
 /// killed process never leaves a half-written bucket at `path` and a
-/// published bucket survives power loss.
+/// published bucket survives power loss. Non-finite coordinates are
+/// refused with InvalidArgument before anything is written.
 Status WriteGridBucket(const std::string& path, const GridBucket& bucket);
 
 /// Reads a complete bucket file, verifying magic, version and checksum.
@@ -61,7 +62,7 @@ class GridBucketWriter {
   size_t dim() const { return dim_; }
   size_t points_written() const { return points_written_; }
 
-  /// Appends one point (size must equal dim()).
+  /// Appends one point (size must equal dim(); every coordinate finite).
   Status Append(std::span<const double> point);
 
   /// Appends a whole dataset.
@@ -104,7 +105,9 @@ class GridBucketReader {
 
   /// Reads up to `max_points` further points into `*out` (replacing its
   /// contents). Returns true if points were produced, false at end of
-  /// stream. Corruption (short file, checksum mismatch) yields an error.
+  /// stream. Corruption (short file, checksum mismatch) yields an IOError;
+  /// a NaN or ±inf coordinate yields InvalidArgument naming the path,
+  /// point and column (never retried, so a tolerant scan quarantines it).
   Result<bool> Next(size_t max_points, Dataset* out);
 
  private:

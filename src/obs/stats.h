@@ -24,12 +24,9 @@ class RunBoard;
 
 /// Optional observability sinks threaded through a pipeline run. All
 /// pointers may be null (the default): a disabled pipeline pays one
-/// pointer test per potential record and nothing else.
-///
-/// Deprecated as a user-facing API: prefer
-/// PipelineBuilder::WithMetrics()/WithTrace()/WithDebugServer()
-/// (stream/engine.h), which own the sink wiring. Populating
-/// StreamExecOptions::obs directly keeps working for existing callers.
+/// pointer test per potential record and nothing else. Set them through
+/// PipelineBuilder::WithMetrics()/WithTrace()/WithDebugServer()/
+/// WithRunId() (stream/engine.h), which own the sink wiring.
 struct ObsContext {
   MetricsRegistry* metrics = nullptr;
   TraceRecorder* trace = nullptr;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -563,7 +564,16 @@ Result<StreamRunResult> PipelineBuilder::RunInMemory(
   ApplyRunIdTags(options.exec.obs);
   const size_t dim = cells[0].points.dim();
   size_t max_points = 0;
+  std::set<GridCellId> seen;
   for (const GridBucket& c : cells) {
+    if (c.points.empty()) {
+      return Status::InvalidArgument("cell " + c.cell.ToString() +
+                                     " has no points");
+    }
+    if (!seen.insert(c.cell).second) {
+      return Status::InvalidArgument("cell " + c.cell.ToString() +
+                                     " given twice");
+    }
     max_points = std::max(max_points, c.points.size());
   }
   PhysicalPlan plan = PlanPartialMerge(dim, max_points, options.resources);

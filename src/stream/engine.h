@@ -195,7 +195,9 @@ class PipelineBuilder {
   Result<StreamRunResult> Run(
       const std::vector<std::string>& bucket_paths) const;
 
-  /// Same, over already-materialized cells.
+  /// Same, over already-materialized cells: each is cut into consecutive
+  /// chunks of the planned size in the order its points are given. Every
+  /// cell must be non-empty and appear once.
   Result<StreamRunResult> RunInMemory(std::vector<GridBucket> cells) const;
 
   /// Renders the physical plan EXPLAIN (without running) for the given

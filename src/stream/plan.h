@@ -75,9 +75,9 @@ struct StreamExecOptions {
   /// (kSkipAndContinue) and failed partial chunks.
   RetryPolicy io_retry;
 
-  /// Observability sinks. Leave the pointers null (default) for a fully
-  /// uninstrumented run; set metrics and/or trace to collect a
-  /// MetricsRegistry export and a Chrome trace of the pipeline.
+  /// Observability sinks, wired by PipelineBuilder::WithMetrics/WithTrace/
+  /// WithDebugServer/WithRunId. All null (default) for a fully
+  /// uninstrumented run.
   ObsContext obs;
 
   /// Cooperative cancellation token (nullable). When the pointed-at flag

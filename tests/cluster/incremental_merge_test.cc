@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "cluster/partial.h"
-#include "cluster/partial_merge.h"
 #include "data/generator.h"
 
 namespace pmkm {

@@ -68,7 +68,7 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
 }
 
 TEST(ThreadPoolTest, ParallelSumMatchesSerial) {
-  ThreadPool pool(ThreadPool::DefaultThreadCount());
+  ThreadPool pool(4);
   std::vector<std::future<long>> futures;
   for (int chunk = 0; chunk < 16; ++chunk) {
     futures.push_back(pool.Submit([chunk] {

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -56,6 +59,20 @@ class IoCorruptionTest : public ::testing::Test {
                        const std::vector<char>& bytes) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  // Overwrites one coordinate of a bucket on disk and re-seals the
+  // checksum, so the file is intact and only the value is bad.
+  static void PoisonCoordinate(const std::string& path, size_t point,
+                               size_t column, size_t dim, double value) {
+    std::vector<char> bytes = ReadAll(path);
+    const size_t payload = bytes.size() - 32 - sizeof(uint64_t);
+    std::memcpy(&bytes[32 + (point * dim + column) * sizeof(double)], &value,
+                sizeof(value));
+    const uint64_t hash =
+        internal::Fnv1a64(&bytes[32], payload, internal::kFnvOffset);
+    std::memcpy(&bytes[32 + payload], &hash, sizeof(hash));
+    WriteAll(path, bytes);
   }
 
   // Reads the whole bucket through the streaming reader, mirroring how the
@@ -171,6 +188,45 @@ TEST_F(IoCorruptionTest, MissingFile) {
   const Status st = ReadFully((dir_ / "never_written.pmkb").string());
   EXPECT_TRUE(st.IsIOError());
   EXPECT_NE(st.message().find("cannot open"), std::string::npos) << st;
+}
+
+// --- non-finite values ----------------------------------------------------
+
+TEST_F(IoCorruptionTest, ReaderRejectsNonFiniteCoordinate) {
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    const std::string path = WriteHealthyBucket();
+    PoisonCoordinate(path, 2, 1, 2, bad);
+    const Status st = ReadFully(path);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st;
+    EXPECT_NE(st.message().find("non-finite value at point 2, column 1"),
+              std::string::npos)
+        << st;
+    EXPECT_NE(st.message().find(path), std::string::npos) << st;
+    EXPECT_TRUE(ReadGridBucket(path).status().IsInvalidArgument());
+  }
+}
+
+TEST_F(IoCorruptionTest, WritersRefuseNonFiniteCoordinate) {
+  const std::string path = (dir_ / "nan.pmkb").string();
+  auto writer = GridBucketWriter::Open(path, GridCellId{1, 1}, 2);
+  ASSERT_TRUE(writer.ok());
+  const double good[2] = {1.0, 2.0};
+  const double bad[2] = {3.0, std::numeric_limits<double>::infinity()};
+  ASSERT_TRUE(writer->Append(good).ok());
+  const Status st = writer->Append(bad);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("point 1, column 1"), std::string::npos) << st;
+  EXPECT_EQ(writer->points_written(), 1u);  // the bad point was not written
+
+  GridBucket bucket;
+  bucket.points = Dataset(2);
+  bucket.points.Append(good);
+  bucket.points.Append(std::vector<double>{std::nan(""), 0.0});
+  const std::string bulk = (dir_ / "nan_bulk.pmkb").string();
+  EXPECT_TRUE(WriteGridBucket(bulk, bucket).IsInvalidArgument());
+  EXPECT_FALSE(fs::exists(bulk));
+  EXPECT_FALSE(fs::exists(bulk + ".tmp"));
 }
 
 // --- crash-safe (atomic) publication -----------------------------------

@@ -10,15 +10,15 @@
 #include <tuple>
 
 #include "cluster/metrics.h"
-#include "cluster/partial_merge.h"
 #include "data/generator.h"
 #include "data/io.h"
+#include "stream/engine.h"
 
 namespace pmkm {
 namespace {
 
 // ---------------------------------------------------------------------------
-// P1: partial/merge invariants over (n, splits, k).
+// P1: partial/merge invariants over (n, splits, k), on the stream engine.
 
 using PmParam = std::tuple<int, int, int>;  // n, splits, k
 
@@ -29,44 +29,52 @@ TEST_P(PartialMergeProperty, Invariants) {
   Rng rng(static_cast<uint64_t>(n * 31 + splits * 7 + k));
   const Dataset cell = GenerateMisrLikeCell(static_cast<size_t>(n), &rng);
 
-  PartialMergeConfig config;
-  config.partial.k = static_cast<size_t>(k);
-  config.partial.restarts = 2;
-  config.num_partitions = static_cast<size_t>(splits);
-  auto result = PartialMergeKMeans(config).Run(cell);
-  ASSERT_TRUE(result.ok()) << result.status();
+  KMeansConfig partial;
+  partial.k = static_cast<size_t>(k);
+  partial.restarts = 2;
+  MergeKMeansConfig merge;
+  merge.k = partial.k;
+  const auto chunk = static_cast<size_t>((n + splits - 1) / splits);
+  auto run = PipelineBuilder()
+                 .WithPartialKMeans(partial)
+                 .WithMerge(merge)
+                 .WithChunkPoints(chunk)
+                 .RunInMemory({GridBucket{GridCellId{0, 0}, cell}});
+  ASSERT_TRUE(run.ok()) << run.status();
+  const CellClustering& result = run->cells.at(GridCellId{0, 0});
 
   // I1: never more than k output centroids.
-  EXPECT_LE(result->model.k(), static_cast<size_t>(k));
-  EXPECT_GE(result->model.k(), 1u);
+  EXPECT_LE(result.model.k(), static_cast<size_t>(k));
+  EXPECT_GE(result.model.k(), 1u);
 
   // I2: total output weight equals N (mass conservation through both
   // phases).
   double mass = 0.0;
-  for (double w : result->model.weights) mass += w;
+  for (double w : result.model.weights) mass += w;
   EXPECT_NEAR(mass, static_cast<double>(n), 1e-6 * n);
+  EXPECT_EQ(result.input_points, static_cast<size_t>(n));
 
   // I3: errors are finite and non-negative.
-  EXPECT_GE(result->model.sse, 0.0);
-  EXPECT_TRUE(std::isfinite(result->model.sse));
+  EXPECT_GE(result.model.sse, 0.0);
+  EXPECT_TRUE(std::isfinite(result.model.sse));
 
   // I4: the model beats the trivial single-mean model on raw data
   // whenever k > 1 and the cell is non-degenerate.
   if (k > 1) {
     Dataset mean_model(cell.dim());
     mean_model.Append(cell.Mean());
-    EXPECT_LE(Sse(result->model.centroids, cell),
+    EXPECT_LE(Sse(result.model.centroids, cell),
               Sse(mean_model, cell) * (1.0 + 1e-9));
   }
 
-  // I5: per-partition diagnostics line up with the partition count
-  // actually used.
-  EXPECT_EQ(result->partition_sse.size(), result->num_partitions);
-  EXPECT_LE(result->num_partitions, static_cast<size_t>(splits));
+  // I5: the cell was cut into at most `splits` chunks.
+  ASSERT_EQ(run->queues[0].name, "points");
+  const size_t chunks = run->queues[0].total_pushed;
+  EXPECT_GE(chunks, 1u);
+  EXPECT_LE(chunks, static_cast<size_t>(splits));
 
-  // I6: pooled centroid count is bounded by splits·k.
-  EXPECT_LE(result->pooled_centroids,
-            static_cast<size_t>(splits) * static_cast<size_t>(k));
+  // I6: pooled centroid count is bounded by chunks·k.
+  EXPECT_LE(result.pooled_centroids, chunks * static_cast<size_t>(k));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "cluster/serialize.h"
 #include "common/flags.h"
 #include "data/generator.h"
 #include "obs/metrics.h"
@@ -173,6 +180,98 @@ TEST(PipelineBuilderTest, ChunkOverrideKeepsQueueRule) {
   EXPECT_EQ(result->plan.queue_capacity,
             PlanQueueCapacity(result->plan.partial_clones, 2000, 6,
                               resources.memory_bytes_per_operator));
+}
+
+// --- Differential tests: the paper's algebraic identities on the engine ---
+
+TEST(EngineDifferentialTest, OneChunkCollapsesToPartialKMeans) {
+  // p = 1: the whole cell is one chunk, the merge pool holds at most k
+  // centroids and passes them through, so the run is serial k-means of
+  // the cell (partition 0 of cell {0, 0} has seed tag 0).
+  Rng rng(21);
+  const Dataset points = GenerateMisrLikeCell(1500, &rng);
+  KMeansConfig partial;
+  partial.k = 12;
+  partial.restarts = 3;
+  partial.seed = 17;
+  MergeKMeansConfig merge;
+  merge.k = partial.k;
+  auto run = PipelineBuilder()
+                 .WithPartialKMeans(partial)
+                 .WithMerge(merge)
+                 .WithChunkPoints(points.size())
+                 .RunInMemory({GridBucket{GridCellId{0, 0}, points}});
+  ASSERT_TRUE(run.ok()) << run.status();
+  auto serial = PartialKMeans(partial).Cluster(points, 0);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+
+  const ClusteringModel& got = run->cells.at(GridCellId{0, 0}).model;
+  const WeightedDataset& want = serial->centroids;
+  ASSERT_EQ(got.k(), want.size());
+  // Same set: every serial centroid has its own engine centroid within
+  // 1e-12 relative, carrying exactly the same weight.
+  std::vector<bool> matched(got.k(), false);
+  for (size_t i = 0; i < want.size(); ++i) {
+    const std::span<const double> c = want.points().Row(i);
+    const auto same = [&](size_t j) {
+      if (matched[j] || got.weights[j] != want.weight(i)) return false;
+      for (size_t d = 0; d < c.size(); ++d) {
+        const double diff = std::abs(got.centroids(j, d) - c[d]);
+        if (diff > 1e-12 * std::abs(c[d])) return false;
+      }
+      return true;
+    };
+    size_t j = 0;
+    while (j < got.k() && !same(j)) ++j;
+    ASSERT_LT(j, got.k()) << "serial centroid " << i << " missing";
+    matched[j] = true;
+  }
+}
+
+TEST(EngineDifferentialTest, CellOrderDoesNotChangeModels) {
+  // Permutation invariance: the cells' order changes only which clone
+  // sees what when, never a model byte.
+  std::vector<GridBucket> cells;
+  for (int id = 0; id < 5; ++id) {
+    cells.push_back(MakeBucket(id, 400 + 150 * id, 30 + id));
+  }
+  std::vector<GridBucket> reversed(cells.rbegin(), cells.rend());
+  KMeansConfig partial;
+  partial.k = 6;
+  partial.restarts = 2;
+  MergeKMeansConfig merge;
+  merge.k = 6;
+  ResourceModel resources;
+  resources.cores = 3;
+  PipelineBuilder builder;
+  builder.WithPartialKMeans(partial)
+      .WithMerge(merge)
+      .WithResources(resources)
+      .WithChunkPoints(256);
+  auto forward = builder.RunInMemory(std::move(cells));
+  auto backward = builder.RunInMemory(std::move(reversed));
+  ASSERT_TRUE(forward.ok()) << forward.status();
+  ASSERT_TRUE(backward.ok()) << backward.status();
+  ASSERT_EQ(forward->cells.size(), 5u);
+  ASSERT_EQ(backward->cells.size(), 5u);
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("pmkm_engine_perm_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto model_bytes = [&dir](const ClusteringModel& model) {
+    const std::string path = (dir / "model.pmkm").string();
+    EXPECT_TRUE(SaveModel(path, model).ok());
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  for (const auto& [cell, clustering] : forward->cells) {
+    SCOPED_TRACE(cell.ToString());
+    ASSERT_EQ(backward->cells.count(cell), 1u);
+    EXPECT_EQ(model_bytes(clustering.model),
+              model_bytes(backward->cells.at(cell).model));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PipelineBuilderTest, ExplainNamesKernel) {

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -70,6 +73,23 @@ class ResilienceTest : public ::testing::Test {
     std::error_code ec;
     fs::resize_file(path, 32 + 10 * 2 * sizeof(double), ec);
     ASSERT_FALSE(ec) << ec.message();
+  }
+
+  // Replaces one coordinate with NaN and re-seals the checksum: the file
+  // is intact, only its data is unusable.
+  static void PoisonBucket(const std::string& path, size_t point) {
+    std::ifstream in(path, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    in.close();
+    const size_t payload = bytes.size() - 32 - sizeof(uint64_t);
+    const double nan = std::nan("");
+    std::memcpy(&bytes[32 + point * 2 * sizeof(double)], &nan, sizeof(nan));
+    const uint64_t hash =
+        internal::Fnv1a64(&bytes[32], payload, internal::kFnvOffset);
+    std::memcpy(&bytes[32 + payload], &hash, sizeof(hash));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
   // Small memory budget => chunk_points 16 => 3 partitions per 40-point
@@ -141,6 +161,32 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesCorruptBucketUnderFaults) {
   EXPECT_GT(run->report.io_retries, 0u);
   EXPECT_TRUE(run->report.degraded);
   EXPECT_EQ(run->report.failure_policy, FailurePolicy::kSkipAndContinue);
+}
+
+TEST_F(ResilienceTest, SkipAndContinueQuarantinesNonFiniteBucketUnretried) {
+  std::vector<std::string> paths = WriteBuckets();
+  PoisonBucket(paths[kCorruptCellLat], 30);  // in the cell's third chunk
+
+  StreamExecOptions exec;
+  exec.failure_policy = FailurePolicy::kSkipAndContinue;
+  exec.io_retry.max_attempts = 8;
+  exec.io_retry.initial_backoff_ms = 0;
+  auto run = RunStream(paths, exec);
+  ASSERT_TRUE(run.ok()) << run.status();
+
+  EXPECT_EQ(run->cells.size(), kNumCells - 1);
+  ASSERT_EQ(run->report.quarantined.size(), 1u) << run->report.Summary();
+  const QuarantinedCellReport& q = run->report.quarantined[0];
+  EXPECT_EQ(q.cell, (GridCellId{kCorruptCellLat, 0}));
+  EXPECT_NE(q.reason.find("non-finite value at point 30, column 0"),
+            std::string::npos)
+      << q.reason;
+  // Bad data is not a transient read failure: no retry was spent on it.
+  EXPECT_EQ(run->report.io_retries, 0u);
+  EXPECT_TRUE(run->report.degraded);
+
+  exec.failure_policy = FailurePolicy::kFailFast;
+  EXPECT_TRUE(RunStream(paths, exec).status().IsInvalidArgument());
 }
 
 TEST_F(ResilienceTest, SkipAndContinueIsDeterministicPerSeed) {

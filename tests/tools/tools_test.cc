@@ -90,11 +90,10 @@ TEST_F(ToolsTest, EndToEndClusterAndInspect) {
   for (const auto& e : fs::directory_iterator(Dir("b"))) {
     buckets += " " + e.path().string();
   }
-  for (const std::string algo : {"pm", "serial", "stream"}) {
+  for (const std::string algo : {"serial", "stream"}) {
     const std::string out = Dir("m_" + algo);
     ASSERT_EQ(Run(std::string(PMKM_TOOL_CLUSTER) + " --algo=" + algo +
-                  " --k=8 --restarts=2 --splits=4 --out=" + out +
-                  buckets),
+                  " --k=8 --restarts=2 --out=" + out + buckets),
               0)
         << algo;
     size_t models = 0;
@@ -231,6 +230,23 @@ TEST_F(ToolsTest, InspectExitCodesAreStatusDerived) {
 
 TEST_F(ToolsTest, ClusterWithoutInputsFails) {
   EXPECT_NE(Run(std::string(PMKM_TOOL_CLUSTER) + " --k=4"), 0);
+}
+
+TEST_F(ToolsTest, ClusterRejectsUnknownAlgo) {
+  // Only the engine (stream, the default) and the serial baseline exist;
+  // any other value is a usage error, reported before reading inputs.
+  const std::string err = Dir("cluster.err");
+  const int status =
+      std::system((std::string(PMKM_TOOL_CLUSTER) + " --algo=pm --out=" +
+                   Dir("m") + " " + Dir("x.pmkb") + " > /dev/null 2> " +
+                   err)
+                      .c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 64);
+  std::ifstream in(err);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("serial|stream"), std::string::npos) << text;
 }
 
 }  // namespace

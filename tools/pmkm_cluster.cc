@@ -1,14 +1,13 @@
 // pmkm_cluster — clusters grid-bucket files from the command line and
 // writes one model file per cell.
 //
-//   $ pmkm_cluster --algo=pm --k=40 --splits=10 --out=models \
-//         buckets/*.pmkb
+//   $ pmkm_cluster --k=40 --out=models buckets/*.pmkb
 //
-// Algorithms: pm (partial/merge, default), serial, stream (full engine
-// with resource-driven planning). Engine-level flags (--k, --restarts,
-// --memory-kib, --cores, --failure_policy, --max_retries,
-// --op_timeout_ms, --kernel) come from EngineFlags and are shared with
-// the stream benches.
+// Algorithms: stream (default: partial/merge on the engine, with
+// resource-driven planning) and serial (the paper's baseline k-means over
+// each whole cell). Engine-level flags (--k, --restarts, --memory-kib,
+// --cores, --failure_policy, --max_retries, --op_timeout_ms, --kernel)
+// come from EngineFlags and are shared with the stream benches.
 //
 // The stream path runs through the ClusterService API (serve/service.h):
 // by default an in-process LocalService, or — with
@@ -25,8 +24,7 @@
 #include <map>
 #include <thread>
 
-#include "cluster/metrics.h"
-#include "cluster/partial_merge.h"
+#include "cluster/kmeans.h"
 #include "cluster/serialize.h"
 #include "common/fault.h"
 #include "common/flags.h"
@@ -63,9 +61,8 @@ pmkm::Status WriteTextFile(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string algo = "pm";
+  std::string algo = "stream";
   std::string out = "models";
-  int64_t splits = 10;
   bool quiet = false;
   bool explain = false;
   std::string csv_dir;
@@ -86,11 +83,10 @@ int main(int argc, char** argv) {
           "pmkm_cluster: cluster grid-bucket files and write one .pmkm "
           "model per cell.")
       .SetPositionalUsage("bucket.pmkb [bucket2.pmkb ...]")
-      .AddString("algo", &algo, "pm | serial | stream")
+      .AddString("algo", &algo, "stream | serial")
       .AddString("out", &out, "output directory for .pmkm model files")
       .AddString("csv-dir", &csv_dir,
                  "also export centroids+weights as CSV here (optional)")
-      .AddInt("splits", &splits, "pm: partitions per cell")
       .AddString("faults", &faults,
                  "arm fault-injection sites, e.g. io.read:p=0.05,seed=7")
       .AddString("server", &server,
@@ -126,6 +122,10 @@ int main(int argc, char** argv) {
   const pmkm::Status st = parser.Parse(argc, argv);
   if (st.IsCancelled()) return 0;
   if (!st.ok()) return Fail(st);
+  if (algo != "stream" && algo != "serial") {
+    return Fail(pmkm::Status::InvalidArgument(
+        "unknown --algo=" + algo + " (use serial|stream)"));
+  }
   if (const pmkm::Status os = obs_flags.Apply(); !os.ok()) {
     return Fail(os);
   }
@@ -140,9 +140,9 @@ int main(int argc, char** argv) {
     std::cerr << parser.Usage(argv[0]);
     return Fail(pmkm::Status::InvalidArgument("no bucket files given"));
   }
-  // The serial and pm paths run k-means outside the engine; point the
-  // process default kernel at the chosen one so --kernel applies there
-  // too (the stream path resolves it per-run via the builder).
+  // The serial path runs k-means outside the engine; point the process
+  // default kernel at the chosen one so --kernel applies there too (the
+  // stream path resolves it per-run via the builder).
   {
     auto prev = pmkm::SetDefaultKernel(options->kernel);
     if (!prev.ok()) return Fail(prev.status());
@@ -368,26 +368,12 @@ int main(int argc, char** argv) {
     auto bucket = pmkm::ReadGridBucket(path);
     if (!bucket.ok()) return Fail(bucket.status());
     const pmkm::Stopwatch watch;
-    pmkm::ClusteringModel model;
-    if (algo == "serial") {
-      auto fitted = pmkm::KMeans(options->partial).Fit(bucket->points);
-      if (!fitted.ok()) return Fail(fitted.status());
-      model = std::move(fitted).value();
-    } else if (algo == "pm") {
-      pmkm::PartialMergeConfig config;
-      config.partial = options->partial;
-      config.num_partitions = static_cast<size_t>(splits);
-      auto result = pmkm::PartialMergeKMeans(config).Run(bucket->points);
-      if (!result.ok()) return Fail(result.status());
-      model = std::move(result->model);
-    } else {
-      return Fail(pmkm::Status::InvalidArgument(
-          "unknown --algo=" + algo + " (use pm|serial|stream)"));
-    }
+    auto model = pmkm::KMeans(options->partial).Fit(bucket->points);
+    if (!model.ok()) return Fail(model.status());
     const double ms = watch.ElapsedMillis();
-    const pmkm::Status ss = save(bucket->cell, model);
+    const pmkm::Status ss = save(bucket->cell, *model);
     if (!ss.ok()) return Fail(ss);
-    report(bucket->cell, bucket->points.size(), model, ms);
+    report(bucket->cell, bucket->points.size(), *model, ms);
   }
   return 0;
 }
