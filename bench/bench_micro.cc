@@ -139,10 +139,10 @@ void BM_AssignBlock(benchmark::State& state, const DistanceKernel* kernel,
 }
 
 void BM_AssignBlockSecond(benchmark::State& state,
-                          const DistanceKernel* kernel, size_t dim) {
+                          const DistanceKernel* kernel, size_t dim,
+                          size_t k) {
   // Same, with the second-best distance Hamerly's lower bound needs.
   const size_t n = 4096;
-  const size_t k = 40;
   const Dataset points = MakePoints(n, dim, 4);
   const Dataset centroids = MakePoints(k, dim, 2);
   CentroidBlock block;
@@ -165,7 +165,17 @@ void RegisterKernelSweeps() {
       benchmark::RegisterBenchmark(("BM_AssignBlock/" + tag).c_str(),
                                    BM_AssignBlock, kernel, dim);
       benchmark::RegisterBenchmark(("BM_AssignBlockSecond/" + tag).c_str(),
-                                   BM_AssignBlockSecond, kernel, dim);
+                                   BM_AssignBlockSecond, kernel, dim,
+                                   size_t{40});
+    }
+    // The small-k shapes of the many_cells_io (k=4) and serve (k=8)
+    // benchmark workloads.
+    for (size_t k : {4u, 8u}) {
+      const std::string tag = std::string(kernel->name()) + "/d6/k" +
+                              std::to_string(k);
+      benchmark::RegisterBenchmark(("BM_AssignBlockSecond/" + tag).c_str(),
+                                   BM_AssignBlockSecond, kernel, size_t{6},
+                                   k);
     }
   }
 }

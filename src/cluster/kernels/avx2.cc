@@ -3,16 +3,41 @@
 // stays portable; availability is re-checked at runtime via CPUID before
 // dispatch ever lands here.
 //
+// AssignBlock runs in two phases per block of 4 points:
+//  1. Distances. Each pass computes 4 points × 8 centroids: the two 4-lane
+//     centroid vectors of coordinate d are loaded once and reused by all
+//     4 points, which keeps 8 independent accumulators in flight. The
+//     distances go to a fixed-size stack scratch that tiles over
+//     centroids, so its size does not depend on k.
+//  2. Argmin, branch-free. Lane l of a point's state sees centroids
+//     j ≡ l (mod 4) in ascending order and keeps its minimum m, its
+//     second-smallest value s and the index of m (held as an exact
+//     double): idx = d < m ? j : idx, s = min(max(m, d), s),
+//     m = min(d, m). Permutes then reduce the 4 lanes.
+//
 // Determinism (must match kernels/scalar.cc bit-for-bit):
-//  - each SIMD lane owns one centroid and accumulates (x[d] − c[d])² over
-//    d in ascending order with separate mul + add (never vfmadd — the
-//    different rounding of a fused multiply-add would break cross-kernel
-//    parity), so a lane's distance equals the scalar kernel's exactly;
-//  - lane updates use strictly-less compares, and the horizontal reduce
-//    prefers the smaller centroid index on bitwise-equal distances —
-//    together equivalent to the scalar ascending-j scan;
+//  - every lane accumulates (x[d] − c[d])² over d in ascending order with
+//    separate mul + add (never vfmadd — the different rounding of a fused
+//    multiply-add would break cross-kernel parity), so each distance
+//    equals the scalar kernel's exactly;
+//  - the scalar scan returns the smallest distance, the lowest index
+//    attaining it (strict compares; index 0 when no distance is below
+//    +inf) and the second-smallest value of the multiset of distances
+//    (a tie with the minimum counts). NaN distances never compare less,
+//    so they are simply absent from that multiset;
+//  - a lane's update keeps exactly the two smallest of its own distances,
+//    with the lowest index of its minimum (strict <). MINPD/MAXPD return
+//    the second operand when either is NaN, so with the operand order
+//    above a NaN d leaves m, s and idx unchanged;
+//  - the reduction takes M = min over lanes of m, then the lowest idx
+//    among lanes whose m equals M (lanes that never won still hold their
+//    initial idx 0..3, so an all-inf or all-NaN point gets index 0), and
+//    the second as min(s of that lane, m of the other lanes) — the second
+//    of a union of lanes is either the winner lane's own second or
+//    another lane's minimum;
 //  - padded lanes (CentroidBlock columns j >= k hold +inf coordinates)
-//    produce +inf distances and can never win.
+//    produce +inf or NaN distances and can never win or become second
+//    ahead of a real centroid's finite distance.
 
 #include "cluster/kernels/internal.h"
 
@@ -20,6 +45,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -29,6 +55,14 @@ namespace kernels {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Points per register block, and centroids per stack-scratch tile (a
+// multiple of the 8 centroids one phase-1 pass covers; CentroidBlock pads
+// k to 8, so every pass is full).
+constexpr size_t kBlockPoints = 4;
+constexpr size_t kTileCentroids = 64;
+static_assert(CentroidBlock::kLanePad == 8 && kTileCentroids % 8 == 0,
+              "a phase-1 pass covers 8 padded centroid columns");
 
 // Squared distances of point x to the 4 centroids starting at padded
 // column j0, accumulated in ascending-d order (one mul + one add per
@@ -43,6 +77,72 @@ inline __m256d Distance4(const double* x, const double* ct, size_t kp,
     acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
   }
   return acc;
+}
+
+// acc += (x − c)², lane-wise, as one mul and one add.
+inline __m256d AddSquaredDiff(__m256d acc, __m256d x, __m256d c) {
+  const __m256d diff = _mm256_sub_pd(x, c);
+  return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+}
+
+// Phase 1: out[p][j − j_begin] = ‖x[p] − c_j‖² for the 4 points and the
+// padded columns [j_begin, j_end).
+inline void DistanceTile(const double* const x[kBlockPoints],
+                         const double* ct, size_t kp, size_t dim,
+                         size_t j_begin, size_t j_end,
+                         double (*out)[kTileCentroids]) {
+  for (size_t j0 = j_begin; j0 < j_end; j0 += 8) {
+    __m256d a00 = _mm256_setzero_pd(), a01 = a00, a10 = a00, a11 = a00;
+    __m256d a20 = a00, a21 = a00, a30 = a00, a31 = a00;
+    for (size_t d = 0; d < dim; ++d) {
+      const double* c = ct + d * kp + j0;
+      const __m256d c0 = _mm256_loadu_pd(c);
+      const __m256d c1 = _mm256_loadu_pd(c + 4);
+      const __m256d x0 = _mm256_set1_pd(x[0][d]);
+      a00 = AddSquaredDiff(a00, x0, c0);
+      a01 = AddSquaredDiff(a01, x0, c1);
+      const __m256d x1 = _mm256_set1_pd(x[1][d]);
+      a10 = AddSquaredDiff(a10, x1, c0);
+      a11 = AddSquaredDiff(a11, x1, c1);
+      const __m256d x2 = _mm256_set1_pd(x[2][d]);
+      a20 = AddSquaredDiff(a20, x2, c0);
+      a21 = AddSquaredDiff(a21, x2, c1);
+      const __m256d x3 = _mm256_set1_pd(x[3][d]);
+      a30 = AddSquaredDiff(a30, x3, c0);
+      a31 = AddSquaredDiff(a31, x3, c1);
+    }
+    const size_t o = j0 - j_begin;
+    _mm256_store_pd(out[0] + o, a00);
+    _mm256_store_pd(out[0] + o + 4, a01);
+    _mm256_store_pd(out[1] + o, a10);
+    _mm256_store_pd(out[1] + o + 4, a11);
+    _mm256_store_pd(out[2] + o, a20);
+    _mm256_store_pd(out[2] + o + 4, a21);
+    _mm256_store_pd(out[3] + o, a30);
+    _mm256_store_pd(out[3] + o + 4, a31);
+  }
+}
+
+// One point's per-lane argmin state (phase 2).
+struct LaneArgmin {
+  __m256d m;    // smallest distance seen by the lane
+  __m256d s;    // second smallest
+  __m256d idx;  // centroid index of m, as an exact double
+};
+
+// idx = d < m ? j : idx. A lane's j only grows and idx >= 0, so this is
+// max(idx, lt & j): the masked j is +0.0 where d is not smaller.
+inline void Update(LaneArgmin* st, __m256d d, __m256d j) {
+  const __m256d lt = _mm256_cmp_pd(d, st->m, _CMP_LT_OQ);
+  st->idx = _mm256_max_pd(st->idx, _mm256_and_pd(lt, j));
+  st->s = _mm256_min_pd(_mm256_max_pd(st->m, d), st->s);
+  st->m = _mm256_min_pd(d, st->m);
+}
+
+// Broadcasts the minimum of v's 4 lanes (v holds no NaN).
+inline __m256d LaneMin(__m256d v) {
+  v = _mm256_min_pd(v, _mm256_permute2f128_pd(v, v, 1));
+  return _mm256_min_pd(v, _mm256_permute_pd(v, 0x5));
 }
 
 }  // namespace
@@ -63,49 +163,49 @@ class Avx2DistanceKernel final : public DistanceKernel {
     const size_t k = centroids.k();
     const size_t kp = centroids.padded_k();
     const double* ct = centroids.transposed();
-    PMKM_DCHECK(k > 0 && centroids.dim() == dim && kp % 4 == 0);
+    PMKM_DCHECK(k > 0 && centroids.dim() == dim && kp % 8 == 0);
 
+    alignas(32) double scratch[kBlockPoints][kTileCentroids];
     const __m256d inf = _mm256_set1_pd(kInf);
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (size_t i = 0; i < n; ++i) {
-      const double* x = points + i * dim;
-      __m256d best_d = inf;
-      __m256d second_d = inf;
-      __m256i best_j = _mm256_setr_epi64x(0, 1, 2, 3);
-      __m256i j_vec = best_j;
-      for (size_t j0 = 0; j0 < kp; j0 += 4) {
-        const __m256d d4 = Distance4(x, ct, kp, dim, j0);
-        const __m256d lt_best = _mm256_cmp_pd(d4, best_d, _CMP_LT_OQ);
-        // second := lt_best ? old best : min(d4, second)
-        const __m256d min_second = _mm256_min_pd(d4, second_d);
-        second_d = _mm256_blendv_pd(min_second, best_d, lt_best);
-        best_d = _mm256_blendv_pd(best_d, d4, lt_best);
-        best_j = _mm256_castpd_si256(_mm256_blendv_pd(
-            _mm256_castsi256_pd(best_j), _mm256_castsi256_pd(j_vec),
-            lt_best));
-        j_vec = _mm256_add_epi64(j_vec, step);
+    const __m256d lanes = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+    const __m256d four = _mm256_set1_pd(4.0);
+    for (size_t i = 0; i < n; i += kBlockPoints) {
+      // A short tail block repeats its last point; only real rows are
+      // written back.
+      const size_t rows = std::min(kBlockPoints, n - i);
+      const double* x[kBlockPoints];
+      for (size_t p = 0; p < kBlockPoints; ++p) {
+        x[p] = points + (i + std::min(p, rows - 1)) * dim;
       }
-
-      alignas(32) double bd[4];
-      alignas(32) double sd[4];
-      alignas(32) int64_t bj[4];
-      _mm256_store_pd(bd, best_d);
-      _mm256_store_pd(sd, second_d);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(bj), best_j);
-
-      // Horizontal reduce: smallest distance, ties to the smaller index —
-      // identical to the scalar ascending-j scan.
-      int w = 0;
-      for (int l = 1; l < 4; ++l) {
-        if (bd[l] < bd[w] || (bd[l] == bd[w] && bj[l] < bj[w])) w = l;
+      LaneArgmin st[kBlockPoints];
+      for (LaneArgmin& lane : st) lane = {inf, inf, lanes};
+      for (size_t t0 = 0; t0 < kp; t0 += kTileCentroids) {
+        const size_t t1 = std::min(kp, t0 + kTileCentroids);
+        DistanceTile(x, ct, kp, dim, t0, t1, scratch);
+        __m256d j = _mm256_add_pd(
+            _mm256_set1_pd(static_cast<double>(t0)), lanes);
+        for (size_t o = 0; o < t1 - t0; o += 4) {
+          Update(&st[0], _mm256_load_pd(scratch[0] + o), j);
+          Update(&st[1], _mm256_load_pd(scratch[1] + o), j);
+          Update(&st[2], _mm256_load_pd(scratch[2] + o), j);
+          Update(&st[3], _mm256_load_pd(scratch[3] + o), j);
+          j = _mm256_add_pd(j, four);
+        }
       }
-      double d_second = sd[w];
-      for (int l = 0; l < 4; ++l) {
-        if (l != w && bd[l] < d_second) d_second = bd[l];
+      for (size_t p = 0; p < rows; ++p) {
+        const __m256d best = LaneMin(st[p].m);
+        const __m256d tied = _mm256_cmp_pd(st[p].m, best, _CMP_EQ_OQ);
+        const __m256d j = LaneMin(_mm256_blendv_pd(inf, st[p].idx, tied));
+        assign[i + p] = static_cast<uint32_t>(_mm256_cvtsd_f64(j));
+        dist2[i + p] = _mm256_cvtsd_f64(best);
+        if (second2 != nullptr) {
+          // Lane indices are distinct mod 4, so exactly one lane won.
+          const __m256d won = _mm256_cmp_pd(st[p].idx, j, _CMP_EQ_OQ);
+          second2[i + p] =
+              _mm256_cvtsd_f64(LaneMin(_mm256_blendv_pd(st[p].m, st[p].s,
+                                                        won)));
+        }
       }
-      assign[i] = static_cast<uint32_t>(bj[w]);
-      dist2[i] = bd[w];
-      if (second2 != nullptr) second2[i] = d_second;
     }
   }
 

@@ -13,13 +13,17 @@
 //    its (point, centroid) distance in strict coordinate order.
 //  - Determinism guarantee: every kernel computes bit-identical squared
 //    distances (same per-pair operation order, no FMA contraction in the
-//    accumulation) and resolves the argmin in a fixed order — strictly
-//    smaller distance wins, ties break toward the lower centroid index.
-//    Assignments, and therefore centroids, are bitwise identical across
-//    scalar/AVX2/NEON, which keeps Lloyd/parallel parity exact. The
-//    pruned Lloyd assignment (cluster/lloyd.cc) relies on this: it takes
-//    a skipped point's distance from a scalar loop with the same
-//    per-lane operation order.
+//    accumulation) and returns what the scalar ascending-index scan
+//    returns — strictly smaller distance wins, ties break toward the
+//    lower centroid index, NaN distances never win or become second. How
+//    a kernel gets there is its own business: the AVX2 kernel computes a
+//    register block of 4 points × 8 centroids into a stack scratch, then
+//    reduces it with a branch-free per-lane min/second/index update and a
+//    permute-based cross-lane reduction (kernels/avx2.cc shows why that
+//    equals the scan). Assignments, and therefore centroids, are bitwise
+//    identical across scalar/AVX2/NEON. The pruned Lloyd assignment
+//    (cluster/lloyd.cc) relies on this: it takes a skipped point's
+//    distance from a scalar loop with the same per-lane operation order.
 
 #ifndef PMKM_CLUSTER_KERNELS_KERNEL_H_
 #define PMKM_CLUSTER_KERNELS_KERNEL_H_
@@ -55,8 +59,9 @@ Result<KernelKind> ParseKernelKind(const std::string& name);
 /// Load() only reallocates when the shape grows.
 class CentroidBlock {
  public:
-  /// Pad k to a multiple of 8: covers 2×-unrolled 4-wide AVX2 and 4×
-  /// 2-wide NEON sweeps with one layout.
+  /// Pad k to a multiple of 8: covers the AVX2 kernel's 8-centroid
+  /// register block (two 4-wide vectors) and 4× 2-wide NEON sweeps with
+  /// one layout.
   static constexpr size_t kLanePad = 8;
 
   void Load(const double* centroids, size_t k, size_t dim);

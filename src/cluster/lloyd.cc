@@ -108,6 +108,10 @@ class Assigner {
     // Bounds outside [kMinBound, kMaxBound] are not used, so no square
     // involved under- or overflows. NaN compares false and falls through
     // to the scan.
+    //
+    // The compaction is branch-free: every point writes dist2[t] and the
+    // next gather slot, and only a point that needs the scan advances m
+    // (its dist2[t] is overwritten from the scan below).
     const double* centroids = centroids_.data();
     size_t m = 0;
     for (size_t t = 0; t < tile; ++t) {
@@ -116,13 +120,12 @@ class Assigner {
       const double* x = points + t * dim_;
       const double d2 = SquaredL2(x, centroids + a * dim_, dim_);
       const double bound = std::max(s_[a], lower_[i]) * (1.0 - kSlack);
-      if (bound > kMinBound && bound < kMaxBound &&
-          std::sqrt(d2) * (1.0 + kSlack) < bound) {
-        dist2[t] = d2;
-        continue;
-      }
+      const bool pruned = (bound > kMinBound) & (bound < kMaxBound) &
+                          (std::sqrt(d2) * (1.0 + kSlack) < bound);
+      dist2[t] = d2;
       std::copy(x, x + dim_, gather_points_.data() + m * dim_);
-      gather_idx_[m++] = t;
+      gather_idx_[m] = t;
+      m += !pruned;
     }
     if (m == 0) return;
     kernel_.AssignBlock(gather_points_.data(), m, dim_, block_,

@@ -1,7 +1,9 @@
 #include "cluster/serialize.h"
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/annotations.h"
@@ -106,8 +108,8 @@ Result<ClusteringModel> LoadModel(const std::string& path) {
     return Status::OK();
   };
 
-  uint32_t magic, version, flags, pad;
-  uint64_t k, dim;
+  uint32_t magic = 0, version = 0, flags = 0, pad = 0;
+  uint64_t k = 0, dim = 0;
   PMKM_RETURN_NOT_OK(take(&magic));
   if (magic != kModelMagic) {
     return Status::IOError("bad magic (not a model file): " + path);
@@ -125,8 +127,8 @@ Result<ClusteringModel> LoadModel(const std::string& path) {
   PMKM_RETURN_NOT_OK(take(&pad));
 
   ClusteringModel model;
-  uint64_t iterations;
-  uint32_t converged;
+  uint64_t iterations = 0;
+  uint32_t converged = 0;
   PMKM_RETURN_NOT_OK(take(&model.sse));
   PMKM_RETURN_NOT_OK(take(&model.mse_per_point));
   PMKM_RETURN_NOT_OK(take(&iterations));
@@ -135,17 +137,52 @@ Result<ClusteringModel> LoadModel(const std::string& path) {
   model.iterations = iterations;
   model.converged = converged != 0;
 
+  // Bound the header's sizes by the bytes that are actually there before
+  // allocating anything: k centroids of dim values plus k weights is
+  // k·(dim + 1) doubles, checked without overflow.
+  const size_t payload_end = buf.size() - sizeof(uint64_t);
+  const uint64_t doubles_left = (payload_end - pos) / sizeof(double);
+  if (dim >= doubles_left || k > doubles_left / (dim + 1)) {
+    return Status::IOError("model header (k=" + std::to_string(k) +
+                           ", dim=" + std::to_string(dim) +
+                           ") exceeds its payload: " + path);
+  }
   std::vector<double> centroid_values(k * dim);
-  for (double& v : centroid_values) PMKM_RETURN_NOT_OK(take(&v));
+  for (size_t v = 0; v < centroid_values.size(); ++v) {
+    PMKM_RETURN_NOT_OK(take(&centroid_values[v]));
+    if (!std::isfinite(centroid_values[v])) {
+      return Status::IOError("non-finite value in centroid " +
+                             std::to_string(v / dim) + ": " + path);
+    }
+  }
   PMKM_ASSIGN_OR_RETURN(model.centroids,
                         Dataset::FromFlat(dim, std::move(centroid_values)));
   model.weights.resize(k);
-  for (double& w : model.weights) PMKM_RETURN_NOT_OK(take(&w));
+  for (size_t j = 0; j < k; ++j) {
+    double& w = model.weights[j];
+    PMKM_RETURN_NOT_OK(take(&w));
+    if (!std::isfinite(w) || w < 0.0) {
+      return Status::IOError("weight of centroid " + std::to_string(j) +
+                             " must be finite and >= 0: " + path);
+    }
+  }
   if (flags & kFlagHasAssignments) {
-    uint64_t n;
+    uint64_t n = 0;
     PMKM_RETURN_NOT_OK(take(&n));
+    if (n > (payload_end - pos) / sizeof(uint32_t)) {
+      return Status::IOError("model header claims " + std::to_string(n) +
+                             " assignments, more than its payload holds: " +
+                             path);
+    }
     model.assignments.resize(n);
-    for (uint32_t& a : model.assignments) PMKM_RETURN_NOT_OK(take(&a));
+    for (size_t i = 0; i < n; ++i) {
+      PMKM_RETURN_NOT_OK(take(&model.assignments[i]));
+      if (model.assignments[i] >= k) {
+        return Status::IOError("assignment of point " + std::to_string(i) +
+                               " is not below k=" + std::to_string(k) +
+                               ": " + path);
+      }
+    }
   }
   return model;
 }

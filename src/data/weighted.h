@@ -7,8 +7,10 @@
 #ifndef PMKM_DATA_WEIGHTED_H_
 #define PMKM_DATA_WEIGHTED_H_
 
+#include <cmath>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -30,12 +32,20 @@ class WeightedDataset {
     return out;
   }
 
-  /// Wraps points and weights; sizes must match.
+  /// Wraps points and weights; sizes must match and every weight must be
+  /// finite and >= 0 (zero is legal: a starved centroid).
   static Result<WeightedDataset> Create(Dataset points,
                                         std::vector<double> weights) {
     if (points.size() != weights.size()) {
       return Status::InvalidArgument(
           "weight count does not match point count");
+    }
+    for (size_t i = 0; i < weights.size(); ++i) {
+      if (!std::isfinite(weights[i]) || weights[i] < 0.0) {
+        return Status::InvalidArgument(
+            "weight " + std::to_string(i) + " is " +
+            std::to_string(weights[i]) + "; weights must be finite and >= 0");
+      }
     }
     WeightedDataset out(points.dim());
     out.points_ = std::move(points);

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -195,6 +199,169 @@ INSTANTIATE_TEST_SUITE_P(Dims, KernelParityTest,
                          [](const auto& info) {
                            return "d" + std::to_string(info.param);
                          });
+
+// Adversarial AssignBlock parity: every kernel's assign/dist2/second2
+// bytes (memcmp, so NaN payloads and signed zeros count) must equal the
+// scalar scan's, with and without second2, over tails (n not a multiple of
+// any block size), padded lanes and padded centroid blocks (k not a
+// multiple of 4 or 8), duplicate centroids across lanes and blocks, and
+// non-finite points and centroids.
+class AssignBlockAdversarialTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kDim = 3;
+
+  // Points drawn near the centroids, so duplicates are often nearest.
+  static std::vector<double> NearPoints(size_t n, const Dataset& centroids,
+                                        uint64_t seed) {
+    Rng rng(seed);
+    std::vector<double> x(n * kDim);
+    for (size_t i = 0; i < n; ++i) {
+      const auto c = centroids.Row(rng.UniformInt(centroids.size()));
+      for (size_t d = 0; d < kDim; ++d) {
+        x[i * kDim + d] = c[d] + (rng.UniformInt(5) == 0
+                                      ? 0.0
+                                      : rng.UniformDouble() - 0.5);
+      }
+    }
+    return x;
+  }
+
+  static void ExpectBitwiseParity(const std::vector<double>& points,
+                                  const Dataset& centroids) {
+    const size_t n = points.size() / kDim;
+    CentroidBlock block;
+    block.Load(centroids);
+    const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
+    std::vector<uint32_t> ref_assign(n);
+    std::vector<double> ref_dist2(n), ref_second2(n);
+    scalar.AssignBlock(points.data(), n, kDim, block, ref_assign.data(),
+                       ref_dist2.data(), ref_second2.data());
+    for (const DistanceKernel* kernel : AvailableKernels()) {
+      SCOPED_TRACE(kernel->name());
+      for (bool with_second : {true, false}) {
+        SCOPED_TRACE(with_second ? "with second2" : "without second2");
+        std::vector<uint32_t> assign(n, 0xdeadbeef);
+        std::vector<double> dist2(n, -1.0), second2(n, -1.0);
+        kernel->AssignBlock(points.data(), n, kDim, block, assign.data(),
+                            dist2.data(),
+                            with_second ? second2.data() : nullptr);
+        EXPECT_EQ(0, std::memcmp(assign.data(), ref_assign.data(),
+                                 n * sizeof(uint32_t)));
+        EXPECT_EQ(0, std::memcmp(dist2.data(), ref_dist2.data(),
+                                 n * sizeof(double)));
+        if (with_second) {
+          EXPECT_EQ(0, std::memcmp(second2.data(), ref_second2.data(),
+                                   n * sizeof(double)));
+        } else {
+          EXPECT_TRUE(std::all_of(second2.begin(), second2.end(),
+                                  [](double v) { return v == -1.0; }));
+        }
+      }
+    }
+  }
+};
+
+TEST_F(AssignBlockAdversarialTest, TailsAndPaddingAcrossShapes) {
+  for (size_t k : {1u, 3u, 8u, 9u, 40u, 65u}) {
+    const Dataset centroids = MakePoints(k, kDim, 50 + k);
+    for (size_t n : {1u, 2u, 3u, 5u, 255u, 257u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+      ExpectBitwiseParity(NearPoints(n, centroids, 60 + n), centroids);
+    }
+  }
+}
+
+TEST_F(AssignBlockAdversarialTest, DuplicateCentroidsTieToLowerIndex) {
+  for (size_t k : {9u, 40u, 65u}) {
+    // Copies of a centroid in another lane of the same 4-lane vector, in
+    // the other vector of its 8-block, in a later 8-block at a lower lane
+    // (3 -> 8), in the last block, and (k=65) in the next scratch tile.
+    std::vector<double> values = MakePoints(k, kDim, 70 + k).values();
+    auto copy_row = [&](size_t from, size_t to) {
+      std::copy(values.begin() + from * kDim,
+                values.begin() + (from + 1) * kDim,
+                values.begin() + to * kDim);
+    };
+    copy_row(1, 2);
+    copy_row(1, 7);
+    copy_row(3, 8);
+    copy_row(3, k - 1);
+    copy_row(k - 2, 4);
+    auto dup = Dataset::FromFlat(kDim, std::move(values));
+    ASSERT_TRUE(dup.ok()) << dup.status();
+    const Dataset& centroids = *dup;
+    SCOPED_TRACE("k=" + std::to_string(k));
+
+    // Points exactly on duplicated centroids, plus nearby points.
+    const std::vector<size_t> on = {1, 3, 4, 7, k - 1};
+    std::vector<double> points = NearPoints(255, centroids, 80 + k);
+    for (size_t j : on) {
+      const auto c = centroids.Row(j);
+      points.insert(points.end(), c.begin(), c.end());
+    }
+    ExpectBitwiseParity(points, centroids);
+
+    CentroidBlock block;
+    block.Load(centroids);
+    const size_t n = points.size() / kDim;
+    for (const DistanceKernel* kernel : AvailableKernels()) {
+      SCOPED_TRACE(kernel->name());
+      std::vector<uint32_t> assign(n);
+      std::vector<double> dist2(n), second2(n);
+      kernel->AssignBlock(points.data(), n, kDim, block, assign.data(),
+                          dist2.data(), second2.data());
+      // A point on a duplicated centroid goes to the lowest index of its
+      // duplicate set at distance 0, with a second-best of 0.
+      for (size_t t = 0; t < on.size(); ++t) {
+        const size_t i = n - on.size() + t;
+        size_t lowest = 0;
+        while (!std::equal(centroids.Row(lowest).begin(),
+                           centroids.Row(lowest).end(),
+                           centroids.Row(on[t]).begin())) {
+          ++lowest;
+        }
+        EXPECT_EQ(assign[i], lowest) << "on centroid " << on[t];
+        EXPECT_EQ(dist2[i], 0.0);
+        EXPECT_EQ(second2[i], 0.0);
+      }
+    }
+  }
+}
+
+TEST_F(AssignBlockAdversarialTest, NonFinitePointsAndCentroids) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t k : {1u, 3u, 9u, 40u, 65u}) {
+    const Dataset centroids = MakePoints(k, kDim, 90 + k);
+    std::vector<double> points = NearPoints(257, centroids, 100 + k);
+    // One non-finite coordinate per point, in every coordinate position,
+    // at positions that land in every lane of a 4-point block.
+    const double specials[] = {kNan, kInf, -kInf};
+    for (size_t i = 0; i < 40; ++i) {
+      points[(6 * i + i % 4) * kDim + i % kDim] = specials[i % 3];
+    }
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ExpectBitwiseParity(points, centroids);
+
+    // A centroid row of +inf, and a centroid with a NaN coordinate, whose
+    // NaN distances sit beside finite ones and must never win or become
+    // second (first, middle and last).
+    for (size_t j : {size_t{0}, k / 2, k - 1}) {
+      SCOPED_TRACE("non-finite centroid " + std::to_string(j));
+      std::vector<double> values = centroids.values();
+      std::fill(values.begin() + j * kDim, values.begin() + (j + 1) * kDim,
+                kInf);
+      auto with_inf = Dataset::FromFlat(kDim, values);
+      ASSERT_TRUE(with_inf.ok()) << with_inf.status();
+      ExpectBitwiseParity(points, *with_inf);
+      values = centroids.values();
+      values[j * kDim + 1] = kNan;
+      auto with_nan = Dataset::FromFlat(kDim, std::move(values));
+      ASSERT_TRUE(with_nan.ok()) << with_nan.status();
+      ExpectBitwiseParity(points, *with_nan);
+    }
+  }
+}
 
 TEST(KernelParityEndToEnd, FitEqualAcrossKernelFlagValues) {
   // The user-facing contract: KMeans().Fit under --kernel=scalar equals

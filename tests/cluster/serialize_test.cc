@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include "cluster/kmeans.h"
 #include "data/generator.h"
+#include "data/io.h"
 
 namespace pmkm {
 namespace {
@@ -104,6 +110,129 @@ TEST_F(SerializeTest, TruncationDetected) {
   std::filesystem::resize_file(path,
                                std::filesystem::file_size(path) - 16);
   EXPECT_TRUE(LoadModel(path).status().IsIOError());
+}
+
+// Byte offsets of the fixed header fields (see serialize.h).
+constexpr size_t kOffK = 8;
+constexpr size_t kOffDim = 16;
+constexpr size_t kOffCentroids = 64;
+
+// A model file's bytes, patched in place and re-hashed so the FNV trailer
+// is valid again: the crafted payload reaches the parser, not the
+// checksum check.
+class CraftedModel {
+ public:
+  explicit CraftedModel(const std::string& path) : path_(path) {
+    std::ifstream in(path, std::ios::binary);
+    bytes_.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  template <typename T>
+  void Put(size_t offset, T value) {
+    PMKM_CHECK(offset + sizeof(T) <= bytes_.size() - sizeof(uint64_t));
+    std::memcpy(bytes_.data() + offset, &value, sizeof(T));
+  }
+  Status Load() {
+    const size_t body = bytes_.size() - sizeof(uint64_t);
+    const uint64_t hash =
+        internal::Fnv1a64(bytes_.data(), body, internal::kFnvOffset);
+    std::memcpy(bytes_.data() + body, &hash, sizeof(hash));
+    std::ofstream(path_, std::ios::binary | std::ios::trunc)
+        .write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
+    return LoadModel(path_).status();
+  }
+
+ private:
+  std::string path_;
+  std::vector<char> bytes_;
+};
+
+// The crafted file is rejected as corrupt, with its path in the message
+// and the reason's key word.
+void ExpectRejected(const Status& st, const std::string& path,
+                    const std::string& reason) {
+  ASSERT_TRUE(st.IsIOError()) << st;
+  EXPECT_NE(st.message().find(path), std::string::npos) << st;
+  EXPECT_NE(st.message().find(reason), std::string::npos) << st;
+}
+
+TEST_F(SerializeTest, ReHashedOriginalStillLoads) {
+  const std::string path = Path("same.pmkm");
+  ASSERT_TRUE(SaveModel(path, FitSample(true)).ok());
+  EXPECT_TRUE(CraftedModel(path).Load().ok());
+}
+
+TEST_F(SerializeTest, HugeHeaderShapeRejectedBeforeAllocating) {
+  const std::string path = Path("huge.pmkm");
+  ASSERT_TRUE(SaveModel(path, FitSample(false)).ok());
+  {
+    // k = 2^40 used to reach a k·dim allocation and abort the process
+    // with std::bad_alloc.
+    CraftedModel m(path);
+    m.Put<uint64_t>(kOffK, uint64_t{1} << 40);
+    ExpectRejected(m.Load(), path, "exceeds its payload");
+  }
+  {
+    // k·(dim + 1) wraps around 2^64 to a small number.
+    CraftedModel m(path);
+    m.Put<uint64_t>(kOffK, 2);
+    m.Put<uint64_t>(kOffDim, (uint64_t{1} << 63) - 1);
+    ExpectRejected(m.Load(), path, "exceeds its payload");
+  }
+  {
+    CraftedModel m(path);
+    m.Put<uint64_t>(kOffDim, std::numeric_limits<uint64_t>::max());
+    ExpectRejected(m.Load(), path, "exceeds its payload");
+  }
+}
+
+TEST_F(SerializeTest, NonFiniteCentroidRejected) {
+  const ClusteringModel model = FitSample(false);
+  const std::string path = Path("nan.pmkm");
+  ASSERT_TRUE(SaveModel(path, model).ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    CraftedModel m(path);
+    // Centroid 2, coordinate 1.
+    m.Put<double>(kOffCentroids + (2 * model.dim() + 1) * sizeof(double),
+                  bad);
+    ExpectRejected(m.Load(), path, "centroid 2");
+  }
+}
+
+TEST_F(SerializeTest, BadWeightRejected) {
+  const ClusteringModel model = FitSample(false);
+  const std::string path = Path("w.pmkm");
+  ASSERT_TRUE(SaveModel(path, model).ok());
+  const size_t weights = kOffCentroids + model.k() * model.dim() * 8;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0}) {
+    CraftedModel m(path);
+    m.Put<double>(weights + 3 * sizeof(double), bad);
+    ExpectRejected(m.Load(), path, "weight of centroid 3");
+  }
+  // A zero weight (a starved centroid) is legal.
+  CraftedModel m(path);
+  m.Put<double>(weights + 3 * sizeof(double), 0.0);
+  EXPECT_TRUE(m.Load().ok());
+}
+
+TEST_F(SerializeTest, BadAssignmentsRejected) {
+  const ClusteringModel model = FitSample(true);
+  const std::string path = Path("a.pmkm");
+  ASSERT_TRUE(SaveModel(path, model).ok());
+  const size_t count = kOffCentroids + model.k() * (model.dim() + 1) * 8;
+  {
+    CraftedModel m(path);
+    m.Put<uint32_t>(count + 8 + 5 * sizeof(uint32_t),
+                    static_cast<uint32_t>(model.k()));
+    ExpectRejected(m.Load(), path, "assignment of point 5");
+  }
+  {
+    CraftedModel m(path);
+    m.Put<uint64_t>(count, uint64_t{1} << 40);
+    ExpectRejected(m.Load(), path, "assignments");
+  }
 }
 
 TEST_F(SerializeTest, LoadedModelPredictsIdentically) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -152,6 +153,24 @@ TEST(WeightedDatasetTest, CreateValidatesSizes) {
   auto ok = WeightedDataset::Create(MakeSequential(2, 2), {1.0, 5.0});
   ASSERT_TRUE(ok.ok());
   EXPECT_DOUBLE_EQ(ok->TotalWeight(), 6.0);
+}
+
+TEST(WeightedDatasetTest, CreateRejectsNonFiniteAndNegativeWeights) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), -0.5}) {
+    auto st = WeightedDataset::Create(MakeSequential(3, 2), {1.0, bad, 2.0})
+                  .status();
+    ASSERT_TRUE(st.IsInvalidArgument()) << bad;
+    EXPECT_NE(st.message().find("weight 1 "), std::string::npos) << st;
+  }
+}
+
+TEST(WeightedDatasetTest, CreateAcceptsZeroWeight) {
+  // Weight 0 marks a starved centroid.
+  auto ok = WeightedDataset::Create(MakeSequential(2, 2), {0.0, 3.0});
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_DOUBLE_EQ(ok->TotalWeight(), 3.0);
 }
 
 TEST(WeightedDatasetTest, AppendAllConcatenatesWeights) {
