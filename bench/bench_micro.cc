@@ -1,8 +1,9 @@
 // M1 — micro-benchmarks (google-benchmark) for the kernels the experiment
-// harnesses are built on: distance evaluation, nearest-centroid search,
-// one Lloyd iteration, partial clustering of a chunk, queue throughput,
-// and the observability primitives (to police the zero-cost-when-disabled
-// budget of DESIGN.md §9).
+// harnesses are built on: distance evaluation, the kernels' batch
+// nearest-centroid assignment (BM_AssignBlock*), one Lloyd iteration,
+// partial clustering of a chunk, queue throughput, and the observability
+// primitives (to police the zero-cost-when-disabled budget of DESIGN.md
+// §9).
 
 #include <benchmark/benchmark.h>
 
@@ -43,21 +44,6 @@ void BM_SquaredL2(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SquaredL2)->Arg(6)->Arg(32)->Arg(128);
-
-void BM_NearestCentroid(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  const Dataset centroids = MakePoints(k, 6, 2);
-  const Dataset points = MakePoints(1024, 6, 3);
-  const std::vector<double> norms = CentroidSquaredNorms(centroids);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        NearestCentroid(points.data() + (i % 1024) * 6, centroids, norms));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NearestCentroid)->Arg(10)->Arg(40)->Arg(160);
 
 void BM_LloydIteration(benchmark::State& state) {
   // One full Lloyd pass (assignment + update) over an N-point cell, k=40.

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "cluster/distance.h"
-
 namespace pmkm {
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "cluster/distance.h"
+#include "cluster/kernels/kernel.h"
 #include "cluster/metrics.h"
 #include "cluster/seeding.h"
 
@@ -27,28 +27,27 @@ Result<ClusteringModel> MiniBatchKMeans(const Dataset& data,
                   SeedingMethod::kKMeansPlusPlus, &rng));
 
   std::vector<double> counts(config.k, 0.0);  // per-centre update counts
+  Dataset batch(dim);
+  std::vector<uint32_t> batch_assign(config.batch_size);
+  std::vector<double> batch_dist2(config.batch_size);
   size_t calm_batches = 0;
   size_t batches = 0;
   for (batches = 0; batches < config.max_batches; ++batches) {
-    const std::vector<double> norms = CentroidSquaredNorms(centroids);
     // Cache assignments for this batch, then apply per-point SGD updates
     // with learning rate 1/count (Sculley's algorithm).
-    std::vector<size_t> batch_idx(config.batch_size);
-    std::vector<size_t> batch_assign(config.batch_size);
+    batch.Clear();
     for (size_t b = 0; b < config.batch_size; ++b) {
-      batch_idx[b] = rng.UniformInt(n);
-      batch_assign[b] =
-          NearestCentroid(data.data() + batch_idx[b] * dim, centroids,
-                          norms)
-              .index;
+      batch.Append(data.Row(rng.UniformInt(n)));
     }
+    AssignNearest(batch.data(), config.batch_size, dim, centroids,
+                  batch_assign.data(), batch_dist2.data());
     double movement = 0.0;
     for (size_t b = 0; b < config.batch_size; ++b) {
       const size_t j = batch_assign[b];
       counts[j] += 1.0;
       const double eta = 1.0 / counts[j];
       double* c = centroids.mutable_data() + j * dim;
-      const double* x = data.data() + batch_idx[b] * dim;
+      const double* x = batch.data() + b * dim;
       double step_sq = 0.0;
       for (size_t d = 0; d < dim; ++d) {
         const double delta = eta * (x[d] - c[d]);

@@ -21,8 +21,7 @@ Status OnlineKMeans::Observe(std::span<const double> point) {
     counts_.push_back(1.0);
     return Status::OK();
   }
-  const Nearest nearest = NearestCentroid(point, centroids_);
-  const size_t j = nearest.index;
+  const size_t j = NearestCentroidIndex(point, centroids_);
   counts_[j] += 1.0;
   const double eta = 1.0 / counts_[j];
   double* c = centroids_.mutable_data() + j * dim_;

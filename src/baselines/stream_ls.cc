@@ -5,19 +5,20 @@
 #include <limits>
 
 #include "cluster/distance.h"
+#include "cluster/kernels/kernel.h"
 #include "cluster/metrics.h"
 
 namespace pmkm {
 
 double KMedianCost(const Dataset& medians, const WeightedDataset& data) {
   PMKM_CHECK(!medians.empty());
-  const std::vector<double> norms = CentroidSquaredNorms(medians);
-  const size_t dim = data.dim();
+  std::vector<uint32_t> assign(data.size());
+  std::vector<double> dist2(data.size());
+  AssignNearest(data.points().data(), data.size(), data.dim(), medians,
+                assign.data(), dist2.data());
   double cost = 0.0;
   for (size_t i = 0; i < data.size(); ++i) {
-    const Nearest n = NearestCentroid(data.points().data() + i * dim,
-                                      medians, norms);
-    cost += data.weight(i) * std::sqrt(n.distance_sq);
+    cost += data.weight(i) * std::sqrt(dist2[i]);
   }
   return cost;
 }
@@ -28,7 +29,7 @@ namespace {
 // `medoid_indices` into `data`; also fills per-point nearest/second-nearest
 // structures used for swap evaluation.
 struct AssignInfo {
-  std::vector<size_t> nearest;
+  std::vector<uint32_t> nearest;
   std::vector<double> nearest_d;   // L2 distance (not squared)
   std::vector<double> second_d;
   double cost = 0.0;
@@ -37,29 +38,19 @@ struct AssignInfo {
 AssignInfo Assign(const WeightedDataset& data,
                   const std::vector<size_t>& medoids) {
   const size_t n = data.size();
+  Dataset rows(data.dim());
+  for (size_t m : medoids) rows.Append(data.Row(m));
   AssignInfo info;
   info.nearest.resize(n);
   info.nearest_d.resize(n);
   info.second_d.resize(n);
+  AssignNearest(data.points().data(), n, data.dim(), rows,
+                info.nearest.data(), info.nearest_d.data(),
+                info.second_d.data());
   for (size_t i = 0; i < n; ++i) {
-    double best = std::numeric_limits<double>::infinity();
-    double second = best;
-    size_t best_j = 0;
-    for (size_t j = 0; j < medoids.size(); ++j) {
-      const double d =
-          std::sqrt(SquaredL2(data.Row(i), data.Row(medoids[j])));
-      if (d < best) {
-        second = best;
-        best = d;
-        best_j = j;
-      } else if (d < second) {
-        second = d;
-      }
-    }
-    info.nearest[i] = best_j;
-    info.nearest_d[i] = best;
-    info.second_d[i] = second;
-    info.cost += data.weight(i) * best;
+    info.nearest_d[i] = std::sqrt(info.nearest_d[i]);
+    info.second_d[i] = std::sqrt(info.second_d[i]);
+    info.cost += data.weight(i) * info.nearest_d[i];
   }
   return info;
 }

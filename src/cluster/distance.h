@@ -1,16 +1,19 @@
-// Distance kernels: the innermost loops of every algorithm in pmkm.
+// Distance arithmetic: the one squared-distance formula in pmkm.
 //
-// NearestCentroid uses the expansion ‖x−c‖² = ‖x‖² − 2·x·c + ‖c‖²: with
-// per-centroid norms precomputed, the argmin needs only the dot product,
-// nearly halving the flops of the naive subtract-square loop. The exact
-// squared distance is recovered afterwards for the SSE bookkeeping.
+// Every distance in src/ is SquaredL2's subtract-square sum, in the
+// operation order of every DistanceKernel lane, so a point's distance to
+// a centroid has the same bits wherever it is computed. Batch
+// nearest-centroid queries (metrics, validity, histograms, baselines) go
+// through AssignNearest on the DistanceKernel (cluster/kernels/kernel.h);
+// queries of one point at a time use NearestCentroidIndex below, the
+// scalar scan the kernels reproduce.
 
 #ifndef PMKM_CLUSTER_DISTANCE_H_
 #define PMKM_CLUSTER_DISTANCE_H_
 
 #include <cstddef>
+#include <limits>
 #include <span>
-#include <vector>
 
 #include "data/dataset.h"
 
@@ -36,58 +39,27 @@ inline double SquaredL2(std::span<const double> a,
   return SquaredL2(a.data(), b.data(), a.size());
 }
 
-/// Nearest-centroid query result.
-struct Nearest {
-  size_t index = 0;
-  double distance_sq = 0.0;
-};
-
-/// Precomputes ‖c_j‖² for every centroid row (helper for the expanded
-/// nearest-centroid form).
-inline std::vector<double> CentroidSquaredNorms(const Dataset& centroids) {
-  std::vector<double> norms(centroids.size());
+/// Index of the centroid nearest to `x`, by the scan every DistanceKernel
+/// reproduces: ascending j, strictly smaller SquaredL2 wins, so ties go to
+/// the lower index and a NaN distance never wins. `dist2`, when non-null,
+/// receives the winning squared distance (+inf when none is a number).
+/// Requires a non-empty centroid set.
+inline size_t NearestCentroidIndex(std::span<const double> x,
+                                   const Dataset& centroids,
+                                   double* dist2 = nullptr) {
   const size_t dim = centroids.dim();
-  for (size_t j = 0; j < centroids.size(); ++j) {
-    const double* c = centroids.data() + j * dim;
-    double acc = 0.0;
-    for (size_t d = 0; d < dim; ++d) acc += c[d] * c[d];
-    norms[j] = acc;
-  }
-  return norms;
-}
-
-/// Finds the centroid minimizing ‖x−c_j‖² using precomputed ‖c_j‖²
-/// (`norms`). The returned distance_sq is exact (clamped at 0 against
-/// floating-point cancellation). Requires a non-empty centroid set.
-inline Nearest NearestCentroid(const double* x, const Dataset& centroids,
-                               const std::vector<double>& norms) {
-  const size_t k = centroids.size();
-  const size_t dim = centroids.dim();
-  PMKM_DCHECK(k > 0 && norms.size() == k);
+  PMKM_DCHECK(!centroids.empty() && x.size() == dim);
   size_t best = 0;
-  double best_score = 0.0;
-  const double* c = centroids.data();
-  for (size_t j = 0; j < k; ++j, c += dim) {
-    double dot = 0.0;
-    for (size_t d = 0; d < dim; ++d) dot += x[d] * c[d];
-    const double score = norms[j] - 2.0 * dot;  // ‖c‖² − 2 x·c
-    if (j == 0 || score < best_score) {
-      best_score = score;
+  double d_best = std::numeric_limits<double>::infinity();
+  for (size_t j = 0; j < centroids.size(); ++j) {
+    const double d = SquaredL2(x.data(), centroids.data() + j * dim, dim);
+    if (d < d_best) {
+      d_best = d;
       best = j;
     }
   }
-  double xx = 0.0;
-  for (size_t d = 0; d < dim; ++d) xx += x[d] * x[d];
-  const double dist_sq = xx + best_score;
-  return Nearest{best, dist_sq > 0.0 ? dist_sq : 0.0};
-}
-
-/// Convenience overload computing the norms on the fly (prefer the cached
-/// variant inside loops).
-inline Nearest NearestCentroid(std::span<const double> x,
-                               const Dataset& centroids) {
-  const std::vector<double> norms = CentroidSquaredNorms(centroids);
-  return NearestCentroid(x.data(), centroids, norms);
+  if (dist2 != nullptr) *dist2 = d_best;
+  return best;
 }
 
 }  // namespace pmkm

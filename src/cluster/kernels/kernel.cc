@@ -1,5 +1,6 @@
 // Kernel dispatch: CentroidBlock repacking, the CPUID-driven kAuto
-// resolution, and the process-wide default the --kernel flag overrides.
+// resolution, the process-wide default the --kernel flag overrides, and
+// the AssignNearest batch query on that default.
 
 #include "cluster/kernels/kernel.h"
 
@@ -117,6 +118,16 @@ Result<KernelKind> SetDefaultKernel(KernelKind kind) {
   const DistanceKernel* previous =
       g_default.exchange(kernel, std::memory_order_acq_rel);
   return previous == nullptr ? KernelKind::kAuto : previous->kind();
+}
+
+void AssignNearest(const double* points, size_t n, size_t dim,
+                   const Dataset& centroids, uint32_t* assign,
+                   double* dist2, double* second2) {
+  PMKM_CHECK(centroids.dim() == dim);
+  CentroidBlock block;
+  block.Load(centroids);
+  DefaultKernel().AssignBlock(points, n, dim, block, assign, dist2,
+                              second2);
 }
 
 std::vector<const DistanceKernel*> AvailableKernels() {

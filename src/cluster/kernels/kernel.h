@@ -138,6 +138,15 @@ bool KernelAvailable(KernelKind kind);
 const DistanceKernel& DefaultKernel();
 Result<KernelKind> SetDefaultKernel(KernelKind kind);
 
+/// The nearest centroid of each of the n row-major `points`, computed by
+/// DefaultKernel().AssignBlock: the batch query behind every metric,
+/// validity index, histogram and baseline outside the Lloyd loop, so they
+/// see the assignments and distances training saw. `second2` as in
+/// AssignBlock. Requires a non-empty centroid set of dimension `dim`.
+void AssignNearest(const double* points, size_t n, size_t dim,
+                   const Dataset& centroids, uint32_t* assign,
+                   double* dist2, double* second2 = nullptr);
+
 /// Every kernel this host can run (scalar first), for parity tests and
 /// bench sweeps.
 std::vector<const DistanceKernel*> AvailableKernels();

@@ -1,33 +1,38 @@
 #include "cluster/metrics.h"
 
-#include "cluster/distance.h"
+#include "cluster/kernels/kernel.h"
 
 namespace pmkm {
 
-double Sse(const Dataset& centroids, const Dataset& data) {
+namespace {
+
+// Squared distance of every point of `data` to its nearest centroid.
+std::vector<double> NearestDist2(const Dataset& centroids,
+                                 const Dataset& data,
+                                 std::vector<uint32_t>* assign = nullptr) {
   PMKM_CHECK(!centroids.empty());
   PMKM_CHECK(centroids.dim() == data.dim());
-  const std::vector<double> norms = CentroidSquaredNorms(centroids);
-  const size_t dim = data.dim();
+  std::vector<uint32_t> local;
+  if (assign == nullptr) assign = &local;
+  assign->resize(data.size());
+  std::vector<double> dist2(data.size());
+  AssignNearest(data.data(), data.size(), data.dim(), centroids,
+                assign->data(), dist2.data());
+  return dist2;
+}
+
+}  // namespace
+
+double Sse(const Dataset& centroids, const Dataset& data) {
   double acc = 0.0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    acc += NearestCentroid(data.data() + i * dim, centroids, norms)
-               .distance_sq;
-  }
+  for (double d2 : NearestDist2(centroids, data)) acc += d2;
   return acc;
 }
 
 double WeightedSse(const Dataset& centroids, const WeightedDataset& data) {
-  PMKM_CHECK(!centroids.empty());
-  PMKM_CHECK(centroids.dim() == data.dim());
-  const std::vector<double> norms = CentroidSquaredNorms(centroids);
-  const size_t dim = data.dim();
+  const std::vector<double> dist2 = NearestDist2(centroids, data.points());
   double acc = 0.0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    acc += data.weight(i) *
-           NearestCentroid(data.points().data() + i * dim, centroids, norms)
-               .distance_sq;
-  }
+  for (size_t i = 0; i < data.size(); ++i) acc += data.weight(i) * dist2[i];
   return acc;
 }
 
@@ -38,15 +43,10 @@ double MsePerPoint(const Dataset& centroids, const Dataset& data) {
 
 std::vector<size_t> AssignmentCounts(const Dataset& centroids,
                                      const Dataset& data) {
-  PMKM_CHECK(!centroids.empty());
-  PMKM_CHECK(centroids.dim() == data.dim());
-  const std::vector<double> norms = CentroidSquaredNorms(centroids);
-  const size_t dim = data.dim();
+  std::vector<uint32_t> assign;
+  NearestDist2(centroids, data, &assign);
   std::vector<size_t> counts(centroids.size(), 0);
-  for (size_t i = 0; i < data.size(); ++i) {
-    ++counts[NearestCentroid(data.data() + i * dim, centroids, norms)
-                 .index];
-  }
+  for (uint32_t j : assign) ++counts[j];
   return counts;
 }
 

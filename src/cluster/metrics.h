@@ -7,6 +7,10 @@
 // model against the *original* cell data, which lets the experiments verify
 // that partial/merge quality claims hold on raw points, not only on E_pm
 // over centroids.
+//
+// Every nearest-centroid query here runs on the DistanceKernel
+// (AssignNearest), so E of a model's own training data under its own
+// centroids has the bits RunWeightedLloyd reported, under any --kernel.
 
 #ifndef PMKM_CLUSTER_METRICS_H_
 #define PMKM_CLUSTER_METRICS_H_
@@ -30,9 +34,8 @@ double MsePerPoint(const Dataset& centroids, const Dataset& data);
 std::vector<size_t> AssignmentCounts(const Dataset& centroids,
                                      const Dataset& data);
 
-/// Sum of per-cluster weighted variances — equal to WeightedSse but
-/// computed via assignments of the model's own centroid set; used by tests
-/// as an independent cross-check.
+/// E of `data` under `model`'s centroids: exactly Sse(model.centroids,
+/// data), spelled on the model for callers that hold one.
 double ModelSseOn(const ClusteringModel& model, const Dataset& data);
 
 }  // namespace pmkm

@@ -1,31 +1,15 @@
 #include "cluster/model.h"
 
-#include <limits>
+#include "cluster/distance.h"
 
 namespace pmkm {
 
 size_t ClusteringModel::Predict(std::span<const double> point) const {
   PMKM_CHECK(!centroids.empty());
   PMKM_CHECK(point.size() == centroids.dim());
-  // Same distance arithmetic and tie rule (ascending scan, strictly
-  // smaller wins) as the kernel layer, so Predict always agrees with the
-  // training-time assignments regardless of which kernel produced them.
-  const size_t dim = centroids.dim();
-  const double* c = centroids.data();
-  size_t best = 0;
-  double d_best = std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < centroids.size(); ++j) {
-    double acc = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double diff = point[d] - c[j * dim + d];
-      acc += diff * diff;
-    }
-    if (acc < d_best) {
-      d_best = acc;
-      best = j;
-    }
-  }
-  return best;
+  // The kernels' scan, so Predict agrees with the training-time
+  // assignments whichever kernel produced them.
+  return NearestCentroidIndex(point, centroids);
 }
 
 }  // namespace pmkm

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "cluster/distance.h"
+#include "cluster/kernels/kernel.h"
 
 namespace pmkm {
 
@@ -33,16 +34,15 @@ Result<double> SilhouetteScore(const ClusteringModel& model,
   }
 
   // Assign the sampled points.
-  const std::vector<double> norms = CentroidSquaredNorms(model.centroids);
-  std::vector<uint32_t> assign(idx.size());
+  Dataset sample(dim);
+  sample.Reserve(idx.size());
+  for (size_t i : idx) sample.Append(data.Row(i));
+  std::vector<uint32_t> assign(sample.size());
+  std::vector<double> dist2(sample.size());
+  AssignNearest(sample.data(), sample.size(), dim, model.centroids,
+                assign.data(), dist2.data());
   std::vector<size_t> cluster_count(model.k(), 0);
-  for (size_t s = 0; s < idx.size(); ++s) {
-    assign[s] = static_cast<uint32_t>(
-        NearestCentroid(data.data() + idx[s] * dim, model.centroids,
-                        norms)
-            .index);
-    ++cluster_count[assign[s]];
-  }
+  for (uint32_t j : assign) ++cluster_count[j];
   size_t populated = 0;
   for (size_t c : cluster_count) populated += (c > 0);
   if (populated < 2) {
@@ -54,15 +54,14 @@ Result<double> SilhouetteScore(const ClusteringModel& model,
   double total = 0.0;
   size_t scored = 0;
   std::vector<double> dist_sum(model.k());
-  for (size_t s = 0; s < idx.size(); ++s) {
+  for (size_t s = 0; s < sample.size(); ++s) {
     const uint32_t own = assign[s];
     if (cluster_count[own] <= 1) continue;  // silhouette undefined
     std::fill(dist_sum.begin(), dist_sum.end(), 0.0);
-    const double* x = data.data() + idx[s] * dim;
-    for (size_t t = 0; t < idx.size(); ++t) {
+    for (size_t t = 0; t < sample.size(); ++t) {
       if (t == s) continue;
       dist_sum[assign[t]] +=
-          std::sqrt(SquaredL2(x, data.data() + idx[t] * dim, dim));
+          std::sqrt(SquaredL2(sample.Row(s), sample.Row(t)));
     }
     const double a =
         dist_sum[own] / static_cast<double>(cluster_count[own] - 1);
@@ -92,17 +91,17 @@ Result<double> DaviesBouldinIndex(const ClusteringModel& model,
   if (data.dim() != model.dim()) {
     return Status::InvalidArgument("dimensionality mismatch");
   }
-  const size_t dim = data.dim();
   const size_t k = model.k();
 
-  const std::vector<double> norms = CentroidSquaredNorms(model.centroids);
+  std::vector<uint32_t> assign(data.size());
+  std::vector<double> dist2(data.size());
+  AssignNearest(data.data(), data.size(), data.dim(), model.centroids,
+                assign.data(), dist2.data());
   std::vector<double> scatter(k, 0.0);  // mean distance to centroid
   std::vector<size_t> count(k, 0);
   for (size_t i = 0; i < data.size(); ++i) {
-    const Nearest n =
-        NearestCentroid(data.data() + i * dim, model.centroids, norms);
-    scatter[n.index] += std::sqrt(n.distance_sq);
-    ++count[n.index];
+    scatter[assign[i]] += std::sqrt(dist2[i]);
+    ++count[assign[i]];
   }
   std::vector<size_t> live;
   for (size_t j = 0; j < k; ++j) {

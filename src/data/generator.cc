@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace pmkm {
 
@@ -15,20 +16,32 @@ Result<GaussianMixtureGenerator> GaussianMixtureGenerator::Create(
     return Status::InvalidArgument("component dimensionality must be >= 1");
   }
   double total = 0.0;
-  for (const auto& c : components) {
+  for (size_t i = 0; i < components.size(); ++i) {
+    const GaussianComponent& c = components[i];
+    const std::string name = "component " + std::to_string(i);
     if (c.mean.size() != dim || c.stddev.size() != dim) {
       return Status::InvalidArgument(
           "all components must share one dimensionality");
     }
-    if (c.weight <= 0.0) {
-      return Status::InvalidArgument("component weights must be positive");
+    if (!(c.weight > 0.0 && std::isfinite(c.weight))) {
+      return Status::InvalidArgument(name +
+                                     ": weight must be finite and positive");
+    }
+    for (double m : c.mean) {
+      if (!std::isfinite(m)) {
+        return Status::InvalidArgument(name + ": mean must be finite");
+      }
     }
     for (double s : c.stddev) {
-      if (s < 0.0) {
-        return Status::InvalidArgument("stddev must be non-negative");
+      if (!(s >= 0.0 && std::isfinite(s))) {
+        return Status::InvalidArgument(
+            name + ": stddev must be finite and non-negative");
       }
     }
     total += c.weight;
+  }
+  if (!std::isfinite(total)) {
+    return Status::InvalidArgument("component weights sum to infinity");
   }
   GaussianMixtureGenerator gen;
   gen.dim_ = dim;

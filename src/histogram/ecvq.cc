@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "cluster/distance.h"
+#include "cluster/kernels/kernel.h"
 #include "cluster/seeding.h"
 
 namespace pmkm {
@@ -52,7 +53,6 @@ Result<EcvqResult> FitEcvq(const WeightedDataset& data,
                    : std::numeric_limits<double>::infinity();
     }
     // Assignment: minimize d²(x, c_j) + λ·len_j.
-    const std::vector<double> norms = CentroidSquaredNorms(codebook);
     sums.assign(k * dim, 0.0);
     mass.assign(k, 0.0);
     double distortion = 0.0;
@@ -60,26 +60,21 @@ Result<EcvqResult> FitEcvq(const WeightedDataset& data,
     const double* points = data.points().data();
     for (size_t i = 0; i < n; ++i) {
       const double* x = points + i * dim;
-      double xx = 0.0;
-      for (size_t d = 0; d < dim; ++d) xx += x[d] * x[d];
       size_t best = 0;
       double best_cost = std::numeric_limits<double>::infinity();
-      const double* c = codebook.data();
-      for (size_t j = 0; j < k; ++j, c += dim) {
-        double dot = 0.0;
-        for (size_t d = 0; d < dim; ++d) dot += x[d] * c[d];
-        const double dist_sq = std::max(0.0, xx + norms[j] - 2.0 * dot);
-        const double cost = dist_sq + config.lambda * len[j];
+      double best_d_sq = best_cost;
+      for (size_t j = 0; j < k; ++j) {
+        const double d_sq = SquaredL2(x, codebook.data() + j * dim, dim);
+        const double cost = d_sq + config.lambda * len[j];
         if (cost < best_cost) {
           best_cost = cost;
+          best_d_sq = d_sq;
           best = j;
         }
       }
       const double w = data.weight(i);
       assign[i] = static_cast<uint32_t>(best);
-      // Recover the pure distortion term from the combined cost.
-      const double d_sq = std::max(0.0, best_cost - config.lambda * len[best]);
-      distortion += w * d_sq;
+      distortion += w * best_d_sq;
       rate_cost += w * len[best];
       double* sum = sums.data() + best * dim;
       for (size_t d = 0; d < dim; ++d) sum[d] += w * x[d];
@@ -125,14 +120,13 @@ Result<EcvqResult> FitEcvq(const WeightedDataset& data,
   const size_t k = codebook.size();
   std::vector<double> weights(k, 0.0);
   {
-    const std::vector<double> norms = CentroidSquaredNorms(codebook);
+    std::vector<double> dist2(n);
+    AssignNearest(data.points().data(), n, dim, codebook, assign.data(),
+                  dist2.data());
     double distortion = 0.0;
-    const double* points = data.points().data();
     for (size_t i = 0; i < n; ++i) {
-      const Nearest near =
-          NearestCentroid(points + i * dim, codebook, norms);
-      weights[near.index] += data.weight(i);
-      distortion += data.weight(i) * near.distance_sq;
+      weights[assign[i]] += data.weight(i);
+      distortion += data.weight(i) * dist2[i];
     }
     out.distortion = distortion;
     double entropy = 0.0;

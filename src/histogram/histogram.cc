@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "cluster/distance.h"
+#include "cluster/kernels/kernel.h"
 #include "cluster/metrics.h"
 
 namespace pmkm {
@@ -17,13 +18,16 @@ Result<MultivariateHistogram> MultivariateHistogram::Build(
   const size_t dim = cell.dim();
 
   // One pass: per-cluster count, sum and sum of squares.
-  const std::vector<double> norms = CentroidSquaredNorms(model.centroids);
+  std::vector<uint32_t> assign(cell.size());
+  std::vector<double> dist2(cell.size());
+  AssignNearest(cell.data(), cell.size(), dim, model.centroids,
+                assign.data(), dist2.data());
   std::vector<double> count(k, 0.0);
   std::vector<double> sum(k * dim, 0.0);
   std::vector<double> sum_sq(k * dim, 0.0);
   for (size_t i = 0; i < cell.size(); ++i) {
     const double* x = cell.data() + i * dim;
-    const size_t j = NearestCentroid(x, model.centroids, norms).index;
+    const size_t j = assign[i];
     count[j] += 1.0;
     for (size_t d = 0; d < dim; ++d) {
       sum[j * dim + d] += x[d];
@@ -85,7 +89,7 @@ double MultivariateHistogram::total_count() const {
 
 size_t MultivariateHistogram::Encode(std::span<const double> point) const {
   PMKM_CHECK(point.size() == dim_);
-  return NearestCentroid(point, representatives_).index;
+  return NearestCentroidIndex(point, representatives_);
 }
 
 std::span<const double> MultivariateHistogram::Decode(size_t id) const {

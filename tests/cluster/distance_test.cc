@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "data/generator.h"
+#include <limits>
+#include <vector>
 
 namespace pmkm {
 namespace {
@@ -29,18 +29,18 @@ TEST(NearestCentroidTest, PicksClosest) {
   centroids.Append(std::vector<double>{0.0, 10.0});
 
   const std::vector<double> p{7.0, 1.0};
-  const Nearest n = NearestCentroid(p, centroids);
-  EXPECT_EQ(n.index, 1u);
-  EXPECT_DOUBLE_EQ(n.distance_sq, 9.0 + 1.0);
+  double d2 = -1.0;
+  EXPECT_EQ(NearestCentroidIndex(p, centroids, &d2), 1u);
+  EXPECT_DOUBLE_EQ(d2, 9.0 + 1.0);
 }
 
 TEST(NearestCentroidTest, ExactPointDistanceZero) {
   Dataset centroids(3);
   centroids.Append(std::vector<double>{1.0, 2.0, 3.0});
   const std::vector<double> p{1.0, 2.0, 3.0};
-  const Nearest n = NearestCentroid(p, centroids);
-  EXPECT_EQ(n.index, 0u);
-  EXPECT_DOUBLE_EQ(n.distance_sq, 0.0);
+  double d2 = -1.0;
+  EXPECT_EQ(NearestCentroidIndex(p, centroids, &d2), 0u);
+  EXPECT_DOUBLE_EQ(d2, 0.0);
 }
 
 TEST(NearestCentroidTest, TieBreaksToFirst) {
@@ -48,59 +48,35 @@ TEST(NearestCentroidTest, TieBreaksToFirst) {
   centroids.Append(std::vector<double>{-1.0});
   centroids.Append(std::vector<double>{1.0});
   const std::vector<double> p{0.0};
-  EXPECT_EQ(NearestCentroid(p, centroids).index, 0u);
+  EXPECT_EQ(NearestCentroidIndex(p, centroids), 0u);
 }
 
-TEST(NearestCentroidTest, ExpandedFormMatchesNaive) {
-  // Property check: the ‖c‖²−2x·c argmin must agree with the direct
-  // subtract-square argmin on random data, and the returned distance must
-  // match the naive distance to within FP tolerance.
-  Rng rng(11);
-  const Dataset centroids = GenerateUniform(40, 6, -100.0, 100.0, &rng);
-  const Dataset points = GenerateUniform(500, 6, -100.0, 100.0, &rng);
-  const std::vector<double> norms = CentroidSquaredNorms(centroids);
-  for (size_t i = 0; i < points.size(); ++i) {
-    const auto row = points.Row(i);
-    const Nearest fast = NearestCentroid(row.data(), centroids, norms);
-    size_t best = 0;
-    double best_d = SquaredL2(row, centroids.Row(0));
-    for (size_t j = 1; j < centroids.size(); ++j) {
-      const double d = SquaredL2(row, centroids.Row(j));
-      if (d < best_d) {
-        best_d = d;
-        best = j;
-      }
-    }
-    EXPECT_EQ(fast.index, best);
-    EXPECT_NEAR(fast.distance_sq, best_d, 1e-6 * (1.0 + best_d));
-  }
-}
-
-TEST(NearestCentroidTest, NeverNegativeDistance) {
-  // Large-magnitude coordinates stress the cancellation in the expanded
-  // form; the clamp must keep distances non-negative.
-  Rng rng(13);
-  Dataset centroids(4);
-  std::vector<double> big(4);
-  for (int j = 0; j < 10; ++j) {
-    for (auto& v : big) v = 1e8 + rng.Uniform(0.0, 1.0);
-    centroids.Append(big);
-  }
-  for (int i = 0; i < 100; ++i) {
-    for (auto& v : big) v = 1e8 + rng.Uniform(0.0, 1.0);
-    const Nearest n = NearestCentroid(big, centroids);
-    EXPECT_GE(n.distance_sq, 0.0);
-  }
-}
-
-TEST(CentroidSquaredNormsTest, Values) {
+TEST(NearestCentroidTest, NoCancellationAtLargeMagnitude) {
+  // An expanded ‖x‖² − 2x·c + ‖c‖² form loses the 0.25 in the rounding
+  // of ‖x‖² ≈ 2e16; the subtract-square form is exact here.
   Dataset centroids(2);
-  centroids.Append(std::vector<double>{3.0, 4.0});
-  centroids.Append(std::vector<double>{0.0, 0.0});
-  const auto norms = CentroidSquaredNorms(centroids);
-  ASSERT_EQ(norms.size(), 2u);
-  EXPECT_DOUBLE_EQ(norms[0], 25.0);
-  EXPECT_DOUBLE_EQ(norms[1], 0.0);
+  centroids.Append(std::vector<double>{1e8 + 4.0, 1e8});
+  centroids.Append(std::vector<double>{1e8, 1e8});
+  const std::vector<double> p{1e8 + 0.5, 1e8};
+  double d2 = -1.0;
+  EXPECT_EQ(NearestCentroidIndex(p, centroids, &d2), 1u);
+  EXPECT_EQ(d2, 0.25);
+}
+
+TEST(NearestCentroidTest, NanNeverWins) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  Dataset centroids(2);
+  centroids.Append(std::vector<double>{kNan, 0.0});
+  centroids.Append(std::vector<double>{5.0, 5.0});
+  const std::vector<double> p{0.0, 0.0};
+  double d2 = -1.0;
+  EXPECT_EQ(NearestCentroidIndex(p, centroids, &d2), 1u);
+  EXPECT_EQ(d2, 50.0);
+  // A NaN point has no nearest centroid: index 0 at distance +inf, as
+  // the kernels report it.
+  const std::vector<double> nan_point{kNan, 0.0};
+  EXPECT_EQ(NearestCentroidIndex(nan_point, centroids, &d2), 0u);
+  EXPECT_EQ(d2, std::numeric_limits<double>::infinity());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/distance.h"
 #include "cluster/kmeans.h"
 #include "cluster/lloyd.h"
 #include "cluster/seeding.h"
@@ -202,10 +203,11 @@ INSTANTIATE_TEST_SUITE_P(Dims, KernelParityTest,
 
 // Adversarial AssignBlock parity: every kernel's assign/dist2/second2
 // bytes (memcmp, so NaN payloads and signed zeros count) must equal the
-// scalar scan's, with and without second2, over tails (n not a multiple of
-// any block size), padded lanes and padded centroid blocks (k not a
-// multiple of 4 or 8), duplicate centroids across lanes and blocks, and
-// non-finite points and centroids.
+// scalar scan's, with and without second2 — and so must the per-point
+// NearestCentroidIndex scan's (assign, dist2) — over tails (n not a
+// multiple of any block size), padded lanes and padded centroid blocks (k
+// not a multiple of 4 or 8), duplicate centroids across lanes and blocks,
+// and non-finite points and centroids.
 class AssignBlockAdversarialTest : public ::testing::Test {
  protected:
   static constexpr size_t kDim = 3;
@@ -257,6 +259,17 @@ class AssignBlockAdversarialTest : public ::testing::Test {
                                   [](double v) { return v == -1.0; }));
         }
       }
+    }
+    // The per-point scan (Predict, online k-means, histogram encoding)
+    // is one more implementation of the same query.
+    SCOPED_TRACE("NearestCentroidIndex");
+    for (size_t i = 0; i < n; ++i) {
+      double d2 = -1.0;
+      const size_t j = NearestCentroidIndex(
+          {points.data() + i * kDim, kDim}, centroids, &d2);
+      EXPECT_EQ(j, ref_assign[i]) << "point " << i;
+      EXPECT_EQ(0, std::memcmp(&d2, &ref_dist2[i], sizeof(double)))
+          << "point " << i;
     }
   }
 };

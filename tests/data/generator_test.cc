@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 namespace pmkm {
 namespace {
@@ -24,6 +26,44 @@ TEST(GaussianMixtureTest, CreateValidates) {
 
   GaussianComponent neg_std{{0.0, 0.0}, {1.0, -1.0}, 1.0};
   EXPECT_TRUE(GaussianMixtureGenerator::Create({neg_std})
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// One non-finite field in the second component: Create names it.
+void ExpectRejectsComponent1(const GaussianComponent& bad,
+                             const std::string& field) {
+  const GaussianComponent good{{0.0, 0.0}, {1.0, 1.0}, 1.0};
+  const Status status = GaussianMixtureGenerator::Create({good, bad}).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("component 1"), std::string::npos)
+      << status;
+  EXPECT_NE(status.message().find(field), std::string::npos) << status;
+}
+
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+TEST(GaussianMixtureTest, CreateRejectsNonFiniteMean) {
+  for (double v : kNonFinite) {
+    ExpectRejectsComponent1({{1.0, v}, {1.0, 1.0}, 1.0}, "mean");
+  }
+}
+
+TEST(GaussianMixtureTest, CreateRejectsNonFiniteStddev) {
+  for (double v : kNonFinite) {
+    ExpectRejectsComponent1({{1.0, 1.0}, {v, 1.0}, 1.0}, "stddev");
+  }
+}
+
+TEST(GaussianMixtureTest, CreateRejectsNonFiniteWeight) {
+  for (double v : kNonFinite) {
+    ExpectRejectsComponent1({{1.0, 1.0}, {1.0, 1.0}, v}, "weight");
+  }
+  // Finite weights whose sum overflows would leave NaN mixing weights.
+  const GaussianComponent huge{{0.0}, {1.0}, 1e308};
+  EXPECT_TRUE(GaussianMixtureGenerator::Create({huge, huge})
                   .status()
                   .IsInvalidArgument());
 }
