@@ -11,11 +11,12 @@
 #include <cstdio>
 #include <iostream>
 
+#include "cluster/merge.h"
 #include "cluster/metrics.h"
 #include "cluster/validity.h"
 #include "common/flags.h"
 #include "data/generator.h"
-#include "histogram/adaptive.h"
+#include "histogram/ecvq.h"
 #include "histogram/histogram.h"
 #include "stream/engine.h"
 
@@ -42,32 +43,54 @@ int main(int argc, char** argv) {
   std::cout << "cell: " << cell.size() << " x " << cell.dim() << "\n\n";
 
   // --- Adaptive pipeline ------------------------------------------------
-  pmkm::AdaptivePartialMergeConfig aconfig;
-  aconfig.partial.max_k = static_cast<size_t>(max_k);
-  aconfig.partial.lambda = lambda;
-  aconfig.num_partitions = static_cast<size_t>(splits);
-  auto adaptive = pmkm::AdaptivePartialMergeKMeans(aconfig).Run(cell);
+  // The cell is cut into --splits consecutive slices, the same chunking
+  // the engine applies. Each slice is quantized with ECVQ, its surviving
+  // codewords are pooled, and the merge runs at the largest effective k.
+  const size_t parts = static_cast<size_t>(std::max<int64_t>(1, splits));
+  const size_t chunk = (cell.size() + parts - 1) / parts;
+  pmkm::EcvqConfig ecvq;
+  ecvq.max_k = static_cast<size_t>(std::max<int64_t>(0, max_k));
+  ecvq.lambda = lambda;
+  pmkm::WeightedDataset pooled(cell.dim());
+  size_t max_effective_k = 1;
+  std::cout << "adaptive (ECVQ, lambda=" << lambda << ", max_k=" << max_k
+            << "):\n  per-partition effective k:";
+  for (size_t begin = 0; begin < cell.size(); begin += chunk) {
+    auto partial = pmkm::FitEcvq(
+        cell.Slice(begin, std::min(cell.size(), begin + chunk)), ecvq);
+    if (!partial.ok()) {
+      std::cerr << partial.status() << "\n";
+      return 1;
+    }
+    std::cout << " " << partial->effective_k;
+    max_effective_k = std::max(max_effective_k, partial->effective_k);
+    const pmkm::ClusteringModel& codebook = partial->model;
+    for (size_t j = 0; j < codebook.k(); ++j) {
+      if (codebook.weights[j] > 0.0) {
+        pooled.Append(codebook.centroids.Row(j), codebook.weights[j]);
+      }
+    }
+  }
+  pmkm::MergeKMeansConfig adaptive_merge;
+  adaptive_merge.k = max_effective_k;
+  auto adaptive = pmkm::MergeKMeans(adaptive_merge).Merge(pooled);
   if (!adaptive.ok()) {
     std::cerr << adaptive.status() << "\n";
     return 1;
   }
-  std::cout << "adaptive (ECVQ, lambda=" << lambda << ", max_k=" << max_k
-            << "):\n  per-partition effective k:";
-  for (size_t ek : adaptive->partition_effective_k) std::cout << " " << ek;
-  std::cout << "\n  final k = " << adaptive->model.k() << " (from "
-            << adaptive->pooled_centroids << " pooled codewords)\n";
+  std::cout << "\n  final k = " << adaptive->k() << " (from "
+            << pooled.size() << " pooled codewords)\n";
 
   // --- Fixed-k pipeline at the same final k, on the stream engine ------
   pmkm::KMeansConfig partial;
-  partial.k = adaptive->model.k();
+  partial.k = adaptive->k();
   partial.restarts = 5;
   pmkm::MergeKMeansConfig merge;
   merge.k = partial.k;
-  const size_t parts = static_cast<size_t>(std::max<int64_t>(1, splits));
   auto fixed = pmkm::PipelineBuilder()
                    .WithPartialKMeans(partial)
                    .WithMerge(merge)
-                   .WithChunkPoints((cell.size() + parts - 1) / parts)
+                   .WithChunkPoints(chunk)
                    .RunInMemory({pmkm::GridBucket{{0, 0}, cell}});
   if (!fixed.ok()) {
     std::cerr << fixed.status() << "\n";
@@ -87,7 +110,7 @@ int main(int argc, char** argv) {
         sil.ok() ? *sil : -9.0, db.ok() ? *db : -9.0);
   };
   std::cout << "\ncomparison at equal final k:\n";
-  report("adaptive", adaptive->model);
+  report("adaptive", *adaptive);
   report("fixed-k", fixed->cells.at({0, 0}).model);
 
   std::cout << "\nThe adaptive pipeline discovers the bucket budget from "

@@ -1,5 +1,7 @@
 #include "cluster/incremental_merge.h"
 
+#include <cmath>
+
 namespace pmkm {
 
 IncrementalMergeKMeans::IncrementalMergeKMeans(size_t dim,
@@ -17,8 +19,10 @@ Status IncrementalMergeKMeans::Push(const WeightedDataset& centroids) {
     return Status::InvalidArgument("empty centroid set");
   }
   for (size_t i = 0; i < centroids.size(); ++i) {
-    if (centroids.weight(i) <= 0.0) {
-      return Status::InvalidArgument("non-positive centroid weight");
+    const double w = centroids.weight(i);
+    if (!std::isfinite(w) || w <= 0.0) {
+      return Status::InvalidArgument(
+          "centroid weight must be finite and > 0");
     }
   }
   running_.AppendAll(centroids);
@@ -39,27 +43,6 @@ Status IncrementalMergeKMeans::Push(const WeightedDataset& centroids) {
       }
     }
   }
-  return Status::OK();
-}
-
-IncrementalMergeState IncrementalMergeKMeans::SaveState() const {
-  IncrementalMergeState state;
-  state.running = running_;
-  state.partitions_merged = partitions_merged_;
-  state.last_sse = last_sse_;
-  state.last_iterations = last_iterations_;
-  return state;
-}
-
-Status IncrementalMergeKMeans::RestoreState(IncrementalMergeState state) {
-  if (state.running.dim() != dim_) {
-    return Status::InvalidArgument(
-        "incremental-merge snapshot dimensionality mismatch");
-  }
-  running_ = std::move(state.running);
-  partitions_merged_ = state.partitions_merged;
-  last_sse_ = state.last_sse;
-  last_iterations_ = state.last_iterations;
   return Status::OK();
 }
 

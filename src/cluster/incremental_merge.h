@@ -21,16 +21,6 @@
 
 namespace pmkm {
 
-/// Checkpointable state of an IncrementalMergeKMeans: everything needed to
-/// resume the incremental fold after process death (serialized by the
-/// checkpoint layer, stream/checkpoint.h).
-struct IncrementalMergeState {
-  WeightedDataset running{1};
-  size_t partitions_merged = 0;
-  double last_sse = 0.0;
-  size_t last_iterations = 0;
-};
-
 /// Streaming consumer of partial centroid sets.
 class IncrementalMergeKMeans {
  public:
@@ -51,13 +41,6 @@ class IncrementalMergeKMeans {
 
   /// Final model. Fails if nothing was pushed.
   Result<ClusteringModel> Finish() const;
-
-  /// Snapshot of the complete fold state, for checkpointing.
-  IncrementalMergeState SaveState() const;
-
-  /// Resumes from a snapshot taken by SaveState(). The snapshot's
-  /// dimensionality must match; any state accumulated so far is replaced.
-  Status RestoreState(IncrementalMergeState state);
 
  private:
   size_t dim_;

@@ -1,5 +1,8 @@
 #include "cluster/merge.h"
 
+#include <cmath>
+#include <string>
+
 namespace pmkm {
 
 Result<ClusteringModel> MergeKMeans::Merge(
@@ -9,9 +12,11 @@ Result<ClusteringModel> MergeKMeans::Merge(
   }
   if (config_.k == 0) return Status::InvalidArgument("k must be >= 1");
   for (size_t i = 0; i < pooled.size(); ++i) {
-    if (pooled.weight(i) <= 0.0) {
+    const double w = pooled.weight(i);
+    if (!std::isfinite(w) || w <= 0.0) {
       return Status::InvalidArgument(
-          "merge input contains a non-positive weight");
+          "merge input weight " + std::to_string(i) + " is " +
+          std::to_string(w) + "; weights must be finite and > 0");
     }
   }
 

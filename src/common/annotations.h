@@ -133,8 +133,8 @@
 
 /// Root of an output-byte determinism contract, verified whole-program
 /// by tools/pmkm_detcheck.py (DESIGN.md §17): model serialization
-/// (SaveModel), checkpoint kPartialState/cell-complete encoders, serve
-/// protocol encoders, and the kernel Assign/Accumulate hot path that
+/// (SaveModel), the checkpoint cell-complete encoder, serve protocol
+/// encoders, and the kernel Assign/Accumulate hot path that
 /// produces the numbers being serialized. Nothing reachable may iterate
 /// a hash-ordered container into the output (rule `unordered-iter`),
 /// read a wall clock or random source outside the sanctioned seed

@@ -86,35 +86,14 @@ Status CheckFinite(const double* values, size_t num_points, size_t dim,
 }  // namespace
 
 Status WriteGridBucket(const std::string& path, const GridBucket& bucket) {
-  PMKM_RETURN_NOT_OK(FaultRegistry::Global().Hit("io.write"));
+  // Checked before Open so that refused input leaves no staging file.
   PMKM_RETURN_NOT_OK(CheckFinite(bucket.points.data(), bucket.points.size(),
                                  bucket.points.dim(), 0, path));
-  const std::string tmp = TmpPath(path);
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + tmp);
-
-  Header h{};
-  h.magic = kMagic;
-  h.version = kVersion;
-  h.dim = static_cast<uint32_t>(bucket.points.dim());
-  h.lat = bucket.cell.lat_index;
-  h.lon = bucket.cell.lon_index;
-  h.pad = 0;
-  h.count = bucket.points.size();
-  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
-
-  const auto& values = bucket.points.values();
-  const size_t bytes = values.size() * sizeof(double);
-  out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(bytes));
-
-  const uint64_t hash =
-      internal::Fnv1a64(values.data(), bytes, internal::kFnvOffset);
-  out.write(reinterpret_cast<const char*>(&hash), sizeof(hash));
-  out.flush();
-  out.close();
-  if (!out) return Status::IOError("short write: " + tmp);
-  return CommitTmp(path);
+  PMKM_ASSIGN_OR_RETURN(
+      GridBucketWriter writer,
+      GridBucketWriter::Open(path, bucket.cell, bucket.points.dim()));
+  PMKM_RETURN_NOT_OK(writer.AppendAll(bucket.points));
+  return writer.Close();
 }
 
 Result<GridBucket> ReadGridBucket(const std::string& path) {
@@ -187,30 +166,30 @@ Result<GridBucketWriter> GridBucketWriter::Open(const std::string& path,
 }
 
 Status GridBucketWriter::Append(std::span<const double> point) {
-  if (out_ == nullptr) {
-    return Status::FailedPrecondition("writer already closed");
-  }
   if (point.size() != dim_) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
-  PMKM_RETURN_NOT_OK(
-      CheckFinite(point.data(), 1, dim_, points_written_, path_));
-  const size_t bytes = dim_ * sizeof(double);
-  out_->write(reinterpret_cast<const char*>(point.data()),
-              static_cast<std::streamsize>(bytes));
-  if (!*out_) return Status::IOError("short write: " + path_);
-  running_hash_ = internal::Fnv1a64(point.data(), bytes, running_hash_);
-  ++points_written_;
-  return Status::OK();
+  return WriteRows(point.data(), 1);
 }
 
 Status GridBucketWriter::AppendAll(const Dataset& points) {
   if (points.dim() != dim_) {
     return Status::InvalidArgument("dataset dimensionality mismatch");
   }
-  for (size_t i = 0; i < points.size(); ++i) {
-    PMKM_RETURN_NOT_OK(Append(points.Row(i)));
+  return WriteRows(points.data(), points.size());
+}
+
+Status GridBucketWriter::WriteRows(const double* values, size_t rows) {
+  if (out_ == nullptr) {
+    return Status::FailedPrecondition("writer already closed");
   }
+  PMKM_RETURN_NOT_OK(CheckFinite(values, rows, dim_, points_written_, path_));
+  const size_t bytes = rows * dim_ * sizeof(double);
+  out_->write(reinterpret_cast<const char*>(values),
+              static_cast<std::streamsize>(bytes));
+  if (!*out_) return Status::IOError("short write: " + path_);
+  running_hash_ = internal::Fnv1a64(values, bytes, running_hash_);
+  points_written_ += rows;
   return Status::OK();
 }
 

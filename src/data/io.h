@@ -65,7 +65,8 @@ class GridBucketWriter {
   /// Appends one point (size must equal dim(); every coordinate finite).
   Status Append(std::span<const double> point);
 
-  /// Appends a whole dataset.
+  /// Appends a whole dataset. A non-finite coordinate anywhere in it
+  /// fails the call before any of its points are written.
   Status AppendAll(const Dataset& points);
 
   /// Finalizes the file: patches the count, writes the checksum, and
@@ -76,6 +77,9 @@ class GridBucketWriter {
 
  private:
   GridBucketWriter() = default;
+
+  // Checks, writes and hashes `rows` consecutive points of dim_ doubles.
+  Status WriteRows(const double* values, size_t rows);
 
   std::shared_ptr<std::ofstream> out_;
   std::string path_;

@@ -112,7 +112,6 @@ class Cursor {
 
 // Payload schema versions, bumped independently of the journal framing.
 constexpr uint32_t kCellPayloadVersion = 1;
-constexpr uint32_t kPartialPayloadVersion = 1;
 
 // Dimensionality/row-count sanity caps: a CRC-valid but nonsense payload
 // must not drive a multi-gigabyte allocation.
@@ -199,48 +198,6 @@ Result<CellClustering> DecodeCellComplete(std::span<const uint8_t> payload) {
   return cell;
 }
 
-std::vector<uint8_t> EncodePartialState(
-    GridCellId cell, const IncrementalMergeState& state) PMKM_DETERMINISTIC {
-  std::vector<uint8_t> out;
-  PutU32(&out, kPartialPayloadVersion);
-  PutI32(&out, cell.lat_index);
-  PutI32(&out, cell.lon_index);
-  PutU64(&out, state.partitions_merged);
-  PutF64(&out, state.last_sse);
-  PutU64(&out, state.last_iterations);
-  EncodeDataset(&out, state.running.points());
-  PutF64Span(&out, state.running.weights());
-  return out;
-}
-
-Result<std::pair<GridCellId, IncrementalMergeState>> DecodePartialState(
-    std::span<const uint8_t> payload) {
-  Cursor cur(payload);
-  uint32_t version = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU32(&version));
-  if (version != kPartialPayloadVersion) {
-    return Status::IOError("unknown partial-state payload version");
-  }
-  GridCellId cell;
-  PMKM_RETURN_NOT_OK(cur.ReadI32(&cell.lat_index));
-  PMKM_RETURN_NOT_OK(cur.ReadI32(&cell.lon_index));
-  IncrementalMergeState state;
-  uint64_t partitions = 0, iterations = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&partitions));
-  PMKM_RETURN_NOT_OK(cur.ReadF64(&state.last_sse));
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&iterations));
-  state.partitions_merged = partitions;
-  state.last_iterations = iterations;
-  Dataset points(1);
-  PMKM_RETURN_NOT_OK(DecodeDataset(&cur, &points));
-  std::vector<double> weights;
-  PMKM_RETURN_NOT_OK(cur.ReadF64Vec(&weights));
-  PMKM_ASSIGN_OR_RETURN(
-      state.running, WeightedDataset::Create(std::move(points),
-                                             std::move(weights)));
-  return std::make_pair(cell, std::move(state));
-}
-
 CheckpointState ReplayCheckpointJournal(const JournalRecovery& recovery) {
   CheckpointState state;
   state.journal_found = true;
@@ -256,7 +213,6 @@ CheckpointState ReplayCheckpointJournal(const JournalRecovery& recovery) {
           // A later kRunBegin (journal reused across runs) supersedes —
           // everything before it belongs to an older run, so drop it.
           state.completed.clear();
-          state.partials.clear();
           state.config_fingerprint = fp;
           state.fingerprint_known = true;
           state.run_complete = false;
@@ -273,21 +229,7 @@ CheckpointState ReplayCheckpointJournal(const JournalRecovery& recovery) {
         Result<CellClustering> cell = DecodeCellComplete(record.payload);
         if (cell.ok()) {
           const GridCellId id = cell.value().cell;
-          state.partials.erase(id);
           state.completed.insert_or_assign(id, std::move(cell).value());
-        } else {
-          ++state.records_dropped;
-        }
-        break;
-      }
-      case CheckpointRecordType::kPartialState: {
-        auto partial = DecodePartialState(record.payload);
-        if (partial.ok()) {
-          auto [id, merge_state] = std::move(partial).value();
-          // A completed cell wins over any later partial snapshot.
-          if (state.completed.find(id) == state.completed.end()) {
-            state.partials.insert_or_assign(id, std::move(merge_state));
-          }
         } else {
           ++state.records_dropped;
         }
@@ -297,7 +239,8 @@ CheckpointState ReplayCheckpointJournal(const JournalRecovery& recovery) {
         state.run_complete = true;
         break;
       default:
-        // Unknown record type: forward-compat skip, count it.
+        // Unknown record type (including the retired type 3):
+        // forward-compat skip, count it.
         ++state.records_dropped;
         break;
     }
@@ -427,14 +370,6 @@ Status CheckpointWriter::AppendCellComplete(const CellClustering& cell) {
                             EncodeCellComplete(cell)));
   ++cells_appended_;
   return Status::OK();
-}
-
-Status CheckpointWriter::AppendPartialState(
-    GridCellId cell, const IncrementalMergeState& state) {
-  ScopedSpan span(obs_.trace, "checkpoint.partial", "checkpoint");
-  if (span.enabled()) span.AddArg("cell", JsonValue(cell.ToString()));
-  return Append(CheckpointRecordType::kPartialState,
-                EncodePartialState(cell, state));
 }
 
 Status CheckpointWriter::Finalize() {

@@ -18,9 +18,11 @@
 //   kCellComplete  one finished cell: id + its full ClusteringModel
 //                  (bit-exact doubles, so a resumed run's output is
 //                  bitwise-identical to an uninterrupted one).
-//   kPartialState  snapshot of an IncrementalMergeKMeans fold for a cell
-//                  (the anytime-query substrate, ROADMAP item 3).
 //   kRunEnd        clean end of run.
+//
+// A record of any other type (including the retired type 3) is skipped
+// and counted in CheckpointState::records_dropped, so a journal written
+// by a build that knows more record types still resumes.
 //
 // Failure contract: corruption is never fatal. A torn tail or flipped bit
 // bounds the valid prefix (recovery lands on the last valid epoch), the
@@ -36,10 +38,8 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "cluster/incremental_merge.h"
 #include "common/annotations.h"
 #include "data/manifest.h"
 #include "obs/stats.h"
@@ -68,7 +68,9 @@ struct CheckpointOptions {
 enum class CheckpointRecordType : uint32_t {
   kRunBegin = 1,
   kCellComplete = 2,
-  kPartialState = 3,
+  // 3 was a per-cell partial-merge snapshot that no run ever resumed
+  // from. Never reuse it: old journals may hold such records, and replay
+  // must keep skipping them as unknown.
   kRunEnd = 4,
 };
 
@@ -98,15 +100,13 @@ struct CheckpointState {
   std::string tail_error;
 
   /// CRC-valid records whose payload failed to decode (version skew,
-  /// adversarial corruption that survived CRC). Counted, never fatal.
+  /// adversarial corruption that survived CRC) or whose type this build
+  /// does not know. Counted, never fatal.
   size_t records_dropped = 0;
 
   /// Completed cells, last record wins. A resumed run restores these
   /// verbatim and re-clusters only what is missing.
   std::map<GridCellId, CellClustering> completed;
-
-  /// Incremental-merge snapshots, last record per cell wins.
-  std::map<GridCellId, IncrementalMergeState> partials;
 };
 
 /// `<dir>/journal.pmkj`.
@@ -123,10 +123,6 @@ Result<CheckpointState> LoadCheckpoint(const std::string& dir);
 /// Payload codecs, exposed for pmkm_inspect and the round-trip tests.
 std::vector<uint8_t> EncodeCellComplete(const CellClustering& cell);
 Result<CellClustering> DecodeCellComplete(
-    std::span<const uint8_t> payload);
-std::vector<uint8_t> EncodePartialState(GridCellId cell,
-                                        const IncrementalMergeState& state);
-Result<std::pair<GridCellId, IncrementalMergeState>> DecodePartialState(
     std::span<const uint8_t> payload);
 
 /// Appends checkpoint records for one run. Open() recovers any existing
@@ -153,11 +149,6 @@ class CheckpointWriter {
   /// Appends one completed cell. Durable after the sync-interval'th
   /// append (and at Finalize()). Fault site: "checkpoint.append".
   Status AppendCellComplete(const CellClustering& cell) PMKM_DETERMINISTIC;
-
-  /// Appends an incremental-merge snapshot for `cell`.
-  Status AppendPartialState(GridCellId cell,
-                            const IncrementalMergeState& state)
-      PMKM_DETERMINISTIC;
 
   /// Marks the run complete (kRunEnd) and fsyncs. Idempotent for a run
   /// that appended nothing on top of an already-complete journal.

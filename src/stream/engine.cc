@@ -84,22 +84,6 @@ Status ResolveKernel(EngineOptions* options) {
   return Status::OK();
 }
 
-// Applies a forced partition size to an already-computed plan: the clone
-// count and queue capacity are re-derived against the override.
-void ApplyChunkOverride(const EngineOptions& options, size_t max_points,
-                        size_t dim, PhysicalPlan* plan) {
-  if (options.chunk_points_override == 0) return;
-  plan->chunk_points = options.chunk_points_override;
-  const size_t chunks = std::max<size_t>(
-      1, (max_points + plan->chunk_points - 1) / plan->chunk_points);
-  const size_t cores = options.resources.EffectiveCores();
-  plan->partial_clones =
-      std::max<size_t>(1, std::min(cores > 1 ? cores - 1 : 1, chunks));
-  plan->queue_capacity = PlanQueueCapacity(
-      plan->partial_clones, plan->chunk_points, dim,
-      options.resources.memory_bytes_per_operator);
-}
-
 // Fingerprint over every configuration field that affects the numeric
 // result of a run, plus the planned partition size N'. A checkpoint
 // journal written under a different fingerprint must not be resumed:
@@ -380,9 +364,8 @@ Result<ProbedPlan> PlanForPaths(const std::vector<std::string>& paths,
       out.dim = probe->dim();
       out.total_points = probe->total_points();
       out.plan = PlanPartialMerge(probe->dim(), probe->total_points(),
-                                  options.resources);
-      ApplyChunkOverride(options, probe->total_points(), probe->dim(),
-                         &out.plan);
+                                  options.resources,
+                                  options.chunk_points_override);
       return out;
     }
     probe_error = probe.status();
@@ -505,35 +488,8 @@ Result<StreamRunResult> PipelineBuilder::Run(
     }
   }
 
-  if (split.todo.empty()) {
-    // Every bucket was already clustered by the previous run: nothing to
-    // execute. Reconstruct the result from the journal alone.
-    StreamRunResult out;
-    out.plan = probed.plan;
-    out.run_id = options.exec.obs.run_id;
-    out.cells = std::move(split.restored);
-    RunReport& report = out.report;
-    report.failure_policy = options.exec.failure_policy;
-    report.cells_clustered = out.cells.size();
-    if (options.exec.obs.board != nullptr) {
-      options.exec.obs.board->BeginRun(out.run_id, PlanSummary(out.plan),
-                                       {});
-    }
-    if (checkpoint.has_value()) {
-      if (Status st = checkpoint->Finalize(); !st.ok()) {
-        return FailRun(options.exec.obs, std::move(st));
-      }
-    }
-    FillCheckpointReport(
-        checkpoint.has_value() ? &*checkpoint : nullptr, out.cells.size(),
-        checkpoint_degraded, options.exec.obs, &report);
-    if (options.exec.obs.board != nullptr) {
-      options.exec.obs.board->EndRun(true, "ok (resumed from checkpoint)",
-                                     StreamRunResultToJson(out));
-    }
-    return out;
-  }
-
+  // When the journal restored every cell, the scan runs over zero buckets
+  // and RunPlan assembles the result (and re-seals the journal) as usual.
   auto points =
       std::make_shared<PointChunkQueue>(probed.plan.queue_capacity);
   auto scan = std::make_unique<ScanOperator>(
@@ -576,8 +532,8 @@ Result<StreamRunResult> PipelineBuilder::RunInMemory(
     }
     max_points = std::max(max_points, c.points.size());
   }
-  PhysicalPlan plan = PlanPartialMerge(dim, max_points, options.resources);
-  ApplyChunkOverride(options, max_points, dim, &plan);
+  const PhysicalPlan plan = PlanPartialMerge(
+      dim, max_points, options.resources, options.chunk_points_override);
   auto points = std::make_shared<PointChunkQueue>(plan.queue_capacity);
   auto scan = std::make_unique<MemoryScanOperator>(
       std::move(cells), plan.chunk_points, points);

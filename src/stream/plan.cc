@@ -12,15 +12,19 @@ size_t ResourceModel::EffectiveCores() const {
 }
 
 PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,
-                              const ResourceModel& resources) {
+                              const ResourceModel& resources,
+                              size_t chunk_points) {
   PMKM_CHECK(dim >= 1);
   PhysicalPlan plan;
 
   // Memory → partition size. Factor 4: the point buffer itself, the
   // assignment array, centroid sums, and queue slack.
   const size_t bytes_per_point = dim * sizeof(double) * 4;
-  plan.chunk_points = std::max<size_t>(
-      1, resources.memory_bytes_per_operator / bytes_per_point);
+  plan.chunk_points =
+      chunk_points > 0
+          ? chunk_points
+          : std::max<size_t>(
+                1, resources.memory_bytes_per_operator / bytes_per_point);
 
   // Cores → clones: one core is reserved for scan+merge, the rest run
   // partial operators; never more clones than there are chunks to chew.
@@ -49,7 +53,7 @@ size_t PlanQueueCapacity(size_t partial_clones, size_t chunk_points,
   const size_t wanted = 2 * clones;
   // ...but never more buffered chunks than the per-operator memory budget
   // covers, so back-pressure still binds memory when chunks are forced
-  // large (e.g. via the engine's chunk_points override).
+  // large.
   const size_t chunk_bytes =
       std::max<size_t>(1, chunk_points * dim * sizeof(double));
   const size_t affordable =

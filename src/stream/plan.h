@@ -43,16 +43,18 @@ struct PhysicalPlan {
 };
 
 /// Chooses the physical plan for clustering buckets of dimensionality
-/// `dim`. The k-means working set per point is roughly
+/// `dim`. `chunk_points` forces the partition size N'; 0 derives it from
+/// the memory budget. The k-means working set per point is roughly
 /// point + assignment + shares of the sums array; a conservative factor of
-/// 4 over raw point bytes keeps a clone inside its budget.
+/// 4 over raw point bytes keeps a clone inside its budget. The clone count
+/// and queue capacity always follow from the chosen N'.
 PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,
-                              const ResourceModel& resources);
+                              const ResourceModel& resources,
+                              size_t chunk_points = 0);
 
-/// The exchange-depth rule, shared by the planner and the engine's
-/// chunk-size override path. Depth scales with the clone count (one chunk
-/// in flight plus one buffered per clone) but is capped so the buffered
-/// chunks stay inside the per-operator memory budget:
+/// The planner's exchange-depth rule. Depth scales with the clone count
+/// (one chunk in flight plus one buffered per clone) but is capped so the
+/// buffered chunks stay inside the per-operator memory budget:
 ///
 ///   cap = max(2, min(2 * clones, clones * memory_bytes / chunk_bytes))
 ///
@@ -139,12 +141,6 @@ struct StreamRunResult {
   /// Exchange accounting: the points and centroids queues.
   std::vector<QueueStatsSnapshot> queues;
 };
-
-// The legacy free-function entry points RunPartialMergeStream /
-// RunPartialMergeStreamInMemory were retired: every run goes through
-// PipelineBuilder (stream/engine.h), the single entry point the serve
-// layer, tools, benches and tests share. pmkm_lint's `direct-run` rule
-// keeps new direct-run entry points from reappearing.
 
 }  // namespace pmkm
 

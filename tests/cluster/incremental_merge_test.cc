@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "cluster/partial.h"
 #include "data/generator.h"
@@ -26,9 +27,16 @@ TEST(IncrementalMergeTest, ValidatesInput) {
   IncrementalMergeKMeans merge(2, Config(3));
   EXPECT_TRUE(merge.Push(WeightedDataset(3)).IsInvalidArgument());
   EXPECT_TRUE(merge.Push(WeightedDataset(2)).IsInvalidArgument());
-  WeightedDataset zero_w(2);
-  zero_w.Append(std::vector<double>{1.0, 2.0}, 0.0);
-  EXPECT_TRUE(merge.Push(zero_w).IsInvalidArgument());
+  // Sets are buffered verbatim until k is exceeded, so a bad weight would
+  // reach Finish()'s model unless Push rejects it.
+  for (double w : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(w);
+    WeightedDataset bad_w(2);
+    bad_w.Append(std::vector<double>{1.0, 2.0}, w);
+    EXPECT_TRUE(merge.Push(bad_w).IsInvalidArgument());
+  }
+  EXPECT_EQ(merge.partitions_merged(), 0u);
   EXPECT_TRUE(merge.Finish().status().IsFailedPrecondition());
 }
 

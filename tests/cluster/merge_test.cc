@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "cluster/partial.h"
 #include "data/generator.h"
@@ -21,9 +22,15 @@ TEST(MergeKMeansTest, RejectsBadInput) {
   EXPECT_TRUE(
       merger.Merge(WeightedDataset(2)).status().IsInvalidArgument());
 
-  WeightedDataset bad(1);
-  bad.Append(std::vector<double>{1.0}, 0.0);  // non-positive weight
-  EXPECT_TRUE(merger.Merge(bad).status().IsInvalidArgument());
+  // A pool of at most k members is returned as-is, so a bad weight would
+  // land in the model unless Merge rejects it up front.
+  for (double w : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(w);
+    WeightedDataset bad(1);
+    bad.Append(std::vector<double>{1.0}, w);
+    EXPECT_TRUE(merger.Merge(bad).status().IsInvalidArgument());
+  }
 
   const MergeKMeans zero_k(Config(0));
   WeightedDataset ok(1);

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "cluster/merge.h"
+#include "cluster/metrics.h"
 #include "data/generator.h"
 
 namespace pmkm {
@@ -60,6 +65,78 @@ TEST(EcvqTest, AdaptsKToTrueClusterCount) {
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->effective_k, 3u);
   EXPECT_LE(result->effective_k, 6u);
+}
+
+// Adaptive partial/merge (§3.3 remarks) composed from the pieces: ECVQ on
+// `partitions` consecutive slices of the cell, the weight>0 codewords pooled,
+// and MergeKMeans at the largest per-slice effective k.
+struct AdaptiveRun {
+  std::vector<size_t> partition_effective_k;
+  size_t final_k = 0;
+  ClusteringModel model;
+};
+
+AdaptiveRun RunAdaptivePartialMerge(const Dataset& cell, size_t max_k,
+                                    double lambda, size_t partitions) {
+  AdaptiveRun run;
+  WeightedDataset pooled(cell.dim());
+  for (size_t i = 0; i < partitions; ++i) {
+    const size_t begin = i * cell.size() / partitions;
+    const size_t end = (i + 1) * cell.size() / partitions;
+    auto partial = FitEcvq(cell.Slice(begin, end), Config(max_k, lambda));
+    EXPECT_TRUE(partial.ok()) << partial.status();
+    if (!partial.ok()) return run;
+    run.partition_effective_k.push_back(partial->effective_k);
+    run.final_k = std::max(run.final_k, partial->effective_k);
+    const ClusteringModel& codebook = partial->model;
+    for (size_t j = 0; j < codebook.k(); ++j) {
+      if (codebook.weights[j] > 0.0) {
+        pooled.Append(codebook.centroids.Row(j), codebook.weights[j]);
+      }
+    }
+  }
+  MergeKMeansConfig merge;
+  merge.k = run.final_k;
+  auto model = MergeKMeans(merge).Merge(pooled);
+  EXPECT_TRUE(model.ok()) << model.status();
+  if (model.ok()) run.model = *std::move(model);
+  return run;
+}
+
+TEST(AdaptivePartialMergeTest, MassConservedAndKBounded) {
+  Rng rng(1);
+  const Dataset cell = GenerateMisrLikeCell(4000, &rng);
+  const AdaptiveRun run = RunAdaptivePartialMerge(cell, 32, 10.0, 8);
+  ASSERT_EQ(run.partition_effective_k.size(), 8u);
+  for (size_t ek : run.partition_effective_k) {
+    EXPECT_GE(ek, 1u);
+    EXPECT_LE(ek, 32u);
+  }
+  double mass = 0.0;
+  for (double w : run.model.weights) mass += w;
+  EXPECT_NEAR(mass, 4000.0, 1e-6);
+  EXPECT_LE(run.model.k(), run.final_k);
+}
+
+TEST(AdaptivePartialMergeTest, AdaptsToTrueStructure) {
+  // A 3-blob cell with max_k=16: each partition should starve most
+  // codewords and land near 3.
+  Rng rng(3);
+  const Dataset cell =
+      GenerateSeparatedClusters(3000, 2, 3, 400.0, 1.0, &rng);
+  const AdaptiveRun run = RunAdaptivePartialMerge(cell, 16, 100.0, 5);
+  ASSERT_EQ(run.partition_effective_k.size(), 5u);
+  for (size_t ek : run.partition_effective_k) {
+    EXPECT_GE(ek, 3u);
+    EXPECT_LE(ek, 8u);
+  }
+  double mass = 0.0;
+  for (double w : run.model.weights) mass += w;
+  EXPECT_NEAR(mass, 3000.0, 1e-6);
+  // The final model should cover the 3 blobs well.
+  Dataset mean_model(cell.dim());
+  mean_model.Append(cell.Mean());
+  EXPECT_LT(Sse(run.model.centroids, cell), 0.05 * Sse(mean_model, cell));
 }
 
 TEST(EcvqTest, WeightsSumToTotalMass) {

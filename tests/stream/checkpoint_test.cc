@@ -118,51 +118,6 @@ TEST_F(CheckpointTest, CellCompletePayloadRoundTrip) {
   ExpectCellsEqual(cell, *decoded);
 }
 
-TEST_F(CheckpointTest, PartialStatePayloadRoundTrip) {
-  MergeKMeansConfig config;
-  config.k = 3;
-  IncrementalMergeKMeans merge(2, config);
-  auto push = [&](double base) {
-    auto points = MustDataset(
-        2, {base, base + 1, base + 2, base + 3, base + 4, base + 5});
-    auto weighted =
-        WeightedDataset::Create(std::move(points), {3.0, 2.0, 1.0});
-    ASSERT_TRUE(weighted.ok());
-    ASSERT_TRUE(merge.Push(*weighted).ok());
-  };
-  push(0.0);
-  push(10.0);
-
-  const GridCellId id{7, -9};
-  const IncrementalMergeState state = merge.SaveState();
-  const std::vector<uint8_t> payload = EncodePartialState(id, state);
-  auto decoded = DecodePartialState(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->first, id);
-  EXPECT_EQ(decoded->second.partitions_merged, state.partitions_merged);
-  EXPECT_EQ(decoded->second.last_sse, state.last_sse);
-  EXPECT_EQ(decoded->second.running.points(), state.running.points());
-  EXPECT_EQ(decoded->second.running.weights(), state.running.weights());
-
-  // Restoring the decoded snapshot reproduces the fold bit-for-bit.
-  IncrementalMergeKMeans resumed(2, config);
-  ASSERT_TRUE(resumed.RestoreState(std::move(decoded->second)).ok());
-  push(20.0);
-  auto direct = merge.Finish();
-  {
-    auto points = MustDataset(2, {20.0, 21, 22, 23, 24, 25});
-    auto weighted =
-        WeightedDataset::Create(std::move(points), {3.0, 2.0, 1.0});
-    ASSERT_TRUE(weighted.ok());
-    ASSERT_TRUE(resumed.Push(*weighted).ok());
-  }
-  auto via_snapshot = resumed.Finish();
-  ASSERT_TRUE(direct.ok()) << direct.status();
-  ASSERT_TRUE(via_snapshot.ok()) << via_snapshot.status();
-  EXPECT_EQ(direct->centroids, via_snapshot->centroids);
-  EXPECT_EQ(direct->sse, via_snapshot->sse);
-}
-
 TEST_F(CheckpointTest, DecodeRejectsTruncatedAndGarbagePayloads) {
   const std::vector<uint8_t> payload = EncodeCellComplete(MakeCell(1));
   for (size_t len = 0; len < payload.size(); ++len) {
@@ -180,7 +135,6 @@ TEST_F(CheckpointTest, DecodeRejectsTruncatedAndGarbagePayloads) {
     garbage[i] = static_cast<uint8_t>(i * 37 + 11);
   }
   EXPECT_FALSE(DecodeCellComplete(garbage).ok());
-  EXPECT_FALSE(DecodePartialState(garbage).ok());
 }
 
 TEST_F(CheckpointTest, WriterStateReplaysThroughLoad) {
@@ -190,15 +144,9 @@ TEST_F(CheckpointTest, WriterStateReplaysThroughLoad) {
     ASSERT_TRUE(writer.ok()) << writer.status();
     EXPECT_FALSE(writer->recovered().journal_found);
     ASSERT_TRUE(writer->AppendCellComplete(MakeCell(1)).ok());
-    MergeKMeansConfig config;
-    config.k = 2;
-    IncrementalMergeKMeans merge(3, config);
-    ASSERT_TRUE(
-        writer->AppendPartialState(GridCellId{2, -2}, merge.SaveState())
-            .ok());
     EXPECT_EQ(writer->cells_appended(), 1u);
-    // seq: 1=kRunBegin, 2=cell, 3=partial.
-    EXPECT_EQ(writer->epoch(), 3u);
+    // seq: 1=kRunBegin, 2=cell.
+    EXPECT_EQ(writer->epoch(), 2u);
   }
 
   auto loaded = LoadCheckpoint(CkptDir());
@@ -209,9 +157,9 @@ TEST_F(CheckpointTest, WriterStateReplaysThroughLoad) {
   EXPECT_FALSE(loaded->run_complete);
   ASSERT_EQ(loaded->completed.size(), 1u);
   ExpectCellsEqual(loaded->completed.at(GridCellId{1, -1}), MakeCell(1));
-  EXPECT_EQ(loaded->partials.size(), 1u);
+  EXPECT_EQ(loaded->records_dropped, 0u);
 
-  // A completing cell supersedes its partial snapshot; Finalize seals.
+  // A reopened writer resumes the recovered cells; Finalize seals.
   {
     auto writer = CheckpointWriter::Open(Options(), fp);
     ASSERT_TRUE(writer.ok()) << writer.status();
@@ -224,7 +172,6 @@ TEST_F(CheckpointTest, WriterStateReplaysThroughLoad) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->run_complete);
   EXPECT_EQ(loaded->completed.size(), 2u);
-  EXPECT_TRUE(loaded->partials.empty());
 }
 
 TEST_F(CheckpointTest, FingerprintMismatchStartsFresh) {
@@ -321,6 +268,21 @@ class CheckpointEngineTest : public CheckpointTest {
     return paths;
   }
 
+  // Cuts the journal back to its header and first `records` records, as
+  // if the process had died right after appending them.
+  void KeepJournalRecords(size_t records) const {
+    auto recovery = RecoverJournal(CheckpointJournalPath(CkptDir()));
+    ASSERT_TRUE(recovery.ok());
+    ASSERT_GT(recovery->records.size(), records);
+    size_t keep = internal::kJournalHeaderBytes;
+    for (size_t i = 0; i < records; ++i) {
+      keep += internal::kRecordFixedBytes + recovery->records[i].payload.size();
+    }
+    std::vector<char> journal = ReadJournal();
+    journal.resize(keep);
+    WriteJournal(journal);
+  }
+
   PipelineBuilder Builder(bool accelerate = true) const {
     KMeansConfig partial;
     partial.k = 4;
@@ -379,18 +341,7 @@ TEST_F(CheckpointEngineTest, ResumedRunIsBitwiseIdentical) {
 
   // Interrupted after one cell: keep header + kRunBegin + first cell
   // record, exactly as if the process died mid-run.
-  {
-    auto recovery = RecoverJournal(CheckpointJournalPath(CkptDir()));
-    ASSERT_TRUE(recovery.ok());
-    ASSERT_GE(recovery->records.size(), 3u);
-    size_t keep = internal::kJournalHeaderBytes;
-    for (size_t i = 0; i < 2; ++i) {
-      keep += internal::kRecordFixedBytes + recovery->records[i].payload.size();
-    }
-    WriteJournal(std::vector<char>(journal.begin(),
-                                   journal.begin() +
-                                       static_cast<ptrdiff_t>(keep)));
-  }
+  KeepJournalRecords(2);
   auto resumed = Builder().WithCheckpoint(CkptDir()).Run(paths);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->report.cells_resumed, 1u);
@@ -420,19 +371,8 @@ TEST_F(CheckpointEngineTest, PruningSwitchDoesNotBlockResume) {
   auto reference =
       Builder(/*accelerate=*/false).WithCheckpoint(CkptDir()).Run(paths);
   ASSERT_TRUE(reference.ok()) << reference.status();
-  {
-    // Keep header + kRunBegin + the first cell, as if killed after it.
-    auto recovery = RecoverJournal(CheckpointJournalPath(CkptDir()));
-    ASSERT_TRUE(recovery.ok());
-    ASSERT_GE(recovery->records.size(), 3u);
-    size_t keep = internal::kJournalHeaderBytes;
-    for (size_t i = 0; i < 2; ++i) {
-      keep += internal::kRecordFixedBytes + recovery->records[i].payload.size();
-    }
-    std::vector<char> journal = ReadJournal();
-    journal.resize(keep);
-    WriteJournal(journal);
-  }
+  // Keep header + kRunBegin + the first cell, as if killed after it.
+  KeepJournalRecords(2);
   auto resumed =
       Builder(/*accelerate=*/true).WithCheckpoint(CkptDir()).Run(paths);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
@@ -452,6 +392,40 @@ TEST_F(CheckpointEngineTest, PruningSwitchDoesNotBlockResume) {
     ASSERT_NE(it, resumed->cells.end());
     EXPECT_TRUE(model_bytes(cell.model) == model_bytes(it->second.model));
   }
+}
+
+TEST_F(CheckpointEngineTest, UnknownRecordTypesAreSkippedOnResume) {
+  // Type 3 is retired and 99 is from some newer build. Replay skips and
+  // counts both; the cell journaled before them still resumes, and the
+  // resumed run is bitwise-equal to an uninterrupted one.
+  const std::vector<std::string> paths = WriteBuckets(3, 400);
+  auto reference = Builder().Run(paths);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(Builder().WithCheckpoint(CkptDir()).Run(paths).ok());
+  KeepJournalRecords(2);  // kRunBegin + the first cell
+  {
+    auto journal = JournalWriter::Open(CheckpointJournalPath(CkptDir()));
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    const std::vector<uint8_t> payload{1, 0, 0, 0, 7, 0, 0, 0};
+    ASSERT_TRUE(journal->Append(3, payload).ok());
+    ASSERT_TRUE(journal->Append(99, payload).ok());
+    ASSERT_TRUE(journal->Close().ok());
+  }
+  auto loaded = LoadCheckpoint(CkptDir());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->records_dropped, 2u);
+  EXPECT_EQ(loaded->completed.size(), 1u);
+  EXPECT_FALSE(loaded->run_complete);
+
+  auto resumed = Builder().WithCheckpoint(CkptDir()).Run(paths);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->report.cells_resumed, 1u);
+  EXPECT_EQ(resumed->report.checkpoint_cells, 2u);
+  ExpectRunsBitwiseEqual(*reference, *resumed);
+  loaded = LoadCheckpoint(CkptDir());
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(loaded->run_complete);
+  EXPECT_EQ(loaded->completed.size(), 3u);
 }
 
 TEST_F(CheckpointEngineTest, NoResumeRecomputesEverything) {

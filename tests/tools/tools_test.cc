@@ -9,9 +9,12 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "cluster/serialize.h"
 #include "data/io.h"
+#include "data/manifest.h"
+#include "stream/checkpoint.h"
 
 namespace pmkm {
 namespace {
@@ -163,6 +166,34 @@ TEST_F(ToolsTest, InspectBucket) {
     EXPECT_EQ(
         Run(std::string(PMKM_TOOL_INSPECT) + " " + e.path().string()), 0);
   }
+}
+
+TEST_F(ToolsTest, InspectCheckpointNamesUnknownRecordTypes) {
+  // Type 3 is retired and 99 comes from some newer build: the dump names
+  // both by number and counts them as dropped.
+  fs::create_directories(Dir("ckpt"));
+  {
+    auto journal = JournalWriter::Open(CheckpointJournalPath(Dir("ckpt")));
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    const std::vector<uint8_t> payload(8, 0);
+    ASSERT_TRUE(journal->Append(1, payload).ok());  // kRunBegin
+    ASSERT_TRUE(journal->Append(3, payload).ok());
+    ASSERT_TRUE(journal->Append(99, payload).ok());
+    ASSERT_TRUE(journal->Close().ok());
+  }
+  const std::string dump = Dir("dump.json");
+  ASSERT_EQ(std::system((std::string(PMKM_TOOL_INSPECT) + " checkpoint " +
+                         Dir("ckpt") + " > " + dump)
+                            .c_str()),
+            0);
+  std::ifstream in(dump);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"run_begin\""), std::string::npos) << text;
+  EXPECT_NE(text.find("\"unknown(3)\""), std::string::npos) << text;
+  EXPECT_NE(text.find("\"unknown(99)\""), std::string::npos) << text;
+  EXPECT_NE(text.find("\"records_dropped\": 2"), std::string::npos)
+      << text;
 }
 
 TEST_F(ToolsTest, InspectRejectsGarbage) {

@@ -343,16 +343,13 @@ pmkm::Status InspectCheckpoint(const std::string& arg) {
   for (const pmkm::JournalRecord& r : recovery->records) {
     pmkm::JsonValue rec = pmkm::JsonValue::Object();
     rec.Set("seq", r.seq);
-    const char* type_name = "unknown";
+    std::string type_name = "unknown(" + std::to_string(r.type) + ")";
     switch (static_cast<pmkm::CheckpointRecordType>(r.type)) {
       case pmkm::CheckpointRecordType::kRunBegin:
         type_name = "run_begin";
         break;
       case pmkm::CheckpointRecordType::kCellComplete:
         type_name = "cell_complete";
-        break;
-      case pmkm::CheckpointRecordType::kPartialState:
-        type_name = "partial_state";
         break;
       case pmkm::CheckpointRecordType::kRunEnd:
         type_name = "run_end";
@@ -380,7 +377,6 @@ pmkm::Status InspectCheckpoint(const std::string& arg) {
   }
   pmkm::JsonValue resume = pmkm::JsonValue::Object();
   resume.Set("completed_cells", std::move(completed));
-  resume.Set("partial_cells", state.partials.size());
   resume.Set("next_seq", recovery->epoch + 1);
   resume.Set("resumable", !state.run_complete);
   doc.Set("resume", std::move(resume));
