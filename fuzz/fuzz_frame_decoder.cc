@@ -45,8 +45,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   // Drive every payload codec over the (CRC-clean but otherwise
   // arbitrary) payload; each must reject or accept without crashing.
-  (void)pmkm::serve::DecodeJobSpec(f.payload, 1);
-  (void)pmkm::serve::DecodeJobSpec(f.payload, 2);
+  (void)pmkm::serve::DecodeJobSpec(f.payload);
+  (void)pmkm::serve::DecodeAwaitRequest(f.payload);
   (void)pmkm::serve::DecodeJobInfo(f.payload);
   (void)pmkm::serve::DecodeJobList(f.payload);
   (void)pmkm::serve::DecodeModelSet(f.payload);

@@ -6,8 +6,9 @@
 #   2. the daemon's models are byte-identical to an in-process run of the
 #      same spec (cmp on every .pmkm file);
 #   3. an independent protocol client (python, reimplementing the framing
-#      from the spec in protocol.h) can handshake, submit, cancel a queued
-#      job and read its terminal state — interop, not just loopback;
+#      from the spec in protocol.h) can handshake at v3, submit, cancel a
+#      queued job and await its terminal state with one kAwaitJob — interop,
+#      not just loopback — and a v2 client is refused after the hellos;
 #   4. /statusz and /jobz respond on the daemon's debug server;
 #   5. SIGTERM drains gracefully: a job accepted before the signal is
 #      never lost — the client still collects its models and exits 0, and
@@ -144,7 +145,8 @@ def s(x):
     return struct.pack('<I', len(b)) + b
 
 def job_spec(path):
-    # v2 JobSpec: paths, engine flags, run_id, client (protocol.h).
+    # v3 JobSpec (same bytes as v2): paths, engine flags, run_id, client
+    # (protocol.h).
     spec = struct.pack('<I', 1) + s(path)
     spec += struct.pack('<QQQQ', 6, 4, 512, 0)   # k restarts memkib cores
     spec += s('failfast') + struct.pack('<QQ', 2, 0)
@@ -152,13 +154,20 @@ def job_spec(path):
     spec += s('smoke-interop') + s('python-smoke')
     return spec
 
+def recv_exact(sock, n):
+    data = b''
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        assert chunk, 'server hung up after %d of %d bytes' % (len(data), n)
+        data += chunk
+    return data
+
 conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 conn.connect(sock_path)
-conn.sendall(struct.pack('<II', 0x534B4D50, 2))
-hello = conn.recv(8)
-magic, version = struct.unpack('<II', hello)
+conn.sendall(struct.pack('<II', 0x534B4D50, 3))
+magic, version = struct.unpack('<II', recv_exact(conn, 8))
 assert magic == 0x534B4D50, hex(magic)
-assert version >= 1, version
+assert version == 3, version
 
 buf = b''
 def call(ftype, payload):
@@ -196,18 +205,41 @@ queued = struct.unpack('<Q', body[:8])[0]
 
 code, msg, _ = call(5, struct.pack('<Q', queued))  # cancel
 assert code == 0, (code, msg)
-code, msg, body = call(3, struct.pack('<Q', queued))  # status
+# kAwaitJob [u64 job_id][u64 wait_ms]: the terminal job answers in one
+# reply (call() reads exactly one frame) carrying a JobInfo.
+code, msg, body = call(7, struct.pack('<QQ', queued, 5000))
 assert code == 0, (code, msg)
+assert struct.unpack('<Q', body[:8])[0] == queued
 state = struct.unpack('<I', body[8:12])[0]
 assert state == 4, state  # kCancelled
 status_code = struct.unpack('<i', body[12:16])[0]
 assert status_code == 7, status_code  # Cancelled
-print('ok: queued job %d cancelled before running' % queued)
+print('ok: queued job %d cancelled; one kAwaitJob reply reads it' % queued)
 
 code, msg, _ = call(5, struct.pack('<Q', 999999))  # unknown id
 assert code == 4, (code, msg)  # NotFound survives the wire
 print('ok: unknown-id cancel is NotFound across the wire')
 conn.close()
+
+# A v2 peer (no kAwaitJob) is below the v3 floor: the daemon answers with
+# its own hello, then closes without serving a frame.
+old = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+old.settimeout(10)
+old.connect(sock_path)
+old.sendall(struct.pack('<II', 0x534B4D50, 2))
+magic, version = struct.unpack('<II', recv_exact(old, 8))
+assert (magic, version) == (0x534B4D50, 3), (hex(magic), version)
+try:
+    old.sendall(frame(1, b''))  # ping
+except (BrokenPipeError, ConnectionResetError):
+    pass
+try:
+    rest = old.recv(65536)
+except ConnectionResetError:
+    rest = b''
+assert rest == b'', 'v2 peer was served: %r' % rest
+old.close()
+print('ok: v2 hello refused after the hello exchange')
 EOF
 # Release the pinned worker: pair with its blocked open, then EOF fails
 # the fifo job (that job exists only to occupy the worker).

@@ -119,12 +119,10 @@ void ServeDaemon::HandleConnection(int fd) {
     CloseFd(fd);
     return;
   }
-  Result<uint32_t> negotiated = NegotiateVersion(peer_version.value());
-  if (!negotiated.ok()) {
+  if (!NegotiateVersion(peer_version.value()).ok()) {
     CloseFd(fd);
     return;
   }
-  const uint32_t version = negotiated.value();
 
   // Request/reply loop until the client hangs up or the stream breaks.
   std::vector<uint8_t> buffer;
@@ -144,10 +142,11 @@ void ServeDaemon::HandleConnection(int fd) {
     if (frame.value().has_value()) {
       buffer.erase(buffer.begin(),
                    buffer.begin() + static_cast<ptrdiff_t>(consumed));
-      const std::vector<uint8_t> reply =
-          Dispatch(*frame.value(), version);
+      bool hang_up = false;
+      const std::vector<uint8_t> reply = Dispatch(*frame.value(), &hang_up);
       // pmkm-ctxcheck: allow(bounded-handler)  (SO_SNDTIMEO-bounded)
-      if (!WriteAll(fd, EncodeFrame(FrameType::kReply, reply)).ok()) {
+      if (!WriteAll(fd, EncodeFrame(FrameType::kReply, reply)).ok() ||
+          hang_up) {
         break;
       }
       continue;
@@ -161,13 +160,13 @@ void ServeDaemon::HandleConnection(int fd) {
 }
 
 std::vector<uint8_t> ServeDaemon::Dispatch(const Frame& request,
-                                           uint32_t version) {
+                                           bool* hang_up) {
   const std::vector<uint8_t> empty;
   switch (static_cast<FrameType>(request.type)) {
     case FrameType::kPing:
       return EncodeReply(Status::OK(), empty);
     case FrameType::kSubmitJob: {
-      Result<JobSpec> spec = DecodeJobSpec(request.payload, version);
+      Result<JobSpec> spec = DecodeJobSpec(request.payload);
       if (!spec.ok()) return EncodeReply(spec.error(), empty);
       Result<uint64_t> job_id = service_->SubmitJob(spec.value());
       if (!job_id.ok()) return EncodeReply(job_id.error(), empty);
@@ -198,6 +197,8 @@ std::vector<uint8_t> ServeDaemon::Dispatch(const Frame& request,
       if (!jobs.ok()) return EncodeReply(jobs.error(), empty);
       return EncodeReply(Status::OK(), EncodeJobList(jobs.value()));
     }
+    case FrameType::kAwaitJob:
+      return AwaitReply(request, hang_up);
     case FrameType::kReply:
       break;
   }
@@ -205,6 +206,41 @@ std::vector<uint8_t> ServeDaemon::Dispatch(const Frame& request,
       Status::InvalidArgument("unknown request frame type " +
                               std::to_string(request.type)),
       empty);
+}
+
+std::vector<uint8_t> ServeDaemon::AwaitReply(const Frame& request,
+                                             bool* hang_up) {
+  const std::vector<uint8_t> empty;
+  Result<AwaitRequest> await = DecodeAwaitRequest(request.payload);
+  if (!await.ok()) return EncodeReply(await.error(), empty);
+  const uint64_t job_id = await->job_id;
+  // Parks this session's handler for at most one slice (protocol.h says
+  // why that is enough).
+  const uint64_t slice_ms =
+      await->wait_ms == 0 ? kMaxAwaitSliceMs
+                          : std::min(await->wait_ms, kMaxAwaitSliceMs);
+  Result<JobInfo> info = service_->AwaitJob(job_id, slice_ms);
+  if (!info.ok() && info.status().IsDeadlineExceeded()) {
+    if (stopping()) {
+      // The client would only re-issue the slice; end the session so
+      // Stop() can join this handler.
+      *hang_up = true;
+      return EncodeReply(
+          Status::FailedPrecondition("daemon is stopping; job " +
+                                     std::to_string(job_id) +
+                                     " is still live"),
+          empty);
+    }
+    // Slice over, job still live: answer with its current state.
+    info = service_->JobStatus(job_id);
+  }
+  if (!info.ok()) return EncodeReply(info.error(), empty);
+  return EncodeReply(Status::OK(), EncodeJobInfo(info.value()));
+}
+
+bool ServeDaemon::stopping() const {
+  MutexLock lock(mu_);
+  return !running_;
 }
 
 }  // namespace serve

@@ -1,8 +1,12 @@
 // ServeDaemon: hosts a LocalService behind the serve wire protocol. The
 // accept loop hands each connection to a bounded handler pool; a handler
 // performs the hello exchange, then serves request/reply frames until the
-// client hangs up. One connection = one session: the negotiated version
-// is per-session state, and a corrupt frame poisons only that session.
+// client hangs up. One connection = one session: a peer below the v3
+// floor is dropped after the hellos, and a corrupt frame poisons only
+// that session. A kAwaitJob parks the session's handler for at most
+// kMaxAwaitSliceMs; once Stop() has begun, an await that ends with its
+// job still live also ends the session, so a client re-issuing slices
+// cannot hold Stop() open.
 //
 // Graceful drain (the SIGTERM path wired up in tools/pmkm_serve.cc):
 // BeginDrain() stops job admission — in-flight and queued jobs keep
@@ -45,7 +49,8 @@ struct DaemonOptions {
   size_t num_handler_threads = 4;
 
   /// Per-socket-op timeout for client connections. Generous because a
-  /// client may legitimately idle between polls; 0 disables.
+  /// client may legitimately idle between requests (e.g. between
+  /// submitting and awaiting); 0 disables.
   int io_timeout_ms = 60000;
 };
 
@@ -88,7 +93,11 @@ class ServeDaemon {
   // options_.io_timeout_ms (SO_RCVTIMEO/SO_SNDTIMEO, set in AcceptLoop).
   void HandleConnection(int fd) PMKM_BOUNDED_HANDLER;
   /// One request frame → one reply frame, dispatched to the service.
-  std::vector<uint8_t> Dispatch(const Frame& request, uint32_t version);
+  /// Sets *hang_up when the session must end after this reply.
+  std::vector<uint8_t> Dispatch(const Frame& request, bool* hang_up);
+  /// Answers kAwaitJob: parks on the service for a clamped slice.
+  std::vector<uint8_t> AwaitReply(const Frame& request, bool* hang_up);
+  bool stopping() const PMKM_EXCLUDES(mu_);
 
   DaemonOptions options_;
   std::string bound_endpoint_;

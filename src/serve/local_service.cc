@@ -139,6 +139,10 @@ Result<std::vector<JobInfo>> LocalService::ListJobs() {
 
 Result<JobInfo> LocalService::AwaitJob(uint64_t job_id,
                                        uint64_t timeout_ms) {
+  // Every wait here is timed, "forever" (timeout_ms == 0) included: the
+  // daemon's session handlers park in this function, and a bounded
+  // handler may only block on WaitFor. Forever is a loop of slices.
+  constexpr std::chrono::milliseconds kForeverSlice(1000);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   MutexLock lock(mu_);
@@ -148,20 +152,15 @@ Result<JobInfo> LocalService::AwaitJob(uint64_t job_id,
       return Status::NotFound("no job with id " + std::to_string(job_id));
     }
     if (IsTerminal(job->info.state)) return job->info;
-    if (timeout_ms == 0) {
-      jobs_changed_.Wait(mu_);
-      continue;
+    auto wait = kForeverSlice;
+    if (timeout_ms != 0) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) {
+        return AwaitDeadlineExceeded(job_id, job->info.state, timeout_ms);
+      }
+      wait = std::chrono::ceil<std::chrono::milliseconds>(deadline - now);
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      return Status::DeadlineExceeded(
-          "job " + std::to_string(job_id) + " still " +
-          JobStateToString(job->info.state) + " after " +
-          std::to_string(timeout_ms) + "ms");
-    }
-    (void)jobs_changed_.WaitFor(
-        mu_, std::chrono::duration_cast<std::chrono::milliseconds>(
-                 deadline - now));
+    (void)jobs_changed_.WaitFor(mu_, wait);
   }
 }
 

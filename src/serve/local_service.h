@@ -99,7 +99,8 @@ class LocalService : public ClusterService {
   Status CancelJob(uint64_t job_id) override PMKM_EXCLUDES(mu_);
   Result<std::vector<JobInfo>> ListJobs() override PMKM_EXCLUDES(mu_);
 
-  /// Condition-variable wait instead of the base class's polling.
+  /// Timed condition-variable waits on the job table; never untimed, so
+  /// the daemon's bounded session handlers can park here.
   Result<JobInfo> AwaitJob(uint64_t job_id, uint64_t timeout_ms) override
       PMKM_EXCLUDES(mu_);
 

@@ -231,8 +231,7 @@ Result<std::optional<Frame>> DecodeFrame(std::span<const uint8_t> buffer,
 // ---------------------------------------------------------------------------
 // JobSpec.
 
-std::vector<uint8_t> EncodeJobSpec(const JobSpec& spec,
-                                   uint32_t version) PMKM_DETERMINISTIC {
+std::vector<uint8_t> EncodeJobSpec(const JobSpec& spec) PMKM_DETERMINISTIC {
   std::vector<uint8_t> out;
   PutU32(&out, static_cast<uint32_t>(spec.bucket_paths.size()));
   for (const std::string& path : spec.bucket_paths) {
@@ -249,15 +248,12 @@ std::vector<uint8_t> EncodeJobSpec(const JobSpec& spec,
   PutString(&out, spec.engine.checkpoint_dir);
   PutU64(&out, static_cast<uint64_t>(spec.engine.checkpoint_sync));
   PutBool(&out, spec.engine.resume);
-  if (version >= 2) {
-    PutString(&out, spec.run_id);
-    PutString(&out, spec.client);
-  }
+  PutString(&out, spec.run_id);
+  PutString(&out, spec.client);
   return out;
 }
 
-Result<JobSpec> DecodeJobSpec(std::span<const uint8_t> payload,
-                              uint32_t version) {
+Result<JobSpec> DecodeJobSpec(std::span<const uint8_t> payload) {
   WireReader reader(payload);
   JobSpec spec;
   uint32_t path_count = 0;
@@ -286,10 +282,8 @@ Result<JobSpec> DecodeJobSpec(std::span<const uint8_t> payload,
   PMKM_RETURN_NOT_OK(reader.ReadString(&spec.engine.checkpoint_dir));
   PMKM_RETURN_NOT_OK(reader.ReadI64(&spec.engine.checkpoint_sync));
   PMKM_RETURN_NOT_OK(reader.ReadBool(&spec.engine.resume));
-  if (version >= 2) {
-    PMKM_RETURN_NOT_OK(reader.ReadString(&spec.run_id));
-    PMKM_RETURN_NOT_OK(reader.ReadString(&spec.client));
-  }
+  PMKM_RETURN_NOT_OK(reader.ReadString(&spec.run_id));
+  PMKM_RETURN_NOT_OK(reader.ReadString(&spec.client));
   // Trailing bytes (fields from a newer minor version) are ignored.
   return spec;
 }
@@ -418,6 +412,25 @@ Result<std::map<GridCellId, CellClustering>> DecodeModelSet(
     cells.emplace(cell, std::move(clustering));
   }
   return cells;
+}
+
+// ---------------------------------------------------------------------------
+// Await request.
+
+std::vector<uint8_t> EncodeAwaitRequest(
+    const AwaitRequest& request) PMKM_DETERMINISTIC {
+  std::vector<uint8_t> out;
+  PutU64(&out, request.job_id);
+  PutU64(&out, request.wait_ms);
+  return out;
+}
+
+Result<AwaitRequest> DecodeAwaitRequest(std::span<const uint8_t> payload) {
+  WireReader reader(payload);
+  AwaitRequest request;
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&request.job_id));
+  PMKM_RETURN_NOT_OK(reader.ReadU64(&request.wait_ms));
+  return request;
 }
 
 // ---------------------------------------------------------------------------

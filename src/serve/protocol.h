@@ -7,9 +7,16 @@
 //
 // The effective version is min(local, peer); a peer below
 // kMinProtocolVersion (or with a bad magic) is rejected and the
-// connection closed. Codecs take the effective version, so a v2 client
-// talks to a v1 server by simply not sending the v2 fields, and a v1
-// client's frames decode on a v2 server with the v2 fields defaulted.
+// connection closed. This build speaks exactly one version (the floor
+// equals the current version), so codecs carry no version branches.
+//
+// Version history:
+//   v1  framing + kPing, kSubmitJob, kJobStatus, kFetchModel, kCancelJob,
+//       kListJobs.
+//   v2  JobSpec carries run_id and client.
+//   v3  kAwaitJob: the server parks the request until the job is terminal
+//       (or a bounded slice passes), replacing client-side status polling.
+//       v3 JobSpec bytes equal v2's. v1/v2 peers are rejected.
 //
 // Frames — every message after the handshake uses the journal's frame
 // discipline (data/manifest.h): length prefix, type tag, and a CRC32C
@@ -23,12 +30,22 @@
 // a frame, "need more bytes", or an error — so golden-vector tests and
 // the fuzz harness exercise exactly the bytes a socket would deliver.
 //
-// Requests carry one frame each (kSubmitJob, kJobStatus, kFetchModel,
-// kCancelJob, kListJobs, kPing); every reply is one kReply frame wrapping
-// a Status (code + message) plus a request-specific body. Model payloads
-// reuse the checkpoint cell codec (EncodeCellComplete), which round-trips
-// doubles bitwise — the foundation of the local/remote byte-identity
-// guarantee.
+// Requests carry one frame each; every reply is one kReply frame wrapping
+// a Status (code + message) plus a request-specific body:
+//
+//   kPing       empty                        → empty
+//   kSubmitJob  JobSpec                      → [u64 job_id]
+//   kJobStatus  [u64 job_id]                 → JobInfo
+//   kFetchModel [u64 job_id]                 → model set
+//   kCancelJob  [u64 job_id]                 → empty
+//   kListJobs   empty                        → job list
+//   kAwaitJob   [u64 job_id][u64 wait_ms]    → JobInfo, sent when the job
+//               is terminal or after min(wait_ms, kMaxAwaitSliceMs) with
+//               its then-current (non-terminal) state; wait_ms 0 = the cap
+//
+// Model payloads reuse the checkpoint cell codec (EncodeCellComplete),
+// which round-trips doubles bitwise — the foundation of the local/remote
+// byte-identity guarantee.
 //
 // Unknown trailing bytes in a payload are ignored, which is what lets a
 // newer minor version append fields.
@@ -53,12 +70,20 @@ namespace serve {
 /// "PMKS" read as a little-endian u32.
 inline constexpr uint32_t kProtocolMagic = 0x534b4d50u;
 
-/// Current protocol version. v1: framing + all six request types.
-/// v2: JobSpec carries run_id and client.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// Current protocol version (history in the header comment).
+inline constexpr uint32_t kProtocolVersion = 3;
 
-/// Oldest version this build still speaks.
-inline constexpr uint32_t kMinProtocolVersion = 1;
+/// Oldest version this build still speaks: v3 is the floor, so every
+/// peer has kAwaitJob and no client-side polling path exists.
+inline constexpr uint32_t kMinProtocolVersion = 3;
+
+/// Longest a server parks one kAwaitJob before answering with the job's
+/// current state. A session's handler thread is already dedicated to its
+/// connection and the client is blocked on the reply, so a bounded park
+/// holds nothing the session does not; the cap bounds how late a
+/// stopping daemon notices a parked handler. Clients loop slices up to
+/// their own deadline.
+inline constexpr uint64_t kMaxAwaitSliceMs = 1000;
 
 /// Frame payload cap, matching the journal's record cap: a corrupt
 /// length field must never drive the allocation.
@@ -78,6 +103,7 @@ enum class FrameType : uint32_t {
   kFetchModel = 4,
   kCancelJob = 5,
   kListJobs = 6,
+  kAwaitJob = 7,
   kReply = 100,
 };
 
@@ -126,10 +152,8 @@ Result<std::optional<Frame>> DecodeFrame(std::span<const uint8_t> buffer,
 // Payload codecs. All integers little-endian; strings are
 // [u32 len][bytes]; doubles are their IEEE-754 bit pattern as u64.
 
-/// JobSpec → bytes at `version` (v1 omits run_id/client).
-std::vector<uint8_t> EncodeJobSpec(const JobSpec& spec, uint32_t version);
-Result<JobSpec> DecodeJobSpec(std::span<const uint8_t> payload,
-                              uint32_t version);
+std::vector<uint8_t> EncodeJobSpec(const JobSpec& spec);
+Result<JobSpec> DecodeJobSpec(std::span<const uint8_t> payload);
 
 std::vector<uint8_t> EncodeJobInfo(const JobInfo& info);
 Result<JobInfo> DecodeJobInfo(std::span<const uint8_t> payload);
@@ -143,6 +167,14 @@ std::vector<uint8_t> EncodeModelSet(
     const std::map<GridCellId, CellClustering>& cells);
 Result<std::map<GridCellId, CellClustering>> DecodeModelSet(
     std::span<const uint8_t> payload);
+
+/// kAwaitJob request: [u64 job_id][u64 wait_ms].
+struct AwaitRequest {
+  uint64_t job_id = 0;
+  uint64_t wait_ms = 0;
+};
+std::vector<uint8_t> EncodeAwaitRequest(const AwaitRequest& request);
+Result<AwaitRequest> DecodeAwaitRequest(std::span<const uint8_t> payload);
 
 /// Bare u64 payload (job ids).
 std::vector<uint8_t> EncodeU64(uint64_t value);

@@ -1,5 +1,7 @@
 #include "serve/remote_service.h"
 
+#include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "serve/net.h"
@@ -133,14 +135,8 @@ Status RemoteService::Ping() {
 }
 
 Result<uint64_t> RemoteService::SubmitJob(const JobSpec& spec) {
-  std::vector<uint8_t> payload;
-  {
-    MutexLock lock(mu_);
-    if (fd_ < 0) return Status::FailedPrecondition("not connected");
-    payload = EncodeJobSpec(spec, version_);
-  }
   PMKM_ASSIGN_OR_RETURN(Reply reply,
-                        Call(FrameType::kSubmitJob, std::move(payload)));
+                        Call(FrameType::kSubmitJob, EncodeJobSpec(spec)));
   PMKM_RETURN_NOT_OK(reply.status);
   return DecodeU64(reply.body);
 }
@@ -170,6 +166,35 @@ Result<std::vector<JobInfo>> RemoteService::ListJobs() {
   PMKM_ASSIGN_OR_RETURN(Reply reply, Call(FrameType::kListJobs, {}));
   PMKM_RETURN_NOT_OK(reply.status);
   return DecodeJobList(reply.body);
+}
+
+Result<JobInfo> RemoteService::AwaitJob(uint64_t job_id,
+                                        uint64_t timeout_ms) {
+  // One kAwaitJob per slice: the daemon answers the moment the job turns
+  // terminal, or with its live state once the slice (capped server-side
+  // at kMaxAwaitSliceMs) passes. Loop until terminal or our deadline.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  uint64_t left_ms = timeout_ms;
+  while (true) {
+    // Never 0 on the wire: a zero wait_ms means the server's cap.
+    const uint64_t slice_ms = timeout_ms == 0
+                                  ? kMaxAwaitSliceMs
+                                  : std::min(left_ms, kMaxAwaitSliceMs);
+    PMKM_ASSIGN_OR_RETURN(
+        Reply reply,
+        Call(FrameType::kAwaitJob, EncodeAwaitRequest({job_id, slice_ms})));
+    PMKM_RETURN_NOT_OK(reply.status);
+    PMKM_ASSIGN_OR_RETURN(JobInfo info, DecodeJobInfo(reply.body));
+    if (IsTerminal(info.state)) return info;
+    if (timeout_ms == 0) continue;
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) {
+      return AwaitDeadlineExceeded(job_id, info.state, timeout_ms);
+    }
+    left_ms = static_cast<uint64_t>(left.count());
+  }
 }
 
 Result<Reply> RemoteService::Call(FrameType type,

@@ -59,6 +59,12 @@ class RemoteService : public ClusterService {
   Status CancelJob(uint64_t job_id) override PMKM_EXCLUDES(mu_);
   Result<std::vector<JobInfo>> ListJobs() override PMKM_EXCLUDES(mu_);
 
+  /// kAwaitJob slices until the job is terminal or `timeout_ms` passes.
+  /// Each slice holds this connection's session for up to
+  /// kMaxAwaitSliceMs, so cancel a parked job from a second connection.
+  Result<JobInfo> AwaitJob(uint64_t job_id, uint64_t timeout_ms) override
+      PMKM_EXCLUDES(mu_);
+
  private:
   /// One request/reply round trip. Returns the decoded reply; the carried
   /// Status is NOT yet applied (callers decide whether a non-OK status

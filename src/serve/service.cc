@@ -1,9 +1,6 @@
 #include "serve/service.h"
 
-#include <algorithm>
-#include <chrono>
-
-#include "common/annotations.h"
+#include <string>
 
 namespace pmkm {
 namespace serve {
@@ -24,33 +21,12 @@ const char* JobStateToString(JobState state) {
   return "unknown";
 }
 
-Result<JobInfo> ClusterService::AwaitJob(uint64_t job_id,
-                                         uint64_t timeout_ms) {
-  // Poll with capped exponential backoff. The delay is a timed wait on a
-  // private condition variable (never notified) rather than a sleep, so
-  // the annotated primitives stay the only blocking mechanism in library
-  // code.
-  Mutex mu;
-  CondVar cv;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  uint64_t delay_ms = 5;
-  while (true) {
-    PMKM_ASSIGN_OR_RETURN(JobInfo info, JobStatus(job_id));
-    if (IsTerminal(info.state)) return info;
-    if (timeout_ms != 0 && std::chrono::steady_clock::now() >= deadline) {
-      return Status::DeadlineExceeded("job " + std::to_string(job_id) +
-                                      " still " +
-                                      JobStateToString(info.state) +
-                                      " after " +
-                                      std::to_string(timeout_ms) + "ms");
-    }
-    {
-      MutexLock lock(mu);
-      (void)cv.WaitFor(mu, std::chrono::milliseconds(delay_ms));
-    }
-    delay_ms = std::min<uint64_t>(delay_ms * 2, 200);
-  }
+Status AwaitDeadlineExceeded(uint64_t job_id, JobState state,
+                             uint64_t timeout_ms) {
+  return Status::DeadlineExceeded("job " + std::to_string(job_id) +
+                                  " still " + JobStateToString(state) +
+                                  " after " + std::to_string(timeout_ms) +
+                                  "ms");
 }
 
 }  // namespace serve

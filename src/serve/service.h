@@ -48,6 +48,11 @@ enum class JobState : uint32_t {
 
 const char* JobStateToString(JobState state);
 
+/// The DeadlineExceeded every AwaitJob implementation returns when
+/// `timeout_ms` passes with the job still in `state`.
+Status AwaitDeadlineExceeded(uint64_t job_id, JobState state,
+                             uint64_t timeout_ms);
+
 inline bool IsTerminal(JobState state) {
   return state == JobState::kDone || state == JobState::kFailed ||
          state == JobState::kCancelled;
@@ -69,11 +74,10 @@ struct JobSpec {
   EngineFlags engine;
 
   /// Explicit run id for artifact correlation (empty = generated).
-  /// Protocol v2; a v1 peer drops it.
   std::string run_id;
 
   /// Admission-control identity: per-client job caps are keyed on this.
-  /// Empty means the anonymous client. Protocol v2.
+  /// Empty means the anonymous client.
   std::string client;
 
   /// Validates and converts to the options PipelineBuilder consumes.
@@ -136,10 +140,12 @@ class ClusterService {
   virtual Result<std::vector<JobInfo>> ListJobs() = 0;
 
   /// Blocks until `job_id` reaches a terminal state and returns its final
-  /// JobInfo. The default implementation polls JobStatus with backoff;
-  /// LocalService overrides it with a condition-variable wait.
-  /// `timeout_ms` = 0 waits forever; on expiry returns DeadlineExceeded.
-  virtual Result<JobInfo> AwaitJob(uint64_t job_id, uint64_t timeout_ms);
+  /// JobInfo. `timeout_ms` = 0 waits forever; on expiry returns
+  /// DeadlineExceeded (AwaitDeadlineExceeded's message). LocalService
+  /// waits on its job-table condition variable; RemoteService sends
+  /// kAwaitJob frames the daemon answers from that same wait, so no
+  /// implementation polls JobStatus.
+  virtual Result<JobInfo> AwaitJob(uint64_t job_id, uint64_t timeout_ms) = 0;
 };
 
 }  // namespace serve

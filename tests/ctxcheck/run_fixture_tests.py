@@ -56,6 +56,7 @@ EXPECTATIONS = {
         "handler; use WaitFor",
         "ctxfix::SessionServer::HandleConnection",
         "ctxfix::SessionServer::AwaitWork",
+        "ctxfix::JobTable::AwaitForever",
         "-> Wait",
     ]),
     "bounded_handler_clean.cc": (0, ["0 new finding(s)"]),

@@ -1,7 +1,8 @@
 // Conformance tests for the serve wire protocol: golden byte vectors for
-// the hello and frame layouts (so an incompatible change to the wire
-// format fails loudly), version-skew negotiation in both directions, and
-// rejection of truncated/corrupt/oversized input on every decode path.
+// the hello, frame, JobSpec and await layouts (so an incompatible change
+// to the wire format fails loudly), version negotiation against the v3
+// floor, and rejection of truncated/corrupt/oversized input on every
+// decode path.
 
 #include "serve/protocol.h"
 
@@ -25,8 +26,9 @@ TEST(HelloTest, GoldenBytes) {
   // the wire contract; a codec change that alters them breaks every
   // deployed peer.
   const std::vector<uint8_t> expected = {0x50, 0x4D, 0x4B, 0x53,
-                                         0x02, 0x00, 0x00, 0x00};
-  EXPECT_EQ(EncodeHello(2), expected);
+                                         0x03, 0x00, 0x00, 0x00};
+  EXPECT_EQ(EncodeHello(3), expected);
+  EXPECT_EQ(kProtocolVersion, 3u);
   EXPECT_EQ(EncodeHello(kProtocolVersion).size(), kHelloBytes);
 }
 
@@ -54,22 +56,20 @@ TEST(HelloTest, TruncatedRejected) {
 }
 
 TEST(NegotiateTest, BothDirectionsOfSkew) {
-  // Peer older (but supported): effective = peer's version.
-  auto v1 = NegotiateVersion(1);
-  ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(v1.value(), 1u);
-  // Same version.
-  auto v2 = NegotiateVersion(kProtocolVersion);
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2.value(), kProtocolVersion);
+  // v3 is both the current version and the floor: no skew below it.
+  EXPECT_EQ(kMinProtocolVersion, kProtocolVersion);
+  auto same = NegotiateVersion(kProtocolVersion);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same.value(), kProtocolVersion);
   // Peer newer: effective = ours (the peer is expected to downshift).
   auto v99 = NegotiateVersion(99);
   ASSERT_TRUE(v99.ok());
   EXPECT_EQ(v99.value(), kProtocolVersion);
-  // Peer below the floor: rejected.
-  EXPECT_TRUE(
-      NegotiateVersion(kMinProtocolVersion - 1).status()
-          .IsFailedPrecondition());
+  // Peers without kAwaitJob are below the floor: rejected.
+  for (uint32_t old_version : {0u, 1u, 2u}) {
+    EXPECT_TRUE(NegotiateVersion(old_version).status().IsFailedPrecondition())
+        << "peer v" << old_version;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ JobSpec MakeSpec() {
   return spec;
 }
 
-void ExpectSpecEq(const JobSpec& a, const JobSpec& b, bool v2_fields) {
+void ExpectSpecEq(const JobSpec& a, const JobSpec& b) {
   EXPECT_EQ(a.bucket_paths, b.bucket_paths);
   EXPECT_EQ(a.engine.k, b.engine.k);
   EXPECT_EQ(a.engine.restarts, b.engine.restarts);
@@ -221,52 +221,67 @@ void ExpectSpecEq(const JobSpec& a, const JobSpec& b, bool v2_fields) {
   EXPECT_EQ(a.engine.checkpoint_dir, b.engine.checkpoint_dir);
   EXPECT_EQ(a.engine.checkpoint_sync, b.engine.checkpoint_sync);
   EXPECT_EQ(a.engine.resume, b.engine.resume);
-  if (v2_fields) {
-    EXPECT_EQ(a.run_id, b.run_id);
-    EXPECT_EQ(a.client, b.client);
-  }
+  EXPECT_EQ(a.run_id, b.run_id);
+  EXPECT_EQ(a.client, b.client);
 }
 
 TEST(JobSpecCodecTest, RoundtripV2) {
   const JobSpec spec = MakeSpec();
-  auto decoded = DecodeJobSpec(EncodeJobSpec(spec, 2), 2);
+  auto decoded = DecodeJobSpec(EncodeJobSpec(spec));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ExpectSpecEq(spec, decoded.value(), /*v2_fields=*/true);
+  ExpectSpecEq(spec, decoded.value());
 }
 
-TEST(JobSpecCodecTest, V1DropsV2Fields) {
-  // v2 client → v1 server: the v1 encoding simply omits run_id/client.
-  const JobSpec spec = MakeSpec();
-  auto decoded = DecodeJobSpec(EncodeJobSpec(spec, 1), 1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ExpectSpecEq(spec, decoded.value(), /*v2_fields=*/false);
-  EXPECT_TRUE(decoded.value().run_id.empty());
-  EXPECT_TRUE(decoded.value().client.empty());
-}
-
-TEST(JobSpecCodecTest, V1PayloadDecodesOnV2Peer) {
-  // v1 client → v2 server: the server decodes at the negotiated version
-  // (1), defaulting the missing fields.
-  const JobSpec spec = MakeSpec();
-  auto decoded = DecodeJobSpec(EncodeJobSpec(spec, 1), 1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded.value().run_id.empty());
+TEST(JobSpecCodecTest, GoldenBytesKeepTheV2Layout) {
+  // v3 changed no JobSpec byte: paths, the engine flags in declaration
+  // order, then run_id and client (the fields v2 added), all
+  // little-endian with [u32 len] strings. Built field by field here, the
+  // way an independent client would write it from protocol.h.
+  std::vector<uint8_t> expected;
+  auto u32 = [&expected](uint32_t v) {
+    for (int i = 0; i < 4; ++i) expected.push_back((v >> (8 * i)) & 0xFF);
+  };
+  auto u64 = [&u32](uint64_t v) {
+    u32(static_cast<uint32_t>(v));
+    u32(static_cast<uint32_t>(v >> 32));
+  };
+  auto str = [&expected, &u32](const std::string& v) {
+    u32(static_cast<uint32_t>(v.size()));
+    expected.insert(expected.end(), v.begin(), v.end());
+  };
+  u32(2);
+  str("/data/a.pmkb");
+  str("/data/b.pmkb");
+  u64(12);  // k
+  u64(3);   // restarts
+  u64(256);  // memory_kib
+  u64(4);    // cores
+  str("skip");
+  u64(1);     // max_retries
+  u64(5000);  // op_timeout_ms
+  str("scalar");
+  str("/tmp/ckpt");
+  u64(0);                 // checkpoint_sync
+  expected.push_back(0);  // resume
+  str("run-golden-1");
+  str("tester");
+  EXPECT_EQ(EncodeJobSpec(MakeSpec()), expected);
 }
 
 TEST(JobSpecCodecTest, TrailingBytesIgnoredForForwardCompat) {
   // A future minor version appends fields; this build must ignore them.
-  std::vector<uint8_t> payload = EncodeJobSpec(MakeSpec(), 2);
+  std::vector<uint8_t> payload = EncodeJobSpec(MakeSpec());
   payload.insert(payload.end(), {0x01, 0x02, 0x03, 0x04});
-  auto decoded = DecodeJobSpec(payload, 2);
+  auto decoded = DecodeJobSpec(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ExpectSpecEq(MakeSpec(), decoded.value(), /*v2_fields=*/true);
+  ExpectSpecEq(MakeSpec(), decoded.value());
 }
 
 TEST(JobSpecCodecTest, TruncationRejectedAtEveryLength) {
-  const std::vector<uint8_t> payload = EncodeJobSpec(MakeSpec(), 2);
+  const std::vector<uint8_t> payload = EncodeJobSpec(MakeSpec());
   for (size_t n = 0; n < payload.size(); ++n) {
-    auto decoded = DecodeJobSpec(
-        std::span<const uint8_t>(payload.data(), n), 2);
+    auto decoded =
+        DecodeJobSpec(std::span<const uint8_t>(payload.data(), n));
     EXPECT_FALSE(decoded.ok()) << "prefix " << n;
   }
 }
@@ -274,10 +289,10 @@ TEST(JobSpecCodecTest, TruncationRejectedAtEveryLength) {
 TEST(JobSpecCodecTest, AbsurdPathCountRejected) {
   // A corrupt count must be rejected against the remaining bytes, not
   // trusted into a giant reserve().
-  std::vector<uint8_t> payload = EncodeJobSpec(MakeSpec(), 2);
+  std::vector<uint8_t> payload = EncodeJobSpec(MakeSpec());
   const uint32_t absurd = 0x40000000;
   std::memcpy(payload.data(), &absurd, 4);  // path_count is field one
-  EXPECT_TRUE(DecodeJobSpec(payload, 2).status().IsOutOfRange());
+  EXPECT_TRUE(DecodeJobSpec(payload).status().IsOutOfRange());
 }
 
 JobInfo MakeInfo() {
@@ -387,6 +402,62 @@ TEST(ModelSetCodecTest, AbsurdCellCountRejected) {
   const uint32_t absurd = 0x7FFFFFFF;
   std::memcpy(payload.data(), &absurd, 4);
   EXPECT_TRUE(DecodeModelSet(payload).status().IsOutOfRange());
+}
+
+TEST(AwaitCodecTest, GoldenRequestFrame) {
+  // kAwaitJob (7) for job 42 with a 250 ms wait: [u64 job_id][u64
+  // wait_ms] in the standard frame. The CRC bytes were computed by an
+  // independent CRC32C implementation, not by EncodeFrame.
+  const std::vector<uint8_t> expected = {
+      0x10, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x2A, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xFA, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0xB6, 0x4C, 0x67, 0x0B};
+  const std::vector<uint8_t> wire =
+      EncodeFrame(FrameType::kAwaitJob, EncodeAwaitRequest({42, 250}));
+  EXPECT_EQ(wire, expected);
+
+  size_t consumed = 0;
+  auto frame = DecodeFrame(wire, &consumed);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  ASSERT_TRUE(frame.value().has_value());
+  EXPECT_EQ(frame.value()->type, static_cast<uint32_t>(FrameType::kAwaitJob));
+  auto request = DecodeAwaitRequest(frame.value()->payload);
+  ASSERT_TRUE(request.ok()) << request.status();
+  EXPECT_EQ(request->job_id, 42u);
+  EXPECT_EQ(request->wait_ms, 250u);
+}
+
+TEST(AwaitCodecTest, GoldenJobInfoReplyFrame) {
+  // The await reply is the kJobStatus body: an OK envelope around a
+  // JobInfo. Job 42, kCancelled (4) with status Cancelled (7) "q",
+  // client "c", run_id "r", 0 cells, 0.5 s.
+  const std::vector<uint8_t> expected = {
+      0x37, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x04, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x71, 0x01, 0x00, 0x00, 0x00, 0x63, 0x01, 0x00, 0x00, 0x00, 0x72, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0xE0, 0x3F, 0xDA, 0xDF, 0x50, 0x88};
+  JobInfo info;
+  info.job_id = 42;
+  info.state = JobState::kCancelled;
+  info.status = Status::Cancelled("q");
+  info.client = "c";
+  info.run_id = "r";
+  info.wall_seconds = 0.5;
+  EXPECT_EQ(EncodeFrame(FrameType::kReply,
+                        EncodeReply(Status::OK(), EncodeJobInfo(info))),
+            expected);
+}
+
+TEST(AwaitCodecTest, TruncationRejectedAtEveryLength) {
+  const std::vector<uint8_t> payload = EncodeAwaitRequest({7, 1000});
+  ASSERT_EQ(payload.size(), 16u);
+  for (size_t n = 0; n < payload.size(); ++n) {
+    auto decoded =
+        DecodeAwaitRequest(std::span<const uint8_t>(payload.data(), n));
+    EXPECT_TRUE(decoded.status().IsOutOfRange()) << "prefix " << n;
+  }
 }
 
 TEST(U64CodecTest, RoundtripAndTruncation) {

@@ -2,7 +2,7 @@
 // control and graceful drain, and RemoteService against a live
 // ServeDaemon on a unix socket — including the headline guarantee that
 // local and remote execution of the same spec produce byte-identical
-// models.
+// models, and the server-side await (kAwaitJob) that replaced polling.
 
 #include "serve/service.h"
 
@@ -11,8 +11,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/generator.h"
@@ -79,8 +82,35 @@ class ServiceTest : public ::testing::Test {
     ::close(fd);  // reader sees EOF; the blocked job fails and finishes
   }
 
+  /// Starts a daemon on a unix socket in the test directory.
+  void StartDaemon(ServeDaemon* daemon, size_t workers = 2) {
+    DaemonOptions options;
+    options.endpoint = "unix:" + (dir_ / "serve.sock").string();
+    options.service.num_workers = workers;
+    ASSERT_TRUE(daemon->Start(options).ok());
+  }
+
   std::filesystem::path dir_;
 };
+
+/// Counts JobStatus calls, the way the benchmark's client does: an await
+/// built on status polling would show up here.
+class CountingRemote : public RemoteService {
+ public:
+  Result<JobInfo> JobStatus(uint64_t job_id) override {
+    status_calls.fetch_add(1);
+    return RemoteService::JobStatus(job_id);
+  }
+  std::atomic<int> status_calls{0};
+};
+
+using Clock = std::chrono::steady_clock;
+
+int64_t MillisSince(Clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                               start)
+      .count();
+}
 
 TEST_F(ServiceTest, LocalRunsJobToDone) {
   LocalService service(LocalServiceOptions{});
@@ -285,9 +315,7 @@ TEST_F(ServiceTest, RemoteMatchesLocalByteForByte) {
 
   // Same spec through a daemon over a unix socket.
   ServeDaemon daemon;
-  DaemonOptions options;
-  options.endpoint = "unix:" + (dir_ / "serve.sock").string();
-  ASSERT_TRUE(daemon.Start(options).ok());
+  StartDaemon(&daemon);
 
   RemoteService remote;
   ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
@@ -330,9 +358,7 @@ TEST_F(ServiceTest, RemoteMatchesLocalByteForByte) {
 
 TEST_F(ServiceTest, RemoteErrorSemanticsMatchLocal) {
   ServeDaemon daemon;
-  DaemonOptions options;
-  options.endpoint = "unix:" + (dir_ / "serve.sock").string();
-  ASSERT_TRUE(daemon.Start(options).ok());
+  StartDaemon(&daemon);
 
   RemoteService remote;
   ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
@@ -341,6 +367,7 @@ TEST_F(ServiceTest, RemoteErrorSemanticsMatchLocal) {
   EXPECT_TRUE(remote.JobStatus(404).status().IsNotFound());
   EXPECT_TRUE(remote.FetchModel(404).status().IsNotFound());
   EXPECT_TRUE(remote.CancelJob(404).IsNotFound());
+  EXPECT_TRUE(remote.AwaitJob(404, 100).status().IsNotFound());
 
   JobSpec bad = MakeSpec({"/nonexistent.pmkb"});
   bad.engine.k = 0;
@@ -348,6 +375,139 @@ TEST_F(ServiceTest, RemoteErrorSemanticsMatchLocal) {
 
   remote.Disconnect();
   daemon.Stop();
+}
+
+TEST_F(ServiceTest, RemoteAwaitSendsNoStatusFrames) {
+  ServeDaemon daemon;
+  StartDaemon(&daemon);
+  CountingRemote remote;
+  ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
+  EXPECT_EQ(remote.negotiated_version(), 3u);
+
+  auto job_id = remote.SubmitJob(MakeSpec({WriteBucket(1, 600, 2)}));
+  ASSERT_TRUE(job_id.ok()) << job_id.status();
+  auto info = remote.AwaitJob(job_id.value(), 120000);
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->state, JobState::kDone);
+  // An already-terminal job answers at once, too.
+  auto again = remote.AwaitJob(job_id.value(), 0);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->state, JobState::kDone);
+  EXPECT_EQ(remote.status_calls.load(), 0);
+
+  remote.Disconnect();
+  daemon.DrainAndStop();
+}
+
+TEST_F(ServiceTest, RemoteAwaitOnPinnedJobHitsTheCallersDeadline) {
+  ServeDaemon daemon;
+  StartDaemon(&daemon, /*workers=*/1);
+  const std::string fifo = MakeBlockingFifo();
+  CountingRemote remote;
+  ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
+  auto pinned = remote.SubmitJob(MakeSpec({fifo}));
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+
+  // A short timeout, then one longer than a server slice: the client
+  // must loop kAwaitJob slices and still stop at its own deadline, with
+  // LocalService's message.
+  for (const uint64_t timeout_ms : {uint64_t{50}, kMaxAwaitSliceMs + 300}) {
+    const auto start = Clock::now();
+    auto info = remote.AwaitJob(pinned.value(), timeout_ms);
+    const int64_t elapsed_ms = MillisSince(start);
+    ASSERT_TRUE(info.status().IsDeadlineExceeded()) << info.status();
+    EXPECT_GE(elapsed_ms, static_cast<int64_t>(timeout_ms));
+    EXPECT_LT(elapsed_ms, static_cast<int64_t>(timeout_ms) + 1000);
+    const std::string message = info.status().message();
+    EXPECT_TRUE(
+        message ==
+            AwaitDeadlineExceeded(pinned.value(), JobState::kQueued,
+                                  timeout_ms).message() ||
+        message ==
+            AwaitDeadlineExceeded(pinned.value(), JobState::kRunning,
+                                  timeout_ms).message())
+        << message;
+  }
+  EXPECT_EQ(remote.status_calls.load(), 0);
+
+  ReleaseFifo(fifo);
+  auto final_info = remote.AwaitJob(pinned.value(), 120000);
+  ASSERT_TRUE(final_info.ok()) << final_info.status();
+  EXPECT_EQ(final_info->state, JobState::kFailed);
+  remote.Disconnect();
+  daemon.DrainAndStop();
+}
+
+TEST_F(ServiceTest, RemoteCancelOnSecondConnectionReleasesParkedAwait) {
+  ServeDaemon daemon;
+  StartDaemon(&daemon, /*workers=*/1);
+  const std::string fifo = MakeBlockingFifo();
+  RemoteService waiter;
+  RemoteService canceller;
+  ASSERT_TRUE(waiter.Connect(daemon.bound_endpoint()).ok());
+  ASSERT_TRUE(canceller.Connect(daemon.bound_endpoint()).ok());
+  auto pinned = canceller.SubmitJob(MakeSpec({fifo}));
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  auto queued = canceller.SubmitJob(MakeSpec({WriteBucket(1, 200, 2)}));
+  ASSERT_TRUE(queued.ok()) << queued.status();
+
+  Result<JobInfo> awaited = Status::Internal("not awaited");
+  std::thread await_thread(
+      [&] { awaited = waiter.AwaitJob(queued.value(), 60000); });
+  // Let the await park in the daemon, then cancel from the other session.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto cancelled_at = Clock::now();
+  ASSERT_TRUE(canceller.CancelJob(queued.value()).ok());
+  await_thread.join();
+  // Released by the job's transition, not by the slice running out.
+  EXPECT_LT(MillisSince(cancelled_at),
+            static_cast<int64_t>(kMaxAwaitSliceMs));
+  ASSERT_TRUE(awaited.ok()) << awaited.status();
+  EXPECT_EQ(awaited->state, JobState::kCancelled);
+  EXPECT_TRUE(awaited->status.IsCancelled());
+
+  ReleaseFifo(fifo);
+  ASSERT_TRUE(waiter.AwaitJob(pinned.value(), 120000).ok());
+  waiter.Disconnect();
+  canceller.Disconnect();
+  daemon.DrainAndStop();
+}
+
+TEST_F(ServiceTest, StopEndsAParkedRemoteAwaitAfterItsSlice) {
+  ServeDaemon daemon;
+  StartDaemon(&daemon, /*workers=*/1);
+  const std::string fifo = MakeBlockingFifo();
+  RemoteService remote;
+  ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
+  auto pinned = remote.SubmitJob(MakeSpec({fifo}));
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+
+  Result<JobInfo> awaited = Status::Internal("not awaited");
+  std::atomic<bool> returned{false};
+  std::thread await_thread([&] {
+    awaited = remote.AwaitJob(pinned.value(), 0);
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto stop_at = Clock::now();
+  std::thread stop_thread([&] { daemon.Stop(); });
+  // The parked handler answers when its slice ends and hangs up, so the
+  // forever-await returns instead of re-issuing slices. Bounded wait, so
+  // a regression fails here instead of hanging the test.
+  const int64_t limit_ms = static_cast<int64_t>(kMaxAwaitSliceMs) + 1000;
+  while (!returned.load() && MillisSince(stop_at) < 5 * limit_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(returned.load());
+  EXPECT_LT(MillisSince(stop_at), limit_ms);
+  // Stop() then only waits for the pinned job (LocalService::Shutdown
+  // drains accepted jobs); release it so Stop() can return.
+  ReleaseFifo(fifo);
+  await_thread.join();
+  EXPECT_TRUE(awaited.status().IsFailedPrecondition()) << awaited.status();
+  EXPECT_FALSE(remote.Ping().ok());  // the daemon hung up
+  remote.Disconnect();
+  stop_thread.join();
 }
 
 TEST_F(ServiceTest, RemoteFailsFastWhenNotConnected) {

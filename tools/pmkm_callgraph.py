@@ -313,6 +313,12 @@ NON_TYPE_WORDS = {"return", "using", "typedef", "else", "case", "goto",
                   "auto", "void", "delete", "new", "throw", "public",
                   "private", "protected", "friend", "explicit", "virtual",
                   "inline", "extern", "break", "continue", "do"}
+# `std::unique_ptr<T> x` / `std::shared_ptr<T> x`: calls through `x->`
+# resolve against T, so an owned collaborator (e.g. ServeDaemon's
+# service_) is not a blind spot in the graph.
+SMART_PTR_DECL_RE = re.compile(
+    r"^\s*(?:const\s+)?(?:std::)?(?:unique_ptr|shared_ptr)\s*<\s*"
+    r"([A-Za-z_][\w:]*)\s*>\s*&?\s*([A-Za-z_]\w*)\s*(?:[;={(]|$)")
 NS_RE = re.compile(r"\bnamespace(?:\s+([A-Za-z_]\w*))?\s*$")
 CLASS_RE = re.compile(
     r"\b(?:class|struct)\s+(?:PMKM_\w+\s*(?:\([^()]*\)\s*)?)*"
@@ -675,6 +681,9 @@ class FileParser:
     @staticmethod
     def decl_type_of(text):
         """(type-last-component, var) for a declaration head, or None."""
+        smart = SMART_PTR_DECL_RE.match(text)
+        if smart:
+            return smart.group(1).rsplit("::", 1)[-1], smart.group(2)
         clean = strip_template_args(re.sub(r"\[\[[^\]]*\]\]", " ", text))
         clean = re.sub(r"PMKM_\w+\s*(?:\([^()]*\))?", " ", clean)
         head = re.split(r"[={(]", clean, 1)[0].strip().rstrip(",")
