@@ -9,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/status.h"
 #include "data/dataset.h"
 #include "data/weighted.h"
 
@@ -54,6 +55,12 @@ struct ClusteringModel {
   /// Index of the centroid nearest to `point`.
   size_t Predict(std::span<const double> point) const;
 };
+
+/// The value checks every model decoder applies (LoadModel,
+/// DecodeCellComplete): at least one centroid, one weight per centroid,
+/// finite centroid coordinates, and weights that are finite and >= 0.
+/// InvalidArgument names the first offending centroid.
+Status ValidateModelValues(const ClusteringModel& model);
 
 }  // namespace pmkm
 

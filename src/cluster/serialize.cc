@@ -1,12 +1,11 @@
 #include "cluster/serialize.h"
 
-#include <cmath>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/bytes.h"
 #include "data/io.h"
 #include "data/manifest.h"
 
@@ -17,17 +16,65 @@ constexpr uint32_t kModelMagic = 0x4d4b4d50;  // "PMKM"
 constexpr uint32_t kModelVersion = 1;
 constexpr uint32_t kFlagHasAssignments = 1u << 0;
 
-// Appends raw bytes of `value` to `out`.
-template <typename T>
-void PutPod(std::vector<char>* out, const T& value) {
-  const char* p = reinterpret_cast<const char*>(&value);
-  out->insert(out->end(), p, p + sizeof(T));
-}
+// Parses the FNV-checked body of a model file into `model`.
+Status ReadModel(ByteReader* reader, ClusteringModel* model) {
+  uint32_t magic = 0, version = 0, flags = 0, pad = 0;
+  uint64_t k = 0, dim = 0;
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&magic));
+  if (magic != kModelMagic) {
+    return Status::IOError("bad magic (not a model file)");
+  }
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&version));
+  if (version != kModelVersion) {
+    return Status::IOError("unsupported model version");
+  }
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&k));
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&dim));
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&flags));
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&pad));
 
-template <typename T>
-Status GetPod(std::ifstream* in, T* value) {
-  in->read(reinterpret_cast<char*>(value), sizeof(T));
-  if (!*in) return Status::IOError("truncated model file");
+  uint64_t iterations = 0;
+  uint32_t converged = 0;
+  PMKM_RETURN_NOT_OK(reader->ReadF64(&model->sse));
+  PMKM_RETURN_NOT_OK(reader->ReadF64(&model->mse_per_point));
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&iterations));
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&converged));
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&pad));
+  model->iterations = iterations;
+  model->converged = converged != 0;
+
+  // Bound the header's sizes by the bytes that are actually there before
+  // allocating anything: k centroids of dim values plus k weights is
+  // k·(dim + 1) doubles, checked without overflow.
+  const uint64_t doubles_left = reader->remaining() / sizeof(double);
+  if (dim >= doubles_left || k > doubles_left / (dim + 1)) {
+    return Status::IOError("model header (k=" + std::to_string(k) +
+                           ", dim=" + std::to_string(dim) +
+                           ") exceeds its payload");
+  }
+  std::vector<double> centroid_values(k * dim);
+  for (double& v : centroid_values) PMKM_RETURN_NOT_OK(reader->ReadF64(&v));
+  PMKM_ASSIGN_OR_RETURN(model->centroids,
+                        Dataset::FromFlat(dim, std::move(centroid_values)));
+  model->weights.resize(k);
+  for (double& w : model->weights) PMKM_RETURN_NOT_OK(reader->ReadF64(&w));
+  PMKM_RETURN_NOT_OK(ValidateModelValues(*model));
+  if (flags & kFlagHasAssignments) {
+    uint64_t n = 0;
+    PMKM_RETURN_NOT_OK(reader->ReadU64(&n));
+    if (n > reader->remaining() / sizeof(uint32_t)) {
+      return Status::IOError("model header claims " + std::to_string(n) +
+                             " assignments, more than its payload holds");
+    }
+    model->assignments.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      PMKM_RETURN_NOT_OK(reader->ReadU32(&model->assignments[i]));
+      if (model->assignments[i] >= k) {
+        return Status::IOError("assignment of point " + std::to_string(i) +
+                               " is not below k=" + std::to_string(k));
+      }
+    }
+  }
   return Status::OK();
 }
 
@@ -41,37 +88,33 @@ Status SaveModel(const std::string& path,
   if (model.weights.size() != model.k()) {
     return Status::InvalidArgument("model weights/centroids mismatch");
   }
-  std::vector<char> buf;
-  PutPod(&buf, kModelMagic);
-  PutPod(&buf, kModelVersion);
-  PutPod(&buf, static_cast<uint64_t>(model.k()));
-  PutPod(&buf, static_cast<uint64_t>(model.dim()));
+  std::vector<uint8_t> buf;
+  PutU32(&buf, kModelMagic);
+  PutU32(&buf, kModelVersion);
+  PutU64(&buf, model.k());
+  PutU64(&buf, model.dim());
   const uint32_t flags =
       model.assignments.empty() ? 0u : kFlagHasAssignments;
-  PutPod(&buf, flags);
-  PutPod(&buf, uint32_t{0});
-  PutPod(&buf, model.sse);
-  PutPod(&buf, model.mse_per_point);
-  PutPod(&buf, static_cast<uint64_t>(model.iterations));
-  PutPod(&buf, static_cast<uint32_t>(model.converged ? 1 : 0));
-  PutPod(&buf, uint32_t{0});
-  for (double v : model.centroids.values()) PutPod(&buf, v);
-  for (double w : model.weights) PutPod(&buf, w);
+  PutU32(&buf, flags);
+  PutU32(&buf, 0);
+  PutF64(&buf, model.sse);
+  PutF64(&buf, model.mse_per_point);
+  PutU64(&buf, model.iterations);
+  PutU32(&buf, model.converged ? 1 : 0);
+  PutU32(&buf, 0);
+  for (double v : model.centroids.values()) PutF64(&buf, v);
+  for (double w : model.weights) PutF64(&buf, w);
   if (flags & kFlagHasAssignments) {
-    PutPod(&buf, static_cast<uint64_t>(model.assignments.size()));
-    for (uint32_t a : model.assignments) PutPod(&buf, a);
+    PutU64(&buf, model.assignments.size());
+    for (uint32_t a : model.assignments) PutU32(&buf, a);
   }
-  const uint64_t hash =
-      internal::Fnv1a64(buf.data(), buf.size(), internal::kFnvOffset);
-  const char* hp = reinterpret_cast<const char*>(&hash);
-  buf.insert(buf.end(), hp, hp + sizeof(hash));
+  PutU64(&buf,
+         internal::Fnv1a64(buf.data(), buf.size(), internal::kFnvOffset));
 
   // Durable atomic publish (stage + fsync + rename + dir fsync): a model
   // file either exists completely or not at all, even across power loss —
   // the kill-sweep harness compares these files bytewise across crashes.
-  return AtomicWriteFile(
-      path, std::span<const uint8_t>(
-                reinterpret_cast<const uint8_t*>(buf.data()), buf.size()));
+  return AtomicWriteFile(path, buf);
 }
 
 Result<ClusteringModel> LoadModel(const std::string& path) {
@@ -85,104 +128,19 @@ Result<ClusteringModel> LoadModel(const std::string& path) {
   if (size < static_cast<std::streamoff>(sizeof(uint64_t) + 8)) {
     return Status::IOError("file too small to be a model: " + path);
   }
-  std::vector<char> buf(static_cast<size_t>(size));
-  in.read(buf.data(), size);
+  std::vector<uint8_t> buf(static_cast<size_t>(size));
+  in.read(reinterpret_cast<char*>(buf.data()), size);
   if (!in) return Status::IOError("short read: " + path);
-  uint64_t stored;
-  std::memcpy(&stored, buf.data() + buf.size() - sizeof(uint64_t),
-              sizeof(uint64_t));
-  const uint64_t computed = internal::Fnv1a64(
-      buf.data(), buf.size() - sizeof(uint64_t), internal::kFnvOffset);
-  if (stored != computed) {
+  const size_t body = buf.size() - sizeof(uint64_t);
+  if (LoadU64(buf.data() + body) !=
+      internal::Fnv1a64(buf.data(), body, internal::kFnvOffset)) {
     return Status::IOError("checksum mismatch (corrupt model): " + path);
   }
 
-  size_t pos = 0;
-  auto take = [&](auto* value) -> Status {
-    using T = std::remove_pointer_t<decltype(value)>;
-    if (pos + sizeof(T) > buf.size() - sizeof(uint64_t)) {
-      return Status::IOError("truncated model payload: " + path);
-    }
-    std::memcpy(value, buf.data() + pos, sizeof(T));
-    pos += sizeof(T);
-    return Status::OK();
-  };
-
-  uint32_t magic = 0, version = 0, flags = 0, pad = 0;
-  uint64_t k = 0, dim = 0;
-  PMKM_RETURN_NOT_OK(take(&magic));
-  if (magic != kModelMagic) {
-    return Status::IOError("bad magic (not a model file): " + path);
-  }
-  PMKM_RETURN_NOT_OK(take(&version));
-  if (version != kModelVersion) {
-    return Status::IOError("unsupported model version: " + path);
-  }
-  PMKM_RETURN_NOT_OK(take(&k));
-  PMKM_RETURN_NOT_OK(take(&dim));
-  if (k == 0 || dim == 0) {
-    return Status::IOError("degenerate model shape: " + path);
-  }
-  PMKM_RETURN_NOT_OK(take(&flags));
-  PMKM_RETURN_NOT_OK(take(&pad));
-
+  ByteReader reader(std::span<const uint8_t>(buf.data(), body));
   ClusteringModel model;
-  uint64_t iterations = 0;
-  uint32_t converged = 0;
-  PMKM_RETURN_NOT_OK(take(&model.sse));
-  PMKM_RETURN_NOT_OK(take(&model.mse_per_point));
-  PMKM_RETURN_NOT_OK(take(&iterations));
-  PMKM_RETURN_NOT_OK(take(&converged));
-  PMKM_RETURN_NOT_OK(take(&pad));
-  model.iterations = iterations;
-  model.converged = converged != 0;
-
-  // Bound the header's sizes by the bytes that are actually there before
-  // allocating anything: k centroids of dim values plus k weights is
-  // k·(dim + 1) doubles, checked without overflow.
-  const size_t payload_end = buf.size() - sizeof(uint64_t);
-  const uint64_t doubles_left = (payload_end - pos) / sizeof(double);
-  if (dim >= doubles_left || k > doubles_left / (dim + 1)) {
-    return Status::IOError("model header (k=" + std::to_string(k) +
-                           ", dim=" + std::to_string(dim) +
-                           ") exceeds its payload: " + path);
-  }
-  std::vector<double> centroid_values(k * dim);
-  for (size_t v = 0; v < centroid_values.size(); ++v) {
-    PMKM_RETURN_NOT_OK(take(&centroid_values[v]));
-    if (!std::isfinite(centroid_values[v])) {
-      return Status::IOError("non-finite value in centroid " +
-                             std::to_string(v / dim) + ": " + path);
-    }
-  }
-  PMKM_ASSIGN_OR_RETURN(model.centroids,
-                        Dataset::FromFlat(dim, std::move(centroid_values)));
-  model.weights.resize(k);
-  for (size_t j = 0; j < k; ++j) {
-    double& w = model.weights[j];
-    PMKM_RETURN_NOT_OK(take(&w));
-    if (!std::isfinite(w) || w < 0.0) {
-      return Status::IOError("weight of centroid " + std::to_string(j) +
-                             " must be finite and >= 0: " + path);
-    }
-  }
-  if (flags & kFlagHasAssignments) {
-    uint64_t n = 0;
-    PMKM_RETURN_NOT_OK(take(&n));
-    if (n > (payload_end - pos) / sizeof(uint32_t)) {
-      return Status::IOError("model header claims " + std::to_string(n) +
-                             " assignments, more than its payload holds: " +
-                             path);
-    }
-    model.assignments.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      PMKM_RETURN_NOT_OK(take(&model.assignments[i]));
-      if (model.assignments[i] >= k) {
-        return Status::IOError("assignment of point " + std::to_string(i) +
-                               " is not below k=" + std::to_string(k) +
-                               ": " + path);
-      }
-    }
+  if (const Status st = ReadModel(&reader, &model); !st.ok()) {
+    return Status::IOError(st.message() + ": " + path);
   }
   return model;
 }

@@ -1,9 +1,9 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/annotations.h"
+#include "common/bytes.h"
 #include "data/manifest.h"
 #include "stream/checkpoint.h"
 
@@ -12,140 +12,24 @@ namespace serve {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Little-endian primitives.
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
+// [i32 code][string message], the Status encoding of replies and JobInfo.
+Status ReadStatus(ByteReader* reader, Status* out) {
+  int32_t code = 0;
+  std::string message;
+  PMKM_RETURN_NOT_OK(reader->ReadI32(&code));
+  PMKM_RETURN_NOT_OK(reader->ReadString(&message));
+  if (code < static_cast<int32_t>(StatusCode::kOk) ||
+      code > static_cast<int32_t>(StatusCode::kDeadlineExceeded)) {
+    return Status::OutOfRange("unknown status code tag " +
+                              std::to_string(code));
+  }
+  *out = Status(static_cast<StatusCode>(code), std::move(message));
+  return Status::OK();
 }
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutDouble(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-void PutBool(std::vector<uint8_t>* out, bool v) {
-  out->push_back(v ? 1 : 0);
-}
-
-uint32_t LoadU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-/// Cursor over a payload with bounds-checked typed reads. Every reader
-/// method fails cleanly on truncation so a malicious or torn payload can
-/// never read out of bounds.
-class WireReader {
- public:
-  explicit WireReader(std::span<const uint8_t> data) : data_(data) {}
-
-  size_t remaining() const { return data_.size() - pos_; }
-
-  Status ReadU32(uint32_t* out) {
-    PMKM_RETURN_NOT_OK(Need(4));
-    *out = LoadU32(data_.data() + pos_);
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* out) {
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&lo));
-    PMKM_RETURN_NOT_OK(ReadU32(&hi));
-    *out = (static_cast<uint64_t>(hi) << 32) | lo;
-    return Status::OK();
-  }
-
-  Status ReadI32(int32_t* out) {
-    uint32_t v = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&v));
-    *out = static_cast<int32_t>(v);
-    return Status::OK();
-  }
-
-  Status ReadI64(int64_t* out) {
-    uint64_t v = 0;
-    PMKM_RETURN_NOT_OK(ReadU64(&v));
-    *out = static_cast<int64_t>(v);
-    return Status::OK();
-  }
-
-  Status ReadDouble(double* out) {
-    uint64_t bits = 0;
-    PMKM_RETURN_NOT_OK(ReadU64(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* out) {
-    uint32_t len = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&len));
-    if (len > kMaxFramePayload) {
-      return Status::OutOfRange("wire string length " + std::to_string(len) +
-                                " exceeds the frame cap");
-    }
-    PMKM_RETURN_NOT_OK(Need(len));
-    out->assign(reinterpret_cast<const char*>(data_.data() + pos_), len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  Status ReadBool(bool* out) {
-    PMKM_RETURN_NOT_OK(Need(1));
-    *out = data_[pos_] != 0;
-    pos_ += 1;
-    return Status::OK();
-  }
-
-  Status ReadBytes(size_t len, std::span<const uint8_t>* out) {
-    PMKM_RETURN_NOT_OK(Need(len));
-    *out = data_.subspan(pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
- private:
-  Status Need(size_t n) {
-    if (remaining() < n) {
-      return Status::OutOfRange("truncated wire payload: need " +
-                                std::to_string(n) + " bytes, have " +
-                                std::to_string(remaining()));
-    }
-    return Status::OK();
-  }
-
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
 
 uint32_t FrameCrc(uint32_t type, std::span<const uint8_t> payload) {
   uint8_t type_le[4];
-  type_le[0] = static_cast<uint8_t>(type);
-  type_le[1] = static_cast<uint8_t>(type >> 8);
-  type_le[2] = static_cast<uint8_t>(type >> 16);
-  type_le[3] = static_cast<uint8_t>(type >> 24);
+  StoreU32(type_le, type);
   const uint32_t seed = Crc32c(type_le, sizeof(type_le));
   return Crc32c(payload.data(), payload.size(), seed);
 }
@@ -254,22 +138,14 @@ std::vector<uint8_t> EncodeJobSpec(const JobSpec& spec) PMKM_DETERMINISTIC {
 }
 
 Result<JobSpec> DecodeJobSpec(std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   JobSpec spec;
   uint32_t path_count = 0;
-  PMKM_RETURN_NOT_OK(reader.ReadU32(&path_count));
-  // Each path costs at least its 4-byte length prefix, so a sane count
-  // can never exceed the remaining payload.
-  if (path_count > reader.remaining() / 4) {
-    return Status::OutOfRange("job spec path count " +
-                              std::to_string(path_count) +
-                              " exceeds the payload");
-  }
-  spec.bucket_paths.reserve(path_count);
-  for (uint32_t i = 0; i < path_count; ++i) {
-    std::string path;
+  // Each path costs at least its 4-byte length prefix.
+  PMKM_RETURN_NOT_OK(reader.ReadCount(4, &path_count));
+  spec.bucket_paths.resize(path_count);
+  for (std::string& path : spec.bucket_paths) {
     PMKM_RETURN_NOT_OK(reader.ReadString(&path));
-    spec.bucket_paths.push_back(std::move(path));
   }
   PMKM_RETURN_NOT_OK(reader.ReadI64(&spec.engine.k));
   PMKM_RETURN_NOT_OK(reader.ReadI64(&spec.engine.restarts));
@@ -301,10 +177,10 @@ void AppendJobInfo(std::vector<uint8_t>* out, const JobInfo& info) {
   PutString(out, info.client);
   PutString(out, info.run_id);
   PutU64(out, info.cells);
-  PutDouble(out, info.wall_seconds);
+  PutF64(out, info.wall_seconds);
 }
 
-Status ReadJobInfo(WireReader* reader, JobInfo* info) {
+Status ReadJobInfo(ByteReader* reader, JobInfo* info) {
   PMKM_RETURN_NOT_OK(reader->ReadU64(&info->job_id));
   uint32_t state = 0;
   PMKM_RETURN_NOT_OK(reader->ReadU32(&state));
@@ -313,20 +189,11 @@ Status ReadJobInfo(WireReader* reader, JobInfo* info) {
                               std::to_string(state));
   }
   info->state = static_cast<JobState>(state);
-  int32_t code = 0;
-  std::string message;
-  PMKM_RETURN_NOT_OK(reader->ReadI32(&code));
-  PMKM_RETURN_NOT_OK(reader->ReadString(&message));
-  if (code < static_cast<int32_t>(StatusCode::kOk) ||
-      code > static_cast<int32_t>(StatusCode::kDeadlineExceeded)) {
-    return Status::OutOfRange("unknown status code tag " +
-                              std::to_string(code));
-  }
-  info->status = Status(static_cast<StatusCode>(code), std::move(message));
+  PMKM_RETURN_NOT_OK(ReadStatus(reader, &info->status));
   PMKM_RETURN_NOT_OK(reader->ReadString(&info->client));
   PMKM_RETURN_NOT_OK(reader->ReadString(&info->run_id));
   PMKM_RETURN_NOT_OK(reader->ReadU64(&info->cells));
-  PMKM_RETURN_NOT_OK(reader->ReadDouble(&info->wall_seconds));
+  PMKM_RETURN_NOT_OK(reader->ReadF64(&info->wall_seconds));
   return Status::OK();
 }
 
@@ -339,7 +206,7 @@ std::vector<uint8_t> EncodeJobInfo(const JobInfo& info) PMKM_DETERMINISTIC {
 }
 
 Result<JobInfo> DecodeJobInfo(std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   JobInfo info;
   PMKM_RETURN_NOT_OK(ReadJobInfo(&reader, &info));
   return info;
@@ -357,21 +224,12 @@ std::vector<uint8_t> EncodeJobList(
 
 Result<std::vector<JobInfo>> DecodeJobList(
     std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   uint32_t count = 0;
-  PMKM_RETURN_NOT_OK(reader.ReadU32(&count));
   // A JobInfo is at least 40 fixed bytes on the wire.
-  if (count > reader.remaining() / 40) {
-    return Status::OutOfRange("job list count " + std::to_string(count) +
-                              " exceeds the payload");
-  }
-  std::vector<JobInfo> jobs;
-  jobs.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    JobInfo info;
-    PMKM_RETURN_NOT_OK(ReadJobInfo(&reader, &info));
-    jobs.push_back(std::move(info));
-  }
+  PMKM_RETURN_NOT_OK(reader.ReadCount(40, &count));
+  std::vector<JobInfo> jobs(count);
+  for (JobInfo& info : jobs) PMKM_RETURN_NOT_OK(ReadJobInfo(&reader, &info));
   return jobs;
 }
 
@@ -392,14 +250,10 @@ std::vector<uint8_t> EncodeModelSet(
 
 Result<std::map<GridCellId, CellClustering>> DecodeModelSet(
     std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   uint32_t count = 0;
-  PMKM_RETURN_NOT_OK(reader.ReadU32(&count));
-  if (count > reader.remaining() / 4) {
-    return Status::OutOfRange("model set cell count " +
-                              std::to_string(count) +
-                              " exceeds the payload");
-  }
+  // Each cell costs at least its 4-byte blob length.
+  PMKM_RETURN_NOT_OK(reader.ReadCount(4, &count));
   std::map<GridCellId, CellClustering> cells;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t blob_len = 0;
@@ -426,7 +280,7 @@ std::vector<uint8_t> EncodeAwaitRequest(
 }
 
 Result<AwaitRequest> DecodeAwaitRequest(std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   AwaitRequest request;
   PMKM_RETURN_NOT_OK(reader.ReadU64(&request.job_id));
   PMKM_RETURN_NOT_OK(reader.ReadU64(&request.wait_ms));
@@ -443,7 +297,7 @@ std::vector<uint8_t> EncodeU64(uint64_t value) PMKM_DETERMINISTIC {
 }
 
 Result<uint64_t> DecodeU64(std::span<const uint8_t> payload) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   uint64_t value = 0;
   PMKM_RETURN_NOT_OK(reader.ReadU64(&value));
   return value;
@@ -459,18 +313,9 @@ std::vector<uint8_t> EncodeReply(
 }
 
 Result<Reply> DecodeReply(std::span<const uint8_t> payload) {
-  WireReader reader(payload);
-  int32_t code = 0;
-  std::string message;
-  PMKM_RETURN_NOT_OK(reader.ReadI32(&code));
-  PMKM_RETURN_NOT_OK(reader.ReadString(&message));
-  if (code < static_cast<int32_t>(StatusCode::kOk) ||
-      code > static_cast<int32_t>(StatusCode::kDeadlineExceeded)) {
-    return Status::OutOfRange("unknown status code tag " +
-                              std::to_string(code));
-  }
+  ByteReader reader(payload);
   Reply reply;
-  reply.status = Status(static_cast<StatusCode>(code), std::move(message));
+  PMKM_RETURN_NOT_OK(ReadStatus(&reader, &reply.status));
   std::span<const uint8_t> body;
   PMKM_RETURN_NOT_OK(reader.ReadBytes(reader.remaining(), &body));
   reply.body.assign(body.begin(), body.end());

@@ -43,9 +43,11 @@
 //               is terminal or after min(wait_ms, kMaxAwaitSliceMs) with
 //               its then-current (non-terminal) state; wait_ms 0 = the cap
 //
-// Model payloads reuse the checkpoint cell codec (EncodeCellComplete),
-// which round-trips doubles bitwise — the foundation of the local/remote
-// byte-identity guarantee.
+// Every payload is written and read with the shared codec in
+// common/bytes.h. Model payloads reuse the checkpoint cell codec
+// (EncodeCellComplete/DecodeCellComplete), which round-trips doubles
+// bitwise — the foundation of the local/remote byte-identity guarantee —
+// and rejects model values LoadModel would (ValidateModelValues).
 //
 // Unknown trailing bytes in a payload are ignored, which is what lets a
 // newer minor version append fields.

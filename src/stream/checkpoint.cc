@@ -1,10 +1,10 @@
 #include "stream/checkpoint.h"
 
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 
 #include "common/annotations.h"
+#include "common/bytes.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -14,101 +14,10 @@ namespace pmkm {
 
 namespace {
 
-// ---- Little-endian payload codec ------------------------------------------
-//
-// Payloads reuse the journal's byte order (data/manifest.cc). Doubles are
-// stored as their IEEE-754 bit pattern so a resumed run restores exactly
-// the doubles the crashed run computed — bitwise identity is the whole
-// point of checkpointing a deterministic pipeline.
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutF64(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutF64Span(std::vector<uint8_t>* out, std::span<const double> values) {
-  PutU64(out, values.size());
-  for (double v : values) PutF64(out, v);
-}
-
-// Bounds-checked read cursor: every decode failure surfaces as a Status
-// instead of UB, because checkpoint payloads may be arbitrary corrupt
-// bytes that happened to pass CRC (e.g. hand-edited journals).
-class Cursor {
- public:
-  explicit Cursor(std::span<const uint8_t> bytes) : bytes_(bytes) {}
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-
-  Status ReadU32(uint32_t* out) {
-    if (remaining() < 4) return Truncated("u32");
-    *out = static_cast<uint32_t>(bytes_[pos_]) |
-           static_cast<uint32_t>(bytes_[pos_ + 1]) << 8 |
-           static_cast<uint32_t>(bytes_[pos_ + 2]) << 16 |
-           static_cast<uint32_t>(bytes_[pos_ + 3]) << 24;
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* out) {
-    uint32_t lo = 0, hi = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&lo));
-    PMKM_RETURN_NOT_OK(ReadU32(&hi));
-    *out = static_cast<uint64_t>(hi) << 32 | lo;
-    return Status::OK();
-  }
-
-  Status ReadI32(int32_t* out) {
-    uint32_t raw = 0;
-    PMKM_RETURN_NOT_OK(ReadU32(&raw));
-    *out = static_cast<int32_t>(raw);
-    return Status::OK();
-  }
-
-  Status ReadF64(double* out) {
-    uint64_t bits = 0;
-    PMKM_RETURN_NOT_OK(ReadU64(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-
-  Status ReadF64Vec(std::vector<double>* out) {
-    uint64_t count = 0;
-    PMKM_RETURN_NOT_OK(ReadU64(&count));
-    if (count > remaining() / 8) return Truncated("double array");
-    out->resize(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      PMKM_RETURN_NOT_OK(ReadF64(&(*out)[i]));
-    }
-    return Status::OK();
-  }
-
- private:
-  static Status Truncated(const char* what) {
-    return Status::IOError(std::string("checkpoint payload truncated: ") +
-                            what);
-  }
-
-  std::span<const uint8_t> bytes_;
-  size_t pos_ = 0;
-};
+// Payloads use the common/bytes.h codec, which stores doubles as their
+// IEEE-754 bit pattern so a resumed run restores exactly the doubles the
+// crashed run computed — bitwise identity is the whole point of
+// checkpointing a deterministic pipeline.
 
 // Payload schema versions, bumped independently of the journal framing.
 constexpr uint32_t kCellPayloadVersion = 1;
@@ -118,19 +27,19 @@ constexpr uint32_t kCellPayloadVersion = 1;
 constexpr uint64_t kMaxDim = 1u << 20;
 constexpr uint64_t kMaxRows = 1u << 28;
 
-Status DecodeDataset(Cursor* cur, Dataset* out) {
+Status DecodeDataset(ByteReader* reader, Dataset* out) {
   uint64_t dim = 0, rows = 0;
-  PMKM_RETURN_NOT_OK(cur->ReadU64(&dim));
-  PMKM_RETURN_NOT_OK(cur->ReadU64(&rows));
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&dim));
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&rows));
   if (dim == 0 || dim > kMaxDim || rows > kMaxRows) {
     return Status::IOError("checkpoint payload has implausible dataset "
                             "shape");
   }
-  if (rows * dim > cur->remaining() / 8) {
+  if (rows * dim > reader->remaining() / 8) {
     return Status::IOError("checkpoint payload truncated: dataset rows");
   }
   std::vector<double> flat(rows * dim);
-  for (auto& v : flat) PMKM_RETURN_NOT_OK(cur->ReadF64(&v));
+  for (auto& v : flat) PMKM_RETURN_NOT_OK(reader->ReadF64(&v));
   PMKM_ASSIGN_OR_RETURN(*out, Dataset::FromFlat(dim, std::move(flat)));
   return Status::OK();
 }
@@ -139,6 +48,33 @@ void EncodeDataset(std::vector<uint8_t>* out, const Dataset& data) {
   PutU64(out, data.dim());
   PutU64(out, data.size());
   for (double v : data.values()) PutF64(out, v);
+}
+
+Status ReadCellComplete(ByteReader* reader, CellClustering* cell) {
+  uint32_t version = 0;
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&version));
+  if (version != kCellPayloadVersion) {
+    return Status::IOError("unknown cell-complete payload version");
+  }
+  PMKM_RETURN_NOT_OK(reader->ReadI32(&cell->cell.lat_index));
+  PMKM_RETURN_NOT_OK(reader->ReadI32(&cell->cell.lon_index));
+  uint64_t input_points = 0, pooled = 0;
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&input_points));
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&pooled));
+  cell->input_points = input_points;
+  cell->pooled_centroids = pooled;
+  PMKM_RETURN_NOT_OK(reader->ReadF64(&cell->merge_seconds));
+  PMKM_RETURN_NOT_OK(DecodeDataset(reader, &cell->model.centroids));
+  PMKM_RETURN_NOT_OK(reader->ReadF64Vec(&cell->model.weights));
+  PMKM_RETURN_NOT_OK(reader->ReadF64(&cell->model.sse));
+  PMKM_RETURN_NOT_OK(reader->ReadF64(&cell->model.mse_per_point));
+  uint64_t iterations = 0;
+  PMKM_RETURN_NOT_OK(reader->ReadU64(&iterations));
+  cell->model.iterations = iterations;
+  uint32_t converged = 0;
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&converged));
+  cell->model.converged = converged != 0;
+  return ValidateModelValues(cell->model);
 }
 
 }  // namespace
@@ -157,7 +93,8 @@ std::vector<uint8_t> EncodeCellComplete(
   PutU64(&out, cell.pooled_centroids);
   PutF64(&out, cell.merge_seconds);
   EncodeDataset(&out, cell.model.centroids);
-  PutF64Span(&out, cell.model.weights);
+  PutU64(&out, cell.model.weights.size());
+  for (double w : cell.model.weights) PutF64(&out, w);
   PutF64(&out, cell.model.sse);
   PutF64(&out, cell.model.mse_per_point);
   PutU64(&out, cell.model.iterations);
@@ -166,35 +103,11 @@ std::vector<uint8_t> EncodeCellComplete(
 }
 
 Result<CellClustering> DecodeCellComplete(std::span<const uint8_t> payload) {
-  Cursor cur(payload);
-  uint32_t version = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU32(&version));
-  if (version != kCellPayloadVersion) {
-    return Status::IOError("unknown cell-complete payload version");
-  }
+  ByteReader reader(payload);
   CellClustering cell;
-  PMKM_RETURN_NOT_OK(cur.ReadI32(&cell.cell.lat_index));
-  PMKM_RETURN_NOT_OK(cur.ReadI32(&cell.cell.lon_index));
-  uint64_t input_points = 0, pooled = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&input_points));
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&pooled));
-  cell.input_points = input_points;
-  cell.pooled_centroids = pooled;
-  PMKM_RETURN_NOT_OK(cur.ReadF64(&cell.merge_seconds));
-  PMKM_RETURN_NOT_OK(DecodeDataset(&cur, &cell.model.centroids));
-  PMKM_RETURN_NOT_OK(cur.ReadF64Vec(&cell.model.weights));
-  if (cell.model.weights.size() != cell.model.centroids.size()) {
-    return Status::IOError("cell-complete payload weight/centroid "
-                            "count mismatch");
+  if (const Status st = ReadCellComplete(&reader, &cell); !st.ok()) {
+    return Status::IOError("corrupt cell-complete payload: " + st.message());
   }
-  PMKM_RETURN_NOT_OK(cur.ReadF64(&cell.model.sse));
-  PMKM_RETURN_NOT_OK(cur.ReadF64(&cell.model.mse_per_point));
-  uint64_t iterations = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU64(&iterations));
-  cell.model.iterations = iterations;
-  uint32_t converged = 0;
-  PMKM_RETURN_NOT_OK(cur.ReadU32(&converged));
-  cell.model.converged = converged != 0;
   return cell;
 }
 
@@ -207,9 +120,9 @@ CheckpointState ReplayCheckpointJournal(const JournalRecovery& recovery) {
   for (const JournalRecord& record : recovery.records) {
     switch (static_cast<CheckpointRecordType>(record.type)) {
       case CheckpointRecordType::kRunBegin: {
-        Cursor cur(record.payload);
+        ByteReader reader(record.payload);
         uint64_t fp = 0;
-        if (cur.ReadU64(&fp).ok()) {
+        if (reader.ReadU64(&fp).ok()) {
           // A later kRunBegin (journal reused across runs) supersedes —
           // everything before it belongs to an older run, so drop it.
           state.completed.clear();

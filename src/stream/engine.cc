@@ -4,12 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <set>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "obs/debug_server.h"
@@ -95,29 +95,21 @@ Status ResolveKernel(EngineOptions* options) {
 // order, independent of arrival interleaving).
 uint64_t ConfigFingerprint(const EngineOptions& options,
                            const PhysicalPlan& plan) {
-  uint64_t h = internal::kFnvOffset;
-  const auto mix = [&h](uint64_t v) {
-    h = internal::Fnv1a64(&v, sizeof(v), h);
-  };
-  const auto mix_f64 = [&mix](double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  };
-  mix(options.partial.k);
-  mix(options.partial.restarts);
-  mix(static_cast<uint64_t>(options.partial.seeding));
-  mix(options.partial.seed);
-  mix_f64(options.partial.lloyd.epsilon);
-  mix(options.partial.lloyd.max_iterations);
-  mix(options.merge.k);
-  mix(options.merge.restarts);
-  mix(static_cast<uint64_t>(options.merge.seeding));
-  mix(options.merge.seed);
-  mix_f64(options.merge.lloyd.epsilon);
-  mix(options.merge.lloyd.max_iterations);
-  mix(plan.chunk_points);
-  return h;
+  std::vector<uint8_t> fields;
+  PutU64(&fields, options.partial.k);
+  PutU64(&fields, options.partial.restarts);
+  PutU64(&fields, static_cast<uint64_t>(options.partial.seeding));
+  PutU64(&fields, options.partial.seed);
+  PutF64(&fields, options.partial.lloyd.epsilon);
+  PutU64(&fields, options.partial.lloyd.max_iterations);
+  PutU64(&fields, options.merge.k);
+  PutU64(&fields, options.merge.restarts);
+  PutU64(&fields, static_cast<uint64_t>(options.merge.seeding));
+  PutU64(&fields, options.merge.seed);
+  PutF64(&fields, options.merge.lloyd.epsilon);
+  PutU64(&fields, options.merge.lloyd.max_iterations);
+  PutU64(&fields, plan.chunk_points);
+  return internal::Fnv1a64(fields.data(), fields.size(), internal::kFnvOffset);
 }
 
 // Splits the input into buckets still to cluster and cells restored from

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -233,6 +234,57 @@ TEST_F(SerializeTest, BadAssignmentsRejected) {
     m.Put<uint64_t>(count, uint64_t{1} << 40);
     ExpectRejected(m.Load(), path, "assignments");
   }
+}
+
+// The on-disk bytes of a small hand-built model, pinned as hex. The
+// layout is the one serialize.h documents; a codec change that moves any
+// byte (including the FNV-1a trailer) fails here.
+ClusteringModel GoldenModel(bool with_assignments) {
+  ClusteringModel model;
+  auto centroids = Dataset::FromFlat(2, {1.5, -0.0, 0.1 + 0.2, 4.9e-324});
+  PMKM_CHECK(centroids.ok());
+  model.centroids = std::move(centroids).value();
+  model.weights = {3.0, 0.5};
+  model.sse = 2.25;
+  model.mse_per_point = 0.0625;
+  model.iterations = 5;
+  model.converged = true;
+  if (with_assignments) model.assignments = {1, 0, 1};
+  return model;
+}
+
+std::string FileHex(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string hex;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+    static const char kDigits[] = "0123456789abcdef";
+    const auto byte = static_cast<uint8_t>(*it);
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  return hex;
+}
+
+TEST_F(SerializeTest, GoldenBytesWithoutAssignments) {
+  const std::string path = Path("golden.pmkm");
+  ASSERT_TRUE(SaveModel(path, GoldenModel(false)).ok());
+  EXPECT_EQ(FileHex(path),
+      "504d4b4d010000000200000000000000020000000000000000000000"
+      "000000000000000000000240000000000000b03f0500000000000000"
+      "0100000000000000000000000000f83f000000000000008034333333"
+      "3333d33f01000000000000000000000000000840000000000000e03f"
+      "026e334634f558ca");
+}
+
+TEST_F(SerializeTest, GoldenBytesWithAssignments) {
+  const std::string path = Path("golden_a.pmkm");
+  ASSERT_TRUE(SaveModel(path, GoldenModel(true)).ok());
+  EXPECT_EQ(FileHex(path),
+      "504d4b4d010000000200000000000000020000000000000001000000"
+      "000000000000000000000240000000000000b03f0500000000000000"
+      "0100000000000000000000000000f83f000000000000008034333333"
+      "3333d33f01000000000000000000000000000840000000000000e03f"
+      "0300000000000000010000000000000001000000e8c5256672942bbf");
 }
 
 TEST_F(SerializeTest, LoadedModelPredictsIdentically) {

@@ -86,6 +86,30 @@ TEST_F(ManifestTest, Crc32cKnownVectors) {
   EXPECT_EQ(Crc32c(s, 9), 0xe3069283u);
 }
 
+TEST_F(ManifestTest, GoldenHeaderAndRecordFrame) {
+  // The 8-byte file header and one record frame, pinned as hex:
+  // [magic][version] then [len u32][type u32][seq u64][payload][crc32c].
+  const std::string path = JournalPath();
+  {
+    auto writer = JournalWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE(
+        writer->Append(0x01020304u, std::vector<uint8_t>{0xde, 0xad, 0xbe})
+            .ok());
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (char c : ReadAll(path)) {
+    const auto byte = static_cast<uint8_t>(c);
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  EXPECT_EQ(hex,
+      "504d4b4a0100000003000000040302010100000000000000deadbed0"
+      "566d7c");
+}
+
 TEST_F(ManifestTest, EmptyAndMissingJournals) {
   auto missing = RecoverJournal(JournalPath("absent.pmkj"));
   ASSERT_TRUE(missing.ok()) << missing.status();

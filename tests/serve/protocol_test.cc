@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "data/manifest.h"
 #include "stream/ops.h"
@@ -394,6 +395,37 @@ TEST(ModelSetCodecTest, BitExactRoundtrip) {
   // -0.0 must stay -0.0 (EXPECT_EQ(0.0, -0.0) passes, so check the sign
   // bit explicitly).
   EXPECT_TRUE(std::signbit(back.model.centroids(1, 1)));
+}
+
+TEST(ModelSetCodecTest, MalformedModelValuesRejected) {
+  // CRC-clean model sets whose model would CHECK-crash the client later
+  // (ClusteringModel::ToWeighted): a NaN weight, a negative weight, a NaN
+  // centroid coordinate, and k = 0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  CellClustering good;
+  good.cell = GridCellId{2, 5};
+  good.model.centroids = Dataset(2);
+  const double rows[2][2] = {{1.0, 2.0}, {3.0, 4.0}};
+  good.model.centroids.Append(rows[0]);
+  good.model.centroids.Append(rows[1]);
+  good.model.weights = {10.0, 0.0};
+  {
+    std::map<GridCellId, CellClustering> cells{{good.cell, good}};
+    ASSERT_TRUE(DecodeModelSet(EncodeModelSet(cells)).ok());
+  }
+  std::vector<CellClustering> bad(4, good);
+  bad[0].model.weights[1] = nan;
+  bad[1].model.weights[0] = -1.0;
+  bad[2].model.centroids = Dataset(2);
+  const double nan_row[2] = {nan, 1.0};
+  bad[2].model.centroids.Append(nan_row);
+  bad[2].model.centroids.Append(rows[1]);
+  bad[3].model.centroids = Dataset(2);
+  bad[3].model.weights.clear();
+  for (const CellClustering& cell : bad) {
+    std::map<GridCellId, CellClustering> cells{{cell.cell, cell}};
+    EXPECT_FALSE(DecodeModelSet(EncodeModelSet(cells)).ok());
+  }
 }
 
 TEST(ModelSetCodecTest, AbsurdCellCountRejected) {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,29 @@ TEST_F(CheckpointTest, CellCompletePayloadRoundTrip) {
   ExpectCellsEqual(cell, *decoded);
 }
 
+std::string Hex(std::span<const uint8_t> bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t byte : bytes) {
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  return hex;
+}
+
+TEST_F(CheckpointTest, CellCompletePayloadGoldenBytes) {
+  // The kCellComplete payload layout, pinned as hex: version, cell id,
+  // counters, merge time, the centroid dataset, the count-prefixed
+  // weights, sse, mse, iterations, converged.
+  EXPECT_EQ(Hex(EncodeCellComplete(MakeCell(3))),
+      "0100000003000000fdffffff39300000000000002800000000000000"
+      "000000000000c03f0300000000000000020000000000000000000000"
+      "0000f83f00000000000000800100000000000000a0c8eb85f3cce17f"
+      "00000000000002c0343333333333d33f020000000000000000000000"
+      "00c08240000000000000e03fe4c164934d364540c5505227f9266c3f"
+      "110000000000000001000000");
+}
+
 TEST_F(CheckpointTest, DecodeRejectsTruncatedAndGarbagePayloads) {
   const std::vector<uint8_t> payload = EncodeCellComplete(MakeCell(1));
   for (size_t len = 0; len < payload.size(); ++len) {
@@ -135,6 +159,40 @@ TEST_F(CheckpointTest, DecodeRejectsTruncatedAndGarbagePayloads) {
     garbage[i] = static_cast<uint8_t>(i * 37 + 11);
   }
   EXPECT_FALSE(DecodeCellComplete(garbage).ok());
+}
+
+// Model bodies the encoder writes faithfully but no decoder may accept:
+// a NaN weight, a negative weight, a NaN centroid coordinate, and k = 0.
+std::vector<CellClustering> MalformedModelCells() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<CellClustering> cells(4, MakeCell(5));
+  cells[0].model.weights[1] = nan;
+  cells[1].model.weights[0] = -1.0;
+  cells[2].model.centroids = MustDataset(3, {1.5, nan, 0.0, 1.0, 2.0, 3.0});
+  cells[3].model.centroids = Dataset(3);
+  cells[3].model.weights.clear();
+  return cells;
+}
+
+TEST_F(CheckpointTest, MalformedModelValuesAreRejectedAndDropped) {
+  for (const CellClustering& cell : MalformedModelCells()) {
+    const auto decoded = DecodeCellComplete(EncodeCellComplete(cell));
+    EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status();
+  }
+  // Journaled, each one is a CRC-valid record that replay drops.
+  {
+    auto writer = CheckpointWriter::Open(Options(), 5);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (const CellClustering& cell : MalformedModelCells()) {
+      ASSERT_TRUE(writer->AppendCellComplete(cell).ok());
+    }
+    ASSERT_TRUE(writer->AppendCellComplete(MakeCell(1)).ok());
+  }
+  auto loaded = LoadCheckpoint(CkptDir());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->records_dropped, 4u);
+  ASSERT_EQ(loaded->completed.size(), 1u);
+  EXPECT_EQ(loaded->completed.begin()->first, (GridCellId{1, -1}));
 }
 
 TEST_F(CheckpointTest, WriterStateReplaysThroughLoad) {
@@ -283,6 +341,25 @@ class CheckpointEngineTest : public CheckpointTest {
     WriteJournal(journal);
   }
 
+  // The SaveModel bytes of every cell in `a` equal those in `b`.
+  void ExpectModelFilesEqual(const StreamRunResult& a,
+                             const StreamRunResult& b) const {
+    const auto model_bytes = [this](const ClusteringModel& model) {
+      const std::string path = (dir_ / "model.pmkm").string();
+      EXPECT_TRUE(SaveModel(path, model).ok());
+      std::ifstream in(path, std::ios::binary);
+      return std::string(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+    };
+    ASSERT_EQ(a.cells.size(), b.cells.size());
+    for (const auto& [id, cell] : a.cells) {
+      SCOPED_TRACE(id.ToString());
+      auto it = b.cells.find(id);
+      ASSERT_NE(it, b.cells.end());
+      EXPECT_TRUE(model_bytes(cell.model) == model_bytes(it->second.model));
+    }
+  }
+
   PipelineBuilder Builder(bool accelerate = true) const {
     KMeansConfig partial;
     partial.k = 4;
@@ -378,20 +455,7 @@ TEST_F(CheckpointEngineTest, PruningSwitchDoesNotBlockResume) {
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->report.cells_resumed, 1u);
 
-  const auto model_bytes = [this](const ClusteringModel& model) {
-    const std::string path = (dir_ / "model.pmkm").string();
-    EXPECT_TRUE(SaveModel(path, model).ok());
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  ASSERT_EQ(resumed->cells.size(), reference->cells.size());
-  for (const auto& [id, cell] : reference->cells) {
-    SCOPED_TRACE(id.ToString());
-    auto it = resumed->cells.find(id);
-    ASSERT_NE(it, resumed->cells.end());
-    EXPECT_TRUE(model_bytes(cell.model) == model_bytes(it->second.model));
-  }
+  ExpectModelFilesEqual(*reference, *resumed);
 }
 
 TEST_F(CheckpointEngineTest, UnknownRecordTypesAreSkippedOnResume) {
@@ -426,6 +490,42 @@ TEST_F(CheckpointEngineTest, UnknownRecordTypesAreSkippedOnResume) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->run_complete);
   EXPECT_EQ(loaded->completed.size(), 3u);
+}
+
+TEST_F(CheckpointEngineTest, MalformedCellRecordIsDroppedAndRecomputed) {
+  // A CRC-valid kCellComplete record whose model holds a NaN centroid
+  // must not resume: replay drops it, the cell is clustered again, and
+  // every model file equals an uninterrupted run's.
+  const std::vector<std::string> paths = WriteBuckets(3, 400);
+  auto reference = Builder().Run(paths);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(Builder().WithCheckpoint(CkptDir()).Run(paths).ok());
+  KeepJournalRecords(1);  // kRunBegin only
+  CellClustering poisoned = reference->cells.begin()->second;
+  std::vector<double> values = poisoned.model.centroids.values();
+  values[0] = std::numeric_limits<double>::quiet_NaN();
+  poisoned.model.centroids =
+      MustDataset(poisoned.model.centroids.dim(), std::move(values));
+  {
+    auto journal = JournalWriter::Open(CheckpointJournalPath(CkptDir()));
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE(
+        journal
+            ->Append(static_cast<uint32_t>(CheckpointRecordType::kCellComplete),
+                     EncodeCellComplete(poisoned))
+            .ok());
+    ASSERT_TRUE(journal->Close().ok());
+  }
+  auto loaded = LoadCheckpoint(CkptDir());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->records_dropped, 1u);
+  EXPECT_TRUE(loaded->completed.empty());
+
+  auto resumed = Builder().WithCheckpoint(CkptDir()).Run(paths);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->report.cells_resumed, 0u);
+  EXPECT_EQ(resumed->report.checkpoint_cells, 3u);
+  ExpectModelFilesEqual(*reference, *resumed);
 }
 
 TEST_F(CheckpointEngineTest, NoResumeRecomputesEverything) {

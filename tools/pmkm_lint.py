@@ -65,6 +65,13 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 are wired in one place. Likewise, constructing the raw
                 stream Executor outside the engine bypasses supervision;
                 only stream/engine.cc and tests may build one directly.
+  byte-codec    Library code (src/) packs and unpacks little-endian
+                integers only through common/bytes.h (Put*/Store*/Load*,
+                ByteReader), the one codec under model files, journal
+                records and serve frames. A shift-and-cast byte store
+                (`static_cast<uint8_t>(v >> 8)`) or load
+                (`static_cast<uint32_t>(p[1]) << 8`) anywhere else is a
+                private copy of it, free to drift from the others.
 
 Suppression: append `// pmkm-lint: allow(<rule>)` to the offending line
 (or the line above) together with a comment justifying the exception.
@@ -104,6 +111,8 @@ RULES = {
     "persist": "binary persistence outside the crash-safe commit paths",
     "direct-run": "pipeline run outside PipelineBuilder (retired entry "
                   "points / raw Executor)",
+    "byte-codec": "hand-rolled little-endian packing outside "
+                  "common/bytes.h",
 }
 
 # Directories scanned when no explicit file list is given.
@@ -137,6 +146,13 @@ BINARY_OFSTREAM_RE = re.compile(
     r"std::ofstream\b[^;\n]*std::ios(?:_base)?::binary")
 DIRECT_RUN_RE = re.compile(r"\bRunPartialMergeStream(?:InMemory)?\b")
 RAW_EXECUTOR_RE = re.compile(r"\bExecutor\s+\w+\s*[({;]|\bExecutor\s*\(")
+# A byte store `static_cast<uint8_t>(v >> 8)` or a byte load
+# `static_cast<uint32_t>(p[1]) << 8`, for any whole-byte shift.
+BYTE_SHIFT = r"(?:8|16|24|32|40|48|56)\b"
+BYTE_CODEC_RE = re.compile(
+    r"static_cast<u?int8_t>\([^()]*>>\s*" + BYTE_SHIFT + r"|"
+    r"static_cast<u?int(?:16|32|64)_t>\(\s*[\w.>\-]+\s*\[[^\]]*\]\s*\)"
+    r"\s*<<\s*" + BYTE_SHIFT)
 
 
 def strip_comments_and_strings(text):
@@ -290,6 +306,7 @@ def lint_file(root, relpath):
         os.path.join("src", "obs", "profiler.cc"),
         os.path.join("src", "serve", "daemon.cc"))
     fault_def_file = relpath == os.path.join("src", "common", "fault.h")
+    byte_codec_file = relpath == os.path.join("src", "common", "bytes.h")
     # The two modules that *implement* the crash-safe commit protocol.
     persist_exempt = relpath in (
         os.path.join("src", "data", "io.h"),
@@ -331,6 +348,10 @@ def lint_file(root, relpath):
                       "signal handler installed outside the sanctioned "
                       "installers (obs/profiler.cc, serve/daemon.cc); "
                       "wire process signals in tools/ instead")
+            if not byte_codec_file and BYTE_CODEC_RE.search(line):
+                check(lineno, "byte-codec",
+                      "hand-rolled little-endian packing; use the "
+                      "common/bytes.h codec (Put*/Store*/Load*, ByteReader)")
             if not persist_exempt:
                 if RENAME_RE.search(line):
                     check(lineno, "persist",
