@@ -1,11 +1,16 @@
 // M1 — micro-benchmarks (google-benchmark) for the kernels the experiment
 // harnesses are built on: distance evaluation, the kernels' batch
-// nearest-centroid assignment (BM_AssignBlock*), one Lloyd iteration,
+// nearest-centroid assignment (BM_AssignBlock*), the pruned pass's bound
+// test (BM_PruneBlock), one Lloyd iteration,
 // partial clustering of a chunk, queue throughput, and the observability
 // primitives (to police the zero-cost-when-disabled budget of DESIGN.md
 // §9).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "cluster/distance.h"
 #include "cluster/kernels/kernel.h"
@@ -143,6 +148,55 @@ void BM_AssignBlockSecond(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+void BM_PruneBlock(benchmark::State& state, const DistanceKernel* kernel,
+                   size_t dim) {
+  // The pruned pass's bound test for one 256-point tile, k=40, with the
+  // bounds and drift of a real pass: the tile's bounds come from a scan
+  // against the centroids after 8 Lloyd iterations, and the pass tests
+  // them against the centroids after 9.
+  const size_t n = 256;
+  const size_t k = 40;
+  const WeightedDataset data =
+      WeightedDataset::FromUnweighted(MakePoints(2730, dim, 4));
+  Rng seed_rng(5);
+  auto seeds = SelectSeeds(data, k, SeedingMethod::kRandom, &seed_rng);
+  auto centroids_after = [&](size_t iterations) {
+    LloydConfig config;
+    config.epsilon = 0.0;
+    config.max_iterations = iterations;
+    Rng rng(6);
+    return RunWeightedLloyd(data, *seeds, config, &rng)->centroids;
+  };
+  const Dataset before = centroids_after(8);
+  const Dataset after = centroids_after(9);
+  CentroidBlock block;
+  block.Load(before);
+  std::vector<uint32_t> assign(n);
+  std::vector<double> dist2(n), lower(n);
+  kernel->AssignBlock(data.points().data(), n, dim, block, assign.data(),
+                      dist2.data(), lower.data());
+  for (double& l : lower) l = std::sqrt(l) * (1.0 - kPruneSlack);
+  block.Load(after);
+  std::vector<double> drift(k), s(k);
+  kernel->CentroidDriftAndSeparation(before.data(), after.data(), block, k,
+                                     dim, drift.data(), s.data());
+  const double shift =
+      *std::max_element(drift.begin(), drift.end()) * (1.0 + kPruneSlack);
+  std::vector<double> decayed(n);
+  std::vector<uint32_t> rows(n);
+  for (auto _ : state) {
+    // Each iteration decays a fresh copy, as one pass does.
+    std::copy(lower.begin(), lower.end(), decayed.begin());
+    const size_t m = kernel->PruneBlock(
+        data.points().data(), n, dim, after.data(), assign.data(), s.data(),
+        shift, decayed.data(), dist2.data(), rows.data());
+    benchmark::DoNotOptimize(m);
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 void RegisterKernelSweeps() {
   for (const DistanceKernel* kernel : AvailableKernels()) {
     for (size_t dim : {6u, 16u, 64u}) {
@@ -154,6 +208,9 @@ void RegisterKernelSweeps() {
                                    BM_AssignBlockSecond, kernel, dim,
                                    size_t{40});
     }
+    benchmark::RegisterBenchmark(
+        ("BM_PruneBlock/" + std::string(kernel->name()) + "/d6").c_str(),
+        BM_PruneBlock, kernel, size_t{6});
     // The small-k shapes of the many_cells_io (k=4) and serve (k=8)
     // benchmark workloads.
     for (size_t k : {4u, 8u}) {

@@ -14,8 +14,8 @@
 #      nondeterminism on top of the engine);
 #   4. across distance kernels (--kernel=auto vs the scalar reference:
 #      the bound-pruned assignment takes a skipped point's distance from
-#      a scalar loop and a scanned point's from the SIMD kernel, so the
-#      two must agree bit for bit).
+#      the kernel's PruneBlock and a scanned point's from its
+#      AssignBlock, so the two must agree bit for bit on every kernel).
 #
 # Every run is cmp'd file-by-file against the --cores=1 reference.
 #

@@ -23,7 +23,6 @@ namespace pmkm {
 /// every DistanceKernel lane (one accumulator, ascending d, separate
 /// multiply and add), so it is bitwise equal to the kernels' distance for
 /// the pair — which holds only because src/ builds with -ffp-contract=off.
-/// The pruned assignment step in lloyd.cc relies on that equality.
 inline double SquaredL2(const double* a, const double* b, size_t dim) {
   double acc = 0.0;
   for (size_t d = 0; d < dim; ++d) {

@@ -38,6 +38,15 @@
 //  - padded lanes (CentroidBlock columns j >= k hold +inf coordinates)
 //    produce +inf or NaN distances and can never win or become second
 //    ahead of a real centroid's finite distance.
+//
+// PruneBlock runs the scalar reference's per-point arithmetic (PruneRows
+// in kernels/scalar.cc) 4 points at a time, one point per lane: the same
+// ascending-d mul + add distance to the point's own centroid (the 4 rows
+// are transposed into lanes two coordinates at a time), _mm256_sqrt_pd
+// (IEEE √ is correctly rounded, like std::sqrt), ordered compares (false
+// on NaN), and _mm256_max_pd(l, s), which returns s unless l > s —
+// exactly std::max(s, l). A tail of fewer than 4 points runs the
+// reference.
 
 #include "cluster/kernels/internal.h"
 
@@ -83,6 +92,44 @@ inline __m256d Distance4(const double* x, const double* ct, size_t kp,
 inline __m256d AddSquaredDiff(__m256d acc, __m256d x, __m256d c) {
   const __m256d diff = _mm256_sub_pd(x, c);
   return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+}
+
+// Coordinates d and d + 1 of 4 rows, transposed into lanes: *lo holds
+// row p's coordinate d in lane p, *hi its coordinate d + 1. Two 128-bit
+// inserts and two in-lane unpacks, where building each column from 4
+// scalars would take 3 cross-lane shuffles.
+inline void LoadColumnPair(const double* const rows[kBlockPoints], size_t d,
+                           __m256d* lo, __m256d* hi) {
+  const __m256d r02 = _mm256_insertf128_pd(
+      _mm256_castpd128_pd256(_mm_loadu_pd(rows[0] + d)),
+      _mm_loadu_pd(rows[2] + d), 1);
+  const __m256d r13 = _mm256_insertf128_pd(
+      _mm256_castpd128_pd256(_mm_loadu_pd(rows[1] + d)),
+      _mm_loadu_pd(rows[3] + d), 1);
+  *lo = _mm256_unpacklo_pd(r02, r13);
+  *hi = _mm256_unpackhi_pd(r02, r13);
+}
+
+// Lane p: ‖x[p] − c[p]‖², accumulated in ascending-d order (one mul + one
+// add per coordinate, matching the scalar kernel).
+inline __m256d PairDistances(const double* const x[kBlockPoints],
+                             const double* const c[kBlockPoints],
+                             size_t dim) {
+  __m256d acc = _mm256_setzero_pd();
+  size_t d = 0;
+  for (; d + 2 <= dim; d += 2) {
+    __m256d x0, x1, c0, c1;
+    LoadColumnPair(x, d, &x0, &x1);
+    LoadColumnPair(c, d, &c0, &c1);
+    acc = AddSquaredDiff(acc, x0, c0);
+    acc = AddSquaredDiff(acc, x1, c1);
+  }
+  if (d < dim) {
+    acc = AddSquaredDiff(acc,
+                         _mm256_setr_pd(x[0][d], x[1][d], x[2][d], x[3][d]),
+                         _mm256_setr_pd(c[0][d], c[1][d], c[2][d], c[3][d]));
+  }
+  return acc;
 }
 
 // Phase 1: out[p][j − j_begin] = ‖x[p] − c_j‖² for the 4 points and the
@@ -159,7 +206,8 @@ class Avx2DistanceKernel final : public DistanceKernel {
 
   void AssignBlock(const double* points, size_t n, size_t dim,
                    const CentroidBlock& centroids, uint32_t* assign,
-                   double* dist2, double* second2) const override {
+                   double* dist2, double* second2,
+                   const uint32_t* rows) const override {
     const size_t k = centroids.k();
     const size_t kp = centroids.padded_k();
     const double* ct = centroids.transposed();
@@ -172,10 +220,11 @@ class Avx2DistanceKernel final : public DistanceKernel {
     for (size_t i = 0; i < n; i += kBlockPoints) {
       // A short tail block repeats its last point; only real rows are
       // written back.
-      const size_t rows = std::min(kBlockPoints, n - i);
+      const size_t live = std::min(kBlockPoints, n - i);
       const double* x[kBlockPoints];
       for (size_t p = 0; p < kBlockPoints; ++p) {
-        x[p] = points + (i + std::min(p, rows - 1)) * dim;
+        const size_t r = i + std::min(p, live - 1);
+        x[p] = points + (rows != nullptr ? rows[r] : r) * dim;
       }
       LaneArgmin st[kBlockPoints];
       for (LaneArgmin& lane : st) lane = {inf, inf, lanes};
@@ -192,7 +241,7 @@ class Avx2DistanceKernel final : public DistanceKernel {
           j = _mm256_add_pd(j, four);
         }
       }
-      for (size_t p = 0; p < rows; ++p) {
+      for (size_t p = 0; p < live; ++p) {
         const __m256d best = LaneMin(st[p].m);
         const __m256d tied = _mm256_cmp_pd(st[p].m, best, _CMP_EQ_OQ);
         const __m256d j = LaneMin(_mm256_blendv_pd(inf, st[p].idx, tied));
@@ -207,6 +256,51 @@ class Avx2DistanceKernel final : public DistanceKernel {
         }
       }
     }
+  }
+
+  size_t PruneBlock(const double* points, size_t n, size_t dim,
+                    const double* centroids, const uint32_t* assign,
+                    const double* s, double shift, double* lower,
+                    double* dist2, uint32_t* rows) const override {
+    const bool decay = shift > 0.0;
+    const __m256d shift4 = _mm256_set1_pd(shift);
+    const __m256d shrink = _mm256_set1_pd(1.0 - kPruneSlack);
+    const __m256d grow = _mm256_set1_pd(1.0 + kPruneSlack);
+    const __m256d min_bound = _mm256_set1_pd(kPruneMinBound);
+    const __m256d max_bound = _mm256_set1_pd(kPruneMaxBound);
+    size_t m = 0;
+    size_t t = 0;
+    for (; t + kBlockPoints <= n; t += kBlockPoints) {
+      const uint32_t a0 = assign[t], a1 = assign[t + 1];
+      const uint32_t a2 = assign[t + 2], a3 = assign[t + 3];
+      const double* const x[kBlockPoints] = {
+          points + t * dim, points + (t + 1) * dim, points + (t + 2) * dim,
+          points + (t + 3) * dim};
+      const double* const c[kBlockPoints] = {
+          centroids + a0 * dim, centroids + a1 * dim, centroids + a2 * dim,
+          centroids + a3 * dim};
+      const __m256d d2 = PairDistances(x, c, dim);
+      __m256d l = _mm256_loadu_pd(lower + t);
+      if (decay) {
+        l = _mm256_mul_pd(_mm256_sub_pd(l, shift4), shrink);
+        _mm256_storeu_pd(lower + t, l);
+      }
+      const __m256d sa = _mm256_setr_pd(s[a0], s[a1], s[a2], s[a3]);
+      const __m256d bound = _mm256_mul_pd(_mm256_max_pd(l, sa), shrink);
+      const __m256d in_range =
+          _mm256_and_pd(_mm256_cmp_pd(bound, min_bound, _CMP_GT_OQ),
+                        _mm256_cmp_pd(bound, max_bound, _CMP_LT_OQ));
+      const __m256d proven = _mm256_cmp_pd(
+          _mm256_mul_pd(_mm256_sqrt_pd(d2), grow), bound, _CMP_LT_OQ);
+      const int pruned = _mm256_movemask_pd(_mm256_and_pd(in_range, proven));
+      _mm256_storeu_pd(dist2 + t, d2);
+      for (size_t p = 0; p < kBlockPoints; ++p) {
+        rows[m] = static_cast<uint32_t>(t + p);
+        m += ((pruned >> p) & 1) ^ 1;
+      }
+    }
+    return PruneRows(points, t, n, dim, centroids, assign, s, shift, lower,
+                     dist2, rows, m);
   }
 
   void AccumulateBlock(const double* points, const double* weights,

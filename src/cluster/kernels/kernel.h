@@ -22,8 +22,9 @@
 //    permute-based cross-lane reduction (kernels/avx2.cc shows why that
 //    equals the scan). Assignments, and therefore centroids, are bitwise
 //    identical across scalar/AVX2/NEON. The pruned Lloyd assignment
-//    (cluster/lloyd.cc) relies on this: it takes a skipped point's
-//    distance from a scalar loop with the same per-lane operation order.
+//    (cluster/lloyd.cc) relies on this: PruneBlock computes a skipped
+//    point's distance to its own centroid in the same per-lane operation
+//    order, and AssignBlock scans the survivors through their row list.
 
 #ifndef PMKM_CLUSTER_KERNELS_KERNEL_H_
 #define PMKM_CLUSTER_KERNELS_KERNEL_H_
@@ -51,6 +52,14 @@ const char* KernelKindToString(KernelKind kind);
 
 /// Parses "auto" | "scalar" | "avx2" | "neon" (the --kernel flag values).
 Result<KernelKind> ParseKernelKind(const std::string& name);
+
+/// The bound arithmetic of the pruned Lloyd pass, shared by PruneBlock
+/// and the bound refresh in cluster/lloyd.cc: the relative slack δ that
+/// absorbs rounding, and the open range a bound must lie in to be used
+/// (kernels/scalar.cc states the exactness argument).
+inline constexpr double kPruneSlack = 1e-9;
+inline constexpr double kPruneMinBound = 1e-100;
+inline constexpr double kPruneMaxBound = 1e100;
 
 /// Centroids repacked for the kernels: transposed (coordinate-major) and
 /// padded to a lane multiple. Element (j, d) lives at
@@ -94,12 +103,31 @@ class DistanceKernel {
   /// Assignment for a tile: for each of the n row-major points, the index
   /// of the nearest centroid (ties to the lower index) and its exact
   /// squared distance. `second2`, when non-null, additionally receives the
-  /// second-smallest squared distance (the Hamerly lower bound).
+  /// second-smallest squared distance (the Hamerly lower bound). `rows`,
+  /// when non-null, selects the points: output p is for the point at
+  /// points + rows[p]·dim.
   virtual void AssignBlock(const double* points, size_t n, size_t dim,
                            const CentroidBlock& centroids, uint32_t* assign,
-                           double* dist2,
-                           double* second2 = nullptr) const PMKM_WAITFREE
-      PMKM_DETERMINISTIC = 0;
+                           double* dist2, double* second2 = nullptr,
+                           const uint32_t* rows = nullptr) const
+      PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
+
+  /// The bound test of a pruned Lloyd pass over a tile of n row-major
+  /// points. `centroids` is row-major k×dim, assign[t] is point t's
+  /// current centroid a, s[a] is half the distance from c_a to its
+  /// nearest other centroid, and lower[t] bounds from below the point's
+  /// distance to every other centroid. Per point: when shift > 0 the
+  /// bound decays to l = (lower[t] − shift)·(1 − δ) and is written back;
+  /// dist2[t] = ‖x − c_a‖² in the per-lane operation order; and the
+  /// point is pruned iff b = max(s[a], l)·(1 − δ) lies strictly between
+  /// kPruneMinBound and kPruneMaxBound and √dist2[t]·(1 + δ) < b. The
+  /// tile indices of the points not pruned go to rows[0, m) in ascending
+  /// order, and m is returned; `rows` must hold n entries.
+  virtual size_t PruneBlock(const double* points, size_t n, size_t dim,
+                            const double* centroids, const uint32_t* assign,
+                            const double* s, double shift, double* lower,
+                            double* dist2, uint32_t* rows) const
+      PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
 
   /// Weighted-sum scatter for a tile: for each point i,
   /// sums[assign[i]*dim + d] += w_i * x_i[d] and

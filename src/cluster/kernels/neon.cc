@@ -46,7 +46,8 @@ class NeonDistanceKernel final : public DistanceKernel {
 
   void AssignBlock(const double* points, size_t n, size_t dim,
                    const CentroidBlock& centroids, uint32_t* assign,
-                   double* dist2, double* second2) const override {
+                   double* dist2, double* second2,
+                   const uint32_t* rows) const override {
     const size_t k = centroids.k();
     const size_t kp = centroids.padded_k();
     const double* ct = centroids.transposed();
@@ -54,7 +55,7 @@ class NeonDistanceKernel final : public DistanceKernel {
 
     const int64_t init_j[2] = {0, 1};
     for (size_t i = 0; i < n; ++i) {
-      const double* x = points + i * dim;
+      const double* x = points + (rows != nullptr ? rows[i] : i) * dim;
       float64x2_t best_d = vdupq_n_f64(kInf);
       float64x2_t second_d = vdupq_n_f64(kInf);
       int64x2_t best_j = vld1q_s64(init_j);
@@ -85,6 +86,16 @@ class NeonDistanceKernel final : public DistanceKernel {
       dist2[i] = bd[w];
       if (second2 != nullptr) second2[i] = d_second;
     }
+  }
+
+  // The shared scalar reference: no NEON code here that the x86-64 parity
+  // tests could not reach.
+  size_t PruneBlock(const double* points, size_t n, size_t dim,
+                    const double* centroids, const uint32_t* assign,
+                    const double* s, double shift, double* lower,
+                    double* dist2, uint32_t* rows) const override {
+    return PruneRows(points, 0, n, dim, centroids, assign, s, shift, lower,
+                     dist2, rows, 0);
   }
 
   void AccumulateBlock(const double* points, const double* weights,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "cluster/distance.h"
 #include "cluster/kernels/kernel.h"
 
 namespace pmkm {
@@ -16,12 +15,6 @@ namespace {
 constexpr size_t kAssignTile = 256;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Relative slack δ of the pruning test, and the range a bound must lie in
-// to be used at all (see Assigner::AssignTile).
-constexpr double kSlack = 1e-9;
-constexpr double kMinBound = 1e-100;
-constexpr double kMaxBound = 1e100;
 
 // The assignment step (the paper's step 2). Every pass yields, for each
 // point, exactly the (assign, dist2) a full kernel.AssignBlock scan would.
@@ -44,14 +37,14 @@ class Assigner {
     drift_.resize(k);
     s_.resize(k);
     second2_.resize(tile_cap);
-    gather_points_.resize(tile_cap * dim_);
-    gather_assign_.resize(tile_cap);
-    gather_dist2_.resize(tile_cap);
-    gather_idx_.resize(tile_cap);
+    rows_.resize(tile_cap);
+    scan_assign_.resize(tile_cap);
+    scan_dist2_.resize(tile_cap);
   }
 
   /// Starts a pass against `centroids`. The pass scans every point unless
-  /// the bounds left by the previous pass are still valid.
+  /// the bounds left by the previous pass are still valid; then PruneBlock
+  /// lowers each bound by the largest centroid drift as it tests it.
   void BeginPass(const Dataset& centroids) {
     block_.Load(centroids);
     if (!prune_) return;
@@ -65,10 +58,7 @@ class Assigner {
       for (double d : drift_) {
         max_drift = std::isnan(d) ? kInf : std::max(max_drift, d);
       }
-      if (max_drift > 0.0) {
-        const double shift = max_drift * (1.0 + kSlack);
-        for (double& l : lower_) l = (l - shift) * (1.0 - kSlack);
-      }
+      shift_ = max_drift > 0.0 ? max_drift * (1.0 + kPruneSlack) : 0.0;
     }
     std::copy(c, c + k_ * dim_, centroids_.begin());
   }
@@ -82,60 +72,32 @@ class Assigner {
   /// previous pass's assignments on entry.
   void AssignTile(size_t i0, size_t tile, uint32_t* assign, double* dist2) {
     const double* points = points_ + i0 * dim_;
+    double* lower = lower_.data() + i0;
     if (!pruned_pass_) {
       kernel_.AssignBlock(points, tile, dim_, block_, assign + i0, dist2,
                           prune_ ? second2_.data() : nullptr);
       if (prune_) {
         for (size_t t = 0; t < tile; ++t) {
-          lower_[i0 + t] = std::sqrt(second2_[t]) * (1.0 - kSlack);
+          lower[t] = std::sqrt(second2_[t]) * (1.0 - kPruneSlack);
         }
       }
       return;
     }
-    // Exactness. Let D_j be the exact distance from x to centroid j and a
-    // the point's previous assignment. The scan returns (a, fl(d²_a)) iff
-    // fl(d²_j) > fl(d²_a) for every j ≠ a (strict, so tie-breaking by
-    // index never comes into play). A computed squared distance is within
-    // a relative γ ≈ (dim + 2)·2⁻⁵³ of D², so D_j > D_a·(1 + 2γ) for all
-    // j ≠ a suffices. The test below implies that, since δ = kSlack ≫ γ:
-    //  - l[i] ≤ min_{j≠a} D_j is invariant. A scan sets l[i] to
-    //    √fl(second2)·(1 − δ); a pass whose centroids moved by at most M
-    //    lowers it to (l[i] − M·(1 + δ))·(1 − δ). The (1 ± δ) factors
-    //    absorb the rounding of √, of M and of the subtraction, so each
-    //    update lands below the exact bound and no error accumulates.
-    //  - s[a] is ½·min_{j≠a} ‖c_a − c_j‖ up to γ, and the triangle
-    //    inequality gives D_j ≥ 2·s[a] − D_a.
-    // Bounds outside [kMinBound, kMaxBound] are not used, so no square
-    // involved under- or overflows. NaN compares false and falls through
-    // to the scan.
-    //
-    // The compaction is branch-free: every point writes dist2[t] and the
-    // next gather slot, and only a point that needs the scan advances m
-    // (its dist2[t] is overwritten from the scan below).
-    const double* centroids = centroids_.data();
-    size_t m = 0;
-    for (size_t t = 0; t < tile; ++t) {
-      const size_t i = i0 + t;
-      const size_t a = assign[i];
-      const double* x = points + t * dim_;
-      const double d2 = SquaredL2(x, centroids + a * dim_, dim_);
-      const double bound = std::max(s_[a], lower_[i]) * (1.0 - kSlack);
-      const bool pruned = (bound > kMinBound) & (bound < kMaxBound) &
-                          (std::sqrt(d2) * (1.0 + kSlack) < bound);
-      dist2[t] = d2;
-      std::copy(x, x + dim_, gather_points_.data() + m * dim_);
-      gather_idx_[m] = t;
-      m += !pruned;
-    }
+    // The points PruneBlock cannot prove stable are scanned in place,
+    // through their row list; its exactness argument is in
+    // kernels/scalar.cc.
+    const size_t m = kernel_.PruneBlock(points, tile, dim_,
+                                        centroids_.data(), assign + i0,
+                                        s_.data(), shift_, lower, dist2,
+                                        rows_.data());
     if (m == 0) return;
-    kernel_.AssignBlock(gather_points_.data(), m, dim_, block_,
-                        gather_assign_.data(), gather_dist2_.data(),
-                        second2_.data());
+    kernel_.AssignBlock(points, m, dim_, block_, scan_assign_.data(),
+                        scan_dist2_.data(), second2_.data(), rows_.data());
     for (size_t g = 0; g < m; ++g) {
-      const size_t t = gather_idx_[g];
-      assign[i0 + t] = gather_assign_[g];
-      dist2[t] = gather_dist2_[g];
-      lower_[i0 + t] = std::sqrt(second2_[g]) * (1.0 - kSlack);
+      const size_t t = rows_[g];
+      assign[i0 + t] = scan_assign_[g];
+      dist2[t] = scan_dist2_[g];
+      lower[t] = std::sqrt(second2_[g]) * (1.0 - kPruneSlack);
     }
   }
 
@@ -147,17 +109,17 @@ class Assigner {
   const bool prune_;
   bool bounds_valid_ = false;
   bool pruned_pass_ = false;
+  double shift_ = 0.0;  // this pass's bound decay; 0: no centroid moved
   CentroidBlock block_;
   std::vector<double> lower_;      // l[i], per point
   std::vector<double> centroids_;  // the centroids l[] refers to
   std::vector<double> drift_;
   std::vector<double> s_;
   std::vector<double> second2_;
-  // Points that need the scan, packed for AssignBlock.
-  std::vector<double> gather_points_;
-  std::vector<uint32_t> gather_assign_;
-  std::vector<double> gather_dist2_;
-  std::vector<size_t> gather_idx_;
+  // A tile's points that need the scan, and the scan's packed results.
+  std::vector<uint32_t> rows_;
+  std::vector<uint32_t> scan_assign_;
+  std::vector<double> scan_dist2_;
 };
 
 }  // namespace

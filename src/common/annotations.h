@@ -115,7 +115,7 @@
 #define PMKM_SIGNAL_SAFE PMKM_CTX_ANNOTATION("pmkm_signal_safe")
 
 /// Root of a wait-free hot path (metric Record/Increment, kernel
-/// AssignBlock). Must never allocate, lock, block, or throw
+/// AssignBlock/PruneBlock). Must never allocate, lock, block, or throw
 /// (pmkm_ctxcheck rule `wait-free`).
 #define PMKM_WAITFREE PMKM_CTX_ANNOTATION("pmkm_waitfree")
 

@@ -162,8 +162,8 @@ TEST_P(KernelParityTest, WeightedLloydFitIdenticalAcrossKernels) {
 }
 
 TEST_P(KernelParityTest, HamerlyFitIdenticalAcrossKernels) {
-  // The bound-pruned assignment takes skipped points' distances from a
-  // scalar loop and scanned points' from the kernel, so its output on
+  // The bound-pruned assignment takes skipped points' distances from
+  // PruneBlock and scanned points' from AssignBlock, so its output on
   // every kernel must equal the unpruned scalar fit.
   const size_t dim = GetParam();
   const Dataset points = MakePoints(2000, dim, 22);
@@ -259,6 +259,36 @@ class AssignBlockAdversarialTest : public ::testing::Test {
                                   [](double v) { return v == -1.0; }));
         }
       }
+    }
+    // Through a row list (the pruned pass's survivors): descending, with
+    // gaps and a repeated row, so the block tails land differently. Each
+    // kernel must return what it returns on a gathered copy.
+    std::vector<uint32_t> rows;
+    for (size_t i = n; i-- > 0;) {
+      if (i % 3 != 1) rows.push_back(static_cast<uint32_t>(i));
+    }
+    rows.push_back(0);
+    const size_t m = rows.size();
+    std::vector<double> gathered;
+    for (uint32_t r : rows) {
+      gathered.insert(gathered.end(), points.begin() + r * kDim,
+                      points.begin() + (r + 1) * kDim);
+    }
+    for (const DistanceKernel* kernel : AvailableKernels()) {
+      SCOPED_TRACE(std::string(kernel->name()) + " through rows");
+      std::vector<uint32_t> ref_a(m), assign(m, 0xdeadbeef);
+      std::vector<double> ref_d(m), ref_s(m), dist2(m, -1.0),
+          second2(m, -1.0);
+      kernel->AssignBlock(gathered.data(), m, kDim, block, ref_a.data(),
+                          ref_d.data(), ref_s.data());
+      kernel->AssignBlock(points.data(), m, kDim, block, assign.data(),
+                          dist2.data(), second2.data(), rows.data());
+      EXPECT_EQ(0, std::memcmp(assign.data(), ref_a.data(),
+                               m * sizeof(uint32_t)));
+      EXPECT_EQ(0, std::memcmp(dist2.data(), ref_d.data(),
+                               m * sizeof(double)));
+      EXPECT_EQ(0, std::memcmp(second2.data(), ref_s.data(),
+                               m * sizeof(double)));
     }
     // The per-point scan (Predict, online k-means, histogram encoding)
     // is one more implementation of the same query.
@@ -374,6 +404,98 @@ TEST_F(AssignBlockAdversarialTest, NonFinitePointsAndCentroids) {
       ExpectBitwiseParity(points, *with_nan);
     }
   }
+}
+
+// PruneBlock parity: every kernel's survivor count, survivor rows,
+// decayed bounds and distances (memcmp) must equal the scalar reference's
+// over 4-point tails of every length, dimensions around the vector width,
+// every kind of decay, and bounds that are non-finite or sit exactly on
+// the range limits.
+TEST(PruneBlockParityTest, PruneBlockBitwiseMatchesScalar) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr size_t kK = 9;
+  // A bound l with l·(1 − δ) == limit, when one exists.
+  auto exact_preimage = [](double limit) {
+    double l = limit / (1.0 - kPruneSlack);
+    for (int step = 0; step < 4 && l * (1.0 - kPruneSlack) != limit;
+         ++step) {
+      l = std::nextafter(l, l * (1.0 - kPruneSlack) < limit ? kInf : 0.0);
+    }
+    return l;
+  };
+  const double specials[] = {kNan,
+                             kInf,
+                             -kInf,
+                             0.0,
+                             -0.0,
+                             kPruneMinBound,
+                             kPruneMaxBound,
+                             exact_preimage(kPruneMinBound),
+                             exact_preimage(kPruneMaxBound)};
+  const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
+  size_t total_pruned = 0;
+  size_t total_kept = 0;
+  for (size_t dim : {1u, 5u, 6u, 8u, 17u}) {
+    const Dataset centroids = MakePoints(kK, dim, 110 + dim);
+    CentroidBlock block;
+    block.Load(centroids);
+    std::vector<double> s(kK);
+    scalar.CentroidDriftAndSeparation(nullptr, centroids.data(), block, kK,
+                                      dim, nullptr, s.data());
+    s[1] = kNan;
+    s[2] = kInf;
+    s[3] = kPruneMinBound;
+    s[4] = exact_preimage(kPruneMaxBound);
+    for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 256u}) {
+      Rng rng(120 + n * 31 + dim);
+      // Points near their centroid, so real bounds prune many of them.
+      std::vector<uint32_t> assign(n);
+      std::vector<double> points(n * dim), lower0(n);
+      for (size_t t = 0; t < n; ++t) {
+        assign[t] = t % 3 == 0 ? kK - 1
+                               : static_cast<uint32_t>(rng.UniformInt(kK));
+        const auto c = centroids.Row(assign[t]);
+        for (size_t d = 0; d < dim; ++d) {
+          points[t * dim + d] = c[d] + 0.1 * (rng.UniformDouble() - 0.5);
+        }
+        lower0[t] = rng.UniformInt(3) == 0
+                        ? specials[rng.UniformInt(std::size(specials))]
+                        : 4.0 * s[0] * rng.UniformDouble();
+      }
+      for (double shift : {0.0, 0.25 * s[0], kInf}) {
+        SCOPED_TRACE("dim=" + std::to_string(dim) +
+                     " n=" + std::to_string(n) +
+                     " shift=" + std::to_string(shift));
+        std::vector<double> ref_lower = lower0, ref_dist2(n, -1.0);
+        std::vector<uint32_t> ref_rows(n);
+        const size_t ref_m = scalar.PruneBlock(
+            points.data(), n, dim, centroids.data(), assign.data(), s.data(),
+            shift, ref_lower.data(), ref_dist2.data(), ref_rows.data());
+        ASSERT_LE(ref_m, n);
+        total_kept += ref_m;
+        total_pruned += n - ref_m;
+        for (const DistanceKernel* kernel : AvailableKernels()) {
+          SCOPED_TRACE(kernel->name());
+          std::vector<double> lower = lower0, dist2(n, -1.0);
+          std::vector<uint32_t> rows(n, 0xdeadbeef);
+          const size_t m = kernel->PruneBlock(
+              points.data(), n, dim, centroids.data(), assign.data(),
+              s.data(), shift, lower.data(), dist2.data(), rows.data());
+          ASSERT_EQ(m, ref_m);
+          EXPECT_EQ(0, std::memcmp(rows.data(), ref_rows.data(),
+                                   m * sizeof(uint32_t)));
+          EXPECT_EQ(0, std::memcmp(lower.data(), ref_lower.data(),
+                                   n * sizeof(double)));
+          EXPECT_EQ(0, std::memcmp(dist2.data(), ref_dist2.data(),
+                                   n * sizeof(double)));
+        }
+      }
+    }
+  }
+  // The inputs exercise both outcomes.
+  EXPECT_GT(total_pruned, 0u);
+  EXPECT_GT(total_kept, 0u);
 }
 
 TEST(KernelParityEndToEnd, FitEqualAcrossKernelFlagValues) {

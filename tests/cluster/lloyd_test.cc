@@ -244,9 +244,19 @@ class CountingKernel final : public DistanceKernel {
 
   void AssignBlock(const double* points, size_t n, size_t dim,
                    const CentroidBlock& centroids, uint32_t* assign,
-                   double* dist2, double* second2) const override {
+                   double* dist2, double* second2,
+                   const uint32_t* rows) const override {
     scanned += n;
-    base_.AssignBlock(points, n, dim, centroids, assign, dist2, second2);
+    base_.AssignBlock(points, n, dim, centroids, assign, dist2, second2,
+                      rows);
+  }
+
+  size_t PruneBlock(const double* points, size_t n, size_t dim,
+                    const double* centroids, const uint32_t* assign,
+                    const double* s, double shift, double* lower,
+                    double* dist2, uint32_t* rows) const override {
+    return base_.PruneBlock(points, n, dim, centroids, assign, s, shift,
+                            lower, dist2, rows);
   }
 
   void AccumulateBlock(const double* points, const double* weights,
@@ -323,6 +333,12 @@ TEST_P(HamerlyEquivalence, MatchesPlainLloydFixedPoint) {
   config.max_iterations = 500;
   const ScanCounts scans = ExpectPruningExact(data, *seeds, config);
   EXPECT_LT(scans.pruned, scans.full);  // the bounds actually did something
+  // The counts a per-point scalar bound test recorded: equal counts show
+  // that no pruning decision moved.
+  const std::map<int, ScanCounts> recorded = {
+      {300, {2700, 846}}, {1500, {25500, 4494}}, {6000, {150000, 24390}}};
+  EXPECT_EQ(scans.full, recorded.at(n).full);
+  EXPECT_EQ(scans.pruned, recorded.at(n).pruned);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, HamerlyEquivalence,
@@ -354,6 +370,10 @@ TEST(HamerlyTest, SkipsDominateOnWellSeparatedData) {
   ASSERT_TRUE(seeds.ok());
   const ScanCounts scans = ExpectPruningExact(data, *seeds, LloydConfig{});
   EXPECT_LT(2 * scans.pruned, scans.full);
+  // As recorded by a per-point scalar bound test: only the first pass
+  // scans.
+  EXPECT_EQ(scans.full, 20000u);
+  EXPECT_EQ(scans.pruned, 5000u);
 }
 
 TEST(HamerlyTest, EmptyClusterRepaired) {
@@ -510,6 +530,19 @@ DiffCase MakeDiffCase(const std::string& name) {
     c.seeds = RandomSeeds(c.data, 20);
     c.config.epsilon = 0.0;
     c.config.max_iterations = 300;
+  } else if (name == "chunk_2730") {
+    // The production chunk size: 10 full tiles and a last tile of 170
+    // points, 2 past a multiple of 4.
+    Rng rng(37);
+    c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(2730, &rng));
+    c.seeds = RandomSeeds(c.data, 40);
+  } else if (name == "n1027_d1") {
+    // 3 points past a multiple of 4, one coordinate each.
+    Rng rng(38);
+    spec.dim = 1;
+    c.data =
+        WeightedDataset::FromUnweighted(GenerateMisrLikeCell(1027, &rng, spec));
+    c.seeds = RandomSeeds(c.data, 7);
   } else {
     PMKM_CHECK(false) << "unknown case " << name;
   }
@@ -546,7 +579,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("duplicate_centroids", "integer_grid_ties",
                       "fixed_point_tie", "fixed_point_tie_swapped",
                       "fewer_distinct_than_k", "k1", "k13_d5", "offset_1e6",
-                      "weighted_merge", "epsilon0"),
+                      "weighted_merge", "epsilon0", "chunk_2730",
+                      "n1027_d1"),
     [](const auto& info) { return std::string(info.param); });
 
 TEST(PrunedPipelineTest, SavedModelsMatchFullScanAtOneAndFourCores) {

@@ -29,9 +29,9 @@ from roots annotated in src/common/annotations.h:
                        they ARE the blocking primitives this rule models
                        (allowlist policy, DESIGN.md §16).
   wait-free            PMKM_WAITFREE roots (RollingHistogram::Record,
-                       kernel AssignBlock, metric instruments) never
-                       allocate, lock, block, throw, or call through an
-                       escaping callable. Unknown external calls are
+                       kernel AssignBlock/PruneBlock, metric
+                       instruments) never allocate, lock, block, throw,
+                       or call through an escaping callable. Unknown external calls are
                        tolerated (unlike signal-safe): pure math does not
                        wait.
   bounded-handler      PMKM_BOUNDED_HANDLER roots (debug-server and serve

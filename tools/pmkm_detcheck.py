@@ -11,7 +11,7 @@ nondeterministic byte poisons a cache key or cross-node merge forever).
 Roots are annotated PMKM_DETERMINISTIC in src/common/annotations.h:
 model serialization (SaveModel), the checkpoint cell-complete encoder,
 the serve protocol encoders, and the kernel
-AssignBlock/AccumulateBlock hot path. Four rules are checked over the
+AssignBlock/PruneBlock/AccumulateBlock hot path. Four rules are checked over the
 shared call graph (tools/pmkm_callgraph.py, the engine pmkm_ctxcheck
 also uses):
 
