@@ -120,7 +120,7 @@ int Main(int argc, char** argv) {
   RunStats stream_stats;  // widest clone config, written to --json_out
   for (size_t clones : {1u, 2u, 4u, 8u}) {
     ResourceModel resources;
-    resources.cores = clones + 1;  // planner reserves one for scan+merge
+    resources.cores = clones;  // one partial clone per core
     auto result = PipelineBuilder()
                       .WithPartialKMeans(pconfig)
                       .WithMerge(mconfig)

@@ -3,8 +3,9 @@
 # to the static pmkm_detcheck gate. The same clustering spec must produce
 # byte-identical .pmkm model files
 #
-#   1. across worker parallelism (--cores=1/4/16: schedule and merge
-#      order must not leak into output bytes);
+#   1. across worker parallelism (--cores=1/2/4/16, one partial clone
+#      per core, capped by a cell's chunk count: schedule and merge order
+#      must not leak into output bytes; 2 is the serve-sized plan);
 #   2. across two separate process invocations at the same core count
 #      (catches ASLR/pointer-ordering leaks that rule ptr-order cannot
 #      prove absent — addresses differ between processes, so any
@@ -58,7 +59,10 @@ echo "== determinism check: ${CELLS} cells x ${POINTS} points =="
 "${GENBUCKETS}" --out="${WORK}/buckets" --mode=cells \
   --cells="${CELLS}" --n="${POINTS}" > /dev/null
 
-ENGINE_FLAGS=(--k=6 --restarts=4 --quiet)
+# A 512 KiB budget cuts each cell into several chunks, so the core sweep
+# really runs 1, 2 and 3 partial clones (clones never exceed a cell's
+# chunk count).
+ENGINE_FLAGS=(--k=6 --restarts=4 --memory-kib=512 --quiet)
 
 run_local() {  # run_local <outdir> <cores> [kernel]
   "${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --kernel="${3:-scalar}" \
@@ -69,6 +73,7 @@ run_local() {  # run_local <outdir> <cores> [kernel]
 # process invocations (ASLR re-randomizes between them); then the host's
 # best kernel against the scalar reference.
 run_local cores1 1
+run_local cores2 2
 run_local cores4 4
 run_local cores4_again 4
 run_local cores16 16
@@ -101,7 +106,7 @@ SERVE_PID=""
 MODELS=0
 for ref in "${WORK}"/cores1/*.pmkm; do
   base="$(basename "${ref}")"
-  for variant in cores4 cores4_again cores16 kernel_auto remote; do
+  for variant in cores2 cores4 cores4_again cores16 kernel_auto remote; do
     cmp -s "${ref}" "${WORK}/${variant}/${base}" || {
       echo "FAIL: ${variant}/${base} differs from the --cores=1 reference"
       exit 1
@@ -113,6 +118,6 @@ done
   echo "FAIL: expected ${CELLS} models, found ${MODELS}"; exit 1
 }
 
-echo "ok: ${MODELS} models byte-identical across cores=1/4/16, a second"
+echo "ok: ${MODELS} models byte-identical across cores=1/2/4/16, a second"
 echo "    process invocation, --kernel=auto, and the pmkm_serve path"
 echo "== determinism check passed =="

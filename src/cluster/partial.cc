@@ -2,8 +2,8 @@
 
 namespace pmkm {
 
-Result<PartialResult> PartialKMeans::Cluster(const Dataset& partition,
-                                             uint64_t partition_id) const {
+Result<PartialResult> PartialKMeans::Cluster(
+    const WeightedDataset& partition, uint64_t partition_id) const {
   if (partition.empty()) {
     return Status::InvalidArgument("empty partition");
   }
@@ -11,8 +11,8 @@ Result<PartialResult> PartialKMeans::Cluster(const Dataset& partition,
   out.input_points = partition.size();
 
   if (partition.size() <= config().k) {
-    // Degenerate chunk: emit each point as a unit-weight centroid.
-    out.centroids = WeightedDataset::FromUnweighted(partition);
+    // Degenerate chunk: emit each point as a centroid of its own weight.
+    out.centroids = partition;
     out.sse = 0.0;
     out.iterations = 0;
     return out;
@@ -22,7 +22,7 @@ Result<PartialResult> PartialKMeans::Cluster(const Dataset& partition,
   // Independent but reproducible seed stream per partition.
   cfg.seed = Rng(config().seed).Fork(partition_id ^ 0x70617274ULL).Next();
   const KMeans runner(cfg);
-  PMKM_ASSIGN_OR_RETURN(ClusteringModel model, runner.Fit(partition));
+  PMKM_ASSIGN_OR_RETURN(ClusteringModel model, runner.FitWeighted(partition));
 
   // Drop starved centroids (weight 0 after unrecoverable duplication);
   // the merge step must not see zero-weight inputs.

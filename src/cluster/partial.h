@@ -30,11 +30,19 @@ class PartialKMeans {
   /// Clusters one partition. `partition_id` decorrelates the restart seed
   /// streams of different partitions under one master seed.
   ///
-  /// Partitions smaller than k are passed through verbatim as unit-weight
-  /// centroids (every point is its own cluster; exact, and the only lossless
+  /// Partitions no larger than k are passed through verbatim, weights
+  /// included (every point is its own cluster; exact, and the only lossless
   /// choice for a degenerate chunk).
-  Result<PartialResult> Cluster(const Dataset& partition,
+  Result<PartialResult> Cluster(const WeightedDataset& partition,
                                 uint64_t partition_id) const;
+
+  /// The same fit over a plain dataset (every point weight 1). Copies the
+  /// points; callers that own the partition wrap it once with
+  /// WeightedDataset::FromUnweighted and fit it in place.
+  Result<PartialResult> Cluster(const Dataset& partition,
+                                uint64_t partition_id) const {
+    return Cluster(WeightedDataset::FromUnweighted(partition), partition_id);
+  }
 
  private:
   KMeans kmeans_;

@@ -377,7 +377,8 @@ void EngineFlags::Register(FlagParser* parser) {
       .AddInt("memory-kib", &memory_kib,
               "stream: per-operator memory budget")
       .AddInt("cores", &cores,
-              "stream: worker cores for cloned operators (0 = autodetect)")
+              "stream: cores; one partial clone runs per core, plus scan "
+              "and merge threads that mostly block (0 = autodetect)")
       .AddString("failure_policy", &failure_policy,
                  "stream: failfast | retry | skip")
       .AddInt("max_retries", &max_retries,

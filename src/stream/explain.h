@@ -20,7 +20,7 @@ namespace pmkm {
 ///
 ///   merge-kmeans (k=40, seeding=heaviest)
 ///   └─ exchange (queue cap 8, centroid sets)
-///      └─ partial-kmeans ×7 clones (k=40, R=10, chunk=5461 pts)
+///      └─ partial-kmeans ×8 clones (k=40, R=10, chunk=5461 pts)
 ///         └─ exchange (queue cap 8, point chunks)
 ///            └─ scan (3 buckets, ~60000 pts, dim 6)
 std::string ExplainPartialMergePlan(size_t num_buckets,

@@ -119,6 +119,16 @@ Status Executor::Run(const ExecutorOptions& options) {
         }
         break;
       }
+      const bool torn_down =
+          st.IsCancelled() && state.failed.load(std::memory_order_acquire);
+      const bool skipped =
+          !st.ok() && !st.IsCancelled() &&
+          op->failure_policy() == FailurePolicy::kSkipAndContinue;
+      // A fatal error is recorded (and the pipeline aborted) before Finish
+      // closes this operator's outputs. Closing first would show
+      // downstream a clean end-of-stream, and the error it then raises
+      // for the missing data could win the first-error race.
+      if (!st.ok() && !torn_down && !skipped) on_error(st);
       op->Finish();
       OperatorStats& stats = op->mutable_stats();
       stats.wall_seconds += wall.ElapsedSeconds();
@@ -127,22 +137,13 @@ Status Executor::Run(const ExecutorOptions& options) {
       outcome.status = st;
       outcome.restarts = restarts;
       outcome.stats = stats;
-      if (!st.ok()) {
-        const bool torn_down =
-            st.IsCancelled() && state.failed.load(std::memory_order_acquire);
-        if (!torn_down) {
-          if (!st.IsCancelled() &&
-              op->failure_policy() == FailurePolicy::kSkipAndContinue) {
-            // Tolerated: the operator closed out cleanly (Finish above),
-            // so downstream still observes an exact end-of-stream.
-            outcome.skipped = true;
-            state.degraded.store(true, std::memory_order_relaxed);
-            PMKM_LOG(Warning) << "operator '" << op->name()
-                              << "' skipped after failure: " << st;
-          } else {
-            on_error(st);
-          }
-        }
+      if (skipped) {
+        // Tolerated: the operator closed out cleanly (Finish above), so
+        // downstream still observes an exact end-of-stream.
+        outcome.skipped = true;
+        state.degraded.store(true, std::memory_order_relaxed);
+        PMKM_LOG(Warning) << "operator '" << op->name()
+                          << "' skipped after failure: " << st;
       }
       done[i].store(true, std::memory_order_release);
       if (state.running.fetch_sub(1) == 1) {

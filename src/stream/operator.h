@@ -77,8 +77,10 @@ class Operator {
   }
 
   /// Called by the executor exactly once after the final Run() attempt
-  /// (successful or not). Operators that may defer closing their output
-  /// producers across restarts close them here; default is a no-op.
+  /// (successful or not), after a fatal error has been recorded.
+  /// Operators that can fail close their output producers here rather
+  /// than when Run() returns, so downstream never mistakes a failure for
+  /// the end of the stream; default is a no-op.
   virtual void Finish() {}
 
   FailurePolicy failure_policy() const { return failure_policy_; }

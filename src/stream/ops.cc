@@ -167,12 +167,9 @@ Status ScanOperator::Run() {
           TickProgress();
         }
       } else {
-        // kFailFast fails here; kRetryOperator leaves the producer open so
-        // the executor can restart us without downstream seeing a bogus
-        // end-of-stream (Finish() closes it once restarts are exhausted).
-        if (failure_policy() != FailurePolicy::kRetryOperator) {
-          CloseOutputOnce();
-        }
+        // Leave the producer open: the executor records the failure (or
+        // restarts us) before Finish() closes it, so downstream never sees
+        // a bogus end-of-stream.
         return st;
       }
     }
@@ -259,11 +256,6 @@ PartialKMeansOperator::PartialKMeansOperator(
 }
 
 Status PartialKMeansOperator::Run() {
-  struct Closer {
-    CentroidQueue* q;
-    ~Closer() { q->CloseProducer(); }
-  } closer{out_.get()};
-
   const LloydConfig& lloyd = partial_.config().lloyd;
   mutable_stats().kernel =
       (lloyd.kernel != nullptr ? *lloyd.kernel : DefaultKernel()).name();
@@ -319,10 +311,14 @@ Status PartialKMeansOperator::Run() {
       span.AddArg("partition", static_cast<int64_t>(chunk->partition_id));
       span.AddArg("points", chunk->points.size());
     }
+    // The chunk is wrapped once, outside the retry loop: every attempt
+    // fits the same points in place.
+    const WeightedDataset partition =
+        WeightedDataset::FromUnweighted(std::move(chunk->points));
     const Stopwatch chunk_watch;
     auto compute = [&]() -> Result<PartialResult> {
       PMKM_FAULT_POINT("op.partial");
-      return partial_.Cluster(chunk->points, tag);
+      return partial_.Cluster(partition, tag);
     };
     size_t retries_used = 0;
     Result<PartialResult> result =
@@ -377,6 +373,10 @@ Status PartialKMeansOperator::Run() {
     PublishLive();
   }
 }
+
+// Closed here, not when Run returns, so a failed clone's error is recorded
+// before the merge can see the end of its input.
+void PartialKMeansOperator::Finish() { out_->CloseProducer(); }
 
 void PartialKMeansOperator::Abort() {
   in_->Cancel();

@@ -138,6 +138,7 @@ class PartialKMeansOperator : public Operator {
                         RetryPolicy retry = RetryPolicy{});
 
   Status Run() override;
+  void Finish() override;
   void Abort() override;
 
   size_t chunks_processed() const { return chunks_processed_; }

@@ -26,10 +26,11 @@ PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,
           : std::max<size_t>(
                 1, resources.memory_bytes_per_operator / bytes_per_point);
 
-  // Cores → clones: one core is reserved for scan+merge, the rest run
-  // partial operators; never more clones than there are chunks to chew.
-  const size_t cores = resources.EffectiveCores();
-  size_t clones = cores > 1 ? cores - 1 : 1;
+  // Cores → clones: one partial clone per core. The scan and merge threads
+  // mostly block on their queues (partial k-means is nearly all the CPU),
+  // so they get no core of their own. Never more clones than there are
+  // chunks to chew.
+  size_t clones = resources.EffectiveCores();
   if (expected_points_per_cell > 0) {
     const size_t chunks = std::max<size_t>(
         1,
@@ -48,9 +49,9 @@ PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,
 size_t PlanQueueCapacity(size_t partial_clones, size_t chunk_points,
                          size_t dim, size_t memory_bytes_per_operator) {
   const size_t clones = std::max<size_t>(1, partial_clones);
-  // Enough depth for every clone to have one chunk in flight plus one
-  // buffered...
-  const size_t wanted = 2 * clones;
+  // A popped chunk leaves the queue, so depth `clones` is one chunk in
+  // flight (held by its clone) plus one buffered per clone...
+  const size_t wanted = clones;
   // ...but never more buffered chunks than the per-operator memory budget
   // covers, so back-pressure still binds memory when chunks are forced
   // large.

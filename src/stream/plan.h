@@ -29,7 +29,8 @@ struct ResourceModel {
   /// Volatile memory one partial operator may use for its state.
   size_t memory_bytes_per_operator = 16ULL << 20;  // 16 MiB
 
-  /// Worker cores available for cloned operators (0 = autodetect).
+  /// Worker cores available for cloned operators: one partial clone runs
+  /// per core (0 = autodetect).
   size_t cores = 0;
 
   size_t EffectiveCores() const;
@@ -46,17 +47,20 @@ struct PhysicalPlan {
 /// `dim`. `chunk_points` forces the partition size N'; 0 derives it from
 /// the memory budget. The k-means working set per point is roughly
 /// point + assignment + shares of the sums array; a conservative factor of
-/// 4 over raw point bytes keeps a clone inside its budget. The clone count
-/// and queue capacity always follow from the chosen N'.
+/// 4 over raw point bytes keeps a clone inside its budget. The plan runs
+/// one partial clone per core, capped by one cell's chunk count; the scan
+/// and merge threads mostly block on their queues and get no core of their
+/// own. The clone count and queue capacity always follow from the chosen N'.
 PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,
                               const ResourceModel& resources,
                               size_t chunk_points = 0);
 
 /// The planner's exchange-depth rule. Depth scales with the clone count
-/// (one chunk in flight plus one buffered per clone) but is capped so the
-/// buffered chunks stay inside the per-operator memory budget:
+/// (one chunk buffered per clone; the chunk a clone is fitting has already
+/// left the queue) but is capped so the buffered chunks stay inside the
+/// per-operator memory budget:
 ///
-///   cap = max(2, min(2 * clones, clones * memory_bytes / chunk_bytes))
+///   cap = max(2, min(clones, clones * memory_bytes / chunk_bytes))
 ///
 /// with chunk_bytes = chunk_points * dim * sizeof(double).
 size_t PlanQueueCapacity(size_t partial_clones, size_t chunk_points,

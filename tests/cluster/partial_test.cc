@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cluster/metrics.h"
 #include "data/generator.h"
 
@@ -76,6 +78,17 @@ TEST(PartialKMeansTest, SamePartitionIdIsDeterministic) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->centroids.points(), b->centroids.points());
   EXPECT_EQ(a->sse, b->sse);
+}
+
+TEST(PartialKMeansTest, DegenerateWeightedChunkKeepsItsWeights) {
+  WeightedDataset partition(2);
+  partition.Append(std::vector<double>{0.0, 1.0}, 2.0);
+  partition.Append(std::vector<double>{3.0, 4.0}, 5.0);
+  const PartialKMeans partial(Config(4));
+  auto result = partial.Cluster(partition, 0);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->centroids.points(), partition.points());
+  EXPECT_EQ(result->centroids.weights(), partition.weights());
 }
 
 TEST(PartialKMeansTest, SseMatchesCentroidQuality) {

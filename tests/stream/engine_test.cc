@@ -160,7 +160,7 @@ TEST(PipelineBuilderTest, WithMetricsAndTraceWireSinks) {
 
 TEST(PipelineBuilderTest, ChunkOverrideKeepsQueueRule) {
   // A forced chunk size larger than the memory budget must clamp the
-  // queue to the floor of 2 instead of buffering 2·clones giant chunks.
+  // queue to the floor of 2 instead of buffering one giant chunk per clone.
   ResourceModel resources;
   resources.cores = 5;
   resources.memory_bytes_per_operator = 6 * 8 * 4 * 100;  // 100-pt chunks

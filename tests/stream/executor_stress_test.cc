@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/fault.h"
 #include "data/generator.h"
@@ -155,6 +157,65 @@ TEST(ExecutorStressTest, MidPipelineFailureUnblocksEveryone) {
   }
 }
 
+// A source that fails and closes its output only in Finish(), where it
+// then waits until the executor aborts the pipeline. If the executor
+// called Finish before recording the failure, the sink below would see a
+// clean end-of-stream and its error would always be recorded first.
+class FailingSource : public Operator {
+ public:
+  explicit FailingSource(std::shared_ptr<PointChunkQueue> out)
+      : Operator("failing-source"), out_(std::move(out)) {
+    out_->AddProducer();
+  }
+
+  Status Run() override { return Status::IOError("source read failed"); }
+
+  void Finish() override {
+    out_->CloseProducer();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!aborted_.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+
+  void Abort() override {
+    aborted_.store(true);
+    out_->Cancel();
+  }
+
+ private:
+  std::shared_ptr<PointChunkQueue> out_;
+  std::atomic<bool> aborted_{false};
+};
+
+// A sink that treats the end of its input as missing data.
+class EndOfStreamSink : public Operator {
+ public:
+  explicit EndOfStreamSink(std::shared_ptr<PointChunkQueue> in)
+      : Operator("eos-sink"), in_(std::move(in)) {}
+
+  Status Run() override {
+    while (in_->Pop().has_value()) {
+    }
+    return Status::Internal("input ended with missing data");
+  }
+
+  void Abort() override { in_->Cancel(); }
+
+ private:
+  std::shared_ptr<PointChunkQueue> in_;
+};
+
+TEST(ExecutorStressTest, FailFastReportsTheFailingOperatorNotItsConsumer) {
+  auto points = std::make_shared<PointChunkQueue>(2);
+  Executor executor;
+  executor.Add(std::make_unique<FailingSource>(points));
+  executor.Add(std::make_unique<EndOfStreamSink>(points));
+  const Status st = executor.Run();
+  EXPECT_TRUE(st.IsIOError()) << st;
+}
+
 TEST(ExecutorStressTest, EmptyPipelineRunsClean) {
   Executor executor;
   EXPECT_TRUE(executor.Run().ok());
@@ -194,7 +255,7 @@ TEST(ExecutorStressTest, SeededFaultSweepNeverProducesWrongResults) {
 
   ResourceModel resources;
   resources.memory_bytes_per_operator = 1024;  // chunk = 16 pts, 12 parts
-  resources.cores = 4;                         // 3 partial clones
+  resources.cores = 3;                         // 3 partial clones
 
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     FaultRegistry::Global().Reset();

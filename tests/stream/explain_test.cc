@@ -39,5 +39,24 @@ TEST(ExplainTest, SingularForms) {
   EXPECT_NE(text.find("(1 bucket,"), std::string::npos);
 }
 
+TEST(ExplainTest, ServeSizedPlanRunsOneClonePerBudgetedCore) {
+  // Two 10,000-point buckets at a two-core, 512 KiB budget: the shape of
+  // a pmkm_serve job. Both budgeted cores run a partial clone.
+  KMeansConfig partial;
+  partial.k = 8;
+  partial.restarts = 5;
+  MergeKMeansConfig merge;
+  merge.k = 8;
+  ResourceModel resources;
+  resources.cores = 2;
+  resources.memory_bytes_per_operator = 512 << 10;
+  const PhysicalPlan plan = PlanPartialMerge(6, 10000, resources);
+  const std::string text =
+      ExplainPartialMergePlan(2, 20000, 6, partial, merge, plan);
+  EXPECT_NE(text.find("partial-kmeans ×2 clones"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("queue cap 2"), std::string::npos) << text;
+}
+
 }  // namespace
 }  // namespace pmkm

@@ -78,7 +78,10 @@ TEST_F(OpsTest, ScanFailsOnMissingFile) {
   auto out = std::make_shared<PointChunkQueue>(4);
   ScanOperator scan({(dir_ / "nope.pmkb").string()}, 10, out);
   EXPECT_TRUE(scan.Run().IsIOError());
-  // Producer must still have closed the queue.
+  // The failed scan keeps its producer open until Finish(), which the
+  // executor calls after recording the failure; then the queue is closed.
+  EXPECT_EQ(out->size(), 0u);
+  scan.Finish();
   EXPECT_EQ(out->Pop(), std::nullopt);
 }
 

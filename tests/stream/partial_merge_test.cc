@@ -98,11 +98,11 @@ TEST(PartialMergeTest, ParallelMatchesSerialResult) {
   // derivation is independent of which clone runs which chunk.
   Rng rng(3);
   const Dataset cell = GenerateMisrLikeCell(2000, &rng);
-  ResourceModel four_cores;
-  four_cores.cores = 4;
+  ResourceModel three_cores;
+  three_cores.cores = 3;
   auto serial = RunCell(Pipeline(2000, 8, 8, 5), cell);
   auto parallel =
-      RunCell(Pipeline(2000, 8, 8, 5).WithResources(four_cores), cell);
+      RunCell(Pipeline(2000, 8, 8, 5).WithResources(three_cores), cell);
   ASSERT_TRUE(serial.ok() && parallel.ok());
   EXPECT_EQ(parallel->plan.partial_clones, 3u);
   EXPECT_EQ(serial->cells.at(kCell).model.centroids,

@@ -44,17 +44,38 @@ TEST(PlanTest, ClonesUseAvailableCores) {
   r.cores = 8;
   r.memory_bytes_per_operator = 1 << 14;  // many small chunks
   const PhysicalPlan plan = PlanPartialMerge(6, 100000, r);
-  EXPECT_EQ(plan.partial_clones, 7u);  // cores − 1
-  EXPECT_GE(plan.queue_capacity, 2 * plan.partial_clones);
+  EXPECT_EQ(plan.partial_clones, 8u);  // one clone per core
+  EXPECT_EQ(plan.queue_capacity, plan.partial_clones);
+}
+
+TEST(PlanTest, ServeShapedJobUsesBothBudgetedCores) {
+  // A serve job at a two-core budget over 10,000-point cells with a
+  // 512 KiB operator budget: chunk 2,730, four chunks per cell, so both
+  // cores run a partial clone and the exchange buffers one chunk each.
+  ResourceModel r;
+  r.cores = 2;
+  r.memory_bytes_per_operator = 512 << 10;
+  const PhysicalPlan plan = PlanPartialMerge(6, 10000, r);
+  EXPECT_EQ(plan.chunk_points, 2730u);
+  EXPECT_EQ(plan.partial_clones, 2u);
+  EXPECT_EQ(plan.queue_capacity, 2u);
+}
+
+TEST(PlanTest, OneCorePlansOneClone) {
+  ResourceModel r;
+  r.cores = 1;
+  r.memory_bytes_per_operator = 512 << 10;
+  const PhysicalPlan plan = PlanPartialMerge(6, 75000, r);
+  EXPECT_EQ(plan.partial_clones, 1u);
+  EXPECT_EQ(plan.queue_capacity, 2u);  // the floor
 }
 
 TEST(PlanTest, QueueCapacityRule) {
-  // cap = max(2, min(2·clones, clones · memory / chunk_bytes)).
+  // cap = max(2, min(clones, clones · memory / chunk_bytes)).
   // Planner-sized chunks occupy a quarter of the budget (factor-4 working
-  // set), so the 2·clones term binds...
-  EXPECT_EQ(PlanQueueCapacity(4, 100, 6, 100 * 6 * 8 * 4), 8u);
-  // ...a chunk as large as the whole budget leaves one buffered chunk per
-  // clone...
+  // set), so the clones term binds: one buffered chunk per clone...
+  EXPECT_EQ(PlanQueueCapacity(4, 100, 6, 100 * 6 * 8 * 4), 4u);
+  // ...as it does for a chunk as large as the whole budget...
   EXPECT_EQ(PlanQueueCapacity(4, 400, 6, 400 * 6 * 8), 4u);
   // ...and chunks larger than the budget clamp to the floor of 2.
   EXPECT_EQ(PlanQueueCapacity(4, 4000, 6, 400 * 6 * 8), 2u);
@@ -71,9 +92,10 @@ TEST(PlanTest, PlannerQueueCapacityFollowsRule) {
               PlanQueueCapacity(plan.partial_clones, plan.chunk_points, 6,
                                 r.memory_bytes_per_operator));
     // Planner-derived chunks always fit the budget 4×, so the capacity
-    // equals the historical 2·clones rule.
+    // is one buffered chunk per clone.
+    EXPECT_EQ(plan.partial_clones, cores);
     EXPECT_EQ(plan.queue_capacity,
-              std::max<size_t>(2, 2 * plan.partial_clones));
+              std::max<size_t>(2, plan.partial_clones));
   }
 }
 

@@ -97,7 +97,7 @@ class ResilienceTest : public ::testing::Test {
   static ResourceModel SmallResources() {
     ResourceModel resources;
     resources.memory_bytes_per_operator = 1024;
-    resources.cores = 3;  // 2 partial clones
+    resources.cores = 2;  // 2 partial clones
     return resources;
   }
 
@@ -186,7 +186,8 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesNonFiniteBucketUnretried) {
   EXPECT_TRUE(run->report.degraded);
 
   exec.failure_policy = FailurePolicy::kFailFast;
-  EXPECT_TRUE(RunStream(paths, exec).status().IsInvalidArgument());
+  const Status failfast = RunStream(paths, exec).status();
+  EXPECT_TRUE(failfast.IsInvalidArgument()) << failfast;
 }
 
 TEST_F(ResilienceTest, SkipAndContinueIsDeterministicPerSeed) {
@@ -230,16 +231,22 @@ TEST_F(ResilienceTest, FailFastReturnsFirstErrorOnCorruptBucket) {
 }
 
 TEST_F(ResilienceTest, FailFastSurfacesInjectedFault) {
+  // A failing scan and failing partial clones alike: the run reports the
+  // injected fault, never the merge's complaint about the cells that
+  // fault left incomplete.
   std::vector<std::string> paths = WriteBuckets();
-  ASSERT_TRUE(FaultRegistry::Global()
-                  .ArmFromString("io.read:n=20,msg=injected read fault")
-                  .ok());
-  StreamExecOptions exec;
-  exec.failure_policy = FailurePolicy::kFailFast;
-  auto run = RunStream(paths, exec);
-  ASSERT_FALSE(run.ok());
-  EXPECT_TRUE(run.status().IsIOError()) << run.status();
-  EXPECT_EQ(run.status().message(), "injected read fault");
+  for (const char* spec : {"io.read:n=20,msg=injected fault",
+                           "op.partial:n=5,perm=1,msg=injected fault"}) {
+    SCOPED_TRACE(spec);
+    FaultRegistry::Global().Reset();
+    ASSERT_TRUE(FaultRegistry::Global().ArmFromString(spec).ok());
+    StreamExecOptions exec;
+    exec.failure_policy = FailurePolicy::kFailFast;
+    auto run = RunStream(paths, exec);
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(run.status().IsIOError()) << run.status();
+    EXPECT_EQ(run.status().message(), "injected fault");
+  }
 }
 
 TEST_F(ResilienceTest, RetryOperatorRestartsScanAndRecoversFully) {
@@ -259,6 +266,42 @@ TEST_F(ResilienceTest, RetryOperatorRestartsScanAndRecoversFully) {
   EXPECT_FALSE(run->report.degraded);
   for (const auto& [cell, clustering] : run->cells) {
     EXPECT_EQ(clustering.input_points, kPointsPerCell);
+  }
+}
+
+TEST_F(ResilienceTest, RetriedPartialChunkRefitsTheSamePoints) {
+  // The partial operator wraps a popped chunk once and retries the fit on
+  // that one copy: a chunk whose first attempt fails must refit exactly
+  // the same points, so every cell model is bitwise equal to a fault-free
+  // run's.
+  std::vector<std::string> paths = WriteBuckets();
+  StreamExecOptions exec;
+  exec.failure_policy = FailurePolicy::kSkipAndContinue;
+  exec.io_retry.max_attempts = 3;
+  exec.io_retry.initial_backoff_ms = 0;
+  auto clean = RunStream(paths, exec);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+
+  ASSERT_TRUE(FaultRegistry::Global().ArmFromString("op.partial:n=1").ok());
+  auto retried = RunStream(paths, exec);
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  EXPECT_EQ(FaultRegistry::Global().failures("op.partial"), 1u);
+
+  size_t chunk_retries = 0;
+  for (const OperatorStats& op : retried->operator_stats) {
+    chunk_retries += op.retries;
+  }
+  EXPECT_EQ(chunk_retries, 1u);
+  EXPECT_EQ(retried->report.chunks_dropped, 0u);
+  EXPECT_FALSE(retried->report.degraded) << retried->report.Summary();
+  ASSERT_EQ(retried->cells.size(), kNumCells);
+  for (const auto& [cell, want] : clean->cells) {
+    SCOPED_TRACE(cell.ToString());
+    const CellClustering& got = retried->cells.at(cell);
+    EXPECT_EQ(got.input_points, kPointsPerCell);
+    EXPECT_EQ(got.model.centroids, want.model.centroids);
+    EXPECT_EQ(got.model.weights, want.model.weights);
+    EXPECT_EQ(got.model.sse, want.model.sse);
   }
 }
 
@@ -296,7 +339,7 @@ TEST_F(ResilienceTest, WatchdogDetectsStalledOperator) {
   }
 
   ResourceModel resources;
-  resources.cores = 2;  // one partial clone: the stall stalls the pipeline
+  resources.cores = 1;  // one partial clone: the stall stalls the pipeline
   StreamExecOptions exec;
   exec.op_timeout_ms = 300;
 

@@ -65,7 +65,9 @@ int main(int argc, char** argv) {
               "per-operator memory ceiling imposed on every job "
               "(0 = jobs keep their own ask)")
       .AddInt("budget_cores", &budget_cores,
-              "core ceiling imposed on every job (0 = host default)")
+              "core ceiling imposed on every job: one partial clone per "
+              "core, plus scan and merge threads that mostly block "
+              "(0 = host default)")
       .AddInt("handler_threads", &handler_threads,
               "concurrent client connections served")
       .AddInt("io_timeout_ms", &io_timeout_ms,
