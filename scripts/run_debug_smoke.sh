@@ -115,10 +115,15 @@ import sys
 
 def samples(path):
     out = {}
+    gauges = set()  # current values (e.g. queue depth): free to fall
     for line in open(path):
+        if line.startswith("# TYPE ") and line.split()[3:] == ["gauge"]:
+            gauges.add(line.split()[2])
         if line.startswith("#") or not line.strip():
             continue
         name, _, value = line.rpartition(" ")
+        if name in gauges:
+            continue
         if name.endswith("_count") or name.endswith("_sum") or \
            (("{" not in name) and not name.endswith("_max")):
             try:

@@ -1,21 +1,12 @@
 #include "obs/debug_server.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
+#include <span>
 #include <sstream>
 
-#if defined(__linux__) || defined(__APPLE__)
-#define PMKM_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
-#include "common/logging.h"
-#include "common/thread_pool.h"
+#include "common/net.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/rolling.h"
@@ -25,6 +16,11 @@ namespace pmkm {
 namespace obs {
 
 namespace {
+
+// Spans served by /tracez (most recent first in the ring).
+constexpr size_t kTracezEvents = 256;
+
+constexpr char kTextPlain[] = "text/plain; charset=utf-8";
 
 uint64_t NowMicros() {
   return static_cast<uint64_t>(
@@ -72,185 +68,64 @@ DebugServer::DebugServer(MetricsRegistry* metrics, TraceRecorder* trace)
 
 DebugServer::~DebugServer() { Stop(); }
 
-bool DebugServer::running() const {
-  MutexLock lock(mu_);
-  return running_;
-}
-
-#if defined(PMKM_HAVE_SOCKETS)
-
 Status DebugServer::Start(const Options& options) {
-  {
-    MutexLock lock(mu_);
-    if (running_) {
-      return Status::FailedPrecondition("debug server already running");
-    }
+  if (!stopping()) {
+    return Status::FailedPrecondition("debug server already running");
   }
   options_ = options;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::Internal("debug server: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options.port));
-  if (::inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    return Status::InvalidArgument("debug server: bad bind address '" +
-                                   options.bind_address + "'");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::Internal("debug server: cannot bind " +
-                            options.bind_address + ":" +
-                            std::to_string(options.port));
-  }
-  if (::listen(fd, 16) != 0) {
-    ::close(fd);
-    return Status::Internal("debug server: listen() failed");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    return Status::Internal("debug server: getsockname() failed");
-  }
-  port_ = static_cast<int>(ntohs(addr.sin_port));
-
-  pool_ = std::make_unique<ThreadPool>(
-      std::max<size_t>(1, options.num_threads));
-  {
-    MutexLock lock(mu_);
-    PMKM_SCHED_POINT("debug_server.start");
-    listen_fd_ = fd;
-    running_ = true;
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  PMKM_RETURN_NOT_OK(ConnectionServer::Start(
+      "127.0.0.1:" + std::to_string(options.port), options.num_threads,
+      options.io_timeout_ms));
+  const std::string& endpoint = bound_endpoint();
+  port_ = std::atoi(endpoint.c_str() + endpoint.rfind(':') + 1);
   return Status::OK();
 }
 
-void DebugServer::Stop() {
-  int fd = -1;
-  {
-    MutexLock lock(mu_);
-    PMKM_SCHED_POINT("debug_server.stop");
-    if (!running_) return;
-    running_ = false;
-    fd = listen_fd_;
-    listen_fd_ = -1;
-  }
-  // Unblock accept(): shutdown() makes a blocked accept return, close()
-  // releases the port.
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (pool_ != nullptr) {
-    pool_->Shutdown();  // drains in-flight handlers
-    pool_.reset();
-  }
-}
-
-void DebugServer::AcceptLoop() {
-  while (true) {
-    int listen_fd;
-    {
-      MutexLock lock(mu_);
-      if (!running_) return;
-      listen_fd = listen_fd_;
-    }
-    if (listen_fd < 0) return;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) {
-      MutexLock lock(mu_);
-      if (!running_) return;  // Stop() closed the listener under us
-      continue;               // transient (EINTR, aborted connection)
-    }
-    // Bound every socket op on the connection: a slow-loris client times
-    // out instead of pinning a handler thread.
-    timeval timeout;
-    timeout.tv_sec = options_.io_timeout_ms / 1000;
-    timeout.tv_usec = (options_.io_timeout_ms % 1000) * 1000;
-    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-    auto future = pool_->Submit([this, conn] { HandleConnection(conn); });
-    if (!future.valid()) {
-      ::close(conn);  // pool already shut down
-      return;
-    }
-  }
-}
-
-void DebugServer::HandleConnection(int fd) const {
+void DebugServer::HandleConnection(int fd) {
   // Read until the end of the request headers, a timeout, or the cap.
+  // Every read and write is bounded by options_.io_timeout_ms, which
+  // ConnectionServer sets on the socket before this handler runs.
   std::string request;
-  char buf[2048];
-  while (request.find("\r\n\r\n") == std::string::npos &&
+  uint8_t buf[2048];
+  while (request.size() <= options_.max_request_bytes &&
+         request.find("\r\n\r\n") == std::string::npos &&
          request.find("\n\n") == std::string::npos) {
-    // Bounded by SO_RCVTIMEO (options_.io_timeout_ms, set in AcceptLoop).
-    // pmkm-ctxcheck: allow(bounded-handler)
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {  // timeout, reset, or clean close before a full request
-      ::close(fd);
+    // pmkm-ctxcheck: allow(bounded-handler)  (SO_RCVTIMEO-bounded)
+    const Result<size_t> n = ReadSome(fd, buf);
+    if (!n.ok() || n.value() == 0) {  // timeout, reset, or early close
+      CloseFd(fd);
       return;
     }
-    request.append(buf, static_cast<size_t>(n));
-    if (request.size() > options_.max_request_bytes) {
-      const std::string response = BuildResponse(
-          431, "text/plain; charset=utf-8", "request too large\n");
-      // Bounded by SO_SNDTIMEO (options_.io_timeout_ms, AcceptLoop).
-      // pmkm-ctxcheck: allow(bounded-handler)
-      (void)::send(fd, response.data(), response.size(), MSG_NOSIGNAL);
-      ::close(fd);
-      return;
-    }
+    request.append(reinterpret_cast<const char*>(buf), n.value());
   }
+  const std::string response =
+      request.size() > options_.max_request_bytes
+          ? BuildResponse(431, kTextPlain, "request too large\n")
+          : Respond(request);
+  // pmkm-ctxcheck: allow(bounded-handler)  (SO_SNDTIMEO-bounded)
+  (void)WriteAll(fd, std::span<const uint8_t>(
+                         reinterpret_cast<const uint8_t*>(response.data()),
+                         response.size()));
+  CloseFd(fd);
+}
+
+std::string DebugServer::Respond(const std::string& request) const {
   // Request line: METHOD SP target SP version.
-  std::string response;
   const size_t line_end = request.find_first_of("\r\n");
   std::istringstream line(request.substr(0, line_end));
   std::string method;
   std::string target;
   line >> method >> target;
   if (method != "GET" && method != "HEAD") {
-    response = BuildResponse(405, "text/plain; charset=utf-8",
-                             "only GET is supported\n");
-  } else {
-    response = RenderResponse(target);
-    if (method == "HEAD") {
-      const size_t header_end = response.find("\r\n\r\n");
-      if (header_end != std::string::npos) {
-        response.resize(header_end + 4);
-      }
-    }
+    return BuildResponse(405, kTextPlain, "only GET is supported\n");
   }
-  size_t sent = 0;
-  while (sent < response.size()) {
-    // Bounded by SO_SNDTIMEO (options_.io_timeout_ms, AcceptLoop).
-    // pmkm-ctxcheck: allow(bounded-handler)
-    const ssize_t n = ::send(fd, response.data() + sent,
-                             response.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) break;  // timeout or client went away
-    sent += static_cast<size_t>(n);
+  std::string response = RenderResponse(target);
+  if (method == "HEAD") {
+    const size_t header_end = response.find("\r\n\r\n");
+    if (header_end != std::string::npos) response.resize(header_end + 4);
   }
-  ::close(fd);
+  return response;
 }
-
-#else  // !PMKM_HAVE_SOCKETS
-
-Status DebugServer::Start(const Options&) {
-  return Status::NotImplemented(
-      "the debug server requires POSIX sockets");
-}
-
-void DebugServer::Stop() {}
-void DebugServer::AcceptLoop() {}
-void DebugServer::HandleConnection(int) const {}
-
-#endif  // PMKM_HAVE_SOCKETS
 
 void DebugServer::RegisterEndpoint(const std::string& path,
                                    const std::string& description,
@@ -264,7 +139,7 @@ std::string DebugServer::RenderResponse(const std::string& target) const {
   // Strip the query string; no endpoint takes parameters yet.
   std::string path = target.substr(0, target.find('?'));
   if (path.empty()) path = "/";
-  std::string content_type = "text/plain; charset=utf-8";
+  std::string content_type = kTextPlain;
   int http_status = 200;
   const std::string body = RenderBody(path, &content_type, &http_status);
   return BuildResponse(http_status, content_type, body);
@@ -412,7 +287,7 @@ std::string DebugServer::RenderTracez() const {
     return root.Dump(2) + "\n";
   }
   JsonValue events = JsonValue::Array();
-  for (const TraceEvent& e : trace_->Recent(options_.tracez_events)) {
+  for (const TraceEvent& e : trace_->Recent(kTracezEvents)) {
     JsonValue j = JsonValue::Object();
     j.Set("name", e.name);
     j.Set("cat", e.category);

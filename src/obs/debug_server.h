@@ -12,11 +12,12 @@
 //                                 input) when the profiler is running
 //   curl localhost:PORT/healthz   liveness probe
 //
-// Threat/robustness model: this binds to loopback by default and is a
+// Threat/robustness model: this binds to loopback only and is a
 // diagnostics port, not a public API. Still, it must not let a stuck
-// client wedge the process: the accept loop hands connections to a
-// bounded ThreadPool, every socket read/write carries a timeout
-// (slow-loris bound), request size is capped, and responses close the
+// client wedge the process. The shared ConnectionServer
+// (common/connection_server.h) hands connections to a bounded handler
+// pool and puts a timeout on every socket read/write (slow-loris bound);
+// on top of it the request size is capped and responses close the
 // connection. Stop() (or destruction) shuts the listener down and joins
 // everything.
 //
@@ -31,11 +32,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
-#include <thread>
 
 #include "common/annotations.h"
+#include "common/connection_server.h"
 #include "common/status.h"
 #include "obs/runboard.h"
 
@@ -43,20 +43,15 @@ namespace pmkm {
 
 class MetricsRegistry;
 class TraceRecorder;
-class ThreadPool;
 
 namespace obs {
 
-class CpuProfiler;
-
-class DebugServer {
+class DebugServer : public ConnectionServer {
  public:
   struct Options {
     /// TCP port; 0 asks the kernel for an ephemeral one (read it back
     /// with port() after Start).
     int port = 0;
-    /// Loopback by default: a diagnostics port, not a public service.
-    std::string bind_address = "127.0.0.1";
     /// Connection-handler pool size (bounds concurrent scrapes).
     size_t num_threads = 2;
     /// Socket read/write timeout — a slow-loris client is cut off after
@@ -64,30 +59,22 @@ class DebugServer {
     int io_timeout_ms = 2000;
     /// Request size cap; longer requests get 431 and a closed socket.
     size_t max_request_bytes = 8192;
-    /// Spans served by /tracez (most recent first in the ring).
-    size_t tracez_events = 256;
   };
 
   /// Either sink may be null; the matching endpoints then report
   /// "not collected". The server does not own the sinks and must be
   /// stopped before they are destroyed.
   DebugServer(MetricsRegistry* metrics, TraceRecorder* trace);
-  ~DebugServer();
+  ~DebugServer() override;
 
-  DebugServer(const DebugServer&) = delete;
-  DebugServer& operator=(const DebugServer&) = delete;
-
-  /// Binds, listens and spawns the accept thread + handler pool.
+  /// Listens on 127.0.0.1:<port> and starts serving. Stop() (inherited,
+  /// idempotent, also called by the destructor) stops accepting, drains
+  /// in-flight handlers and joins all threads.
   Status Start(const Options& options);
   Status Start() { return Start(Options()); }
 
-  /// Stops accepting, drains in-flight handlers and joins all threads.
-  /// Idempotent; also called by the destructor.
-  void Stop();
-
   /// The bound port (valid after a successful Start).
   int port() const { return port_; }
-  bool running() const PMKM_EXCLUDES(mu_);
 
   /// The live run state the engine publishes into
   /// (PipelineBuilder::WithDebugServer wires this up).
@@ -117,10 +104,9 @@ class DebugServer {
   std::string RenderResponse(const std::string& target) const;
 
  private:
-  void AcceptLoop();
-  // Runs on the bounded handler pool; all socket I/O inside is bounded by
-  // options_.io_timeout_ms (SO_RCVTIMEO/SO_SNDTIMEO, set in AcceptLoop).
-  void HandleConnection(int fd) const PMKM_BOUNDED_HANDLER;
+  void HandleConnection(int fd) override;
+  /// The response to one complete request (request line plus headers).
+  std::string Respond(const std::string& request) const;
 
   // Endpoint bodies (path → content); also sets `content_type`.
   std::string RenderBody(const std::string& path,
@@ -142,12 +128,8 @@ class DebugServer {
   };
 
   mutable Mutex mu_;
-  bool running_ PMKM_GUARDED_BY(mu_) = false;
-  int listen_fd_ PMKM_GUARDED_BY(mu_) = -1;
   std::map<std::string, Endpoint> endpoints_ PMKM_GUARDED_BY(mu_);
 
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
   uint64_t started_micros_ = 0;
 };
 

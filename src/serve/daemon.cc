@@ -4,36 +4,25 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
+#include "common/net.h"
 
 namespace pmkm {
 namespace serve {
 
-ServeDaemon::ServeDaemon() = default;
-
 ServeDaemon::~ServeDaemon() { Stop(); }
 
 Status ServeDaemon::Start(const DaemonOptions& options) {
-  {
-    MutexLock lock(mu_);
-    if (running_) {
-      return Status::FailedPrecondition("daemon already running");
-    }
+  if (!stopping()) {
+    return Status::FailedPrecondition("daemon already running");
   }
-  options_ = options;
-  PMKM_ASSIGN_OR_RETURN(Listener listener,
-                        ListenEndpoint(options.endpoint));
-  bound_endpoint_ = listener.endpoint;
   service_ = std::make_unique<LocalService>(options.service);
-  pool_ = std::make_unique<ThreadPool>(
-      std::max<size_t>(1, options.num_handler_threads));
-  {
-    MutexLock lock(mu_);
-    listen_fd_ = listener.fd;
-    running_ = true;
+  const Status status = ConnectionServer::Start(
+      options.endpoint, options.num_handler_threads, options.io_timeout_ms);
+  if (!status.ok()) {
+    service_.reset();
+    return status;
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  PMKM_LOG(Info) << "serve daemon listening on " << bound_endpoint_;
+  PMKM_LOG(Info) << "serve daemon listening on " << bound_endpoint();
   return Status::OK();
 }
 
@@ -50,56 +39,14 @@ void ServeDaemon::DrainAndStop() {
 }
 
 void ServeDaemon::Stop() {
-  int fd = -1;
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    running_ = false;
-    fd = listen_fd_;
-    listen_fd_ = -1;
-  }
-  CloseFd(fd);  // unblocks the accept loop
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (pool_ != nullptr) {
-    pool_->Shutdown();  // drains in-flight connection handlers
-    pool_.reset();
-  }
+  ConnectionServer::Stop();
   if (service_ != nullptr) service_->Shutdown();
-  CleanupEndpoint(bound_endpoint_);
-}
-
-void ServeDaemon::AcceptLoop() {
-  while (true) {
-    int listen_fd;
-    {
-      MutexLock lock(mu_);
-      if (!running_) return;
-      listen_fd = listen_fd_;
-    }
-    if (listen_fd < 0) return;
-    Result<int> conn = AcceptConnection(listen_fd);
-    if (!conn.ok()) {
-      MutexLock lock(mu_);
-      if (!running_) return;  // Stop() closed the listener under us
-      continue;               // transient accept failure
-    }
-    const int fd = conn.value();
-    if (!SetIoTimeout(fd, options_.io_timeout_ms).ok()) {
-      CloseFd(fd);
-      continue;
-    }
-    auto future = pool_->Submit([this, fd] { HandleConnection(fd); });
-    if (!future.valid()) {
-      CloseFd(fd);  // pool already shut down
-      return;
-    }
-  }
 }
 
 void ServeDaemon::HandleConnection(int fd) {
   // Hello exchange; an invalid or too-old client is dropped here. All
   // socket I/O below is bounded by SO_RCVTIMEO/SO_SNDTIMEO
-  // (options_.io_timeout_ms, set on the fd in AcceptLoop).
+  // (DaemonOptions::io_timeout_ms, set by ConnectionServer's accept loop).
   uint8_t peer_hello[kHelloBytes];
   // pmkm-ctxcheck: allow(bounded-handler)
   if (!ReadExact(fd, peer_hello).ok()) {
@@ -236,11 +183,6 @@ std::vector<uint8_t> ServeDaemon::AwaitReply(const Frame& request,
   }
   if (!info.ok()) return EncodeReply(info.error(), empty);
   return EncodeReply(Status::OK(), EncodeJobInfo(info.value()));
-}
-
-bool ServeDaemon::stopping() const {
-  MutexLock lock(mu_);
-  return !running_;
 }
 
 }  // namespace serve

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <utility>
 
-#include "serve/net.h"
+#include "common/net.h"
 
 namespace pmkm {
 namespace serve {

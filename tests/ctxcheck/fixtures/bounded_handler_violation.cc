@@ -6,6 +6,10 @@
 // report the witness chain HandleConnection -> AwaitWork -> Wait, and
 // the one through the std::unique_ptr-owned job table,
 // HandleConnection -> JobTable::AwaitForever -> Wait.
+// A shared listener annotates only its pure virtual HandleConnection
+// (the ConnectionServer shape); the unannotated override in a derived
+// class is a root all the same, so SessionHost::HandleConnection -> Wait
+// is a finding too.
 // This file compiles but is deliberately wrong.
 
 #include <memory>
@@ -47,5 +51,25 @@ class SessionServer {
 };
 
 void Touch(SessionServer& s) { s.HandleConnection(3); }
+
+class Listener {
+ public:
+  virtual ~Listener() = default;
+
+ private:
+  virtual void HandleConnection(int fd) PMKM_BOUNDED_HANDLER = 0;
+};
+
+class SessionHost : public Listener {
+ private:
+  void HandleConnection(int /*fd*/) override {
+    pmkm::MutexLock lock(mu_);
+    while (!ready_) cv_.Wait(mu_);  // unbounded, annotated via the base
+  }
+
+  pmkm::Mutex mu_;
+  pmkm::CondVar cv_;
+  bool ready_ PMKM_GUARDED_BY(mu_) = false;
+};
 
 }  // namespace ctxfix

@@ -57,6 +57,7 @@ EXPECTATIONS = {
         "ctxfix::SessionServer::HandleConnection",
         "ctxfix::SessionServer::AwaitWork",
         "ctxfix::JobTable::AwaitForever",
+        "ctxfix::SessionHost::HandleConnection",
         "-> Wait",
     ]),
     "bounded_handler_clean.cc": (0, ["0 new finding(s)"]),

@@ -74,10 +74,10 @@ TEST(DebugServerTest, StartsOnEphemeralPortAndStops) {
   MetricsRegistry registry;
   DebugServer server(&registry, nullptr);
   ASSERT_TRUE(server.Start().ok());
-  EXPECT_TRUE(server.running());
+  EXPECT_FALSE(server.stopping());
   EXPECT_GT(server.port(), 0);
   server.Stop();
-  EXPECT_FALSE(server.running());
+  EXPECT_TRUE(server.stopping());
   server.Stop();  // idempotent
 }
 

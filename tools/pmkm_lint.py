@@ -53,10 +53,10 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
   raw-signal    Library code (src/) never installs signal handlers with
                 raw `signal()`/`sigaction()`: a handler constrains every
                 line it can interrupt to the async-signal-safe subset,
-                which pmkm_ctxcheck can only verify for the two sanctioned
-                installers (obs/profiler.cc SIGPROF, serve/daemon.cc).
-                Process-lifecycle wiring belongs in the CLI surface
-                (tools/), outside the library.
+                which pmkm_ctxcheck can only verify for the one sanctioned
+                installer (obs/profiler.cc SIGPROF). Process-lifecycle
+                wiring belongs in the CLI surface (tools/, e.g.
+                pmkm_serve's sigwait), outside the library.
   direct-run    The retired free-function entry points
                 RunPartialMergeStream / RunPartialMergeStreamInMemory must
                 not reappear: every pipeline run goes through
@@ -72,6 +72,12 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 (`static_cast<uint8_t>(v >> 8)`) or load
                 (`static_cast<uint32_t>(p[1]) << 8`) anywhere else is a
                 private copy of it, free to drift from the others.
+  raw-socket    Library code (src/) calls `::socket`, `::bind`, `::listen`
+                and `::accept` only in common/net.cc. Every listener is a
+                ConnectionServer (common/connection_server.h), which owns
+                the accept loop, the io timeout, the handler pool and
+                stop; a raw call elsewhere is a second listener, free to
+                drift from the first.
 
 Suppression: append `// pmkm-lint: allow(<rule>)` to the offending line
 (or the line above) together with a comment justifying the exception.
@@ -107,12 +113,13 @@ RULES = {
     "header-guard": "header guard missing or misnamed",
     "fault-site": "malformed PMKM_FAULT_POINT site name",
     "raw-sync": "raw std sync primitive outside the annotated wrappers",
-    "raw-signal": "signal()/sigaction() outside the sanctioned installers",
+    "raw-signal": "signal()/sigaction() outside the sanctioned installer",
     "persist": "binary persistence outside the crash-safe commit paths",
     "direct-run": "pipeline run outside PipelineBuilder (retired entry "
                   "points / raw Executor)",
     "byte-codec": "hand-rolled little-endian packing outside "
                   "common/bytes.h",
+    "raw-socket": "socket/bind/listen/accept outside common/net.cc",
 }
 
 # Directories scanned when no explicit file list is given.
@@ -153,6 +160,8 @@ BYTE_CODEC_RE = re.compile(
     r"static_cast<u?int8_t>\([^()]*>>\s*" + BYTE_SHIFT + r"|"
     r"static_cast<u?int(?:16|32|64)_t>\(\s*[\w.>\-]+\s*\[[^\]]*\]\s*\)"
     r"\s*<<\s*" + BYTE_SHIFT)
+# Global-scope calls only: `std::bind(` is not a socket call.
+RAW_SOCKET_RE = re.compile(r"(?<![\w:])::(?:socket|bind|listen|accept)\s*\(")
 
 
 def strip_comments_and_strings(text):
@@ -300,11 +309,10 @@ def lint_file(root, relpath):
                     os.path.join("src", "common", "logging.cc"))
         or in_dir(relpath, os.path.join("src", "common", "schedcheck")))
     sleep_exempt = fname in ("retry.cc", "retry.h", "fault.cc", "fault.h")
-    # The two sanctioned handler installers: the SIGPROF profiler and the
-    # serve daemon. Their handlers/closures are verified by pmkm_ctxcheck.
-    signal_exempt = relpath in (
-        os.path.join("src", "obs", "profiler.cc"),
-        os.path.join("src", "serve", "daemon.cc"))
+    # The one sanctioned handler installer, the SIGPROF profiler; its
+    # handler is verified by pmkm_ctxcheck.
+    signal_exempt = relpath == os.path.join("src", "obs", "profiler.cc")
+    net_file = relpath == os.path.join("src", "common", "net.cc")
     fault_def_file = relpath == os.path.join("src", "common", "fault.h")
     byte_codec_file = relpath == os.path.join("src", "common", "bytes.h")
     # The two modules that *implement* the crash-safe commit protocol.
@@ -346,8 +354,12 @@ def lint_file(root, relpath):
             if not signal_exempt and RAW_SIGNAL_RE.search(line):
                 check(lineno, "raw-signal",
                       "signal handler installed outside the sanctioned "
-                      "installers (obs/profiler.cc, serve/daemon.cc); "
-                      "wire process signals in tools/ instead")
+                      "installer (obs/profiler.cc); wire process signals "
+                      "in tools/ instead")
+            if not net_file and RAW_SOCKET_RE.search(line):
+                check(lineno, "raw-socket",
+                      "raw socket call outside common/net.cc; listen "
+                      "through ConnectionServer (common/connection_server.h)")
             if not byte_codec_file and BYTE_CODEC_RE.search(line):
                 check(lineno, "byte-codec",
                       "hand-rolled little-endian packing; use the "
