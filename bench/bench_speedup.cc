@@ -154,7 +154,8 @@ int Main(int argc, char** argv) {
                "Quality (E_pm) is identical under any\nclone count — "
                "parallelism never changes the computation.\n";
   if (!json_out.empty()) {
-    PMKM_CHECK_OK(WriteBenchJson(json_out, "speedup_stream", stream_stats));
+    PMKM_CHECK_OK(WriteBenchJson(
+        json_out, {{"speedup_stream", BenchRow(stream_stats)}}));
     std::cout << "wrote " << json_out << "\n";
   }
   return 0;

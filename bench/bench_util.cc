@@ -8,7 +8,6 @@
 
 #include "cluster/metrics.h"
 #include "common/stopwatch.h"
-#include "obs/json.h"
 #include "stream/engine.h"
 
 namespace pmkm {
@@ -167,9 +166,18 @@ void PrintBanner(const std::string& experiment_id,
                "=====================\n";
 }
 
-Status WriteBenchJson(const std::string& path,
-                      const std::string& benchmark,
-                      const RunStats& stats) {
+JsonValue BenchRow(const RunStats& stats) {
+  JsonValue row = JsonValue::Object();
+  row.Set("wall_s", stats.total_ms * 1e-3);
+  row.Set("t_partial_s", stats.partial_ms * 1e-3);
+  row.Set("t_merge_s", stats.merge_ms * 1e-3);
+  row.Set("min_mse", stats.min_mse);
+  return row;
+}
+
+Status WriteBenchJson(
+    const std::string& path,
+    const std::vector<std::pair<std::string, JsonValue>>& entries) {
   JsonValue doc = JsonValue::Object();
   if (std::ifstream in(path); in) {
     std::ostringstream buf;
@@ -180,12 +188,7 @@ Status WriteBenchJson(const std::string& path,
       doc = std::move(parsed).value();
     }
   }
-  JsonValue entry = JsonValue::Object();
-  entry.Set("wall_s", stats.total_ms * 1e-3);
-  entry.Set("t_partial_s", stats.partial_ms * 1e-3);
-  entry.Set("t_merge_s", stats.merge_ms * 1e-3);
-  entry.Set("min_mse", stats.min_mse);
-  doc.Set(benchmark, std::move(entry));
+  for (const auto& [key, value] : entries) doc.Set(key, value);
   std::ofstream out(path, std::ios::trunc);
   out << doc.Dump(2) << "\n";
   if (!out.good()) return Status::IOError("cannot write " + path);

@@ -14,12 +14,14 @@
 #define PMKM_BENCH_BENCH_UTIL_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/kmeans.h"
 #include "cluster/merge.h"
 #include "common/flags.h"
 #include "data/generator.h"
+#include "obs/json.h"
 
 namespace pmkm {
 namespace bench {
@@ -98,12 +100,16 @@ void PrintBanner(const std::string& experiment_id,
                  const std::string& description,
                  const ExperimentGrid& grid);
 
-/// Machine-readable results: merges `benchmark` →
-/// {wall_s, t_partial_s, t_merge_s, min_mse} into the JSON object stored
-/// at `path` (read-modify-rewrite, so several harnesses invoked with the
-/// same --json_out accumulate into one file, e.g. BENCH_stream.json).
-Status WriteBenchJson(const std::string& path,
-                      const std::string& benchmark, const RunStats& stats);
+/// One benchmark row: {wall_s, t_partial_s, t_merge_s, min_mse}.
+JsonValue BenchRow(const RunStats& stats);
+
+/// Machine-readable results: sets each (key, value) of `entries` in the
+/// JSON object stored at `path` (read-modify-rewrite, so several harnesses
+/// invoked with the same --json_out accumulate into one file, e.g.
+/// BENCH_stream.json).
+Status WriteBenchJson(
+    const std::string& path,
+    const std::vector<std::pair<std::string, JsonValue>>& entries);
 
 }  // namespace bench
 }  // namespace pmkm

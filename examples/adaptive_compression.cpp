@@ -2,8 +2,7 @@
 // cell, each partition is quantized with ECVQ under a rate penalty λ, so
 // the codebook size adapts to the partition's complexity; the weighted
 // codewords are then merged as usual. Compares against the fixed-k
-// pipeline at equal (resulting) bucket budgets and reports cluster
-// validity indices.
+// pipeline at equal (resulting) bucket budgets.
 //
 //   $ ./build/examples/adaptive_compression [--n=20000] [--lambda=50]
 
@@ -13,7 +12,6 @@
 
 #include "cluster/merge.h"
 #include "cluster/metrics.h"
-#include "cluster/validity.h"
 #include "common/flags.h"
 #include "data/generator.h"
 #include "histogram/ecvq.h"
@@ -100,14 +98,10 @@ int main(int argc, char** argv) {
   auto report = [&](const char* name, const pmkm::ClusteringModel& model) {
     auto hist = pmkm::MultivariateHistogram::Build(model, cell);
     PMKM_CHECK(hist.ok()) << hist.status();
-    auto sil = pmkm::SilhouetteScore(model, cell);
-    auto db = pmkm::DaviesBouldinIndex(model, cell);
     std::printf(
-        "  %-10s k=%-3zu SSE(raw)=%-12.0f recon-MSE=%-8.3f ratio=%-7.1f "
-        "silhouette=%-6.3f DB=%-6.3f\n",
+        "  %-10s k=%-3zu SSE(raw)=%-12.0f recon-MSE=%-8.3f ratio=%.1f\n",
         name, model.k(), pmkm::Sse(model.centroids, cell),
-        hist->ReconstructionMse(cell), hist->CompressionRatio(cell.size()),
-        sil.ok() ? *sil : -9.0, db.ok() ? *db : -9.0);
+        hist->ReconstructionMse(cell), hist->CompressionRatio(cell.size()));
   };
   std::cout << "\ncomparison at equal final k:\n";
   report("adaptive", *adaptive);

@@ -2,9 +2,9 @@
 # Smoke-config benchmark run emitting machine-readable stream results:
 #   BENCH_stream.json — { benchmark: {wall_s, t_partial_s, t_merge_s,
 #                         min_mse}, ... }
-# for the Fig. 6 time sweep (serial + 10-chunk partial/merge at the
-# largest N, once with the scalar reference kernel and once with the
-# auto-selected SIMD kernel), the operator-clone speed-up study, and the
+# for the Fig. 6 rows of the paper sweep (serial + 10-chunk partial/merge
+# at the largest N, once with the scalar reference kernel and once with
+# the auto-selected SIMD kernel), the operator-clone speed-up study, and the
 # AssignBlock kernel micro-sweep (per-kernel throughput at D=6/16/64,
 # k=40, without and with the second-best distance, plus the with-second
 # rows at D=6, k=4 and k=8) with the pruned pass's bound test
@@ -21,15 +21,15 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_stream.json}"
 
-if [[ ! -x build/bench/bench_fig6_time || ! -x build/bench/bench_speedup \
+if [[ ! -x build/bench/bench_paper || ! -x build/bench/bench_speedup \
       || ! -x build/bench/bench_micro ]]; then
   cmake -B build -S .
-  cmake --build build -j --target bench_fig6_time bench_speedup bench_micro
+  cmake --build build -j --target bench_paper bench_speedup bench_micro
 fi
 
 rm -f "${OUT}"
-build/bench/bench_fig6_time --quick --kernel=scalar --json_out="${OUT}"
-build/bench/bench_fig6_time --quick --kernel=auto --json_out="${OUT}"
+build/bench/bench_paper --quick --kernel=scalar --json_out="${OUT}"
+build/bench/bench_paper --quick --kernel=auto --json_out="${OUT}"
 build/bench/bench_speedup --quick --json_out="${OUT}"
 
 # Kernel throughput sweep: google-benchmark JSON, folded into the same

@@ -3,7 +3,7 @@
 // Every distance in src/ is SquaredL2's subtract-square sum, in the
 // operation order of every DistanceKernel lane, so a point's distance to
 // a centroid has the same bits wherever it is computed. Batch
-// nearest-centroid queries (metrics, validity, histograms, baselines) go
+// nearest-centroid queries (metrics, histograms, baselines) go
 // through AssignNearest on the DistanceKernel (cluster/kernels/kernel.h);
 // queries of one point at a time use NearestCentroidIndex below, the
 // scalar scan the kernels reproduce.

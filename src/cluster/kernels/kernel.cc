@@ -32,8 +32,6 @@ const char* KernelKindToString(KernelKind kind) {
       return "scalar";
     case KernelKind::kAvx2:
       return "avx2";
-    case KernelKind::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -42,9 +40,8 @@ Result<KernelKind> ParseKernelKind(const std::string& name) {
   if (name == "auto") return KernelKind::kAuto;
   if (name == "scalar") return KernelKind::kScalar;
   if (name == "avx2") return KernelKind::kAvx2;
-  if (name == "neon") return KernelKind::kNeon;
   return Status::InvalidArgument(
-      "unknown kernel '" + name + "' (use scalar|avx2|neon|auto)");
+      "unknown kernel '" + name + "' (use scalar|avx2|auto)");
 }
 
 namespace {
@@ -55,10 +52,6 @@ const DistanceKernel* ResolveAuto() {
     if (const DistanceKernel* avx2 = kernels::Avx2Kernel();
         avx2 != nullptr && kernels::CpuSupportsAvx2()) {
       return avx2;
-    }
-    if (const DistanceKernel* neon = kernels::NeonKernel();
-        neon != nullptr) {
-      return neon;
     }
     return kernels::ScalarKernel();
   }();
@@ -77,8 +70,6 @@ const DistanceKernel* LookupKernel(KernelKind kind) {
       return kernels::Avx2Kernel() != nullptr && kernels::CpuSupportsAvx2()
                  ? kernels::Avx2Kernel()
                  : nullptr;
-    case KernelKind::kNeon:
-      return kernels::NeonKernel();
   }
   return nullptr;
 }
@@ -133,10 +124,9 @@ void AssignNearest(const double* points, size_t n, size_t dim,
 std::vector<const DistanceKernel*> AvailableKernels() {
   std::vector<const DistanceKernel*> out;
   out.push_back(kernels::ScalarKernel());
-  for (KernelKind kind : {KernelKind::kAvx2, KernelKind::kNeon}) {
-    if (const DistanceKernel* k = LookupKernel(kind); k != nullptr) {
-      out.push_back(k);
-    }
+  if (const DistanceKernel* avx2 = LookupKernel(KernelKind::kAvx2);
+      avx2 != nullptr) {
+    out.push_back(avx2);
   }
   return out;
 }
@@ -146,7 +136,7 @@ std::string HostIsaDescription() {
   return kernels::CpuSupportsAvx2() ? "x86-64 (avx2+fma)"
                                     : "x86-64 (sse2)";
 #elif defined(__aarch64__)
-  return "aarch64 (neon)";
+  return "aarch64";
 #else
   return "generic";
 #endif

@@ -3,9 +3,10 @@
 // k-means all spend their time).
 //
 // Design (DESIGN.md §10):
-//  - One scalar reference kernel plus runtime-dispatched SIMD variants
-//    (AVX2 on x86-64, NEON on aarch64). The implementation is chosen once
-//    per process via CPUID, overridable with --kernel.
+//  - One scalar reference kernel plus a runtime-dispatched AVX2 variant
+//    on x86-64; every other host runs the scalar kernel. The
+//    implementation is chosen once per process via CPUID, overridable
+//    with --kernel.
 //  - Layout contract: centroids are repacked *transposed and padded*
 //    (CentroidBlock): coordinate d of all centroids is contiguous, k padded
 //    to a lane multiple with +inf coordinates, so SIMD lanes sweep
@@ -21,7 +22,7 @@
 //    reduces it with a branch-free per-lane min/second/index update and a
 //    permute-based cross-lane reduction (kernels/avx2.cc shows why that
 //    equals the scan). Assignments, and therefore centroids, are bitwise
-//    identical across scalar/AVX2/NEON. The pruned Lloyd assignment
+//    identical across scalar and AVX2. The pruned Lloyd assignment
 //    (cluster/lloyd.cc) relies on this: PruneBlock computes a skipped
 //    point's distance to its own centroid in the same per-lane operation
 //    order, and AssignBlock scans the survivors through their row list.
@@ -45,12 +46,11 @@ enum class KernelKind {
   kAuto,    // best implementation the host supports (CPUID probe)
   kScalar,  // portable reference
   kAvx2,    // x86-64 AVX2 (compiled with FMA enabled, contraction off)
-  kNeon,    // aarch64 NEON
 };
 
 const char* KernelKindToString(KernelKind kind);
 
-/// Parses "auto" | "scalar" | "avx2" | "neon" (the --kernel flag values).
+/// Parses "auto" | "scalar" | "avx2" (the --kernel flag values).
 Result<KernelKind> ParseKernelKind(const std::string& name);
 
 /// The bound arithmetic of the pruned Lloyd pass, shared by PruneBlock
@@ -68,9 +68,8 @@ inline constexpr double kPruneMaxBound = 1e100;
 /// Load() only reallocates when the shape grows.
 class CentroidBlock {
  public:
-  /// Pad k to a multiple of 8: covers the AVX2 kernel's 8-centroid
-  /// register block (two 4-wide vectors) and 4× 2-wide NEON sweeps with
-  /// one layout.
+  /// Pad k to a multiple of 8: the AVX2 kernel's 8-centroid register
+  /// block (two 4-wide vectors).
   static constexpr size_t kLanePad = 8;
 
   void Load(const double* centroids, size_t k, size_t dim);
@@ -96,7 +95,7 @@ class DistanceKernel {
  public:
   virtual ~DistanceKernel() = default;
 
-  /// "scalar" | "avx2" | "neon" — surfaced in OperatorStats and EXPLAIN.
+  /// "scalar" | "avx2" — surfaced in OperatorStats and EXPLAIN.
   virtual const char* name() const = 0;
   virtual KernelKind kind() const = 0;
 
@@ -168,9 +167,9 @@ Result<KernelKind> SetDefaultKernel(KernelKind kind);
 
 /// The nearest centroid of each of the n row-major `points`, computed by
 /// DefaultKernel().AssignBlock: the batch query behind every metric,
-/// validity index, histogram and baseline outside the Lloyd loop, so they
-/// see the assignments and distances training saw. `second2` as in
-/// AssignBlock. Requires a non-empty centroid set of dimension `dim`.
+/// histogram and baseline outside the Lloyd loop, so they see the
+/// assignments and distances training saw. `second2` as in AssignBlock.
+/// Requires a non-empty centroid set of dimension `dim`.
 void AssignNearest(const double* points, size_t n, size_t dim,
                    const Dataset& centroids, uint32_t* assign,
                    double* dist2, double* second2 = nullptr);
@@ -180,7 +179,7 @@ void AssignNearest(const double* points, size_t n, size_t dim,
 std::vector<const DistanceKernel*> AvailableKernels();
 
 /// Short host-ISA description for bench provenance, e.g.
-/// "x86-64 (avx2+fma)" or "aarch64 (neon)".
+/// "x86-64 (avx2+fma)" or "aarch64".
 std::string HostIsaDescription();
 
 }  // namespace pmkm

@@ -50,8 +50,8 @@ struct ObsContext {
 struct OperatorStats {
   std::string name;
 
-  /// Distance kernel the operator's k-means fits ran on ("scalar",
-  /// "avx2", "neon"); empty for operators that do no clustering (scans).
+  /// Distance kernel the operator's k-means fits ran on ("scalar" or
+  /// "avx2"); empty for operators that do no clustering (scans).
   std::string kernel;
 
   uint64_t rows_in = 0;

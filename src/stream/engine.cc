@@ -386,7 +386,7 @@ void EngineFlags::Register(FlagParser* parser) {
       .AddInt("op_timeout_ms", &op_timeout_ms,
               "stream: watchdog stall timeout (0 = off)")
       .AddString("kernel", &kernel,
-                 "distance kernel: scalar | avx2 | neon | auto")
+                 "distance kernel: scalar | avx2 | auto")
       .AddString("checkpoint_dir", &checkpoint_dir,
                  "stream: durable checkpoint directory (empty = off)")
       .AddInt("checkpoint_sync", &checkpoint_sync,
@@ -401,13 +401,23 @@ Result<EngineOptions> EngineFlags::ToOptions() const {
   if (restarts <= 0) {
     return Status::InvalidArgument("--restarts must be >= 1");
   }
+  for (const auto& [name, value] :
+       {std::pair<const char*, int64_t>{"memory-kib", memory_kib},
+        {"cores", cores},
+        {"max_retries", max_retries},
+        {"op_timeout_ms", op_timeout_ms}}) {
+    if (value < 0) {
+      return Status::InvalidArgument("--" + std::string(name) +
+                                     " must be >= 0");
+    }
+  }
   EngineOptions options;
   options.partial.k = static_cast<size_t>(k);
   options.partial.restarts = static_cast<size_t>(restarts);
   options.merge.k = static_cast<size_t>(k);
   options.resources.memory_bytes_per_operator =
       static_cast<size_t>(memory_kib) << 10;
-  options.resources.cores = static_cast<size_t>(std::max<int64_t>(0, cores));
+  options.resources.cores = static_cast<size_t>(cores);
   PMKM_ASSIGN_OR_RETURN(options.exec.failure_policy,
                         ParseFailurePolicy(failure_policy));
   options.exec.max_retries = static_cast<size_t>(max_retries);

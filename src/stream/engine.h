@@ -95,9 +95,10 @@ struct EngineFlags {
   /// --checkpoint_sync and --resume/--no-resume on `parser`.
   void Register(FlagParser* parser);
 
-  /// Validates and converts the parsed values. Fails on an unknown
-  /// failure policy, an unknown kernel name, or a kernel this host
-  /// cannot run.
+  /// Validates and converts the parsed values. Fails on k or restarts
+  /// below 1, a negative memory budget, core count, retry count or
+  /// timeout, an unknown failure policy, an unknown kernel name, or a
+  /// kernel this host cannot run.
   Result<EngineOptions> ToOptions() const;
 };
 

@@ -151,6 +151,10 @@ TEST_F(ServiceTest, LocalRejectsInvalidSpecs) {
   JobSpec bad_k = MakeSpec({WriteBucket(1, 100, 2)});
   bad_k.engine.k = 0;
   EXPECT_TRUE(service.SubmitJob(bad_k).status().IsInvalidArgument());
+  JobSpec bad_retries = MakeSpec({WriteBucket(1, 100, 2)});
+  bad_retries.engine.max_retries = -1;
+  EXPECT_TRUE(
+      service.SubmitJob(bad_retries).status().IsInvalidArgument());
 
   EXPECT_TRUE(
       service.SubmitJob(MakeSpec({})).status().IsInvalidArgument());
@@ -372,6 +376,9 @@ TEST_F(ServiceTest, RemoteErrorSemanticsMatchLocal) {
   JobSpec bad = MakeSpec({"/nonexistent.pmkb"});
   bad.engine.k = 0;
   EXPECT_TRUE(remote.SubmitJob(bad).status().IsInvalidArgument());
+  JobSpec bad_retries = MakeSpec({"/nonexistent.pmkb"});
+  bad_retries.engine.max_retries = -1;
+  EXPECT_TRUE(remote.SubmitJob(bad_retries).status().IsInvalidArgument());
 
   remote.Disconnect();
   daemon.Stop();

@@ -67,6 +67,15 @@ TEST(EngineFlagsTest, RejectsBadValues) {
     flags.kernel = "mmx";
     EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument());
   }
+  // Negative sizes and counts are rejected, not cast to huge unsigned
+  // values or clamped.
+  for (int64_t EngineFlags::*field :
+       {&EngineFlags::memory_kib, &EngineFlags::cores,
+        &EngineFlags::max_retries, &EngineFlags::op_timeout_ms}) {
+    EngineFlags flags;
+    flags.*field = -1;
+    EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument());
+  }
 }
 
 TEST(PipelineBuilderTest, RunInMemoryIsDeterministic) {

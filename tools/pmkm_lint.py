@@ -78,6 +78,13 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 the accept loop, the io timeout, the handler pool and
                 stop; a raw call elsewhere is a second listener, free to
                 drift from the first.
+  isa-intrinsics
+                The ISA intrinsic headers (<immintrin.h>, <x86intrin.h>,
+                <arm_*.h>) and `__builtin_cpu_supports` appear only in
+                src/cluster/kernels/avx2.cc, the one SIMD kernel that
+                every x86-64 build compiles and kernel_parity_test checks
+                against the scalar reference. An intrinsic copy elsewhere
+                is an ISA path no build may ever run.
 
 Suppression: append `// pmkm-lint: allow(<rule>)` to the offending line
 (or the line above) together with a comment justifying the exception.
@@ -120,6 +127,8 @@ RULES = {
     "byte-codec": "hand-rolled little-endian packing outside "
                   "common/bytes.h",
     "raw-socket": "socket/bind/listen/accept outside common/net.cc",
+    "isa-intrinsics": "ISA intrinsics or CPU probes outside "
+                      "cluster/kernels/avx2.cc",
 }
 
 # Directories scanned when no explicit file list is given.
@@ -162,6 +171,9 @@ BYTE_CODEC_RE = re.compile(
     r"\s*<<\s*" + BYTE_SHIFT)
 # Global-scope calls only: `std::bind(` is not a socket call.
 RAW_SOCKET_RE = re.compile(r"(?<![\w:])::(?:socket|bind|listen|accept)\s*\(")
+ISA_INTRINSICS_RE = re.compile(
+    r"#\s*include\s*<(?:immintrin|x86intrin|arm_\w+)\.h>|"
+    r"\b__builtin_cpu_supports\b")
 
 
 def strip_comments_and_strings(text):
@@ -313,6 +325,7 @@ def lint_file(root, relpath):
     # handler is verified by pmkm_ctxcheck.
     signal_exempt = relpath == os.path.join("src", "obs", "profiler.cc")
     net_file = relpath == os.path.join("src", "common", "net.cc")
+    isa_file = relpath == os.path.join("src", "cluster", "kernels", "avx2.cc")
     fault_def_file = relpath == os.path.join("src", "common", "fault.h")
     byte_codec_file = relpath == os.path.join("src", "common", "bytes.h")
     # The two modules that *implement* the crash-safe commit protocol.
@@ -373,6 +386,11 @@ def lint_file(root, relpath):
                     check(lineno, "persist",
                           "binary ofstream outside the crash-safe commit "
                           "paths; use AtomicWriteFile/JournalWriter")
+        if not isa_file and ISA_INTRINSICS_RE.search(line):
+            check(lineno, "isa-intrinsics",
+                  "ISA intrinsics or CPU probe outside "
+                  "src/cluster/kernels/avx2.cc; a SIMD kernel needs a "
+                  "build that compiles it and a parity test that runs it")
         if DIRECT_RUN_RE.search(line):
             check(lineno, "direct-run",
                   "retired RunPartialMergeStream* entry point; run "
