@@ -11,13 +11,6 @@
 // Partial/merge runs go through the stream engine with one partial clone
 // (bench_util.h, RunOnEngine), so every column is measured on the code
 // that ships.
-//
-// --kernel selects the distance kernel for every k-means in the sweep
-// (assignments are bit-identical across kernels, so only the times move).
-// --json_out records Figure 6's largest-N serial and 10-split rows. With
-// --kernel=auto the rows keep their historical names (fig6_serial,
-// fig6_pm10); an explicit kernel suffixes them (fig6_serial_scalar, ...)
-// so before/after rows coexist in one BENCH_stream.json.
 
 #include <algorithm>
 #include <iostream>
@@ -155,43 +148,18 @@ void PrintFig8(const std::vector<SweepRow>& rows,
 
 int Main(int argc, char** argv) {
   ExperimentGrid grid;
-  std::string json_out;
-  std::string kernel_flag = "auto";
   FlagParser parser;
   grid.Register(&parser);
-  parser.AddString("json_out", &json_out,
-                   "merge machine-readable results into this JSON file")
-      .AddString("kernel", &kernel_flag,
-                 "distance kernel: scalar | avx2 | auto");
   const Status st = parser.Parse(argc, argv);
   if (st.IsCancelled()) return 0;
   PMKM_CHECK_OK(st);
   grid.Finalize();
-
-  auto kind = ParseKernelKind(kernel_flag);
-  PMKM_CHECK_OK(kind.status());
-  PMKM_CHECK_OK(SetDefaultKernel(*kind).status());
 
   const std::vector<SweepRow> rows = RunSweep(grid);
   PrintTable2(rows, grid);
   PrintFig6(rows, grid);
   PrintFig7(rows, grid);
   PrintFig8(rows, grid);
-
-  if (!json_out.empty() && !rows.empty()) {
-    const std::string kernel_name = DefaultKernel().name();
-    const std::string suffix =
-        *kind == KernelKind::kAuto ? "" : "_" + kernel_name;
-    JsonValue host = JsonValue::Object();
-    host.Set("isa", HostIsaDescription());
-    host.Set("kernel", kernel_name);
-    // Sizes are sorted ascending: the last row is the largest N.
-    PMKM_CHECK_OK(WriteBenchJson(
-        json_out, {{"fig6_serial" + suffix, BenchRow(rows.back().serial)},
-                   {"fig6_pm10" + suffix, BenchRow(rows.back().ten)},
-                   {"host", std::move(host)}}));
-    std::cout << "wrote " << json_out << "\n";
-  }
   return 0;
 }
 

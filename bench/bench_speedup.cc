@@ -40,13 +40,10 @@ int Main(int argc, char** argv) {
   ExperimentGrid grid;
   int64_t n = 50000;
   int64_t splits = 10;
-  std::string json_out;
   FlagParser parser;
   grid.Register(&parser);
   parser.AddInt("n", &n, "cell size for the speed-up study")
-      .AddInt("splits", &splits, "partition count p")
-      .AddString("json_out", &json_out,
-                 "merge machine-readable results into this JSON file");
+      .AddInt("splits", &splits, "partition count p");
   const Status st = parser.Parse(argc, argv);
   if (st.IsCancelled()) return 0;
   PMKM_CHECK_OK(st);
@@ -117,7 +114,6 @@ int Main(int argc, char** argv) {
   const size_t chunk_points =
       static_cast<size_t>((n + splits - 1) / splits);
   double base_wall = 0.0;
-  RunStats stream_stats;  // widest clone config, written to --json_out
   for (size_t clones : {1u, 2u, 4u, 8u}) {
     ResourceModel resources;
     resources.cores = clones;  // one partial clone per core
@@ -130,18 +126,6 @@ int Main(int argc, char** argv) {
     PMKM_CHECK(result.ok()) << result.status();
     const double wall = result->wall_seconds * 1e3;
     if (clones == 1) base_wall = wall;
-    stream_stats.total_ms = wall;
-    stream_stats.min_mse = result->cells.at(bucket.cell).model.sse;
-    stream_stats.partial_ms = 0.0;
-    stream_stats.merge_ms = 0.0;
-    for (const OperatorStats& op : result->operator_stats) {
-      if (op.name.rfind("partial-kmeans", 0) == 0) {
-        stream_stats.partial_ms =
-            std::max(stream_stats.partial_ms, op.wall_seconds * 1e3);
-      } else if (op.name == "merge-kmeans") {
-        stream_stats.merge_ms = op.cpu_seconds * 1e3;
-      }
-    }
     std::cout << FmtInt(static_cast<int64_t>(result->plan.partial_clones),
                         7)
               << " | " << Fmt(wall, 12) << " | "
@@ -153,11 +137,6 @@ int Main(int argc, char** argv) {
                "machines <= p; the\nserial merge bounds the tail (Amdahl). "
                "Quality (E_pm) is identical under any\nclone count — "
                "parallelism never changes the computation.\n";
-  if (!json_out.empty()) {
-    PMKM_CHECK_OK(WriteBenchJson(
-        json_out, {{"speedup_stream", BenchRow(stream_stats)}}));
-    std::cout << "wrote " << json_out << "\n";
-  }
   return 0;
 }
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "cluster/metrics.h"
 #include "common/stopwatch.h"
@@ -164,35 +162,6 @@ void PrintBanner(const std::string& experiment_id,
             << ", accelerate=" << (grid.accelerate ? 1 : 0) << "\n";
   std::cout << "==========================================================="
                "=====================\n";
-}
-
-JsonValue BenchRow(const RunStats& stats) {
-  JsonValue row = JsonValue::Object();
-  row.Set("wall_s", stats.total_ms * 1e-3);
-  row.Set("t_partial_s", stats.partial_ms * 1e-3);
-  row.Set("t_merge_s", stats.merge_ms * 1e-3);
-  row.Set("min_mse", stats.min_mse);
-  return row;
-}
-
-Status WriteBenchJson(
-    const std::string& path,
-    const std::vector<std::pair<std::string, JsonValue>>& entries) {
-  JsonValue doc = JsonValue::Object();
-  if (std::ifstream in(path); in) {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    // A missing or unparseable file just starts a fresh document.
-    if (auto parsed = JsonValue::Parse(buf.str());
-        parsed.ok() && parsed->is_object()) {
-      doc = std::move(parsed).value();
-    }
-  }
-  for (const auto& [key, value] : entries) doc.Set(key, value);
-  std::ofstream out(path, std::ios::trunc);
-  out << doc.Dump(2) << "\n";
-  if (!out.good()) return Status::IOError("cannot write " + path);
-  return Status::OK();
 }
 
 }  // namespace bench

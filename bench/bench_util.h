@@ -21,7 +21,6 @@
 #include "cluster/merge.h"
 #include "common/flags.h"
 #include "data/generator.h"
-#include "obs/json.h"
 
 namespace pmkm {
 namespace bench {
@@ -99,17 +98,6 @@ std::string FmtInt(int64_t v, int width = 8);
 void PrintBanner(const std::string& experiment_id,
                  const std::string& description,
                  const ExperimentGrid& grid);
-
-/// One benchmark row: {wall_s, t_partial_s, t_merge_s, min_mse}.
-JsonValue BenchRow(const RunStats& stats);
-
-/// Machine-readable results: sets each (key, value) of `entries` in the
-/// JSON object stored at `path` (read-modify-rewrite, so several harnesses
-/// invoked with the same --json_out accumulate into one file, e.g.
-/// BENCH_stream.json).
-Status WriteBenchJson(
-    const std::string& path,
-    const std::vector<std::pair<std::string, JsonValue>>& entries);
 
 }  // namespace bench
 }  // namespace pmkm

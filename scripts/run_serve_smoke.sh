@@ -5,12 +5,14 @@
 #   1. concurrent pmkm_cluster --server jobs both succeed;
 #   2. the daemon's models are byte-identical to an in-process run of the
 #      same spec (cmp on every .pmkm file);
-#   3. an independent protocol client (python, reimplementing the framing
+#   3. a remote job that names a --checkpoint_dir is rejected, and the
+#      daemon creates nothing at that path;
+#   4. an independent protocol client (python, reimplementing the framing
 #      from the spec in protocol.h) can handshake at v3, submit, cancel a
 #      queued job and await its terminal state with one kAwaitJob — interop,
 #      not just loopback — and a v2 client is refused after the hellos;
-#   4. /statusz and /jobz respond on the daemon's debug server;
-#   5. SIGTERM drains gracefully: a job accepted before the signal is
+#   5. /statusz and /jobz respond on the daemon's debug server;
+#   6. SIGTERM drains gracefully: a job accepted before the signal is
 #      never lost — the client still collects its models and exits 0, and
 #      the daemon exits 0 after "drained; exiting".
 #
@@ -112,6 +114,19 @@ done
   echo "FAIL: expected ${CELLS} models, found ${MODELS}"; exit 1
 }
 echo "ok: ${MODELS} models byte-identical across local/remote backends"
+
+# -- 3b. Where the daemon writes is its own business: a client-chosen
+# checkpoint directory is refused before the job runs.
+if "${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --quiet \
+    --server="${ENDPOINT}" --checkpoint_dir="${WORK}/evil" \
+    --out="${WORK}/evil_models" "${WORK}"/buckets/*.pmkb \
+    > "${WORK}/evil.log" 2>&1; then
+  echo "FAIL: remote job with --checkpoint_dir was accepted"; exit 1
+fi
+[[ ! -e "${WORK}/evil" ]] || {
+  echo "FAIL: the daemon created the client's checkpoint dir"; exit 1
+}
+echo "ok: remote --checkpoint_dir rejected, nothing written"
 
 # -- 4. Interop + cancel: an independent client implementation speaks the
 # protocol from its spec. A fifo "bucket" pins the single worker, so the

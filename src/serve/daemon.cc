@@ -115,6 +115,14 @@ std::vector<uint8_t> ServeDaemon::Dispatch(const Frame& request,
     case FrameType::kSubmitJob: {
       Result<JobSpec> spec = DecodeJobSpec(request.payload);
       if (!spec.ok()) return EncodeReply(spec.error(), empty);
+      // Checkpointing writes files; a remote client must not pick where
+      // the daemon writes them.
+      if (!spec.value().engine.checkpoint_dir.empty()) {
+        return EncodeReply(
+            Status::InvalidArgument(
+                "checkpoint_dir is not accepted from a remote client"),
+            empty);
+      }
       Result<uint64_t> job_id = service_->SubmitJob(spec.value());
       if (!job_id.ok()) return EncodeReply(job_id.error(), empty);
       return EncodeReply(Status::OK(), EncodeU64(job_id.value()));

@@ -70,7 +70,8 @@ struct JobSpec {
 
   /// Engine configuration (k, restarts, memory budget, failure policy,
   /// kernel, checkpointing). The service clamps the resource asks into
-  /// its own budget before running.
+  /// its own budget before running. A daemon rejects a remote spec with
+  /// a checkpoint_dir: where it writes is its own business.
   EngineFlags engine;
 
   /// Explicit run id for artifact correlation (empty = generated).

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -410,6 +411,11 @@ Result<EngineOptions> EngineFlags::ToOptions() const {
       return Status::InvalidArgument("--" + std::string(name) +
                                      " must be >= 0");
     }
+  }
+  // The budget is memory_kib << 10 bytes, which must fit in a size_t.
+  if (static_cast<uint64_t>(memory_kib) >
+      std::numeric_limits<size_t>::max() >> 10) {
+    return Status::InvalidArgument("--memory-kib is too large");
   }
   EngineOptions options;
   options.partial.k = static_cast<size_t>(k);

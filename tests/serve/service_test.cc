@@ -384,6 +384,26 @@ TEST_F(ServiceTest, RemoteErrorSemanticsMatchLocal) {
   daemon.Stop();
 }
 
+TEST_F(ServiceTest, RemoteRejectsCheckpointDirAndWritesNothing) {
+  ServeDaemon daemon;
+  StartDaemon(&daemon);
+
+  RemoteService remote;
+  ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
+
+  const std::filesystem::path evil = dir_ / "evil";
+  JobSpec spec = MakeSpec({WriteBucket(1, 400, 2)});
+  spec.engine.checkpoint_dir = evil.string();
+  auto job_id = remote.SubmitJob(spec);
+  EXPECT_TRUE(job_id.status().IsInvalidArgument()) << job_id.status();
+  // A wrongly accepted job would create the directory when it runs.
+  if (job_id.ok()) (void)remote.AwaitJob(job_id.value(), 120000);
+  EXPECT_FALSE(std::filesystem::exists(evil));
+
+  remote.Disconnect();
+  daemon.Stop();
+}
+
 TEST_F(ServiceTest, RemoteAwaitSendsNoStatusFrames) {
   ServeDaemon daemon;
   StartDaemon(&daemon);

@@ -76,6 +76,12 @@ TEST(EngineFlagsTest, RejectsBadValues) {
     flags.*field = -1;
     EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument());
   }
+  {
+    // memory_kib << 10 would wrap to a 0-byte budget.
+    EngineFlags flags;
+    flags.memory_kib = int64_t{1} << 54;
+    EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument());
+  }
 }
 
 TEST(PipelineBuilderTest, RunInMemoryIsDeterministic) {
