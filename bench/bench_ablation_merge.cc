@@ -51,6 +51,7 @@ int Main(int argc, char** argv) {
       pconfig.k = k;
       pconfig.restarts = static_cast<size_t>(grid.restarts);
       pconfig.seed = 800 + static_cast<uint64_t>(v);
+      pconfig.lloyd.accelerate = grid.accelerate;
       const PartialKMeans partial(pconfig);
       std::vector<WeightedDataset> sets;
       for (size_t c = 0; c < chunks.size(); ++c) {
@@ -61,6 +62,7 @@ int Main(int argc, char** argv) {
 
       MergeKMeansConfig mconfig;
       mconfig.k = k;
+      mconfig.lloyd.accelerate = grid.accelerate;
       {
         WeightedDataset pooled(cell.dim());
         for (const auto& s : sets) pooled.AppendAll(s);

@@ -67,8 +67,10 @@ int Main(int argc, char** argv) {
         partial.k = static_cast<size_t>(grid.k);
         partial.restarts = static_cast<size_t>(grid.restarts);
         partial.seed = 6000 + static_cast<uint64_t>(v);
+        partial.lloyd.accelerate = grid.accelerate;
         MergeKMeansConfig merge;
         merge.k = partial.k;
+        merge.lloyd.accelerate = grid.accelerate;
         const size_t parts = static_cast<size_t>(p);
         Dataset ordered = OrderForSlicing(cell, strategy, parts,
                                           31 + static_cast<uint64_t>(v));

@@ -57,8 +57,10 @@ int Main(int argc, char** argv) {
       partial.k = static_cast<size_t>(grid.k);
       partial.restarts = static_cast<size_t>(grid.restarts);
       partial.seed = 5000 + static_cast<uint64_t>(v);
+      partial.lloyd.accelerate = grid.accelerate;
       MergeKMeansConfig merge;
       merge.k = partial.k;
+      merge.lloyd.accelerate = grid.accelerate;
       merge.seeding = variant.method;
       merge.restarts = variant.restarts;
       merge.seed = 99 + static_cast<uint64_t>(v);

@@ -63,6 +63,7 @@ int Main(int argc, char** argv) {
   pconfig.k = static_cast<size_t>(grid.k);
   pconfig.restarts = static_cast<size_t>(grid.restarts);
   pconfig.seed = 42;
+  pconfig.lloyd.accelerate = grid.accelerate;
   const PartialKMeans partial(pconfig);
 
   std::vector<double> partial_ms;
@@ -76,6 +77,7 @@ int Main(int argc, char** argv) {
   }
   MergeKMeansConfig mconfig;
   mconfig.k = static_cast<size_t>(grid.k);
+  mconfig.lloyd.accelerate = grid.accelerate;
   const Stopwatch merge_watch;
   auto merged = MergeKMeans(mconfig).Merge(pooled);
   PMKM_CHECK(merged.ok()) << merged.status();

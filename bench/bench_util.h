@@ -35,9 +35,9 @@ struct ExperimentGrid {
   int64_t dim = 6;
   uint64_t data_seed = 2004; // ICDE 2004 ;-)
 
-  /// LloydConfig::accelerate for RunSerial/RunPartialMerge. The result is
-  /// identical either way; --accelerate=0 times the paper's unoptimised
-  /// assignment scan.
+  /// LloydConfig::accelerate for every k-means config a harness builds.
+  /// The result is identical either way; --accelerate=0 times the paper's
+  /// unoptimised assignment scan.
   bool accelerate = true;
 
   /// Registers --k/--restarts/--versions/--max-n/--quick/--accelerate.

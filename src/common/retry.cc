@@ -7,28 +7,13 @@
 
 namespace pmkm {
 
-namespace {
-
-int64_t NowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 bool IsRetryableStatus(const Status& status) {
   return status.IsIOError() || status.IsDeadlineExceeded();
 }
 
 Retrier::Retrier(const RetryPolicy& policy, uint64_t seed_tag)
     : policy_(policy),
-      rng_(policy.seed ^ (seed_tag * 0x9e3779b97f4a7c15ULL)) {
-  if (policy_.overall_deadline_ms > 0) {
-    deadline_us_ = NowMicros() +
-                   static_cast<int64_t>(policy_.overall_deadline_ms) * 1000;
-  }
-}
+      rng_(policy.seed ^ (seed_tag * 0x9e3779b97f4a7c15ULL)) {}
 
 uint64_t Retrier::NextBackoffMs() {
   // retries_ has already been incremented for the retry being granted.
@@ -45,22 +30,10 @@ uint64_t Retrier::NextBackoffMs() {
 
 bool Retrier::AllowRetryImpl(const Status& status,
                              std::vector<uint64_t>* delays_ms) {
-  if (status.ok()) return false;
-  const bool retryable = policy_.retryable != nullptr
-                             ? policy_.retryable(status)
-                             : IsRetryableStatus(status);
-  if (!retryable) return false;
+  if (status.ok() || !IsRetryableStatus(status)) return false;
   if (retries_ + 1 >= policy_.max_attempts) return false;
   ++retries_;
   const uint64_t backoff_ms = NextBackoffMs();
-  if (deadline_us_ > 0) {
-    const int64_t wake_us =
-        NowMicros() + static_cast<int64_t>(backoff_ms) * 1000;
-    if (wake_us >= deadline_us_) {
-      --retries_;
-      return false;
-    }
-  }
   if (delays_ms != nullptr) {
     delays_ms->push_back(backoff_ms);
   } else if (backoff_ms > 0) {

@@ -20,9 +20,9 @@
 
 namespace pmkm {
 
-/// True for the status codes worth retrying by default: transient I/O
-/// failures and deadline misses. Invalid arguments, internal invariant
-/// violations and cancellations are never transient.
+/// True for the status codes worth retrying: transient I/O failures and
+/// deadline misses. Invalid arguments, internal invariant violations and
+/// cancellations are never transient.
 bool IsRetryableStatus(const Status& status);
 
 /// Tunable retry behavior. All durations in milliseconds.
@@ -38,24 +38,18 @@ struct RetryPolicy {
   uint64_t max_backoff_ms = 2000;
   double jitter = 0.25;
 
-  /// Overall deadline across all attempts and backoffs; 0 = unbounded.
-  uint64_t overall_deadline_ms = 0;
-
   /// Seed for the jitter Rng (combined with the per-call seed tag).
   uint64_t seed = 0x7e57ab1eULL;
-
-  /// Which failures to retry; null = IsRetryableStatus.
-  bool (*retryable)(const Status&) = nullptr;
 };
 
-/// Tracks one retry loop: attempt count, elapsed time, jittered backoff.
+/// Tracks one retry loop: attempt count and jittered backoff.
 class Retrier {
  public:
   /// `seed_tag` decorrelates jitter across call sites sharing a policy.
   explicit Retrier(const RetryPolicy& policy, uint64_t seed_tag = 0);
 
-  /// Called after a failed attempt. If the failure is retryable and budget
-  /// (attempts + deadline) remains, sleeps the backoff and returns true;
+  /// Called after a failed attempt. If IsRetryableStatus accepts the
+  /// failure and attempts remain, sleeps the backoff and returns true;
   /// otherwise returns false and the caller should give up.
   bool AllowRetry(const Status& status);
 
@@ -75,7 +69,6 @@ class Retrier {
   RetryPolicy policy_;
   Rng rng_;
   size_t retries_ = 0;
-  int64_t deadline_us_ = 0;  // absolute, 0 = none
 };
 
 namespace internal {

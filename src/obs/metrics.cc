@@ -146,16 +146,6 @@ RollingHistogram& MetricsRegistry::rolling_histogram(
   return *slot;
 }
 
-RollingCounter& MetricsRegistry::rolling_counter(const std::string& name,
-                                                 uint64_t window_seconds) {
-  MutexLock lock(mu_);
-  auto& slot = rolling_counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<RollingCounter>(window_seconds);
-  }
-  return *slot;
-}
-
 void MetricsRegistry::SetHelp(const std::string& name,
                               const std::string& help) {
   MutexLock lock(mu_);
@@ -218,15 +208,6 @@ JsonValue MetricsRegistry::ToJson() const {
     entry.Set("p99", s.p99);
     entry.Set("p999", s.p999);
     entry.Set("total_count", rh->total().count());
-    rolling.Set(name, std::move(entry));
-  }
-  for (const auto& [name, rc] : rolling_counters_) {
-    const RollingCounter::Snapshot s = rc->TakeSnapshot();
-    JsonValue entry = JsonValue::Object();
-    entry.Set("window_seconds", s.window_seconds);
-    entry.Set("window_count", s.window_count);
-    entry.Set("rate_per_second", s.rate_per_second);
-    entry.Set("total", s.total);
     rolling.Set(name, std::move(entry));
   }
   root.Set("rolling", std::move(rolling));
@@ -355,20 +336,6 @@ std::string MetricsRegistry::ToPrometheusText(
     // Cumulative (never-reset) sum/count keep scrapes monotonic.
     out += p + "_sum " + PromNumber(t.sum) + "\n";
     out += p + "_count " + std::to_string(t.count) + "\n";
-  }
-  for (const auto& [name, rc] : rolling_counters_) {
-    const std::string p = PromName(prefix, name);
-    const RollingCounter::Snapshot s = rc->TakeSnapshot();
-    out += "# HELP " + p + " " +
-           help_for(name, "Cumulative count of " + p +
-                              " (_rate over the trailing window).") +
-           "\n";
-    out += "# TYPE " + p + " counter\n";
-    out += p + " " + std::to_string(s.total) + "\n";
-    out += "# HELP " + p + "_rate Events per second over the trailing " +
-           std::to_string(s.window_seconds) + "s window.\n";
-    out += "# TYPE " + p + "_rate gauge\n";
-    out += p + "_rate " + PromNumber(s.rate_per_second) + "\n";
   }
   return out;
 }

@@ -11,8 +11,8 @@
 //               are unit-agnostic doubles, by convention microseconds for
 //               "_us"-suffixed metrics.
 //
-// Time-windowed variants (RollingHistogram / RollingCounter, obs/rolling.h)
-// layer a ring of per-second slots over the same log₂ buckets so /metrics
+// The time-windowed variant (RollingHistogram, obs/rolling.h) layers a
+// ring of per-second slots over the same log₂ buckets so /metrics
 // and /statusz can report last-minute percentiles; the registry owns them
 // alongside the cumulative instruments.
 //
@@ -130,7 +130,6 @@ class Histogram {
 };
 
 class RollingHistogram;
-class RollingCounter;
 
 /// Escapes a Prometheus label value: backslash, double-quote and newline
 /// get backslash-escaped per the text exposition format.
@@ -148,13 +147,10 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name) PMKM_EXCLUDES(mu_);
   Histogram& histogram(const std::string& name) PMKM_EXCLUDES(mu_);
 
-  /// Windowed instruments (obs/rolling.h). `window_seconds` applies only
-  /// on first registration of the name.
+  /// Windowed histogram (obs/rolling.h). `window_seconds` applies only on
+  /// first registration of the name.
   RollingHistogram& rolling_histogram(const std::string& name,
                                       uint64_t window_seconds = 60)
-      PMKM_EXCLUDES(mu_);
-  RollingCounter& rolling_counter(const std::string& name,
-                                  uint64_t window_seconds = 60)
       PMKM_EXCLUDES(mu_);
 
   /// Optional `# HELP` text attached to an instrument name; instruments
@@ -194,8 +190,6 @@ class MetricsRegistry {
       PMKM_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<RollingHistogram>>
       rolling_histograms_ PMKM_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<RollingCounter>> rolling_counters_
-      PMKM_GUARDED_BY(mu_);
   std::map<std::string, std::string> help_ PMKM_GUARDED_BY(mu_);
   std::string run_id_ PMKM_GUARDED_BY(mu_);
 };

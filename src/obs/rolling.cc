@@ -113,39 +113,4 @@ RollingHistogram::Snapshot RollingHistogram::SnapshotAt(
   return out;
 }
 
-RollingCounter::RollingCounter(uint64_t window_seconds)
-    : window_seconds_(std::max<uint64_t>(1, window_seconds)),
-      slots_(std::max<uint64_t>(1, window_seconds)) {}
-
-void RollingCounter::IncrementAt(uint64_t n, uint64_t tick) {
-  total_.fetch_add(n, std::memory_order_relaxed);
-  Slot& slot = slots_[tick % slots_.size()];
-  uint64_t epoch = slot.epoch.load(std::memory_order_acquire);
-  if (epoch != tick) {
-    if (slot.epoch.compare_exchange_strong(epoch, tick,
-                                           std::memory_order_acq_rel)) {
-      slot.count.store(0, std::memory_order_relaxed);
-    } else if (epoch != tick) {
-      return;  // rotated out; still counted in total_
-    }
-  }
-  slot.count.fetch_add(n, std::memory_order_relaxed);
-}
-
-RollingCounter::Snapshot RollingCounter::SnapshotAt(uint64_t tick) const {
-  Snapshot out;
-  out.window_seconds = window_seconds_;
-  out.total = total();
-  const uint64_t oldest =
-      tick >= window_seconds_ - 1 ? tick - (window_seconds_ - 1) : 0;
-  for (const Slot& slot : slots_) {
-    const uint64_t epoch = slot.epoch.load(std::memory_order_acquire);
-    if (epoch == ~uint64_t{0} || epoch < oldest || epoch > tick) continue;
-    out.window_count += slot.count.load(std::memory_order_relaxed);
-  }
-  out.rate_per_second = static_cast<double>(out.window_count) /
-                        static_cast<double>(window_seconds_);
-  return out;
-}
-
 }  // namespace pmkm

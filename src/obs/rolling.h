@@ -1,6 +1,6 @@
-// Time-windowed metrics: RollingHistogram and RollingCounter.
+// Time-windowed metrics: RollingHistogram.
 //
-// Both layer a ring of per-second slots over the cumulative instruments in
+// It layers a ring of per-second slots over the cumulative instruments in
 // obs/metrics.h, so `/metrics` and `/statusz` can answer "what was the
 // p99 over the *last minute*" instead of "since process start" — the
 // primitive the SLO work asserts against. Each slot is tagged with the
@@ -86,44 +86,6 @@ class RollingHistogram {
   const uint64_t window_seconds_;
   std::vector<Slot> slots_;  // one per second of window; sized at ctor
   Histogram total_;
-};
-
-/// Counter with a windowed rate: cumulative total plus events-per-second
-/// over the last `window_seconds` seconds. Thread-safe; lock-free.
-class RollingCounter {
- public:
-  explicit RollingCounter(uint64_t window_seconds = 60);
-
-  uint64_t window_seconds() const { return window_seconds_; }
-
-  void Increment(uint64_t n = 1) PMKM_WAITFREE {
-    IncrementAt(n, RollingHistogram::NowTick());
-  }
-  void IncrementAt(uint64_t n, uint64_t tick) PMKM_WAITFREE;
-
-  /// Cumulative total since construction (monotonic).
-  uint64_t total() const { return total_.load(std::memory_order_relaxed); }
-
-  struct Snapshot {
-    uint64_t window_seconds = 0;
-    uint64_t total = 0;          // cumulative, monotonic
-    uint64_t window_count = 0;   // events inside the window
-    double rate_per_second = 0.0;
-  };
-  Snapshot TakeSnapshot() const {
-    return SnapshotAt(RollingHistogram::NowTick());
-  }
-  Snapshot SnapshotAt(uint64_t tick) const;
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> epoch{~uint64_t{0}};
-    std::atomic<uint64_t> count{0};
-  };
-
-  const uint64_t window_seconds_;
-  std::vector<Slot> slots_;
-  std::atomic<uint64_t> total_{0};
 };
 
 }  // namespace pmkm

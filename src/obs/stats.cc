@@ -18,7 +18,6 @@ void OperatorStats::MergeFrom(const OperatorStats& other) {
   kmeans_iterations += other.kmeans_iterations;
   kmeans_restarts += other.kmeans_restarts;
   retries += other.retries;
-  restarts += other.restarts;
   items_dropped += other.items_dropped;
 }
 
@@ -66,7 +65,6 @@ std::string OperatorStats::ToString() const {
     out += " kmeans_restarts=" + std::to_string(kmeans_restarts);
   }
   out += " retries=" + std::to_string(retries);
-  out += " restarts=" + std::to_string(restarts);
   if (items_dropped > 0) {
     out += " dropped=" + std::to_string(items_dropped);
   }
@@ -87,7 +85,6 @@ JsonValue OperatorStats::ToJson() const {
   j.Set("kmeans_iterations", kmeans_iterations);
   j.Set("kmeans_restarts", kmeans_restarts);
   j.Set("retries", retries);
-  j.Set("restarts", restarts);
   j.Set("items_dropped", items_dropped);
   return j;
 }
@@ -109,7 +106,6 @@ void OperatorStats::ExportTo(MetricsRegistry* registry) const {
       .Increment(kmeans_iterations);
   registry->counter(prefix + "kmeans_restarts").Increment(kmeans_restarts);
   registry->counter(prefix + "retries").Increment(retries);
-  registry->counter(prefix + "restarts").Increment(restarts);
   registry->counter(prefix + "items_dropped").Increment(items_dropped);
 }
 

@@ -59,7 +59,7 @@ struct OperatorStats {
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
 
-  /// Wall time of Run() (summed across executor restarts).
+  /// Wall time of Run().
   double wall_seconds = 0.0;
   /// Thread-CPU time of Run(): actual compute, excluding blocked waits.
   double cpu_seconds = 0.0;
@@ -73,8 +73,6 @@ struct OperatorStats {
 
   /// Retry grants absorbed (bucket re-reads, chunk re-computes).
   uint64_t retries = 0;
-  /// Executor-level operator restarts (FailurePolicy::kRetryOperator).
-  uint64_t restarts = 0;
   /// Work items abandoned (quarantined buckets, dropped chunks,
   /// skipped cells).
   uint64_t items_dropped = 0;

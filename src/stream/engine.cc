@@ -189,9 +189,6 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
         &reg->histogram("queue.centroids.pop_wait_us")});
   }
 
-  const bool tolerant =
-      exec.failure_policy == FailurePolicy::kSkipAndContinue;
-
   Executor executor;
   scan->set_failure_policy(exec.failure_policy);
   scan->set_obs(exec.obs);
@@ -212,7 +209,7 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
     executor.Add(std::move(partial));
   }
   auto merge = std::make_unique<MergeKMeansOperator>(options.merge,
-                                                     centroids, tolerant);
+                                                     centroids);
   merge->set_obs(exec.obs);
   merge->set_failure_policy(exec.failure_policy);
   merge->set_checkpoint(checkpoint);
@@ -226,12 +223,8 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
                              operator_names);
   }
 
-  ExecutorOptions executor_options;
-  executor_options.max_retries = exec.max_retries;
-  executor_options.op_timeout_ms = exec.op_timeout_ms;
-
   const Stopwatch watch;
-  if (Status st = executor.Run(executor_options); !st.ok()) {
+  if (Status st = executor.Run(exec.op_timeout_ms); !st.ok()) {
     return FailRun(exec.obs, std::move(st));
   }
 
@@ -249,7 +242,6 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
   RunReport& report = out.report;
   report.failure_policy = exec.failure_policy;
   report.cells_clustered = out.cells.size();
-  report.operator_restarts = executor.report().total_restarts;
   report.stalled_operators = executor.report().stalled_operators;
   if (scan_raw != nullptr) {
     report.io_retries = scan_raw->io_retries();
@@ -261,8 +253,8 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
   for (PartialKMeansOperator* partial : partial_raw) {
     report.chunks_dropped += partial->chunks_dropped();
   }
-  // Cells the merge skipped (dropped upstream or incomplete) that the scan
-  // did not already report.
+  // Cells the merge skipped (dropped upstream, failed or incomplete) that
+  // the scan did not already report.
   for (const auto& [cell, reason] : merge_raw->skipped_cells()) {
     const bool already_reported = std::any_of(
         report.quarantined.begin(), report.quarantined.end(),
@@ -278,9 +270,8 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
   // starts a fresh journal. A degraded run leaves the journal open: its
   // healthy cells stay resumable, and a re-run retries only the
   // quarantined/skipped ones.
-  const bool run_degraded = !report.quarantined.empty() ||
-                            report.chunks_dropped > 0 ||
-                            executor.report().degraded;
+  const bool run_degraded =
+      !report.quarantined.empty() || report.chunks_dropped > 0;
   bool ckpt_degraded = checkpoint_degraded || merge_raw->checkpoint_failed();
   if (checkpoint != nullptr && !merge_raw->checkpoint_failed() &&
       !run_degraded) {
@@ -297,9 +288,7 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
                        exec.obs, &report);
   report.degraded = run_degraded;
 
-  for (const OperatorOutcome& outcome : executor.report().operators) {
-    out.operator_stats.push_back(outcome.stats);
-  }
+  out.operator_stats = executor.report().operator_stats;
   out.queues.push_back(QueueStatsSnapshot{
       "points", points->capacity(), points->HighWaterMark(),
       points->total_pushed()});
@@ -383,7 +372,9 @@ void EngineFlags::Register(FlagParser* parser) {
       .AddString("failure_policy", &failure_policy,
                  "stream: failfast | retry | skip")
       .AddInt("max_retries", &max_retries,
-              "stream: operator restarts under --failure_policy=retry")
+              "stream: retries per failed bucket read or chunk fit under "
+              "--failure_policy=retry|skip (at most " +
+                  std::to_string(kMaxRetries) + ")")
       .AddInt("op_timeout_ms", &op_timeout_ms,
               "stream: watchdog stall timeout (0 = off)")
       .AddString("kernel", &kernel,
@@ -412,6 +403,10 @@ Result<EngineOptions> EngineFlags::ToOptions() const {
                                      " must be >= 0");
     }
   }
+  if (max_retries > kMaxRetries) {
+    return Status::InvalidArgument("--max_retries must be <= " +
+                                   std::to_string(kMaxRetries));
+  }
   // The budget is memory_kib << 10 bytes, which must fit in a size_t.
   if (static_cast<uint64_t>(memory_kib) >
       std::numeric_limits<size_t>::max() >> 10) {
@@ -426,7 +421,7 @@ Result<EngineOptions> EngineFlags::ToOptions() const {
   options.resources.cores = static_cast<size_t>(cores);
   PMKM_ASSIGN_OR_RETURN(options.exec.failure_policy,
                         ParseFailurePolicy(failure_policy));
-  options.exec.max_retries = static_cast<size_t>(max_retries);
+  options.exec.io_retry.max_attempts = static_cast<size_t>(max_retries) + 1;
   options.exec.op_timeout_ms = static_cast<uint64_t>(op_timeout_ms);
   PMKM_ASSIGN_OR_RETURN(options.kernel, ParseKernelKind(kernel));
   if (!KernelAvailable(options.kernel)) {

@@ -78,6 +78,10 @@ struct EngineOptions {
 /// The engine flag set shared by tools/pmkm_cluster and the stream
 /// benches: register the flags, parse, then ToOptions().
 struct EngineFlags {
+  /// Cap on --max_retries. Every failed bucket read and chunk fit may
+  /// retry this often, and a remote client can set it.
+  static constexpr int64_t kMaxRetries = 16;
+
   int64_t k = 40;
   int64_t restarts = 10;
   int64_t memory_kib = 512;
@@ -95,10 +99,11 @@ struct EngineFlags {
   /// --checkpoint_sync and --resume/--no-resume on `parser`.
   void Register(FlagParser* parser);
 
-  /// Validates and converts the parsed values. Fails on k or restarts
+  /// Validates and converts the parsed values; --max_retries becomes
+  /// exec.io_retry.max_attempts = max_retries + 1. Fails on k or restarts
   /// below 1, a negative memory budget, core count, retry count or
-  /// timeout, an unknown failure policy, an unknown kernel name, or a
-  /// kernel this host cannot run.
+  /// timeout, a retry count above kMaxRetries, an unknown failure policy,
+  /// an unknown kernel name, or a kernel this host cannot run.
   Result<EngineOptions> ToOptions() const;
 };
 

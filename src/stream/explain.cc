@@ -108,7 +108,6 @@ JsonValue RunReportToJson(const RunReport& report) {
   out.Set("cells_clustered", report.cells_clustered);
   out.Set("io_retries", report.io_retries);
   out.Set("chunks_dropped", report.chunks_dropped);
-  out.Set("operator_restarts", report.operator_restarts);
   out.Set("degraded", report.degraded);
   if (!report.stalled_operators.empty()) {
     out.Set("stalled_operators", report.stalled_operators);

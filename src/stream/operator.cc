@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "common/annotations.h"
-#include "common/logging.h"
 #include "common/schedcheck/thread.h"
 #include "common/stopwatch.h"
 #include "obs/runboard.h"
@@ -43,6 +41,9 @@ Result<FailurePolicy> ParseFailurePolicy(const std::string& name) {
 
 namespace {
 
+/// How often the watchdog samples the progress counters.
+constexpr std::chrono::milliseconds kWatchdogPoll{10};
+
 /// Supervision state shared by the operator threads and the watchdog for
 /// one Executor::Run; annotated so the cross-thread accesses are verified
 /// by thread-safety analysis.
@@ -51,7 +52,6 @@ struct RunState {
   Status first_error PMKM_GUARDED_BY(mu);
 
   std::atomic<bool> failed{false};
-  std::atomic<bool> degraded{false};
   std::atomic<size_t> running{0};
 
   /// Signals the watchdog: either poll timeout elapsed or pipeline done.
@@ -61,9 +61,9 @@ struct RunState {
 
 }  // namespace
 
-Status Executor::Run(const ExecutorOptions& options) {
+Status Executor::Run(uint64_t op_timeout_ms) {
   report_ = ExecutorReport{};
-  report_.operators.resize(ops_.size());
+  report_.operator_stats.resize(ops_.size());
   if (ops_.empty()) return Status::OK();
 
   RunState state;
@@ -89,62 +89,25 @@ Status Executor::Run(const ExecutorOptions& options) {
   for (size_t i = 0; i < ops_.size(); ++i) {
     threads.emplace_back([&, i] {
       Operator* op = ops_[i].get();
-      OperatorOutcome& outcome = report_.operators[i];
-      outcome.name = op->name();
-      // Wall/CPU clocks bracket every Run() attempt of this operator; the
-      // span makes the operator's lifetime a row in the trace viewer.
+      // Wall/CPU clocks bracket Run(); the span makes the operator's
+      // lifetime a row in the trace viewer.
       const Stopwatch wall;
       const ThreadCpuStopwatch cpu;
       ScopedSpan span(op->obs().trace, "operator:" + op->name(),
                       "executor");
-      Status st;
-      size_t restarts = 0;
-      for (;;) {
-        st = op->Run();
-        if (st.ok() || st.IsCancelled() ||
-            state.failed.load(std::memory_order_acquire)) {
-          break;
-        }
-        if (op->failure_policy() == FailurePolicy::kRetryOperator &&
-            op->SupportsRestart() && restarts < options.max_retries) {
-          const Status rs = op->PrepareRestart();
-          if (rs.ok()) {
-            ++restarts;
-            PMKM_LOG(Warning)
-                << "restarting operator '" << op->name() << "' (attempt "
-                << restarts + 1 << ") after: " << st;
-            continue;
-          }
-          st = rs;
-        }
-        break;
-      }
+      const Status st = op->Run();
       const bool torn_down =
           st.IsCancelled() && state.failed.load(std::memory_order_acquire);
-      const bool skipped =
-          !st.ok() && !st.IsCancelled() &&
-          op->failure_policy() == FailurePolicy::kSkipAndContinue;
       // A fatal error is recorded (and the pipeline aborted) before Finish
       // closes this operator's outputs. Closing first would show
       // downstream a clean end-of-stream, and the error it then raises
       // for the missing data could win the first-error race.
-      if (!st.ok() && !torn_down && !skipped) on_error(st);
+      if (!st.ok() && !torn_down) on_error(st);
       op->Finish();
       OperatorStats& stats = op->mutable_stats();
       stats.wall_seconds += wall.ElapsedSeconds();
       stats.cpu_seconds += cpu.ElapsedSeconds();
-      stats.restarts += restarts;
-      outcome.status = st;
-      outcome.restarts = restarts;
-      outcome.stats = stats;
-      if (skipped) {
-        // Tolerated: the operator closed out cleanly (Finish above), so
-        // downstream still observes an exact end-of-stream.
-        outcome.skipped = true;
-        state.degraded.store(true, std::memory_order_relaxed);
-        PMKM_LOG(Warning) << "operator '" << op->name()
-                          << "' skipped after failure: " << st;
-      }
+      report_.operator_stats[i] = stats;
       done[i].store(true, std::memory_order_release);
       if (state.running.fetch_sub(1) == 1) {
         MutexLock lock(state.wake_mu);
@@ -154,19 +117,16 @@ Status Executor::Run(const ExecutorOptions& options) {
   }
 
   schedcheck::Thread watchdog;
-  if (options.op_timeout_ms > 0) {
+  if (op_timeout_ms > 0) {
     watchdog = schedcheck::Thread([&] {
       using Clock = std::chrono::steady_clock;
-      const auto poll = std::chrono::milliseconds(
-          options.watchdog_poll_ms == 0 ? 10 : options.watchdog_poll_ms);
-      const auto timeout =
-          std::chrono::milliseconds(options.op_timeout_ms);
+      const auto timeout = std::chrono::milliseconds(op_timeout_ms);
       uint64_t last_sum = 0;
       for (auto& op : ops_) last_sum += op->progress();
       auto last_change = Clock::now();
       MutexLock lock(state.wake_mu);
       for (;;) {
-        state.wake_cv.WaitFor(state.wake_mu, poll);
+        state.wake_cv.WaitFor(state.wake_mu, kWatchdogPoll);
         if (state.running.load(std::memory_order_acquire) == 0 ||
             state.failed.load(std::memory_order_acquire)) {
           return;
@@ -189,7 +149,7 @@ Status Executor::Run(const ExecutorOptions& options) {
         report_.stalled_operators = stalled;
         on_error(Status::DeadlineExceeded(
             "watchdog: no pipeline progress for " +
-            std::to_string(options.op_timeout_ms) +
+            std::to_string(op_timeout_ms) +
             " ms; stalled operator(s): " + stalled));
         return;
       }
@@ -204,11 +164,6 @@ Status Executor::Run(const ExecutorOptions& options) {
     }
     watchdog.Join();
   }
-
-  for (const OperatorOutcome& outcome : report_.operators) {
-    report_.total_restarts += outcome.restarts;
-  }
-  report_.degraded = state.degraded.load(std::memory_order_relaxed);
 
   MutexLock lock(state.mu);
   return state.first_error;

@@ -6,12 +6,14 @@
 // operator = adding another instance that shares the same input and output
 // queues; the queues' producer counting makes end-of-stream exact.
 //
-// Supervision: every operator carries a FailurePolicy, ticks a progress
-// counter as it moves data, and may opt into being restarted after a
-// failure. The executor runs a watchdog that aborts the pipeline with a
-// descriptive deadline error when no operator makes progress for a
-// configurable timeout (a stalled operator would otherwise hang a
-// TB-scale run forever).
+// Supervision: every operator carries a FailurePolicy and applies it to
+// its own work units (retry a bucket read or chunk fit in place, or
+// quarantine the unit); the executor runs each operator once, and the
+// first error an operator returns aborts the pipeline. Every operator
+// ticks a progress counter as it moves data, and the executor runs a
+// watchdog that aborts the pipeline with a descriptive deadline error when
+// no operator makes progress for a configurable timeout (a stalled
+// operator would otherwise hang a TB-scale run forever).
 
 #ifndef PMKM_STREAM_OPERATOR_H_
 #define PMKM_STREAM_OPERATOR_H_
@@ -27,17 +29,18 @@
 
 namespace pmkm {
 
-/// What the pipeline does when an operator (or one of its work items)
-/// fails.
+/// What an operator does when one of its work units (a bucket read, a
+/// chunk fit, a cell merge) fails. Errors that IsRetryableStatus rejects,
+/// such as non-finite data, are never retried.
 enum class FailurePolicy {
-  /// Abort the whole pipeline on the first error (legacy behavior).
+  /// Return the first error; the pipeline aborts.
   kFailFast,
-  /// Retry: operators retry failed work items with backoff, and the
-  /// executor restarts restartable operators from their last completed
-  /// unit (scan: last completed bucket).
+  /// Retry the failed unit in place with backoff; once the retries are
+  /// spent, return the error.
   kRetryOperator,
-  /// Degrade gracefully: quarantine the failing bucket/cell, record it in
-  /// the run report, and keep clustering everything healthy.
+  /// Retry like kRetryOperator, then quarantine the bucket, drop the
+  /// chunk or skip the cell, record it in the run report, and keep
+  /// clustering everything healthy.
   kSkipAndContinue,
 };
 
@@ -64,20 +67,8 @@ class Operator {
   virtual Status Run() = 0;
   virtual void Abort() = 0;
 
-  /// Restart support for kRetryOperator: a restartable operator keeps its
-  /// resume state across Run() calls (and must keep its output producer
-  /// registration open when Run() fails under kRetryOperator, so
-  /// downstream operators do not observe a premature end-of-stream).
-  virtual bool SupportsRestart() const { return false; }
-
-  /// Prepares a restartable operator for the next Run() attempt.
-  virtual Status PrepareRestart() {
-    return Status::NotImplemented("operator '" + name_ +
-                                  "' is not restartable");
-  }
-
-  /// Called by the executor exactly once after the final Run() attempt
-  /// (successful or not), after a fatal error has been recorded.
+  /// Called by the executor exactly once after Run() returns (successful
+  /// or not), after a fatal error has been recorded.
   /// Operators that can fail close their output producers here rather
   /// than when Run() returns, so downstream never mistakes a failure for
   /// the end of the stream; default is a no-op.
@@ -94,8 +85,8 @@ class Operator {
 
   /// Cooperative cancellation token (StreamExecOptions::cancel), set by
   /// the engine before Executor::Run. Source operators poll it between
-  /// work units and return Status::Cancelled, which the executor treats
-  /// as terminal under every failure policy.
+  /// work units and return Status::Cancelled, which aborts the pipeline
+  /// under every failure policy.
   void set_cancel_token(const std::atomic<bool>* cancel) {
     cancel_ = cancel;
   }
@@ -142,36 +133,11 @@ class Operator {
   const std::atomic<bool>* cancel_ = nullptr;
 };
 
-/// Supervision knobs for one Executor::Run.
-struct ExecutorOptions {
-  /// Executor-level restarts granted per operator under kRetryOperator
-  /// (operators must also SupportsRestart()).
-  size_t max_retries = 0;
-
-  /// Watchdog: abort when the pipeline-wide progress sum is unchanged for
-  /// this long. 0 disables the watchdog. Must exceed the longest single
-  /// compute step of any operator (e.g. one merge k-means fit).
-  uint64_t op_timeout_ms = 0;
-
-  /// Watchdog sampling interval.
-  uint64_t watchdog_poll_ms = 10;
-};
-
-/// Per-operator outcome of a supervised run.
-struct OperatorOutcome {
-  std::string name;
-  Status status;
-  size_t restarts = 0;
-  bool skipped = false;  // failed but tolerated under kSkipAndContinue
-  OperatorStats stats;   // copied from the operator after its final Run()
-};
-
 /// What the supervision layer observed during Executor::Run.
 struct ExecutorReport {
-  std::vector<OperatorOutcome> operators;
-  size_t total_restarts = 0;
-  bool degraded = false;           // some operator was skipped
-  std::string stalled_operators;   // set when the watchdog fired
+  /// Copied from each operator after its Run(), in Add() order.
+  std::vector<OperatorStats> operator_stats;
+  std::string stalled_operators;  // set when the watchdog fired
 };
 
 /// Runs a set of operator instances to completion, one thread each.
@@ -182,16 +148,13 @@ class Executor {
 
   size_t num_operators() const { return ops_.size(); }
 
-  /// Executes every operator concurrently and joins them. If any operator
-  /// fails, all operators are aborted and the first error is returned.
-  Status Run() { return Run(ExecutorOptions{}); }
-
-  /// Supervised execution: restarts restartable kRetryOperator operators
-  /// up to `options.max_retries` times, tolerates kSkipAndContinue
-  /// operator failures (recording them in report()), and aborts the
-  /// pipeline with a DeadlineExceeded error when the watchdog detects no
-  /// progress for `options.op_timeout_ms`.
-  Status Run(const ExecutorOptions& options);
+  /// Executes every operator once, concurrently, and joins them. If any
+  /// operator fails, all operators are aborted and the first error is
+  /// returned. With `op_timeout_ms` > 0 a watchdog aborts the pipeline
+  /// with a DeadlineExceeded error when the progress sum over all
+  /// operators is unchanged for that long; it must exceed the longest
+  /// single compute step of any operator (e.g. one merge k-means fit).
+  Status Run(uint64_t op_timeout_ms = 0);
 
   /// Supervision outcome of the last Run().
   const ExecutorReport& report() const { return report_; }

@@ -81,9 +81,9 @@ Status ScanOperator::EmitBucketOnce(const std::string& path) {
   if (span.enabled()) span.AddArg("cell", reader.cell().ToString());
   const uint32_t total = NumChunks(reader.total_points(), chunk_points_);
   Dataset chunk(reader.dim());
-  // Fast-forward past partitions already pushed by a previous attempt
-  // (in-bucket retry or executor restart): re-emitting them would trip the
-  // merge operator's duplicate-partition check.
+  // Fast-forward past partitions already pushed by a previous attempt:
+  // re-emitting them would trip the merge operator's duplicate-partition
+  // check.
   uint32_t id = 0;
   while (id < partitions_emitted_) {
     PMKM_ASSIGN_OR_RETURN(bool more, reader.Next(chunk_points_, &chunk));
@@ -122,7 +122,7 @@ Status ScanOperator::EmitBucketOnce(const std::string& path) {
 }
 
 Status ScanOperator::EmitBucketWithRetry(const std::string& path) {
-  if (failure_policy() != FailurePolicy::kSkipAndContinue) {
+  if (failure_policy() == FailurePolicy::kFailFast) {
     return EmitBucketOnce(path);
   }
   Retrier retrier(retry_, std::hash<std::string>{}(path));
@@ -136,12 +136,13 @@ Status ScanOperator::EmitBucketWithRetry(const std::string& path) {
 }
 
 Status ScanOperator::Run() {
-  while (bucket_index_ < paths_.size()) {
+  for (const std::string& path : paths_) {
     if (CancelRequested()) {
       CloseOutputOnce();
       return Status::Cancelled("run cancelled");
     }
-    const std::string& path = paths_[bucket_index_];
+    partitions_emitted_ = 0;
+    cell_known_ = false;
     const Status st = EmitBucketWithRetry(path);
     if (!st.ok()) {
       if (st.IsCancelled()) {
@@ -167,15 +168,12 @@ Status ScanOperator::Run() {
           TickProgress();
         }
       } else {
-        // Leave the producer open: the executor records the failure (or
-        // restarts us) before Finish() closes it, so downstream never sees
-        // a bogus end-of-stream.
+        // Leave the producer open: the executor records the failure before
+        // Finish() closes it, so downstream never sees a bogus
+        // end-of-stream.
         return st;
       }
     }
-    ++bucket_index_;
-    partitions_emitted_ = 0;
-    cell_known_ = false;
   }
   CloseOutputOnce();
   return Status::OK();
@@ -387,13 +385,18 @@ void PartialKMeansOperator::Abort() {
 // MergeKMeansOperator
 
 MergeKMeansOperator::MergeKMeansOperator(const MergeKMeansConfig& config,
-                                         std::shared_ptr<CentroidQueue> in,
-                                         bool allow_incomplete)
-    : Operator("merge-kmeans"),
-      merger_(config),
-      in_(std::move(in)),
-      allow_incomplete_(allow_incomplete) {
+                                         std::shared_ptr<CentroidQueue> in)
+    : Operator("merge-kmeans"), merger_(config), in_(std::move(in)) {
   PMKM_CHECK(in_ != nullptr);
+}
+
+void MergeKMeansOperator::SkipCell(GridCellId cell, std::string reason) {
+  PMKM_LOG(Warning) << "merge: skipping cell " << cell.ToString() << ": "
+                    << reason;
+  skipped_.insert_or_assign(cell, std::move(reason));
+  pending_.erase(cell);
+  results_.erase(cell);
+  ++mutable_stats().items_dropped;
 }
 
 Status MergeKMeansOperator::MergeCell(GridCellId cell) {
@@ -440,10 +443,38 @@ Status MergeKMeansOperator::MergeCell(GridCellId cell) {
   return Status::OK();
 }
 
+Status MergeKMeansOperator::AddPartition(CentroidMessage* msg) {
+  mutable_stats().rows_in += msg->centroids.size();
+  mutable_stats().bytes_in +=
+      WeightedBytes(msg->centroids.size(), msg->centroids.dim());
+  PendingCell& pc = pending_[msg->cell];
+  if (!pc.initialized) {
+    pc.dim = msg->centroids.dim();
+    pc.expected = msg->total_partitions;
+    pc.initialized = true;
+  } else if (pc.expected != msg->total_partitions) {
+    return Status::Internal("inconsistent partition count for cell " +
+                            msg->cell.ToString());
+  }
+  if (!pc.parts.emplace(msg->partition_id, std::move(msg->centroids))
+           .second) {
+    return Status::Internal("duplicate partition " +
+                            std::to_string(msg->partition_id) +
+                            " for cell " + msg->cell.ToString());
+  }
+  pc.input_points += msg->input_points;
+  if (pc.parts.size() == pc.expected) {
+    PMKM_RETURN_NOT_OK(MergeCell(msg->cell));
+    PublishLive();
+  }
+  return Status::OK();
+}
+
 Status MergeKMeansOperator::Run() {
   const LloydConfig& lloyd = merger_.config().lloyd;
   mutable_stats().kernel =
       (lloyd.kernel != nullptr ? *lloyd.kernel : DefaultKernel()).name();
+  const bool skip = failure_policy() == FailurePolicy::kSkipAndContinue;
   for (;;) {
     const Stopwatch pop_watch;
     std::optional<CentroidMessage> msg = in_->Pop();
@@ -458,55 +489,32 @@ Status MergeKMeansOperator::Run() {
     if (msg->dropped) {
       // Quarantine: discard everything about this cell, even a clustering
       // that already completed from (possibly corrupt) earlier partitions.
-      skipped_.insert_or_assign(
-          msg->cell, msg->drop_reason.empty() ? "dropped upstream"
-                                              : msg->drop_reason);
-      pending_.erase(msg->cell);
-      results_.erase(msg->cell);
-      ++mutable_stats().items_dropped;
+      SkipCell(msg->cell, msg->drop_reason.empty() ? "dropped upstream"
+                                                   : msg->drop_reason);
       continue;
     }
     if (skipped_.count(msg->cell) > 0) continue;  // stragglers
-    mutable_stats().rows_in += msg->centroids.size();
-    mutable_stats().bytes_in +=
-        WeightedBytes(msg->centroids.size(), msg->centroids.dim());
-    PendingCell& pc = pending_[msg->cell];
-    if (!pc.initialized) {
-      pc.dim = msg->centroids.dim();
-      pc.expected = msg->total_partitions;
-      pc.initialized = true;
-    } else if (pc.expected != msg->total_partitions) {
-      return Status::Internal("inconsistent partition count for cell " +
-                              msg->cell.ToString());
-    }
-    if (!pc.parts.emplace(msg->partition_id, std::move(msg->centroids))
-             .second) {
-      return Status::Internal("duplicate partition " +
-                              std::to_string(msg->partition_id) +
-                              " for cell " + msg->cell.ToString());
-    }
-    pc.input_points += msg->input_points;
-    if (pc.parts.size() == pc.expected) {
-      PMKM_RETURN_NOT_OK(MergeCell(msg->cell));
-      PublishLive();
+    // Under skip a failed cell is recorded and the merge keeps draining its
+    // input: returning would leave the partial clones and the scan blocked
+    // on full queues.
+    if (Status st = AddPartition(&*msg); !st.ok()) {
+      if (!skip) return st;
+      SkipCell(msg->cell, st.ToString());
     }
   }
   if (!pending_.empty()) {
-    if (!allow_incomplete_) {
+    if (!skip) {
       return Status::Internal(
           "stream ended with " + std::to_string(pending_.size()) +
           " incomplete cell(s)");
     }
-    for (const auto& [cell, pc] : pending_) {
-      skipped_.insert_or_assign(
-          cell, "incomplete at end of stream (" +
-                    std::to_string(pc.parts.size()) + "/" +
-                    std::to_string(pc.expected) + " partitions arrived)");
-      ++mutable_stats().items_dropped;
-      PMKM_LOG(Warning) << "merge: skipping incomplete cell "
-                        << cell.ToString();
+    while (!pending_.empty()) {
+      const auto& [cell, pc] = *pending_.begin();
+      SkipCell(cell, "incomplete at end of stream (" +
+                         std::to_string(pc.parts.size()) + "/" +
+                         std::to_string(pc.expected) +
+                         " partitions arrived)");
     }
-    pending_.clear();
   }
   return Status::OK();
 }

@@ -1,13 +1,14 @@
 // Concrete operators of the partial/merge k-means query plan (paper Fig. 5):
 // scan → cloned partial k-means → merge k-means.
 //
-// Resilience: each operator honors its FailurePolicy (operator.h). The scan
-// retries transient bucket-read failures with deterministic backoff and,
-// under kSkipAndContinue, quarantines corrupt buckets (emitting a dropped
-// marker so the merge discards any partitions already streamed). Partial
-// operators retry failed chunks and can drop them; the merge tolerates
-// incomplete cells at end-of-stream when configured, recording them as
-// skipped instead of failing the run.
+// Resilience: each operator applies its FailurePolicy (operator.h) to its
+// own work unit. Under kRetryOperator and kSkipAndContinue the scan
+// retries a failed bucket read and a partial clone a failed chunk fit, in
+// place with deterministic backoff. Under kSkipAndContinue the scan then
+// quarantines the bucket (emitting a dropped marker so the merge discards
+// any partitions already streamed), a partial clone drops the chunk, and
+// the merge skips a cell whose merge fails or that is incomplete at
+// end-of-stream, recording it instead of failing the run.
 
 #ifndef PMKM_STREAM_OPS_H_
 #define PMKM_STREAM_OPS_H_
@@ -46,26 +47,24 @@ struct QuarantinedBucket {
 /// operator).
 ///
 /// Failure handling by policy:
-///   kFailFast        — first read error aborts the scan (legacy).
-///   kRetryOperator   — the scan is restartable: it resumes from its last
-///                      completed bucket/partition when the executor
-///                      restarts it (already-emitted partitions are never
-///                      re-emitted).
-///   kSkipAndContinue — read errors are retried per `retry` policy, then
-///                      the bucket is quarantined and scanning continues.
+///   kFailFast        — the first read error aborts the scan.
+///   kRetryOperator   — a failed bucket read is retried per `retry`,
+///                      resuming past the partitions already emitted
+///                      (they are never re-emitted); then the error is
+///                      returned.
+///   kSkipAndContinue — the same retries, then the bucket is quarantined
+///                      and scanning continues.
 class ScanOperator : public Operator {
  public:
   /// `paths`: bucket files to scan. `chunk_points`: partition size N' (> 0).
   /// The operator registers itself as a producer of `out` at construction.
-  /// `retry` governs per-bucket re-reads under kSkipAndContinue.
+  /// `retry` governs per-bucket re-reads unless the policy is kFailFast.
   ScanOperator(std::vector<std::string> paths, size_t chunk_points,
                std::shared_ptr<PointChunkQueue> out,
                RetryPolicy retry = RetryPolicy{});
 
   Status Run() override;
   void Abort() override;
-  bool SupportsRestart() const override { return true; }
-  Status PrepareRestart() override { return Status::OK(); }
   void Finish() override;
 
   size_t chunks_emitted() const { return chunks_emitted_; }
@@ -80,7 +79,7 @@ class ScanOperator : public Operator {
 
  private:
   // Emits one bucket, resuming past partitions_emitted_ already-pushed
-  // partitions (used both for in-bucket retry and executor restarts).
+  // partitions (a retry of the bucket).
   Status EmitBucketOnce(const std::string& path);
   Status EmitBucketWithRetry(const std::string& path);
   void CloseOutputOnce();
@@ -93,8 +92,7 @@ class ScanOperator : public Operator {
   size_t io_retries_ = 0;
   bool output_closed_ = false;
 
-  // Resume state (survives Run() attempts for restartable execution).
-  size_t bucket_index_ = 0;
+  // State of the current bucket, kept across its read attempts.
   uint32_t partitions_emitted_ = 0;
   GridCellId current_cell_;
   bool cell_known_ = false;
@@ -124,7 +122,7 @@ class MemoryScanOperator : public Operator {
 /// queues to clone (paper §3.4 option 1).
 ///
 /// Failure handling by policy: under kRetryOperator and kSkipAndContinue a
-/// failed chunk is retried per `retry`; if retries are exhausted,
+/// failed chunk is retried per `retry`; once retries are exhausted,
 /// kSkipAndContinue drops the chunk (emitting a quarantine marker so the
 /// merge discards the whole cell) while kRetryOperator fails the pipeline.
 /// Fault sites: "op.partial" (error before clustering a chunk), "op.stall"
@@ -169,14 +167,15 @@ struct CellClustering {
 /// collective merge. Results are available via results() after the pipeline
 /// finishes.
 ///
-/// With `allow_incomplete` (graceful-degradation mode) cells that are still
-/// incomplete at end-of-stream — or explicitly dropped upstream — are
-/// recorded in skipped_cells() instead of failing the run.
+/// A cell dropped upstream is always recorded in skipped_cells(). Under
+/// kSkipAndContinue so is a cell whose merge fails, whose partitions are
+/// inconsistent or duplicated, or that is incomplete at end-of-stream; the
+/// merge then keeps draining its input. Other policies fail the run on
+/// those.
 class MergeKMeansOperator : public Operator {
  public:
   MergeKMeansOperator(const MergeKMeansConfig& config,
-                      std::shared_ptr<CentroidQueue> in,
-                      bool allow_incomplete = false);
+                      std::shared_ptr<CentroidQueue> in);
 
   Status Run() override;
   void Abort() override;
@@ -185,7 +184,8 @@ class MergeKMeansOperator : public Operator {
     return results_;
   }
 
-  /// Cells discarded in degradation mode, with a human-readable reason.
+  /// Cells discarded (dropped upstream, or failed under
+  /// kSkipAndContinue), with a human-readable reason.
   const std::map<GridCellId, std::string>& skipped_cells() const {
     return skipped_;
   }
@@ -202,11 +202,16 @@ class MergeKMeansOperator : public Operator {
   bool checkpoint_failed() const { return checkpoint_failed_; }
 
  private:
+  // Buffers one partition and merges its cell once complete. Every error
+  // is about that one cell.
+  Status AddPartition(CentroidMessage* msg);
   Status MergeCell(GridCellId cell);
+  // Discards everything about `cell`, even a clustering that already
+  // completed, and records why.
+  void SkipCell(GridCellId cell, std::string reason);
 
   MergeKMeans merger_;
   std::shared_ptr<CentroidQueue> in_;
-  bool allow_incomplete_;
   CheckpointWriter* checkpoint_ = nullptr;
   bool checkpoint_failed_ = false;
 

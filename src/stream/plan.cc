@@ -69,7 +69,6 @@ std::string RunReport::Summary() const {
   out += ", quarantined=" + std::to_string(quarantined.size());
   out += ", io_retries=" + std::to_string(io_retries);
   out += ", chunks_dropped=" + std::to_string(chunks_dropped);
-  out += ", operator_restarts=" + std::to_string(operator_restarts);
   if (cells_resumed > 0 || checkpoint_cells > 0 || checkpoint_degraded) {
     out += ", cells_resumed=" + std::to_string(cells_resumed);
     out += ", checkpointed=" + std::to_string(checkpoint_cells);

@@ -70,15 +70,12 @@ size_t PlanQueueCapacity(size_t partial_clones, size_t chunk_points,
 struct StreamExecOptions {
   FailurePolicy failure_policy = FailurePolicy::kFailFast;
 
-  /// Executor-level restarts per restartable operator (kRetryOperator).
-  size_t max_retries = 2;
-
   /// Watchdog timeout: abort when no operator makes progress for this
   /// long. 0 disables the watchdog.
   uint64_t op_timeout_ms = 0;
 
-  /// Retry/backoff policy for transient bucket-read failures
-  /// (kSkipAndContinue) and failed partial chunks.
+  /// The one retry budget: retry/backoff for each failed bucket read and
+  /// partial chunk fit under kRetryOperator and kSkipAndContinue.
   RetryPolicy io_retry;
 
   /// Observability sinks, wired by PipelineBuilder::WithMetrics/WithTrace/
@@ -110,7 +107,6 @@ struct RunReport {
   std::vector<QuarantinedCellReport> quarantined;
   size_t io_retries = 0;         // scan read retries absorbed
   size_t chunks_dropped = 0;     // partial chunks discarded
-  size_t operator_restarts = 0;  // executor-level operator restarts
   std::string stalled_operators; // non-empty if the watchdog fired
 
   // Checkpoint/resume accounting (all zero/false for uncheckpointed runs).
@@ -122,8 +118,9 @@ struct RunReport {
   /// Checkpointing failed to open or died mid-run; the run finished but
   /// its progress is not (fully) durable.
   bool checkpoint_degraded = false;
-  /// True when the run finished but lost data (quarantined cells or
-  /// dropped chunks): results cover only the healthy subset.
+  /// True when the run finished but lost data (quarantined buckets,
+  /// dropped chunks or skipped cells): results cover only the healthy
+  /// subset.
   bool degraded = false;
 
   /// One-paragraph human-readable summary.

@@ -66,25 +66,6 @@ TEST(RetryTest, NonRetryableErrorFailsImmediately) {
   EXPECT_EQ(calls, 1u);
 }
 
-TEST(RetryTest, CustomRetryablePredicate) {
-  RetryPolicy policy = FastPolicy(3);
-  policy.retryable = [](const Status& st) { return st.IsInternal(); };
-  size_t calls = 0;
-  Status st = RetryCall(policy, /*seed_tag=*/0, [&]() -> Status {
-    ++calls;
-    return Status::Internal("transient-ish");
-  });
-  EXPECT_TRUE(st.IsInternal());
-  EXPECT_EQ(calls, 3u);
-  // And the default-retryable IOError is now non-retryable.
-  calls = 0;
-  st = RetryCall(policy, /*seed_tag=*/0, [&]() -> Status {
-    ++calls;
-    return Status::IOError("io");
-  });
-  EXPECT_EQ(calls, 1u);
-}
-
 TEST(RetryTest, DeadlineExceededIsRetryableByDefault) {
   EXPECT_TRUE(IsRetryableStatus(Status::DeadlineExceeded("slow")));
   EXPECT_TRUE(IsRetryableStatus(Status::IOError("io")));
@@ -133,20 +114,6 @@ TEST(RetryTest, BackoffGrowsAndCaps) {
   EXPECT_EQ(delays[2], 40u);
   EXPECT_EQ(delays[3], 40u);  // capped
   EXPECT_EQ(delays[6], 40u);
-}
-
-TEST(RetryTest, OverallDeadlineStopsRetrying) {
-  RetryPolicy policy;
-  policy.max_attempts = 100;
-  policy.initial_backoff_ms = 50;
-  policy.backoff_multiplier = 1.0;
-  policy.jitter = 0.0;
-  policy.overall_deadline_ms = 120;  // room for ~2 sleeps, not 99
-  Retrier retrier(policy, 0);
-  size_t grants = 0;
-  while (retrier.AllowRetry(Status::IOError("x"))) ++grants;
-  EXPECT_GE(grants, 1u);
-  EXPECT_LE(grants, 3u);
 }
 
 TEST(RetryTest, RetrierRejectsOkAndNonRetryable) {

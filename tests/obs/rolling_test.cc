@@ -1,4 +1,4 @@
-// RollingHistogram / RollingCounter (obs/rolling.h). Everything here
+// RollingHistogram (obs/rolling.h). Everything here
 // drives the window with explicit ticks (RecordAt/SnapshotAt), so expiry
 // is deterministic and no test sleeps.
 
@@ -130,49 +130,18 @@ TEST(RollingHistogramTest, ConcurrentRecordersLoseNothingInOneTick) {
             static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(RollingCounterTest, WindowedRate) {
-  RollingCounter c(10);
-  for (uint64_t t = 0; t < 10; ++t) c.IncrementAt(5, t);
-  const auto s = c.SnapshotAt(9);
-  EXPECT_EQ(s.total, 50u);
-  EXPECT_EQ(s.window_count, 50u);
-  EXPECT_DOUBLE_EQ(s.rate_per_second, 5.0);
-}
-
-TEST(RollingCounterTest, TotalIsMonotonicAcrossExpiry) {
-  RollingCounter c(5);
-  c.IncrementAt(7, 0);
-  const auto early = c.SnapshotAt(0);
-  EXPECT_EQ(early.window_count, 7u);
-  const auto late = c.SnapshotAt(1000);
-  EXPECT_EQ(late.window_count, 0u);  // window emptied...
-  EXPECT_EQ(late.total, 7u);         // ...cumulative did not
-  EXPECT_GE(late.total, early.total);
-}
-
-TEST(RollingCounterTest, DefaultIncrementIsOne) {
-  RollingCounter c;
-  c.IncrementAt(1, 3);
-  c.IncrementAt(1, 3);
-  EXPECT_EQ(c.total(), 2u);
-}
-
 TEST(RollingRegistryTest, RegistryOwnsNamedRollingInstruments) {
   MetricsRegistry registry;
   RollingHistogram& h = registry.rolling_histogram("scan.bucket_us", 30);
   EXPECT_EQ(h.window_seconds(), 30u);
   // Same name → same instrument; window_seconds of later calls ignored.
   EXPECT_EQ(&registry.rolling_histogram("scan.bucket_us", 99), &h);
-  RollingCounter& c = registry.rolling_counter("rows");
-  EXPECT_EQ(&registry.rolling_counter("rows"), &c);
   h.RecordAt(123.0, 1);
-  c.IncrementAt(4, 1);
   // Exports include the rolling section.
   const JsonValue doc = registry.ToJson();
   const JsonValue* rolling = doc.Find("rolling");
   ASSERT_NE(rolling, nullptr);
   EXPECT_NE(rolling->Find("scan.bucket_us"), nullptr);
-  EXPECT_NE(rolling->Find("rows"), nullptr);
 }
 
 }  // namespace

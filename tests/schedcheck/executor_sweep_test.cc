@@ -1,6 +1,5 @@
-// Schedule sweeps over the real Executor's supervision paths
-// (DESIGN.md §12): retry/restart, skip-and-continue, fail-fast teardown,
-// and a queue-connected producer/consumer pipeline. Requires the
+// Schedule sweeps over the real Executor (DESIGN.md §12): fail-fast
+// teardown and a queue-connected producer/consumer pipeline. Requires the
 // PMKM_SCHEDCHECK=ON build (skips elsewhere).
 
 #include "stream/operator.h"
@@ -10,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/logging.h"
 #include "common/schedcheck/hooks.h"
 #include "common/schedcheck/sweep.h"
 #include "common/status.h"
@@ -23,48 +21,13 @@ using schedcheck::SweepOptions;
 using schedcheck::SweepResult;
 using schedcheck::SweepSchedules;
 
-// Fails its first `failures` Run() attempts, then succeeds. Restartable.
-class FlakyOperator : public Operator {
+// Always fails: the executor must abort the whole pipeline.
+class FailingOperator : public Operator {
  public:
-  explicit FlakyOperator(int failures) : Operator("flaky"), left_(failures) {
-    set_failure_policy(FailurePolicy::kRetryOperator);
-  }
-
-  Status Run() override {
-    TickProgress();
-    if (left_ > 0) {
-      --left_;
-      return Status::Internal("transient failure (seeded)");
-    }
-    return Status::OK();
-  }
-  void Abort() override {}
-  bool SupportsRestart() const override { return true; }
-  Status PrepareRestart() override { return Status::OK(); }
-
- private:
-  int left_;
-};
-
-// Always fails; under kSkipAndContinue the pipeline must degrade, not die.
-class DoomedOperator : public Operator {
- public:
-  DoomedOperator() : Operator("doomed") {
-    set_failure_policy(FailurePolicy::kSkipAndContinue);
-  }
+  FailingOperator() : Operator("failing") {}
   Status Run() override {
     TickProgress();
     return Status::Internal("permanent failure (seeded)");
-  }
-  void Abort() override {}
-};
-
-class HealthyOperator : public Operator {
- public:
-  HealthyOperator() : Operator("healthy") {}
-  Status Run() override {
-    TickProgress();
-    return Status::OK();
   }
   void Abort() override {}
 };
@@ -120,55 +83,10 @@ class ExecutorSweepTest : public ::testing::Test {
     if (!schedcheck::HooksEnabledInBuild()) {
       GTEST_SKIP() << "requires a PMKM_SCHEDCHECK=ON build";
     }
-    // Restart warnings are expected thousands of times across the sweep.
-    SetLogLevel(LogLevel::kError);
   }
-  void TearDown() override { SetLogLevel(LogLevel::kInfo); }
 };
 
-// Retry path: a transiently failing restartable operator must end OK with
-// exactly one recorded restart, in every schedule.
-TEST_F(ExecutorSweepTest, RetryPathIsScheduleIndependent) {
-  SweepOptions options;
-  options.name = "executor_retry";
-  options.num_seeds = schedcheck::SeedsFromEnvOr(1000);
-  const SweepResult res = SweepSchedules(options, [] {
-    Executor exec;
-    exec.Add(std::make_unique<FlakyOperator>(1));
-    exec.Add(std::make_unique<HealthyOperator>());
-    ExecutorOptions run_options;
-    run_options.max_retries = 2;
-    const Status st = exec.Run(run_options);
-    return !st.ok() || exec.report().total_restarts != 1 ||
-           exec.report().degraded;
-  });
-  EXPECT_FALSE(res.bug_found)
-      << "seed " << res.failing_seed << ": " << res.detail;
-}
-
-// Skip path: a doomed kSkipAndContinue operator must degrade the pipeline
-// without failing it or disturbing the healthy operator.
-TEST_F(ExecutorSweepTest, SkipPathIsScheduleIndependent) {
-  SweepOptions options;
-  options.name = "executor_skip";
-  options.num_seeds = schedcheck::SeedsFromEnvOr(1000);
-  const SweepResult res = SweepSchedules(options, [] {
-    Executor exec;
-    exec.Add(std::make_unique<DoomedOperator>());
-    exec.Add(std::make_unique<HealthyOperator>());
-    const Status st = exec.Run(ExecutorOptions{});
-    if (!st.ok() || !exec.report().degraded) return true;
-    for (const OperatorOutcome& outcome : exec.report().operators) {
-      if (outcome.name == "doomed" && !outcome.skipped) return true;
-      if (outcome.name == "healthy" && !outcome.status.ok()) return true;
-    }
-    return false;
-  });
-  EXPECT_FALSE(res.bug_found)
-      << "seed " << res.failing_seed << ": " << res.detail;
-}
-
-// Fail-fast teardown: when retries are exhausted the pipeline must abort —
+// Fail-fast teardown: when one operator fails the pipeline must abort —
 // cancelling the shared queue so neither side wedges — in every schedule.
 TEST_F(ExecutorSweepTest, FailFastTeardownNeverWedges) {
   SweepOptions options;
@@ -181,10 +99,8 @@ TEST_F(ExecutorSweepTest, FailFastTeardownNeverWedges) {
     Executor exec;
     exec.Add(std::make_unique<ProducerOperator>(&q, 3));
     exec.Add(std::make_unique<ConsumerOperator>(&q, &popped));
-    exec.Add(std::make_unique<FlakyOperator>(99));  // exhausts retries
-    ExecutorOptions run_options;
-    run_options.max_retries = 1;
-    const Status st = exec.Run(run_options);
+    exec.Add(std::make_unique<FailingOperator>());
+    const Status st = exec.Run();
     return st.ok();  // bug: the poisoned pipeline reported success
   });
   EXPECT_FALSE(res.bug_found)
@@ -203,7 +119,7 @@ TEST_F(ExecutorSweepTest, PipelineConservesItems) {
     Executor exec;
     exec.Add(std::make_unique<ProducerOperator>(&q, 3));
     exec.Add(std::make_unique<ConsumerOperator>(&q, &popped));
-    const Status st = exec.Run(ExecutorOptions{});
+    const Status st = exec.Run();
     return !st.ok() || popped != 3;
   });
   EXPECT_FALSE(res.bug_found)

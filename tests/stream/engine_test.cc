@@ -37,8 +37,8 @@ TEST(EngineFlagsTest, RegistersAndConverts) {
   const char* argv[] = {"prog",          "--k=7",
                         "--restarts=3",  "--memory-kib=64",
                         "--cores=5",     "--failure_policy=skip",
-                        "--kernel=scalar"};
-  ASSERT_TRUE(parser.Parse(7, const_cast<char**>(argv)).ok());
+                        "--kernel=scalar", "--max_retries=4"};
+  ASSERT_TRUE(parser.Parse(8, const_cast<char**>(argv)).ok());
   auto options = flags.ToOptions();
   ASSERT_TRUE(options.ok()) << options.status();
   EXPECT_EQ(options->partial.k, 7u);
@@ -49,6 +49,8 @@ TEST(EngineFlagsTest, RegistersAndConverts) {
   EXPECT_EQ(options->exec.failure_policy,
             FailurePolicy::kSkipAndContinue);
   EXPECT_EQ(options->kernel, KernelKind::kScalar);
+  // --max_retries is the one retry budget: attempts = retries + 1.
+  EXPECT_EQ(options->exec.io_retry.max_attempts, 5u);
 }
 
 TEST(EngineFlagsTest, RejectsBadValues) {
@@ -80,6 +82,13 @@ TEST(EngineFlagsTest, RejectsBadValues) {
     // memory_kib << 10 would wrap to a 0-byte budget.
     EngineFlags flags;
     flags.memory_kib = int64_t{1} << 54;
+    EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument());
+  }
+  {
+    // Every bucket read and chunk fit may retry this often, and a remote
+    // client can ask for it: the budget is capped.
+    EngineFlags flags;
+    flags.max_retries = 17;
     EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument());
   }
 }

@@ -1,6 +1,7 @@
 // End-to-end resilience of the streamed partial/merge pipeline: injected
-// read faults, a permanently corrupt bucket, executor-level operator
-// restarts, and the stall watchdog. Every scenario is seeded and exact.
+// read faults, a permanently corrupt bucket, in-place retries of a bucket
+// read, a cell whose merge fails, and the stall watchdog. Every scenario
+// is seeded and exact.
 
 #include <gtest/gtest.h>
 
@@ -185,9 +186,22 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesNonFiniteBucketUnretried) {
   EXPECT_EQ(run->report.io_retries, 0u);
   EXPECT_TRUE(run->report.degraded);
 
-  exec.failure_policy = FailurePolicy::kFailFast;
-  const Status failfast = RunStream(paths, exec).status();
-  EXPECT_TRUE(failfast.IsInvalidArgument()) << failfast;
+  // Under failfast and retry alike the run fails, and retry reads no byte
+  // more than failfast: the error is not retryable. The io.read site is
+  // armed with a fault that never fires, only to count the reads.
+  auto reads_until_failure = [&](FailurePolicy policy) {
+    FaultRegistry::Global().Reset();
+    EXPECT_TRUE(FaultRegistry::Global().ArmFromString("io.read:p=0").ok());
+    exec.failure_policy = policy;
+    const Status st = RunStream(paths, exec).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << st;
+    return FaultRegistry::Global().hits("io.read");
+  };
+  const uint64_t failfast_reads =
+      reads_until_failure(FailurePolicy::kFailFast);
+  EXPECT_GT(failfast_reads, 0u);
+  EXPECT_EQ(reads_until_failure(FailurePolicy::kRetryOperator),
+            failfast_reads);
 }
 
 TEST_F(ResilienceTest, SkipAndContinueIsDeterministicPerSeed) {
@@ -252,16 +266,17 @@ TEST_F(ResilienceTest, FailFastSurfacesInjectedFault) {
 TEST_F(ResilienceTest, RetryOperatorRestartsScanAndRecoversFully) {
   std::vector<std::string> paths = WriteBuckets();
   // One-shot fault: the 30th read hit fails once, then the site is clean,
-  // so an executor-level restart of the scan recovers everything.
+  // so one in-place retry of that bucket recovers everything.
   ASSERT_TRUE(FaultRegistry::Global().ArmFromString("io.read:n=30").ok());
 
   StreamExecOptions exec;
   exec.failure_policy = FailurePolicy::kRetryOperator;
-  exec.max_retries = 2;
+  exec.io_retry.max_attempts = 3;
+  exec.io_retry.initial_backoff_ms = 0;
   auto run = RunStream(paths, exec);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(run->cells.size(), kNumCells);  // nothing lost
-  EXPECT_EQ(run->report.operator_restarts, 1u);
+  EXPECT_EQ(run->report.io_retries, 1u);
   EXPECT_TRUE(run->report.quarantined.empty());
   EXPECT_FALSE(run->report.degraded);
   for (const auto& [cell, clustering] : run->cells) {
@@ -307,14 +322,82 @@ TEST_F(ResilienceTest, RetriedPartialChunkRefitsTheSamePoints) {
 
 TEST_F(ResilienceTest, RetryOperatorExhaustionFailsTheRun) {
   std::vector<std::string> paths = WriteBuckets();
-  CorruptBucket(paths[kCorruptCellLat]);  // permanent: restarts can't help
+  CorruptBucket(paths[kCorruptCellLat]);  // permanent: retries can't help
 
   StreamExecOptions exec;
   exec.failure_policy = FailurePolicy::kRetryOperator;
-  exec.max_retries = 2;
+  exec.io_retry.max_attempts = 3;
+  exec.io_retry.initial_backoff_ms = 0;
   auto run = RunStream(paths, exec);
   ASSERT_FALSE(run.ok());
   EXPECT_TRUE(run.status().IsIOError()) << run.status();
+}
+
+TEST_F(ResilienceTest, SkipAndContinueQuarantinesCellWhoseMergeFails) {
+  // cell_0_0 holds 60 distinct corners of {±1e200}^6. The points are
+  // finite, so every reader accepts them, but their squared distances
+  // overflow. Chunks of 5 points (<= k) pass through the partial clones
+  // unchanged, so the merge's k-means is the first fit to see the
+  // overflow, and it fails. Under skip the merge must quarantine that
+  // cell and keep draining its input: stopping would leave the partial
+  // clones and the scan blocked on full queues until the watchdog fired.
+  constexpr size_t kDim = 6;
+  constexpr size_t kHealthyCells = 20;
+  std::vector<GridBucket> cells;
+  GridBucket bad;
+  bad.cell = GridCellId{0, 0};
+  bad.points = Dataset(kDim);
+  for (uint32_t corner = 0; corner < 60; ++corner) {
+    std::vector<double> point(kDim);
+    for (size_t d = 0; d < kDim; ++d) {
+      point[d] = ((corner >> d) & 1u) != 0 ? 1e200 : -1e200;
+    }
+    bad.points.Append(point);
+  }
+  cells.push_back(std::move(bad));
+  Rng rng(5);
+  for (size_t i = 1; i <= kHealthyCells; ++i) {
+    GridBucket bucket;
+    bucket.cell = GridCellId{static_cast<int32_t>(i), 0};
+    bucket.points = Dataset(kDim);
+    for (size_t p = 0; p < 60; ++p) {
+      std::vector<double> point(kDim);
+      for (double& x : point) x = rng.Normal(static_cast<double>(i), 1.0);
+      bucket.points.Append(point);
+    }
+    cells.push_back(std::move(bucket));
+  }
+
+  KMeansConfig partial;
+  partial.k = 40;
+  partial.restarts = 1;
+  MergeKMeansConfig merge;
+  merge.k = 40;
+  merge.restarts = 1;
+  ResourceModel resources;
+  resources.cores = 1;
+  StreamExecOptions exec;
+  exec.failure_policy = FailurePolicy::kSkipAndContinue;
+  exec.op_timeout_ms = 5000;
+  auto run = PipelineBuilder()
+                 .WithPartialKMeans(partial)
+                 .WithMerge(merge)
+                 .WithResources(resources)
+                 .WithChunkPoints(5)
+                 .WithExecution(exec)
+                 .RunInMemory(std::move(cells));
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_EQ(run->report.quarantined.size(), 1u) << run->report.Summary();
+  const QuarantinedCellReport& q = run->report.quarantined[0];
+  EXPECT_EQ(q.cell, (GridCellId{0, 0}));
+  EXPECT_NE(q.reason.find("k-means error is not finite"), std::string::npos)
+      << q.reason;
+  EXPECT_EQ(run->cells.size(), kHealthyCells);
+  EXPECT_EQ(run->cells.count(GridCellId{0, 0}), 0u);
+  for (const auto& [cell, clustering] : run->cells) {
+    EXPECT_EQ(clustering.input_points, 60u) << cell.ToString();
+  }
+  EXPECT_TRUE(run->report.degraded);
 }
 
 TEST_F(ResilienceTest, WatchdogDetectsStalledOperator) {
