@@ -38,23 +38,27 @@ void RunBoard::BeginRun(const std::string& run_id,
   have_checkpoint_ = false;
 }
 
-void RunBoard::PublishOperator(size_t slot, const OperatorStats& stats) {
+void RunBoard::PublishOperator(const std::string& run_id, size_t slot,
+                               const OperatorStats& stats) {
   MutexLock lock(mu_);
   PMKM_SCHED_POINT("runboard.publish");
-  if (slot >= operators_.size()) return;  // layout changed under us
+  if (run_id != run_id_ || slot >= operators_.size()) return;
   operators_[slot] = stats;
 }
 
-void RunBoard::PublishCheckpoint(JsonValue state) {
+void RunBoard::PublishCheckpoint(const std::string& run_id,
+                                 JsonValue state) {
   MutexLock lock(mu_);
+  if (run_id != run_id_) return;
   checkpoint_ = std::move(state);
   have_checkpoint_ = true;
 }
 
-void RunBoard::EndRun(bool ok, const std::string& status_message,
-                      JsonValue result) {
+void RunBoard::EndRun(const std::string& run_id, bool ok,
+                      const std::string& status_message, JsonValue result) {
   MutexLock lock(mu_);
   PMKM_SCHED_POINT("runboard.end");
+  if (run_id != run_id_) return;
   active_ = false;
   last_ok_ = ok;
   last_status_ = status_message;

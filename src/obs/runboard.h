@@ -4,7 +4,9 @@
 // the run id and plan summary, per-operator OperatorStats copies after
 // every chunk/cell, checkpoint state, and EndRun with the full result
 // JSON — and the server's /statusz and /runz handlers read consistent
-// snapshots out. The board deliberately speaks only obs-layer types
+// snapshots out. It shows the most recently started run, and ignores
+// publishes and EndRun from any other (pmkm_serve's workers share one
+// board). The board deliberately speaks only obs-layer types
 // (OperatorStats, JsonValue): the stream layer converts its
 // StreamRunResult to JSON before publishing, so obs stays free of stream
 // dependencies.
@@ -40,16 +42,18 @@ class RunBoard {
 
   /// Live per-operator stats; `slot` indexes into the BeginRun layout.
   /// Called by the operator's own executor thread after each work unit.
-  void PublishOperator(size_t slot, const OperatorStats& stats)
-      PMKM_EXCLUDES(mu_);
+  void PublishOperator(const std::string& run_id, size_t slot,
+                       const OperatorStats& stats) PMKM_EXCLUDES(mu_);
 
   /// Checkpoint/resume state as JSON (shown verbatim under /runz).
-  void PublishCheckpoint(JsonValue state) PMKM_EXCLUDES(mu_);
+  void PublishCheckpoint(const std::string& run_id, JsonValue state)
+      PMKM_EXCLUDES(mu_);
 
-  /// Ends the active run. `result` is the full StreamRunResult JSON (or
+  /// Ends the shown run. `result` is the full StreamRunResult JSON (or
   /// an error object for a failed run); it stays served by /runz until
   /// the next BeginRun.
-  void EndRun(bool ok, const std::string& status_message, JsonValue result)
+  void EndRun(const std::string& run_id, bool ok,
+              const std::string& status_message, JsonValue result)
       PMKM_EXCLUDES(mu_);
 
   /// Consistent copy of the live table for /statusz.

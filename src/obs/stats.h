@@ -1,7 +1,7 @@
 // Per-operator execution accounting: the numbers behind EXPLAIN ANALYZE
 // and the machine-readable run stats. Each physical operator instance owns
 // one OperatorStats; only its executor thread writes it while running, and
-// the executor publishes a copy into the ExecutorReport after the join —
+// the executor copies it into Executor::operator_stats for after the join —
 // so the fields need no atomics.
 
 #ifndef PMKM_OBS_STATS_H_

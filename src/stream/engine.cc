@@ -61,7 +61,8 @@ Status FailRun(const ObsContext& obs, Status status) {
   if (obs.board != nullptr) {
     JsonValue error = JsonValue::Object();
     error.Set("error", status.ToString());
-    obs.board->EndRun(false, status.ToString(), std::move(error));
+    obs.board->EndRun(obs.run_id, false, status.ToString(),
+                      std::move(error));
   }
   return status;
 }
@@ -192,7 +193,6 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
   Executor executor;
   scan->set_failure_policy(exec.failure_policy);
   scan->set_obs(exec.obs);
-  scan->set_cancel_token(exec.cancel);
   scan->set_live_slot(0);
   std::vector<std::string> operator_names{scan->name()};
   executor.Add(std::move(scan));
@@ -224,7 +224,7 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
   }
 
   const Stopwatch watch;
-  if (Status st = executor.Run(exec.op_timeout_ms); !st.ok()) {
+  if (Status st = executor.Run(exec.cancel, exec.op_timeout_ms); !st.ok()) {
     return FailRun(exec.obs, std::move(st));
   }
 
@@ -242,7 +242,6 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
   RunReport& report = out.report;
   report.failure_policy = exec.failure_policy;
   report.cells_clustered = out.cells.size();
-  report.stalled_operators = executor.report().stalled_operators;
   if (scan_raw != nullptr) {
     report.io_retries = scan_raw->io_retries();
     for (const QuarantinedBucket& q : scan_raw->quarantined()) {
@@ -288,7 +287,7 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
                        exec.obs, &report);
   report.degraded = run_degraded;
 
-  out.operator_stats = executor.report().operator_stats;
+  out.operator_stats = executor.operator_stats();
   out.queues.push_back(QueueStatsSnapshot{
       "points", points->capacity(), points->HighWaterMark(),
       points->total_pushed()});
@@ -313,10 +312,10 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
       ckpt.Set("epoch", checkpoint->epoch());
       ckpt.Set("cells_resumed", out.report.cells_resumed);
       ckpt.Set("degraded", out.report.checkpoint_degraded);
-      exec.obs.board->PublishCheckpoint(std::move(ckpt));
+      exec.obs.board->PublishCheckpoint(exec.obs.run_id, std::move(ckpt));
     }
     exec.obs.board->EndRun(
-        true, out.report.degraded ? "ok (degraded)" : "ok",
+        exec.obs.run_id, true, out.report.degraded ? "ok (degraded)" : "ok",
         StreamRunResultToJson(out));
   }
   return out;

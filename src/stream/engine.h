@@ -185,10 +185,10 @@ class PipelineBuilder {
     options_.checkpoint.resume = resume;
     return *this;
   }
-  /// Attaches a cooperative cancellation token: when the pointed-at flag
-  /// becomes true, the run stops at the next work-unit boundary and
-  /// Run()/RunInMemory() return Status::Cancelled. The flag's owner must
-  /// outlive the run; null (default) detaches. This is how
+  /// Attaches a cancellation token: once the pointed-at flag is true,
+  /// the executor aborts the pipeline and Run()/RunInMemory() return
+  /// Status::Cancelled within one chunk fit or cell merge. The flag's
+  /// owner must outlive the run; null (default) detaches. This is how
   /// ClusterService::CancelJob interrupts a running job.
   PipelineBuilder& WithCancelToken(const std::atomic<bool>* cancel) {
     options_.exec.cancel = cancel;

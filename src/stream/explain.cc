@@ -109,9 +109,6 @@ JsonValue RunReportToJson(const RunReport& report) {
   out.Set("io_retries", report.io_retries);
   out.Set("chunks_dropped", report.chunks_dropped);
   out.Set("degraded", report.degraded);
-  if (!report.stalled_operators.empty()) {
-    out.Set("stalled_operators", report.stalled_operators);
-  }
   JsonValue quarantined = JsonValue::Array();
   for (const QuarantinedCellReport& q : report.quarantined) {
     JsonValue j = JsonValue::Object();

@@ -13,7 +13,7 @@ namespace pmkm {
 
 void Operator::PublishLive() {
   if (obs_.board != nullptr) {
-    obs_.board->PublishOperator(live_slot_, stats_);
+    obs_.board->PublishOperator(obs_.run_id, live_slot_, stats_);
   }
 }
 
@@ -41,12 +41,12 @@ Result<FailurePolicy> ParseFailurePolicy(const std::string& name) {
 
 namespace {
 
-/// How often the watchdog samples the progress counters.
+/// How often a supervising Executor::Run checks the token and progress.
 constexpr std::chrono::milliseconds kWatchdogPoll{10};
 
-/// Supervision state shared by the operator threads and the watchdog for
-/// one Executor::Run; annotated so the cross-thread accesses are verified
-/// by thread-safety analysis.
+/// Supervision state shared by the operator threads and the supervising
+/// caller for one Executor::Run; annotated so the cross-thread accesses
+/// are verified by thread-safety analysis.
 struct RunState {
   Mutex mu;
   Status first_error PMKM_GUARDED_BY(mu);
@@ -54,16 +54,19 @@ struct RunState {
   std::atomic<bool> failed{false};
   std::atomic<size_t> running{0};
 
-  /// Signals the watchdog: either poll timeout elapsed or pipeline done.
+  /// Wakes the supervising caller once the last operator finished.
   Mutex wake_mu;
   CondVar wake_cv;
 };
 
 }  // namespace
 
-Status Executor::Run(uint64_t op_timeout_ms) {
-  report_ = ExecutorReport{};
-  report_.operator_stats.resize(ops_.size());
+Status Executor::Run(const std::atomic<bool>* cancel,
+                     uint64_t op_timeout_ms) {
+  operator_stats_.assign(ops_.size(), OperatorStats{});
+  if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
+    return Status::Cancelled("run cancelled");
+  }
   if (ops_.empty()) return Status::OK();
 
   RunState state;
@@ -107,7 +110,7 @@ Status Executor::Run(uint64_t op_timeout_ms) {
       OperatorStats& stats = op->mutable_stats();
       stats.wall_seconds += wall.ElapsedSeconds();
       stats.cpu_seconds += cpu.ElapsedSeconds();
-      report_.operator_stats[i] = stats;
+      operator_stats_[i] = stats;
       done[i].store(true, std::memory_order_release);
       if (state.running.fetch_sub(1) == 1) {
         MutexLock lock(state.wake_mu);
@@ -116,55 +119,50 @@ Status Executor::Run(uint64_t op_timeout_ms) {
     }, "op-worker");
   }
 
-  schedcheck::Thread watchdog;
-  if (op_timeout_ms > 0) {
-    watchdog = schedcheck::Thread([&] {
-      using Clock = std::chrono::steady_clock;
-      const auto timeout = std::chrono::milliseconds(op_timeout_ms);
-      uint64_t last_sum = 0;
-      for (auto& op : ops_) last_sum += op->progress();
-      auto last_change = Clock::now();
-      MutexLock lock(state.wake_mu);
-      for (;;) {
-        state.wake_cv.WaitFor(state.wake_mu, kWatchdogPoll);
-        if (state.running.load(std::memory_order_acquire) == 0 ||
-            state.failed.load(std::memory_order_acquire)) {
-          return;
-        }
-        uint64_t sum = 0;
-        for (auto& op : ops_) sum += op->progress();
-        const auto now = Clock::now();
-        if (sum != last_sum) {
-          last_sum = sum;
-          last_change = now;
-          continue;
-        }
-        if (now - last_change < timeout) continue;
-        std::string stalled;
-        for (size_t i = 0; i < ops_.size(); ++i) {
-          if (done[i].load(std::memory_order_acquire)) continue;
-          if (!stalled.empty()) stalled += ", ";
-          stalled += ops_[i]->name();
-        }
-        report_.stalled_operators = stalled;
-        on_error(Status::DeadlineExceeded(
-            "watchdog: no pipeline progress for " +
-            std::to_string(op_timeout_ms) +
-            " ms; stalled operator(s): " + stalled));
-        return;
+  // The calling thread supervises: it wakes every kWatchdogPoll, or as
+  // soon as the last operator finishes, and turns a cancel or a stall into
+  // the same abort as an operator error.
+  auto supervise = [&]() -> Status {
+    using Clock = std::chrono::steady_clock;
+    uint64_t last_sum = 0;
+    auto last_change = Clock::now();
+    MutexLock lock(state.wake_mu);
+    while (state.running.load() > 0) {
+      state.wake_cv.WaitFor(state.wake_mu, kWatchdogPoll);
+      if (state.running.load() == 0 || state.failed.load()) break;
+      if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
+        return Status::Cancelled("run cancelled");
       }
-    }, "watchdog");
+      if (op_timeout_ms == 0) continue;
+      uint64_t sum = 0;
+      for (auto& op : ops_) sum += op->progress();
+      if (sum != last_sum) {
+        last_sum = sum;
+        last_change = Clock::now();
+        continue;
+      }
+      if (Clock::now() - last_change <
+          std::chrono::milliseconds(op_timeout_ms)) {
+        continue;
+      }
+      std::string stalled;
+      for (size_t i = 0; i < ops_.size(); ++i) {
+        if (done[i].load(std::memory_order_acquire)) continue;
+        if (!stalled.empty()) stalled += ", ";
+        stalled += ops_[i]->name();
+      }
+      return Status::DeadlineExceeded(
+          "watchdog: no pipeline progress for " +
+          std::to_string(op_timeout_ms) +
+          " ms; stalled operator(s): " + stalled);
+    }
+    return Status::OK();
+  };
+  if (cancel != nullptr || op_timeout_ms > 0) {
+    if (Status st = supervise(); !st.ok()) on_error(st);
   }
 
   for (auto& t : threads) t.Join();
-  if (watchdog.Joinable()) {
-    {
-      MutexLock lock(state.wake_mu);
-      state.wake_cv.NotifyAll();
-    }
-    watchdog.Join();
-  }
-
   MutexLock lock(state.mu);
   return state.first_error;
 }

@@ -8,12 +8,12 @@
 //
 // Supervision: every operator carries a FailurePolicy and applies it to
 // its own work units (retry a bucket read or chunk fit in place, or
-// quarantine the unit); the executor runs each operator once, and the
-// first error an operator returns aborts the pipeline. Every operator
-// ticks a progress counter as it moves data, and the executor runs a
-// watchdog that aborts the pipeline with a descriptive deadline error when
-// no operator makes progress for a configurable timeout (a stalled
-// operator would otherwise hang a TB-scale run forever).
+// quarantine the unit). The executor runs each operator once and is the
+// one place that stops a pipeline: an operator error, a cancel token and
+// a stall (no operator makes progress for a configurable timeout) all
+// end in the same abort, which cancels every queue. Operators never read
+// the cancel token; they stop when their queues are cancelled, so a
+// cancel costs at most the chunk fit or cell merge in flight.
 
 #ifndef PMKM_STREAM_OPERATOR_H_
 #define PMKM_STREAM_OPERATOR_H_
@@ -83,14 +83,6 @@ class Operator {
   const ObsContext& obs() const { return obs_; }
   void set_obs(const ObsContext& obs) { obs_ = obs; }
 
-  /// Cooperative cancellation token (StreamExecOptions::cancel), set by
-  /// the engine before Executor::Run. Source operators poll it between
-  /// work units and return Status::Cancelled, which aborts the pipeline
-  /// under every failure policy.
-  void set_cancel_token(const std::atomic<bool>* cancel) {
-    cancel_ = cancel;
-  }
-
   /// Slot of this instance in the RunBoard layout declared by
   /// RunBoard::BeginRun (set by the engine together with set_obs when a
   /// debug server is attached).
@@ -98,25 +90,18 @@ class Operator {
   size_t live_slot() const { return live_slot_; }
 
   /// Execution accounting for this instance. Written by the operator's own
-  /// executor thread during Run() and by the executor around it; read it
-  /// only after the pipeline joined (the ExecutorReport carries a copy).
-  const OperatorStats& stats() const { return stats_; }
+  /// executor thread during Run() and by the executor around it; read the
+  /// copy in Executor::operator_stats after the pipeline joined.
   OperatorStats& mutable_stats() { return stats_; }
 
-  /// Monotonic count of completed work units; the executor's watchdog
-  /// declares the pipeline stalled when the sum over all operators stops
-  /// advancing.
+  /// Monotonic count of completed work units; the executor declares the
+  /// pipeline stalled when the sum over all operators stops advancing.
   uint64_t progress() const {
     return progress_.load(std::memory_order_relaxed);
   }
 
  protected:
   void TickProgress() { progress_.fetch_add(1, std::memory_order_relaxed); }
-
-  /// True once the attached cancel token (if any) was flipped.
-  bool CancelRequested() const {
-    return cancel_ != nullptr && cancel_->load(std::memory_order_acquire);
-  }
 
   /// Copies the current stats into the attached RunBoard slot so the
   /// debug server's /statusz shows live per-operator progress. Call after
@@ -130,14 +115,6 @@ class Operator {
   size_t live_slot_ = 0;
   OperatorStats stats_;
   ObsContext obs_;
-  const std::atomic<bool>* cancel_ = nullptr;
-};
-
-/// What the supervision layer observed during Executor::Run.
-struct ExecutorReport {
-  /// Copied from each operator after its Run(), in Add() order.
-  std::vector<OperatorStats> operator_stats;
-  std::string stalled_operators;  // set when the watchdog fired
 };
 
 /// Runs a set of operator instances to completion, one thread each.
@@ -148,20 +125,25 @@ class Executor {
 
   size_t num_operators() const { return ops_.size(); }
 
-  /// Executes every operator once, concurrently, and joins them. If any
-  /// operator fails, all operators are aborted and the first error is
-  /// returned. With `op_timeout_ms` > 0 a watchdog aborts the pipeline
-  /// with a DeadlineExceeded error when the progress sum over all
-  /// operators is unchanged for that long; it must exceed the longest
-  /// single compute step of any operator (e.g. one merge k-means fit).
-  Status Run(uint64_t op_timeout_ms = 0);
+  /// Executes every operator once, concurrently, and joins them. The
+  /// first failure aborts all operators and is returned: an operator's
+  /// error, Cancelled once `cancel` (nullable) is set (at entry: before
+  /// any thread starts), or DeadlineExceeded when `op_timeout_ms` > 0
+  /// and the progress sum over all operators is unchanged for that long
+  /// (it must exceed the longest single compute step, e.g. one merge
+  /// k-means fit). With a token or a timeout, the calling thread
+  /// supervises in 10 ms slices; without either, it only joins.
+  Status Run(const std::atomic<bool>* cancel = nullptr,
+             uint64_t op_timeout_ms = 0);
 
-  /// Supervision outcome of the last Run().
-  const ExecutorReport& report() const { return report_; }
+  /// Each operator's stats after the last Run(), in Add() order.
+  const std::vector<OperatorStats>& operator_stats() const {
+    return operator_stats_;
+  }
 
  private:
   std::vector<std::unique_ptr<Operator>> ops_;
-  ExecutorReport report_;
+  std::vector<OperatorStats> operator_stats_;
 };
 
 }  // namespace pmkm

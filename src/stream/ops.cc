@@ -137,42 +137,33 @@ Status ScanOperator::EmitBucketWithRetry(const std::string& path) {
 
 Status ScanOperator::Run() {
   for (const std::string& path : paths_) {
-    if (CancelRequested()) {
-      CloseOutputOnce();
-      return Status::Cancelled("run cancelled");
-    }
     partitions_emitted_ = 0;
     cell_known_ = false;
     const Status st = EmitBucketWithRetry(path);
-    if (!st.ok()) {
-      if (st.IsCancelled()) {
-        CloseOutputOnce();
-        return st;
+    if (st.ok()) continue;
+    // A cancelled push means the pipeline was aborted, and is never
+    // quarantined. A failure leaves the producer open: the executor
+    // records it before Finish() closes it, so downstream never sees a
+    // bogus end-of-stream.
+    if (st.IsCancelled() ||
+        failure_policy() != FailurePolicy::kSkipAndContinue) {
+      return st;
+    }
+    PMKM_LOG(Warning) << "quarantining bucket " << path << ": " << st;
+    quarantined_.push_back(
+        QuarantinedBucket{path, current_cell_, cell_known_, st});
+    ++mutable_stats().items_dropped;
+    if (cell_known_) {
+      // Partitions of this cell may already be in flight; tell the merge
+      // to discard the whole cell.
+      PointChunk marker;
+      marker.cell = current_cell_;
+      marker.dropped = true;
+      marker.drop_reason = st.ToString();
+      if (!out_->Push(std::move(marker))) {
+        return Status::Cancelled("scan output queue cancelled");
       }
-      if (failure_policy() == FailurePolicy::kSkipAndContinue) {
-        PMKM_LOG(Warning) << "quarantining bucket " << path << ": " << st;
-        quarantined_.push_back(
-            QuarantinedBucket{path, current_cell_, cell_known_, st});
-        ++mutable_stats().items_dropped;
-        if (cell_known_) {
-          // Partitions of this cell may already be in flight; tell the
-          // merge to discard the whole cell.
-          PointChunk marker;
-          marker.cell = current_cell_;
-          marker.dropped = true;
-          marker.drop_reason = st.ToString();
-          if (!out_->Push(std::move(marker))) {
-            CloseOutputOnce();
-            return Status::Cancelled("scan output queue cancelled");
-          }
-          TickProgress();
-        }
-      } else {
-        // Leave the producer open: the executor records the failure before
-        // Finish() closes it, so downstream never sees a bogus
-        // end-of-stream.
-        return st;
-      }
+      TickProgress();
     }
   }
   CloseOutputOnce();
@@ -197,13 +188,7 @@ MemoryScanOperator::MemoryScanOperator(std::vector<GridBucket> cells,
 }
 
 Status MemoryScanOperator::Run() {
-  struct Closer {
-    PointChunkQueue* q;
-    ~Closer() { q->CloseProducer(); }
-  } closer{out_.get()};
-
   for (const GridBucket& cell : cells_) {
-    if (CancelRequested()) return Status::Cancelled("run cancelled");
     ScopedSpan span(obs().trace, "scan.cell", "io");
     if (span.enabled()) span.AddArg("cell", cell.cell.ToString());
     const size_t n = cell.points.size();
@@ -232,6 +217,8 @@ Status MemoryScanOperator::Run() {
       PublishLive();
     }
   }
+  // Only a cancelled push returns early, and then the queue is cancelled.
+  out_->CloseProducer();
   return Status::OK();
 }
 

@@ -77,9 +77,6 @@ std::string RunReport::Summary() const {
     if (checkpoint_degraded) out += ", CHECKPOINT-DEGRADED";
   }
   out += degraded ? ", DEGRADED" : ", complete";
-  if (!stalled_operators.empty()) {
-    out += ", stalled=[" + stalled_operators + "]";
-  }
   for (const QuarantinedCellReport& q : quarantined) {
     out += "\n  quarantined ";
     out += q.cell_known ? q.cell.ToString() : "<unknown cell>";

@@ -83,12 +83,11 @@ struct StreamExecOptions {
   /// uninstrumented run.
   ObsContext obs;
 
-  /// Cooperative cancellation token (nullable). When the pointed-at flag
-  /// becomes true, the scan stops at the next work-unit boundary with
-  /// Status::Cancelled and the executor tears the pipeline down under
-  /// every failure policy (a cancel is never retried or skipped). The
-  /// flag's owner must outlive the run. ClusterService::CancelJob
-  /// (serve/service.h) flips this for running jobs.
+  /// Cancellation token (nullable). Once the pointed-at flag is true,
+  /// the executor aborts the pipeline and the run returns
+  /// Status::Cancelled within one chunk fit or cell merge, under every
+  /// failure policy. The flag's owner must outlive the run.
+  /// ClusterService::CancelJob (serve/service.h) flips it.
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -107,7 +106,6 @@ struct RunReport {
   std::vector<QuarantinedCellReport> quarantined;
   size_t io_retries = 0;         // scan read retries absorbed
   size_t chunks_dropped = 0;     // partial chunks discarded
-  std::string stalled_operators; // non-empty if the watchdog fired
 
   // Checkpoint/resume accounting (all zero/false for uncheckpointed runs).
   size_t cells_resumed = 0;      // cells restored from the journal

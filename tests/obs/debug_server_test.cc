@@ -119,17 +119,40 @@ TEST(DebugServerTest, RunzServesBoardStateAsJson) {
   OperatorStats stats;
   stats.name = "scan";
   stats.rows_in = 123;
-  server.board()->PublishOperator(0, stats);
+  server.board()->PublishOperator("deadbeef", 0, stats);
   const std::string body = BodyOf(Get(server.port(), "/runz"));
   auto doc = JsonValue::Parse(body);
   ASSERT_TRUE(doc.ok()) << body;
   const JsonValue* run_id = doc->Find("run_id");
   ASSERT_NE(run_id, nullptr);
   EXPECT_EQ(run_id->AsString(), "deadbeef");
-  server.board()->EndRun(true, "ok", JsonValue::Object());
+  server.board()->EndRun("deadbeef", true, "ok", JsonValue::Object());
   const std::string after = BodyOf(Get(server.port(), "/runz"));
   EXPECT_TRUE(Contains(after, "\"ok\"")) << after;
   server.Stop();
+}
+
+// Two served jobs share one board: the board shows the most recently
+// started run, and the earlier run's publishes and EndRun are ignored.
+TEST(DebugServerTest, BoardShowsTheLatestRunWhenRunsOverlap) {
+  DebugServer server(nullptr, nullptr);
+  server.board()->BeginRun("a", "chunk=10", {"scan"});
+  server.board()->BeginRun("b", "chunk=20", {"scan"});
+  OperatorStats b_stats;
+  b_stats.name = "scan";
+  b_stats.rows_in = 222;
+  server.board()->PublishOperator("b", 0, b_stats);
+  OperatorStats a_stats;
+  a_stats.name = "scan";
+  a_stats.rows_in = 111;
+  server.board()->PublishOperator("a", 0, a_stats);
+  server.board()->EndRun("a", true, "ok", JsonValue::Object());
+  const std::string statusz = server.RenderResponse("/statusz");
+  EXPECT_TRUE(Contains(statusz, "run: b ACTIVE")) << statusz;
+  EXPECT_TRUE(Contains(statusz, "plan: chunk=20")) << statusz;
+  EXPECT_TRUE(Contains(statusz, "rows=222/")) << statusz;
+  EXPECT_FALSE(Contains(statusz, "rows=111/")) << statusz;
+  EXPECT_TRUE(Contains(statusz, "2 started, 0 completed")) << statusz;
 }
 
 TEST(DebugServerTest, TracezServesRecentSpans) {

