@@ -7,8 +7,8 @@
 // rebuilds itself with a larger threshold when it exceeds its node budget,
 // which is how BIRCH honours a fixed memory envelope.
 
-#ifndef PMKM_BASELINES_BIRCH_H_
-#define PMKM_BASELINES_BIRCH_H_
+#ifndef PMKM_BENCH_LIB_BASELINES_BIRCH_H_
+#define PMKM_BENCH_LIB_BASELINES_BIRCH_H_
 
 #include <memory>
 #include <vector>
@@ -95,4 +95,4 @@ class Birch {
 
 }  // namespace pmkm
 
-#endif  // PMKM_BASELINES_BIRCH_H_
+#endif  // PMKM_BENCH_LIB_BASELINES_BIRCH_H_

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "cluster/experiment_metrics.h"
 #include "cluster/kernels/kernel.h"
 #include "cluster/metrics.h"
 #include "cluster/seeding.h"

@@ -4,8 +4,8 @@
 // place partial/merge k-means against what practitioners would reach for
 // today.
 
-#ifndef PMKM_BASELINES_MINIBATCH_H_
-#define PMKM_BASELINES_MINIBATCH_H_
+#ifndef PMKM_BENCH_LIB_BASELINES_MINIBATCH_H_
+#define PMKM_BENCH_LIB_BASELINES_MINIBATCH_H_
 
 #include "cluster/model.h"
 #include "common/result.h"
@@ -35,4 +35,4 @@ Result<ClusteringModel> MiniBatchKMeans(const Dataset& data,
 
 }  // namespace pmkm
 
-#endif  // PMKM_BASELINES_MINIBATCH_H_
+#endif  // PMKM_BENCH_LIB_BASELINES_MINIBATCH_H_

@@ -2,8 +2,8 @@
 // baseline. Each arriving point moves its nearest centroid by 1/n_j — the
 // strictest "one look, O(k) state" competitor in the comparison bench.
 
-#ifndef PMKM_BASELINES_ONLINE_H_
-#define PMKM_BASELINES_ONLINE_H_
+#ifndef PMKM_BENCH_LIB_BASELINES_ONLINE_H_
+#define PMKM_BENCH_LIB_BASELINES_ONLINE_H_
 
 #include "cluster/model.h"
 #include "common/result.h"
@@ -46,4 +46,4 @@ class OnlineKMeans {
 
 }  // namespace pmkm
 
-#endif  // PMKM_BASELINES_ONLINE_H_
+#endif  // PMKM_BENCH_LIB_BASELINES_ONLINE_H_

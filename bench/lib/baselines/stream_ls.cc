@@ -5,8 +5,8 @@
 #include <limits>
 
 #include "cluster/distance.h"
+#include "cluster/experiment_metrics.h"
 #include "cluster/kernels/kernel.h"
-#include "cluster/metrics.h"
 
 namespace pmkm {
 

@@ -14,8 +14,8 @@
 // sweep) without the full facility-cost binary search of the original,
 // which only affects constants. Documented in DESIGN.md §5.
 
-#ifndef PMKM_BASELINES_STREAM_LS_H_
-#define PMKM_BASELINES_STREAM_LS_H_
+#ifndef PMKM_BENCH_LIB_BASELINES_STREAM_LS_H_
+#define PMKM_BENCH_LIB_BASELINES_STREAM_LS_H_
 
 #include "cluster/model.h"
 #include "common/result.h"
@@ -82,4 +82,4 @@ class StreamLocalSearch {
 
 }  // namespace pmkm
 
-#endif  // PMKM_BASELINES_STREAM_LS_H_
+#endif  // PMKM_BENCH_LIB_BASELINES_STREAM_LS_H_

@@ -14,8 +14,8 @@
 // As a side benefit, incremental merging needs only O(k + k_p) memory at
 // any time, versus O(Σ k_p) for the collective merge.
 
-#ifndef PMKM_CLUSTER_INCREMENTAL_MERGE_H_
-#define PMKM_CLUSTER_INCREMENTAL_MERGE_H_
+#ifndef PMKM_BENCH_LIB_CLUSTER_INCREMENTAL_MERGE_H_
+#define PMKM_BENCH_LIB_CLUSTER_INCREMENTAL_MERGE_H_
 
 #include "cluster/merge.h"
 
@@ -53,4 +53,4 @@ class IncrementalMergeKMeans {
 
 }  // namespace pmkm
 
-#endif  // PMKM_CLUSTER_INCREMENTAL_MERGE_H_
+#endif  // PMKM_BENCH_LIB_CLUSTER_INCREMENTAL_MERGE_H_

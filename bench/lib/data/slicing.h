@@ -7,8 +7,8 @@
 // and SplitContiguous is the salami strategy; this module adds the
 // spatially non-overlapping subcell split.
 
-#ifndef PMKM_DATA_SLICING_H_
-#define PMKM_DATA_SLICING_H_
+#ifndef PMKM_BENCH_LIB_DATA_SLICING_H_
+#define PMKM_BENCH_LIB_DATA_SLICING_H_
 
 #include <vector>
 
@@ -36,4 +36,4 @@ Result<std::vector<Dataset>> SplitStripes(const Dataset& cell,
 
 }  // namespace pmkm
 
-#endif  // PMKM_DATA_SLICING_H_
+#endif  // PMKM_BENCH_LIB_DATA_SLICING_H_

@@ -9,8 +9,8 @@
 // This implements weighted ECVQ so it can run both on raw partitions and
 // on weighted centroid sets inside the merge step.
 
-#ifndef PMKM_HISTOGRAM_ECVQ_H_
-#define PMKM_HISTOGRAM_ECVQ_H_
+#ifndef PMKM_BENCH_LIB_HISTOGRAM_ECVQ_H_
+#define PMKM_BENCH_LIB_HISTOGRAM_ECVQ_H_
 
 #include "cluster/model.h"
 #include "common/result.h"
@@ -57,4 +57,4 @@ Result<EcvqResult> FitEcvq(const Dataset& data, const EcvqConfig& config);
 
 }  // namespace pmkm
 
-#endif  // PMKM_HISTOGRAM_ECVQ_H_
+#endif  // PMKM_BENCH_LIB_HISTOGRAM_ECVQ_H_

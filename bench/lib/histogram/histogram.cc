@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "cluster/distance.h"
+#include "cluster/experiment_metrics.h"
 #include "cluster/kernels/kernel.h"
-#include "cluster/metrics.h"
 
 namespace pmkm {
 

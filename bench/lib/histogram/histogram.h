@@ -9,8 +9,8 @@
 // to a bucket id), reconstruction (decode id → representative, or sample
 // from the bucket's spread), fidelity and compression-ratio accounting.
 
-#ifndef PMKM_HISTOGRAM_HISTOGRAM_H_
-#define PMKM_HISTOGRAM_HISTOGRAM_H_
+#ifndef PMKM_BENCH_LIB_HISTOGRAM_HISTOGRAM_H_
+#define PMKM_BENCH_LIB_HISTOGRAM_HISTOGRAM_H_
 
 #include <vector>
 
@@ -78,4 +78,4 @@ class MultivariateHistogram {
 
 }  // namespace pmkm
 
-#endif  // PMKM_HISTOGRAM_HISTOGRAM_H_
+#endif  // PMKM_BENCH_LIB_HISTOGRAM_HISTOGRAM_H_

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <numeric>
 
+#include "cluster/experiment_metrics.h"
 #include "cluster/metrics.h"
 #include "common/flags.h"
 #include "data/generator.h"

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Project static-analysis gate (DESIGN.md §11–12, §16). Runs five stages
+# Project static-analysis gate (DESIGN.md §11–12, §16). Runs six stages
 # and exits non-zero on any finding:
 #
 #   1. pmkm_lint          project invariants (tools/pmkm_lint.py)
 #   2. thread-safety      full Clang build with -Wthread-safety
-#                         -Werror=thread-safety over src/, tools/, tests/
+#                         -Werror=thread-safety over src/, tools/,
+#                         bench/lib/, tests/
 #   3. clang-tidy         curated .clang-tidy profile, baseline-free: any
 #                         finding fails (suppress at the site with
 #                         NOLINT + justification, never via a baseline
@@ -28,12 +29,16 @@
 #                         schedule explorer, seeded-bug doubles, and
 #                         bounded schedule sweeps over the queue/executor
 #                         (PR budget; nightly raises PMKM_SCHEDCHECK_SEEDS)
+#   6. link check         scripts/run_link_check.sh: every src/ .cc is
+#                         linked by a shipped binary (the four tools and
+#                         pmkm_bench); the experiment appendix lives in
+#                         bench/lib/
 #
 # Stages 2 and 3 need the Clang toolchain (clang++ / clang-tidy). When a
 # tool is missing the stage is SKIPPED with a warning — the gate then
 # covers what the host can check — unless PMKM_SA_STRICT=1, which turns a
 # missing tool into a failure (use in CI, where Clang is installed).
-# Stages 4 and 5 run with any compiler.
+# Stages 4, 5 and 6 run with any compiler.
 #
 # Usage:
 #   scripts/run_static_analysis.sh [--update-baseline]
@@ -75,7 +80,7 @@ skip_or_fail() {
 }
 
 # ---------------------------------------------------------------------------
-echo "==> stage 1/5: pmkm_lint"
+echo "==> stage 1/6: pmkm_lint"
 if command -v python3 > /dev/null; then
   if python3 tools/pmkm_lint.py; then
     echo "pmkm_lint: clean"
@@ -87,7 +92,7 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-echo "==> stage 2/5: Clang -Wthread-safety build"
+echo "==> stage 2/6: Clang -Wthread-safety build"
 if command -v "${CLANGXX}" > /dev/null; then
   # PMKM_THREAD_SAFETY_ANALYSIS is ON by default under Clang; -Werror
   # makes any thread-safety finding a build failure.
@@ -109,7 +114,7 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-echo "==> stage 3/5: clang-tidy gate"
+echo "==> stage 3/6: clang-tidy gate"
 if command -v "${CLANG_TIDY}" > /dev/null; then
   # Prefer the clang compile database from stage 2; otherwise export one
   # from the default (gcc) configuration — clang-tidy only needs the
@@ -124,7 +129,7 @@ if command -v "${CLANG_TIDY}" > /dev/null; then
   cmake -B "${compdb_dir}" -S . \
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
 
-  mapfile -t tidy_sources < <(find src tools -name '*.cc' | sort)
+  mapfile -t tidy_sources < <(find src tools bench/lib -name '*.cc' | sort)
 
   # Stale-database guard: every source we are about to lint must appear in
   # the regenerated database; a miss means the build system does not know
@@ -168,7 +173,7 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-echo "==> stage 4/5: call-graph gates (pmkm_ctxcheck + pmkm_detcheck)"
+echo "==> stage 4/6: call-graph gates (pmkm_ctxcheck + pmkm_detcheck)"
 if command -v python3 > /dev/null; then
   # Reuse the compilation database stage 2/3 just regenerated (build-tsa
   # preferred, then build); when neither Clang stage ran, export one here.
@@ -196,7 +201,7 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-echo "==> stage 5/5: schedcheck (lock-order witness + schedule sweeps)"
+echo "==> stage 5/6: schedcheck (lock-order witness + schedule sweeps)"
 # Compiler-agnostic: the hooks are plain C++. PR-gate budget is modest
 # (200 seeds per sweep); the nightly workflow raises PMKM_SCHEDCHECK_SEEDS.
 schedcheck_targets=(lock_graph_test scheduler_test seeded_bugs_test
@@ -217,6 +222,14 @@ if cmake -B build-schedcheck -S . \
   fi
 else
   echo "FAIL: schedcheck build (PMKM_SCHEDCHECK=ON)" >&2
+  failures=$((failures + 1))
+fi
+
+# ---------------------------------------------------------------------------
+echo "==> stage 6/6: link check (every src/ .cc is linked by a shipped binary)"
+if scripts/run_link_check.sh; then
+  echo "link check: clean"
+else
   failures=$((failures + 1))
 fi
 

@@ -19,13 +19,6 @@ const char* SeedingMethodToString(SeedingMethod method) {
   return "?";
 }
 
-Result<SeedingMethod> SeedingMethodFromString(const std::string& name) {
-  if (name == "random") return SeedingMethod::kRandom;
-  if (name == "heaviest") return SeedingMethod::kHeaviestWeight;
-  if (name == "kmeans++") return SeedingMethod::kKMeansPlusPlus;
-  return Status::InvalidArgument("unknown seeding method: " + name);
-}
-
 namespace {
 
 Dataset SeedsFromIndices(const WeightedDataset& data,

@@ -9,8 +9,6 @@
 #ifndef PMKM_CLUSTER_SEEDING_H_
 #define PMKM_CLUSTER_SEEDING_H_
 
-#include <string>
-
 #include "common/result.h"
 #include "common/rng.h"
 #include "data/weighted.h"
@@ -24,7 +22,6 @@ enum class SeedingMethod {
 };
 
 const char* SeedingMethodToString(SeedingMethod method);
-Result<SeedingMethod> SeedingMethodFromString(const std::string& name);
 
 /// Picks k initial centroids from `data` (weights are ignored by kRandom,
 /// define the ranking for kHeaviestWeight, and scale the D² probabilities

@@ -13,7 +13,6 @@
 namespace pmkm {
 namespace {
 
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
 std::atomic<int> g_format{static_cast<int>(LogFormat::kText)};
 
 // Serializes whole lines so concurrent operator threads do not interleave.
@@ -90,14 +89,6 @@ int64_t NowUnixMillis() {
 }
 
 }  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
 
 void SetLogFormat(LogFormat format) {
   g_format.store(static_cast<int>(format), std::memory_order_relaxed);
@@ -207,8 +198,7 @@ std::string SuppressedTag(uint64_t suppressed) {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level),
-      enabled_(static_cast<int>(level) >=
-               g_min_level.load(std::memory_order_relaxed)),
+      enabled_(level >= LogLevel::kInfo),
       file_base_(file),
       line_(line) {
   if (enabled_) {

@@ -35,10 +35,7 @@ enum class LogLevel : int {
   kFatal = 4,
 };
 
-/// Global minimum level; messages below it are discarded. Default: kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
+/// Messages below kInfo are discarded.
 enum class LogFormat : int {
   kText = 0,
   kJson = 1,

@@ -26,20 +26,9 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();
-    {
-      MutexLock lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.NotifyAll();
-    }
   }
-}
-
-void ThreadPool::WaitIdle() {
-  MutexLock lock(mu_);
-  while (!queue_.empty() || active_ != 0) idle_cv_.Wait(mu_);
 }
 
 void ThreadPool::Shutdown() {

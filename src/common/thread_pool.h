@@ -1,5 +1,4 @@
-// Fixed-size thread pool backing operator clones in the stream engine and
-// the parallel partial-k-means driver.
+// Fixed-size thread pool: the connection server's handler pool.
 
 #ifndef PMKM_COMMON_THREAD_POOL_H_
 #define PMKM_COMMON_THREAD_POOL_H_
@@ -45,9 +44,6 @@ class ThreadPool {
     return fut;
   }
 
-  /// Blocks until every submitted task has finished.
-  void WaitIdle() PMKM_EXCLUDES(mu_);
-
   /// Stops accepting tasks and joins the workers after draining the queue.
   void Shutdown() PMKM_EXCLUDES(mu_);
 
@@ -58,7 +54,6 @@ class ThreadPool {
 
   Mutex mu_;
   CondVar cv_;
-  CondVar idle_cv_;
   std::deque<std::function<void()>> queue_ PMKM_GUARDED_BY(mu_);
   // Written once in the constructor before any concurrent access; joined in
   // Shutdown. Not guarded: after construction the vector itself is
@@ -66,7 +61,6 @@ class ThreadPool {
   // plain std::thread outside a scheduler episode; inside one, workers
   // come under deterministic schedule control.
   std::vector<schedcheck::Thread> workers_;
-  size_t active_ PMKM_GUARDED_BY(mu_) = 0;
   bool shutdown_ PMKM_GUARDED_BY(mu_) = false;
 };
 

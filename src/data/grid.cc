@@ -54,24 +54,12 @@ Status GridIndex::AddAll(const Dataset& data) {
   return Status::OK();
 }
 
-std::vector<GridCellId> GridIndex::CellIds() const {
-  std::vector<GridCellId> ids;
-  ids.reserve(buckets_.size());
-  for (const auto& [id, bucket] : buckets_) ids.push_back(id);
-  return ids;
-}
-
 Result<const Dataset*> GridIndex::Bucket(GridCellId id) const {
   auto it = buckets_.find(id);
   if (it == buckets_.end()) {
     return Status::NotFound("no points in cell " + id.ToString());
   }
   return &it->second;
-}
-
-std::map<GridCellId, Dataset> GridIndex::TakeBuckets() {
-  num_points_ = 0;
-  return std::exchange(buckets_, {});
 }
 
 }  // namespace pmkm

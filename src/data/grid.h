@@ -52,16 +52,10 @@ class GridIndex {
   size_t dim() const { return dim_; }
   double cell_degrees() const { return cell_degrees_; }
 
-  /// All non-empty cells in (lat, lon) order.
-  std::vector<GridCellId> CellIds() const;
-
   /// Bucket for `id`; NotFound if the cell has no points.
   Result<const Dataset*> Bucket(GridCellId id) const;
 
   const std::map<GridCellId, Dataset>& buckets() const { return buckets_; }
-
-  /// Moves all buckets out, leaving the index empty.
-  std::map<GridCellId, Dataset> TakeBuckets();
 
  private:
   size_t dim_;

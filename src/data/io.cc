@@ -113,25 +113,6 @@ Result<GridBucket> ReadGridBucket(const std::string& path) {
   return bucket;
 }
 
-Result<std::vector<std::string>> WriteGridBuckets(const std::string& dir,
-                                                  const GridIndex& index) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return Status::IOError("cannot create directory: " + dir);
-
-  std::vector<std::string> paths;
-  paths.reserve(index.num_cells());
-  for (const auto& [id, points] : index.buckets()) {
-    GridBucket bucket;
-    bucket.cell = id;
-    bucket.points = points;
-    const std::string path = dir + "/" + id.ToString() + ".pmkb";
-    PMKM_RETURN_NOT_OK(WriteGridBucket(path, bucket));
-    paths.push_back(path);
-  }
-  return paths;
-}
-
 Result<GridBucketWriter> GridBucketWriter::Open(const std::string& path,
                                                 GridCellId cell,
                                                 size_t dim) {

@@ -41,11 +41,6 @@ Status WriteGridBucket(const std::string& path, const GridBucket& bucket);
 /// Reads a complete bucket file, verifying magic, version and checksum.
 Result<GridBucket> ReadGridBucket(const std::string& path);
 
-/// Writes every bucket of a GridIndex into `dir` as <cell>.pmkb files and
-/// returns the written paths in cell order.
-Result<std::vector<std::string>> WriteGridBuckets(const std::string& dir,
-                                                  const GridIndex& index);
-
 /// Streaming writer: appends points to a bucket file without ever holding
 /// the cell in memory (the staging path for TB-scale swaths). The header's
 /// count field is back-patched and the checksum appended on Close().

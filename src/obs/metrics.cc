@@ -146,20 +146,9 @@ RollingHistogram& MetricsRegistry::rolling_histogram(
   return *slot;
 }
 
-void MetricsRegistry::SetHelp(const std::string& name,
-                              const std::string& help) {
-  MutexLock lock(mu_);
-  help_[name] = help;
-}
-
 void MetricsRegistry::SetRunId(const std::string& run_id) {
   MutexLock lock(mu_);
   run_id_ = run_id;
-}
-
-std::string MetricsRegistry::run_id() const {
-  MutexLock lock(mu_);
-  return run_id_;
 }
 
 JsonValue MetricsRegistry::ToJson() const {
@@ -216,9 +205,11 @@ JsonValue MetricsRegistry::ToJson() const {
 
 namespace {
 
+// The prefixed metric name with every character outside [a-zA-Z0-9_]
+// replaced, so the HELP text built from it needs no escaping.
 std::string PromName(const std::string& prefix, const std::string& name) {
-  std::string out = prefix.empty() ? "" : prefix + "_";
-  for (const char c : name) {
+  std::string out;
+  for (const char c : prefix.empty() ? name : prefix + "_" + name) {
     out += (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_')
                ? c
                : '_';
@@ -229,23 +220,6 @@ std::string PromName(const std::string& prefix, const std::string& name) {
 std::string PromNumber(double v) {
   JsonValue j(v);  // reuse the JSON number formatter (integers stay exact)
   return j.Dump();
-}
-
-// HELP text: registered help wins; otherwise a generated description.
-// Prometheus HELP escaping: backslash and newline only (quotes are legal).
-std::string PromEscapeHelp(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -270,12 +244,6 @@ std::string PromEscapeLabelValue(const std::string& value) {
 std::string MetricsRegistry::ToPrometheusText(
     const std::string& prefix) const {
   MutexLock lock(mu_);
-  const auto help_for = [this](const std::string& name,
-                               const std::string& fallback)
-                            PMKM_REQUIRES(mu_) -> std::string {
-    const auto it = help_.find(name);
-    return PromEscapeHelp(it != help_.end() ? it->second : fallback);
-  };
   std::string out;
   if (!run_id_.empty()) {
     const std::string p = PromName(prefix, "run_info");
@@ -285,15 +253,13 @@ std::string MetricsRegistry::ToPrometheusText(
   }
   for (const auto& [name, c] : counters_) {
     const std::string p = PromName(prefix, name);
-    out += "# HELP " + p + " " +
-           help_for(name, "Cumulative count of " + p + ".") + "\n";
+    out += "# HELP " + p + " Cumulative count of " + p + ".\n";
     out += "# TYPE " + p + " counter\n";
     out += p + " " + std::to_string(c->value()) + "\n";
   }
   for (const auto& [name, g] : gauges_) {
     const std::string p = PromName(prefix, name);
-    out += "# HELP " + p + " " +
-           help_for(name, "Last observed value of " + p + ".") + "\n";
+    out += "# HELP " + p + " Last observed value of " + p + ".\n";
     out += "# TYPE " + p + " gauge\n";
     out += p + " " + std::to_string(g->value()) + "\n";
     out += "# HELP " + p + "_max High-water mark of " + p + ".\n";
@@ -303,8 +269,7 @@ std::string MetricsRegistry::ToPrometheusText(
   for (const auto& [name, h] : histograms_) {
     const std::string p = PromName(prefix, name);
     const Histogram::Snapshot s = h->TakeSnapshot();
-    out += "# HELP " + p + " " +
-           help_for(name, "Distribution of " + p + ".") + "\n";
+    out += "# HELP " + p + " Distribution of " + p + ".\n";
     out += "# TYPE " + p + " summary\n";
     out += p + "{quantile=\"0.5\"} " + PromNumber(s.p50) + "\n";
     out += p + "{quantile=\"0.95\"} " + PromNumber(s.p95) + "\n";
@@ -319,11 +284,9 @@ std::string MetricsRegistry::ToPrometheusText(
     const std::string window =
         "window=\"" + std::to_string(s.window_seconds) + "s\"";
     const Histogram::Snapshot t = rh->total().TakeSnapshot();
-    out += "# HELP " + p + " " +
-           help_for(name, "Distribution of " + p +
-                              " (quantiles over the trailing window; "
-                              "_sum/_count cumulative).") +
-           "\n";
+    out += "# HELP " + p + " Distribution of " + p +
+           " (quantiles over the trailing window; _sum/_count "
+           "cumulative).\n";
     out += "# TYPE " + p + " summary\n";
     out += p + "{" + window + ",quantile=\"0.5\"} " + PromNumber(s.p50) +
            "\n";

@@ -153,15 +153,9 @@ class MetricsRegistry {
                                       uint64_t window_seconds = 60)
       PMKM_EXCLUDES(mu_);
 
-  /// Optional `# HELP` text attached to an instrument name; instruments
-  /// without one export a generated description.
-  void SetHelp(const std::string& name, const std::string& help)
-      PMKM_EXCLUDES(mu_);
-
   /// Tags every export with the run id: JSON gains a "run_id" field and
   /// the Prometheus text gains `pmkm_run_info{run_id="..."} 1`.
   void SetRunId(const std::string& run_id) PMKM_EXCLUDES(mu_);
-  std::string run_id() const PMKM_EXCLUDES(mu_);
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...},
   ///  "rolling": {...}} plus "run_id" when set.
@@ -190,7 +184,6 @@ class MetricsRegistry {
       PMKM_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<RollingHistogram>>
       rolling_histograms_ PMKM_GUARDED_BY(mu_);
-  std::map<std::string, std::string> help_ PMKM_GUARDED_BY(mu_);
   std::string run_id_ PMKM_GUARDED_BY(mu_);
 };
 

@@ -496,7 +496,8 @@ Result<StreamRunResult> PipelineBuilder::Run(
   auto points =
       std::make_shared<PointChunkQueue>(probed.plan.queue_capacity);
   auto scan = std::make_unique<ScanOperator>(
-      split.todo, probed.plan.chunk_points, points, options.exec.io_retry);
+      split.todo, probed.plan.chunk_points, probed.dim, points,
+      options.exec.io_retry);
   ScanOperator* scan_raw = scan.get();
   return RunPlan(std::move(scan), scan_raw, points, options, probed.plan,
                  checkpoint.has_value() ? &*checkpoint : nullptr,
@@ -532,6 +533,12 @@ Result<StreamRunResult> PipelineBuilder::RunInMemory(
     if (!seen.insert(c.cell).second) {
       return Status::InvalidArgument("cell " + c.cell.ToString() +
                                      " given twice");
+    }
+    if (c.points.dim() != dim) {
+      return Status::InvalidArgument(
+          "cell " + c.cell.ToString() + " has D=" +
+          std::to_string(c.points.dim()) + ", but cell " +
+          cells[0].cell.ToString() + " has D=" + std::to_string(dim));
     }
     max_points = std::max(max_points, c.points.size());
   }

@@ -48,12 +48,13 @@ void RecordRollingUs(MetricsRegistry* metrics, const char* name,
 // ScanOperator
 
 ScanOperator::ScanOperator(std::vector<std::string> paths,
-                           size_t chunk_points,
+                           size_t chunk_points, size_t dim,
                            std::shared_ptr<PointChunkQueue> out,
                            RetryPolicy retry)
     : Operator("scan"),
       paths_(std::move(paths)),
       chunk_points_(chunk_points),
+      dim_(dim),
       out_(std::move(out)),
       retry_(retry) {
   PMKM_CHECK(chunk_points_ > 0);
@@ -79,6 +80,13 @@ Status ScanOperator::EmitBucketOnce(const std::string& path) {
   current_cell_ = reader.cell();
   cell_known_ = true;
   if (span.enabled()) span.AddArg("cell", reader.cell().ToString());
+  // chunk_points_ was sized from the planned D; a wider bucket would run
+  // its chunks over the per-operator memory budget.
+  if (reader.dim() != dim_) {
+    return Status::InvalidArgument(
+        "bucket " + path + " has D=" + std::to_string(reader.dim()) +
+        ", but the run was planned for D=" + std::to_string(dim_));
+  }
   const uint32_t total = NumChunks(reader.total_points(), chunk_points_);
   Dataset chunk(reader.dim());
   // Fast-forward past partitions already pushed by a previous attempt:

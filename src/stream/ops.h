@@ -56,11 +56,13 @@ struct QuarantinedBucket {
 ///                      and scanning continues.
 class ScanOperator : public Operator {
  public:
-  /// `paths`: bucket files to scan. `chunk_points`: partition size N' (> 0).
+  /// `paths`: bucket files to scan. `chunk_points`: partition size N' (> 0),
+  /// planned for buckets of dimensionality `dim`; a bucket of any other D
+  /// fails with InvalidArgument (not retryable, so `skip` quarantines it).
   /// The operator registers itself as a producer of `out` at construction.
   /// `retry` governs per-bucket re-reads unless the policy is kFailFast.
   ScanOperator(std::vector<std::string> paths, size_t chunk_points,
-               std::shared_ptr<PointChunkQueue> out,
+               size_t dim, std::shared_ptr<PointChunkQueue> out,
                RetryPolicy retry = RetryPolicy{});
 
   Status Run() override;
@@ -86,6 +88,7 @@ class ScanOperator : public Operator {
 
   std::vector<std::string> paths_;
   size_t chunk_points_;
+  size_t dim_;
   std::shared_ptr<PointChunkQueue> out_;
   RetryPolicy retry_;
   size_t chunks_emitted_ = 0;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "cluster/experiment_metrics.h"
 #include "cluster/kernels/kernel.h"
 #include "cluster/lloyd.h"
 #include "cluster/seeding.h"

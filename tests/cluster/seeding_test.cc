@@ -126,16 +126,5 @@ TEST(SeedingTest, KEqualsNReturnsEverything) {
   }
 }
 
-TEST(SeedingTest, MethodStringRoundTrip) {
-  for (auto method :
-       {SeedingMethod::kRandom, SeedingMethod::kHeaviestWeight,
-        SeedingMethod::kKMeansPlusPlus}) {
-    auto parsed = SeedingMethodFromString(SeedingMethodToString(method));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, method);
-  }
-  EXPECT_TRUE(SeedingMethodFromString("bogus").status().IsInvalidArgument());
-}
-
 }  // namespace
 }  // namespace pmkm

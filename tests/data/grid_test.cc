@@ -81,19 +81,11 @@ TEST(GridIndexTest, AddAllAndCellIdsSorted) {
   d.Append(std::vector<double>{1.5, 1.5});
   d.Append(std::vector<double>{5.9, 5.1});
   ASSERT_TRUE(index.AddAll(d).ok());
-  const auto ids = index.CellIds();
-  ASSERT_EQ(ids.size(), 2u);
-  EXPECT_LT(ids[0], ids[1]);
-  EXPECT_EQ(ids[0], (GridCellId{1, 1}));
-}
-
-TEST(GridIndexTest, TakeBucketsEmptiesIndex) {
-  GridIndex index(2);
-  ASSERT_TRUE(index.Add(std::vector<double>{1.0, 1.0}).ok());
-  auto buckets = index.TakeBuckets();
-  EXPECT_EQ(buckets.size(), 1u);
-  EXPECT_EQ(index.num_cells(), 0u);
-  EXPECT_EQ(index.num_points(), 0u);
+  const auto& buckets = index.buckets();
+  ASSERT_EQ(buckets.size(), 2u);
+  EXPECT_EQ(buckets.begin()->first, (GridCellId{1, 1}));
+  EXPECT_LT(buckets.begin()->first, buckets.rbegin()->first);
+  EXPECT_EQ(index.num_points(), 3u);
 }
 
 }  // namespace

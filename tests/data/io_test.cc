@@ -126,28 +126,6 @@ TEST_F(IoTest, CorruptPayloadFailsChecksum) {
   EXPECT_NE(st.message().find("checksum"), std::string::npos);
 }
 
-TEST_F(IoTest, WriteGridBucketsWritesEveryCell) {
-  GridIndex index(3);
-  Rng rng(5);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(index
-                    .Add(std::vector<double>{rng.Uniform(-5, 5),
-                                             rng.Uniform(-5, 5),
-                                             rng.Normal()})
-                    .ok());
-  }
-  auto paths = WriteGridBuckets(Path("buckets"), index);
-  ASSERT_TRUE(paths.ok()) << paths.status();
-  EXPECT_EQ(paths->size(), index.num_cells());
-  size_t total = 0;
-  for (const auto& p : *paths) {
-    auto bucket = ReadGridBucket(p);
-    ASSERT_TRUE(bucket.ok());
-    total += bucket->points.size();
-  }
-  EXPECT_EQ(total, 50u);
-}
-
 TEST_F(IoTest, ReaderNextRejectsZeroMaxPoints) {
   const GridBucket original = MakeBucket(8, 2, 6);
   const std::string path = Path("zero.pmkb");

@@ -80,7 +80,10 @@ TEST(AggregateFoldedTest, EmptyInput) {
 // A CPU burner the optimizer cannot remove or inline away. External
 // linkage on purpose: dladdr symbolizes only dynamic-table symbols, and
 // an anonymous-namespace function would render as a bare hex address.
-__attribute__((noinline)) double ProfilerTestBurn(uint64_t iterations) {
+// noipa, not just noinline: at -O3 GCC's IPA constant propagation clones
+// the burner per call-site constant ("ProfilerTestBurn(...) [clone
+// .constprop.0]"), and the clones are local symbols dladdr cannot name.
+__attribute__((noipa)) double ProfilerTestBurn(uint64_t iterations) {
   volatile double acc = 0.0;
   for (uint64_t i = 0; i < iterations; ++i) {
     acc = acc + std::sqrt(static_cast<double>(i % 1024) + 1.0);

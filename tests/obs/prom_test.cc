@@ -107,16 +107,6 @@ TEST(PromConformanceTest, EveryMetricHasHelpAndTypeBeforeSamples) {
   }
 }
 
-TEST(PromConformanceTest, RegisteredHelpTextWinsAndIsEscaped) {
-  MetricsRegistry registry;
-  registry.counter("rows").Increment(1);
-  registry.SetHelp("rows", "Rows scanned\nsecond line \\ done");
-  const std::string text = registry.ToPrometheusText();
-  EXPECT_TRUE(Contains(
-      text, "# HELP pmkm_rows Rows scanned\\nsecond line \\\\ done"))
-      << text;
-}
-
 TEST(PromConformanceTest, CountersAreMonotonicAcrossScrapes) {
   MetricsRegistry registry;
   Counter& c = registry.counter("rows");
@@ -168,12 +158,11 @@ TEST(PromConformanceTest, GoldenExposition) {
   registry.gauge("queue.depth").Set(2);  // max stays 3
   Histogram& h = registry.histogram("lat_us");
   for (int i = 0; i < 4; ++i) h.Record(8.0);  // single bucket, exact ends
-  registry.SetHelp("rows", "Rows scanned.");
   const std::string expected =
       "# HELP pmkm_run_info Active run identity (run_id label).\n"
       "# TYPE pmkm_run_info gauge\n"
       "pmkm_run_info{run_id=\"cafe0123\"} 1\n"
-      "# HELP pmkm_rows Rows scanned.\n"
+      "# HELP pmkm_rows Cumulative count of pmkm_rows.\n"
       "# TYPE pmkm_rows counter\n"
       "pmkm_rows 42\n"
       "# HELP pmkm_queue_depth Last observed value of pmkm_queue_depth.\n"

@@ -314,5 +314,70 @@ TEST(PipelineBuilderTest, ExplainNamesKernel) {
   EXPECT_NE(text->find("kernel=scalar"), std::string::npos);
 }
 
+// One job whose buckets differ in D. The plan sizes chunks from the first
+// bucket's D=2, so the D=6 bucket after it would run chunks three times
+// the per-operator memory budget; the scan rejects it instead.
+class MixedDimTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("pmkm_engine_mixed_dim_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::create_directories(dir_);
+    Rng rng(11);
+    narrow_.cell = GridCellId{0, 0};
+    narrow_.points = GenerateUniform(400, 2, -1.0, 1.0, &rng);
+    paths_.push_back((dir_ / "narrow.pmkb").string());
+    PMKM_CHECK_OK(WriteGridBucket(paths_[0], narrow_));
+    paths_.push_back((dir_ / "wide.pmkb").string());
+    PMKM_CHECK_OK(WriteGridBucket(paths_[1], MakeBucket(1, 400, 12)));
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  PipelineBuilder Builder(FailurePolicy policy) const {
+    KMeansConfig partial;
+    partial.k = 4;
+    partial.restarts = 1;
+    MergeKMeansConfig merge;
+    merge.k = 4;
+    return PipelineBuilder()
+        .WithPartialKMeans(partial)
+        .WithMerge(merge)
+        .WithFailurePolicy(policy);
+  }
+
+  std::filesystem::path dir_;
+  GridBucket narrow_;
+  std::vector<std::string> paths_;
+};
+
+TEST_F(MixedDimTest, FailFastRejectsTheBucketWhoseDimDiffers) {
+  auto run = Builder(FailurePolicy::kFailFast).Run(paths_);
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status();
+  EXPECT_NE(run.status().message().find(paths_[1]), std::string::npos)
+      << run.status();
+}
+
+TEST_F(MixedDimTest, SkipQuarantinesTheBucketWhoseDimDiffers) {
+  auto run = Builder(FailurePolicy::kSkipAndContinue).Run(paths_);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_EQ(run->cells.size(), 1u);
+  EXPECT_EQ(run->cells.begin()->first, narrow_.cell);
+  EXPECT_EQ(run->cells.begin()->second.input_points, 400u);
+  ASSERT_EQ(run->report.quarantined.size(), 1u) << run->report.Summary();
+  EXPECT_EQ(run->report.quarantined[0].path, paths_[1]);
+  EXPECT_NE(run->report.quarantined[0].reason.find("D=6"), std::string::npos)
+      << run->report.quarantined[0].reason;
+  EXPECT_TRUE(run->report.degraded);
+}
+
+TEST_F(MixedDimTest, RunInMemoryRejectsMixedDim) {
+  auto run = Builder(FailurePolicy::kSkipAndContinue)
+                 .RunInMemory({narrow_, MakeBucket(1, 400, 12)});
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status();
+}
+
 }  // namespace
 }  // namespace pmkm

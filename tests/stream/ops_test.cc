@@ -34,6 +34,9 @@ class OpsTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+// D of GenerateMisrLikeCell's points, the D every scan here is planned for.
+constexpr size_t kMisrDim = 6;
+
 KMeansConfig PartialConfig(size_t k = 8) {
   KMeansConfig config;
   config.k = k;
@@ -50,7 +53,7 @@ MergeKMeansConfig MergeConfig(size_t k = 8) {
 TEST_F(OpsTest, ScanEmitsAllChunksWithMetadata) {
   const std::string path = WriteCell("a.pmkb", {3, 4}, 100, 1);
   auto out = std::make_shared<PointChunkQueue>(64);
-  ScanOperator scan({path}, 30, out);
+  ScanOperator scan({path}, 30, kMisrDim, out);
   ASSERT_TRUE(scan.Run().ok());
   EXPECT_EQ(scan.chunks_emitted(), 4u);  // ceil(100/30)
 
@@ -69,14 +72,14 @@ TEST_F(OpsTest, ScanMultipleFiles) {
   const std::string p1 = WriteCell("a.pmkb", {0, 0}, 50, 1);
   const std::string p2 = WriteCell("b.pmkb", {1, 1}, 70, 2);
   auto out = std::make_shared<PointChunkQueue>(64);
-  ScanOperator scan({p1, p2}, 25, out);
+  ScanOperator scan({p1, p2}, 25, kMisrDim, out);
   ASSERT_TRUE(scan.Run().ok());
   EXPECT_EQ(scan.chunks_emitted(), 5u);  // 2 + 3
 }
 
 TEST_F(OpsTest, ScanFailsOnMissingFile) {
   auto out = std::make_shared<PointChunkQueue>(4);
-  ScanOperator scan({(dir_ / "nope.pmkb").string()}, 10, out);
+  ScanOperator scan({(dir_ / "nope.pmkb").string()}, 10, kMisrDim, out);
   EXPECT_TRUE(scan.Run().IsIOError());
   // The failed scan keeps its producer open until Finish(), which the
   // executor calls after recording the failure; then the queue is closed.
@@ -92,7 +95,7 @@ TEST_F(OpsTest, SingleCellPipelineMatchesDriver) {
 
   Executor executor;
   executor.Add(std::make_unique<ScanOperator>(
-      std::vector<std::string>{path}, 100, points));
+      std::vector<std::string>{path}, 100, kMisrDim, points));
   executor.Add(std::make_unique<PartialKMeansOperator>(PartialConfig(),
                                                        points, centroids));
   auto merge = std::make_unique<MergeKMeansOperator>(MergeConfig(),
@@ -119,7 +122,7 @@ TEST_F(OpsTest, ClonedPartialOperatorsProduceCompleteResult) {
 
   Executor executor;
   executor.Add(std::make_unique<ScanOperator>(
-      std::vector<std::string>{path}, 150, points));
+      std::vector<std::string>{path}, 150, kMisrDim, points));
   for (int c = 0; c < 3; ++c) {
     executor.Add(std::make_unique<PartialKMeansOperator>(
         PartialConfig(), points, centroids,
@@ -145,7 +148,8 @@ TEST_F(OpsTest, MultipleCellsEachGetMerged) {
   auto points = std::make_shared<PointChunkQueue>(8);
   auto centroids = std::make_shared<CentroidQueue>(8);
   Executor executor;
-  executor.Add(std::make_unique<ScanOperator>(paths, 64, points));
+  executor.Add(
+      std::make_unique<ScanOperator>(paths, 64, kMisrDim, points));
   executor.Add(std::make_unique<PartialKMeansOperator>(PartialConfig(4),
                                                        points, centroids));
   auto merge = std::make_unique<MergeKMeansOperator>(MergeConfig(4),
@@ -173,7 +177,7 @@ TEST_F(OpsTest, MemoryScanMatchesFileScan) {
   const std::string path = (dir_ / "same.pmkb").string();
   ASSERT_TRUE(WriteGridBucket(path, bucket).ok());
   auto q2 = std::make_shared<PointChunkQueue>(64);
-  ScanOperator file({path}, 80, q2);
+  ScanOperator file({path}, 80, kMisrDim, q2);
   ASSERT_TRUE(file.Run().ok());
 
   for (;;) {
@@ -203,7 +207,8 @@ TEST_F(OpsTest, CorruptBucketMidStreamAbortsPipeline) {
   auto points = std::make_shared<PointChunkQueue>(2);
   auto centroids = std::make_shared<CentroidQueue>(2);
   Executor executor;
-  executor.Add(std::make_unique<ScanOperator>(paths, 100, points));
+  executor.Add(
+      std::make_unique<ScanOperator>(paths, 100, kMisrDim, points));
   executor.Add(std::make_unique<PartialKMeansOperator>(PartialConfig(4),
                                                        points, centroids));
   executor.Add(
@@ -221,7 +226,7 @@ TEST_F(OpsTest, ExecutorPropagatesOperatorFailure) {
   Executor executor;
   executor.Add(std::make_unique<ScanOperator>(
       std::vector<std::string>{(dir_ / "ghost.pmkb").string()}, 10,
-      points));
+      kMisrDim, points));
   executor.Add(std::make_unique<PartialKMeansOperator>(PartialConfig(),
                                                        points, centroids));
   executor.Add(

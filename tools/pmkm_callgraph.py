@@ -1244,7 +1244,7 @@ def collect_sources(root, files):
         out = [os.path.relpath(os.path.abspath(f), root) for f in files]
     else:
         out = []
-        for top in ("src", "tools"):
+        for top in ("src", "tools", os.path.join("bench", "lib")):
             base = os.path.join(root, top)
             if not os.path.isdir(base):
                 continue

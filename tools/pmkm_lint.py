@@ -2,7 +2,8 @@
 """pmkm_lint: fast project-invariant linter for the pmkm tree.
 
 Enforces the invariants that make the partial/merge k-means engine
-trustworthy at scale but that no compiler checks (DESIGN.md §11):
+trustworthy at scale but that no compiler checks (DESIGN.md §11).
+"Library code" is src/ plus the experiment appendix in bench/lib/:
 
   raw-random    All randomness flows through common/rng.h (seeded,
                 reproducible). `rand()`/`srand()`/`random()`, the
@@ -12,17 +13,17 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 unseeded draw makes a TB-scale run unreproducible (and
                 pmkm_detcheck's nondet-source rule proves the same
                 property path-sensitively on output paths).
-  naked-new     Library code (src/) never uses naked new/delete; ownership
+  naked-new     Library code never uses naked new/delete; ownership
                 is expressed with containers and smart pointers so leaks
                 are structurally impossible.
-  stdio         Library code (src/) never writes to std::cout/std::cerr or
+  stdio         Library code never writes to std::cout/std::cerr or
                 printf/fprintf; it uses PMKM_LOG so output is leveled,
                 rate-limitable, run-id tagged, and capturable (JSON mode).
                 Structurally exempt: common/logging.{h,cc} (the sink that
                 writes the final bytes) and common/schedcheck/ (reports
                 from inside the scheduler, below the logging layer in the
-                link graph). CLI surface (tools/, bench/, examples/) is
-                exempt.
+                link graph). CLI surface (tools/, the bench/ harnesses,
+                examples/) is exempt.
   sleep         `std::this_thread::sleep_for` in library code hides
                 latency bugs and breaks determinism; only the retry
                 backoff and fault-injection machinery may sleep.
@@ -33,7 +34,7 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
   fault-site    PMKM_FAULT_POINT sites are string literals named
                 `component.action` (lowercase dotted), so fault specs in
                 PMKM_FAULTS/--faults stay greppable and collision-free.
-  raw-sync      Library code (src/) synchronizes through the annotated
+  raw-sync      Library code synchronizes through the annotated
                 wrappers in common/annotations.h (Mutex, MutexLock,
                 CondVar), never raw std::mutex/std::condition_variable/
                 std::lock_guard &c. — the wrappers carry the thread-safety
@@ -42,7 +43,7 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 deterministic schedule explorer. The wrappers' own
                 implementation (annotations.h, common/schedcheck/) is
                 exempt.
-  persist       Library code (src/) persists binary state only through the
+  persist       Library code persists binary state only through the
                 sanctioned crash-safe paths (data/io.{h,cc} bucket commit,
                 data/manifest.{h,cc} AtomicWriteFile/JournalWriter).
                 Direct `std::filesystem::rename`/`::rename` or a binary
@@ -50,7 +51,7 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 exactly the corruption the checkpoint layer exists to
                 survive. Text/report writers (CSV, traces, JSON exports)
                 open without std::ios::binary and are not flagged.
-  raw-signal    Library code (src/) never installs signal handlers with
+  raw-signal    Library code never installs signal handlers with
                 raw `signal()`/`sigaction()`: a handler constrains every
                 line it can interrupt to the async-signal-safe subset,
                 which pmkm_ctxcheck can only verify for the one sanctioned
@@ -65,14 +66,14 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 are wired in one place. Likewise, constructing the raw
                 stream Executor outside the engine bypasses supervision;
                 only stream/engine.cc and tests may build one directly.
-  byte-codec    Library code (src/) packs and unpacks little-endian
+  byte-codec    Library code packs and unpacks little-endian
                 integers only through common/bytes.h (Put*/Store*/Load*,
                 ByteReader), the one codec under model files, journal
                 records and serve frames. A shift-and-cast byte store
                 (`static_cast<uint8_t>(v >> 8)`) or load
                 (`static_cast<uint32_t>(p[1]) << 8`) anywhere else is a
                 private copy of it, free to drift from the others.
-  raw-socket    Library code (src/) calls `::socket`, `::bind`, `::listen`
+  raw-socket    Library code calls `::socket`, `::bind`, `::listen`
                 and `::accept` only in common/net.cc. Every listener is a
                 ConnectionServer (common/connection_server.h), which owns
                 the accept loop, the io timeout, the handler pool and
@@ -85,7 +86,7 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11):
                 every x86-64 build compiles and kernel_parity_test checks
                 against the scalar reference. An intrinsic copy elsewhere
                 is an ISA path no build may ever run.
-  cancel-poll   Library code (src/) loads a cancel token
+  cancel-poll   Library code loads a cancel token
                 (`cancel_->load(`) only in Executor::Run
                 (stream/operator.cc) and the engine's pre-start checks
                 (stream/engine.cc). An operator that polls it is a second
@@ -313,7 +314,9 @@ def lint_file(root, relpath):
         if rule not in suppressions_for(raw_lines, lineno):
             findings.append(Finding(relpath, lineno, rule, message))
 
-    is_src = in_dir(relpath, "src")
+    # Library code: the system (src/) and the experiment appendix
+    # (bench/lib/), which the benches, examples and tests link.
+    is_library = in_dir(relpath, "src", os.path.join("bench", "lib"))
     # The annotated wrappers and the schedcheck layer *implement* the sync
     # abstraction; everything else in src/ must go through them.
     raw_sync_exempt = (
@@ -357,7 +360,7 @@ def lint_file(root, relpath):
         if not rng_exempt and RNG_RE.search(line):
             check(lineno, "raw-random",
                   "unseeded randomness; draw from common/rng.h Rng instead")
-        if is_src:
+        if is_library:
             if NEW_RE.search(line):
                 check(lineno, "naked-new",
                       "naked new; use std::make_unique/containers")
