@@ -82,8 +82,8 @@ void PrintFig6(const std::vector<SweepRow>& rows,
   PrintBanner("Figure 6",
               "overall execution time, serial vs partial/merge k-means",
               grid);
-  std::cout << "kernel: " << DefaultKernel().name() << " (host "
-            << HostIsaDescription() << ")\n";
+  std::cout << "kernel: " << GetKernel(KernelKind::kAuto).name()
+            << " (host " << HostIsaDescription() << ")\n";
   std::cout << "        N |   serial(ms) |  5-chunk(ms) | 10-chunk(ms) | "
                "serial/10-chunk\n";
   std::cout << "----------+--------------+--------------+--------------+-"

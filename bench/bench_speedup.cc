@@ -110,9 +110,8 @@ int Main(int argc, char** argv) {
             << cores << " core(s); wall-clock gain is capped there):\n";
   std::cout << " clones |     wall(ms) | speed-up |     E_pm\n";
   std::cout << "--------+--------------+----------+----------\n";
-  GridBucket bucket;
-  bucket.cell = GridCellId{0, 0};
-  bucket.points = cell;
+  const GridCellId id{0, 0};
+  const TempBucket bucket(GridBucket{id, cell});
   const size_t chunk_points =
       static_cast<size_t>((n + splits - 1) / splits);
   double base_wall = 0.0;
@@ -124,7 +123,7 @@ int Main(int argc, char** argv) {
                       .WithMerge(mconfig)
                       .WithResources(resources)
                       .WithChunkPoints(chunk_points)
-                      .RunInMemory({bucket});
+                      .Run({bucket.path()});
     PMKM_CHECK(result.ok()) << result.status();
     const double wall = result->wall_seconds * 1e3;
     if (clones == 1) base_wall = wall;
@@ -132,7 +131,7 @@ int Main(int argc, char** argv) {
                         7)
               << " | " << Fmt(wall, 12) << " | "
               << Fmt(base_wall / std::max(wall, 1e-9), 7, 2) << "x | "
-              << Fmt(result->cells.at(bucket.cell).model.sse, 8, 0)
+              << Fmt(result->cells.at(id).model.sse, 8, 0)
               << "\n";
   }
   std::cout << "\nExpected shape (paper §5.1): near-linear speed-up while "

@@ -1,7 +1,11 @@
 #include "bench/bench_util.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 
 #include "cluster/metrics.h"
@@ -63,12 +67,29 @@ RunStats RunSerial(const Dataset& cell, const ExperimentGrid& grid,
   return stats;
 }
 
+TempBucket::TempBucket(const GridBucket& bucket) {
+  static std::atomic<uint64_t> counter{0};
+  dir_ = (std::filesystem::temp_directory_path() /
+          ("pmkm_bench_" + std::to_string(::getpid()) + "_" +
+           std::to_string(counter.fetch_add(1))))
+             .string();
+  std::filesystem::create_directories(dir_);
+  path_ = dir_ + "/" + bucket.cell.ToString() + ".pmkb";
+  PMKM_CHECK_OK(WriteGridBucket(path_, bucket));
+}
+
+TempBucket::~TempBucket() {
+  std::error_code ec;
+  std::filesystem::remove_all(dir_, ec);
+}
+
 ClusteringModel RunOnEngine(Dataset cell, size_t splits,
                             const KMeansConfig& partial,
                             const MergeKMeansConfig& merge,
                             RunStats* stats) {
   PMKM_CHECK(splits >= 1 && !cell.empty());
   const size_t chunk = (cell.size() + splits - 1) / splits;
+  const TempBucket bucket(GridBucket{GridCellId{0, 0}, std::move(cell)});
   ResourceModel one_machine;
   one_machine.cores = 1;
   auto run = PipelineBuilder()
@@ -76,7 +97,7 @@ ClusteringModel RunOnEngine(Dataset cell, size_t splits,
                  .WithMerge(merge)
                  .WithResources(one_machine)
                  .WithChunkPoints(chunk)
-                 .RunInMemory({GridBucket{GridCellId{0, 0}, std::move(cell)}});
+                 .Run({bucket.path()});
   PMKM_CHECK(run.ok()) << run.status();
   CellClustering& result = run->cells.at(GridCellId{0, 0});
   stats->partial_ms = 0.0;

@@ -21,6 +21,7 @@
 #include "cluster/merge.h"
 #include "common/flags.h"
 #include "data/generator.h"
+#include "data/io.h"
 
 namespace pmkm {
 namespace bench {
@@ -64,14 +65,32 @@ struct RunStats {
 RunStats RunSerial(const Dataset& cell, const ExperimentGrid& grid,
                    uint64_t seed);
 
+/// One cell written as a grid-bucket file in a fresh temp directory,
+/// which the destructor removes: experiments hand the engine the same
+/// bucket files pmkm_cluster reads.
+class TempBucket {
+ public:
+  explicit TempBucket(const GridBucket& bucket);
+  ~TempBucket();
+  TempBucket(const TempBucket&) = delete;
+  TempBucket& operator=(const TempBucket&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string dir_;
+  std::string path_;
+};
+
 /// Partial/merge k-means of one cell on the stream engine
-/// (PipelineBuilder::RunInMemory) with one partial clone — the paper's
-/// single-machine rows. The cell is cut into `splits` chunks of
-/// ceil(N/splits) points in the order given, so the caller's point order
-/// is the slicing strategy. Fills the time columns of `*stats` from the
-/// run itself (partial_ms: the clones' CPU time, t_{C0-Ci}; merge_ms:
-/// the cell's merge time; total_ms: the run's wall time) and returns the
-/// merged model.
+/// (PipelineBuilder::Run over one bucket file) with one partial clone —
+/// the paper's single-machine rows. The cell is written to the file
+/// first, untimed, and cut into `splits` chunks of ceil(N/splits) points
+/// in the order given, so the caller's point order is the slicing
+/// strategy. Fills the time columns of `*stats` from the run itself
+/// (partial_ms: the clones' CPU time, t_{C0-Ci}; merge_ms: the cell's
+/// merge time; total_ms: the run's wall time, which includes reading the
+/// file back from the page cache) and returns the merged model.
 ClusteringModel RunOnEngine(Dataset cell, size_t splits,
                             const KMeansConfig& partial,
                             const MergeKMeansConfig& merge, RunStats* stats);

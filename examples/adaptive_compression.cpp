@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 
 #include "cluster/merge.h"
 #include "cluster/metrics.h"
 #include "common/flags.h"
 #include "data/generator.h"
+#include "data/io.h"
 #include "histogram/ecvq.h"
 #include "histogram/histogram.h"
 #include "stream/engine.h"
@@ -85,11 +87,16 @@ int main(int argc, char** argv) {
   partial.restarts = 5;
   pmkm::MergeKMeansConfig merge;
   merge.k = partial.k;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pmkm_adaptive.pmkb")
+          .string();
+  PMKM_CHECK_OK(pmkm::WriteGridBucket(path, {{0, 0}, cell}));
   auto fixed = pmkm::PipelineBuilder()
                    .WithPartialKMeans(partial)
                    .WithMerge(merge)
                    .WithChunkPoints(chunk)
-                   .RunInMemory({pmkm::GridBucket{{0, 0}, cell}});
+                   .Run({path});
+  std::filesystem::remove(path);
   if (!fixed.ok()) {
     std::cerr << fixed.status() << "\n";
     return 1;

@@ -5,6 +5,7 @@
 //   $ ./build/examples/algorithm_comparison [--n=30000] [--k=40]
 
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 
 #include "baselines/birch.h"
@@ -15,6 +16,7 @@
 #include "common/flags.h"
 #include "common/stopwatch.h"
 #include "data/generator.h"
+#include "data/io.h"
 #include "stream/engine.h"
 
 namespace {
@@ -61,21 +63,28 @@ int main(int argc, char** argv) {
              model->k());
   }
   {
-    // Ten memory-sized chunks through the stream engine.
+    // Ten memory-sized chunks through the stream engine, which reads the
+    // cell back from a bucket file (written before the clock starts).
     pmkm::KMeansConfig partial;
     partial.k = kk;
     partial.restarts = 5;
     pmkm::MergeKMeansConfig merge;
     merge.k = kk;
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "pmkm_comparison.pmkb")
+            .string();
+    PMKM_CHECK_OK(pmkm::WriteGridBucket(path, {{0, 0}, cell}));
     const pmkm::Stopwatch watch;
     auto run = pmkm::PipelineBuilder()
                    .WithPartialKMeans(partial)
                    .WithMerge(merge)
                    .WithChunkPoints((cell.size() + 9) / 10)
-                   .RunInMemory({pmkm::GridBucket{{0, 0}, cell}});
+                   .Run({path});
+    const double ms = watch.ElapsedMillis();
+    std::filesystem::remove(path);
     PMKM_CHECK(run.ok()) << run.status();
     const pmkm::ClusteringModel& model = run->cells.at({0, 0}).model;
-    PrintRow("partial/merge (paper)", "O(N/p)", watch.ElapsedMillis(),
+    PrintRow("partial/merge (paper)", "O(N/p)", ms,
              pmkm::Sse(model.centroids, cell), model.k());
   }
   {

@@ -2,12 +2,13 @@
 //
 //   $ ./build/examples/quickstart [--n=20000] [--k=40] [--splits=10]
 //
-// Generates a MISR-like 6-attribute cell, clusters it with the paper's
-// algorithm on the stream engine (partial k-means per memory-sized chunk,
-// weighted merge), and prints the quality/time summary plus the heaviest
-// centroids.
+// Generates a MISR-like 6-attribute cell, writes it as a grid-bucket
+// file, clusters it with the paper's algorithm on the stream engine
+// (partial k-means per memory-sized chunk, weighted merge), and prints the
+// quality/time summary plus the heaviest centroids.
 
 #include <algorithm>
+#include <filesystem>
 #include <iostream>
 #include <numeric>
 
@@ -15,6 +16,7 @@
 #include "cluster/metrics.h"
 #include "common/flags.h"
 #include "data/generator.h"
+#include "data/io.h"
 #include "stream/engine.h"
 
 int main(int argc, char** argv) {
@@ -42,7 +44,19 @@ int main(int argc, char** argv) {
   std::cout << "cell: " << cell.size() << " points x " << cell.dim()
             << " attributes\n";
 
-  // 2. Run the paper's algorithm: k-means on each of `splits` chunks
+  // 2. Save it as a grid bucket, the engine's input: the binary per-cell
+  //    file a preparatory scan writes (pmkm_genbuckets makes them too).
+  const pmkm::GridCellId id{0, 0};
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pmkm_quickstart.pmkb")
+          .string();
+  if (const pmkm::Status ws = pmkm::WriteGridBucket(path, {id, cell});
+      !ws.ok()) {
+    std::cerr << "cannot write the bucket: " << ws << "\n";
+    return 1;
+  }
+
+  // 3. Run the paper's algorithm: k-means on each of `splits` chunks
   //    (best of R restarts), then a weighted merge seeded from the
   //    heaviest centroids. The generated points arrive in random order,
   //    so consecutive chunks are the paper's randomly distributed ones.
@@ -52,19 +66,19 @@ int main(int argc, char** argv) {
   pmkm::MergeKMeansConfig merge;
   merge.k = partial.k;
   const size_t parts = static_cast<size_t>(std::max<int64_t>(1, splits));
-  const pmkm::GridCellId id{0, 0};
 
   auto run = pmkm::PipelineBuilder()
                  .WithPartialKMeans(partial)
                  .WithMerge(merge)
                  .WithChunkPoints((cell.size() + parts - 1) / parts)
-                 .RunInMemory({pmkm::GridBucket{id, cell}});
+                 .Run({path});
+  std::filesystem::remove(path);
   if (!run.ok()) {
     std::cerr << "clustering failed: " << run.status() << "\n";
     return 1;
   }
 
-  // 3. Inspect the model.
+  // 4. Inspect the model.
   const pmkm::CellClustering& result = run->cells.at(id);
   const pmkm::ClusteringModel& model = result.model;
   std::cout << "k = " << model.k() << " centroids from "
@@ -78,7 +92,7 @@ int main(int argc, char** argv) {
   std::cout << "mean sq. error / point  = "
             << pmkm::MsePerPoint(model.centroids, cell) << "\n";
 
-  // 4. The five heaviest clusters (most of the cell's mass).
+  // 5. The five heaviest clusters (most of the cell's mass).
   std::vector<size_t> order(model.k());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -95,7 +109,7 @@ int main(int argc, char** argv) {
     std::cout << "]\n";
   }
 
-  // 5. Classify a new measurement against the model.
+  // 6. Classify a new measurement against the model.
   const pmkm::Dataset probe = pmkm::GenerateMisrLikeCell(1, &rng);
   std::cout << "\nnew point assigned to cluster "
             << model.Predict(probe.Row(0)) << "\n";

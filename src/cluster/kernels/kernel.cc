@@ -1,10 +1,8 @@
 // Kernel dispatch: CentroidBlock repacking, the CPUID-driven kAuto
-// resolution, the process-wide default the --kernel flag overrides, and
-// the AssignNearest batch query on that default.
+// resolution, and the AssignNearest batch query on the kAuto kernel.
 
 #include "cluster/kernels/kernel.h"
 
-#include <atomic>
 #include <limits>
 
 #include "cluster/kernels/internal.h"
@@ -58,8 +56,6 @@ const DistanceKernel* ResolveAuto() {
   return chosen;
 }
 
-std::atomic<const DistanceKernel*> g_default{nullptr};
-
 const DistanceKernel* LookupKernel(KernelKind kind) {
   switch (kind) {
     case KernelKind::kAuto:
@@ -88,37 +84,14 @@ const DistanceKernel& GetKernel(KernelKind kind) {
   return *kernel;
 }
 
-const DistanceKernel& DefaultKernel() {
-  const DistanceKernel* kernel =
-      g_default.load(std::memory_order_acquire);
-  if (kernel == nullptr) {
-    kernel = ResolveAuto();
-    g_default.store(kernel, std::memory_order_release);
-  }
-  return *kernel;
-}
-
-Result<KernelKind> SetDefaultKernel(KernelKind kind) {
-  const DistanceKernel* kernel = LookupKernel(kind);
-  if (kernel == nullptr) {
-    return Status::InvalidArgument(
-        "kernel '" + std::string(KernelKindToString(kind)) +
-        "' is not available on this host (host is " +
-        HostIsaDescription() + ")");
-  }
-  const DistanceKernel* previous =
-      g_default.exchange(kernel, std::memory_order_acq_rel);
-  return previous == nullptr ? KernelKind::kAuto : previous->kind();
-}
-
 void AssignNearest(const double* points, size_t n, size_t dim,
                    const Dataset& centroids, uint32_t* assign,
                    double* dist2, double* second2) {
   PMKM_CHECK(centroids.dim() == dim);
   CentroidBlock block;
   block.Load(centroids);
-  DefaultKernel().AssignBlock(points, n, dim, block, assign, dist2,
-                              second2);
+  GetKernel(KernelKind::kAuto)
+      .AssignBlock(points, n, dim, block, assign, dist2, second2);
 }
 
 std::vector<const DistanceKernel*> AvailableKernels() {

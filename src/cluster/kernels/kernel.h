@@ -158,17 +158,11 @@ const DistanceKernel& GetKernel(KernelKind kind);
 /// True when `kind` can execute on this host (kAuto and kScalar always).
 bool KernelAvailable(KernelKind kind);
 
-/// The process-wide default used when a config leaves its kernel unset.
-/// Initially the kAuto resolution; SetDefaultKernel (the --kernel flag)
-/// overrides it and returns the previous choice. Not thread-safe against
-/// concurrent pipeline runs — set it once at startup.
-const DistanceKernel& DefaultKernel();
-Result<KernelKind> SetDefaultKernel(KernelKind kind);
-
 /// The nearest centroid of each of the n row-major `points`, computed by
-/// DefaultKernel().AssignBlock: the batch query behind every metric,
-/// histogram and baseline outside the Lloyd loop, so they see the
-/// assignments and distances training saw. `second2` as in AssignBlock.
+/// GetKernel(KernelKind::kAuto).AssignBlock: the batch query behind every
+/// metric, histogram and baseline outside the Lloyd loop. Every kernel
+/// returns the same assignments and distances, so they are the ones
+/// training saw under any kernel. `second2` as in AssignBlock.
 /// Requires a non-empty centroid set of dimension `dim`.
 void AssignNearest(const double* points, size_t n, size_t dim,
                    const Dataset& centroids, uint32_t* assign,

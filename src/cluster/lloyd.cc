@@ -141,8 +141,9 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
   }
   PMKM_CHECK(rng != nullptr);
 
-  const DistanceKernel& kernel =
-      config.kernel != nullptr ? *config.kernel : DefaultKernel();
+  const DistanceKernel& kernel = config.kernel != nullptr
+                                     ? *config.kernel
+                                     : GetKernel(KernelKind::kAuto);
 
   ClusteringModel model;
   model.centroids = std::move(initial_centroids);

@@ -39,8 +39,8 @@ struct LloydConfig {
   /// Record per-point assignments in the returned model.
   bool track_assignments = false;
 
-  /// Distance kernel for the assignment hot path; nullptr means the
-  /// process default (DefaultKernel(), see cluster/kernels/kernel.h).
+  /// Distance kernel for the assignment hot path; nullptr means the best
+  /// one the host supports (GetKernel(KernelKind::kAuto)).
   /// Assignments are bit-identical across kernels, so this only affects
   /// speed.
   const DistanceKernel* kernel = nullptr;

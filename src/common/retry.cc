@@ -7,24 +7,34 @@
 
 namespace pmkm {
 
+namespace {
+
+// Backoff growth per retry, its ceiling, the relative jitter band and the
+// jitter Rng's seed (combined with the per-call seed tag).
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffMs = 2000.0;
+constexpr double kJitter = 0.25;
+constexpr uint64_t kJitterSeed = 0x7e57ab1eULL;
+
+}  // namespace
+
 bool IsRetryableStatus(const Status& status) {
   return status.IsIOError() || status.IsDeadlineExceeded();
 }
 
 Retrier::Retrier(const RetryPolicy& policy, uint64_t seed_tag)
     : policy_(policy),
-      rng_(policy.seed ^ (seed_tag * 0x9e3779b97f4a7c15ULL)) {}
+      rng_(kJitterSeed ^ (seed_tag * 0x9e3779b97f4a7c15ULL)) {}
 
 uint64_t Retrier::NextBackoffMs() {
   // retries_ has already been incremented for the retry being granted.
-  const double exp = std::pow(policy_.backoff_multiplier,
-                              static_cast<double>(retries_ - 1));
-  double backoff = static_cast<double>(policy_.initial_backoff_ms) * exp;
-  backoff = std::min(backoff, static_cast<double>(policy_.max_backoff_ms));
-  const double jitter = std::clamp(policy_.jitter, 0.0, 1.0);
+  const double exp =
+      std::pow(kBackoffMultiplier, static_cast<double>(retries_ - 1));
+  const double backoff = std::min(
+      static_cast<double>(policy_.initial_backoff_ms) * exp, kMaxBackoffMs);
   // The jitter draw happens even for zero backoff so the Rng stream (and
-  // thus any later backoff) stays independent of max_backoff clamping.
-  const double factor = 1.0 + jitter * (2.0 * rng_.UniformDouble() - 1.0);
+  // thus any later backoff) stays independent of the ceiling.
+  const double factor = 1.0 + kJitter * (2.0 * rng_.UniformDouble() - 1.0);
   return static_cast<uint64_t>(backoff * factor);
 }
 

@@ -25,21 +25,16 @@ namespace pmkm {
 /// cancellations are never transient.
 bool IsRetryableStatus(const Status& status);
 
-/// Tunable retry behavior. All durations in milliseconds.
+/// Tunable retry behavior.
 struct RetryPolicy {
   /// Total attempts including the first one (>= 1). 1 = no retries.
   size_t max_attempts = 3;
 
   /// Backoff before retry r (1-based) is
-  ///   min(initial_backoff_ms * multiplier^(r-1), max_backoff_ms)
-  /// scaled by a jitter factor drawn uniformly from [1-jitter, 1+jitter].
+  ///   min(initial_backoff_ms * 2^(r-1), 2000 ms)
+  /// scaled by a jitter factor drawn uniformly from [0.75, 1.25] (the
+  /// constants live in retry.cc).
   uint64_t initial_backoff_ms = 10;
-  double backoff_multiplier = 2.0;
-  uint64_t max_backoff_ms = 2000;
-  double jitter = 0.25;
-
-  /// Seed for the jitter Rng (combined with the per-call seed tag).
-  uint64_t seed = 0x7e57ab1eULL;
 };
 
 /// Tracks one retry loop: attempt count and jittered backoff.

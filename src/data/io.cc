@@ -53,20 +53,6 @@ static_assert(sizeof(Header) == 32, "header layout is part of the format");
 // after, the directory entry itself can vanish.
 std::string TmpPath(const std::string& path) { return path + ".tmp"; }
 
-Status CommitTmp(const std::string& path) {
-  PMKM_RETURN_NOT_OK(FsyncPath(TmpPath(path)));
-  PMKM_FAULT_POINT("io.rename");
-  std::error_code ec;
-  std::filesystem::rename(TmpPath(path), path, ec);
-  if (ec) {
-    return Status::IOError("cannot rename into place: " + path + " (" +
-                           ec.message() + ")");
-  }
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  return FsyncPath(parent.empty() ? std::string(".") : parent.string());
-}
-
 // Rejects NaN and ±inf: one such coordinate poisons every distance, SSE
 // and centroid it touches. `first_point` is the file index of values[0]'s
 // point; indices in the message are 0-based.
@@ -191,7 +177,8 @@ Status GridBucketWriter::Close() {
   out_.reset();
   if (!ok) return Status::IOError("failed to finalize: " + path_);
   // Atomically publish the finished file.
-  return CommitTmp(path_);
+  PMKM_RETURN_NOT_OK(FsyncPath(TmpPath(path_)));
+  return CommitStagedFile(TmpPath(path_), path_);
 }
 
 Result<GridBucketReader> GridBucketReader::Open(const std::string& path) {

@@ -96,8 +96,14 @@ Status FsyncPath(const std::string& path) {
   return Status::OK();
 }
 
-Status FsyncFileAndDir(const std::string& path) {
-  PMKM_RETURN_NOT_OK(FsyncPath(path));
+Status CommitStagedFile(const std::string& tmp, const std::string& path) {
+  PMKM_FAULT_POINT("io.rename");
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    return Status::IOError("cannot rename into place: " + path + " (" +
+                           ec.message() + ")");
+  }
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
   return FsyncPath(parent.empty() ? std::string(".") : parent.string());
@@ -123,16 +129,7 @@ Status AtomicWriteFile(const std::string& path,
     st = Status::IOError(ErrnoMessage("close failed", tmp));
   }
   if (!st.ok()) return st;
-  PMKM_FAULT_POINT("io.rename");
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IOError("cannot rename into place: " + path + " (" +
-                           ec.message() + ")");
-  }
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  return FsyncPath(parent.empty() ? std::string(".") : parent.string());
+  return CommitStagedFile(tmp, path);
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& bytes) {

@@ -127,9 +127,11 @@ class JournalWriter {
 /// fsync(2)s the file or directory at `path`. Fault site: "io.fsync".
 Status FsyncPath(const std::string& path);
 
-/// Durability pair for a freshly renamed/written file: fsync the file,
-/// then its parent directory (so the directory entry itself is durable).
-Status FsyncFileAndDir(const std::string& path);
+/// Publishes the written and fsync'd staging file `tmp` at `path`:
+/// renames it into place, then fsyncs the parent directory so the entry
+/// itself survives power loss. The one commit step under AtomicWriteFile
+/// and the bucket writers. Fault sites: "io.rename", "io.fsync".
+Status CommitStagedFile(const std::string& tmp, const std::string& path);
 
 /// Crash-safe whole-file publication: writes `bytes` to `<path>.tmp`,
 /// fsyncs, renames into place, and fsyncs the parent directory. A killed

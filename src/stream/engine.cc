@@ -7,7 +7,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "common/bytes.h"
@@ -117,7 +116,9 @@ uint64_t ConfigFingerprint(const EngineOptions& options,
 // Splits the input into buckets still to cluster and cells restored from
 // the journal. Each path's header is probed for its cell id; unreadable
 // buckets stay in the todo list so the scan applies the real failure
-// policy (retry/quarantine) to them.
+// policy (retry/quarantine) to them. So do all buckets of a cell that
+// several paths hold: the scan rejects the duplicate again, as it did in
+// the run that journaled the cell before the duplicate dropped it.
 struct ResumeSplit {
   std::vector<std::string> todo;
   std::map<GridCellId, CellClustering> restored;
@@ -126,17 +127,24 @@ struct ResumeSplit {
 ResumeSplit SplitResumablePaths(
     const std::vector<std::string>& paths,
     const std::map<GridCellId, CellClustering>& completed) {
-  ResumeSplit out;
+  std::vector<std::optional<GridCellId>> cells;
+  std::map<GridCellId, size_t> holders;
   for (const std::string& path : paths) {
     auto probe = GridBucketReader::Open(path);
-    if (probe.ok()) {
-      auto it = completed.find(probe->cell());
+    cells.push_back(probe.ok() ? std::optional(probe->cell())
+                               : std::nullopt);
+    if (probe.ok()) ++holders[probe->cell()];
+  }
+  ResumeSplit out;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    if (cells[i].has_value() && holders[*cells[i]] == 1) {
+      auto it = completed.find(*cells[i]);
       if (it != completed.end()) {
         out.restored.emplace(it->first, it->second);
         continue;
       }
     }
-    out.todo.push_back(path);
+    out.todo.push_back(paths[i]);
   }
   return out;
 }
@@ -163,15 +171,12 @@ void FillCheckpointReport(const CheckpointWriter* checkpoint,
 // report and per-operator stats). `checkpoint` (nullable) journals every
 // completed cell; `restored` cells are folded into the result as if the
 // merge had produced them.
-Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
-                                ScanOperator* scan_raw,
-                                std::shared_ptr<PointChunkQueue> points,
-                                const EngineOptions& options,
-                                const PhysicalPlan& plan,
-                                CheckpointWriter* checkpoint = nullptr,
-                                std::map<GridCellId, CellClustering>
-                                    restored = {},
-                                bool checkpoint_degraded = false) {
+Result<StreamRunResult> RunPlan(
+    std::unique_ptr<ScanOperator> scan,
+    std::shared_ptr<PointChunkQueue> points, const EngineOptions& options,
+    const PhysicalPlan& plan, CheckpointWriter* checkpoint,
+    std::map<GridCellId, CellClustering> restored,
+    bool checkpoint_degraded) {
   const StreamExecOptions& exec = options.exec;
   auto centroids =
       std::make_shared<CentroidQueue>(plan.queue_capacity);
@@ -195,6 +200,7 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
   scan->set_obs(exec.obs);
   scan->set_live_slot(0);
   std::vector<std::string> operator_names{scan->name()};
+  ScanOperator* scan_raw = scan.get();
   executor.Add(std::move(scan));
   std::vector<PartialKMeansOperator*> partial_raw;
   for (size_t c = 0; c < plan.partial_clones; ++c) {
@@ -242,12 +248,10 @@ Result<StreamRunResult> RunPlan(std::unique_ptr<Operator> scan,
   RunReport& report = out.report;
   report.failure_policy = exec.failure_policy;
   report.cells_clustered = out.cells.size();
-  if (scan_raw != nullptr) {
-    report.io_retries = scan_raw->io_retries();
-    for (const QuarantinedBucket& q : scan_raw->quarantined()) {
-      report.quarantined.push_back(QuarantinedCellReport{
-          q.path, q.cell, q.cell_known, q.error.ToString()});
-    }
+  report.io_retries = scan_raw->io_retries();
+  for (const QuarantinedBucket& q : scan_raw->quarantined()) {
+    report.quarantined.push_back(QuarantinedCellReport{
+        q.path, q.cell, q.cell_known, q.error.ToString()});
   }
   for (PartialKMeansOperator* partial : partial_raw) {
     report.chunks_dropped += partial->chunks_dropped();
@@ -498,56 +502,9 @@ Result<StreamRunResult> PipelineBuilder::Run(
   auto scan = std::make_unique<ScanOperator>(
       split.todo, probed.plan.chunk_points, probed.dim, points,
       options.exec.io_retry);
-  ScanOperator* scan_raw = scan.get();
-  return RunPlan(std::move(scan), scan_raw, points, options, probed.plan,
+  return RunPlan(std::move(scan), points, options, probed.plan,
                  checkpoint.has_value() ? &*checkpoint : nullptr,
                  std::move(split.restored), checkpoint_degraded);
-}
-
-Result<StreamRunResult> PipelineBuilder::RunInMemory(
-    std::vector<GridBucket> cells) const {
-  if (options_.exec.cancel != nullptr &&
-      options_.exec.cancel->load(std::memory_order_acquire)) {
-    return Status::Cancelled("run cancelled before start");
-  }
-  if (cells.empty()) return Status::InvalidArgument("no cells given");
-  if (options_.checkpoint.enabled()) {
-    return Status::InvalidArgument(
-        "checkpointing requires on-disk bucket runs (Run); in-memory cells "
-        "have no durable identity to resume against");
-  }
-  EngineOptions options = options_;
-  PMKM_RETURN_NOT_OK(ResolveKernel(&options));
-  if (options.exec.obs.run_id.empty()) {
-    options.exec.obs.run_id = GenerateRunId();
-  }
-  ApplyRunIdTags(options.exec.obs);
-  const size_t dim = cells[0].points.dim();
-  size_t max_points = 0;
-  std::set<GridCellId> seen;
-  for (const GridBucket& c : cells) {
-    if (c.points.empty()) {
-      return Status::InvalidArgument("cell " + c.cell.ToString() +
-                                     " has no points");
-    }
-    if (!seen.insert(c.cell).second) {
-      return Status::InvalidArgument("cell " + c.cell.ToString() +
-                                     " given twice");
-    }
-    if (c.points.dim() != dim) {
-      return Status::InvalidArgument(
-          "cell " + c.cell.ToString() + " has D=" +
-          std::to_string(c.points.dim()) + ", but cell " +
-          cells[0].cell.ToString() + " has D=" + std::to_string(dim));
-    }
-    max_points = std::max(max_points, c.points.size());
-  }
-  const PhysicalPlan plan = PlanPartialMerge(
-      dim, max_points, options.resources, options.chunk_points_override);
-  auto points = std::make_shared<PointChunkQueue>(plan.queue_capacity);
-  auto scan = std::make_unique<MemoryScanOperator>(
-      std::move(cells), plan.chunk_points, points);
-  return RunPlan(std::move(scan), nullptr, points, options, plan);
 }
 
 Result<std::string> PipelineBuilder::Explain(

@@ -70,8 +70,7 @@ struct EngineOptions {
   size_t chunk_points_override = 0;
 
   /// Durable checkpoint/resume (stream/checkpoint.h, DESIGN.md §13).
-  /// Disabled unless checkpoint.dir is set. Only meaningful for on-disk
-  /// runs (Run); RunInMemory rejects it.
+  /// Disabled unless checkpoint.dir is set.
   CheckpointOptions checkpoint;
 };
 
@@ -108,8 +107,8 @@ struct EngineFlags {
 };
 
 /// Fluent builder/runner for the streamed partial/merge pipeline. Every
-/// With* method overrides one piece of the composed EngineOptions; Run /
-/// RunInMemory compile the physical plan and execute it.
+/// With* method overrides one piece of the composed EngineOptions; Run
+/// compiles the physical plan and executes it.
 class PipelineBuilder {
  public:
   PipelineBuilder() = default;
@@ -186,7 +185,7 @@ class PipelineBuilder {
     return *this;
   }
   /// Attaches a cancellation token: once the pointed-at flag is true,
-  /// the executor aborts the pipeline and Run()/RunInMemory() return
+  /// the executor aborts the pipeline and Run() returns
   /// Status::Cancelled within one chunk fit or cell merge. The flag's
   /// owner must outlive the run; null (default) detaches. This is how
   /// ClusterService::CancelJob interrupts a running job.
@@ -197,14 +196,14 @@ class PipelineBuilder {
 
   const EngineOptions& options() const { return options_; }
 
-  /// Compiles and executes the plan over on-disk bucket files.
+  /// Compiles and executes the plan over bucket files, each cut into
+  /// consecutive chunks of the planned size in file order. This is the
+  /// engine's one scan (ScanOperator): a bucket with no points, a second
+  /// bucket of one cell, or a bucket whose D differs from the first
+  /// readable one's fails the run with InvalidArgument, or is quarantined
+  /// under kSkipAndContinue.
   Result<StreamRunResult> Run(
       const std::vector<std::string>& bucket_paths) const;
-
-  /// Same, over already-materialized cells: each is cut into consecutive
-  /// chunks of the planned size in the order its points are given. Every
-  /// cell must be non-empty and appear once.
-  Result<StreamRunResult> RunInMemory(std::vector<GridBucket> cells) const;
 
   /// Renders the physical plan EXPLAIN (without running) for the given
   /// bucket files.

@@ -37,9 +37,9 @@ std::string ExplainPartialMergePlan(size_t num_buckets,
      << ", restarts=" << merge.restarts << ")\n";
   os << "└─ exchange (queue cap " << plan.queue_capacity
      << ", centroid sets)\n";
-  const DistanceKernel& kernel =
-      partial.lloyd.kernel != nullptr ? *partial.lloyd.kernel
-                                      : DefaultKernel();
+  const DistanceKernel& kernel = partial.lloyd.kernel != nullptr
+                                     ? *partial.lloyd.kernel
+                                     : GetKernel(KernelKind::kAuto);
   os << "   └─ partial-kmeans ×" << plan.partial_clones
      << " clone" << (plan.partial_clones == 1 ? "" : "s") << " (k="
      << partial.k << ", R=" << partial.restarts << ", chunk="
@@ -69,7 +69,7 @@ std::string ExplainAnalyzePartialMerge(const KMeansConfig& partial,
     } else if (s.name == "merge-kmeans") {
       merge_stats = s;
     } else {
-      scan_stats = s;  // "scan" or "memory-scan"
+      scan_stats = s;
     }
   }
 

@@ -71,7 +71,8 @@ void ScanOperator::CloseOutputOnce() {
 
 void ScanOperator::Finish() { CloseOutputOnce(); }
 
-Status ScanOperator::EmitBucketOnce(const std::string& path) {
+Status ScanOperator::EmitBucketOnce(size_t index) {
+  const std::string& path = paths_[index];
   const Stopwatch bucket_watch;
   ScopedSpan span(obs().trace, "scan.bucket", "io");
   if (span.enabled()) span.AddArg("path", path);
@@ -80,12 +81,23 @@ Status ScanOperator::EmitBucketOnce(const std::string& path) {
   current_cell_ = reader.cell();
   cell_known_ = true;
   if (span.enabled()) span.AddArg("cell", reader.cell().ToString());
+  // A second bucket of one cell would have its partitions pooled with the
+  // first's under the same ids.
+  const auto [first, inserted] = first_entry_.emplace(reader.cell(), index);
+  if (!inserted && first->second != index) {
+    return Status::InvalidArgument(
+        "bucket " + path + " holds " + reader.cell().ToString() +
+        ", which bucket " + paths_[first->second] + " already holds");
+  }
   // chunk_points_ was sized from the planned D; a wider bucket would run
   // its chunks over the per-operator memory budget.
   if (reader.dim() != dim_) {
     return Status::InvalidArgument(
         "bucket " + path + " has D=" + std::to_string(reader.dim()) +
         ", but the run was planned for D=" + std::to_string(dim_));
+  }
+  if (reader.total_points() == 0) {
+    return Status::InvalidArgument("bucket " + path + " has no points");
   }
   const uint32_t total = NumChunks(reader.total_points(), chunk_points_);
   Dataset chunk(reader.dim());
@@ -129,13 +141,13 @@ Status ScanOperator::EmitBucketOnce(const std::string& path) {
   return Status::OK();
 }
 
-Status ScanOperator::EmitBucketWithRetry(const std::string& path) {
+Status ScanOperator::EmitBucketWithRetry(size_t index) {
   if (failure_policy() == FailurePolicy::kFailFast) {
-    return EmitBucketOnce(path);
+    return EmitBucketOnce(index);
   }
-  Retrier retrier(retry_, std::hash<std::string>{}(path));
+  Retrier retrier(retry_, std::hash<std::string>{}(paths_[index]));
   for (;;) {
-    const Status st = EmitBucketOnce(path);
+    const Status st = EmitBucketOnce(index);
     if (st.ok() || st.IsCancelled()) return st;
     if (!retrier.AllowRetry(st)) return st;
     ++io_retries_;
@@ -144,10 +156,11 @@ Status ScanOperator::EmitBucketWithRetry(const std::string& path) {
 }
 
 Status ScanOperator::Run() {
-  for (const std::string& path : paths_) {
+  for (size_t index = 0; index < paths_.size(); ++index) {
+    const std::string& path = paths_[index];
     partitions_emitted_ = 0;
     cell_known_ = false;
-    const Status st = EmitBucketWithRetry(path);
+    const Status st = EmitBucketWithRetry(index);
     if (st.ok()) continue;
     // A cancelled push means the pipeline was aborted, and is never
     // quarantined. A failure leaves the producer open: the executor
@@ -181,58 +194,6 @@ Status ScanOperator::Run() {
 void ScanOperator::Abort() { out_->Cancel(); }
 
 // ---------------------------------------------------------------------------
-// MemoryScanOperator
-
-MemoryScanOperator::MemoryScanOperator(std::vector<GridBucket> cells,
-                                       size_t chunk_points,
-                                       std::shared_ptr<PointChunkQueue> out)
-    : Operator("memory-scan"),
-      cells_(std::move(cells)),
-      chunk_points_(chunk_points),
-      out_(std::move(out)) {
-  PMKM_CHECK(chunk_points_ > 0);
-  PMKM_CHECK(out_ != nullptr);
-  out_->AddProducer();
-}
-
-Status MemoryScanOperator::Run() {
-  for (const GridBucket& cell : cells_) {
-    ScopedSpan span(obs().trace, "scan.cell", "io");
-    if (span.enabled()) span.AddArg("cell", cell.cell.ToString());
-    const size_t n = cell.points.size();
-    const uint32_t total = NumChunks(n, chunk_points_);
-    uint32_t id = 0;
-    for (size_t begin = 0; begin < n; begin += chunk_points_) {
-      const size_t end = std::min(n, begin + chunk_points_);
-      PointChunk msg;
-      msg.cell = cell.cell;
-      msg.partition_id = id++;
-      msg.total_partitions = total;
-      msg.points = cell.points.Slice(begin, end);
-      const size_t rows = msg.points.size();
-      const size_t bytes = PointBytes(rows, msg.points.dim());
-      const Stopwatch push_watch;
-      const bool pushed = out_->Push(std::move(msg));
-      mutable_stats().queue_wait_seconds += push_watch.ElapsedSeconds();
-      if (!pushed) {
-        return Status::Cancelled("scan output queue cancelled");
-      }
-      mutable_stats().rows_in += rows;
-      mutable_stats().bytes_in += bytes;
-      mutable_stats().rows_out += rows;
-      mutable_stats().bytes_out += bytes;
-      TickProgress();
-      PublishLive();
-    }
-  }
-  // Only a cancelled push returns early, and then the queue is cancelled.
-  out_->CloseProducer();
-  return Status::OK();
-}
-
-void MemoryScanOperator::Abort() { out_->Cancel(); }
-
-// ---------------------------------------------------------------------------
 // PartialKMeansOperator
 
 PartialKMeansOperator::PartialKMeansOperator(
@@ -251,7 +212,8 @@ PartialKMeansOperator::PartialKMeansOperator(
 Status PartialKMeansOperator::Run() {
   const LloydConfig& lloyd = partial_.config().lloyd;
   mutable_stats().kernel =
-      (lloyd.kernel != nullptr ? *lloyd.kernel : DefaultKernel()).name();
+      (lloyd.kernel != nullptr ? *lloyd.kernel : GetKernel(KernelKind::kAuto))
+          .name();
 
   for (;;) {
     const Stopwatch pop_watch;
@@ -468,7 +430,8 @@ Status MergeKMeansOperator::AddPartition(CentroidMessage* msg) {
 Status MergeKMeansOperator::Run() {
   const LloydConfig& lloyd = merger_.config().lloyd;
   mutable_stats().kernel =
-      (lloyd.kernel != nullptr ? *lloyd.kernel : DefaultKernel()).name();
+      (lloyd.kernel != nullptr ? *lloyd.kernel : GetKernel(KernelKind::kAuto))
+          .name();
   const bool skip = failure_policy() == FailurePolicy::kSkipAndContinue;
   for (;;) {
     const Stopwatch pop_watch;

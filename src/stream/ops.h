@@ -44,7 +44,8 @@ struct QuarantinedBucket {
 /// Scan operator: streams grid-bucket files chunk-by-chunk into the point
 /// queue, honoring the one-look constraint (each bucket is read exactly
 /// once, `chunk_points` rows at a time — the memory budget of a partial
-/// operator).
+/// operator). It is the engine's only scan: tools, daemon, tests and
+/// experiments all hand the engine bucket files.
 ///
 /// Failure handling by policy:
 ///   kFailFast        — the first read error aborts the scan.
@@ -57,8 +58,10 @@ struct QuarantinedBucket {
 class ScanOperator : public Operator {
  public:
   /// `paths`: bucket files to scan. `chunk_points`: partition size N' (> 0),
-  /// planned for buckets of dimensionality `dim`; a bucket of any other D
-  /// fails with InvalidArgument (not retryable, so `skip` quarantines it).
+  /// planned for buckets of dimensionality `dim`. A bucket fails with
+  /// InvalidArgument (not retryable, so `skip` quarantines it) when its D
+  /// differs from `dim`, when it holds no points, or when an earlier entry
+  /// of `paths` holds the same cell (a path listed twice included).
   /// The operator registers itself as a producer of `out` at construction.
   /// `retry` governs per-bucket re-reads unless the policy is kFailFast.
   ScanOperator(std::vector<std::string> paths, size_t chunk_points,
@@ -80,10 +83,10 @@ class ScanOperator : public Operator {
   size_t io_retries() const { return io_retries_; }
 
  private:
-  // Emits one bucket, resuming past partitions_emitted_ already-pushed
+  // Emits paths_[index], resuming past partitions_emitted_ already-pushed
   // partitions (a retry of the bucket).
-  Status EmitBucketOnce(const std::string& path);
-  Status EmitBucketWithRetry(const std::string& path);
+  Status EmitBucketOnce(size_t index);
+  Status EmitBucketWithRetry(size_t index);
   void CloseOutputOnce();
 
   std::vector<std::string> paths_;
@@ -100,24 +103,11 @@ class ScanOperator : public Operator {
   GridCellId current_cell_;
   bool cell_known_ = false;
 
+  // Each cell's first entry in paths_. Keyed on list position, so a retry
+  // of one bucket is not a duplicate but the same path listed twice is.
+  std::map<GridCellId, size_t> first_entry_;
+
   std::vector<QuarantinedBucket> quarantined_;
-};
-
-/// In-memory scan: partitions already-materialized cells (used by tests and
-/// by experiments that pre-generate cells). Same chunking contract as
-/// ScanOperator.
-class MemoryScanOperator : public Operator {
- public:
-  MemoryScanOperator(std::vector<GridBucket> cells, size_t chunk_points,
-                     std::shared_ptr<PointChunkQueue> out);
-
-  Status Run() override;
-  void Abort() override;
-
- private:
-  std::vector<GridBucket> cells_;
-  size_t chunk_points_;
-  std::shared_ptr<PointChunkQueue> out_;
 };
 
 /// Partial k-means operator: one clone. Pops point chunks, clusters them,

@@ -528,8 +528,8 @@ TEST(KernelRegistry, ScalarAlwaysAvailableAndAutoResolves) {
   EXPECT_TRUE(KernelAvailable(KernelKind::kScalar));
   EXPECT_TRUE(KernelAvailable(KernelKind::kAuto));
   EXPECT_STREQ(GetKernel(KernelKind::kScalar).name(), "scalar");
-  // The auto-resolved default is one of the available kernels.
-  const DistanceKernel& def = DefaultKernel();
+  // The auto-resolved kernel is one of the available kernels.
+  const DistanceKernel& def = GetKernel(KernelKind::kAuto);
   bool found = false;
   for (const DistanceKernel* kernel : AvailableKernels()) {
     if (kernel == &def) found = true;
@@ -546,15 +546,6 @@ TEST(KernelRegistry, ParseRoundTripsAndRejectsUnknown) {
   }
   EXPECT_TRUE(ParseKernelKind("sse9").status().IsInvalidArgument());
   EXPECT_TRUE(ParseKernelKind("neon").status().IsInvalidArgument());
-}
-
-TEST(KernelRegistry, SetDefaultKernelSwapsAndRestores) {
-  const KernelKind original = DefaultKernel().kind();
-  auto previous = SetDefaultKernel(KernelKind::kScalar);
-  ASSERT_TRUE(previous.ok()) << previous.status();
-  EXPECT_EQ(DefaultKernel().kind(), KernelKind::kScalar);
-  ASSERT_TRUE(SetDefaultKernel(original).ok());
-  EXPECT_EQ(DefaultKernel().kind(), original);
 }
 
 TEST(CentroidBlockTest, TransposesAndPadsWithInfinity) {

@@ -125,25 +125,24 @@ TEST(MetricsTest, NanPointMakesSseInfinite) {
 // The metrics score a model with the arithmetic that fit it: on the
 // training data of a RunWeightedLloyd model, E, the per-centroid counts
 // and Predict reproduce the model's own sse, weights and assignments bit
-// for bit, whichever kernel is the process default.
+// for bit, whichever kernel trained it.
 TEST(MetricsTest, MetricsAgreeWithTheFitUnderEveryKernel) {
-  Rng rng(5);
+  Rng data_rng(5);
   MisrCellSpec spec;
-  const Dataset data = GenerateMisrLikeCell(3000, &rng, spec);
+  const Dataset data = GenerateMisrLikeCell(3000, &data_rng, spec);
   const WeightedDataset unit = WeightedDataset::FromUnweighted(data);
-  auto seeds = SelectSeeds(unit, 12, SeedingMethod::kKMeansPlusPlus, &rng);
-  ASSERT_TRUE(seeds.ok()) << seeds.status();
-  LloydConfig config;
-  config.track_assignments = true;
-  config.kernel = &GetKernel(KernelKind::kScalar);
-  auto model = RunWeightedLloyd(unit, *seeds, config, &rng);
-  ASSERT_TRUE(model.ok()) << model.status();
-  ASSERT_EQ(model->assignments.size(), data.size());
-
-  const KernelKind original = DefaultKernel().kind();
   for (const DistanceKernel* kernel : AvailableKernels()) {
     SCOPED_TRACE(kernel->name());
-    EXPECT_TRUE(SetDefaultKernel(kernel->kind()).ok());
+    Rng rng(6);
+    auto seeds = SelectSeeds(unit, 12, SeedingMethod::kKMeansPlusPlus, &rng);
+    ASSERT_TRUE(seeds.ok()) << seeds.status();
+    LloydConfig config;
+    config.track_assignments = true;
+    config.kernel = kernel;
+    auto model = RunWeightedLloyd(unit, *seeds, config, &rng);
+    ASSERT_TRUE(model.ok()) << model.status();
+    ASSERT_EQ(model->assignments.size(), data.size());
+
     EXPECT_EQ(WeightedSse(model->centroids, unit), model->sse);
     EXPECT_EQ(Sse(model->centroids, data), model->sse);
     const std::vector<size_t> counts =
@@ -156,7 +155,6 @@ TEST(MetricsTest, MetricsAgreeWithTheFitUnderEveryKernel) {
     }
     EXPECT_EQ(mispredicted, 0u);
   }
-  EXPECT_TRUE(SetDefaultKernel(original).ok());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 namespace pmkm {
@@ -77,8 +79,6 @@ TEST(RetryTest, BackoffIsDeterministicForSameSeed) {
   RetryPolicy policy;
   policy.max_attempts = 4;
   policy.initial_backoff_ms = 8;
-  policy.jitter = 0.5;
-  policy.seed = 123;
 
   auto collect = [&](uint64_t tag) {
     Retrier retrier(policy, tag);
@@ -98,22 +98,21 @@ TEST(RetryTest, BackoffIsDeterministicForSameSeed) {
 
 TEST(RetryTest, BackoffGrowsAndCaps) {
   RetryPolicy policy;
-  policy.max_attempts = 8;
+  policy.max_attempts = 12;
   policy.initial_backoff_ms = 10;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_ms = 40;
-  policy.jitter = 0.0;  // exact values
   Retrier retrier(policy, 0);
   std::vector<uint64_t> delays;
   Status failing = Status::IOError("x");
   while (retrier.AllowRetryForTest(failing, &delays)) {
   }
-  ASSERT_EQ(delays.size(), 7u);
-  EXPECT_EQ(delays[0], 10u);
-  EXPECT_EQ(delays[1], 20u);
-  EXPECT_EQ(delays[2], 40u);
-  EXPECT_EQ(delays[3], 40u);  // capped
-  EXPECT_EQ(delays[6], 40u);
+  ASSERT_EQ(delays.size(), 11u);
+  // Retry r waits min(10 ms * 2^(r-1), 2000 ms), jittered by ±25%.
+  for (size_t r = 0; r < delays.size(); ++r) {
+    SCOPED_TRACE(r);
+    const double base = std::min(10.0 * std::pow(2.0, r), 2000.0);
+    EXPECT_GE(static_cast<double>(delays[r]), std::floor(0.75 * base));
+    EXPECT_LE(static_cast<double>(delays[r]), 1.25 * base);
+  }
 }
 
 TEST(RetryTest, RetrierRejectsOkAndNonRetryable) {

@@ -13,6 +13,7 @@
 #include "data/generator.h"
 #include "data/io.h"
 #include "stream/engine.h"
+#include "tests/bucket_files.h"
 
 namespace pmkm {
 namespace {
@@ -35,11 +36,12 @@ TEST_P(PartialMergeProperty, Invariants) {
   MergeKMeansConfig merge;
   merge.k = partial.k;
   const auto chunk = static_cast<size_t>((n + splits - 1) / splits);
+  BucketFiles files;
   auto run = PipelineBuilder()
                  .WithPartialKMeans(partial)
                  .WithMerge(merge)
                  .WithChunkPoints(chunk)
-                 .RunInMemory({GridBucket{GridCellId{0, 0}, cell}});
+                 .Run({files.Write(GridBucket{GridCellId{0, 0}, cell})});
   ASSERT_TRUE(run.ok()) << run.status();
   const CellClustering& result = run->cells.at(GridCellId{0, 0});
 

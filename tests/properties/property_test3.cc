@@ -12,6 +12,7 @@
 #include "data/generator.h"
 #include "data/slicing.h"
 #include "stream/engine.h"
+#include "tests/bucket_files.h"
 
 namespace pmkm {
 namespace {
@@ -26,11 +27,12 @@ Result<StreamRunResult> RunSliced(Dataset ordered, size_t k, size_t splits) {
   MergeKMeansConfig merge;
   merge.k = k;
   const size_t chunk = (ordered.size() + splits - 1) / splits;
+  BucketFiles files;
   return PipelineBuilder()
       .WithPartialKMeans(partial)
       .WithMerge(merge)
       .WithChunkPoints(chunk)
-      .RunInMemory({GridBucket{kCell, std::move(ordered)}});
+      .Run({files.Write(GridBucket{kCell, std::move(ordered)})});
 }
 
 // ---------------------------------------------------------------------------

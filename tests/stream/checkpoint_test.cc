@@ -566,11 +566,34 @@ TEST_F(CheckpointEngineTest, DifferentConfigDoesNotResume) {
   }
 }
 
-TEST_F(CheckpointEngineTest, RunInMemoryRejectsCheckpoint) {
-  auto result = Builder()
-                    .WithCheckpoint(CkptDir())
-                    .RunInMemory({MakeBucket(1, 200, 3)});
-  EXPECT_TRUE(result.status().IsInvalidArgument());
+TEST_F(CheckpointEngineTest, ResumeStillRejectsTwoBucketsOfOneCell) {
+  // A degraded run (its empty bucket is quarantined) journals cells 1 and
+  // 2 and leaves the journal open. The next run lists a second bucket of
+  // cell 1: the journal must not hide it from the scan, so cell 1 is
+  // quarantined again instead of being restored from the first bucket.
+  std::vector<std::string> paths = WriteBuckets(2, 300);
+  const std::string empty = (dir_ / "empty.pmkb").string();
+  ASSERT_TRUE(WriteGridBucket(empty, GridBucket{{9, 9}, Dataset(6)}).ok());
+  const PipelineBuilder builder = Builder()
+                                      .WithCheckpoint(CkptDir())
+                                      .WithFailurePolicy(
+                                          FailurePolicy::kSkipAndContinue);
+  auto first = builder.Run({paths[0], paths[1], empty});
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(first->report.degraded);
+  ASSERT_EQ(first->report.checkpoint_cells, 2u);
+
+  const std::string again = (dir_ / "again.pmkb").string();
+  ASSERT_TRUE(WriteGridBucket(again, MakeBucket(1, 300, 55)).ok());
+  auto resumed = builder.Run({paths[0], paths[1], again});
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->report.cells_resumed, 1u);
+  ASSERT_EQ(resumed->cells.size(), 1u);
+  EXPECT_EQ(resumed->cells.count(GridCellId{2, 2}), 1u);
+  ASSERT_EQ(resumed->report.quarantined.size(), 1u)
+      << resumed->report.Summary();
+  EXPECT_EQ(resumed->report.quarantined[0].path, again);
+  EXPECT_TRUE(resumed->report.degraded);
 }
 
 TEST_F(CheckpointEngineTest, OpenFailureDegradesUnderSkipPolicy) {

@@ -18,6 +18,7 @@
 #include "data/generator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tests/bucket_files.h"
 
 namespace pmkm {
 namespace {
@@ -93,7 +94,7 @@ TEST(EngineFlagsTest, RejectsBadValues) {
   }
 }
 
-TEST(PipelineBuilderTest, RunInMemoryIsDeterministic) {
+TEST(PipelineBuilderTest, RunIsDeterministic) {
   KMeansConfig partial;
   partial.k = 5;
   partial.restarts = 2;
@@ -107,8 +108,9 @@ TEST(PipelineBuilderTest, RunInMemoryIsDeterministic) {
   PipelineBuilder builder;
   builder.WithPartialKMeans(partial).WithMerge(merge).WithResources(
       resources);
-  auto first = builder.RunInMemory({MakeBucket(1, 600, 2)});
-  auto second = builder.RunInMemory({MakeBucket(1, 600, 2)});
+  BucketFiles files;
+  auto first = builder.Run({files.Write(MakeBucket(1, 600, 2))});
+  auto second = builder.Run({files.Write(MakeBucket(1, 600, 2))});
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_TRUE(second.ok()) << second.status();
   const auto& a = first->cells.at(GridCellId{1, 1});
@@ -128,13 +130,15 @@ TEST(PipelineBuilderTest, ResultIdenticalAcrossKernels) {
   ResourceModel resources;
   resources.cores = 3;
 
+  BucketFiles files;
+  const std::string path = files.Write(MakeBucket(2, 1500, 3));
   auto Run = [&](KernelKind kind) {
     return PipelineBuilder()
         .WithPartialKMeans(partial)
         .WithMerge(merge)
         .WithResources(resources)
         .WithKernel(kind)
-        .RunInMemory({MakeBucket(2, 1500, 3)});
+        .Run({path});
   };
   auto ref = Run(KernelKind::kScalar);
   ASSERT_TRUE(ref.ok()) << ref.status();
@@ -150,9 +154,10 @@ TEST(PipelineBuilderTest, ResultIdenticalAcrossKernels) {
 }
 
 TEST(PipelineBuilderTest, OperatorStatsNameActiveKernel) {
+  BucketFiles files;
   auto result = PipelineBuilder()
                     .WithKernel(KernelKind::kScalar)
-                    .RunInMemory({MakeBucket(3, 800, 4)});
+                    .Run({files.Write(MakeBucket(3, 800, 4))});
   ASSERT_TRUE(result.ok()) << result.status();
   bool partial_seen = false, merge_seen = false;
   for (const OperatorStats& stats : result->operator_stats) {
@@ -171,10 +176,11 @@ TEST(PipelineBuilderTest, OperatorStatsNameActiveKernel) {
 TEST(PipelineBuilderTest, WithMetricsAndTraceWireSinks) {
   MetricsRegistry registry;
   TraceRecorder trace;
+  BucketFiles files;
   auto result = PipelineBuilder()
                     .WithMetrics(&registry)
                     .WithTrace(&trace)
-                    .RunInMemory({MakeBucket(4, 500, 5)});
+                    .Run({files.Write(MakeBucket(4, 500, 5))});
   ASSERT_TRUE(result.ok()) << result.status();
   // The queue gauges only exist when the metrics sink was attached.
   const std::string json = registry.ToJsonString();
@@ -193,12 +199,13 @@ TEST(PipelineBuilderTest, ChunkOverrideKeepsQueueRule) {
   partial.restarts = 1;
   MergeKMeansConfig merge;
   merge.k = 4;
+  BucketFiles files;
   auto result = PipelineBuilder()
                     .WithPartialKMeans(partial)
                     .WithMerge(merge)
                     .WithResources(resources)
                     .WithChunkPoints(2000)
-                    .RunInMemory({MakeBucket(5, 4000, 6)});
+                    .Run({files.Write(MakeBucket(5, 4000, 6))});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->plan.chunk_points, 2000u);
   EXPECT_EQ(result->plan.queue_capacity,
@@ -220,11 +227,12 @@ TEST(EngineDifferentialTest, OneChunkCollapsesToPartialKMeans) {
   partial.seed = 17;
   MergeKMeansConfig merge;
   merge.k = partial.k;
+  BucketFiles files;
   auto run = PipelineBuilder()
                  .WithPartialKMeans(partial)
                  .WithMerge(merge)
                  .WithChunkPoints(points.size())
-                 .RunInMemory({GridBucket{GridCellId{0, 0}, points}});
+                 .Run({files.Write(GridBucket{GridCellId{0, 0}, points})});
   ASSERT_TRUE(run.ok()) << run.status();
   auto serial = PartialKMeans(partial).Cluster(points, 0);
   ASSERT_TRUE(serial.ok()) << serial.status();
@@ -255,11 +263,12 @@ TEST(EngineDifferentialTest, OneChunkCollapsesToPartialKMeans) {
 TEST(EngineDifferentialTest, CellOrderDoesNotChangeModels) {
   // Permutation invariance: the cells' order changes only which clone
   // sees what when, never a model byte.
-  std::vector<GridBucket> cells;
+  BucketFiles files;
+  std::vector<std::string> paths;
   for (int id = 0; id < 5; ++id) {
-    cells.push_back(MakeBucket(id, 400 + 150 * id, 30 + id));
+    paths.push_back(files.Write(MakeBucket(id, 400 + 150 * id, 30 + id)));
   }
-  std::vector<GridBucket> reversed(cells.rbegin(), cells.rend());
+  const std::vector<std::string> reversed(paths.rbegin(), paths.rend());
   KMeansConfig partial;
   partial.k = 6;
   partial.restarts = 2;
@@ -272,18 +281,15 @@ TEST(EngineDifferentialTest, CellOrderDoesNotChangeModels) {
       .WithMerge(merge)
       .WithResources(resources)
       .WithChunkPoints(256);
-  auto forward = builder.RunInMemory(std::move(cells));
-  auto backward = builder.RunInMemory(std::move(reversed));
+  auto forward = builder.Run(paths);
+  auto backward = builder.Run(reversed);
   ASSERT_TRUE(forward.ok()) << forward.status();
   ASSERT_TRUE(backward.ok()) << backward.status();
   ASSERT_EQ(forward->cells.size(), 5u);
   ASSERT_EQ(backward->cells.size(), 5u);
 
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("pmkm_engine_perm_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const auto model_bytes = [&dir](const ClusteringModel& model) {
-    const std::string path = (dir / "model.pmkm").string();
+  const auto model_bytes = [&files](const ClusteringModel& model) {
+    const std::string path = (files.dir() / "model.pmkm").string();
     EXPECT_TRUE(SaveModel(path, model).ok());
     std::ifstream in(path, std::ios::binary);
     return std::string((std::istreambuf_iterator<char>(in)),
@@ -295,23 +301,28 @@ TEST(EngineDifferentialTest, CellOrderDoesNotChangeModels) {
     EXPECT_EQ(model_bytes(clustering.model),
               model_bytes(backward->cells.at(cell).model));
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(PipelineBuilderTest, ExplainNamesKernel) {
-  // Explain goes through bucket files; write one.
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("pmkm_engine_test_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const GridBucket bucket = MakeBucket(6, 300, 7);
-  const std::string path = (dir / "cell.pmkb").string();
-  ASSERT_TRUE(WriteGridBucket(path, bucket).ok());
+  BucketFiles files;
   auto text = PipelineBuilder()
                   .WithKernel(KernelKind::kScalar)
-                  .Explain({path});
-  std::filesystem::remove_all(dir);
+                  .Explain({files.Write(MakeBucket(6, 300, 7))});
   ASSERT_TRUE(text.ok()) << text.status();
   EXPECT_NE(text->find("kernel=scalar"), std::string::npos);
+}
+
+// k = 4 with one restart, so the input checks below run fast.
+PipelineBuilder SmallBuilder(FailurePolicy policy) {
+  KMeansConfig partial;
+  partial.k = 4;
+  partial.restarts = 1;
+  MergeKMeansConfig merge;
+  merge.k = 4;
+  return PipelineBuilder()
+      .WithPartialKMeans(partial)
+      .WithMerge(merge)
+      .WithFailurePolicy(policy);
 }
 
 // One job whose buckets differ in D. The plan sizes chunks from the first
@@ -320,39 +331,19 @@ TEST(PipelineBuilderTest, ExplainNamesKernel) {
 class MixedDimTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("pmkm_engine_mixed_dim_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::create_directories(dir_);
     Rng rng(11);
     narrow_.cell = GridCellId{0, 0};
     narrow_.points = GenerateUniform(400, 2, -1.0, 1.0, &rng);
-    paths_.push_back((dir_ / "narrow.pmkb").string());
-    PMKM_CHECK_OK(WriteGridBucket(paths_[0], narrow_));
-    paths_.push_back((dir_ / "wide.pmkb").string());
-    PMKM_CHECK_OK(WriteGridBucket(paths_[1], MakeBucket(1, 400, 12)));
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  PipelineBuilder Builder(FailurePolicy policy) const {
-    KMeansConfig partial;
-    partial.k = 4;
-    partial.restarts = 1;
-    MergeKMeansConfig merge;
-    merge.k = 4;
-    return PipelineBuilder()
-        .WithPartialKMeans(partial)
-        .WithMerge(merge)
-        .WithFailurePolicy(policy);
+    paths_ = files_.Write({narrow_, MakeBucket(1, 400, 12)});
   }
 
-  std::filesystem::path dir_;
+  BucketFiles files_;
   GridBucket narrow_;
   std::vector<std::string> paths_;
 };
 
 TEST_F(MixedDimTest, FailFastRejectsTheBucketWhoseDimDiffers) {
-  auto run = Builder(FailurePolicy::kFailFast).Run(paths_);
+  auto run = SmallBuilder(FailurePolicy::kFailFast).Run(paths_);
   ASSERT_FALSE(run.ok());
   EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status();
   EXPECT_NE(run.status().message().find(paths_[1]), std::string::npos)
@@ -360,7 +351,7 @@ TEST_F(MixedDimTest, FailFastRejectsTheBucketWhoseDimDiffers) {
 }
 
 TEST_F(MixedDimTest, SkipQuarantinesTheBucketWhoseDimDiffers) {
-  auto run = Builder(FailurePolicy::kSkipAndContinue).Run(paths_);
+  auto run = SmallBuilder(FailurePolicy::kSkipAndContinue).Run(paths_);
   ASSERT_TRUE(run.ok()) << run.status();
   ASSERT_EQ(run->cells.size(), 1u);
   EXPECT_EQ(run->cells.begin()->first, narrow_.cell);
@@ -372,9 +363,72 @@ TEST_F(MixedDimTest, SkipQuarantinesTheBucketWhoseDimDiffers) {
   EXPECT_TRUE(run->report.degraded);
 }
 
-TEST_F(MixedDimTest, RunInMemoryRejectsMixedDim) {
-  auto run = Builder(FailurePolicy::kSkipAndContinue)
-                 .RunInMemory({narrow_, MakeBucket(1, 400, 12)});
+// The scan's two per-bucket input checks. Both fail with InvalidArgument,
+// which is never retried, so `skip` quarantines the bucket like one whose
+// D differs from the plan.
+class ScanInputTest : public ::testing::Test {
+ protected:
+  static GridBucket Cell(GridCellId cell, size_t n, uint64_t seed) {
+    Rng rng(seed);
+    return GridBucket{cell, GenerateUniform(n, 2, -1.0, 1.0, &rng)};
+  }
+
+  BucketFiles files_;
+};
+
+TEST_F(ScanInputTest, FailFastRejectsAnEmptyBucket) {
+  const std::vector<std::string> paths = files_.Write(
+      {Cell({0, 0}, 100, 1), GridBucket{{0, 1}, Dataset(2)}});
+  auto run = SmallBuilder(FailurePolicy::kFailFast).Run(paths);
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status();
+  EXPECT_NE(run.status().message().find(paths[1] + " has no points"),
+            std::string::npos)
+      << run.status();
+}
+
+TEST_F(ScanInputTest, SkipQuarantinesAnEmptyBucket) {
+  const std::vector<std::string> paths = files_.Write(
+      {GridBucket{{0, 1}, Dataset(2)}, Cell({0, 0}, 100, 1)});
+  auto run = SmallBuilder(FailurePolicy::kSkipAndContinue).Run(paths);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_EQ(run->cells.size(), 1u);
+  EXPECT_EQ(run->cells.begin()->first, (GridCellId{0, 0}));
+  ASSERT_EQ(run->report.quarantined.size(), 1u) << run->report.Summary();
+  EXPECT_EQ(run->report.quarantined[0].path, paths[0]);
+  EXPECT_TRUE(run->report.degraded);
+}
+
+TEST_F(ScanInputTest, FailFastRejectsTwoBucketsOfOneCell) {
+  const std::vector<std::string> paths = files_.Write(
+      {Cell({0, 0}, 100, 1), Cell({0, 1}, 100, 2), Cell({0, 0}, 100, 3)});
+  auto run = SmallBuilder(FailurePolicy::kFailFast).Run(paths);
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status();
+  EXPECT_NE(run.status().message().find(paths[0]), std::string::npos)
+      << run.status();
+  EXPECT_NE(run.status().message().find(paths[2]), std::string::npos)
+      << run.status();
+}
+
+TEST_F(ScanInputTest, SkipQuarantinesTheCellOfTwoBuckets) {
+  // The first bucket of the cell may already be merged when the second
+  // arrives; the whole cell goes, and is reported once.
+  const std::vector<std::string> paths = files_.Write(
+      {Cell({0, 0}, 100, 1), Cell({0, 1}, 100, 2), Cell({0, 0}, 100, 3)});
+  auto run = SmallBuilder(FailurePolicy::kSkipAndContinue).Run(paths);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_EQ(run->cells.size(), 1u);
+  EXPECT_EQ(run->cells.begin()->first, (GridCellId{0, 1}));
+  ASSERT_EQ(run->report.quarantined.size(), 1u) << run->report.Summary();
+  EXPECT_EQ(run->report.quarantined[0].path, paths[2]);
+  EXPECT_EQ(run->report.quarantined[0].cell, (GridCellId{0, 0}));
+  EXPECT_TRUE(run->report.degraded);
+}
+
+TEST_F(ScanInputTest, SamePathListedTwiceIsADuplicate) {
+  const std::string path = files_.Write(Cell({0, 0}, 100, 1));
+  auto run = SmallBuilder(FailurePolicy::kFailFast).Run({path, path});
   ASSERT_FALSE(run.ok());
   EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status();
 }

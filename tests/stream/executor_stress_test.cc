@@ -16,6 +16,7 @@
 #include "stream/engine.h"
 #include "stream/ops.h"
 #include "stream/plan.h"
+#include "tests/bucket_files.h"
 
 namespace pmkm {
 namespace {
@@ -46,14 +47,25 @@ std::vector<GridBucket> MakeCells(size_t count, size_t points,
   return cells;
 }
 
+// A scan over `cells`, written as bucket files into `files`, in chunks of
+// `chunk_points`.
+std::unique_ptr<ScanOperator> ScanOf(BucketFiles* files,
+                                     const std::vector<GridBucket>& cells,
+                                     size_t chunk_points,
+                                     std::shared_ptr<PointChunkQueue> out) {
+  return std::make_unique<ScanOperator>(files->Write(cells), chunk_points,
+                                        cells[0].points.dim(),
+                                        std::move(out));
+}
+
 TEST(ExecutorStressTest, ManyCellsManyClonesTinyQueues) {
   // 12 cells × 6 chunks over 5 clones through capacity-1 queues: maximum
   // back-pressure and interleaving. Everything must arrive exactly once.
   auto points = std::make_shared<PointChunkQueue>(1);
   auto centroids = std::make_shared<CentroidQueue>(1);
+  BucketFiles files;
   Executor executor;
-  executor.Add(std::make_unique<MemoryScanOperator>(MakeCells(12, 300, 1),
-                                                    50, points));
+  executor.Add(ScanOf(&files, MakeCells(12, 300, 1), 50, points));
   for (int c = 0; c < 5; ++c) {
     executor.Add(std::make_unique<PartialKMeansOperator>(
         PartialConfig(), points, centroids,
@@ -76,12 +88,12 @@ TEST(ExecutorStressTest, RepeatedRunsAreIdenticalUnderContention) {
   // provoke in-process: tiny queues, more clones than cores.
   Dataset first_centroids(1);
   double first_sse = -1.0;
+  BucketFiles files;
   for (int round = 0; round < 3; ++round) {
     auto points = std::make_shared<PointChunkQueue>(1);
     auto centroids = std::make_shared<CentroidQueue>(1);
     Executor executor;
-    executor.Add(std::make_unique<MemoryScanOperator>(
-        MakeCells(1, 1200, 7), 150, points));
+    executor.Add(ScanOf(&files, MakeCells(1, 1200, 7), 150, points));
     for (int c = 0; c < 6; ++c) {
       executor.Add(std::make_unique<PartialKMeansOperator>(
           PartialConfig(), points, centroids,
@@ -141,12 +153,12 @@ class FailingOperator : public Operator {
 };
 
 TEST(ExecutorStressTest, MidPipelineFailureUnblocksEveryone) {
+  BucketFiles files;
   for (int fail_after : {0, 1, 3}) {
     auto points = std::make_shared<PointChunkQueue>(1);
     auto centroids = std::make_shared<CentroidQueue>(1);
     Executor executor;
-    executor.Add(std::make_unique<MemoryScanOperator>(
-        MakeCells(4, 400, 11), 40, points));
+    executor.Add(ScanOf(&files, MakeCells(4, 400, 11), 40, points));
     executor.Add(std::make_unique<FailingOperator>(points, centroids,
                                                    fail_after));
     executor.Add(

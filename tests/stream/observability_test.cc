@@ -17,6 +17,7 @@
 #include "stream/engine.h"
 #include "stream/explain.h"
 #include "stream/plan.h"
+#include "tests/bucket_files.h"
 
 namespace pmkm {
 namespace {
@@ -53,8 +54,9 @@ const OperatorStats* FindStats(const StreamRunResult& result,
 }
 
 TEST(ObservabilityTest, InMemoryRunPopulatesOperatorAndQueueStats) {
-  std::vector<GridBucket> cells = {MakeBucket(1, 2, 600, 7),
-                                   MakeBucket(3, 4, 600, 8)};
+  BucketFiles files;
+  const std::vector<std::string> paths =
+      files.Write({MakeBucket(1, 2, 600, 7), MakeBucket(3, 4, 600, 8)});
   ResourceModel resources;
   resources.cores = 3;
   MetricsRegistry registry;
@@ -66,14 +68,14 @@ TEST(ObservabilityTest, InMemoryRunPopulatesOperatorAndQueueStats) {
                     .WithChunkPoints(200)
                     .WithMetrics(&registry)
                     .WithTrace(&tracer)
-                    .RunInMemory(cells);
+                    .Run(paths);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->cells.size(), 2u);
 
   // One stats entry per operator instance: scan + clones + merge.
   ASSERT_EQ(result->operator_stats.size(),
             1 + result->plan.partial_clones + 1);
-  const OperatorStats* scan = FindStats(*result, "memory-scan");
+  const OperatorStats* scan = FindStats(*result, "scan");
   ASSERT_NE(scan, nullptr);
   EXPECT_EQ(scan->rows_out, 1200u);
   EXPECT_EQ(scan->bytes_out, 1200u * 4 * sizeof(double));
@@ -111,7 +113,7 @@ TEST(ObservabilityTest, InMemoryRunPopulatesOperatorAndQueueStats) {
   auto parsed = JsonValue::Parse(registry.ToJsonString());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_DOUBLE_EQ(parsed->Find("counters")
-                       ->Find("op.memory-scan.rows_out")
+                       ->Find("op.scan.rows_out")
                        ->AsDouble(),
                    1200.0);
   EXPECT_TRUE(parsed->Find("histograms")->Has("queue.points.pop_wait_us"));
@@ -172,7 +174,8 @@ TEST(ObservabilityTest, OnDiskRunPopulatesStatsAndExplainAnalyze) {
 }
 
 TEST(ObservabilityTest, DisabledObsLeavesSinksUntouchedButKeepsStats) {
-  std::vector<GridBucket> cells = {MakeBucket(5, 6, 300, 9)};
+  BucketFiles files;
+  const std::string path = files.Write(MakeBucket(5, 6, 300, 9));
   ResourceModel resources;
   resources.cores = 2;
   auto result = PipelineBuilder()
@@ -180,14 +183,14 @@ TEST(ObservabilityTest, DisabledObsLeavesSinksUntouchedButKeepsStats) {
                     .WithMerge(MergeConfig())
                     .WithResources(resources)
                     .WithChunkPoints(100)
-                    .RunInMemory(cells);
+                    .Run({path});
   ASSERT_TRUE(result.ok()) << result.status();
   // Stats and queue snapshots are always collected — only the registry
   // and trace sinks are optional.
   EXPECT_FALSE(result->operator_stats.empty());
   ASSERT_EQ(result->queues.size(), 2u);
   EXPECT_EQ(result->queues[0].total_pushed, 3u);
-  const OperatorStats* scan = FindStats(*result, "memory-scan");
+  const OperatorStats* scan = FindStats(*result, "scan");
   ASSERT_NE(scan, nullptr);
   EXPECT_EQ(scan->rows_out, 300u);
 }

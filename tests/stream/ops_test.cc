@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "cluster/metrics.h"
@@ -165,30 +166,28 @@ TEST_F(OpsTest, MultipleCellsEachGetMerged) {
 }
 
 TEST_F(OpsTest, MemoryScanMatchesFileScan) {
+  // The scan cuts a bucket file into the same chunks as slicing the cell
+  // in memory: consecutive runs of chunk_points points, in file order.
   Rng rng(5);
   GridBucket bucket;
   bucket.cell = GridCellId{7, 8};
   bucket.points = GenerateMisrLikeCell(300, &rng);
-
-  auto q1 = std::make_shared<PointChunkQueue>(64);
-  MemoryScanOperator mem({bucket}, 80, q1);
-  ASSERT_TRUE(mem.Run().ok());
-
   const std::string path = (dir_ / "same.pmkb").string();
   ASSERT_TRUE(WriteGridBucket(path, bucket).ok());
-  auto q2 = std::make_shared<PointChunkQueue>(64);
-  ScanOperator file({path}, 80, kMisrDim, q2);
+  auto queue = std::make_shared<PointChunkQueue>(64);
+  ScanOperator file({path}, 80, kMisrDim, queue);
   ASSERT_TRUE(file.Run().ok());
 
-  for (;;) {
-    auto a = q1->Pop();
-    auto b = q2->Pop();
-    EXPECT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_EQ(a->points, b->points);
-    EXPECT_EQ(a->partition_id, b->partition_id);
-    EXPECT_EQ(a->total_partitions, b->total_partitions);
+  uint32_t id = 0;
+  while (auto chunk = queue->Pop()) {
+    const size_t begin = 80 * id;
+    EXPECT_EQ(chunk->points,
+              bucket.points.Slice(begin, std::min<size_t>(300, begin + 80)));
+    EXPECT_EQ(chunk->partition_id, id);
+    EXPECT_EQ(chunk->total_partitions, 4u);
+    ++id;
   }
+  EXPECT_EQ(id, 4u);
 }
 
 TEST_F(OpsTest, CorruptBucketMidStreamAbortsPipeline) {

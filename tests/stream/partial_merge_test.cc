@@ -1,6 +1,6 @@
 // The paper's partial/merge algorithm (Fig. 4/5) as users run it: one
-// cell through PipelineBuilder::RunInMemory, cut into memory-sized chunks
-// in the order its points are given.
+// cell written as a bucket file and run through PipelineBuilder::Run, cut
+// into memory-sized chunks in the order its points are given.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include "cluster/metrics.h"
 #include "data/generator.h"
 #include "stream/engine.h"
+#include "tests/bucket_files.h"
 
 namespace pmkm {
 namespace {
@@ -37,7 +38,8 @@ PipelineBuilder Pipeline(size_t n, size_t k, size_t splits,
 
 Result<StreamRunResult> RunCell(const PipelineBuilder& builder,
                                 const Dataset& cell) {
-  return builder.RunInMemory({GridBucket{kCell, cell}});
+  BucketFiles files;
+  return builder.Run({files.Write(GridBucket{kCell, cell})});
 }
 
 TEST(PartialMergeTest, ValidatesConfig) {
@@ -175,17 +177,18 @@ TEST(PartialMergeTest, ContiguousStrategyUsesArrivalOrder) {
 TEST(PartialMergeTest, RunChunksValidatesPartitions) {
   Rng rng(7);
   const PipelineBuilder builder = Pipeline(10, 4, 2);
-  EXPECT_TRUE(builder.RunInMemory({}).status().IsInvalidArgument());
+  EXPECT_TRUE(builder.Run({}).status().IsInvalidArgument());
 
   const Dataset points = GenerateUniform(10, 2, 0.0, 1.0, &rng);
+  BucketFiles files;
   EXPECT_TRUE(builder
-                  .RunInMemory({GridBucket{kCell, points},
-                                GridBucket{GridCellId{0, 1}, Dataset(2)}})
+                  .Run(files.Write({GridBucket{kCell, points},
+                                    GridBucket{GridCellId{0, 1}, Dataset(2)}}))
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(builder
-                  .RunInMemory({GridBucket{kCell, points},
-                                GridBucket{kCell, points}})
+                  .Run(files.Write({GridBucket{kCell, points},
+                                    GridBucket{kCell, points}}))
                   .status()
                   .IsInvalidArgument());
 }

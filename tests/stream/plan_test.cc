@@ -166,46 +166,5 @@ TEST_F(PlanRunTest, EmptyPathListRejected) {
                   .IsInvalidArgument());
 }
 
-TEST_F(PlanRunTest, InMemoryVariantMatchesFileVariant) {
-  Rng rng(2);
-  GridBucket bucket;
-  bucket.cell = GridCellId{5, 5};
-  bucket.points = GenerateMisrLikeCell(600, &rng);
-  const std::string path = (dir_ / "x.pmkb").string();
-  ASSERT_TRUE(WriteGridBucket(path, bucket).ok());
-
-  KMeansConfig partial;
-  partial.k = 5;
-  partial.restarts = 2;
-  partial.seed = 9;
-  MergeKMeansConfig merge;
-  merge.k = 5;
-  ResourceModel resources;
-  resources.cores = 2;
-  resources.memory_bytes_per_operator = 6 * 8 * 4 * 150;
-
-  PipelineBuilder builder;
-  builder.WithPartialKMeans(partial).WithMerge(merge).WithResources(
-      resources);
-  auto from_file = builder.Run({path});
-  auto in_memory = builder.WithChunkPoints(150).RunInMemory({bucket});
-  ASSERT_TRUE(from_file.ok() && in_memory.ok());
-  const auto& a = from_file->cells.at(bucket.cell);
-  const auto& b = in_memory->cells.at(bucket.cell);
-  EXPECT_EQ(a.model.centroids, b.model.centroids);
-  EXPECT_EQ(a.model.sse, b.model.sse);
-}
-
-TEST_F(PlanRunTest, InMemoryEmptyCellsRejected) {
-  KMeansConfig partial;
-  MergeKMeansConfig merge;
-  EXPECT_TRUE(PipelineBuilder()
-                  .WithPartialKMeans(partial)
-                  .WithMerge(merge)
-                  .RunInMemory({})
-                  .status()
-                  .IsInvalidArgument());
-}
-
 }  // namespace
 }  // namespace pmkm

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "stream/engine.h"
 #include "stream/plan.h"
+#include "tests/bucket_files.h"
 
 namespace pmkm {
 namespace {
@@ -345,6 +346,7 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesCellWhoseMergeFails) {
   // clones and the scan blocked on full queues until the watchdog fired.
   constexpr size_t kDim = 6;
   constexpr size_t kHealthyCells = 20;
+  BucketFiles files;
   std::vector<GridBucket> cells;
   GridBucket bad;
   bad.cell = GridCellId{0, 0};
@@ -387,7 +389,7 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesCellWhoseMergeFails) {
                  .WithResources(resources)
                  .WithChunkPoints(5)
                  .WithExecution(exec)
-                 .RunInMemory(std::move(cells));
+                 .Run(files.Write(cells));
   ASSERT_TRUE(run.ok()) << run.status();
   ASSERT_EQ(run->report.quarantined.size(), 1u) << run->report.Summary();
   const QuarantinedCellReport& q = run->report.quarantined[0];
@@ -403,13 +405,14 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesCellWhoseMergeFails) {
 }
 
 TEST_F(ResilienceTest, WatchdogDetectsStalledOperator) {
-  // In-memory pipeline with a 60 s stall injected into the first chunk the
+  // A pipeline with a 60 s stall injected into the first chunk the
   // partial operator picks up; the watchdog must fire within the
   // configured timeout instead of hanging for the full minute.
   ASSERT_TRUE(FaultRegistry::Global()
                   .ArmFromString("op.stall:n=1,stall_ms=60000")
                   .ok());
 
+  BucketFiles files;
   std::vector<GridBucket> cells;
   Rng rng(11);
   for (int i = 0; i < 4; ++i) {
@@ -435,7 +438,7 @@ TEST_F(ResilienceTest, WatchdogDetectsStalledOperator) {
                  .WithResources(resources)
                  .WithChunkPoints(8)
                  .WithExecution(exec)
-                 .RunInMemory(std::move(cells));
+                 .Run(files.Write(cells));
   const auto elapsed = std::chrono::duration_cast<std::chrono::seconds>(
       std::chrono::steady_clock::now() - started);
   ASSERT_FALSE(run.ok());
@@ -484,13 +487,14 @@ PipelineBuilder OneCloneBuilder(const StreamExecOptions& exec) {
       .WithExecution(exec);
 }
 
-// Runs `run(exec)` once per failure policy with every chunk fit stalled
-// 50 ms (so chunk time is fixed), and flips exec.cancel from a second
-// thread once the second chunk fit has started. The run must return
-// Cancelled (never an OK run reported degraded), and at most one chunk
-// fit may start after the flip.
-template <typename RunFn>
-void ExpectCancelStopsWithinOneChunk(RunFn run) {
+// Runs the one-clone pipeline once per failure policy with every chunk
+// fit stalled 50 ms (so chunk time is fixed), and flips exec.cancel from a
+// second thread once the second chunk fit has started. The run must
+// return Cancelled (never an OK run reported degraded), and at most one
+// chunk fit may start after the flip.
+TEST_F(ResilienceTest, CancelStopsOnDiskRunWithinOneChunk) {
+  const std::string path = (dir_ / "cell_0_0.pmkb").string();
+  ASSERT_TRUE(WriteGridBucket(path, OneBigCell()).ok());
   for (FailurePolicy policy :
        {FailurePolicy::kFailFast, FailurePolicy::kRetryOperator,
         FailurePolicy::kSkipAndContinue}) {
@@ -515,27 +519,13 @@ void ExpectCancelStopsWithinOneChunk(RunFn run) {
     StreamExecOptions exec;
     exec.failure_policy = policy;
     exec.cancel = &cancel;
-    const Status st = run(exec);
+    const Status st = OneCloneBuilder(exec).Run({path}).status();
     returned.store(true);
     canceller.join();
     EXPECT_TRUE(st.IsCancelled()) << st;
     EXPECT_GE(fits_at_flip, 2u);
     EXPECT_LE(faults.hits("op.stall"), fits_at_flip + 1);
   }
-}
-
-TEST_F(ResilienceTest, CancelStopsOnDiskRunWithinOneChunk) {
-  const std::string path = (dir_ / "cell_0_0.pmkb").string();
-  ASSERT_TRUE(WriteGridBucket(path, OneBigCell()).ok());
-  ExpectCancelStopsWithinOneChunk([&](const StreamExecOptions& exec) {
-    return OneCloneBuilder(exec).Run({path}).status();
-  });
-}
-
-TEST_F(ResilienceTest, CancelStopsInMemoryRunWithinOneChunk) {
-  ExpectCancelStopsWithinOneChunk([](const StreamExecOptions& exec) {
-    return OneCloneBuilder(exec).RunInMemory({OneBigCell()}).status();
-  });
 }
 
 TEST_F(ResilienceTest, SkipAndContinueSurvivesUnreadableFirstBucket) {

@@ -280,5 +280,21 @@ TEST_F(ToolsTest, ClusterRejectsUnknownAlgo) {
   EXPECT_NE(text.find("serial|stream"), std::string::npos) << text;
 }
 
+TEST_F(ToolsTest, ClusterRejectsAnEmptyBucket) {
+  // A bucket whose header holds 0 points is bad input, not a cell that
+  // clustered to nothing: a usage error under the default failfast.
+  ASSERT_EQ(Run(std::string(PMKM_TOOL_GENBUCKETS) + " --out=" + Dir("b") +
+                " --mode=cells --cells=2 --n=0"),
+            0);
+  std::string paths;
+  for (const auto& e : fs::directory_iterator(Dir("b"))) {
+    paths += " " + e.path().string();
+  }
+  ASSERT_FALSE(paths.empty());
+  EXPECT_EQ(ExitCode(std::string(PMKM_TOOL_CLUSTER) + " --k=4 --out=" +
+                     Dir("m") + paths),
+            64);
+}
+
 }  // namespace
 }  // namespace pmkm

@@ -140,13 +140,6 @@ int main(int argc, char** argv) {
     std::cerr << parser.Usage(argv[0]);
     return Fail(pmkm::Status::InvalidArgument("no bucket files given"));
   }
-  // The serial path runs k-means outside the engine; point the process
-  // default kernel at the chosen one so --kernel applies there too (the
-  // stream path resolves it per-run via the builder).
-  {
-    auto prev = pmkm::SetDefaultKernel(options->kernel);
-    if (!prev.ok()) return Fail(prev.status());
-  }
   std::filesystem::create_directories(out);
 
   auto report = [&](const pmkm::GridCellId& cell, size_t points,
@@ -364,6 +357,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // The serial path runs k-means outside the engine, so --kernel goes
+  // straight into its config (ToOptions checked the host can run it).
+  options->partial.lloyd.kernel = &pmkm::GetKernel(options->kernel);
   for (const std::string& path : parser.positional()) {
     auto bucket = pmkm::ReadGridBucket(path);
     if (!bucket.ok()) return Fail(bucket.status());

@@ -58,12 +58,14 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11).
                 installer (obs/profiler.cc SIGPROF). Process-lifecycle
                 wiring belongs in the CLI surface (tools/, e.g.
                 pmkm_serve's sigwait), outside the library.
-  direct-run    The retired free-function entry points
-                RunPartialMergeStream / RunPartialMergeStreamInMemory must
+  direct-run    The retired entry points RunPartialMergeStream /
+                RunPartialMergeStreamInMemory and the in-memory
+                PipelineBuilder::RunInMemory / MemoryScanOperator must
                 not reappear: every pipeline run goes through
-                PipelineBuilder (stream/engine.h) so cancel tokens,
-                observability sinks, resource budgets and checkpointing
-                are wired in one place. Likewise, constructing the raw
+                PipelineBuilder::Run over bucket files (stream/engine.h),
+                so cancel tokens, observability sinks, resource budgets,
+                checkpointing and the scan's input checks are wired in
+                one place. Likewise, constructing the raw
                 stream Executor outside the engine bypasses supervision;
                 only stream/engine.cc and tests may build one directly.
   byte-codec    Library code packs and unpacks little-endian
@@ -168,7 +170,9 @@ RENAME_RE = re.compile(
     r"(?<![\w.:])std::rename\s*\(")
 BINARY_OFSTREAM_RE = re.compile(
     r"std::ofstream\b[^;\n]*std::ios(?:_base)?::binary")
-DIRECT_RUN_RE = re.compile(r"\bRunPartialMergeStream(?:InMemory)?\b")
+DIRECT_RUN_RE = re.compile(
+    r"\b(?:RunPartialMergeStream(?:InMemory)?|RunInMemory|"
+    r"MemoryScanOperator)\b")
 RAW_EXECUTOR_RE = re.compile(r"\bExecutor\s+\w+\s*[({;]|\bExecutor\s*\(")
 # A byte store `static_cast<uint8_t>(v >> 8)` or a byte load
 # `static_cast<uint32_t>(p[1]) << 8`, for any whole-byte shift.
@@ -410,8 +414,8 @@ def lint_file(root, relpath):
                   "build that compiles it and a parity test that runs it")
         if DIRECT_RUN_RE.search(line):
             check(lineno, "direct-run",
-                  "retired RunPartialMergeStream* entry point; run "
-                  "through PipelineBuilder (stream/engine.h)")
+                  "retired entry point; write bucket files and "
+                  "Run(paths) through PipelineBuilder (stream/engine.h)")
         if not raw_exec_exempt and RAW_EXECUTOR_RE.search(line):
             check(lineno, "direct-run",
                   "raw Executor outside the engine; run pipelines "
