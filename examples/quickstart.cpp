@@ -12,6 +12,7 @@
 #include <iostream>
 #include <numeric>
 
+#include "cluster/distance.h"
 #include "cluster/experiment_metrics.h"
 #include "cluster/metrics.h"
 #include "common/flags.h"
@@ -112,6 +113,7 @@ int main(int argc, char** argv) {
   // 6. Classify a new measurement against the model.
   const pmkm::Dataset probe = pmkm::GenerateMisrLikeCell(1, &rng);
   std::cout << "\nnew point assigned to cluster "
-            << model.Predict(probe.Row(0)) << "\n";
+            << pmkm::NearestCentroidIndex(probe.Row(0), model.centroids)
+            << "\n";
   return 0;
 }

@@ -1,5 +1,5 @@
 // Shared helper for fuzz harnesses whose target API takes a file path
-// rather than a byte span (CSV reader, bucket reader): persist the fuzz
+// rather than a byte span (the bucket reader): persist the fuzz
 // input to one per-process scratch file and hand back its path. The same
 // file is rewritten on every iteration, so fuzzing does not leak temp
 // files or inodes.

@@ -1,10 +1,11 @@
-// Fuzz harness for the model file format (src/cluster/serialize.cc). The
-// harness rewrites the FNV-1a trailer of every input before calling
-// LoadModel, so mutations reach the parser instead of stopping at the
-// checksum. A hostile header must be rejected before it can drive an
-// allocation, and an accepted model must be finite and consistent: k > 0
-// centroids of dim finite values, k finite non-negative weights, and
-// assignments below k.
+// Fuzz harness for the model codec (src/cluster/serialize.cc), which
+// decodes .pmkm files, checkpoint cell records and serve model sets
+// alike. The harness rewrites the FNV-1a trailer of every input before
+// calling DecodeModel, so mutations reach the parser instead of stopping
+// at the checksum. A hostile header must be rejected before it can drive
+// an allocation, and an accepted model must be finite and consistent:
+// k > 0 centroids of dim finite values, k finite non-negative weights,
+// and assignments below k.
 
 #include <cmath>
 #include <cstdint>
@@ -14,7 +15,6 @@
 
 #include "cluster/serialize.h"
 #include "data/io.h"
-#include "fuzz_io_util.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size > (1u << 18)) return 0;  // payload scales with file size anyway
@@ -25,10 +25,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                                                   pmkm::internal::kFnvOffset);
     std::memcpy(bytes.data() + body, &hash, sizeof(hash));
   }
-  const std::string path =
-      pmkm_fuzz::WriteTempInput("pmkm", bytes.data(), bytes.size());
-
-  pmkm::Result<pmkm::ClusteringModel> loaded = pmkm::LoadModel(path);
+  pmkm::Result<pmkm::ClusteringModel> loaded = pmkm::DecodeModel(bytes);
   if (!loaded.ok()) return 0;
   const pmkm::ClusteringModel& model = loaded.value();
   const size_t k = model.k();

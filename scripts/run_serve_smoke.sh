@@ -8,9 +8,9 @@
 #   3. a remote job that names a --checkpoint_dir is rejected, and the
 #      daemon creates nothing at that path;
 #   4. an independent protocol client (python, reimplementing the framing
-#      from the spec in protocol.h) can handshake at v3, submit, cancel a
+#      from the spec in protocol.h) can handshake at v4, submit, cancel a
 #      queued job and await its terminal state with one kAwaitJob — interop,
-#      not just loopback — and a v2 client is refused after the hellos;
+#      not just loopback — and a v3 client is refused after the hellos;
 #   5. /statusz and /jobz respond on the daemon's debug server;
 #   6. SIGTERM drains gracefully: a job accepted before the signal is
 #      never lost — the client still collects its models and exits 0, and
@@ -160,7 +160,7 @@ def s(x):
     return struct.pack('<I', len(b)) + b
 
 def job_spec(path):
-    # v3 JobSpec (same bytes as v2): paths, engine flags, run_id, client
+    # v4 JobSpec (same bytes as v2 and v3): paths, engine flags, run_id, client
     # (protocol.h).
     spec = struct.pack('<I', 1) + s(path)
     spec += struct.pack('<QQQQ', 6, 4, 512, 0)   # k restarts memkib cores
@@ -179,10 +179,10 @@ def recv_exact(sock, n):
 
 conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 conn.connect(sock_path)
-conn.sendall(struct.pack('<II', 0x534B4D50, 3))
+conn.sendall(struct.pack('<II', 0x534B4D50, 4))
 magic, version = struct.unpack('<II', recv_exact(conn, 8))
 assert magic == 0x534B4D50, hex(magic)
-assert version == 3, version
+assert version == 4, version
 
 buf = b''
 def call(ftype, payload):
@@ -236,14 +236,15 @@ assert code == 4, (code, msg)  # NotFound survives the wire
 print('ok: unknown-id cancel is NotFound across the wire')
 conn.close()
 
-# A v2 peer (no kAwaitJob) is below the v3 floor: the daemon answers with
-# its own hello, then closes without serving a frame.
+# A v3 peer (model sets in the old cell layout) is below the v4 floor:
+# the daemon answers with its own hello, then closes without serving a
+# frame.
 old = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 old.settimeout(10)
 old.connect(sock_path)
-old.sendall(struct.pack('<II', 0x534B4D50, 2))
+old.sendall(struct.pack('<II', 0x534B4D50, 3))
 magic, version = struct.unpack('<II', recv_exact(old, 8))
-assert (magic, version) == (0x534B4D50, 3), (hex(magic), version)
+assert (magic, version) == (0x534B4D50, 4), (hex(magic), version)
 try:
     old.sendall(frame(1, b''))  # ping
 except (BrokenPipeError, ConnectionResetError):
@@ -252,9 +253,9 @@ try:
     rest = old.recv(65536)
 except ConnectionResetError:
     rest = b''
-assert rest == b'', 'v2 peer was served: %r' % rest
+assert rest == b'', 'v3 peer was served: %r' % rest
 old.close()
-print('ok: v2 hello refused after the hello exchange')
+print('ok: v3 hello refused after the hello exchange')
 EOF
 # Release the pinned worker: pair with its blocked open, then EOF fails
 # the fifo job (that job exists only to occupy the worker).

@@ -51,16 +51,7 @@ struct ClusteringModel {
     PMKM_CHECK(r.ok()) << r.status();
     return std::move(r).value();
   }
-
-  /// Index of the centroid nearest to `point`.
-  size_t Predict(std::span<const double> point) const;
 };
-
-/// The value checks every model decoder applies (LoadModel,
-/// DecodeCellComplete): at least one centroid, one weight per centroid,
-/// finite centroid coordinates, and weights that are finite and >= 0.
-/// InvalidArgument names the first offending centroid.
-Status ValidateModelValues(const ClusteringModel& model);
 
 }  // namespace pmkm
 

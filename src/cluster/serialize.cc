@@ -1,6 +1,8 @@
 #include "cluster/serialize.h"
 
+#include <cmath>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -58,7 +60,6 @@ Status ReadModel(ByteReader* reader, ClusteringModel* model) {
                         Dataset::FromFlat(dim, std::move(centroid_values)));
   model->weights.resize(k);
   for (double& w : model->weights) PMKM_RETURN_NOT_OK(reader->ReadF64(&w));
-  PMKM_RETURN_NOT_OK(ValidateModelValues(*model));
   if (flags & kFlagHasAssignments) {
     uint64_t n = 0;
     PMKM_RETURN_NOT_OK(reader->ReadU64(&n));
@@ -78,16 +79,38 @@ Status ReadModel(ByteReader* reader, ClusteringModel* model) {
   return Status::OK();
 }
 
+// At least one centroid, one weight per centroid, finite centroid
+// coordinates, and weights that are finite and >= 0. InvalidArgument
+// names the first offending centroid.
+Status ValidateModelValues(const ClusteringModel& model) {
+  if (model.k() == 0) return Status::InvalidArgument("model has no centroids");
+  if (model.weights.size() != model.k()) {
+    return Status::InvalidArgument(
+        "model has " + std::to_string(model.weights.size()) +
+        " weights for " + std::to_string(model.k()) + " centroids");
+  }
+  const std::vector<double>& values = model.centroids.values();
+  for (size_t v = 0; v < values.size(); ++v) {
+    if (!std::isfinite(values[v])) {
+      return Status::InvalidArgument("non-finite value in centroid " +
+                                     std::to_string(v / model.dim()));
+    }
+  }
+  for (size_t j = 0; j < model.k(); ++j) {
+    const double w = model.weights[j];
+    if (!std::isfinite(w) || w < 0.0) {
+      return Status::InvalidArgument("weight of centroid " +
+                                     std::to_string(j) +
+                                     " must be finite and >= 0");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-Status SaveModel(const std::string& path,
-                 const ClusteringModel& model) PMKM_DETERMINISTIC {
-  if (model.k() == 0) {
-    return Status::InvalidArgument("cannot save an empty model");
-  }
-  if (model.weights.size() != model.k()) {
-    return Status::InvalidArgument("model weights/centroids mismatch");
-  }
+std::vector<uint8_t> EncodeModel(
+    const ClusteringModel& model) PMKM_DETERMINISTIC {
   std::vector<uint8_t> buf;
   PutU32(&buf, kModelMagic);
   PutU32(&buf, kModelVersion);
@@ -110,37 +133,45 @@ Status SaveModel(const std::string& path,
   }
   PutU64(&buf,
          internal::Fnv1a64(buf.data(), buf.size(), internal::kFnvOffset));
+  return buf;
+}
 
+Result<ClusteringModel> DecodeModel(std::span<const uint8_t> bytes) {
+  // Verify the trailer checksum first.
+  if (bytes.size() < sizeof(uint64_t) + 8) {
+    return Status::IOError("too small to be a model");
+  }
+  const size_t body = bytes.size() - sizeof(uint64_t);
+  if (LoadU64(bytes.data() + body) !=
+      internal::Fnv1a64(bytes.data(), body, internal::kFnvOffset)) {
+    return Status::IOError("checksum mismatch (corrupt model)");
+  }
+  ByteReader reader(bytes.first(body));
+  ClusteringModel model;
+  Status st = ReadModel(&reader, &model);
+  if (st.ok()) st = ValidateModelValues(model);
+  if (!st.ok()) return Status::IOError(st.message());
+  return model;
+}
+
+Status SaveModel(const std::string& path, const ClusteringModel& model) {
+  // Never publish a file LoadModel would refuse.
+  PMKM_RETURN_NOT_OK(ValidateModelValues(model));
   // Durable atomic publish (stage + fsync + rename + dir fsync): a model
   // file either exists completely or not at all, even across power loss —
   // the kill-sweep harness compares these files bytewise across crashes.
-  return AtomicWriteFile(path, buf);
+  return AtomicWriteFile(path, EncodeModel(model));
 }
 
 Result<ClusteringModel> LoadModel(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for reading: " + path);
-
-  // Read everything, verify the trailer checksum first.
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  in.seekg(0, std::ios::beg);
-  if (size < static_cast<std::streamoff>(sizeof(uint64_t) + 8)) {
-    return Status::IOError("file too small to be a model: " + path);
-  }
-  std::vector<uint8_t> buf(static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(buf.data()), size);
-  if (!in) return Status::IOError("short read: " + path);
-  const size_t body = buf.size() - sizeof(uint64_t);
-  if (LoadU64(buf.data() + body) !=
-      internal::Fnv1a64(buf.data(), body, internal::kFnvOffset)) {
-    return Status::IOError("checksum mismatch (corrupt model): " + path);
-  }
-
-  ByteReader reader(std::span<const uint8_t>(buf.data(), body));
-  ClusteringModel model;
-  if (const Status st = ReadModel(&reader, &model); !st.ok()) {
-    return Status::IOError(st.message() + ": " + path);
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  if (in.bad()) return Status::IOError("short read: " + path);
+  Result<ClusteringModel> model = DecodeModel(bytes);
+  if (!model.ok()) {
+    return Status::IOError(model.status().message() + ": " + path);
   }
   return model;
 }

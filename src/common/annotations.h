@@ -132,8 +132,8 @@
 #define PMKM_BOUNDED_HANDLER PMKM_CTX_ANNOTATION("pmkm_bounded_handler")
 
 /// Root of an output-byte determinism contract, verified whole-program
-/// by tools/pmkm_detcheck.py (DESIGN.md §17): model serialization
-/// (SaveModel), the checkpoint cell-complete encoder, serve protocol
+/// by tools/pmkm_detcheck.py (DESIGN.md §17): the model codec
+/// (EncodeModel), the checkpoint cell-complete encoder, serve protocol
 /// encoders, and the kernel Assign/Accumulate hot path that
 /// produces the numbers being serialized. Nothing reachable may iterate
 /// a hash-ordered container into the output (rule `unordered-iter`),

@@ -1,16 +1,16 @@
 // Deterministic fault injection for resilience testing.
 //
 // Code under test declares named fault sites (`PMKM_FAULT_POINT("io.read")`)
-// at the places where the real world can fail. Tests, the PMKM_FAULTS
-// environment variable, or CLI flags arm those sites to fail
-// probabilistically or on the Nth hit. Every probabilistic decision draws
-// from a per-site Rng seeded at arm time, so a failing run reproduces
-// exactly from its seed.
+// at the places where the real world can fail. Tests, or the PMKM_FAULTS
+// environment variable (read when the registry is first used), arm those
+// sites to fail probabilistically or on the Nth hit. Every probabilistic
+// decision draws from a per-site Rng seeded at arm time, so a failing run
+// reproduces exactly from its seed.
 //
 // The disarmed fast path is a single relaxed atomic load — fault points are
 // compiled into release builds and cost nothing while no fault is armed.
 //
-// Spec-string grammar (PMKM_FAULTS and --faults):
+// Spec-string grammar (PMKM_FAULTS):
 //   site:key=value[,key=value...][;site:...]
 // keys: p (probability per hit), n (fail exactly the Nth hit, 1-based),
 //       perm (with n: fail every hit >= n), max (cap on injected failures),

@@ -1,44 +1,23 @@
-// CSV import/export for datasets and centroid sets — the interop path for
-// users whose measurements live outside the pmkm binary formats (R,
-// pandas, spreadsheets). Deliberately small: comma separator, optional
-// header row, no quoting (the data are numeric matrices).
+// CSV export of centroid sets — the interop path for users whose analysis
+// lives outside the pmkm binary formats (R, pandas, spreadsheets).
+// Deliberately small: comma separator, a header row, no quoting (the data
+// are numeric matrices).
 
 #ifndef PMKM_DATA_CSV_H_
 #define PMKM_DATA_CSV_H_
 
 #include <string>
 
-#include "common/result.h"
+#include "common/status.h"
 #include "data/weighted.h"
 
 namespace pmkm {
 
-struct CsvOptions {
-  /// On write: emit "a0,a1,..." as the first row. On read: skip the first
-  /// row if it does not parse as numbers (auto-detect).
-  bool header = true;
-
-  /// Output precision (significant digits) for doubles.
-  int precision = 17;
-};
-
-/// Writes `data` as one row per point.
-Status WriteCsv(const std::string& path, const Dataset& data,
-                const CsvOptions& options = {});
-
-/// Writes weighted points with the weight as the extra last column
-/// ("weight" in the header).
+/// Writes `data` as a header row "a0,...,a<D-1>,weight", then one row per
+/// point with its weight as the last column. Values are printed with 17
+/// significant digits, so every double reads back exactly.
 Status WriteWeightedCsv(const std::string& path,
-                        const WeightedDataset& data,
-                        const CsvOptions& options = {});
-
-/// Reads a numeric CSV into a dataset. All rows must have the same column
-/// count; a non-numeric first row is treated as a header and skipped.
-/// Empty lines are ignored.
-Result<Dataset> ReadCsv(const std::string& path);
-
-/// Reads a CSV written by WriteWeightedCsv (last column = weight).
-Result<WeightedDataset> ReadWeightedCsv(const std::string& path);
+                        const WeightedDataset& data);
 
 }  // namespace pmkm
 

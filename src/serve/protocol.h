@@ -16,7 +16,10 @@
 //   v2  JobSpec carries run_id and client.
 //   v3  kAwaitJob: the server parks the request until the job is terminal
 //       (or a bounded slice passes), replacing client-side status polling.
-//       v3 JobSpec bytes equal v2's. v1/v2 peers are rejected.
+//       v3 JobSpec bytes equal v2's.
+//   v4  Model sets carry each cell's .pmkm file bytes (checkpoint cell
+//       payload version 2). Every other payload equals v3's. v1-v3 peers
+//       are rejected at the hello.
 //
 // Frames — every message after the handshake uses the journal's frame
 // discipline (data/manifest.h): length prefix, type tag, and a CRC32C
@@ -45,9 +48,10 @@
 //
 // Every payload is written and read with the shared codec in
 // common/bytes.h. Model payloads reuse the checkpoint cell codec
-// (EncodeCellComplete/DecodeCellComplete), which round-trips doubles
-// bitwise — the foundation of the local/remote byte-identity guarantee —
-// and rejects model values LoadModel would (ValidateModelValues).
+// (EncodeCellComplete/DecodeCellComplete), whose model is the .pmkm file
+// bytes SaveModel writes (cluster/serialize.h) — the foundation of the
+// local/remote byte-identity guarantee — and DecodeModel rejects on the
+// wire exactly what LoadModel rejects on disk.
 //
 // Unknown trailing bytes in a payload are ignored, which is what lets a
 // newer minor version append fields.
@@ -73,11 +77,12 @@ namespace serve {
 inline constexpr uint32_t kProtocolMagic = 0x534b4d50u;
 
 /// Current protocol version (history in the header comment).
-inline constexpr uint32_t kProtocolVersion = 3;
+inline constexpr uint32_t kProtocolVersion = 4;
 
-/// Oldest version this build still speaks: v3 is the floor, so every
-/// peer has kAwaitJob and no client-side polling path exists.
-inline constexpr uint32_t kMinProtocolVersion = 3;
+/// Oldest version this build still speaks: v4 is the floor, so every
+/// peer has kAwaitJob (no client-side polling path exists) and reads
+/// model sets as .pmkm bytes.
+inline constexpr uint32_t kMinProtocolVersion = 4;
 
 /// Longest a server parks one kAwaitJob before answering with the job's
 /// current state. A session's handler thread is already dedicated to its
@@ -164,7 +169,8 @@ std::vector<uint8_t> EncodeJobList(const std::vector<JobInfo>& jobs);
 Result<std::vector<JobInfo>> DecodeJobList(std::span<const uint8_t> payload);
 
 /// Model set: [u32 cell_count] then per cell [u32 len][checkpoint cell
-/// blob]. Bit-exact: DecodeCellComplete restores every double bitwise.
+/// payload], whose model is the cell's .pmkm file bytes. Bit-exact:
+/// every double is restored bitwise.
 std::vector<uint8_t> EncodeModelSet(
     const std::map<GridCellId, CellClustering>& cells);
 Result<std::map<GridCellId, CellClustering>> DecodeModelSet(

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 
+#include "cluster/serialize.h"
 #include "common/annotations.h"
 #include "common/bytes.h"
 #include "common/fault.h"
@@ -15,40 +16,15 @@ namespace pmkm {
 namespace {
 
 // Payloads use the common/bytes.h codec, which stores doubles as their
-// IEEE-754 bit pattern so a resumed run restores exactly the doubles the
+// IEEE-754 bit pattern, and the model rides as its .pmkm file bytes
+// (cluster/serialize.h), so a resumed run restores exactly the model the
 // crashed run computed — bitwise identity is the whole point of
 // checkpointing a deterministic pipeline.
 
-// Payload schema versions, bumped independently of the journal framing.
-constexpr uint32_t kCellPayloadVersion = 1;
-
-// Dimensionality/row-count sanity caps: a CRC-valid but nonsense payload
-// must not drive a multi-gigabyte allocation.
-constexpr uint64_t kMaxDim = 1u << 20;
-constexpr uint64_t kMaxRows = 1u << 28;
-
-Status DecodeDataset(ByteReader* reader, Dataset* out) {
-  uint64_t dim = 0, rows = 0;
-  PMKM_RETURN_NOT_OK(reader->ReadU64(&dim));
-  PMKM_RETURN_NOT_OK(reader->ReadU64(&rows));
-  if (dim == 0 || dim > kMaxDim || rows > kMaxRows) {
-    return Status::IOError("checkpoint payload has implausible dataset "
-                            "shape");
-  }
-  if (rows * dim > reader->remaining() / 8) {
-    return Status::IOError("checkpoint payload truncated: dataset rows");
-  }
-  std::vector<double> flat(rows * dim);
-  for (auto& v : flat) PMKM_RETURN_NOT_OK(reader->ReadF64(&v));
-  PMKM_ASSIGN_OR_RETURN(*out, Dataset::FromFlat(dim, std::move(flat)));
-  return Status::OK();
-}
-
-void EncodeDataset(std::vector<uint8_t>* out, const Dataset& data) {
-  PutU64(out, data.dim());
-  PutU64(out, data.size());
-  for (double v : data.values()) PutF64(out, v);
-}
+// Payload schema version, bumped independently of the journal framing.
+// Version 1 carried the model in a layout of its own; replay drops such
+// records and their cells are clustered again.
+constexpr uint32_t kCellPayloadVersion = 2;
 
 Status ReadCellComplete(ByteReader* reader, CellClustering* cell) {
   uint32_t version = 0;
@@ -64,17 +40,12 @@ Status ReadCellComplete(ByteReader* reader, CellClustering* cell) {
   cell->input_points = input_points;
   cell->pooled_centroids = pooled;
   PMKM_RETURN_NOT_OK(reader->ReadF64(&cell->merge_seconds));
-  PMKM_RETURN_NOT_OK(DecodeDataset(reader, &cell->model.centroids));
-  PMKM_RETURN_NOT_OK(reader->ReadF64Vec(&cell->model.weights));
-  PMKM_RETURN_NOT_OK(reader->ReadF64(&cell->model.sse));
-  PMKM_RETURN_NOT_OK(reader->ReadF64(&cell->model.mse_per_point));
-  uint64_t iterations = 0;
-  PMKM_RETURN_NOT_OK(reader->ReadU64(&iterations));
-  cell->model.iterations = iterations;
-  uint32_t converged = 0;
-  PMKM_RETURN_NOT_OK(reader->ReadU32(&converged));
-  cell->model.converged = converged != 0;
-  return ValidateModelValues(cell->model);
+  uint32_t model_len = 0;
+  PMKM_RETURN_NOT_OK(reader->ReadU32(&model_len));
+  std::span<const uint8_t> model_bytes;
+  PMKM_RETURN_NOT_OK(reader->ReadBytes(model_len, &model_bytes));
+  PMKM_ASSIGN_OR_RETURN(cell->model, DecodeModel(model_bytes));
+  return Status::OK();
 }
 
 }  // namespace
@@ -92,13 +63,9 @@ std::vector<uint8_t> EncodeCellComplete(
   PutU64(&out, cell.input_points);
   PutU64(&out, cell.pooled_centroids);
   PutF64(&out, cell.merge_seconds);
-  EncodeDataset(&out, cell.model.centroids);
-  PutU64(&out, cell.model.weights.size());
-  for (double w : cell.model.weights) PutF64(&out, w);
-  PutF64(&out, cell.model.sse);
-  PutF64(&out, cell.model.mse_per_point);
-  PutU64(&out, cell.model.iterations);
-  PutU32(&out, cell.model.converged ? 1 : 0);
+  const std::vector<uint8_t> model = EncodeModel(cell.model);
+  PutU32(&out, static_cast<uint32_t>(model.size()));
+  out.insert(out.end(), model.begin(), model.end());
   return out;
 }
 

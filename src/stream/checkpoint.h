@@ -15,9 +15,15 @@
 //                  engine configuration silently starts fresh (mixing
 //                  models computed under different configs would corrupt
 //                  the run's statistical contract).
-//   kCellComplete  one finished cell: id + its full ClusteringModel
-//                  (bit-exact doubles, so a resumed run's output is
-//                  bitwise-identical to an uninterrupted one).
+//   kCellComplete  one finished cell, payload version 2:
+//                    [u32 version][i32 lat][i32 lon][u64 input_points]
+//                    [u64 pooled_centroids][f64 merge_seconds]
+//                    [u32 len][len bytes: the cell's .pmkm model file]
+//                  The model bytes are exactly what SaveModel publishes
+//                  (cluster/serialize.h is the one model codec), so a
+//                  resumed run's output is bitwise-identical to an
+//                  uninterrupted one. A version-1 record (the model in a
+//                  layout of its own) is dropped and its cell recomputed.
 //   kRunEnd        clean end of run.
 //
 // A record of any other type (including the retired type 3) is skipped
@@ -120,7 +126,9 @@ CheckpointState ReplayCheckpointJournal(const JournalRecovery& recovery);
 /// tests). Missing journal → journal_found=false, no error.
 Result<CheckpointState> LoadCheckpoint(const std::string& dir);
 
-/// Payload codecs, exposed for pmkm_inspect and the round-trip tests.
+/// kCellComplete payload codec, exposed for pmkm_inspect, the serve
+/// model set (serve/protocol.h) and the round-trip tests. Decode failures,
+/// including every DecodeModel rejection, are IOError.
 std::vector<uint8_t> EncodeCellComplete(const CellClustering& cell);
 Result<CellClustering> DecodeCellComplete(
     std::span<const uint8_t> payload);

@@ -9,6 +9,7 @@
 #include <optional>
 #include <utility>
 
+#include "cluster/kernels/kernel.h"
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -64,25 +65,6 @@ Status FailRun(const ObsContext& obs, Status status) {
                       std::move(error));
   }
   return status;
-}
-
-// Resolves options.kernel and points both Lloyd configs at it (explicitly
-// set lloyd.kernel pointers win). Fails if the host cannot run it.
-Status ResolveKernel(EngineOptions* options) {
-  if (!KernelAvailable(options->kernel)) {
-    return Status::InvalidArgument(
-        "kernel '" + std::string(KernelKindToString(options->kernel)) +
-        "' is not available on this host (host is " + HostIsaDescription() +
-        ")");
-  }
-  const DistanceKernel* kernel = &GetKernel(options->kernel);
-  if (options->partial.lloyd.kernel == nullptr) {
-    options->partial.lloyd.kernel = kernel;
-  }
-  if (options->merge.lloyd.kernel == nullptr) {
-    options->merge.lloyd.kernel = kernel;
-  }
-  return Status::OK();
 }
 
 // Fingerprint over every configuration field that affects the numeric
@@ -426,12 +408,14 @@ Result<EngineOptions> EngineFlags::ToOptions() const {
                         ParseFailurePolicy(failure_policy));
   options.exec.io_retry.max_attempts = static_cast<size_t>(max_retries) + 1;
   options.exec.op_timeout_ms = static_cast<uint64_t>(op_timeout_ms);
-  PMKM_ASSIGN_OR_RETURN(options.kernel, ParseKernelKind(kernel));
-  if (!KernelAvailable(options.kernel)) {
+  PMKM_ASSIGN_OR_RETURN(const KernelKind kind, ParseKernelKind(kernel));
+  if (!KernelAvailable(kind)) {
     return Status::InvalidArgument(
         "--kernel=" + kernel + " is not available on this host (host is " +
         HostIsaDescription() + ")");
   }
+  options.partial.lloyd.kernel = &GetKernel(kind);
+  options.merge.lloyd.kernel = &GetKernel(kind);
   if (checkpoint_sync <= 0) {
     return Status::InvalidArgument("--checkpoint_sync must be >= 1");
   }
@@ -453,7 +437,6 @@ Result<StreamRunResult> PipelineBuilder::Run(
       options.exec.cancel->load(std::memory_order_acquire)) {
     return Status::Cancelled("run cancelled before start");
   }
-  PMKM_RETURN_NOT_OK(ResolveKernel(&options));
   if (options.exec.obs.run_id.empty()) {
     options.exec.obs.run_id = GenerateRunId();
   }
@@ -509,13 +492,11 @@ Result<StreamRunResult> PipelineBuilder::Run(
 
 Result<std::string> PipelineBuilder::Explain(
     const std::vector<std::string>& bucket_paths) const {
-  EngineOptions options = options_;
-  PMKM_RETURN_NOT_OK(ResolveKernel(&options));
   PMKM_ASSIGN_OR_RETURN(ProbedPlan probed,
-                        PlanForPaths(bucket_paths, options));
+                        PlanForPaths(bucket_paths, options_));
   return ExplainPartialMergePlan(
       bucket_paths.size(), probed.total_points * bucket_paths.size(),
-      probed.dim, options.partial, options.merge, probed.plan);
+      probed.dim, options_.partial, options_.merge, probed.plan);
 }
 
 }  // namespace pmkm

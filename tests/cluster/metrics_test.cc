@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "cluster/distance.h"
 #include "cluster/experiment_metrics.h"
 #include "cluster/kernels/kernel.h"
 #include "cluster/lloyd.h"
@@ -151,7 +152,8 @@ TEST(MetricsTest, MetricsAgreeWithTheFitUnderEveryKernel) {
               model->weights);
     size_t mispredicted = 0;
     for (size_t i = 0; i < data.size(); ++i) {
-      mispredicted += model->Predict(data.Row(i)) != model->assignments[i];
+      mispredicted += NearestCentroidIndex(data.Row(i), model->centroids) !=
+                      model->assignments[i];
     }
     EXPECT_EQ(mispredicted, 0u);
   }

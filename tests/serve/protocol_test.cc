@@ -1,6 +1,6 @@
 // Conformance tests for the serve wire protocol: golden byte vectors for
 // the hello, frame, JobSpec and await layouts (so an incompatible change
-// to the wire format fails loudly), version negotiation against the v3
+// to the wire format fails loudly), version negotiation against the v4
 // floor, and rejection of truncated/corrupt/oversized input on every
 // decode path.
 
@@ -27,9 +27,9 @@ TEST(HelloTest, GoldenBytes) {
   // the wire contract; a codec change that alters them breaks every
   // deployed peer.
   const std::vector<uint8_t> expected = {0x50, 0x4D, 0x4B, 0x53,
-                                         0x03, 0x00, 0x00, 0x00};
-  EXPECT_EQ(EncodeHello(3), expected);
-  EXPECT_EQ(kProtocolVersion, 3u);
+                                         0x04, 0x00, 0x00, 0x00};
+  EXPECT_EQ(EncodeHello(4), expected);
+  EXPECT_EQ(kProtocolVersion, 4u);
   EXPECT_EQ(EncodeHello(kProtocolVersion).size(), kHelloBytes);
 }
 
@@ -57,7 +57,7 @@ TEST(HelloTest, TruncatedRejected) {
 }
 
 TEST(NegotiateTest, BothDirectionsOfSkew) {
-  // v3 is both the current version and the floor: no skew below it.
+  // v4 is both the current version and the floor: no skew below it.
   EXPECT_EQ(kMinProtocolVersion, kProtocolVersion);
   auto same = NegotiateVersion(kProtocolVersion);
   ASSERT_TRUE(same.ok());
@@ -66,8 +66,9 @@ TEST(NegotiateTest, BothDirectionsOfSkew) {
   auto v99 = NegotiateVersion(99);
   ASSERT_TRUE(v99.ok());
   EXPECT_EQ(v99.value(), kProtocolVersion);
-  // Peers without kAwaitJob are below the floor: rejected.
-  for (uint32_t old_version : {0u, 1u, 2u}) {
+  // Peers without kAwaitJob (v1, v2) or whose model sets use the old
+  // cell layout (v3) are below the floor: rejected.
+  for (uint32_t old_version : {0u, 1u, 2u, 3u}) {
     EXPECT_TRUE(NegotiateVersion(old_version).status().IsFailedPrecondition())
         << "peer v" << old_version;
   }
@@ -234,7 +235,7 @@ TEST(JobSpecCodecTest, RoundtripV2) {
 }
 
 TEST(JobSpecCodecTest, GoldenBytesKeepTheV2Layout) {
-  // v3 changed no JobSpec byte: paths, the engine flags in declaration
+  // v3 and v4 changed no JobSpec byte: paths, the engine flags in declaration
   // order, then run_id and client (the fields v2 added), all
   // little-endian with [u32 len] strings. Built field by field here, the
   // way an independent client would write it from protocol.h.

@@ -445,7 +445,7 @@ TEST_F(ServiceTest, RemoteAwaitSendsNoStatusFrames) {
   StartDaemon(&daemon);
   CountingRemote remote;
   ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
-  EXPECT_EQ(remote.negotiated_version(), 3u);
+  EXPECT_EQ(remote.negotiated_version(), 4u);
 
   auto job_id = remote.SubmitJob(MakeSpec({WriteBucket(1, 600, 2)}));
   ASSERT_TRUE(job_id.ok()) << job_id.status();

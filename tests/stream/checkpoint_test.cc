@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "data/generator.h"
+#include "data/io.h"
 #include "obs/metrics.h"
 #include "stream/engine.h"
 
@@ -119,6 +121,12 @@ TEST_F(CheckpointTest, CellCompletePayloadRoundTrip) {
   ExpectCellsEqual(cell, *decoded);
 }
 
+// kCellComplete v2 layout: version, cell id, input_points,
+// pooled_centroids and merge_seconds, then [u32 len] and the model file,
+// whose k follows its magic and version.
+constexpr size_t kCellHeaderBytes = 4 + 2 * 4 + 2 * 8 + 8;
+constexpr size_t kModelOffK = 8;
+
 std::string Hex(std::span<const uint8_t> bytes) {
   static const char kDigits[] = "0123456789abcdef";
   std::string hex;
@@ -130,16 +138,35 @@ std::string Hex(std::span<const uint8_t> bytes) {
 }
 
 TEST_F(CheckpointTest, CellCompletePayloadGoldenBytes) {
-  // The kCellComplete payload layout, pinned as hex: version, cell id,
-  // counters, merge time, the centroid dataset, the count-prefixed
-  // weights, sse, mse, iterations, converged.
+  // The kCellComplete v2 payload, pinned as hex: version 2, cell id,
+  // counters, merge time, then the 136-byte length and the model's .pmkm
+  // file bytes (header, centroids, weights, FNV-1a trailer).
   EXPECT_EQ(Hex(EncodeCellComplete(MakeCell(3))),
-      "0100000003000000fdffffff39300000000000002800000000000000"
-      "000000000000c03f0300000000000000020000000000000000000000"
-      "0000f83f00000000000000800100000000000000a0c8eb85f3cce17f"
-      "00000000000002c0343333333333d33f020000000000000000000000"
-      "00c08240000000000000e03fe4c164934d364540c5505227f9266c3f"
-      "110000000000000001000000");
+      "0200000003000000fdffffff39300000000000002800000000000000"
+      "000000000000c03f88000000"
+      "504d4b4d010000000200000000000000030000000000000000000000"
+      "00000000e4c164934d364540c5505227f9266c3f1100000000000000"
+      "0100000000000000000000000000f83f000000000000008001000000"
+      "00000000a0c8eb85f3cce17f00000000000002c0343333333333d33f"
+      "0000000000c08240000000000000e03fc7c2d9a3dfe9553a");
+}
+
+TEST_F(CheckpointTest, CellRecordEmbedsTheModelFileBytes) {
+  // The journal holds the very bytes SaveModel publishes for the cell's
+  // model, so re-publishing a resumed cell is a verbatim copy.
+  const CellClustering cell = MakeCell(3);
+  const std::string path = (dir_ / "cell.pmkm").string();
+  ASSERT_TRUE(SaveModel(path, cell.model).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  ASSERT_FALSE(file.empty());
+  const std::vector<uint8_t> payload = EncodeCellComplete(cell);
+  const bool embedded = std::search(payload.begin(), payload.end(),
+                                    file.begin(), file.end()) !=
+                        payload.end();
+  EXPECT_TRUE(embedded) << "model file " << Hex(file)
+                        << " not in payload " << Hex(payload);
 }
 
 TEST_F(CheckpointTest, DecodeRejectsTruncatedAndGarbagePayloads) {
@@ -159,6 +186,25 @@ TEST_F(CheckpointTest, DecodeRejectsTruncatedAndGarbagePayloads) {
     garbage[i] = static_cast<uint8_t>(i * 37 + 11);
   }
   EXPECT_FALSE(DecodeCellComplete(garbage).ok());
+  // A CRC-valid record whose embedded .pmkm header claims k = 2^40: the
+  // model decoder bounds k by the bytes present before allocating.
+  std::vector<uint8_t> huge_k = payload;
+  const size_t model = kCellHeaderBytes + sizeof(uint32_t);
+  const size_t trailer = huge_k.size() - sizeof(uint64_t);
+  const auto store_u64 = [&huge_k](size_t offset, uint64_t value) {
+    for (size_t b = 0; b < sizeof(value); ++b) {
+      huge_k[offset + b] = static_cast<uint8_t>(value >> (8 * b));
+    }
+  };
+  store_u64(model + kModelOffK, uint64_t{1} << 40);
+  store_u64(trailer, internal::Fnv1a64(huge_k.data() + model,
+                                       trailer - model,
+                                       internal::kFnvOffset));
+  const auto decoded = DecodeCellComplete(huge_k);
+  EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status();
+  EXPECT_NE(decoded.status().message().find("exceeds its payload"),
+            std::string::npos)
+      << decoded.status();
 }
 
 // Model bodies the encoder writes faithfully but no decoder may accept:
@@ -341,22 +387,27 @@ class CheckpointEngineTest : public CheckpointTest {
     WriteJournal(journal);
   }
 
-  // The SaveModel bytes of every cell in `a` equal those in `b`.
-  void ExpectModelFilesEqual(const StreamRunResult& a,
-                             const StreamRunResult& b) const {
-    const auto model_bytes = [this](const ClusteringModel& model) {
-      const std::string path = (dir_ / "model.pmkm").string();
-      EXPECT_TRUE(SaveModel(path, model).ok());
-      std::ifstream in(path, std::ios::binary);
-      return std::string(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
-    };
+  // Appends one CRC-valid kCellComplete record holding `payload`.
+  void AppendCellRecord(std::span<const uint8_t> payload) const {
+    auto journal = JournalWriter::Open(CheckpointJournalPath(CkptDir()));
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE(
+        journal
+            ->Append(static_cast<uint32_t>(CheckpointRecordType::kCellComplete),
+                     payload)
+            .ok());
+    ASSERT_TRUE(journal->Close().ok());
+  }
+
+  // The model file bytes of every cell in `a` equal those in `b`.
+  static void ExpectModelFilesEqual(const StreamRunResult& a,
+                                    const StreamRunResult& b) {
     ASSERT_EQ(a.cells.size(), b.cells.size());
     for (const auto& [id, cell] : a.cells) {
       SCOPED_TRACE(id.ToString());
       auto it = b.cells.find(id);
       ASSERT_NE(it, b.cells.end());
-      EXPECT_TRUE(model_bytes(cell.model) == model_bytes(it->second.model));
+      EXPECT_TRUE(EncodeModel(cell.model) == EncodeModel(it->second.model));
     }
   }
 
@@ -506,16 +557,47 @@ TEST_F(CheckpointEngineTest, MalformedCellRecordIsDroppedAndRecomputed) {
   values[0] = std::numeric_limits<double>::quiet_NaN();
   poisoned.model.centroids =
       MustDataset(poisoned.model.centroids.dim(), std::move(values));
-  {
-    auto journal = JournalWriter::Open(CheckpointJournalPath(CkptDir()));
-    ASSERT_TRUE(journal.ok()) << journal.status();
-    ASSERT_TRUE(
-        journal
-            ->Append(static_cast<uint32_t>(CheckpointRecordType::kCellComplete),
-                     EncodeCellComplete(poisoned))
-            .ok());
-    ASSERT_TRUE(journal->Close().ok());
+  AppendCellRecord(EncodeCellComplete(poisoned));
+  auto loaded = LoadCheckpoint(CkptDir());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->records_dropped, 1u);
+  EXPECT_TRUE(loaded->completed.empty());
+
+  auto resumed = Builder().WithCheckpoint(CkptDir()).Run(paths);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->report.cells_resumed, 0u);
+  EXPECT_EQ(resumed->report.checkpoint_cells, 3u);
+  ExpectModelFilesEqual(*reference, *resumed);
+}
+
+TEST_F(CheckpointEngineTest, VersionOneCellRecordIsDroppedAndRecomputed) {
+  // A journal written before cell records carried the .pmkm bytes: its
+  // version-1 record (the former golden payload, renamed to the run's
+  // first cell) is CRC-valid but undecodable, so replay drops it and the
+  // cell is clustered again.
+  const std::vector<std::string> paths = WriteBuckets(3, 400);
+  auto reference = Builder().Run(paths);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(Builder().WithCheckpoint(CkptDir()).Run(paths).ok());
+  KeepJournalRecords(1);  // kRunBegin only
+  const std::string v1_hex =
+      "0100000003000000fdffffff39300000000000002800000000000000"
+      "000000000000c03f0300000000000000020000000000000000000000"
+      "0000f83f00000000000000800100000000000000a0c8eb85f3cce17f"
+      "00000000000002c0343333333333d33f020000000000000000000000"
+      "00c08240000000000000e03fe4c164934d364540c5505227f9266c3f"
+      "110000000000000001000000";
+  std::vector<uint8_t> v1;
+  for (size_t i = 0; i < v1_hex.size(); i += 2) {
+    v1.push_back(
+        static_cast<uint8_t>(std::stoi(v1_hex.substr(i, 2), nullptr, 16)));
   }
+  const GridCellId first = reference->cells.begin()->first;
+  for (size_t b = 0; b < 4; ++b) {
+    v1[4 + b] = static_cast<uint8_t>(first.lat_index >> (8 * b));
+    v1[8 + b] = static_cast<uint8_t>(first.lon_index >> (8 * b));
+  }
+  AppendCellRecord(v1);
   auto loaded = LoadCheckpoint(CkptDir());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->records_dropped, 1u);

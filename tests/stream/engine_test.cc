@@ -7,12 +7,11 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "cluster/kernels/kernel.h"
 #include "cluster/serialize.h"
 #include "common/flags.h"
 #include "data/generator.h"
@@ -49,7 +48,11 @@ TEST(EngineFlagsTest, RegistersAndConverts) {
   EXPECT_EQ(options->resources.cores, 5u);
   EXPECT_EQ(options->exec.failure_policy,
             FailurePolicy::kSkipAndContinue);
-  EXPECT_EQ(options->kernel, KernelKind::kScalar);
+  // --kernel lands in both k-means configs.
+  ASSERT_NE(options->partial.lloyd.kernel, nullptr);
+  ASSERT_NE(options->merge.lloyd.kernel, nullptr);
+  EXPECT_EQ(options->partial.lloyd.kernel->kind(), KernelKind::kScalar);
+  EXPECT_EQ(options->merge.lloyd.kernel->kind(), KernelKind::kScalar);
   // --max_retries is the one retry budget: attempts = retries + 1.
   EXPECT_EQ(options->exec.io_retry.max_attempts, 5u);
 }
@@ -119,6 +122,14 @@ TEST(PipelineBuilderTest, RunIsDeterministic) {
   EXPECT_EQ(a.model.sse, b.model.sse);
 }
 
+// Both k-means of the pipeline on the scalar kernel.
+EngineOptions ScalarOptions() {
+  EngineOptions options;
+  options.partial.lloyd.kernel = &GetKernel(KernelKind::kScalar);
+  options.merge.lloyd.kernel = &GetKernel(KernelKind::kScalar);
+  return options;
+}
+
 TEST(PipelineBuilderTest, ResultIdenticalAcrossKernels) {
   // --kernel is a pure speed knob: the streamed pipeline's output is
   // bitwise identical under every available kernel.
@@ -133,11 +144,14 @@ TEST(PipelineBuilderTest, ResultIdenticalAcrossKernels) {
   BucketFiles files;
   const std::string path = files.Write(MakeBucket(2, 1500, 3));
   auto Run = [&](KernelKind kind) {
+    KMeansConfig on_partial = partial;
+    MergeKMeansConfig on_merge = merge;
+    on_partial.lloyd.kernel = &GetKernel(kind);
+    on_merge.lloyd.kernel = &GetKernel(kind);
     return PipelineBuilder()
-        .WithPartialKMeans(partial)
-        .WithMerge(merge)
+        .WithPartialKMeans(on_partial)
+        .WithMerge(on_merge)
         .WithResources(resources)
-        .WithKernel(kind)
         .Run({path});
   };
   auto ref = Run(KernelKind::kScalar);
@@ -155,8 +169,7 @@ TEST(PipelineBuilderTest, ResultIdenticalAcrossKernels) {
 
 TEST(PipelineBuilderTest, OperatorStatsNameActiveKernel) {
   BucketFiles files;
-  auto result = PipelineBuilder()
-                    .WithKernel(KernelKind::kScalar)
+  auto result = PipelineBuilder(ScalarOptions())
                     .Run({files.Write(MakeBucket(3, 800, 4))});
   ASSERT_TRUE(result.ok()) << result.status();
   bool partial_seen = false, merge_seen = false;
@@ -288,25 +301,17 @@ TEST(EngineDifferentialTest, CellOrderDoesNotChangeModels) {
   ASSERT_EQ(forward->cells.size(), 5u);
   ASSERT_EQ(backward->cells.size(), 5u);
 
-  const auto model_bytes = [&files](const ClusteringModel& model) {
-    const std::string path = (files.dir() / "model.pmkm").string();
-    EXPECT_TRUE(SaveModel(path, model).ok());
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
   for (const auto& [cell, clustering] : forward->cells) {
     SCOPED_TRACE(cell.ToString());
     ASSERT_EQ(backward->cells.count(cell), 1u);
-    EXPECT_EQ(model_bytes(clustering.model),
-              model_bytes(backward->cells.at(cell).model));
+    EXPECT_EQ(EncodeModel(clustering.model),
+              EncodeModel(backward->cells.at(cell).model));
   }
 }
 
 TEST(PipelineBuilderTest, ExplainNamesKernel) {
   BucketFiles files;
-  auto text = PipelineBuilder()
-                  .WithKernel(KernelKind::kScalar)
+  auto text = PipelineBuilder(ScalarOptions())
                   .Explain({files.Write(MakeBucket(6, 300, 7))});
   ASSERT_TRUE(text.ok()) << text.status();
   EXPECT_NE(text->find("kernel=scalar"), std::string::npos);

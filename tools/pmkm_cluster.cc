@@ -26,7 +26,6 @@
 
 #include "cluster/kmeans.h"
 #include "cluster/serialize.h"
-#include "common/fault.h"
 #include "common/flags.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -66,7 +65,6 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool explain = false;
   std::string csv_dir;
-  std::string faults;
   std::string server;
   bool stats = false;
   std::string metrics_out;
@@ -87,8 +85,6 @@ int main(int argc, char** argv) {
       .AddString("out", &out, "output directory for .pmkm model files")
       .AddString("csv-dir", &csv_dir,
                  "also export centroids+weights as CSV here (optional)")
-      .AddString("faults", &faults,
-                 "arm fault-injection sites, e.g. io.read:p=0.05,seed=7")
       .AddString("server", &server,
                  "stream: run the job on a pmkm_serve daemon at this "
                  "endpoint (unix:/path or host:port) instead of "
@@ -128,11 +124,6 @@ int main(int argc, char** argv) {
   }
   if (const pmkm::Status os = obs_flags.Apply(); !os.ok()) {
     return Fail(os);
-  }
-  if (!faults.empty()) {
-    const pmkm::Status fs =
-        pmkm::FaultRegistry::Global().ArmFromString(faults);
-    if (!fs.ok()) return Fail(fs);
   }
   auto options = engine_flags.ToOptions();
   if (!options.ok()) return Fail(options.status());
@@ -357,9 +348,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // The serial path runs k-means outside the engine, so --kernel goes
-  // straight into its config (ToOptions checked the host can run it).
-  options->partial.lloyd.kernel = &pmkm::GetKernel(options->kernel);
+  // The serial path runs k-means outside the engine, on the same
+  // partial config (--kernel included) the engine would use.
   for (const std::string& path : parser.positional()) {
     auto bucket = pmkm::ReadGridBucket(path);
     if (!bucket.ok()) return Fail(bucket.status());

@@ -33,7 +33,7 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11).
                 consistency.
   fault-site    PMKM_FAULT_POINT sites are string literals named
                 `component.action` (lowercase dotted), so fault specs in
-                PMKM_FAULTS/--faults stay greppable and collision-free.
+                PMKM_FAULTS stay greppable and collision-free.
   raw-sync      Library code synchronizes through the annotated
                 wrappers in common/annotations.h (Mutex, MutexLock,
                 CondVar), never raw std::mutex/std::condition_variable/
