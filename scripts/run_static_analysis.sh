@@ -19,11 +19,11 @@
 #                         (unordered-iter, nondet-source, ptr-order,
 #                         fp-flags — DESIGN.md §17) over ONE shared
 #                         compdb read and source parse
-#                         (tools/pmkm_callgraph.py drives both), each
-#                         ratcheted against its own baseline —
-#                         scripts/ctxcheck_baseline.txt and
-#                         scripts/detcheck_baseline.txt (kept empty; they
-#                         may only shrink).
+#                         (tools/pmkm_callgraph.py drives both),
+#                         baseline-free like clang-tidy: any finding
+#                         fails (suppress at the site with a justified
+#                         `pmkm-ctxcheck: allow(<rule>)` /
+#                         `pmkm-detcheck: allow(<rule>)`).
 #   5. schedcheck         PMKM_SCHEDCHECK=ON build + the schedcheck-labeled
 #                         ctest suites: lock-order witness, deterministic
 #                         schedule explorer, seeded-bug doubles, and
@@ -41,11 +41,7 @@
 # Stages 4, 5 and 6 run with any compiler.
 #
 # Usage:
-#   scripts/run_static_analysis.sh [--update-baseline]
-#
-# --update-baseline rewrites scripts/ctxcheck_baseline.txt and
-# scripts/detcheck_baseline.txt from the current findings (the clang-tidy
-# stage has no baseline).
+#   scripts/run_static_analysis.sh
 #
 # Environment:
 #   CLANGXX      Clang C++ compiler   (default: clang++)
@@ -60,10 +56,6 @@ cd "$(dirname "$0")/.."
 CLANGXX="${CLANGXX:-clang++}"
 CLANG_TIDY="${CLANG_TIDY:-clang-tidy}"
 STRICT="${PMKM_SA_STRICT:-0}"
-UPDATE_BASELINE=0
-if [[ "${1:-}" == "--update-baseline" ]]; then
-  UPDATE_BASELINE=1
-fi
 
 failures=0
 skipped=0
@@ -187,11 +179,7 @@ if command -v python3 > /dev/null; then
   if [[ ! -f build-tsa/compile_commands.json ]]; then
     cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
   fi
-  ctx_args=()
-  if [[ "${UPDATE_BASELINE}" == "1" ]]; then
-    ctx_args+=(--update-baseline)
-  fi
-  if python3 tools/pmkm_callgraph.py "${ctx_args[@]+"${ctx_args[@]}"}"; then
+  if python3 tools/pmkm_callgraph.py; then
     echo "call-graph gates: clean"
   else
     failures=$((failures + 1))

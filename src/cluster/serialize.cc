@@ -8,8 +8,8 @@
 
 #include "common/annotations.h"
 #include "common/bytes.h"
+#include "common/file.h"
 #include "data/io.h"
-#include "data/manifest.h"
 
 namespace pmkm {
 namespace {

@@ -143,17 +143,6 @@ class ByteReader {
     return CountFits(*count, min_item_bytes);
   }
 
-  /// [u64 count][count f64]; a count past the end is rejected before any
-  /// allocation.
-  Status ReadF64Vec(std::vector<double>* out) {
-    uint64_t count = 0;
-    PMKM_RETURN_NOT_OK(ReadU64(&count));
-    PMKM_RETURN_NOT_OK(CountFits(count, 8));
-    out->resize(count);
-    for (double& v : *out) PMKM_RETURN_NOT_OK(ReadF64(&v));
-    return Status::OK();
-  }
-
  private:
   Status Need(size_t n) const {
     if (remaining() < n) {

@@ -1,32 +1,31 @@
 #include "data/csv.h"
 
 #include <cstdio>
-#include <fstream>
+
+#include "common/file.h"
 
 namespace pmkm {
 
 Status WriteWeightedCsv(const std::string& path,
                         const WeightedDataset& data) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
+  std::string text;
   const size_t dim = data.dim();
   for (size_t d = 0; d < dim; ++d) {
-    out << (d > 0 ? "," : "") << "a" << d;
+    text += (d > 0 ? ",a" : "a") + std::to_string(d);
   }
-  out << ",weight\n";
+  text += ",weight\n";
   char buf[64];
   for (size_t i = 0; i < data.size(); ++i) {
     const auto row = data.Row(i);
     for (size_t d = 0; d < dim; ++d) {
       std::snprintf(buf, sizeof(buf), "%.17g", row[d]);
-      out << (d > 0 ? "," : "") << buf;
+      if (d > 0) text += ',';
+      text += buf;
     }
-    std::snprintf(buf, sizeof(buf), "%.17g", data.weights()[i]);
-    out << "," << buf << "\n";
+    std::snprintf(buf, sizeof(buf), ",%.17g\n", data.weights()[i]);
+    text += buf;
   }
-  out.flush();
-  if (!out) return Status::IOError("short write: " + path);
-  return Status::OK();
+  return AtomicWriteFile(path, text);
 }
 
 }  // namespace pmkm

@@ -15,7 +15,8 @@ namespace pmkm {
 
 /// Writes `data` as a header row "a0,...,a<D-1>,weight", then one row per
 /// point with its weight as the last column. Values are printed with 17
-/// significant digits, so every double reads back exactly.
+/// significant digits, so every double reads back exactly. The file is
+/// published through AtomicWriteFile: a failed write keeps the old file.
 Status WriteWeightedCsv(const std::string& path,
                         const WeightedDataset& data);
 

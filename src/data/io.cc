@@ -6,7 +6,7 @@
 #include <filesystem>
 
 #include "common/fault.h"
-#include "data/manifest.h"
+#include "common/file.h"
 
 namespace pmkm {
 namespace internal {
@@ -171,8 +171,7 @@ Status GridBucketWriter::Close() {
   const uint64_t count = points_written_;
   out_->seekp(offsetof(Header, count), std::ios::beg);
   out_->write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out_->flush();
-  out_->close();
+  static_cast<std::ofstream&>(*out_).close();  // Open made an ofstream
   const bool ok = static_cast<bool>(*out_);
   out_.reset();
   if (!ok) return Status::IOError("failed to finalize: " + path_);

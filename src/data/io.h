@@ -32,7 +32,7 @@ struct GridBucket {
 
 /// Writes a complete bucket file crash-safely: the bytes are staged in a
 /// `<path>.tmp` sibling, fsync'd, renamed into place, and the parent
-/// directory fsync'd (see data/manifest.h for the commit protocol), so a
+/// directory fsync'd (see common/file.h for the commit protocol), so a
 /// killed process never leaves a half-written bucket at `path` and a
 /// published bucket survives power loss. Non-finite coordinates are
 /// refused with InvalidArgument before anything is written.
@@ -76,7 +76,8 @@ class GridBucketWriter {
   // Checks, writes and hashes `rows` consecutive points of dim_ doubles.
   Status WriteRows(const double* values, size_t rows);
 
-  std::shared_ptr<std::ofstream> out_;
+  // The staging file: an ofstream, opened and closed in io.cc only.
+  std::shared_ptr<std::ostream> out_;
   std::string path_;
   size_t dim_ = 0;
   size_t points_written_ = 0;

@@ -19,11 +19,9 @@
 // is discarded. A writer that resumes an existing journal truncates the
 // torn tail first so new records always extend a valid prefix.
 //
-// Complementing the journal, AtomicWriteFile publishes whole files (model
-// snapshots, exports) crash-safely: stage in `<path>.tmp`, fsync the file,
-// rename into place, fsync the parent directory — the same commit protocol
-// as the grid-bucket writers in data/io.h, with the durability gap closed
-// (a rename that is never fsync'd can vanish after power loss).
+// Appends go through common/file.h's WriteFully. Whole files (models,
+// exports, snapshots) are not journaled: they are published with
+// AtomicWriteFile, also in common/file.h.
 
 #ifndef PMKM_DATA_MANIFEST_H_
 #define PMKM_DATA_MANIFEST_H_
@@ -123,23 +121,6 @@ class JournalWriter {
   uint64_t bytes_appended_ = 0;
   JournalRecovery recovered_;
 };
-
-/// fsync(2)s the file or directory at `path`. Fault site: "io.fsync".
-Status FsyncPath(const std::string& path);
-
-/// Publishes the written and fsync'd staging file `tmp` at `path`:
-/// renames it into place, then fsyncs the parent directory so the entry
-/// itself survives power loss. The one commit step under AtomicWriteFile
-/// and the bucket writers. Fault sites: "io.rename", "io.fsync".
-Status CommitStagedFile(const std::string& tmp, const std::string& path);
-
-/// Crash-safe whole-file publication: writes `bytes` to `<path>.tmp`,
-/// fsyncs, renames into place, and fsyncs the parent directory. A killed
-/// process never leaves a partial file at `path`. Fault sites: "io.write",
-/// "io.fsync", "io.rename".
-Status AtomicWriteFile(const std::string& path,
-                       std::span<const uint8_t> bytes);
-Status AtomicWriteFile(const std::string& path, const std::string& bytes);
 
 /// CRC32C (Castagnoli) over a byte buffer, chainable via `seed` (pass the
 /// previous return value to continue). Used by the journal framing.

@@ -1,52 +1,23 @@
 #include "obs/flusher.h"
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 
+#include "common/file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace pmkm {
 namespace obs {
 
-namespace {
+SnapshotFlusher::~SnapshotFlusher() { (void)Stop(); }
 
-// Local temp-file + rename publish. (data/manifest.h has a richer
-// AtomicWriteFile, but obs sits below the data layer and snapshots only
-// need crash atomicity, not fsync durability — the journal owns that.)
-Status WriteAtomically(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return Status::IOError("snapshot flush: cannot open " + tmp);
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.good()) {
-      return Status::IOError("snapshot flush: write failed: " + tmp);
-    }
-  }
-  // Text snapshot, overwritten every tick; the rename only guards a reader
-  // against a half-written file. pmkm-lint: allow(persist)
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("snapshot flush: rename failed: " + path);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-SnapshotFlusher::~SnapshotFlusher() { Stop(); }
-
-Status SnapshotFlusher::Start(const Options& options) {
-  if (options.interval_ms <= 0) {
+Status SnapshotFlusher::Start() {
+  if (options_.interval_ms <= 0) {
     return Status::InvalidArgument("flush interval must be positive");
   }
-  if (options.metrics_json_path.empty() &&
-      options.metrics_prom_path.empty() &&
-      options.trace_json_path.empty()) {
+  if (options_.metrics_json_path.empty() &&
+      options_.metrics_prom_path.empty() &&
+      options_.trace_json_path.empty()) {
     return Status::InvalidArgument("snapshot flusher has no destinations");
   }
   {
@@ -57,23 +28,23 @@ Status SnapshotFlusher::Start(const Options& options) {
     running_ = true;
     stop_requested_ = false;
   }
-  options_ = options;
   thread_ = std::thread([this] { Loop(); });
   return Status::OK();
 }
 
-void SnapshotFlusher::Stop() {
+Status SnapshotFlusher::Stop() {
   {
     MutexLock lock(mu_);
-    if (!running_) return;
+    if (!running_) return Status::OK();
     stop_requested_ = true;
     cv_.NotifyAll();
   }
   if (thread_.joinable()) thread_.join();
   // Final flush after the join so Stop() leaves the artifacts current.
-  (void)FlushNow();  // best effort on shutdown; errors already logged
+  Status st = FlushNow();
   MutexLock lock(mu_);
   running_ = false;
+  return st;
 }
 
 void SnapshotFlusher::Loop() {
@@ -100,17 +71,16 @@ Status SnapshotFlusher::FlushNow() const {
   };
   if (metrics_ != nullptr) {
     if (!options_.metrics_json_path.empty()) {
-      keep_first(WriteAtomically(options_.metrics_json_path,
+      keep_first(AtomicWriteFile(options_.metrics_json_path,
                                  metrics_->ToJson().Dump(2) + "\n"));
     }
     if (!options_.metrics_prom_path.empty()) {
-      keep_first(WriteAtomically(options_.metrics_prom_path,
+      keep_first(AtomicWriteFile(options_.metrics_prom_path,
                                  metrics_->ToPrometheusText()));
     }
   }
   if (trace_ != nullptr && !options_.trace_json_path.empty()) {
-    keep_first(WriteAtomically(options_.trace_json_path,
-                               trace_->ToJson().Dump(2) + "\n"));
+    keep_first(trace_->WriteJson(options_.trace_json_path));
   }
   return first;
 }

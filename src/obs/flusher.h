@@ -1,19 +1,19 @@
-// SnapshotFlusher: periodically persists observability artifacts (metrics
-// JSON, Prometheus text, trace JSON) so a run killed mid-flight — OOM
-// kill, SIGKILL, power loss — still leaves a recent snapshot on disk
-// instead of nothing (DESIGN.md §14). Before this existed, artifacts were
-// written only from the success path at end of run; a crashed run exported
-// nothing.
+// SnapshotFlusher: the one writer of a run's observability artifacts
+// (metrics JSON, Prometheus text, trace JSON). While the run executes it
+// flushes them periodically, so a run killed mid-flight — OOM kill,
+// SIGKILL, power loss — still leaves a recent snapshot on disk; Stop()
+// (or FlushNow(), when no thread runs) writes the final state, on the
+// success and the failure path alike (DESIGN.md §14).
 //
-// Each flush writes via temp-file + rename, so readers never observe a
-// half-written artifact and the previous snapshot survives a crash during
-// the write itself.
+// Every flush publishes through AtomicWriteFile (common/file.h), so
+// readers never observe a half-written artifact and a failed write keeps
+// the previous snapshot.
 //
 // Usage (pmkm_cluster --flush_interval_ms):
-//   SnapshotFlusher flusher(&registry, &tracer);
 //   SnapshotFlusher::Options opt;
 //   opt.metrics_json_path = "run.metrics.json";
-//   flusher.Start(opt);
+//   SnapshotFlusher flusher(&registry, &tracer, opt);
+//   flusher.Start();
 //   ... run pipeline ...
 //   flusher.Stop();  // final flush + join
 
@@ -22,6 +22,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/annotations.h"
 #include "common/status.h"
@@ -46,25 +47,27 @@ class SnapshotFlusher {
 
   /// Either sink may be null (its artifacts are skipped). Non-owning; the
   /// flusher must be stopped before the sinks are destroyed.
-  SnapshotFlusher(const MetricsRegistry* metrics, const TraceRecorder* trace)
-      : metrics_(metrics), trace_(trace) {}
+  SnapshotFlusher(const MetricsRegistry* metrics, const TraceRecorder* trace,
+                  Options options)
+      : metrics_(metrics), trace_(trace), options_(std::move(options)) {}
   ~SnapshotFlusher();
 
   SnapshotFlusher(const SnapshotFlusher&) = delete;
   SnapshotFlusher& operator=(const SnapshotFlusher&) = delete;
 
-  /// Spawns the background flush thread. Fails if already running or no
-  /// destination path is set.
-  Status Start(const Options& options) PMKM_EXCLUDES(mu_);
+  /// Spawns the background flush thread. Fails if already running, the
+  /// interval is not positive, or no destination path is set.
+  Status Start() PMKM_EXCLUDES(mu_);
 
-  /// Final flush, then stops and joins the thread. Idempotent; also
-  /// called by the destructor.
-  void Stop() PMKM_EXCLUDES(mu_);
+  /// Stops and joins the thread, then flushes once more and returns that
+  /// final flush's status. Idempotent (OK when not running); also called
+  /// by the destructor.
+  Status Stop() PMKM_EXCLUDES(mu_);
 
   /// One synchronous flush of every configured artifact. Thread-safe;
-  /// callable whether or not the background thread runs (failure paths
-  /// call this directly before exiting). Returns the first error, but
-  /// attempts every artifact regardless.
+  /// callable whether or not the background thread runs (a run without
+  /// periodic flushing writes its artifacts with this). Returns the first
+  /// error, but attempts every artifact regardless.
   Status FlushNow() const;
 
   /// Background flushes completed so far (test hook).
@@ -83,7 +86,7 @@ class SnapshotFlusher {
 
   const MetricsRegistry* const metrics_;
   const TraceRecorder* const trace_;
-  Options options_;
+  const Options options_;
 
   mutable Mutex mu_;
   CondVar cv_;

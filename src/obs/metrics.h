@@ -160,9 +160,6 @@ class MetricsRegistry {
   /// {"counters": {...}, "gauges": {...}, "histograms": {...},
   ///  "rolling": {...}} plus "run_id" when set.
   JsonValue ToJson() const PMKM_EXCLUDES(mu_);
-  std::string ToJsonString(int indent = 2) const {
-    return ToJson().Dump(indent);
-  }
 
   /// Prometheus text exposition format; metric names are prefixed and
   /// sanitized ([a-zA-Z0-9_] only). Histograms export as summaries;

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -16,6 +15,8 @@
 #include <signal.h>
 #include <sys/time.h>
 #endif
+
+#include "common/file.h"
 
 namespace pmkm {
 namespace obs {
@@ -251,15 +252,7 @@ std::string CpuProfiler::FoldedStacks() const { return ""; }
 #endif  // defined(__linux__)
 
 Status CpuProfiler::WriteFolded(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open profile output file: " + path);
-  }
-  out << FoldedStacks();
-  if (!out.good()) {
-    return Status::IOError("failed writing profile output file: " + path);
-  }
-  return Status::OK();
+  return AtomicWriteFile(path, FoldedStacks());
 }
 
 std::vector<ProfileFrameTotals> AggregateFolded(const std::string& folded,

@@ -78,6 +78,7 @@ class CpuProfiler {
   /// Callable while running (reads a racy but safe snapshot).
   std::string FoldedStacks() const;
 
+  /// Publishes FoldedStacks() at `path` through AtomicWriteFile.
   Status WriteFolded(const std::string& path) const;
 
  private:

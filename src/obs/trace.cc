@@ -1,7 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <fstream>
+
+#include "common/file.h"
 
 namespace pmkm {
 
@@ -100,15 +101,7 @@ JsonValue TraceRecorder::ToJson() const {
 }
 
 Status TraceRecorder::WriteJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open trace output file: " + path);
-  }
-  out << ToJson().Dump(1) << "\n";
-  if (!out) {
-    return Status::IOError("failed writing trace output file: " + path);
-  }
-  return Status::OK();
+  return AtomicWriteFile(path, ToJson().Dump(1) + "\n");
 }
 
 }  // namespace pmkm

@@ -92,6 +92,8 @@ class TraceRecorder {
   /// set.
   JsonValue ToJson() const PMKM_EXCLUDES(mu_);
 
+  /// Publishes ToJson() at `path` through AtomicWriteFile: a failed
+  /// write leaves the previous file as it was.
   Status WriteJson(const std::string& path) const PMKM_EXCLUDES(mu_);
 
  private:

@@ -198,20 +198,6 @@ bool LocalService::draining() const {
   return draining_;
 }
 
-Result<StreamRunResult> LocalService::RunResult(uint64_t job_id) {
-  MutexLock lock(mu_);
-  Job* job = FindJobLocked(job_id);
-  if (job == nullptr) {
-    return Status::NotFound("no job with id " + std::to_string(job_id));
-  }
-  if (job->info.state != JobState::kDone) {
-    return Status::FailedPrecondition(
-        "job " + std::to_string(job_id) + " is " +
-        JobStateToString(job->info.state) + ", not done");
-  }
-  return job->result;
-}
-
 std::string LocalService::JobsJson() {
   MutexLock lock(mu_);
   JsonValue root = JsonValue::Object();

@@ -1,9 +1,8 @@
 // LocalService: the in-process ClusterService. Jobs land in a bounded
 // admission queue, a small worker pool drains it, and each job runs the
 // engine through PipelineBuilder under its own FailurePolicy supervision
-// and cancel token. This is both the embedded backend for tools
-// (pmkm_cluster without --server) and the execution core the pmkm_serve
-// daemon hosts.
+// and cancel token. It is the execution core the pmkm_serve daemon hosts;
+// a tool that runs one job in-process calls PipelineBuilder directly.
 //
 // Admission control happens at SubmitJob: a full queue or a client over
 // its per-client cap is rejected with FailedPrecondition *before* the job
@@ -116,11 +115,6 @@ class LocalService : public ClusterService {
   void Shutdown() PMKM_EXCLUDES(mu_);
 
   bool draining() const PMKM_EXCLUDES(mu_);
-
-  /// Full engine result (operator stats, run report, queue accounting)
-  /// of a kDone job. LocalService-specific: the wire protocol ships only
-  /// models and JobInfo, so remote clients don't get this.
-  Result<StreamRunResult> RunResult(uint64_t job_id) PMKM_EXCLUDES(mu_);
 
   /// Live job table as JSON (the daemon mounts this at /jobz).
   std::string JobsJson() PMKM_EXCLUDES(mu_);

@@ -11,9 +11,9 @@
 //                                          protocol (serve/protocol.h) to
 //                                          a pmkm_serve daemon
 //
-// Callers program against ClusterService only, so a tool runs identically
-// against an embedded engine or a shared daemon; the serve-smoke CI job
-// holds the two to byte-identical models.
+// A daemon's clients program against ClusterService, so a remote job and
+// an in-process PipelineBuilder run give byte-identical models; the
+// serve-smoke CI job holds pmkm_cluster's two paths to that.
 
 #ifndef PMKM_SERVE_SERVICE_H_
 #define PMKM_SERVE_SERVICE_H_

@@ -262,7 +262,7 @@ Result<StreamRunResult> RunPlan(
       !run_degraded) {
     const Status st = checkpoint->Finalize();
     if (!st.ok()) {
-      if (exec.failure_policy == FailurePolicy::kFailFast) {
+      if (exec.failure_policy != FailurePolicy::kSkipAndContinue) {
         return FailRun(exec.obs, st);
       }
       PMKM_LOG(Warning) << "checkpoint finalize failed: " << st;

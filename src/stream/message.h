@@ -32,8 +32,6 @@ struct CentroidMessage {
   uint32_t partition_id = 0;
   uint32_t total_partitions = 1;
   WeightedDataset centroids{1};
-  double partial_sse = 0.0;
-  size_t partial_iterations = 0;
   size_t input_points = 0;
 
   /// Quarantine marker forwarded/originated by a partial operator: the

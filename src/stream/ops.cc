@@ -310,8 +310,6 @@ Status PartialKMeansOperator::Run() {
     msg.partition_id = chunk->partition_id;
     msg.total_partitions = chunk->total_partitions;
     msg.centroids = std::move(result->centroids);
-    msg.partial_sse = result->sse;
-    msg.partial_iterations = result->iterations;
     msg.input_points = result->input_points;
     const size_t out_rows = msg.centroids.size();
     const size_t out_bytes = WeightedBytes(out_rows, msg.centroids.dim());
@@ -386,9 +384,9 @@ Status MergeKMeansOperator::MergeCell(GridCellId cell) {
   if (checkpoint_ != nullptr && !checkpoint_failed_) {
     const Status st = checkpoint_->AppendCellComplete(result);
     if (!st.ok()) {
-      if (failure_policy() == FailurePolicy::kFailFast) return st;
-      // Tolerant policies: the run is more valuable than its journal.
-      // Keep clustering, but stop pretending progress is durable.
+      if (failure_policy() != FailurePolicy::kSkipAndContinue) return st;
+      // skip: the run is more valuable than its journal. Keep
+      // clustering, but stop pretending progress is durable.
       PMKM_LOG(Warning) << "checkpoint append failed for "
                         << cell.ToString()
                         << "; disabling checkpointing for this run: " << st;

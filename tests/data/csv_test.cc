@@ -8,6 +8,8 @@
 #include <iterator>
 #include <vector>
 
+#include "common/fault.h"
+
 namespace pmkm {
 namespace {
 
@@ -30,6 +32,31 @@ TEST(CsvTest, WritesWeightedRowsWithHeader) {
             "a0,a1,weight\n"
             "1.5,-0,600\n"
             "0.30000000000000004,1.0000000000000001e+300,0.25\n");
+}
+
+TEST(CsvTest, FailedWriteKeepsThePreviousFile) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pmkm_csv_keep_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  const auto read_all = [&path] {
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  WeightedDataset data(1);
+  data.Append(std::vector<double>{1.0}, 2.0);
+  ASSERT_TRUE(WriteWeightedCsv(path, data).ok());
+  const std::string before = read_all();
+
+  data.Append(std::vector<double>{3.0}, 4.0);
+  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1});
+  const Status st = WriteWeightedCsv(path, data);
+  FaultRegistry::Global().Reset();
+  EXPECT_TRUE(st.IsIOError()) << st;
+  EXPECT_EQ(read_all(), before);
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".tmp");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/file.h"
 #include "data/manifest.h"
 
 namespace pmkm {

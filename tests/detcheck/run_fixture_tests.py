@@ -41,7 +41,7 @@ EXPECTATIONS = {
         "detfix::TableEncoder::EncodeTable",
         "-> range-for over table_",
     ]),
-    "unordered_iter_clean.cc": (0, ["0 new finding(s)"]),
+    "unordered_iter_clean.cc": (0, ["0 finding(s)"]),
     "nondet_source_violation.cc": (65, [
         "[nondet-source] calls `time` on an output path (wall clock)",
         "[nondet-source] declares `mt19937` on an output path",
@@ -50,7 +50,7 @@ EXPECTATIONS = {
         "-> time",
         "-> declare mt19937",
     ]),
-    "nondet_source_clean.cc": (0, ["0 new finding(s)"]),
+    "nondet_source_clean.cc": (0, ["0 finding(s)"]),
     "ptr_order_violation.cc": (65, [
         "[ptr-order] iterates pointer-keyed map `index_` on an "
         "output path",
@@ -59,7 +59,7 @@ EXPECTATIONS = {
         "-> range-for over index_",
         "-> reinterpret_cast<uintptr_t>",
     ]),
-    "ptr_order_clean.cc": (0, ["0 new finding(s)"]),
+    "ptr_order_clean.cc": (0, ["0 finding(s)"]),
     "fp_flags_violation.cc": (65, [
         "[fp-flags] deterministic TU compiled without -ffp-contract=off",
         "[fp-flags] deterministic TU compiled with -ffast-math",
@@ -67,7 +67,7 @@ EXPECTATIONS = {
         "-> flags:ffp-contract",
         "-> flags:ffast-math",
     ]),
-    "fp_flags_clean.cc": (0, ["0 new finding(s)"]),
+    "fp_flags_clean.cc": (0, ["0 finding(s)"]),
 }
 
 # Synthesized compile command per fp-flags fixture (D4 audits the
@@ -84,7 +84,7 @@ def run_fixture(analyzer, root, fixture):
     """Runs the analyzer over one fixture, synthesizing a compdb for the
     fp-flags pair. Returns (exit_code, combined_output)."""
     rel = os.path.join(FIXDIR, fixture)
-    cmd = [sys.executable, analyzer, "--root", root, "--no-baseline",
+    cmd = [sys.executable, analyzer, "--root", root,
            "--files", os.path.join(root, rel)]
     if fixture in FP_COMMANDS:
         entry = {

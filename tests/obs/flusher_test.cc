@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -55,14 +56,14 @@ TEST_F(SnapshotFlusherTest, FlushNowWritesAllDestinations) {
   MetricsRegistry registry;
   registry.counter("rows").Increment(9);
   TraceRecorder tracer;
-  SnapshotFlusher flusher(&registry, &tracer);
   SnapshotFlusher::Options options;
   options.metrics_json_path = Path("m.json");
   options.metrics_prom_path = Path("m.prom");
   options.trace_json_path = Path("t.json");
-  ASSERT_TRUE(flusher.Start(options).ok());
+  SnapshotFlusher flusher(&registry, &tracer, options);
+  ASSERT_TRUE(flusher.Start().ok());
   ASSERT_TRUE(flusher.FlushNow().ok());
-  flusher.Stop();
+  EXPECT_TRUE(flusher.Stop().ok());
   auto doc = JsonValue::Parse(ReadAll(Path("m.json")));
   ASSERT_TRUE(doc.ok());
   EXPECT_NE(doc->Find("counters"), nullptr);
@@ -73,11 +74,11 @@ TEST_F(SnapshotFlusherTest, FlushNowWritesAllDestinations) {
 
 TEST_F(SnapshotFlusherTest, PeriodicFlushesHappenWithoutStop) {
   MetricsRegistry registry;
-  SnapshotFlusher flusher(&registry, nullptr);
   SnapshotFlusher::Options options;
   options.interval_ms = 5;
   options.metrics_json_path = Path("m.json");
-  ASSERT_TRUE(flusher.Start(options).ok());
+  SnapshotFlusher flusher(&registry, nullptr, options);
+  ASSERT_TRUE(flusher.Start().ok());
   // The crash-safety property under test: snapshots land on disk while
   // the process is still running, so a SIGKILL loses at most one tick.
   const auto deadline =
@@ -88,61 +89,77 @@ TEST_F(SnapshotFlusherTest, PeriodicFlushesHappenWithoutStop) {
   }
   EXPECT_GE(flusher.flush_count(), 3u);
   EXPECT_TRUE(JsonValue::Parse(ReadAll(Path("m.json"))).ok());
-  flusher.Stop();
+  EXPECT_TRUE(flusher.Stop().ok());
 }
 
 TEST_F(SnapshotFlusherTest, StopPerformsFinalFlush) {
   MetricsRegistry registry;
-  SnapshotFlusher flusher(&registry, nullptr);
   SnapshotFlusher::Options options;
   options.interval_ms = 60'000;  // no periodic tick will fire in time
   options.metrics_json_path = Path("m.json");
-  ASSERT_TRUE(flusher.Start(options).ok());
+  SnapshotFlusher flusher(&registry, nullptr, options);
+  ASSERT_TRUE(flusher.Start().ok());
   registry.counter("rows").Increment(4);
-  flusher.Stop();
+  EXPECT_TRUE(flusher.Stop().ok());
   const std::string json = ReadAll(Path("m.json"));
   EXPECT_NE(json.find("rows"), std::string::npos) << json;
-  flusher.Stop();  // idempotent
+  EXPECT_TRUE(flusher.Stop().ok());  // idempotent
 }
 
 TEST_F(SnapshotFlusherTest, StartValidatesOptions) {
   MetricsRegistry registry;
-  SnapshotFlusher flusher(&registry, nullptr);
-  SnapshotFlusher::Options no_destinations;
-  EXPECT_FALSE(flusher.Start(no_destinations).ok());
+  EXPECT_FALSE(SnapshotFlusher(&registry, nullptr, {}).Start().ok());
   SnapshotFlusher::Options bad_interval;
   bad_interval.interval_ms = 0;
   bad_interval.metrics_json_path = Path("m.json");
-  EXPECT_FALSE(flusher.Start(bad_interval).ok());
+  EXPECT_FALSE(SnapshotFlusher(&registry, nullptr, bad_interval).Start().ok());
   SnapshotFlusher::Options good;
   good.metrics_json_path = Path("m.json");
-  ASSERT_TRUE(flusher.Start(good).ok());
-  EXPECT_FALSE(flusher.Start(good).ok());  // already running
-  flusher.Stop();
+  SnapshotFlusher flusher(&registry, nullptr, good);
+  ASSERT_TRUE(flusher.Start().ok());
+  EXPECT_FALSE(flusher.Start().ok());  // already running
+  EXPECT_TRUE(flusher.Stop().ok());
 }
 
 TEST_F(SnapshotFlusherTest, FlushNowWorksWithoutStart) {
   MetricsRegistry registry;
   registry.counter("rows").Increment(1);
-  SnapshotFlusher flusher(&registry, nullptr);
-  // The failure path calls FlushNow directly with no thread running.
+  // A run without periodic flushing calls FlushNow with no thread
+  // running.
   SnapshotFlusher::Options options;
   options.metrics_json_path = Path("m.json");
-  ASSERT_TRUE(flusher.Start(options).ok());
-  flusher.Stop();
-  fs::remove(Path("m.json"));
+  SnapshotFlusher flusher(&registry, nullptr, options);
   ASSERT_TRUE(flusher.FlushNow().ok());
   EXPECT_TRUE(fs::exists(Path("m.json")));
+  EXPECT_FALSE(flusher.running());
 }
 
 TEST_F(SnapshotFlusherTest, FlushReportsUnwritableDestination) {
   MetricsRegistry registry;
-  SnapshotFlusher flusher(&registry, nullptr);
   SnapshotFlusher::Options options;
   options.metrics_json_path = (dir_ / "missing_dir" / "m.json").string();
-  ASSERT_TRUE(flusher.Start(options).ok());
+  SnapshotFlusher flusher(&registry, nullptr, options);
+  ASSERT_TRUE(flusher.Start().ok());
   EXPECT_FALSE(flusher.FlushNow().ok());
-  flusher.Stop();
+  EXPECT_FALSE(flusher.Stop().ok());  // the final flush fails the same way
+}
+
+TEST_F(SnapshotFlusherTest, FailedFlushKeepsThePreviousSnapshot) {
+  MetricsRegistry registry;
+  registry.counter("rows").Increment(1);
+  TraceRecorder tracer;
+  SnapshotFlusher::Options options;
+  options.metrics_json_path = Path("m.json");
+  SnapshotFlusher flusher(&registry, &tracer, options);
+  ASSERT_TRUE(flusher.FlushNow().ok());
+  const std::string before = ReadAll(Path("m.json"));
+
+  registry.counter("rows").Increment(41);
+  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1});
+  const Status st = flusher.FlushNow();
+  FaultRegistry::Global().Reset();
+  EXPECT_TRUE(st.IsIOError()) << st;
+  EXPECT_EQ(ReadAll(Path("m.json")), before);
 }
 
 }  // namespace

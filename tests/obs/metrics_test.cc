@@ -156,7 +156,7 @@ TEST(MetricsRegistryTest, JsonStringRoundTripsThroughParser) {
   MetricsRegistry registry;
   registry.counter("op.scan.rows_in").Increment(123);
   registry.histogram("queue.points.pop_wait_us").Record(5.0);
-  auto parsed = JsonValue::Parse(registry.ToJsonString());
+  auto parsed = JsonValue::Parse(registry.ToJson().Dump(2));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_DOUBLE_EQ(
       parsed->Find("counters")->Find("op.scan.rows_in")->AsDouble(), 123.0);

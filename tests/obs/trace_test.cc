@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
+
 namespace pmkm {
 namespace {
 
@@ -114,6 +116,30 @@ TEST(TraceRecorderTest, WriteJsonProducesALoadableFile) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->Find("traceEvents")->size(), 1u);
   std::remove(path.c_str());
+}
+
+TEST(TraceRecorderTest, FailedWriteKeepsThePreviousFile) {
+  TraceRecorder recorder;
+  { ScopedSpan s(&recorder, "first"); }
+  const std::string path =
+      testing::TempDir() + "/pmkm_trace_keep_test.trace.json";
+  ASSERT_TRUE(recorder.WriteJson(path).ok());
+  const auto read_all = [&path] {
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  const std::string before = read_all();
+
+  { ScopedSpan s(&recorder, "second"); }
+  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1});
+  const Status st = recorder.WriteJson(path);
+  FaultRegistry::Global().Reset();
+  EXPECT_TRUE(st.IsIOError()) << st;
+  EXPECT_EQ(read_all(), before);
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
 }
 
 TEST(TraceRecorderTest, ConcurrentSpansAllArrive) {

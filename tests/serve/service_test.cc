@@ -134,11 +134,6 @@ TEST_F(ServiceTest, LocalRunsJobToDone) {
   EXPECT_EQ(cells->size(), 2u);
   EXPECT_GT(cells->at(GridCellId{1, 1}).model.centroids.size(), 0u);
 
-  // The LocalService-only full result is available for kDone jobs.
-  auto run = service.RunResult(job_id.value());
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(run->cells.size(), 2u);
-
   auto jobs = service.ListJobs();
   ASSERT_TRUE(jobs.ok());
   ASSERT_EQ(jobs->size(), 1u);

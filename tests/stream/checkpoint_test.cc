@@ -458,7 +458,7 @@ TEST_F(CheckpointEngineTest, ResumedRunIsBitwiseIdentical) {
   EXPECT_EQ(full->report.cells_resumed, 0u);
   EXPECT_FALSE(full->report.checkpoint_degraded);
   ExpectRunsBitwiseEqual(*reference, *full);
-  EXPECT_NE(registry.ToJsonString().find("checkpoint.records"),
+  EXPECT_NE(registry.ToJson().Dump(2).find("checkpoint.records"),
             std::string::npos);
   {
     auto loaded = LoadCheckpoint(CkptDir());
@@ -715,6 +715,40 @@ TEST_F(CheckpointEngineTest, AppendFailureLatchesInsteadOfFailing) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_FALSE(loaded->run_complete);
   EXPECT_TRUE(loaded->completed.empty());
+}
+
+TEST_F(CheckpointEngineTest, AppendFailureFailsUnderRetryPolicy) {
+  const std::vector<std::string> paths = WriteBuckets(2, 300);
+  // kRunBegin (hit 1) succeeds; the first cell append fails. Only skip
+  // degrades a checkpoint; retry fails once it gives up, as failfast does.
+  FaultRegistry::Global().Arm(
+      "checkpoint.append", FaultSpec{.nth = 2, .permanent = true});
+  auto run = Builder()
+                 .WithCheckpoint(CkptDir())
+                 .WithFailurePolicy(FailurePolicy::kRetryOperator)
+                 .Run(paths);
+  FaultRegistry::Global().Reset();
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsIOError()) << run.status();
+}
+
+TEST_F(CheckpointEngineTest, FinalizeFailureFailsUnderRetryPolicy) {
+  const std::vector<std::string> paths = WriteBuckets(2, 300);
+  // Hits: kRunBegin, one kCellComplete per cell, then kRunEnd.
+  FaultRegistry::Global().Arm("checkpoint.append", FaultSpec{.nth = 4});
+  auto run = Builder()
+                 .WithCheckpoint(CkptDir())
+                 .WithFailurePolicy(FailurePolicy::kRetryOperator)
+                 .Run(paths);
+  FaultRegistry::Global().Reset();
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsIOError()) << run.status();
+  // The two cells were journaled before the seal failed: a re-run
+  // resumes them.
+  auto loaded = LoadCheckpoint(CkptDir());
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_FALSE(loaded->run_complete);
+  EXPECT_EQ(loaded->completed.size(), 2u);
 }
 
 }  // namespace

@@ -196,7 +196,7 @@ TEST(PipelineBuilderTest, WithMetricsAndTraceWireSinks) {
                     .Run({files.Write(MakeBucket(4, 500, 5))});
   ASSERT_TRUE(result.ok()) << result.status();
   // The queue gauges only exist when the metrics sink was attached.
-  const std::string json = registry.ToJsonString();
+  const std::string json = registry.ToJson().Dump(2);
   EXPECT_NE(json.find("queue.points.depth"), std::string::npos);
   EXPECT_GT(trace.size(), 0u);
 }

@@ -110,7 +110,7 @@ TEST(ObservabilityTest, InMemoryRunPopulatesOperatorAndQueueStats) {
   EXPECT_EQ(result->queues[0].total_pushed, 6u);  // 3 chunks × 2 cells
 
   // Registry export parses and carries the per-operator counters.
-  auto parsed = JsonValue::Parse(registry.ToJsonString());
+  auto parsed = JsonValue::Parse(registry.ToJson().Dump(2));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_DOUBLE_EQ(parsed->Find("counters")
                        ->Find("op.scan.rows_out")

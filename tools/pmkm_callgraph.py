@@ -17,23 +17,24 @@ self-contained frontend (this container ships no libclang; the parser
 is tuned to the project idiom pmkm_lint already *enforces* — annotated
 Mutex/MutexLock/CondVar wrappers only, no raw sync, no naked new), CHA
 virtual resolution with receiver-type narrowing, escaping-callable
-reporting, witness chains, and the ratcheted-baseline/sysexits
-contract. The analyzers contribute only rule knowledge (root
-annotations, knowledge-base categories, check visitors).
+reporting, witness chains, and the sysexits contract. The analyzers
+contribute only rule knowledge (root annotations, knowledge-base
+categories, check visitors).
 
 Run this module directly to run BOTH analyzers over ONE compdb read and
 ONE source parse — the CI gate entry point (run_static_analysis.sh
-stage 4). Each analyzer keeps its own ratchet baseline and prints its
-own status line; the exit code is the worst of the two:
+stage 4). Each analyzer prints its own status line; any finding fails
+the gate (suppress a site with a justified inline allow), and the exit
+code is the worst of the two:
 
   tools/pmkm_callgraph.py [--root DIR] [--compdb PATH]
-                          [--update-baseline] [--virtual {cha,conservative}]
+                          [--virtual {cha,conservative}]
                           [--dump-callgraph PATH] [--list-rules] [--stats]
 
 Exit codes follow the sysexits contract of pmkm_inspect/pmkm_lint:
-  0   clean (or all findings baselined)
+  0   clean
   64  usage error
-  65  findings / stale baseline / stale compile_commands.json
+  65  findings / stale compile_commands.json
   66  compile_commands.json (or an input file) not found
   74  I/O error reading inputs
 """
@@ -1174,7 +1175,7 @@ def check_unresolved(prog, findings):
 
 
 # ---------------------------------------------------------------------------
-# Inputs: compile_commands.json, file discovery, baseline.
+# Inputs: compile_commands.json, file discovery.
 
 
 def find_compdb(root, explicit):
@@ -1262,17 +1263,6 @@ def collect_sources(root, files):
     return out
 
 
-def load_baseline(path):
-    entries = set()
-    if path and os.path.isfile(path):
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    entries.add(line)
-    return entries
-
-
 def dump_callgraph(prog, path):
     data = {
         "functions": {
@@ -1313,15 +1303,13 @@ class SysexitsParser(argparse.ArgumentParser):
 
 
 class Gate:
-    """One analyzer's rule layer. Subclasses set `tool`, `rules`,
-    `default_baseline`, `baseline_header`, and implement collect(ctx)
+    """One analyzer's rule layer. Subclasses set `tool` and `rules`,
+    and implement collect(ctx)
     returning a list of Findings. ctx carries: prog, root, virtual,
     compdb_commands ({rel TU -> command} or None), include_unresolved."""
 
     tool = "pmkm_gate"
     rules = {}
-    default_baseline = None
-    baseline_header = ""
 
     def collect(self, ctx):
         raise NotImplementedError
@@ -1350,14 +1338,6 @@ def run_main(gates, argv=None, prog_name="pmkm_callgraph", doc=None):
                         help="analyze only these files (fixture mode; "
                              "skips the compdb staleness gate — pass "
                              "--compdb explicitly to still audit flags)")
-    if len(gates) == 1:
-        parser.add_argument("--baseline", default=None,
-                            help="ratchet baseline file (default: "
-                                 f"{gates[0].default_baseline} under "
-                                 "--root)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline entirely")
-    parser.add_argument("--update-baseline", action="store_true")
     parser.add_argument("--virtual", choices=("cha", "conservative"),
                         default="cha",
                         help="cha: class-hierarchy resolution (default); "
@@ -1444,33 +1424,9 @@ def run_main(gates, argv=None, prog_name="pmkm_callgraph", doc=None):
                 unique.append(f)
         findings = unique
 
-        baseline_path = os.path.join(root, gate.default_baseline)
-        if len(gates) == 1 and getattr(args, "baseline", None):
-            baseline_path = args.baseline
-        baseline = (set() if args.no_baseline
-                    else load_baseline(baseline_path))
-
-        if args.update_baseline:
-            with open(baseline_path, "w", encoding="utf-8") as f:
-                f.write(gate.baseline_header)
-                for k in sorted(f2.key() for f2 in findings):
-                    f.write(k + "\n")
-            print(f"{gate.tool}: baseline updated with {len(findings)} "
-                  f"entr{'y' if len(findings) == 1 else 'ies'}")
-            continue
-
-        new = [f for f in findings if f.key() not in baseline]
-        baselined = [f for f in findings if f.key() in baseline]
-        stale_baseline = baseline - {f.key() for f in findings}
-
-        for f in new:
+        for f in findings:
             print(f.render())
             print()
-        for f in baselined:
-            print(f"baselined: {f.key()}")
-        for k in sorted(stale_baseline):
-            print(f"stale baseline entry (delete it, the baseline may only "
-                  f"shrink): {k}")
 
         elapsed = time.time() - t0
         if args.stats and i == 0:
@@ -1479,12 +1435,10 @@ def run_main(gates, argv=None, prog_name="pmkm_callgraph", doc=None):
                   f"{len(program.functions)} functions, "
                   f"{len(program.classes)} classes, {nops} ops, "
                   f"{elapsed:.2f}s")
-        status = "FAILED" if (new or stale_baseline) else "OK"
-        print(f"{gate.tool}: {status} — {len(new)} new finding(s), "
-              f"{len(baselined)} baselined, {len(stale_baseline)} stale "
-              f"baseline entr{'y' if len(stale_baseline) == 1 else 'ies'} "
+        status = "FAILED" if findings else "OK"
+        print(f"{gate.tool}: {status} — {len(findings)} finding(s) "
               f"({elapsed:.2f}s)")
-        if new or stale_baseline:
+        if findings:
             exit_code = EX_DATAERR
     return exit_code
 

@@ -9,17 +9,17 @@
 // --cores, --failure_policy, --max_retries, --op_timeout_ms, --kernel)
 // come from EngineFlags and are shared with the stream benches.
 //
-// The stream path runs through the ClusterService API (serve/service.h):
-// by default an in-process LocalService, or — with
-// --server=unix:/path | --server=127.0.0.1:port — a pmkm_serve daemon
-// over the wire protocol. Both backends produce byte-identical models;
+// The stream path runs the engine in-process through PipelineBuilder, or
+// — with --server=unix:/path | --server=127.0.0.1:port — submits the job
+// to a pmkm_serve daemon through the ClusterService API
+// (serve/remote_service.h). Both produce byte-identical models;
 // engine-side observability (--stats, --metrics_out, --trace_out,
 // --profile_out, --explain) is collected in the executing process and is
-// therefore local-backend only.
+// therefore in-process only. The SnapshotFlusher is the one writer of
+// --metrics_out, --prom_out and --trace_out.
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <thread>
@@ -35,7 +35,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "serve/local_service.h"
 #include "serve/remote_service.h"
 #include "stream/engine.h"
 #include "stream/explain.h"
@@ -45,16 +44,6 @@ namespace {
 int Fail(const pmkm::Status& st) {
   std::cerr << "pmkm_cluster: " << st << "\n";
   return pmkm::StatusExitCode(st);
-}
-
-pmkm::Status WriteTextFile(const std::string& path,
-                           const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  out << content;
-  if (!out.good()) {
-    return pmkm::Status::IOError("cannot write " + path);
-  }
-  return pmkm::Status::OK();
 }
 
 }  // namespace
@@ -153,14 +142,6 @@ int main(int argc, char** argv) {
   };
 
   if (algo == "stream") {
-    // The job, as the ClusterService sees it — identical for both
-    // backends.
-    pmkm::serve::JobSpec spec;
-    spec.bucket_paths = parser.positional();
-    spec.engine = engine_flags;
-    spec.run_id = obs_flags.run_id;
-    spec.client = "pmkm_cluster";
-
     if (!server.empty()) {
       // Remote backend: the engine (and its instrumentation) lives in
       // the daemon process.
@@ -172,6 +153,11 @@ int main(int argc, char** argv) {
             "available without --server (use the daemon's --debug_port "
             "introspection instead)"));
       }
+      pmkm::serve::JobSpec spec;
+      spec.bucket_paths = parser.positional();
+      spec.engine = engine_flags;
+      spec.run_id = obs_flags.run_id;
+      spec.client = "pmkm_cluster";
       pmkm::serve::RemoteService remote;
       if (const pmkm::Status cs = remote.Connect(server); !cs.ok()) {
         return Fail(cs);
@@ -200,20 +186,18 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Local backend: one in-process LocalService worker, with the
-    // engine's full observability surface wired through it.
+    // In-process: the engine runs here, with its full observability
+    // surface wired in.
     pmkm::MetricsRegistry registry;
     pmkm::TraceRecorder tracer;
     pmkm::obs::DebugServer debug_server(&registry, &tracer);
     const bool serve = obs_flags.serve_requested();
-    pmkm::serve::LocalServiceOptions lopts;
-    lopts.num_workers = 1;
-    lopts.max_queued_jobs = 1;
-    lopts.max_jobs_per_client = 0;
+    pmkm::PipelineBuilder builder(*options);
+    builder.WithRunId(obs_flags.run_id);
     if (serve || stats || !metrics_out.empty() || !prom_out.empty()) {
-      lopts.metrics = &registry;
+      builder.WithMetrics(&registry);
     }
-    if (serve || !trace_out.empty()) lopts.trace = &tracer;
+    if (serve || !trace_out.empty()) builder.WithTrace(&tracer);
     if (serve) {
       // Serving without a trace file: bound the recorder so a long run
       // keeps a ring of recent spans instead of growing forever.
@@ -226,48 +210,26 @@ int main(int argc, char** argv) {
       // this line to learn the ephemeral port, so it must flush now.
       std::cout << "debug server listening on http://127.0.0.1:"
                 << debug_server.port() << "/" << std::endl;
-      lopts.debug_server = &debug_server;
+      builder.WithDebugServer(&debug_server);
     }
     if (!profile_out.empty()) {
       const pmkm::Status ps = pmkm::obs::CpuProfiler::Global().Start();
       if (!ps.ok()) return Fail(ps);
     }
-    // Periodic snapshot flushing: a run killed mid-flight (OOM, SIGKILL)
-    // still leaves recent artifacts on disk.
-    pmkm::obs::SnapshotFlusher flusher(&registry, &tracer);
+    // The flusher writes --metrics_out/--prom_out/--trace_out: every
+    // interval while the run executes, so a run killed mid-flight (OOM,
+    // SIGKILL) still leaves recent artifacts, and once at the end.
+    pmkm::obs::SnapshotFlusher::Options fopt;
+    fopt.interval_ms = static_cast<int>(flush_interval_ms);
+    fopt.metrics_json_path = metrics_out;
+    fopt.metrics_prom_path = prom_out;
+    fopt.trace_json_path = trace_out;
+    pmkm::obs::SnapshotFlusher flusher(&registry, &tracer, fopt);
     if (flush_interval_ms > 0 &&
         !(metrics_out.empty() && prom_out.empty() && trace_out.empty())) {
-      pmkm::obs::SnapshotFlusher::Options fopt;
-      fopt.interval_ms = static_cast<int>(flush_interval_ms);
-      fopt.metrics_json_path = metrics_out;
-      fopt.metrics_prom_path = prom_out;
-      fopt.trace_json_path = trace_out;
-      const pmkm::Status fs = flusher.Start(fopt);
+      const pmkm::Status fs = flusher.Start();
       if (!fs.ok()) return Fail(fs);
     }
-    // Final-state artifact writes, shared by the success and failure
-    // paths: a failed run exports everything collected up to the error.
-    auto write_artifacts = [&]() -> pmkm::Status {
-      pmkm::Status first;
-      auto keep = [&first](pmkm::Status s) {
-        if (first.ok() && !s.ok()) first = std::move(s);
-      };
-      if (!metrics_out.empty()) {
-        keep(WriteTextFile(metrics_out, registry.ToJsonString() + "\n"));
-      }
-      if (!prom_out.empty()) {
-        keep(WriteTextFile(prom_out, registry.ToPrometheusText()));
-      }
-      if (!trace_out.empty()) keep(tracer.WriteJson(trace_out));
-      return first;
-    };
-    auto stop_profiler = [&]() {
-      if (profile_out.empty()) return;
-      (void)pmkm::obs::CpuProfiler::Global().Stop();  // stopping is final
-      const pmkm::Status ws =
-          pmkm::obs::CpuProfiler::Global().WriteFolded(profile_out);
-      if (!ws.ok()) std::cerr << "warning: " << ws << "\n";
-    };
     auto linger = [&]() {
       if (!serve || debug_linger_ms <= 0) return;
       // Explicit grace period for scrapers, requested via flag.
@@ -275,52 +237,34 @@ int main(int argc, char** argv) {
           std::chrono::milliseconds(debug_linger_ms));
     };
     if (explain) {
-      auto text =
-          pmkm::PipelineBuilder(*options).Explain(parser.positional());
+      auto text = builder.Explain(parser.positional());
       if (!text.ok()) return Fail(text.status());
       std::cout << *text;
     }
 
-    pmkm::serve::LocalService local(lopts);
-    uint64_t job_id = 0;
-    pmkm::Result<pmkm::StreamRunResult> run =
-        pmkm::Status::Internal("job never ran");
-    {
-      auto submitted = local.SubmitJob(spec);
-      if (submitted.ok()) {
-        job_id = *submitted;
-        auto info = local.AwaitJob(job_id, 0);
-        if (info.ok() && info->status.ok()) {
-          run = local.RunResult(job_id);
-        } else {
-          run = info.ok() ? pmkm::Result<pmkm::StreamRunResult>(
-                                info->status)
-                          : pmkm::Result<pmkm::StreamRunResult>(
-                                info.status());
-        }
-      } else {
-        run = submitted.status();
-      }
+    const pmkm::Result<pmkm::StreamRunResult> run =
+        builder.Run(parser.positional());
+    // The final artifact write, on the success and the failure path
+    // alike: a failed run exports everything collected up to the error.
+    const pmkm::Status artifacts =
+        flusher.running() ? flusher.Stop() : flusher.FlushNow();
+    if (!profile_out.empty()) {
+      (void)pmkm::obs::CpuProfiler::Global().Stop();  // stopping is final
+      const pmkm::Status ws =
+          pmkm::obs::CpuProfiler::Global().WriteFolded(profile_out);
+      if (!ws.ok()) std::cerr << "warning: " << ws << "\n";
     }
     if (!run.ok()) {
-      flusher.Stop();
-      // Export what the failed run collected; its error dominates any
-      // artifact-write error.
-      (void)write_artifacts();
-      stop_profiler();
+      // The run's error dominates any artifact-write error.
       linger();
       return Fail(run.status());
     }
-    flusher.Stop();
-    stop_profiler();
     if (stats) {
       std::cout << "\nEXPLAIN ANALYZE\n"
                 << pmkm::ExplainAnalyzePartialMerge(options->partial,
                                                     options->merge, *run);
     }
-    if (const pmkm::Status ws = write_artifacts(); !ws.ok()) {
-      return Fail(ws);
-    }
+    if (!artifacts.ok()) return Fail(artifacts);
     for (const auto& [id, cell] : run->cells) {
       const pmkm::Status ss = save(id, cell.model);
       if (!ss.ok()) return Fail(ss);

@@ -44,31 +44,28 @@ from roots annotated in src/common/annotations.h:
 
 The call-graph engine (compdb ingestion and staleness gate, header-first
 TU parse, CHA virtual resolution with receiver-type narrowing, witness
-chains, ratcheted-baseline/sysexits contract) lives in
+chains, sysexits contract) lives in
 tools/pmkm_callgraph.py, shared with the determinism analyzer
 tools/pmkm_detcheck.py (DESIGN.md §17). This module contributes only the
 four context rules above. Running tools/pmkm_callgraph.py directly runs
 both analyzers over a single compdb read and source parse (the CI gate).
 
 Every finding prints the full witness chain root -> ... -> violating
-operation. Baseline ratchet: findings whose normalized key appears in
---baseline are reported as baselined (exit 0); NEW findings fail, and
-stale baseline entries (no longer produced) also fail — the baseline may
-only shrink. Suppress a single site with
+operation, and any finding fails the gate: there is no baseline.
+Suppress a single site with
 `// pmkm-ctxcheck: allow(<rule>[, <rule>...])` on the offending line or
 the line above, with a justification; an allow anywhere on the witness
 chain suppresses the finding.
 
 Exit codes follow the sysexits contract of pmkm_inspect/pmkm_lint:
-  0   clean (or all findings baselined)
+  0   clean
   64  usage error
-  65  findings / stale baseline / stale compile_commands.json
+  65  findings / stale compile_commands.json
   66  compile_commands.json (or an input file) not found
   74  I/O error reading inputs
 
 Usage:
   tools/pmkm_ctxcheck.py [--root DIR] [--compdb PATH] [--files F...]
-                         [--baseline PATH] [--update-baseline]
                          [--virtual {cha,conservative}]
                          [--dump-callgraph PATH] [--list-rules] [--stats]
 """
@@ -275,24 +272,9 @@ def check_no_block_under_lock(prog, findings):
                         f"holds a pmkm::Mutex"))
 
 
-BASELINE_HEADER = """\
-# pmkm_ctxcheck baseline (ratchet: this file may only shrink).
-#
-# One normalized finding key per line:
-#   rule|root_function|leaf_function|op_kind:op_name
-# New findings fail the gate outright; entries here are tolerated but a
-# key that no longer fires is an error until the line is deleted. Keep
-# this file empty: fix the code or add a justified
-# `// pmkm-ctxcheck: allow(<rule>)` at the site instead of listing it
-# here. Regenerate with: tools/pmkm_ctxcheck.py --update-baseline
-"""
-
-
 class CtxcheckGate(cg.Gate):
     tool = "pmkm_ctxcheck"
     rules = RULES
-    default_baseline = os.path.join("scripts", "ctxcheck_baseline.txt")
-    baseline_header = BASELINE_HEADER
 
     def collect(self, ctx):
         findings = []

@@ -46,19 +46,18 @@ also uses):
                   flags -ffast-math/-funsafe-math-optimizations/-Ofast
                   must be absent.
 
-Witness chains, the ratcheted baseline (scripts/detcheck_baseline.txt,
-may only shrink), `// pmkm-detcheck: allow(<rule>)` site suppression
-(anywhere on the chain), and the sysexits contract are all inherited
+Witness chains, `// pmkm-detcheck: allow(<rule>)` site suppression
+(anywhere on the chain; there is no baseline, so any other finding
+fails), and the sysexits contract are all inherited
 from the shared engine — see tools/pmkm_ctxcheck.py for the long-form
 description. Run tools/pmkm_callgraph.py directly to run both analyzers
 over a single compdb read and source parse (the CI gate).
 
-Exit codes: 0 clean/baselined, 64 usage, 65 findings/stale baseline/
-stale compdb, 66 missing input, 74 I/O error.
+Exit codes: 0 clean, 64 usage, 65 findings/stale compdb, 66 missing
+input, 74 I/O error.
 
 Usage:
   tools/pmkm_detcheck.py [--root DIR] [--compdb PATH] [--files F...]
-                         [--baseline PATH] [--update-baseline]
                          [--virtual {cha,conservative}]
                          [--dump-callgraph PATH] [--list-rules] [--stats]
 """
@@ -301,24 +300,9 @@ def check_fp_flags(prog, findings, compdb_commands):
             findings.append(cg.Finding(rule, chain, op, message))
 
 
-BASELINE_HEADER = """\
-# pmkm_detcheck baseline (ratchet: this file may only shrink).
-#
-# One normalized finding key per line:
-#   rule|root_function|leaf_function|op_kind:op_name
-# New findings fail the gate outright; entries here are tolerated but a
-# key that no longer fires is an error until the line is deleted. Keep
-# this file empty: fix the code or add a justified
-# `// pmkm-detcheck: allow(<rule>)` at the site instead of listing it
-# here. Regenerate with: tools/pmkm_detcheck.py --update-baseline
-"""
-
-
 class DetcheckGate(cg.Gate):
     tool = "pmkm_detcheck"
     rules = RULES
-    default_baseline = os.path.join("scripts", "detcheck_baseline.txt")
-    baseline_header = BASELINE_HEADER
 
     def collect(self, ctx):
         findings = []

@@ -43,14 +43,17 @@ trustworthy at scale but that no compiler checks (DESIGN.md §11).
                 deterministic schedule explorer. The wrappers' own
                 implementation (annotations.h, common/schedcheck/) is
                 exempt.
-  persist       Library code persists binary state only through the
-                sanctioned crash-safe paths (data/io.{h,cc} bucket commit,
-                data/manifest.{h,cc} AtomicWriteFile/JournalWriter).
-                Direct `std::filesystem::rename`/`::rename` or a binary
-                `std::ofstream` anywhere else can tear under power loss —
-                exactly the corruption the checkpoint layer exists to
-                survive. Text/report writers (CSV, traces, JSON exports)
-                open without std::ios::binary and are not flagged.
+  persist       Library code publishes files only through
+                AtomicWriteFile (common/file.h): stage, fsync, rename,
+                fsync the directory. Any `std::ofstream`, `fopen` for
+                writing, or rename (`std::rename`, `::rename`,
+                `std::filesystem::rename`) is a finding, text or binary:
+                a writer of its own truncates in place or skips the
+                fsync, so a crash or a failed write tears the file.
+                Exempt: common/file.cc (the write path itself),
+                data/io.cc (the streaming bucket writer, which commits
+                through the same FsyncPath + CommitStagedFile) and
+                common/schedcheck/ (dependency-free by design).
   raw-signal    Library code never installs signal handlers with
                 raw `signal()`/`sigaction()`: a handler constrains every
                 line it can interrupt to the async-signal-safe subset,
@@ -129,7 +132,7 @@ RULES = {
     "fault-site": "malformed PMKM_FAULT_POINT site name",
     "raw-sync": "raw std sync primitive outside the annotated wrappers",
     "raw-signal": "signal()/sigaction() outside the sanctioned installer",
-    "persist": "binary persistence outside the crash-safe commit paths",
+    "persist": "file write or rename outside common/file.h",
     "direct-run": "pipeline run outside PipelineBuilder (retired entry "
                   "points / raw Executor)",
     "byte-codec": "hand-rolled little-endian packing outside "
@@ -166,10 +169,12 @@ RAW_SIGNAL_RE = re.compile(
 FAULT_POINT_RE = re.compile(r"PMKM_FAULT_POINT\s*\(\s*([^)]*)\)")
 FAULT_SITE_RE = re.compile(r'^"[a-z0-9_]+(?:\.[a-z0-9_]+)+"$')
 RENAME_RE = re.compile(
-    r"std::filesystem::rename\b|(?<![\w.:])::rename\s*\(|"
-    r"(?<![\w.:])std::rename\s*\(")
-BINARY_OFSTREAM_RE = re.compile(
-    r"std::ofstream\b[^;\n]*std::ios(?:_base)?::binary")
+    r"(?<![\w.>:])(?:std::(?:filesystem::)?|fs::|::)?rename\s*\(")
+OFSTREAM_RE = re.compile(r"\bstd::ofstream\b")
+# fopen's mode is a literal, blanked in the stripped line: a call found
+# there is checked for a writing mode on the raw line.
+FOPEN_RE = re.compile(r"\bfopen\s*\(")
+FOPEN_WRITE_RE = re.compile(r"\bfopen\s*\([^;]*,\s*\"[^\"]*[wa+]")
 DIRECT_RUN_RE = re.compile(
     r"\b(?:RunPartialMergeStream(?:InMemory)?|RunInMemory|"
     r"MemoryScanOperator)\b")
@@ -346,12 +351,12 @@ def lint_file(root, relpath):
     cancel_poll_exempt = relpath in (
         os.path.join("src", "stream", "operator.cc"),
         os.path.join("src", "stream", "engine.cc"))
-    # The two modules that *implement* the crash-safe commit protocol.
-    persist_exempt = relpath in (
-        os.path.join("src", "data", "io.h"),
-        os.path.join("src", "data", "io.cc"),
-        os.path.join("src", "data", "manifest.h"),
-        os.path.join("src", "data", "manifest.cc"))
+    # The write path itself, the streaming bucket writer that commits
+    # through it, and the dependency-free schedcheck layer.
+    persist_exempt = (
+        relpath in (os.path.join("src", "common", "file.cc"),
+                    os.path.join("src", "data", "io.cc"))
+        or in_dir(relpath, os.path.join("src", "common", "schedcheck")))
     # The engine owns the Executor; operator.{h,cc} declare/implement it;
     # tests may drive it directly to exercise supervision paths.
     raw_exec_exempt = (
@@ -398,15 +403,14 @@ def lint_file(root, relpath):
                 check(lineno, "byte-codec",
                       "hand-rolled little-endian packing; use the "
                       "common/bytes.h codec (Put*/Store*/Load*, ByteReader)")
-            if not persist_exempt:
-                if RENAME_RE.search(line):
-                    check(lineno, "persist",
-                          "direct rename; publish through data/manifest.h "
-                          "AtomicWriteFile or the bucket commit path")
-                if BINARY_OFSTREAM_RE.search(line):
-                    check(lineno, "persist",
-                          "binary ofstream outside the crash-safe commit "
-                          "paths; use AtomicWriteFile/JournalWriter")
+            if not persist_exempt and (
+                    RENAME_RE.search(line) or OFSTREAM_RE.search(line)
+                    or (FOPEN_RE.search(line) and
+                        FOPEN_WRITE_RE.search(raw_lines[lineno - 1]))):
+                check(lineno, "persist",
+                      "file write or rename of its own; build the bytes "
+                      "and publish them with AtomicWriteFile "
+                      "(common/file.h)")
         if not isa_file and ISA_INTRINSICS_RE.search(line):
             check(lineno, "isa-intrinsics",
                   "ISA intrinsics or CPU probe outside "
