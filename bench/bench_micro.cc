@@ -2,14 +2,21 @@
 // harnesses are built on: distance evaluation, the kernels' batch
 // nearest-centroid assignment (BM_AssignBlock*), the pruned pass's bound
 // test (BM_PruneBlock), one Lloyd iteration,
-// partial clustering of a chunk, queue throughput, and the observability
+// partial clustering of a chunk, the scan's bucket read per format version
+// (BM_BucketScan), queue throughput, and the observability
 // primitives (to police the zero-cost-when-disabled budget of DESIGN.md
 // §9).
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "cluster/distance.h"
@@ -19,6 +26,7 @@
 #include "cluster/partial.h"
 #include "common/logging.h"
 #include "data/generator.h"
+#include "data/io.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/rolling.h"
@@ -106,6 +114,65 @@ void BM_PartialChunk(benchmark::State& state) {
 }
 BENCHMARK(BM_PartialChunk)->Arg(1000)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
+
+// A 5,000-point D=6 bucket (a many_cells_io cell) in format `version`.
+// The writer writes version 2; version 1 is resealed by hand: the header
+// says 1 and the trailer is FNV-1a over the same payload.
+std::string WriteScanBucket(uint32_t version) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pmkm_bm_bucket_scan_v" + std::to_string(version) + "_" +
+        std::to_string(::getpid()) + ".pmkb"))
+          .string();
+  GridBucket bucket;
+  bucket.points = MakePoints(5000, 6, 10);
+  PMKM_CHECK_OK(WriteGridBucket(path, bucket));
+  if (version == 1) {
+    std::ifstream in(path, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    in.close();
+    const size_t payload = bytes.size() - 32 - sizeof(uint64_t);
+    std::memcpy(&bytes[4], &version, sizeof(version));
+    const uint64_t hash =
+        internal::Fnv1a64(&bytes[32], payload, internal::kFnvOffset);
+    std::memcpy(&bytes[32 + payload], &hash, sizeof(hash));
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  return path;
+}
+
+void BM_BucketScan(benchmark::State& state) {
+  // The scan's read of one bucket, chunk by chunk as ScanOperator reads
+  // it (2,730-point chunks, the 512 KiB plan), checksum verified at the
+  // end; the argument is the format version. Reads hit the page cache.
+  const std::string path =
+      WriteScanBucket(static_cast<uint32_t>(state.range(0)));
+  Dataset chunk(6);
+  size_t points = 0;
+  for (auto _ : state) {
+    auto reader = GridBucketReader::Open(path);
+    if (!reader.ok()) {
+      state.SkipWithError(reader.status().ToString().c_str());
+      break;
+    }
+    for (;;) {
+      Result<bool> more = reader->Next(2730, &chunk);
+      if (!more.ok()) {
+        state.SkipWithError(more.status().ToString().c_str());
+        break;
+      }
+      if (!*more) break;
+      points += chunk.size();
+      benchmark::DoNotOptimize(chunk.data());
+    }
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(points * 6 * sizeof(double)));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_BucketScan)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_AssignBlock(benchmark::State& state, const DistanceKernel* kernel,
                     size_t dim) {

@@ -4,7 +4,7 @@
 # byte-identical .pmkm model files
 #
 #   1. across worker parallelism (--cores=1/2/4/16, one partial clone
-#      per core, capped by a cell's chunk count: schedule and merge order
+#      per core, capped by the run's chunk count: schedule and merge order
 #      must not leak into output bytes; 2 is the serve-sized plan);
 #   2. across two separate process invocations at the same core count
 #      (catches ASLR/pointer-ordering leaks that rule ptr-order cannot
@@ -59,9 +59,9 @@ echo "== determinism check: ${CELLS} cells x ${POINTS} points =="
 "${GENBUCKETS}" --out="${WORK}/buckets" --mode=cells \
   --cells="${CELLS}" --n="${POINTS}" > /dev/null
 
-# A 512 KiB budget cuts each cell into several chunks, so the core sweep
-# really runs 1, 2 and 3 partial clones (clones never exceed a cell's
-# chunk count).
+# A 512 KiB budget cuts each cell into several chunks (3 at the default
+# 6,000 points), so the core sweep really runs 1, 2, 4 and 12 partial
+# clones (clones never exceed the run's chunk count).
 ENGINE_FLAGS=(--k=6 --restarts=4 --memory-kib=512 --quiet)
 
 run_local() {  # run_local <outdir> <cores> [kernel]

@@ -70,6 +70,15 @@ class Dataset {
   void Reserve(size_t num_points) { values_.reserve(num_points * dim_); }
   void Clear() { values_.clear(); }
 
+  /// Makes this `num_points` points of `dim` coordinates in the storage it
+  /// already holds, reallocating only to grow past its capacity. The
+  /// coordinates are stale until the caller overwrites them.
+  void Reshape(size_t dim, size_t num_points) {
+    PMKM_CHECK(dim >= 1);
+    dim_ = dim;
+    values_.resize(num_points * dim);
+  }
+
   const double* data() const { return values_.data(); }
   double* mutable_data() { return values_.data(); }
   const std::vector<double>& values() const { return values_; }

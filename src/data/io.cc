@@ -21,12 +21,118 @@ uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed) {
   return h;
 }
 
+namespace {
+
+constexpr uint64_t kXxhPrime1 = 0x9e3779b185ebca87ULL;
+constexpr uint64_t kXxhPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr uint64_t kXxhPrime3 = 0x165667b19e3779f9ULL;
+constexpr uint64_t kXxhPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr uint64_t kXxhPrime5 = 0x27d4eb2f165667c5ULL;
+
+uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+// Little-endian loads, the byte order of the format.
+uint64_t Load64(const unsigned char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+uint32_t Load32(const unsigned char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t XxhRound(uint64_t acc, uint64_t input) {
+  acc += input * kXxhPrime2;
+  return Rotl(acc, 31) * kXxhPrime1;
+}
+
+uint64_t XxhMergeRound(uint64_t acc, uint64_t lane) {
+  acc ^= XxhRound(0, lane);
+  return acc * kXxhPrime1 + kXxhPrime4;
+}
+
+}  // namespace
+
+Xxh64::Xxh64()
+    : lanes_{kXxhPrime1 + kXxhPrime2, kXxhPrime2, 0, 0 - kXxhPrime1},
+      buffer_{} {}
+
+void Xxh64::Update(const void* data, size_t len) {
+  if (len == 0) return;  // `data` may be null
+  const auto* p = static_cast<const unsigned char*>(data);
+  const unsigned char* const end = p + len;
+  total_len_ += len;
+  if (buffered_ + len < sizeof(buffer_)) {
+    std::memcpy(buffer_ + buffered_, p, len);
+    buffered_ += len;
+    return;
+  }
+  if (buffered_ > 0) {
+    const size_t fill = sizeof(buffer_) - buffered_;
+    std::memcpy(buffer_ + buffered_, p, fill);
+    p += fill;
+    for (int lane = 0; lane < 4; ++lane) {
+      lanes_[lane] = XxhRound(lanes_[lane], Load64(buffer_ + 8 * lane));
+    }
+    buffered_ = 0;
+  }
+  // Whole 32-byte stripes straight from the input, four lanes in flight.
+  uint64_t v1 = lanes_[0], v2 = lanes_[1], v3 = lanes_[2], v4 = lanes_[3];
+  for (; end - p >= 32; p += 32) {
+    v1 = XxhRound(v1, Load64(p));
+    v2 = XxhRound(v2, Load64(p + 8));
+    v3 = XxhRound(v3, Load64(p + 16));
+    v4 = XxhRound(v4, Load64(p + 24));
+  }
+  lanes_[0] = v1, lanes_[1] = v2, lanes_[2] = v3, lanes_[3] = v4;
+  buffered_ = static_cast<size_t>(end - p);
+  std::memcpy(buffer_, p, buffered_);
+}
+
+uint64_t Xxh64::Digest() const {
+  uint64_t h;
+  if (total_len_ >= 32) {
+    h = Rotl(lanes_[0], 1) + Rotl(lanes_[1], 7) + Rotl(lanes_[2], 12) +
+        Rotl(lanes_[3], 18);
+    for (const uint64_t lane : lanes_) h = XxhMergeRound(h, lane);
+  } else {
+    h = kXxhPrime5;  // seed 0
+  }
+  h += total_len_;
+  const unsigned char* p = buffer_;
+  const unsigned char* const end = buffer_ + buffered_;
+  for (; end - p >= 8; p += 8) {
+    h ^= XxhRound(0, Load64(p));
+    h = Rotl(h, 27) * kXxhPrime1 + kXxhPrime4;
+  }
+  if (end - p >= 4) {
+    h ^= static_cast<uint64_t>(Load32(p)) * kXxhPrime1;
+    h = Rotl(h, 23) * kXxhPrime2 + kXxhPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h ^= *p * kXxhPrime5;
+    h = Rotl(h, 11) * kXxhPrime1;
+  }
+  h ^= h >> 33;
+  h *= kXxhPrime2;
+  h ^= h >> 29;
+  h *= kXxhPrime3;
+  h ^= h >> 32;
+  return h;
+}
+
 }  // namespace internal
 
 namespace {
 
 constexpr uint32_t kMagic = 0x424b4d50;  // "PMKB" little-endian
-constexpr uint32_t kVersion = 1;
+// The version GridBucketWriter writes (XXH64 trailer); the reader also
+// accepts kFnvVersion.
+constexpr uint32_t kVersion = 2;
+constexpr uint32_t kFnvVersion = 1;
 
 // Upper bound on the per-point dimensionality a bucket header may claim.
 // Real workloads are low-dimensional (the paper uses <= 64); the bound
@@ -128,7 +234,6 @@ Result<GridBucketWriter> GridBucketWriter::Open(const std::string& path,
   writer.out_ = std::move(out);
   writer.path_ = path;
   writer.dim_ = dim;
-  writer.running_hash_ = internal::kFnvOffset;
   return writer;
 }
 
@@ -155,7 +260,7 @@ Status GridBucketWriter::WriteRows(const double* values, size_t rows) {
   out_->write(reinterpret_cast<const char*>(values),
               static_cast<std::streamsize>(bytes));
   if (!*out_) return Status::IOError("short write: " + path_);
-  running_hash_ = internal::Fnv1a64(values, bytes, running_hash_);
+  running_hash_.Update(values, bytes);
   points_written_ += rows;
   return Status::OK();
 }
@@ -165,8 +270,8 @@ Status GridBucketWriter::Close() {
     return Status::FailedPrecondition("writer already closed");
   }
   PMKM_RETURN_NOT_OK(FaultRegistry::Global().Hit("io.write"));
-  out_->write(reinterpret_cast<const char*>(&running_hash_),
-              sizeof(running_hash_));
+  const uint64_t checksum = running_hash_.Digest();
+  out_->write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   // Back-patch the point count in the header.
   const uint64_t count = points_written_;
   out_->seekp(offsetof(Header, count), std::ios::beg);
@@ -191,7 +296,7 @@ Result<GridBucketReader> GridBucketReader::Open(const std::string& path) {
   if (h.magic != kMagic) {
     return Status::IOError("bad magic (not a grid bucket file): " + path);
   }
-  if (h.version != kVersion) {
+  if (h.version != kVersion && h.version != kFnvVersion) {
     return Status::IOError("unsupported bucket version " +
                            std::to_string(h.version) + ": " + path);
   }
@@ -205,6 +310,7 @@ Result<GridBucketReader> GridBucketReader::Open(const std::string& path) {
   reader.in_ = std::move(in);
   reader.path_ = path;
   reader.cell_ = GridCellId{h.lat, h.lon};
+  reader.version_ = h.version;
   reader.dim_ = h.dim;
   reader.total_points_ = h.count;
   // How many whole points the file can actually hold past the header,
@@ -222,7 +328,6 @@ Result<GridBucketReader> GridBucketReader::Open(const std::string& path) {
     // header; truncation still surfaces as a short read in Next().
     reader.available_points_ = h.count;
   }
-  reader.running_hash_ = internal::kFnvOffset;
   return reader;
 }
 
@@ -232,14 +337,15 @@ Result<bool> GridBucketReader::Next(size_t max_points, Dataset* out) {
     return Status::InvalidArgument("max_points must be > 0");
   }
   PMKM_FAULT_POINT("io.read");
-  *out = Dataset(dim_);
   if (points_read_ >= total_points_) {
     // Verify trailer checksum exactly once, on first end-of-stream call.
     if (in_) {
       uint64_t stored = 0;
       in_->read(reinterpret_cast<char*>(&stored), sizeof(stored));
       if (!*in_) return Status::IOError("missing checksum: " + path_);
-      if (stored != running_hash_) {
+      const uint64_t computed =
+          version_ == kFnvVersion ? running_fnv_ : running_xxh_.Digest();
+      if (stored != computed) {
         return Status::IOError("checksum mismatch (corrupt bucket): " +
                                path_);
       }
@@ -253,17 +359,20 @@ Result<bool> GridBucketReader::Next(size_t max_points, Dataset* out) {
     // error a short read would, without sizing a buffer from the header.
     return Status::IOError("truncated bucket payload: " + path_);
   }
-  std::vector<double> buf(take * dim_);
-  in_->read(reinterpret_cast<char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size() * sizeof(double)));
+  out->Reshape(dim_, take);
+  const size_t bytes = take * dim_ * sizeof(double);
+  in_->read(reinterpret_cast<char*>(out->mutable_data()),
+            static_cast<std::streamsize>(bytes));
   if (!*in_) {
     return Status::IOError("truncated bucket payload: " + path_);
   }
-  running_hash_ = internal::Fnv1a64(
-      buf.data(), buf.size() * sizeof(double), running_hash_);
-  PMKM_RETURN_NOT_OK(CheckFinite(buf.data(), take, dim_, points_read_, path_));
+  if (version_ == kFnvVersion) {
+    running_fnv_ = internal::Fnv1a64(out->data(), bytes, running_fnv_);
+  } else {
+    running_xxh_.Update(out->data(), bytes);
+  }
+  PMKM_RETURN_NOT_OK(CheckFinite(out->data(), take, dim_, points_read_, path_));
   points_read_ += take;
-  PMKM_ASSIGN_OR_RETURN(*out, Dataset::FromFlat(dim_, std::move(buf)));
   return true;
 }
 

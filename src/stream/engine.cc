@@ -155,7 +155,8 @@ void FillCheckpointReport(const CheckpointWriter* checkpoint,
 // merge had produced them.
 Result<StreamRunResult> RunPlan(
     std::unique_ptr<ScanOperator> scan,
-    std::shared_ptr<PointChunkQueue> points, const EngineOptions& options,
+    std::shared_ptr<PointChunkQueue> points,
+    std::shared_ptr<ChunkBufferPool> buffers, const EngineOptions& options,
     const PhysicalPlan& plan, CheckpointWriter* checkpoint,
     std::map<GridCellId, CellClustering> restored,
     bool checkpoint_degraded) {
@@ -187,7 +188,7 @@ Result<StreamRunResult> RunPlan(
   std::vector<PartialKMeansOperator*> partial_raw;
   for (size_t c = 0; c < plan.partial_clones; ++c) {
     auto partial = std::make_unique<PartialKMeansOperator>(
-        options.partial, points, centroids,
+        options.partial, points, buffers, centroids,
         "partial-kmeans#" + std::to_string(c), exec.io_retry);
     partial->set_failure_policy(exec.failure_policy);
     partial->set_obs(exec.obs);
@@ -310,12 +311,15 @@ Result<StreamRunResult> RunPlan(
 // Probes bucket files for dimensionality/sizing and compiles the physical
 // plan. Under kSkipAndContinue an unreadable first bucket must not kill
 // the run: probe forward until one opens (the scan will quarantine the
-// bad ones properly later). Also reports the probed dim/points for
-// EXPLAIN rendering.
+// bad ones properly later). Every bucket is taken to hold as many points
+// as the probed one. Its header's count is untrusted, so the plan sizes
+// from what the file can hold at most. Also reports the probed dim and
+// the run's estimated points for EXPLAIN rendering.
 struct ProbedPlan {
   PhysicalPlan plan;
   size_t dim = 0;
-  size_t total_points = 0;
+  size_t points_per_cell = 0;
+  size_t total_points = 0;  // saturates at SIZE_MAX
 };
 
 Result<ProbedPlan> PlanForPaths(const std::vector<std::string>& paths,
@@ -329,9 +333,14 @@ Result<ProbedPlan> PlanForPaths(const std::vector<std::string>& paths,
     if (probe.ok()) {
       ProbedPlan out;
       out.dim = probe->dim();
-      out.total_points = probe->total_points();
-      out.plan = PlanPartialMerge(probe->dim(), probe->total_points(),
-                                  options.resources,
+      out.points_per_cell =
+          std::min(probe->total_points(), probe->available_points());
+      if (__builtin_mul_overflow(out.points_per_cell, paths.size(),
+                                 &out.total_points)) {
+        out.total_points = std::numeric_limits<size_t>::max();
+      }
+      out.plan = PlanPartialMerge(probe->dim(), out.points_per_cell,
+                                  paths.size(), options.resources,
                                   options.chunk_points_override);
       return out;
     }
@@ -352,8 +361,9 @@ void EngineFlags::Register(FlagParser* parser) {
       .AddInt("memory-kib", &memory_kib,
               "stream: per-operator memory budget")
       .AddInt("cores", &cores,
-              "stream: cores; one partial clone runs per core, plus scan "
-              "and merge threads that mostly block (0 = autodetect)")
+              "stream: cores; one partial clone runs per core (never more "
+              "clones than the run has chunks), plus scan and merge "
+              "threads that mostly block (0 = autodetect)")
       .AddString("failure_policy", &failure_policy,
                  "stream: failfast | retry | skip")
       .AddInt("max_retries", &max_retries,
@@ -480,12 +490,23 @@ Result<StreamRunResult> PipelineBuilder::Run(
 
   // When the journal restored every cell, the scan runs over zero buckets
   // and RunPlan assembles the result (and re-seals the journal) as usual.
-  auto points =
-      std::make_shared<PointChunkQueue>(probed.plan.queue_capacity);
+  const PhysicalPlan& plan = probed.plan;
+  auto points = std::make_shared<PointChunkQueue>(plan.queue_capacity);
+  // The chunk buffers: at most a full queue, one per clone and the one the
+  // scan is reading are alive at once, and never more than the run has
+  // chunks. They are allocated here, on the thread that starts the run,
+  // so run after run they come from the same heap. Allocated by each
+  // run's new scan thread, they landed in a different malloc arena run
+  // after run and stayed resident in all of them.
+  auto buffers = std::make_shared<ChunkBufferPool>(
+      std::min(plan.queue_capacity + plan.partial_clones + 1,
+               EstimateRunChunks(probed.points_per_cell,
+                                 bucket_paths.size(), plan.chunk_points)),
+      probed.dim, std::min(plan.chunk_points, probed.points_per_cell));
   auto scan = std::make_unique<ScanOperator>(
-      split.todo, probed.plan.chunk_points, probed.dim, points,
+      split.todo, plan.chunk_points, probed.dim, points, buffers,
       options.exec.io_retry);
-  return RunPlan(std::move(scan), points, options, probed.plan,
+  return RunPlan(std::move(scan), points, buffers, options, plan,
                  checkpoint.has_value() ? &*checkpoint : nullptr,
                  std::move(split.restored), checkpoint_degraded);
 }
@@ -494,9 +515,9 @@ Result<std::string> PipelineBuilder::Explain(
     const std::vector<std::string>& bucket_paths) const {
   PMKM_ASSIGN_OR_RETURN(ProbedPlan probed,
                         PlanForPaths(bucket_paths, options_));
-  return ExplainPartialMergePlan(
-      bucket_paths.size(), probed.total_points * bucket_paths.size(),
-      probed.dim, options_.partial, options_.merge, probed.plan);
+  return ExplainPartialMergePlan(bucket_paths.size(), probed.total_points,
+                                 probed.dim, options_.partial,
+                                 options_.merge, probed.plan);
 }
 
 }  // namespace pmkm

@@ -45,20 +45,50 @@ void RecordRollingUs(MetricsRegistry* metrics, const char* name,
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// ChunkBufferPool
+
+ChunkBufferPool::ChunkBufferPool(size_t capacity, size_t dim,
+                                 size_t points)
+    : capacity_(capacity) {
+  MutexLock lock(mu_);
+  free_.reserve(capacity);
+  for (size_t i = 0; i < capacity; ++i) {
+    free_.emplace_back(dim);
+    free_.back().Reserve(points);
+  }
+}
+
+Dataset ChunkBufferPool::Take() {
+  MutexLock lock(mu_);
+  if (free_.empty()) return Dataset();
+  Dataset buffer = std::move(free_.back());
+  free_.pop_back();
+  return buffer;
+}
+
+void ChunkBufferPool::Give(Dataset buffer) {
+  if (buffer.values().capacity() == 0) return;  // no storage to recycle
+  MutexLock lock(mu_);
+  if (free_.size() < capacity_) free_.push_back(std::move(buffer));
+}
+
+// ---------------------------------------------------------------------------
 // ScanOperator
 
 ScanOperator::ScanOperator(std::vector<std::string> paths,
                            size_t chunk_points, size_t dim,
                            std::shared_ptr<PointChunkQueue> out,
+                           std::shared_ptr<ChunkBufferPool> buffers,
                            RetryPolicy retry)
     : Operator("scan"),
       paths_(std::move(paths)),
       chunk_points_(chunk_points),
       dim_(dim),
       out_(std::move(out)),
+      buffers_(std::move(buffers)),
       retry_(retry) {
   PMKM_CHECK(chunk_points_ > 0);
-  PMKM_CHECK(out_ != nullptr);
+  PMKM_CHECK(out_ != nullptr && buffers_ != nullptr);
   out_->AddProducer();
 }
 
@@ -100,7 +130,13 @@ Status ScanOperator::EmitBucketOnce(size_t index) {
     return Status::InvalidArgument("bucket " + path + " has no points");
   }
   const uint32_t total = NumChunks(reader.total_points(), chunk_points_);
-  Dataset chunk(reader.dim());
+  // The buffer in hand goes back to the free list however this returns.
+  struct Buffer {
+    ChunkBufferPool* pool;
+    Dataset chunk;
+    ~Buffer() { pool->Give(std::move(chunk)); }
+  } buffer{buffers_.get(), buffers_->Take()};
+  Dataset& chunk = buffer.chunk;
   // Fast-forward past partitions already pushed by a previous attempt:
   // re-emitting them would trip the merge operator's duplicate-partition
   // check.
@@ -120,13 +156,15 @@ Status ScanOperator::EmitBucketOnce(size_t index) {
     msg.partition_id = id++;
     msg.total_partitions = total;
     msg.points = std::move(chunk);
-    chunk = Dataset(reader.dim());
     const Stopwatch push_watch;
     const bool pushed = out_->Push(std::move(msg));
     mutable_stats().queue_wait_seconds += push_watch.ElapsedSeconds();
     if (!pushed) {
       return Status::Cancelled("scan output queue cancelled");
     }
+    // Taken only once the push has gone through, so a scan blocked on a
+    // full queue holds no second buffer.
+    chunk = buffers_->Take();
     mutable_stats().rows_in += rows;
     mutable_stats().bytes_in += bytes;
     mutable_stats().rows_out += rows;
@@ -198,14 +236,16 @@ void ScanOperator::Abort() { out_->Cancel(); }
 
 PartialKMeansOperator::PartialKMeansOperator(
     const KMeansConfig& config, std::shared_ptr<PointChunkQueue> in,
+    std::shared_ptr<ChunkBufferPool> buffers,
     std::shared_ptr<CentroidQueue> out, std::string name,
     RetryPolicy retry)
     : Operator(std::move(name)),
       partial_(config),
       in_(std::move(in)),
+      buffers_(std::move(buffers)),
       out_(std::move(out)),
       retry_(retry) {
-  PMKM_CHECK(in_ != nullptr && out_ != nullptr);
+  PMKM_CHECK(in_ != nullptr && buffers_ != nullptr && out_ != nullptr);
   out_->AddProducer();
 }
 
@@ -268,7 +308,7 @@ Status PartialKMeansOperator::Run() {
     }
     // The chunk is wrapped once, outside the retry loop: every attempt
     // fits the same points in place.
-    const WeightedDataset partition =
+    WeightedDataset partition =
         WeightedDataset::FromUnweighted(std::move(chunk->points));
     const Stopwatch chunk_watch;
     auto compute = [&]() -> Result<PartialResult> {
@@ -280,6 +320,9 @@ Status PartialKMeansOperator::Run() {
         failure_policy() == FailurePolicy::kFailFast
             ? compute()
             : RetryCall(retry_, tag, compute, &retries_used);
+    // Done with the points on every path (fit, drop or error): the scan
+    // reads a later chunk into their storage.
+    buffers_->Give(std::move(partition.mutable_points()));
     mutable_stats().retries += retries_used;
     if (!result.ok()) {
       if (failure_policy() == FailurePolicy::kSkipAndContinue) {

@@ -20,6 +20,7 @@
 
 #include "cluster/merge.h"
 #include "cluster/partial.h"
+#include "common/annotations.h"
 #include "common/retry.h"
 #include "data/io.h"
 #include "stream/message.h"
@@ -32,6 +33,31 @@ class CheckpointWriter;  // stream/checkpoint.h
 
 using PointChunkQueue = BoundedBlockingQueue<PointChunk>;
 using CentroidQueue = BoundedBlockingQueue<CentroidMessage>;
+
+/// The run's free list of chunk storage. The scan reads each chunk into a
+/// buffer taken here, and the partial clone that fits the chunk gives the
+/// buffer back, so the chunk buffers a run allocates are bounded by the
+/// chunks alive at once, not by the chunks it streams.
+class ChunkBufferPool {
+ public:
+  /// Allocates `capacity` buffers, each with room for `points` points of
+  /// `dim` coordinates, on the calling thread. The free list never holds
+  /// more than `capacity` buffers and frees any beyond that.
+  ChunkBufferPool(size_t capacity, size_t dim, size_t points);
+
+  /// A free buffer, or an empty one when none is free (a reader sizes
+  /// it).
+  Dataset Take() PMKM_EXCLUDES(mu_);
+
+  /// Returns a buffer's storage to the free list (a buffer without
+  /// storage is not kept).
+  void Give(Dataset buffer) PMKM_EXCLUDES(mu_);
+
+ private:
+  const size_t capacity_;
+  Mutex mu_;
+  std::vector<Dataset> free_ PMKM_GUARDED_BY(mu_);
+};
 
 /// A bucket the scan gave up on: skipped, logged, and recorded here.
 struct QuarantinedBucket {
@@ -63,9 +89,11 @@ class ScanOperator : public Operator {
   /// differs from `dim`, when it holds no points, or when an earlier entry
   /// of `paths` holds the same cell (a path listed twice included).
   /// The operator registers itself as a producer of `out` at construction.
-  /// `retry` governs per-bucket re-reads unless the policy is kFailFast.
+  /// Each chunk is read into a buffer taken from `buffers`. `retry` governs
+  /// per-bucket re-reads unless the policy is kFailFast.
   ScanOperator(std::vector<std::string> paths, size_t chunk_points,
                size_t dim, std::shared_ptr<PointChunkQueue> out,
+               std::shared_ptr<ChunkBufferPool> buffers,
                RetryPolicy retry = RetryPolicy{});
 
   Status Run() override;
@@ -93,6 +121,7 @@ class ScanOperator : public Operator {
   size_t chunk_points_;
   size_t dim_;
   std::shared_ptr<PointChunkQueue> out_;
+  std::shared_ptr<ChunkBufferPool> buffers_;
   RetryPolicy retry_;
   size_t chunks_emitted_ = 0;
   size_t io_retries_ = 0;
@@ -112,7 +141,8 @@ class ScanOperator : public Operator {
 
 /// Partial k-means operator: one clone. Pops point chunks, clusters them,
 /// pushes weighted centroid messages. Instantiate several with the same
-/// queues to clone (paper §3.4 option 1).
+/// queues to clone (paper §3.4 option 1). Each chunk's storage goes back
+/// to `buffers` once its fit is done, whether the fit succeeded or not.
 ///
 /// Failure handling by policy: under kRetryOperator and kSkipAndContinue a
 /// failed chunk is retried per `retry`; once retries are exhausted,
@@ -124,6 +154,7 @@ class PartialKMeansOperator : public Operator {
  public:
   PartialKMeansOperator(const KMeansConfig& config,
                         std::shared_ptr<PointChunkQueue> in,
+                        std::shared_ptr<ChunkBufferPool> buffers,
                         std::shared_ptr<CentroidQueue> out,
                         std::string name = "partial-kmeans",
                         RetryPolicy retry = RetryPolicy{});
@@ -140,6 +171,7 @@ class PartialKMeansOperator : public Operator {
  private:
   PartialKMeans partial_;
   std::shared_ptr<PointChunkQueue> in_;
+  std::shared_ptr<ChunkBufferPool> buffers_;
   std::shared_ptr<CentroidQueue> out_;
   RetryPolicy retry_;
   size_t chunks_processed_ = 0;

@@ -1,6 +1,7 @@
 #include "stream/plan.h"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 
 namespace pmkm {
@@ -12,7 +13,7 @@ size_t ResourceModel::EffectiveCores() const {
 }
 
 PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,
-                              const ResourceModel& resources,
+                              size_t cells, const ResourceModel& resources,
                               size_t chunk_points) {
   PMKM_CHECK(dim >= 1);
   PhysicalPlan plan;
@@ -28,15 +29,14 @@ PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,
 
   // Cores → clones: one partial clone per core. The scan and merge threads
   // mostly block on their queues (partial k-means is nearly all the CPU),
-  // so they get no core of their own. Never more clones than there are
-  // chunks to chew.
+  // so they get no core of their own. Never more clones than the run has
+  // chunks to chew; any clone takes any cell's chunks.
   size_t clones = resources.EffectiveCores();
   if (expected_points_per_cell > 0) {
-    const size_t chunks = std::max<size_t>(
-        1,
-        (expected_points_per_cell + plan.chunk_points - 1) /
-            plan.chunk_points);
-    clones = std::min(clones, chunks);
+    clones = std::min(
+        clones, EstimateRunChunks(expected_points_per_cell,
+                                  std::max<size_t>(1, cells),
+                                  plan.chunk_points));
   }
   plan.partial_clones = std::max<size_t>(1, clones);
 
@@ -44,6 +44,18 @@ PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,
       PlanQueueCapacity(plan.partial_clones, plan.chunk_points, dim,
                         resources.memory_bytes_per_operator);
   return plan;
+}
+
+size_t EstimateRunChunks(size_t points_per_cell, size_t cells,
+                         size_t chunk_points) {
+  PMKM_CHECK(chunk_points > 0);
+  if (points_per_cell == 0) return 0;
+  const size_t cell_chunks = (points_per_cell - 1) / chunk_points + 1;
+  size_t run_chunks = 0;
+  if (__builtin_mul_overflow(cell_chunks, cells, &run_chunks)) {
+    return std::numeric_limits<size_t>::max();
+  }
+  return run_chunks;
 }
 
 size_t PlanQueueCapacity(size_t partial_clones, size_t chunk_points,

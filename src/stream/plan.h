@@ -30,7 +30,7 @@ struct ResourceModel {
   size_t memory_bytes_per_operator = 16ULL << 20;  // 16 MiB
 
   /// Worker cores available for cloned operators: one partial clone runs
-  /// per core (0 = autodetect).
+  /// per core, up to the run's chunk count (0 = autodetect).
   size_t cores = 0;
 
   size_t EffectiveCores() const;
@@ -43,17 +43,27 @@ struct PhysicalPlan {
   size_t queue_capacity = 4;   // smart-queue depth (back-pressure bound)
 };
 
-/// Chooses the physical plan for clustering buckets of dimensionality
-/// `dim`. `chunk_points` forces the partition size N'; 0 derives it from
-/// the memory budget. The k-means working set per point is roughly
-/// point + assignment + shares of the sums array; a conservative factor of
-/// 4 over raw point bytes keeps a clone inside its budget. The plan runs
-/// one partial clone per core, capped by one cell's chunk count; the scan
-/// and merge threads mostly block on their queues and get no core of their
-/// own. The clone count and queue capacity always follow from the chosen N'.
+/// Chooses the physical plan for clustering `cells` buckets of
+/// dimensionality `dim` and about `expected_points_per_cell` points each.
+/// `chunk_points` forces the partition size N'; 0 derives it from the
+/// memory budget. The k-means working set per point is roughly point +
+/// assignment + shares of the sums array; a conservative factor of 4 over
+/// raw point bytes keeps a clone inside its budget. The plan runs one
+/// partial clone per core, but never more clones than the run has chunks
+/// (estimated as one cell's chunk count times `cells`, saturating): a
+/// clone fits any cell's chunks, so many small cells keep every core busy.
+/// The scan and merge threads mostly block on their queues and get no core
+/// of their own. The clone count and queue capacity always follow from the
+/// chosen N'.
 PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,
-                              const ResourceModel& resources,
+                              size_t cells, const ResourceModel& resources,
                               size_t chunk_points = 0);
+
+/// The run's chunk count when each of `cells` cells holds
+/// `points_per_cell` points and a chunk holds `chunk_points` (> 0);
+/// saturates at SIZE_MAX.
+size_t EstimateRunChunks(size_t points_per_cell, size_t cells,
+                         size_t chunk_points);
 
 /// The planner's exchange-depth rule. Depth scales with the clone count
 /// (one chunk buffered per clone; the chunk a clone is fitting has already

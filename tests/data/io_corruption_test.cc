@@ -69,6 +69,20 @@ class IoCorruptionTest : public ::testing::Test {
     const size_t payload = bytes.size() - 32 - sizeof(uint64_t);
     std::memcpy(&bytes[32 + (point * dim + column) * sizeof(double)], &value,
                 sizeof(value));
+    internal::Xxh64 hash;
+    hash.Update(&bytes[32], payload);
+    const uint64_t digest = hash.Digest();
+    std::memcpy(&bytes[32 + payload], &digest, sizeof(digest));
+    WriteAll(path, bytes);
+  }
+
+  // Rewrites a bucket as the version-1 format: the header says 1 and the
+  // trailer is FNV-1a over the same payload.
+  static void ResealAsVersion1(const std::string& path) {
+    std::vector<char> bytes = ReadAll(path);
+    const size_t payload = bytes.size() - 32 - sizeof(uint64_t);
+    const uint32_t version = 1;
+    std::memcpy(&bytes[4], &version, sizeof(version));
     const uint64_t hash =
         internal::Fnv1a64(&bytes[32], payload, internal::kFnvOffset);
     std::memcpy(&bytes[32 + payload], &hash, sizeof(hash));
@@ -160,6 +174,26 @@ TEST_F(IoCorruptionTest, FlippedPayloadByteFailsChecksum) {
   EXPECT_TRUE(st.IsIOError());
   EXPECT_NE(st.message().find("checksum mismatch"), std::string::npos)
       << st;
+}
+
+TEST_F(IoCorruptionTest, FlippedPayloadByteFailsChecksumInBothVersions) {
+  for (const uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::string path =
+        WriteHealthyBucket("v" + std::to_string(version) + ".pmkb");
+    if (version == 1) ResealAsVersion1(path);
+    auto reader = GridBucketReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    EXPECT_EQ(reader->version(), version);
+    ASSERT_TRUE(ReadFully(path).ok());
+    std::vector<char> bytes = ReadAll(path);
+    bytes[32 + 2 * sizeof(double) + 5] ^= 0x01;  // inside the 2nd point
+    WriteAll(path, bytes);
+    const Status st = ReadFully(path);
+    EXPECT_TRUE(st.IsIOError());
+    EXPECT_NE(st.message().find("checksum mismatch"), std::string::npos)
+        << st;
+  }
 }
 
 TEST_F(IoCorruptionTest, TruncatedChecksumTrailer) {

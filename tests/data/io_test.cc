@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/generator.h"
@@ -134,6 +138,118 @@ TEST_F(IoTest, ReaderNextRejectsZeroMaxPoints) {
   ASSERT_TRUE(reader.ok());
   Dataset chunk(2);
   EXPECT_TRUE(reader->Next(0, &chunk).status().IsInvalidArgument());
+}
+
+TEST_F(IoTest, WriterWritesVersion2WithXxh64Trailer) {
+  const GridBucket original = MakeBucket(50, 3, 7);
+  const std::string path = Path("v2.pmkb");
+  ASSERT_TRUE(WriteGridBucket(path, original).ok());
+  auto reader = GridBucketReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_EQ(reader->version(), 2u);
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const size_t payload = 50 * 3 * sizeof(double);
+  ASSERT_EQ(bytes.size(), 32 + payload + sizeof(uint64_t));
+  internal::Xxh64 hash;
+  hash.Update(&bytes[32], payload);
+  uint64_t trailer = 0;
+  std::memcpy(&trailer, &bytes[32 + payload], sizeof(trailer));
+  EXPECT_EQ(trailer, hash.Digest());
+}
+
+TEST_F(IoTest, NextReusesTheCallersStorage) {
+  const GridBucket original = MakeBucket(100, 3, 8);
+  const std::string path = Path("reuse.pmkb");
+  ASSERT_TRUE(WriteGridBucket(path, original).ok());
+  auto reader = GridBucketReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  Dataset chunk(3);
+  chunk.Reshape(3, 40);
+  const double* storage = chunk.data();
+  Dataset all(3);
+  for (;;) {
+    auto more = reader->Next(40, &chunk);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    EXPECT_EQ(chunk.data(), storage);  // read in place, never reallocated
+    all.AppendAll(chunk);
+  }
+  EXPECT_EQ(all, original.points);
+}
+
+// The bucket corpus the fuzzer starts from holds version-1 files written
+// before version 2 existed: seed.pmkb is healthy, badsum.pmkb has a wrong
+// trailer.
+TEST_F(IoTest, ReadsVersion1Buckets) {
+  const std::string corpus = PMKM_BUCKET_CORPUS_DIR;
+  auto reader = GridBucketReader::Open(corpus + "/seed.pmkb");
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_EQ(reader->version(), 1u);
+  auto bucket = ReadGridBucket(corpus + "/seed.pmkb");
+  ASSERT_TRUE(bucket.ok()) << bucket.status();
+  EXPECT_EQ(bucket->cell, (GridCellId{3, -4}));
+  Dataset expected(2);
+  expected.Append(std::vector<double>{1.0, 2.0});
+  expected.Append(std::vector<double>{3.5, 4.5});
+  expected.Append(std::vector<double>{-1.0, 0.25});
+  EXPECT_EQ(bucket->points, expected);
+
+  const Status st = ReadGridBucket(corpus + "/badsum.pmkb").status();
+  EXPECT_TRUE(st.IsIOError());
+  EXPECT_NE(st.message().find("checksum mismatch"), std::string::npos) << st;
+}
+
+TEST_F(IoTest, WriterReproducesTheVersion2Seed) {
+  // seed_v2.pmkb holds seed.pmkb's points as version 2; the writer must
+  // produce it byte for byte.
+  GridBucket bucket;
+  bucket.cell = GridCellId{3, -4};
+  bucket.points = Dataset(2);
+  bucket.points.Append(std::vector<double>{1.0, 2.0});
+  bucket.points.Append(std::vector<double>{3.5, 4.5});
+  bucket.points.Append(std::vector<double>{-1.0, 0.25});
+  const std::string path = Path("seed_v2.pmkb");
+  ASSERT_TRUE(WriteGridBucket(path, bucket).ok());
+  const auto slurp = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string golden =
+      slurp(std::string(PMKM_BUCKET_CORPUS_DIR) + "/seed_v2.pmkb");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(slurp(path), golden);
+}
+
+TEST_F(IoTest, Xxh64KnownAnswers) {
+  const auto digest = [](const std::string& text) {
+    internal::Xxh64 hash;
+    hash.Update(text.data(), text.size());
+    return hash.Digest();
+  };
+  EXPECT_EQ(digest(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(digest("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(digest("abc"), 0x44bc2cf5ad770999ULL);
+
+  // Any split of the input into Update calls gives the one-shot digest.
+  Rng rng(11);
+  std::vector<unsigned char> bytes(1000);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  internal::Xxh64 one_shot;
+  one_shot.Update(bytes.data(), bytes.size());
+  for (int trial = 0; trial < 50; ++trial) {
+    internal::Xxh64 split;
+    size_t at = 0;
+    while (at < bytes.size()) {
+      const size_t len = std::min<size_t>(bytes.size() - at,
+                                          rng.UniformInt(trial % 2 ? 80 : 9));
+      split.Update(bytes.data() + at, len);
+      at += len;
+    }
+    EXPECT_EQ(split.Digest(), one_shot.Digest()) << "trial " << trial;
+  }
 }
 
 TEST(Fnv1aTest, KnownProperties) {

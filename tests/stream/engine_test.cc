@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -315,6 +316,62 @@ TEST(PipelineBuilderTest, ExplainNamesKernel) {
                   .Explain({files.Write(MakeBucket(6, 300, 7))});
   ASSERT_TRUE(text.ok()) << text.status();
   EXPECT_NE(text->find("kernel=scalar"), std::string::npos);
+}
+
+TEST(PipelineBuilderTest, ClonesFollowTheRunsChunkCount) {
+  // 16 cells of two chunks each at four cores: the run has 32 chunks, so
+  // every core runs a clone (a cap by one cell's chunks would plan 2).
+  // The clone count never changes the models.
+  BucketFiles files;
+  std::vector<std::string> paths;
+  for (int c = 0; c < 16; ++c) {
+    paths.push_back(files.Write(MakeBucket(c, 400, 30 + c)));
+  }
+  EngineOptions options = ScalarOptions();
+  options.partial.k = 4;
+  options.partial.restarts = 2;
+  options.merge.k = 4;
+  options.resources.memory_bytes_per_operator = 6 * 8 * 4 * 200;
+  options.resources.cores = 4;
+  auto four = PipelineBuilder(options).Run(paths);
+  options.resources.cores = 1;
+  auto one = PipelineBuilder(options).Run(paths);
+  ASSERT_TRUE(four.ok()) << four.status();
+  ASSERT_TRUE(one.ok()) << one.status();
+  EXPECT_EQ(four->plan.chunk_points, 200u);
+  EXPECT_EQ(four->plan.partial_clones, 4u);
+  EXPECT_EQ(one->plan.partial_clones, 1u);
+  ASSERT_EQ(four->cells.size(), 16u);
+  ASSERT_EQ(one->cells.size(), 16u);
+  for (const auto& [cell, clustering] : four->cells) {
+    SCOPED_TRACE(cell.ToString());
+    EXPECT_EQ(EncodeModel(clustering.model),
+              EncodeModel(one->cells.at(cell).model));
+  }
+}
+
+TEST(PipelineBuilderTest, PlanSizesFromWhatTheFileHoldsNotItsHeader) {
+  // Four buckets of 10 points whose headers each claim 2^62. Trusting the
+  // header, the run's estimate 4 · 2^62 wraps to 0 points and one cell's
+  // chunk count alone lets every core run a clone.
+  BucketFiles files;
+  std::vector<std::string> paths;
+  for (int c = 0; c < 4; ++c) {
+    const std::string path = files.Write(MakeBucket(c, 10, 40 + c));
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const uint64_t claimed = uint64_t{1} << 62;
+    f.seekp(24);  // the header's u64 point count
+    f.write(reinterpret_cast<const char*>(&claimed), sizeof(claimed));
+    ASSERT_TRUE(f.good());
+    paths.push_back(path);
+  }
+  EngineOptions options = ScalarOptions();
+  options.resources.cores = 8;
+  auto text = PipelineBuilder(options).Explain(paths);
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_NE(text->find("~40 pts"), std::string::npos) << *text;
+  EXPECT_NE(text->find("partial-kmeans ×4 clones"), std::string::npos)
+      << *text;
 }
 
 // k = 4 with one restart, so the input checks below run fast.

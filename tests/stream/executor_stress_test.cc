@@ -49,26 +49,27 @@ std::vector<GridBucket> MakeCells(size_t count, size_t points,
 
 // A scan over `cells`, written as bucket files into `files`, in chunks of
 // `chunk_points`.
-std::unique_ptr<ScanOperator> ScanOf(BucketFiles* files,
-                                     const std::vector<GridBucket>& cells,
-                                     size_t chunk_points,
-                                     std::shared_ptr<PointChunkQueue> out) {
+std::unique_ptr<ScanOperator> ScanOf(
+    BucketFiles* files, const std::vector<GridBucket>& cells,
+    size_t chunk_points, std::shared_ptr<PointChunkQueue> out,
+    std::shared_ptr<ChunkBufferPool> buffers) {
   return std::make_unique<ScanOperator>(files->Write(cells), chunk_points,
                                         cells[0].points.dim(),
-                                        std::move(out));
+                                        std::move(out), std::move(buffers));
 }
 
 TEST(ExecutorStressTest, ManyCellsManyClonesTinyQueues) {
   // 12 cells × 6 chunks over 5 clones through capacity-1 queues: maximum
   // back-pressure and interleaving. Everything must arrive exactly once.
   auto points = std::make_shared<PointChunkQueue>(1);
+  auto buffers = std::make_shared<ChunkBufferPool>(7, 6, 50);
   auto centroids = std::make_shared<CentroidQueue>(1);
   BucketFiles files;
   Executor executor;
-  executor.Add(ScanOf(&files, MakeCells(12, 300, 1), 50, points));
+  executor.Add(ScanOf(&files, MakeCells(12, 300, 1), 50, points, buffers));
   for (int c = 0; c < 5; ++c) {
     executor.Add(std::make_unique<PartialKMeansOperator>(
-        PartialConfig(), points, centroids,
+        PartialConfig(), points, buffers, centroids,
         "clone#" + std::to_string(c)));
   }
   auto merge =
@@ -91,12 +92,14 @@ TEST(ExecutorStressTest, RepeatedRunsAreIdenticalUnderContention) {
   BucketFiles files;
   for (int round = 0; round < 3; ++round) {
     auto points = std::make_shared<PointChunkQueue>(1);
+    auto buffers = std::make_shared<ChunkBufferPool>(8, 6, 150);
     auto centroids = std::make_shared<CentroidQueue>(1);
     Executor executor;
-    executor.Add(ScanOf(&files, MakeCells(1, 1200, 7), 150, points));
+    executor.Add(
+        ScanOf(&files, MakeCells(1, 1200, 7), 150, points, buffers));
     for (int c = 0; c < 6; ++c) {
       executor.Add(std::make_unique<PartialKMeansOperator>(
-          PartialConfig(), points, centroids,
+          PartialConfig(), points, buffers, centroids,
           "clone#" + std::to_string(c)));
     }
     auto merge =
@@ -158,7 +161,8 @@ TEST(ExecutorStressTest, MidPipelineFailureUnblocksEveryone) {
     auto points = std::make_shared<PointChunkQueue>(1);
     auto centroids = std::make_shared<CentroidQueue>(1);
     Executor executor;
-    executor.Add(ScanOf(&files, MakeCells(4, 400, 11), 40, points));
+    executor.Add(ScanOf(&files, MakeCells(4, 400, 11), 40, points,
+                        std::make_shared<ChunkBufferPool>(3, 6, 40)));
     executor.Add(std::make_unique<FailingOperator>(points, centroids,
                                                    fail_after));
     executor.Add(

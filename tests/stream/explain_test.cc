@@ -50,7 +50,7 @@ TEST(ExplainTest, ServeSizedPlanRunsOneClonePerBudgetedCore) {
   ResourceModel resources;
   resources.cores = 2;
   resources.memory_bytes_per_operator = 512 << 10;
-  const PhysicalPlan plan = PlanPartialMerge(6, 10000, resources);
+  const PhysicalPlan plan = PlanPartialMerge(6, 10000, 2, resources);
   const std::string text =
       ExplainPartialMergePlan(2, 20000, 6, partial, merge, plan);
   EXPECT_NE(text.find("partial-kmeans ×2 clones"), std::string::npos)

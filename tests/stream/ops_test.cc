@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 
 #include "cluster/metrics.h"
 #include "data/generator.h"
 
 namespace pmkm {
 namespace {
+
+// D of GenerateMisrLikeCell's points, the D every scan here is planned for.
+constexpr size_t kMisrDim = 6;
 
 class OpsTest : public ::testing::Test {
  protected:
@@ -33,10 +37,10 @@ class OpsTest : public ::testing::Test {
   }
 
   std::filesystem::path dir_;
+  // Shared by every scan and partial clone of one test.
+  std::shared_ptr<ChunkBufferPool> buffers_ =
+      std::make_shared<ChunkBufferPool>(4, kMisrDim, 100);
 };
-
-// D of GenerateMisrLikeCell's points, the D every scan here is planned for.
-constexpr size_t kMisrDim = 6;
 
 KMeansConfig PartialConfig(size_t k = 8) {
   KMeansConfig config;
@@ -54,7 +58,7 @@ MergeKMeansConfig MergeConfig(size_t k = 8) {
 TEST_F(OpsTest, ScanEmitsAllChunksWithMetadata) {
   const std::string path = WriteCell("a.pmkb", {3, 4}, 100, 1);
   auto out = std::make_shared<PointChunkQueue>(64);
-  ScanOperator scan({path}, 30, kMisrDim, out);
+  ScanOperator scan({path}, 30, kMisrDim, out, buffers_);
   ASSERT_TRUE(scan.Run().ok());
   EXPECT_EQ(scan.chunks_emitted(), 4u);  // ceil(100/30)
 
@@ -73,14 +77,36 @@ TEST_F(OpsTest, ScanMultipleFiles) {
   const std::string p1 = WriteCell("a.pmkb", {0, 0}, 50, 1);
   const std::string p2 = WriteCell("b.pmkb", {1, 1}, 70, 2);
   auto out = std::make_shared<PointChunkQueue>(64);
-  ScanOperator scan({p1, p2}, 25, kMisrDim, out);
+  ScanOperator scan({p1, p2}, 25, kMisrDim, out, buffers_);
   ASSERT_TRUE(scan.Run().ok());
   EXPECT_EQ(scan.chunks_emitted(), 5u);  // 2 + 3
 }
 
+TEST(ChunkBufferPoolTest, PreallocatesAndRecyclesUpToCapacity) {
+  ChunkBufferPool pool(2, 3, 10);
+  Dataset a = pool.Take();
+  Dataset b = pool.Take();
+  const std::set<const double*> made{a.data(), b.data()};
+  EXPECT_EQ(made.size(), 2u);
+  for (const Dataset* buffer : {&a, &b}) {
+    EXPECT_EQ(buffer->dim(), 3u);
+    EXPECT_GE(buffer->values().capacity(), 30u);
+  }
+  EXPECT_EQ(pool.Take().values().capacity(), 0u);  // none free
+  Dataset extra(3);
+  extra.Reshape(3, 10);
+  pool.Give(std::move(a));
+  pool.Give(std::move(b));
+  pool.Give(std::move(extra));  // the pool is full: freed
+  EXPECT_EQ(made.count(pool.Take().data()), 1u);
+  EXPECT_EQ(made.count(pool.Take().data()), 1u);
+  EXPECT_EQ(pool.Take().values().capacity(), 0u);
+}
+
 TEST_F(OpsTest, ScanFailsOnMissingFile) {
   auto out = std::make_shared<PointChunkQueue>(4);
-  ScanOperator scan({(dir_ / "nope.pmkb").string()}, 10, kMisrDim, out);
+  ScanOperator scan({(dir_ / "nope.pmkb").string()}, 10, kMisrDim, out,
+                    buffers_);
   EXPECT_TRUE(scan.Run().IsIOError());
   // The failed scan keeps its producer open until Finish(), which the
   // executor calls after recording the failure; then the queue is closed.
@@ -96,9 +122,9 @@ TEST_F(OpsTest, SingleCellPipelineMatchesDriver) {
 
   Executor executor;
   executor.Add(std::make_unique<ScanOperator>(
-      std::vector<std::string>{path}, 100, kMisrDim, points));
-  executor.Add(std::make_unique<PartialKMeansOperator>(PartialConfig(),
-                                                       points, centroids));
+      std::vector<std::string>{path}, 100, kMisrDim, points, buffers_));
+  executor.Add(std::make_unique<PartialKMeansOperator>(
+      PartialConfig(), points, buffers_, centroids));
   auto merge = std::make_unique<MergeKMeansOperator>(MergeConfig(),
                                                      centroids);
   auto* merge_raw = merge.get();
@@ -123,10 +149,10 @@ TEST_F(OpsTest, ClonedPartialOperatorsProduceCompleteResult) {
 
   Executor executor;
   executor.Add(std::make_unique<ScanOperator>(
-      std::vector<std::string>{path}, 150, kMisrDim, points));
+      std::vector<std::string>{path}, 150, kMisrDim, points, buffers_));
   for (int c = 0; c < 3; ++c) {
     executor.Add(std::make_unique<PartialKMeansOperator>(
-        PartialConfig(), points, centroids,
+        PartialConfig(), points, buffers_, centroids,
         "partial#" + std::to_string(c)));
   }
   auto merge = std::make_unique<MergeKMeansOperator>(MergeConfig(),
@@ -150,9 +176,9 @@ TEST_F(OpsTest, MultipleCellsEachGetMerged) {
   auto centroids = std::make_shared<CentroidQueue>(8);
   Executor executor;
   executor.Add(
-      std::make_unique<ScanOperator>(paths, 64, kMisrDim, points));
-  executor.Add(std::make_unique<PartialKMeansOperator>(PartialConfig(4),
-                                                       points, centroids));
+      std::make_unique<ScanOperator>(paths, 64, kMisrDim, points, buffers_));
+  executor.Add(std::make_unique<PartialKMeansOperator>(
+      PartialConfig(4), points, buffers_, centroids));
   auto merge = std::make_unique<MergeKMeansOperator>(MergeConfig(4),
                                                      centroids);
   auto* merge_raw = merge.get();
@@ -175,7 +201,7 @@ TEST_F(OpsTest, MemoryScanMatchesFileScan) {
   const std::string path = (dir_ / "same.pmkb").string();
   ASSERT_TRUE(WriteGridBucket(path, bucket).ok());
   auto queue = std::make_shared<PointChunkQueue>(64);
-  ScanOperator file({path}, 80, kMisrDim, queue);
+  ScanOperator file({path}, 80, kMisrDim, queue, buffers_);
   ASSERT_TRUE(file.Run().ok());
 
   uint32_t id = 0;
@@ -207,9 +233,10 @@ TEST_F(OpsTest, CorruptBucketMidStreamAbortsPipeline) {
   auto centroids = std::make_shared<CentroidQueue>(2);
   Executor executor;
   executor.Add(
-      std::make_unique<ScanOperator>(paths, 100, kMisrDim, points));
-  executor.Add(std::make_unique<PartialKMeansOperator>(PartialConfig(4),
-                                                       points, centroids));
+      std::make_unique<ScanOperator>(paths, 100, kMisrDim, points,
+                                     buffers_));
+  executor.Add(std::make_unique<PartialKMeansOperator>(
+      PartialConfig(4), points, buffers_, centroids));
   executor.Add(
       std::make_unique<MergeKMeansOperator>(MergeConfig(4), centroids));
   const Status st = executor.Run();
@@ -225,9 +252,9 @@ TEST_F(OpsTest, ExecutorPropagatesOperatorFailure) {
   Executor executor;
   executor.Add(std::make_unique<ScanOperator>(
       std::vector<std::string>{(dir_ / "ghost.pmkb").string()}, 10,
-      kMisrDim, points));
-  executor.Add(std::make_unique<PartialKMeansOperator>(PartialConfig(),
-                                                       points, centroids));
+      kMisrDim, points, buffers_));
+  executor.Add(std::make_unique<PartialKMeansOperator>(
+      PartialConfig(), points, buffers_, centroids));
   executor.Add(
       std::make_unique<MergeKMeansOperator>(MergeConfig(), centroids));
   const Status st = executor.Run();

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 
 #include "cluster/metrics.h"
 #include "data/generator.h"
@@ -24,8 +25,8 @@ TEST(PlanTest, PartitionSizeScalesWithMemory) {
   small.memory_bytes_per_operator = 1 << 16;  // 64 KiB
   ResourceModel large;
   large.memory_bytes_per_operator = 1 << 24;  // 16 MiB
-  const PhysicalPlan ps = PlanPartialMerge(6, 100000, small);
-  const PhysicalPlan pl = PlanPartialMerge(6, 100000, large);
+  const PhysicalPlan ps = PlanPartialMerge(6, 100000, 1, small);
+  const PhysicalPlan pl = PlanPartialMerge(6, 100000, 1, large);
   EXPECT_LT(ps.chunk_points, pl.chunk_points);
   // 64 KiB / (6·8·4) = 341 points.
   EXPECT_EQ(ps.chunk_points, (1u << 16) / (6 * 8 * 4));
@@ -35,15 +36,40 @@ TEST(PlanTest, CloneCountBoundedByChunks) {
   ResourceModel r;
   r.cores = 16;
   r.memory_bytes_per_operator = 1 << 30;  // one huge chunk
-  const PhysicalPlan plan = PlanPartialMerge(6, 1000, r);
+  const PhysicalPlan plan = PlanPartialMerge(6, 1000, 1, r);
   EXPECT_EQ(plan.partial_clones, 1u);  // only one chunk exists
+}
+
+TEST(PlanTest, CloneCountBoundedByTheRunsChunks) {
+  // One chunk per cell: the clones are capped by the run's chunk count,
+  // one cell's chunks times the cells.
+  ResourceModel r;
+  r.cores = 16;
+  r.memory_bytes_per_operator = 1 << 30;
+  EXPECT_EQ(PlanPartialMerge(6, 1000, 4, r).partial_clones, 4u);
+  EXPECT_EQ(PlanPartialMerge(6, 1000, 40, r).partial_clones, 16u);
+  // Two chunks in each of 16 cells at four cores: four clones, where a
+  // cap by one cell's chunks would plan two.
+  r.cores = 4;
+  r.memory_bytes_per_operator = 512 << 10;  // 2,730-point chunks
+  EXPECT_EQ(PlanPartialMerge(6, 5000, 16, r).partial_clones, 4u);
+}
+
+TEST(PlanTest, RunChunkEstimateSaturates) {
+  // Hostile sizes must not wrap the run's chunk count to a small number.
+  ResourceModel r;
+  r.cores = 8;
+  r.memory_bytes_per_operator = 1 << 14;
+  const size_t huge = std::numeric_limits<size_t>::max();
+  EXPECT_EQ(PlanPartialMerge(6, huge, huge, r).partial_clones, 8u);
+  EXPECT_EQ(PlanPartialMerge(6, huge, 4, r).partial_clones, 8u);
 }
 
 TEST(PlanTest, ClonesUseAvailableCores) {
   ResourceModel r;
   r.cores = 8;
   r.memory_bytes_per_operator = 1 << 14;  // many small chunks
-  const PhysicalPlan plan = PlanPartialMerge(6, 100000, r);
+  const PhysicalPlan plan = PlanPartialMerge(6, 100000, 1, r);
   EXPECT_EQ(plan.partial_clones, 8u);  // one clone per core
   EXPECT_EQ(plan.queue_capacity, plan.partial_clones);
 }
@@ -55,7 +81,7 @@ TEST(PlanTest, ServeShapedJobUsesBothBudgetedCores) {
   ResourceModel r;
   r.cores = 2;
   r.memory_bytes_per_operator = 512 << 10;
-  const PhysicalPlan plan = PlanPartialMerge(6, 10000, r);
+  const PhysicalPlan plan = PlanPartialMerge(6, 10000, 1, r);
   EXPECT_EQ(plan.chunk_points, 2730u);
   EXPECT_EQ(plan.partial_clones, 2u);
   EXPECT_EQ(plan.queue_capacity, 2u);
@@ -65,7 +91,7 @@ TEST(PlanTest, OneCorePlansOneClone) {
   ResourceModel r;
   r.cores = 1;
   r.memory_bytes_per_operator = 512 << 10;
-  const PhysicalPlan plan = PlanPartialMerge(6, 75000, r);
+  const PhysicalPlan plan = PlanPartialMerge(6, 75000, 1, r);
   EXPECT_EQ(plan.partial_clones, 1u);
   EXPECT_EQ(plan.queue_capacity, 2u);  // the floor
 }
@@ -87,7 +113,7 @@ TEST(PlanTest, PlannerQueueCapacityFollowsRule) {
     ResourceModel r;
     r.cores = cores;
     r.memory_bytes_per_operator = 1 << 16;
-    const PhysicalPlan plan = PlanPartialMerge(6, 1000000, r);
+    const PhysicalPlan plan = PlanPartialMerge(6, 1000000, 1, r);
     EXPECT_EQ(plan.queue_capacity,
               PlanQueueCapacity(plan.partial_clones, plan.chunk_points, 6,
                                 r.memory_bytes_per_operator));
@@ -102,7 +128,7 @@ TEST(PlanTest, PlannerQueueCapacityFollowsRule) {
 TEST(PlanTest, MinimumOnePointPartition) {
   ResourceModel r;
   r.memory_bytes_per_operator = 1;  // absurdly small budget
-  const PhysicalPlan plan = PlanPartialMerge(6, 100, r);
+  const PhysicalPlan plan = PlanPartialMerge(6, 100, 1, r);
   EXPECT_GE(plan.chunk_points, 1u);
 }
 

@@ -89,9 +89,10 @@ class ResilienceTest : public ::testing::Test {
     const size_t payload = bytes.size() - 32 - sizeof(uint64_t);
     const double nan = std::nan("");
     std::memcpy(&bytes[32 + point * 2 * sizeof(double)], &nan, sizeof(nan));
-    const uint64_t hash =
-        internal::Fnv1a64(&bytes[32], payload, internal::kFnvOffset);
-    std::memcpy(&bytes[32 + payload], &hash, sizeof(hash));
+    internal::Xxh64 hash;
+    hash.Update(&bytes[32], payload);
+    const uint64_t digest = hash.Digest();
+    std::memcpy(&bytes[32 + payload], &digest, sizeof(digest));
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }

@@ -163,8 +163,16 @@ TEST_F(ToolsTest, InspectBucket) {
                 " --mode=cells --cells=1 --n=100"),
             0);
   for (const auto& e : fs::directory_iterator(Dir("b"))) {
-    EXPECT_EQ(
-        Run(std::string(PMKM_TOOL_INSPECT) + " " + e.path().string()), 0);
+    const std::string out = Dir("inspect.txt");
+    EXPECT_EQ(std::system((std::string(PMKM_TOOL_INSPECT) + " " +
+                           e.path().string() + " > " + out)
+                              .c_str()),
+              0);
+    std::ifstream in(out);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("version : 2 (XXH64 trailer)"), std::string::npos)
+        << text;
   }
 }
 

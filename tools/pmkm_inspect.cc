@@ -61,11 +61,16 @@ int Fail(const std::string& context, const pmkm::Status& st) {
 }
 
 pmkm::Status InspectBucket(const std::string& path) {
+  auto header = pmkm::GridBucketReader::Open(path);
+  if (!header.ok()) return header.status();
   auto bucket = pmkm::ReadGridBucket(path);
   if (!bucket.ok()) return bucket.status();
   const pmkm::Dataset& points = bucket->points;
   std::cout << path << ": grid bucket\n"
-            << "  cell : " << bucket->cell.ToString() << "\n";
+            << "  version : " << header->version()
+            << (header->version() == 1 ? " (FNV-1a trailer)\n"
+                                       : " (XXH64 trailer)\n")
+            << "  cell    : " << bucket->cell.ToString() << "\n";
   if (points.empty()) {
     std::cout << "  empty (0 points, dim " << points.dim() << ")\n";
     return pmkm::Status::OK();
