@@ -14,6 +14,7 @@
 #include "cluster/metrics.h"
 #include "cluster/partial.h"
 #include "common/stopwatch.h"
+#include "data/slicing.h"
 
 namespace pmkm {
 namespace bench {

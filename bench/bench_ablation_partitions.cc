@@ -24,7 +24,7 @@ Dataset OrderForSlicing(const Dataset& cell, const std::string& strategy,
   Dataset ordered = cell;  // contiguous: arrival order
   if (strategy == "random") {
     Rng rng(seed);
-    ordered.Shuffle(&rng);
+    ShufflePoints(&ordered, &rng);
   } else if (strategy == "spatial" || strategy == "stripes") {
     const size_t side = static_cast<size_t>(
         std::ceil(std::sqrt(static_cast<double>(p))));

@@ -10,6 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "cluster/metrics.h"
+#include "data/slicing.h"
 
 namespace pmkm {
 namespace bench {
@@ -66,7 +67,7 @@ int Main(int argc, char** argv) {
       merge.seed = 99 + static_cast<uint64_t>(v);
       Dataset shuffled = cell;
       Rng rng(77 + static_cast<uint64_t>(v));
-      shuffled.Shuffle(&rng);
+      ShufflePoints(&shuffled, &rng);
       RunStats stats;
       const ClusteringModel model =
           RunOnEngine(std::move(shuffled), static_cast<size_t>(splits),

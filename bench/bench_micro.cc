@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cluster/distance.h"
+#include "cluster/kernels.h"
 #include "cluster/kernels/kernel.h"
 #include "cluster/kmeans.h"
 #include "cluster/merge.h"
@@ -392,20 +393,6 @@ void BM_ObsRollingHistogram(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObsRollingHistogram);
-
-void BM_LogRateLimitedSuppressed(benchmark::State& state) {
-  // A dropped rate-limited log line must cost one atomic CAS, not a
-  // render: this is the hot-path budget for PMKM_LOG_RATELIMITED.
-  internal::LogTokenBucket bucket(1e-3);  // effectively always dry
-  bucket.AcquireAt(1);                    // drain the burst
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    sink += bucket.AcquireAt(2);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LogRateLimitedSuppressed);
 
 void BM_ProfilerOff(benchmark::State& state) {
   // A stopped profiler adds zero instructions to compute code; this

@@ -20,6 +20,7 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
+#include "data/slicing.h"
 #include "stream/engine.h"
 
 namespace pmkm {

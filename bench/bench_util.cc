@@ -10,6 +10,7 @@
 
 #include "cluster/metrics.h"
 #include "common/stopwatch.h"
+#include "data/slicing.h"
 #include "stream/engine.h"
 
 namespace pmkm {
@@ -124,7 +125,7 @@ RunStats RunPartialMerge(const Dataset& cell, const ExperimentGrid& grid,
   merge.lloyd.accelerate = grid.accelerate;
   Dataset shuffled = cell;  // randomly distributed chunks (paper §5.1)
   Rng rng(seed ^ 0xabcdef);
-  shuffled.Shuffle(&rng);
+  ShufflePoints(&shuffled, &rng);
   RunStats stats;
   ClusteringModel merged =
       RunOnEngine(std::move(shuffled), splits, partial, merge, &stats);

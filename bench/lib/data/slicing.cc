@@ -6,6 +6,68 @@
 
 namespace pmkm {
 
+void ShufflePoints(Dataset* data, Rng* rng) {
+  const size_t n = data->size();
+  if (n < 2) return;
+  for (size_t i = n - 1; i > 0; --i) {
+    const size_t j = rng->UniformInt(i + 1);
+    if (i == j) continue;
+    std::span<double> a = data->MutableRow(i);
+    std::swap_ranges(a.begin(), a.end(), data->MutableRow(j).begin());
+  }
+}
+
+Dataset SlicePoints(const Dataset& data, size_t begin, size_t end) {
+  PMKM_CHECK(begin <= end && end <= data.size());
+  Dataset out(data.dim());
+  out.Reshape(data.dim(), end - begin);
+  std::copy(data.data() + begin * data.dim(), data.data() + end * data.dim(),
+            out.mutable_data());
+  return out;
+}
+
+std::vector<Dataset> SplitRandom(const Dataset& data, size_t num_parts,
+                                 Rng* rng) {
+  PMKM_CHECK(num_parts >= 1);
+  std::vector<size_t> order(data.size());
+  std::iota(order.begin(), order.end(), 0);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng->UniformInt(i)]);
+  }
+  std::vector<Dataset> parts;
+  parts.reserve(num_parts);
+  const size_t n = data.size();
+  const size_t base = n / num_parts;
+  const size_t extra = n % num_parts;
+  size_t pos = 0;
+  for (size_t p = 0; p < num_parts; ++p) {
+    const size_t take = base + (p < extra ? 1 : 0);
+    Dataset part(data.dim());
+    part.Reserve(take);
+    for (size_t i = 0; i < take; ++i) {
+      part.Append(data.Row(order[pos++]));
+    }
+    parts.push_back(std::move(part));
+  }
+  return parts;
+}
+
+std::vector<Dataset> SplitContiguous(const Dataset& data, size_t num_parts) {
+  PMKM_CHECK(num_parts >= 1);
+  std::vector<Dataset> parts;
+  parts.reserve(num_parts);
+  const size_t n = data.size();
+  const size_t base = n / num_parts;
+  const size_t extra = n % num_parts;
+  size_t pos = 0;
+  for (size_t p = 0; p < num_parts; ++p) {
+    const size_t take = base + (p < extra ? 1 : 0);
+    parts.push_back(SlicePoints(data, pos, pos + take));
+    pos += take;
+  }
+  return parts;
+}
+
 Result<std::vector<Dataset>> SplitSpatialGrid(const Dataset& cell,
                                               size_t grid_side,
                                               size_t x_dim, size_t y_dim) {

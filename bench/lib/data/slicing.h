@@ -1,20 +1,39 @@
-// Spatial slicing strategies — the paper's §6 future work: "data cells can
-// be partitioned into spatially non-overlapping subcells, or a mostly
+// Slicing strategies — the paper's §6 future work: "data cells can be
+// partitioned into spatially non-overlapping subcells, or a mostly
 // overlapping cells as in our test cases, or in a 'salami'-type slicing
 // strategy".
 //
-// SplitRandom (dataset.h) is the paper's "mostly overlapping" test setup
-// and SplitContiguous is the salami strategy; this module adds the
-// spatially non-overlapping subcell split.
+// SplitRandom is the paper's "mostly overlapping" test setup,
+// SplitContiguous is the salami strategy, and SplitSpatialGrid is the
+// spatially non-overlapping subcell split. ShufflePoints and SlicePoints
+// are the row operations the experiments build their partitions from.
 
 #ifndef PMKM_BENCH_LIB_DATA_SLICING_H_
 #define PMKM_BENCH_LIB_DATA_SLICING_H_
 
 #include <vector>
 
+#include "common/rng.h"
 #include "data/dataset.h"
 
 namespace pmkm {
+
+/// Randomly permutes the point order of `data` in place (Fisher–Yates).
+void ShufflePoints(Dataset* data, Rng* rng);
+
+/// Copies rows [begin, end) of `data` into a new dataset.
+Dataset SlicePoints(const Dataset& data, size_t begin, size_t end);
+
+/// Splits `data` into `num_parts` near-equal random partitions — the
+/// paper's "randomly distributed over 5 or 10 chunks" slicing. Sizes differ
+/// by at most one point. Requires num_parts >= 1.
+std::vector<Dataset> SplitRandom(const Dataset& data, size_t num_parts,
+                                 Rng* rng);
+
+/// Splits `data` into `num_parts` contiguous slices in arrival order — the
+/// "salami" slicing the paper lists as future work. Sizes differ by at most
+/// one point.
+std::vector<Dataset> SplitContiguous(const Dataset& data, size_t num_parts);
 
 /// Splits `cell` into at most grid_side × grid_side spatially disjoint
 /// subcells by bucketing coordinates (dim `x_dim`, `y_dim`) on a uniform

@@ -16,6 +16,7 @@
 #include "common/flags.h"
 #include "data/generator.h"
 #include "data/io.h"
+#include "data/slicing.h"
 #include "histogram/ecvq.h"
 #include "histogram/histogram.h"
 #include "stream/engine.h"
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
             << "):\n  per-partition effective k:";
   for (size_t begin = 0; begin < cell.size(); begin += chunk) {
     auto partial = pmkm::FitEcvq(
-        cell.Slice(begin, std::min(cell.size(), begin + chunk)), ecvq);
+        SlicePoints(cell, begin, std::min(cell.size(), begin + chunk)), ecvq);
     if (!partial.ok()) {
       std::cerr << partial.status() << "\n";
       return 1;

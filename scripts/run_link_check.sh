@@ -1,25 +1,30 @@
 #!/usr/bin/env bash
-# Link check (DESIGN.md §16): src/ is exactly what the shipped binaries
-# link. Fails when any src/ object is linked into none of them.
+# Link check (DESIGN.md §17): src/ is exactly what the shipped binaries
+# call. Fails when any global function defined in src/ is in none of them.
 #
 #   1. Configures the root project with tests, benchmarks and examples
-#      off, plus -ffunction-sections and -Wl,--gc-sections, and builds
-#      the four tools: pmkm_cluster, pmkm_serve, pmkm_inspect and
-#      pmkm_genbuckets. Builds pmkm_bench from benchmark/ the same way.
+#      off, at Debug (-O0, so no function is inlined away into its
+#      callers and reported as dead), with -ffunction-sections and
+#      -Wl,--gc-sections,--exclude-libs,ALL, and builds the four tools:
+#      pmkm_cluster, pmkm_serve, pmkm_inspect and pmkm_genbuckets. Builds
+#      pmkm_bench from benchmark/ the same way.
 #   2. Lists the global text (`T`) symbols of every src/ library except
 #      pmkm_schedcheck, which is test-only instrumentation.
-#   3. Fails, naming each symbol and its object file, if any of them is
+#   3. Fails, naming each function and its object file, if any of them is
 #      in none of the five binaries.
 #
-# The check works on whole translation units, not single functions. Both
-# projects set CMAKE_ENABLE_EXPORTS (-rdynamic, which the profiler's
-# dladdr needs), so the linker exports, and therefore keeps, every global
-# function of an object file it pulls in; --gc-sections can only drop
-# the objects no binary references. So it proves "every src/ .cc is
-# linked by a shipped binary": an uncalled function inside a linked .cc
-# passes, a .cc that no binary links fails. Code only the experiments,
-# examples or tests need belongs in bench/lib/. There is no baseline
-# file: any symbol in the set fails the check.
+# The check works on single functions. Both projects set
+# CMAKE_ENABLE_EXPORTS (-rdynamic, which the profiler's dladdr needs), and
+# an exported symbol is a root that --gc-sections keeps. --exclude-libs,ALL
+# stops the linker exporting the symbols of the static libpmkm_*.a
+# archives, so every function no binary calls is collected, and only for
+# this check: shipped and test builds keep their exports. The join is on
+# demangled names, which spell the Itanium constructor (C1/C2/C3) and
+# destructor (D0/D1/D2) variants alike: a constructor or destructor counts
+# as linked when any of its variants is. Code only the experiments,
+# examples or tests need belongs in bench/lib/; a test hook is declared in
+# its src/ header and defined in tests/support/. There is no baseline
+# file: any function in the set fails the check.
 #
 # Usage:
 #   scripts/run_link_check.sh [BUILD_DIR]    (default: build-link)
@@ -34,9 +39,9 @@ export LC_ALL=C
 
 out="${1:-build-link}"
 jobs="$(nproc)"
-flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+flags=(-DCMAKE_BUILD_TYPE=Debug
        -DCMAKE_CXX_FLAGS=-ffunction-sections
-       -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+       -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections,--exclude-libs,ALL)
 
 echo "link check: building the tools (root project)"
 cmake -B "${out}/project" -S . "${flags[@]}" \
@@ -63,29 +68,32 @@ if [[ "${#libraries[@]}" -eq 0 ]]; then
   exit 1
 fi
 
+# Demangled names hold spaces, so the lists below are tab-separated.
+tab=$'\t'
 linked="$(mktemp)"
 trap 'rm -f "${linked}"' EXIT
 for bin in "${binaries[@]}"; do
   nm --defined-only "${bin}" | awk '{ print $NF }'
-done | sort -u > "${linked}"
+done | c++filt | sort -u > "${linked}"
 
-# "<symbol> <library>:<object>" for every global text symbol; `nm -A`
-# prefixes each archive symbol with "<archive>:<member>:".
+# "<function>\t<library>:<object>" for every global text symbol, one line
+# per function; `nm -A` prefixes each archive symbol with
+# "<archive>:<member>:".
 defined="$(
   for lib in "${libraries[@]}"; do
     nm -A --defined-only -g "${lib}" |
       awk -v lib="$(basename "${lib}")" '$2 == "T" {
-        n = split($1, parts, ":"); print $3, lib ":" parts[n - 1] }'
-  done | sort -k1,1
+        n = split($1, parts, ":"); print $3 "\t" lib ":" parts[n - 1] }'
+  done | c++filt | sort -u
 )"
-unlinked="$(join -v 1 - "${linked}" <<< "${defined}")"
+unlinked="$(join -t "${tab}" -v 1 - "${linked}" <<< "${defined}")"
 
 if [[ -n "${unlinked}" ]]; then
-  echo "FAIL: src/ code that no shipped binary links (move it to" \
-       "bench/lib/, or delete it):" >&2
-  awk '{ print "  " $2 ": " $1 }' <<< "${unlinked}" | c++filt | sort -u >&2
+  echo "FAIL: src/ functions that no shipped binary calls (move them to" \
+       "bench/lib/, define them in tests/support/, or delete them):" >&2
+  awk -F "${tab}" '{ print "  " $2 ": " $1 }' <<< "${unlinked}" | sort >&2
   exit 1
 fi
-echo "link check: OK ($(wc -l <<< "${defined}") global function symbols" \
-     "in ${#libraries[@]} src/ libraries, all linked by the" \
+echo "link check: OK ($(wc -l <<< "${defined}") global functions in" \
+     "${#libraries[@]} src/ libraries, all linked by the" \
      "${#binaries[@]} binaries)"

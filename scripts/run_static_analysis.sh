@@ -29,10 +29,10 @@
 #                         schedule explorer, seeded-bug doubles, and
 #                         bounded schedule sweeps over the queue/executor
 #                         (PR budget; nightly raises PMKM_SCHEDCHECK_SEEDS)
-#   6. link check         scripts/run_link_check.sh: every src/ .cc is
-#                         linked by a shipped binary (the four tools and
-#                         pmkm_bench); the experiment appendix lives in
-#                         bench/lib/
+#   6. link check         scripts/run_link_check.sh: every global function
+#                         in src/ is linked by a shipped binary (the four
+#                         tools and pmkm_bench); the experiment appendix
+#                         lives in bench/lib/, test hooks in tests/support/
 #
 # Stages 2 and 3 need the Clang toolchain (clang++ / clang-tidy). When a
 # tool is missing the stage is SKIPPED with a warning — the gate then
@@ -214,7 +214,7 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-echo "==> stage 6/6: link check (every src/ .cc is linked by a shipped binary)"
+echo "==> stage 6/6: link check (every global function in src/ is linked by a shipped binary)"
 if scripts/run_link_check.sh; then
   echo "link check: clean"
 else

@@ -94,16 +94,6 @@ void AssignNearest(const double* points, size_t n, size_t dim,
       .AssignBlock(points, n, dim, block, assign, dist2, second2);
 }
 
-std::vector<const DistanceKernel*> AvailableKernels() {
-  std::vector<const DistanceKernel*> out;
-  out.push_back(kernels::ScalarKernel());
-  if (const DistanceKernel* avx2 = LookupKernel(KernelKind::kAvx2);
-      avx2 != nullptr) {
-    out.push_back(avx2);
-  }
-  return out;
-}
-
 std::string HostIsaDescription() {
 #if defined(__x86_64__) || defined(_M_X64)
   return kernels::CpuSupportsAvx2() ? "x86-64 (avx2+fma)"

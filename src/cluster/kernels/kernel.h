@@ -168,10 +168,6 @@ void AssignNearest(const double* points, size_t n, size_t dim,
                    const Dataset& centroids, uint32_t* assign,
                    double* dist2, double* second2 = nullptr);
 
-/// Every kernel this host can run (scalar first), for parity tests and
-/// bench sweeps.
-std::vector<const DistanceKernel*> AvailableKernels();
-
 /// Short host-ISA description for bench provenance, e.g.
 /// "x86-64 (avx2+fma)" or "aarch64".
 std::string HostIsaDescription();

@@ -54,19 +54,6 @@ void FaultRegistry::Arm(const std::string& site, FaultSpec spec) {
   if (inserted) armed_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void FaultRegistry::Disarm(const std::string& site) {
-  MutexLock lock(mu_);
-  if (sites_.erase(site) > 0) {
-    armed_count_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-void FaultRegistry::Reset() {
-  MutexLock lock(mu_);
-  sites_.clear();
-  armed_count_.store(0, std::memory_order_relaxed);
-}
-
 Status FaultRegistry::ArmFromString(const std::string& spec) {
   size_t pos = 0;
   while (pos < spec.size()) {
@@ -179,18 +166,6 @@ uint64_t FaultRegistry::StallMs(const std::string& site) {
   if (armed.spec.stall_ms == 0) return 0;
   ++armed.hits;
   return Fires(&armed) ? armed.spec.stall_ms : 0;
-}
-
-uint64_t FaultRegistry::hits(const std::string& site) const {
-  MutexLock lock(mu_);
-  auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.hits;
-}
-
-uint64_t FaultRegistry::failures(const std::string& site) const {
-  MutexLock lock(mu_);
-  auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.failures;
 }
 
 }  // namespace pmkm

@@ -68,10 +68,6 @@ class FaultRegistry {
   static FaultRegistry& Global();
 
   void Arm(const std::string& site, FaultSpec spec) PMKM_EXCLUDES(mu_);
-  void Disarm(const std::string& site) PMKM_EXCLUDES(mu_);
-
-  /// Disarms every site and zeroes all counters.
-  void Reset() PMKM_EXCLUDES(mu_);
 
   /// Parses the spec-string grammar above and arms each site.
   Status ArmFromString(const std::string& spec) PMKM_EXCLUDES(mu_);
@@ -84,6 +80,11 @@ class FaultRegistry {
   /// armed with a stall fault that fires on this hit; 0 otherwise.
   uint64_t StallMs(const std::string& site) PMKM_EXCLUDES(mu_);
 
+  // Test hooks. Defined in tests/support/test_hooks.cc, which only test
+  // binaries link, so no shipped binary can call them.
+
+  /// Disarms every site and zeroes all counters.
+  void Reset() PMKM_EXCLUDES(mu_);
   uint64_t hits(const std::string& site) const PMKM_EXCLUDES(mu_);
   uint64_t failures(const std::string& site) const PMKM_EXCLUDES(mu_);
 

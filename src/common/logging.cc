@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -115,11 +114,6 @@ void SetLogRunId(const std::string& run_id) {
   RunIdStorage() = run_id;
 }
 
-std::string GetLogRunId() {
-  MutexLock lock(LogMutex());
-  return RunIdStorage();
-}
-
 namespace internal {
 
 std::string FormatLogTimestamp(int64_t unix_millis) {
@@ -155,45 +149,6 @@ std::string RenderLogLine(LogLevel level, const char* file_base, int line,
   if (!run_id.empty()) out += " run=" + run_id;
   out += "] " + msg;
   return out;
-}
-
-LogTokenBucket::LogTokenBucket(double per_second, double burst) {
-  per_second = std::max(per_second, 1e-6);
-  cost_micros_ = static_cast<int64_t>(1e6 / per_second);
-  cost_micros_ = std::max<int64_t>(1, cost_micros_);
-  burst_micros_ =
-      static_cast<int64_t>(std::max(1.0, burst) *
-                           static_cast<double>(cost_micros_));
-}
-
-uint64_t LogTokenBucket::Acquire() {
-  const int64_t now = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now().time_since_epoch())
-                          .count();
-  return AcquireAt(now);
-}
-
-uint64_t LogTokenBucket::AcquireAt(int64_t now_micros) {
-  int64_t avail = available_at_.load(std::memory_order_relaxed);
-  while (true) {
-    // The bucket may hold at most `burst` unused tokens: the effective
-    // next-token time never lags more than burst_micros_ behind now.
-    const int64_t base = std::max(avail, now_micros - burst_micros_);
-    if (base > now_micros) {
-      suppressed_.fetch_add(1, std::memory_order_relaxed);
-      return kDenied;
-    }
-    if (available_at_.compare_exchange_weak(avail, base + cost_micros_,
-                                            std::memory_order_relaxed)) {
-      return suppressed_.exchange(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-std::string SuppressedTag(uint64_t suppressed) {
-  if (suppressed == 0) return "";
-  return "(suppressed " + std::to_string(suppressed) +
-         " similar lines) ";
 }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

@@ -9,18 +9,13 @@
 //   json:  {"ts":"...","level":"WARN","src":"ops.cc:217",
 //           "run_id":"1f2e...","msg":"..."}
 //
-// Library code logs only at kWarning and above. Hot-path warnings go
-// through PMKM_LOG_RATELIMITED(level, per_sec): a per-call-site token
-// bucket that drops excess lines (cheaply — stream arguments are not
-// evaluated for dropped lines) and prefixes the next emitted line with
-// how many were suppressed. PMKM_CHECK* are for programmer-error
-// invariants that must hold regardless of build type (they are not
-// compiled out).
+// Library code logs only at kWarning and above. PMKM_CHECK* are for
+// programmer-error invariants that must hold regardless of build type
+// (they are not compiled out).
 
 #ifndef PMKM_COMMON_LOGGING_H_
 #define PMKM_COMMON_LOGGING_H_
 
-#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -52,7 +47,6 @@ bool ParseLogFormat(const std::string& name, LogFormat* out);
 /// The same id should tag the metrics registry, trace and checkpoint
 /// artifacts of the run (PipelineBuilder::WithRunId wires all of them).
 void SetLogRunId(const std::string& run_id);
-std::string GetLogRunId();
 
 namespace internal {
 
@@ -64,31 +58,6 @@ std::string FormatLogTimestamp(int64_t unix_millis);
 std::string RenderLogLine(LogLevel level, const char* file_base, int line,
                           const std::string& msg, LogFormat format,
                           const std::string& run_id, int64_t unix_millis);
-
-/// Lazy token bucket for per-call-site log rate limiting. Lock-free: the
-/// state is one atomic "next token available at" timestamp, allowed to
-/// lag `burst` tokens behind now.
-class LogTokenBucket {
- public:
-  static constexpr uint64_t kDenied = ~uint64_t{0};
-
-  explicit LogTokenBucket(double per_second, double burst = 5.0);
-
-  /// Returns kDenied when the line should be dropped; otherwise the
-  /// number of lines dropped since the last emitted one.
-  uint64_t Acquire();
-  uint64_t AcquireAt(int64_t now_micros);
-
- private:
-  int64_t cost_micros_;   // micros per token
-  int64_t burst_micros_;  // how far available_at_ may lag behind now
-  std::atomic<int64_t> available_at_{0};
-  std::atomic<uint64_t> suppressed_{0};
-};
-
-/// "" when nothing was suppressed, "(suppressed N similar lines) "
-/// otherwise — prefixed to the first line after a rate-limit gap.
-std::string SuppressedTag(uint64_t suppressed);
 
 /// Accumulates one log line and emits it (to stderr) on destruction.
 /// A kFatal message aborts the process after emitting.
@@ -120,19 +89,6 @@ class LogMessage {
 #define PMKM_LOG(level)                                              \
   ::pmkm::internal::LogMessage(::pmkm::LogLevel::k##level, __FILE__, \
                                __LINE__)
-
-/// Rate-limited logging for hot paths: at most `per_sec` lines per second
-/// per call site (small burst tolerated). Dropped lines cost one atomic
-/// CAS; their stream arguments are not evaluated.
-#define PMKM_LOG_RATELIMITED(level, per_sec)                           \
-  for (uint64_t pmkm_rl_sup = ([]() -> uint64_t {                      \
-         static ::pmkm::internal::LogTokenBucket pmkm_rl_bucket(       \
-             per_sec);                                                 \
-         return pmkm_rl_bucket.Acquire();                              \
-       })();                                                           \
-       pmkm_rl_sup != ::pmkm::internal::LogTokenBucket::kDenied;       \
-       pmkm_rl_sup = ::pmkm::internal::LogTokenBucket::kDenied)        \
-  PMKM_LOG(level) << ::pmkm::internal::SuppressedTag(pmkm_rl_sup)
 
 #define PMKM_CHECK(cond)                                      \
   if (!(cond))                                                \

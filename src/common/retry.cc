@@ -56,9 +56,4 @@ bool Retrier::AllowRetry(const Status& status) {
   return AllowRetryImpl(status, nullptr);
 }
 
-bool Retrier::AllowRetryForTest(const Status& status,
-                                std::vector<uint64_t>* delays_ms) {
-  return AllowRetryImpl(status, delays_ms);
-}
-
 }  // namespace pmkm

@@ -51,8 +51,10 @@ class Retrier {
   /// Retries granted so far (== failed attempts absorbed).
   size_t retries() const { return retries_; }
 
-  /// Like AllowRetry but records the backoff into `delays_ms` instead of
-  /// sleeping — lets tests verify the jittered sequence without waiting.
+  /// Test hook, defined in tests/support/test_hooks.cc (only test
+  /// binaries link it): like AllowRetry, but records the backoff into
+  /// `delays_ms` instead of sleeping, so a test can check the jittered
+  /// sequence without waiting.
   bool AllowRetryForTest(const Status& status,
                          std::vector<uint64_t>* delays_ms);
 

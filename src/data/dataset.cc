@@ -1,8 +1,5 @@
 #include "data/dataset.h"
 
-#include <algorithm>
-#include <numeric>
-
 namespace pmkm {
 
 Result<Dataset> Dataset::FromFlat(size_t dim, std::vector<double> values) {
@@ -18,14 +15,6 @@ Result<Dataset> Dataset::FromFlat(size_t dim, std::vector<double> values) {
   return out;
 }
 
-Dataset Dataset::Slice(size_t begin, size_t end) const {
-  PMKM_CHECK(begin <= end && end <= size());
-  Dataset out(dim_);
-  out.values_.assign(values_.begin() + begin * dim_,
-                     values_.begin() + end * dim_);
-  return out;
-}
-
 std::vector<double> Dataset::Mean() const {
   PMKM_CHECK(!empty());
   std::vector<double> mean(dim_, 0.0);
@@ -36,61 +25,6 @@ std::vector<double> Dataset::Mean() const {
   }
   for (double& m : mean) m /= static_cast<double>(n);
   return mean;
-}
-
-void Dataset::Shuffle(Rng* rng) {
-  const size_t n = size();
-  if (n < 2) return;
-  std::vector<double> tmp(dim_);
-  for (size_t i = n - 1; i > 0; --i) {
-    const size_t j = rng->UniformInt(i + 1);
-    if (i == j) continue;
-    double* a = values_.data() + i * dim_;
-    double* b = values_.data() + j * dim_;
-    std::swap_ranges(a, a + dim_, b);
-  }
-}
-
-std::vector<Dataset> SplitRandom(const Dataset& data, size_t num_parts,
-                                 Rng* rng) {
-  PMKM_CHECK(num_parts >= 1);
-  std::vector<size_t> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
-  for (size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng->UniformInt(i)]);
-  }
-  std::vector<Dataset> parts;
-  parts.reserve(num_parts);
-  const size_t n = data.size();
-  const size_t base = n / num_parts;
-  const size_t extra = n % num_parts;
-  size_t pos = 0;
-  for (size_t p = 0; p < num_parts; ++p) {
-    const size_t take = base + (p < extra ? 1 : 0);
-    Dataset part(data.dim());
-    part.Reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      part.Append(data.Row(order[pos++]));
-    }
-    parts.push_back(std::move(part));
-  }
-  return parts;
-}
-
-std::vector<Dataset> SplitContiguous(const Dataset& data, size_t num_parts) {
-  PMKM_CHECK(num_parts >= 1);
-  std::vector<Dataset> parts;
-  parts.reserve(num_parts);
-  const size_t n = data.size();
-  const size_t base = n / num_parts;
-  const size_t extra = n % num_parts;
-  size_t pos = 0;
-  for (size_t p = 0; p < num_parts; ++p) {
-    const size_t take = base + (p < extra ? 1 : 0);
-    parts.push_back(data.Slice(pos, pos + take));
-    pos += take;
-  }
-  return parts;
 }
 
 }  // namespace pmkm

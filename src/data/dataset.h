@@ -13,7 +13,6 @@
 
 #include "common/logging.h"
 #include "common/result.h"
-#include "common/rng.h"
 #include "common/status.h"
 
 namespace pmkm {
@@ -83,14 +82,8 @@ class Dataset {
   double* mutable_data() { return values_.data(); }
   const std::vector<double>& values() const { return values_; }
 
-  /// Copies rows [begin, end) into a new dataset.
-  Dataset Slice(size_t begin, size_t end) const;
-
   /// Per-coordinate arithmetic mean of all points. Requires size() > 0.
   std::vector<double> Mean() const;
-
-  /// Randomly permutes the point order in place (Fisher–Yates).
-  void Shuffle(Rng* rng);
 
   bool operator==(const Dataset& other) const {
     return dim_ == other.dim_ && values_ == other.values_;
@@ -100,17 +93,6 @@ class Dataset {
   size_t dim_;
   std::vector<double> values_;
 };
-
-/// Splits `data` into `num_parts` near-equal random partitions — the
-/// paper's "randomly distributed over 5 or 10 chunks" slicing. Sizes differ
-/// by at most one point. Requires num_parts >= 1.
-std::vector<Dataset> SplitRandom(const Dataset& data, size_t num_parts,
-                                 Rng* rng);
-
-/// Splits `data` into `num_parts` contiguous slices in arrival order — the
-/// "salami" slicing the paper lists as future work. Sizes differ by at most
-/// one point.
-std::vector<Dataset> SplitContiguous(const Dataset& data, size_t num_parts);
 
 }  // namespace pmkm
 

@@ -69,18 +69,6 @@ GaussianMixtureGenerator MakeMisrLikeCell(const MisrCellSpec& spec,
 Dataset GenerateMisrLikeCell(size_t n, Rng* rng,
                              const MisrCellSpec& spec = {});
 
-/// Uniform noise over a box (used by tests and ablations).
-Dataset GenerateUniform(size_t n, size_t dim, double lo, double hi,
-                        Rng* rng);
-
-/// Well-separated spherical clusters with known ground truth, for
-/// correctness tests (returns the true centers via `out_centers`).
-Dataset GenerateSeparatedClusters(size_t n, size_t dim, size_t k,
-                                  double separation, double stddev,
-                                  Rng* rng,
-                                  std::vector<std::vector<double>>*
-                                      out_centers = nullptr);
-
 }  // namespace pmkm
 
 #endif  // PMKM_DATA_GENERATOR_H_

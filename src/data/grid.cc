@@ -54,12 +54,4 @@ Status GridIndex::AddAll(const Dataset& data) {
   return Status::OK();
 }
 
-Result<const Dataset*> GridIndex::Bucket(GridCellId id) const {
-  auto it = buckets_.find(id);
-  if (it == buckets_.end()) {
-    return Status::NotFound("no points in cell " + id.ToString());
-  }
-  return &it->second;
-}
-
 }  // namespace pmkm

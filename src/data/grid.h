@@ -52,9 +52,6 @@ class GridIndex {
   size_t dim() const { return dim_; }
   double cell_degrees() const { return cell_degrees_; }
 
-  /// Bucket for `id`; NotFound if the cell has no points.
-  Result<const Dataset*> Bucket(GridCellId id) const;
-
   const std::map<GridCellId, Dataset>& buckets() const { return buckets_; }
 
  private:

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/bytes.h"
 #include "common/fault.h"
 #include "common/file.h"
 
@@ -139,16 +140,10 @@ constexpr uint32_t kFnvVersion = 1;
 // exists so a corrupt/hostile header cannot request absurd allocations.
 constexpr uint32_t kMaxBucketDim = 1u << 20;
 
-struct Header {
-  uint32_t magic;
-  uint32_t version;
-  uint32_t dim;
-  int32_t lat;
-  int32_t lon;
-  uint32_t pad;
-  uint64_t count;
-};
-static_assert(sizeof(Header) == 32, "header layout is part of the format");
+// The header (io.h): magic, version, dim, lat, lon, pad, then the u64
+// point count at kCountOffset, which Close() back-patches.
+constexpr size_t kHeaderBytes = 32;
+constexpr size_t kCountOffset = 24;
 
 // Crash-safe publication: data is staged in a `<path>.tmp` sibling and
 // renamed into place only once complete, so a killed process never leaves
@@ -219,15 +214,16 @@ Result<GridBucketWriter> GridBucketWriter::Open(const std::string& path,
     return Status::IOError("cannot open for writing: " + TmpPath(path));
   }
 
-  Header h{};
-  h.magic = kMagic;
-  h.version = kVersion;
-  h.dim = static_cast<uint32_t>(dim);
-  h.lat = cell.lat_index;
-  h.lon = cell.lon_index;
-  h.pad = 0;
-  h.count = 0;  // patched on Close()
-  out->write(reinterpret_cast<const char*>(&h), sizeof(h));
+  std::vector<uint8_t> header;
+  header.reserve(kHeaderBytes);
+  PutU32(&header, kMagic);
+  PutU32(&header, kVersion);
+  PutU32(&header, static_cast<uint32_t>(dim));
+  PutI32(&header, cell.lat_index);
+  PutI32(&header, cell.lon_index);
+  PutU32(&header, 0);  // pad
+  PutU64(&header, 0);  // count, patched on Close()
+  out->write(reinterpret_cast<const char*>(header.data()), kHeaderBytes);
   if (!*out) return Status::IOError("short header write: " + path);
 
   GridBucketWriter writer;
@@ -235,13 +231,6 @@ Result<GridBucketWriter> GridBucketWriter::Open(const std::string& path,
   writer.path_ = path;
   writer.dim_ = dim;
   return writer;
-}
-
-Status GridBucketWriter::Append(std::span<const double> point) {
-  if (point.size() != dim_) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
-  return WriteRows(point.data(), 1);
 }
 
 Status GridBucketWriter::AppendAll(const Dataset& points) {
@@ -270,12 +259,16 @@ Status GridBucketWriter::Close() {
     return Status::FailedPrecondition("writer already closed");
   }
   PMKM_RETURN_NOT_OK(FaultRegistry::Global().Hit("io.write"));
-  const uint64_t checksum = running_hash_.Digest();
-  out_->write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  std::vector<uint8_t> checksum;
+  PutU64(&checksum, running_hash_.Digest());
+  out_->write(reinterpret_cast<const char*>(checksum.data()),
+              static_cast<std::streamsize>(checksum.size()));
   // Back-patch the point count in the header.
-  const uint64_t count = points_written_;
-  out_->seekp(offsetof(Header, count), std::ios::beg);
-  out_->write(reinterpret_cast<const char*>(&count), sizeof(count));
+  std::vector<uint8_t> count;
+  PutU64(&count, points_written_);
+  out_->seekp(kCountOffset, std::ios::beg);
+  out_->write(reinterpret_cast<const char*>(count.data()),
+              static_cast<std::streamsize>(count.size()));
   static_cast<std::ofstream&>(*out_).close();  // Open made an ofstream
   const bool ok = static_cast<bool>(*out_);
   out_.reset();
@@ -290,43 +283,54 @@ Result<GridBucketReader> GridBucketReader::Open(const std::string& path) {
   auto in = std::make_shared<std::ifstream>(path, std::ios::binary);
   if (!*in) return Status::IOError("cannot open for reading: " + path);
 
-  Header h{};
-  in->read(reinterpret_cast<char*>(&h), sizeof(h));
+  uint8_t header_bytes[kHeaderBytes];
+  in->read(reinterpret_cast<char*>(header_bytes), kHeaderBytes);
   if (!*in) return Status::IOError("short header: " + path);
-  if (h.magic != kMagic) {
+  ByteReader header(header_bytes);
+  uint32_t magic = 0, version = 0, dim = 0, pad = 0;
+  int32_t lat = 0, lon = 0;
+  uint64_t count = 0;
+  PMKM_RETURN_NOT_OK(header.ReadU32(&magic));
+  PMKM_RETURN_NOT_OK(header.ReadU32(&version));
+  PMKM_RETURN_NOT_OK(header.ReadU32(&dim));
+  PMKM_RETURN_NOT_OK(header.ReadI32(&lat));
+  PMKM_RETURN_NOT_OK(header.ReadI32(&lon));
+  PMKM_RETURN_NOT_OK(header.ReadU32(&pad));
+  PMKM_RETURN_NOT_OK(header.ReadU64(&count));
+  if (magic != kMagic) {
     return Status::IOError("bad magic (not a grid bucket file): " + path);
   }
-  if (h.version != kVersion && h.version != kFnvVersion) {
+  if (version != kVersion && version != kFnvVersion) {
     return Status::IOError("unsupported bucket version " +
-                           std::to_string(h.version) + ": " + path);
+                           std::to_string(version) + ": " + path);
   }
-  if (h.dim == 0) return Status::IOError("zero dimensionality: " + path);
-  if (h.dim > kMaxBucketDim) {
+  if (dim == 0) return Status::IOError("zero dimensionality: " + path);
+  if (dim > kMaxBucketDim) {
     return Status::IOError("implausible dimensionality " +
-                           std::to_string(h.dim) +
+                           std::to_string(dim) +
                            " (corrupt header): " + path);
   }
   GridBucketReader reader;
   reader.in_ = std::move(in);
   reader.path_ = path;
-  reader.cell_ = GridCellId{h.lat, h.lon};
-  reader.version_ = h.version;
-  reader.dim_ = h.dim;
-  reader.total_points_ = h.count;
+  reader.cell_ = GridCellId{lat, lon};
+  reader.version_ = version;
+  reader.dim_ = dim;
+  reader.total_points_ = count;
   // How many whole points the file can actually hold past the header,
   // independent of what the header claims. Next() bounds its buffer by
   // this, so a corrupt/hostile count never drives an allocation. The
   // division cannot overflow or divide by zero: 0 < dim <= kMaxBucketDim.
   std::error_code size_ec;
   const uint64_t file_size = std::filesystem::file_size(path, size_ec);
-  if (!size_ec && file_size >= sizeof(Header)) {
+  if (!size_ec && file_size >= kHeaderBytes) {
     reader.available_points_ = static_cast<size_t>(
-        (file_size - sizeof(Header)) /
-        (static_cast<uint64_t>(h.dim) * sizeof(double)));
+        (file_size - kHeaderBytes) /
+        (static_cast<uint64_t>(dim) * sizeof(double)));
   } else {
     // Unsizeable stream (or racing writer): fall back to trusting the
     // header; truncation still surfaces as a short read in Next().
-    reader.available_points_ = h.count;
+    reader.available_points_ = count;
   }
   return reader;
 }
@@ -340,12 +344,12 @@ Result<bool> GridBucketReader::Next(size_t max_points, Dataset* out) {
   if (points_read_ >= total_points_) {
     // Verify trailer checksum exactly once, on first end-of-stream call.
     if (in_) {
-      uint64_t stored = 0;
-      in_->read(reinterpret_cast<char*>(&stored), sizeof(stored));
+      uint8_t stored[8];
+      in_->read(reinterpret_cast<char*>(stored), sizeof(stored));
       if (!*in_) return Status::IOError("missing checksum: " + path_);
       const uint64_t computed =
           version_ == kFnvVersion ? running_fnv_ : running_xxh_.Digest();
-      if (stored != computed) {
+      if (LoadU64(stored) != computed) {
         return Status::IOError("checksum mismatch (corrupt bucket): " +
                                path_);
       }

@@ -89,11 +89,9 @@ class GridBucketWriter {
   size_t dim() const { return dim_; }
   size_t points_written() const { return points_written_; }
 
-  /// Appends one point (size must equal dim(); every coordinate finite).
-  Status Append(std::span<const double> point);
-
-  /// Appends a whole dataset. A non-finite coordinate anywhere in it
-  /// fails the call before any of its points are written.
+  /// Appends a whole dataset (dimensionality dim()). A non-finite
+  /// coordinate anywhere in it fails the call before any of its points
+  /// are written.
   Status AppendAll(const Dataset& points);
 
   /// Finalizes the file: patches the count, writes the checksum, and

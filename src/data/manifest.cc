@@ -219,19 +219,6 @@ JournalWriter::JournalWriter(JournalWriter&& other) noexcept
   other.fd_ = -1;
 }
 
-JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    path_ = std::move(other.path_);
-    next_seq_ = other.next_seq_;
-    bytes_appended_ = other.bytes_appended_;
-    recovered_ = std::move(other.recovered_);
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 JournalWriter::~JournalWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
@@ -266,14 +253,6 @@ Status JournalWriter::Sync() {
     return Status::IOError(ErrnoMessage("fsync failed", path_));
   }
   return Status::OK();
-}
-
-Status JournalWriter::Close() {
-  if (fd_ < 0) return Status::FailedPrecondition("journal writer closed");
-  const Status st = Sync();
-  ::close(fd_);
-  fd_ = -1;
-  return st;
 }
 
 }  // namespace pmkm

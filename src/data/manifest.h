@@ -84,7 +84,6 @@ class JournalWriter {
                                     bool truncate = false);
 
   JournalWriter(JournalWriter&& other) noexcept;
-  JournalWriter& operator=(JournalWriter&& other) noexcept;
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter();
@@ -105,12 +104,9 @@ class JournalWriter {
   Status Append(uint32_t type, std::span<const uint8_t> payload);
 
   /// fsync(2)s everything appended so far. Fault site: "io.fsync".
+  /// The destructor closes without syncing (a crashed process would not
+  /// have synced either); call Sync() first for a clean shutdown.
   Status Sync();
-
-  /// Sync + close. The destructor closes without syncing (a crashed
-  /// process would not have synced either); call Close() for a clean
-  /// shutdown.
-  Status Close();
 
  private:
   JournalWriter() = default;

@@ -108,14 +108,6 @@ Dataset MisrSwathSimulator::SimulateOrbits(size_t num_orbits) {
   return out;
 }
 
-Dataset MisrSwathSimulator::SimulatePoints(size_t min_points) {
-  Dataset out(dim());
-  while (out.size() < min_points) {
-    out.AppendAll(SimulateOrbits(1));
-  }
-  return out;
-}
-
 Result<GridIndex> MisrSwathSimulator::SimulateToGrid(size_t num_orbits,
                                                      double cell_degrees) {
   GridIndex index(dim(), cell_degrees);

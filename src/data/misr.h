@@ -48,9 +48,6 @@ class MisrSwathSimulator {
   /// Emits the footprints of `num_orbits` consecutive orbits.
   Dataset SimulateOrbits(size_t num_orbits);
 
-  /// Emits footprints until at least `min_points` are produced.
-  Dataset SimulatePoints(size_t min_points);
-
   /// Convenience: simulate `num_orbits` orbits and bin the footprints into
   /// a grid index of the given cell size.
   Result<GridIndex> SimulateToGrid(size_t num_orbits,

@@ -57,11 +57,6 @@ double Histogram::max() const {
   return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
 }
 
-double Histogram::mean() const {
-  const uint64_t n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
 double Histogram::PercentileFromBuckets(
     const std::array<uint64_t, kBuckets>& buckets, uint64_t count,
     double p, double observed_min, double observed_max) {

@@ -88,7 +88,6 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double min() const;
   double max() const;
-  double mean() const;
 
   /// Approximate percentile (p in [0, 100]) by linear interpolation
   /// inside the covering bucket; exact at the recorded min/max ends.

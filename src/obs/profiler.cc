@@ -163,11 +163,6 @@ uint64_t CpuProfiler::sample_count() const {
   return std::min<uint64_t>(total, max_samples_);
 }
 
-uint64_t CpuProfiler::dropped() const {
-  const uint64_t total = next_.load(std::memory_order_relaxed);
-  return total > max_samples_ ? total - max_samples_ : 0;
-}
-
 std::string CpuProfiler::FoldedStacks() const {
   const uint64_t have = sample_count();
   if (have == 0) return "";
@@ -246,7 +241,6 @@ Status CpuProfiler::Stop() {
 }
 
 uint64_t CpuProfiler::sample_count() const { return 0; }
-uint64_t CpuProfiler::dropped() const { return 0; }
 std::string CpuProfiler::FoldedStacks() const { return ""; }
 
 #endif  // defined(__linux__)

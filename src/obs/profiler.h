@@ -21,10 +21,10 @@
 // `/pprofz` on the debug server serves the live folded text;
 // `pmkm_inspect profile prof.folded` renders a top-N report.
 //
-// Consistency: the ring may wrap (oldest samples overwritten, counted in
-// dropped()); a reader racing the handler can see a torn slot, which is
-// skipped via its depth marker. One process-wide profiler (Global()) —
-// ITIMER_PROF is per-process, so there is nothing to instantiate per run.
+// Consistency: the ring may wrap (oldest samples overwritten); a reader
+// racing the handler can see a torn slot, which is skipped via its depth
+// marker. One process-wide profiler (Global()) — ITIMER_PROF is
+// per-process, so there is nothing to instantiate per run.
 
 #ifndef PMKM_OBS_PROFILER_H_
 #define PMKM_OBS_PROFILER_H_
@@ -70,8 +70,6 @@ class CpuProfiler {
 
   /// Samples currently retained (≤ max_samples).
   uint64_t sample_count() const;
-  /// Samples overwritten because the ring wrapped.
-  uint64_t dropped() const;
 
   /// Folded-stack text: "main;Run;AssignBlock 42\n..." sorted by count,
   /// root-first frames, semicolon-separated, demangled where possible.

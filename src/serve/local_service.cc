@@ -193,11 +193,6 @@ void LocalService::Shutdown() {
   workers_.clear();
 }
 
-bool LocalService::draining() const {
-  MutexLock lock(mu_);
-  return draining_;
-}
-
 std::string LocalService::JobsJson() {
   MutexLock lock(mu_);
   JsonValue root = JsonValue::Object();

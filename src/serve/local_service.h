@@ -114,8 +114,6 @@ class LocalService : public ClusterService {
   /// BeginDrain + Drain + join the workers. Called by the destructor.
   void Shutdown() PMKM_EXCLUDES(mu_);
 
-  bool draining() const PMKM_EXCLUDES(mu_);
-
   /// Live job table as JSON (the daemon mounts this at /jobz).
   std::string JobsJson() PMKM_EXCLUDES(mu_);
 

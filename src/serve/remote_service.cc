@@ -119,11 +119,6 @@ void RemoteService::Disconnect() {
   read_buffer_.clear();
 }
 
-bool RemoteService::connected() const {
-  MutexLock lock(mu_);
-  return fd_ >= 0;
-}
-
 uint32_t RemoteService::negotiated_version() const {
   MutexLock lock(mu_);
   return version_;

@@ -8,11 +8,11 @@
 // so exchanges are serialized — but by a busy token handed off under mu_,
 // not by holding mu_ across the socket I/O: the wire round trip runs with
 // no lock held (pmkm_ctxcheck: no-block-under-lock), so a slow server
-// stalls only concurrent callers, never connected()/negotiated_version()
-// state queries. A Status carried in a reply is
-// surfaced as that call's Status, so remote error semantics match
-// LocalService exactly; transport failures surface as IOError and poison
-// the connection (every later call fails fast until a new Connect()).
+// stalls only concurrent callers, never the negotiated_version() query.
+// A Status carried in a reply is surfaced as that call's Status, so
+// remote error semantics match LocalService exactly; transport failures
+// surface as IOError and poison the connection (every later call fails
+// fast until a new Connect()).
 
 #ifndef PMKM_SERVE_REMOTE_SERVICE_H_
 #define PMKM_SERVE_REMOTE_SERVICE_H_
@@ -42,8 +42,6 @@ class RemoteService : public ClusterService {
 
   /// Closes the connection; idempotent.
   void Disconnect() PMKM_EXCLUDES(mu_);
-
-  bool connected() const PMKM_EXCLUDES(mu_);
 
   /// Version agreed with the server (valid after Connect).
   uint32_t negotiated_version() const PMKM_EXCLUDES(mu_);

@@ -8,6 +8,7 @@
 #include "cluster/distance.h"
 #include "cluster/metrics.h"
 #include "data/generator.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {

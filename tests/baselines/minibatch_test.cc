@@ -9,6 +9,7 @@
 #include "cluster/kmeans.h"
 #include "cluster/metrics.h"
 #include "data/generator.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {

@@ -7,6 +7,7 @@
 
 #include "cluster/distance.h"
 #include "data/generator.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {

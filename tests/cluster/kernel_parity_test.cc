@@ -5,6 +5,7 @@
 // depend on the kernel at all. This is the contract that makes --kernel
 // a pure speed knob.
 
+#include "cluster/kernels.h"
 #include "cluster/kernels/kernel.h"
 
 #include <gtest/gtest.h>

@@ -13,12 +13,14 @@
 #include <string>
 
 #include "cluster/distance.h"
+#include "cluster/kernels.h"
 #include "cluster/kernels/kernel.h"
 #include "cluster/kmeans.h"
 #include "cluster/metrics.h"
 #include "cluster/serialize.h"
 #include "data/generator.h"
 #include "data/io.h"
+#include "data/synthetic.h"
 #include "stream/engine.h"
 
 namespace pmkm {

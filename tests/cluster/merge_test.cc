@@ -7,6 +7,8 @@
 
 #include "cluster/partial.h"
 #include "data/generator.h"
+#include "data/slicing.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {

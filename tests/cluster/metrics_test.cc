@@ -7,10 +7,12 @@
 
 #include "cluster/distance.h"
 #include "cluster/experiment_metrics.h"
+#include "cluster/kernels.h"
 #include "cluster/kernels/kernel.h"
 #include "cluster/lloyd.h"
 #include "cluster/seeding.h"
 #include "data/generator.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {

@@ -6,6 +6,7 @@
 
 #include "cluster/metrics.h"
 #include "data/generator.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {

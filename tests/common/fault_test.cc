@@ -121,7 +121,7 @@ TEST_F(FaultTest, DisarmStopsInjection) {
   spec.probability = 1.0;
   reg.Arm("io.read", spec);
   EXPECT_FALSE(reg.Hit("io.read").ok());
-  reg.Disarm("io.read");
+  reg.Reset();
   EXPECT_TRUE(reg.Hit("io.read").ok());
 }
 

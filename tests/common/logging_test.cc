@@ -1,7 +1,6 @@
 // Structured logging (common/logging.h): wire-format rendering for both
-// text and JSON, run-id tagging, format parsing, and the token-bucket
-// rate limiter. RenderLogLine and AcquireAt are pure/clock-free, so every
-// test here is deterministic.
+// text and JSON, run-id tagging and format parsing. RenderLogLine is
+// pure and clock-free, so every test here is deterministic.
 
 #include "common/logging.h"
 
@@ -15,9 +14,7 @@ namespace pmkm {
 namespace {
 
 using internal::FormatLogTimestamp;
-using internal::LogTokenBucket;
 using internal::RenderLogLine;
-using internal::SuppressedTag;
 
 TEST(LogTimestampTest, FormatsUtcMilliseconds) {
   // 2026-08-08T12:00:01.234Z
@@ -77,9 +74,16 @@ TEST(ParseLogFormatTest, ValidAndInvalidNames) {
 
 TEST(LogRunIdTest, GlobalRoundTrip) {
   SetLogRunId("feedface");
-  EXPECT_EQ(GetLogRunId(), "feedface");
+  testing::internal::CaptureStderr();
+  PMKM_LOG(Warning) << "tagged";
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(" run=feedface] "
+                                                        "tagged"),
+            std::string::npos);
   SetLogRunId("");
-  EXPECT_EQ(GetLogRunId(), "");
+  testing::internal::CaptureStderr();
+  PMKM_LOG(Warning) << "untagged";
+  EXPECT_EQ(testing::internal::GetCapturedStderr().find("run="),
+            std::string::npos);
 }
 
 TEST(LogFormatTest, GlobalRoundTrip) {
@@ -87,49 +91,6 @@ TEST(LogFormatTest, GlobalRoundTrip) {
   EXPECT_EQ(GetLogFormat(), LogFormat::kJson);
   SetLogFormat(LogFormat::kText);
   EXPECT_EQ(GetLogFormat(), LogFormat::kText);
-}
-
-TEST(LogTokenBucketTest, AllowsBurstThenDenies) {
-  // 1 line/sec with the default burst of 5 tokens.
-  LogTokenBucket bucket(1.0);
-  int64_t now = 10'000'000;  // 10s in, bucket full
-  int allowed = 0;
-  for (int i = 0; i < 20; ++i) {
-    if (bucket.AcquireAt(now) != LogTokenBucket::kDenied) ++allowed;
-  }
-  // The 5 banked burst tokens plus the one accruing at `now` itself;
-  // everything after is dropped.
-  EXPECT_EQ(allowed, 6);
-}
-
-TEST(LogTokenBucketTest, RefillsAtConfiguredRate) {
-  LogTokenBucket bucket(2.0, /*burst=*/1.0);  // one token every 500ms
-  int64_t now = 5'000'000;
-  EXPECT_EQ(bucket.AcquireAt(now), 0u);  // banked burst token
-  EXPECT_EQ(bucket.AcquireAt(now), 0u);  // the token accruing at `now`
-  EXPECT_EQ(bucket.AcquireAt(now), LogTokenBucket::kDenied);
-  // 499ms later: still dry. 500ms later: one token back, and the
-  // emitted line reports how many were dropped during the gap.
-  EXPECT_EQ(bucket.AcquireAt(now + 499'000), LogTokenBucket::kDenied);
-  EXPECT_EQ(bucket.AcquireAt(now + 500'000), 2u);
-}
-
-TEST(LogTokenBucketTest, SuppressionCountResetsAfterReport) {
-  LogTokenBucket bucket(1.0, /*burst=*/1.0);
-  int64_t now = 60'000'000;
-  EXPECT_EQ(bucket.AcquireAt(now), 0u);
-  EXPECT_EQ(bucket.AcquireAt(now), 0u);
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(bucket.AcquireAt(now), LogTokenBucket::kDenied);
-  }
-  EXPECT_EQ(bucket.AcquireAt(now + 1'000'000), 7u);
-  // Next successful acquire reports only drops since this one.
-  EXPECT_EQ(bucket.AcquireAt(now + 2'000'000), 0u);
-}
-
-TEST(SuppressedTagTest, Rendering) {
-  EXPECT_EQ(SuppressedTag(0), "");
-  EXPECT_EQ(SuppressedTag(3), "(suppressed 3 similar lines) ");
 }
 
 }  // namespace

@@ -5,9 +5,16 @@
 #include "common/rng.h"
 #include "data/generator.h"
 #include "data/io.h"
+#include "data/slicing.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {
+
+Dataset OnePoint(std::vector<double> point) {
+  const size_t dim = point.size();
+  return Dataset::FromFlat(dim, std::move(point)).value();
+}
 
 class BucketWriterTest : public ::testing::Test {
  protected:
@@ -37,11 +44,11 @@ TEST_F(BucketWriterTest, StreamedWriteMatchesBulkWrite) {
   auto writer = GridBucketWriter::Open(streamed, bucket.cell, 5);
   ASSERT_TRUE(writer.ok());
   // Append in two unequal batches plus single points.
-  ASSERT_TRUE(writer->AppendAll(bucket.points.Slice(0, 100)).ok());
+  ASSERT_TRUE(writer->AppendAll(SlicePoints(bucket.points, 0, 100)).ok());
   for (size_t i = 100; i < 150; ++i) {
-    ASSERT_TRUE(writer->Append(bucket.points.Row(i)).ok());
+    ASSERT_TRUE(writer->AppendAll(SlicePoints(bucket.points, i, i + 1)).ok());
   }
-  ASSERT_TRUE(writer->AppendAll(bucket.points.Slice(150, 333)).ok());
+  ASSERT_TRUE(writer->AppendAll(SlicePoints(bucket.points, 150, 333)).ok());
   EXPECT_EQ(writer->points_written(), 333u);
   ASSERT_TRUE(writer->Close().ok());
 
@@ -68,16 +75,16 @@ TEST_F(BucketWriterTest, ZeroDimRejected) {
 TEST_F(BucketWriterTest, WrongDimensionRejected) {
   auto writer = GridBucketWriter::Open(Path("d.pmkb"), {0, 0}, 3);
   ASSERT_TRUE(writer.ok());
-  EXPECT_TRUE(writer->Append(std::vector<double>{1.0, 2.0})
+  EXPECT_TRUE(writer->AppendAll(OnePoint({1.0, 2.0}))
                   .IsInvalidArgument());
 }
 
 TEST_F(BucketWriterTest, UseAfterCloseFails) {
   auto writer = GridBucketWriter::Open(Path("c.pmkb"), {0, 0}, 2);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(writer->Append(std::vector<double>{1.0, 2.0}).ok());
+  ASSERT_TRUE(writer->AppendAll(OnePoint({1.0, 2.0})).ok());
   ASSERT_TRUE(writer->Close().ok());
-  EXPECT_TRUE(writer->Append(std::vector<double>{3.0, 4.0})
+  EXPECT_TRUE(writer->AppendAll(OnePoint({3.0, 4.0}))
                   .IsFailedPrecondition());
   EXPECT_TRUE(writer->Close().IsFailedPrecondition());
 }
@@ -87,7 +94,7 @@ TEST_F(BucketWriterTest, UnclosedFileFailsValidationOnRead) {
   {
     auto writer = GridBucketWriter::Open(path, {1, 2}, 2);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->Append(std::vector<double>{1.0, 2.0}).ok());
+    ASSERT_TRUE(writer->AppendAll(OnePoint({1.0, 2.0})).ok());
     // Deliberately no Close(): header count stays 0, checksum missing.
     // Destroying the stream flushes what was written.
   }

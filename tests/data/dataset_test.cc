@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 
+#include "data/slicing.h"
 #include "data/weighted.h"
 
 namespace pmkm {
@@ -64,11 +65,11 @@ TEST(DatasetTest, AppendAllConcatenates) {
 
 TEST(DatasetTest, SliceCopiesRange) {
   Dataset d = MakeSequential(5, 2);
-  Dataset s = d.Slice(1, 3);
+  Dataset s = SlicePoints(d, 1, 3);
   EXPECT_EQ(s.size(), 2u);
   EXPECT_DOUBLE_EQ(s(0, 0), 2.0);
   EXPECT_DOUBLE_EQ(s(1, 1), 5.0);
-  EXPECT_EQ(d.Slice(2, 2).size(), 0u);
+  EXPECT_EQ(SlicePoints(d, 2, 2).size(), 0u);
 }
 
 TEST(DatasetTest, MeanIsCoordinatewise) {
@@ -85,7 +86,7 @@ TEST(DatasetTest, ShuffleIsAPermutation) {
   Dataset d = MakeSequential(50, 1);
   Dataset original = d;
   Rng rng(3);
-  d.Shuffle(&rng);
+  ShufflePoints(&d, &rng);
   EXPECT_EQ(d.size(), original.size());
   std::multiset<double> a(d.values().begin(), d.values().end());
   std::multiset<double> b(original.values().begin(),

@@ -1,4 +1,5 @@
 #include "data/generator.h"
+#include "data/synthetic.h"
 
 #include <gtest/gtest.h>
 

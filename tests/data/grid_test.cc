@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 namespace pmkm {
 namespace {
 
@@ -46,17 +49,17 @@ TEST(GridIndexTest, AddBinsPoints) {
   EXPECT_EQ(index.num_cells(), 2u);
   EXPECT_EQ(index.num_points(), 3u);
 
-  auto bucket = index.Bucket(GridCellId{10, 20});
-  ASSERT_TRUE(bucket.ok());
-  EXPECT_EQ((*bucket)->size(), 2u);
+  auto bucket = index.buckets().find(GridCellId{10, 20});
+  ASSERT_NE(bucket, index.buckets().end());
+  EXPECT_EQ(bucket->second.size(), 2u);
   // Full vectors (including lat/lon) are stored.
-  EXPECT_DOUBLE_EQ((**bucket)(0, 0), 10.5);
-  EXPECT_DOUBLE_EQ((**bucket)(1, 3), 4.0);
+  EXPECT_DOUBLE_EQ(bucket->second(0, 0), 10.5);
+  EXPECT_DOUBLE_EQ(bucket->second(1, 3), 4.0);
 }
 
 TEST(GridIndexTest, BucketNotFound) {
   GridIndex index(2);
-  EXPECT_TRUE(index.Bucket(GridCellId{0, 0}).status().IsNotFound());
+  EXPECT_EQ(index.buckets().count(GridCellId{0, 0}), 0u);
 }
 
 TEST(GridIndexTest, AddRejectsWrongDimension) {

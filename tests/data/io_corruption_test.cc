@@ -20,6 +20,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
+Dataset OnePoint(std::vector<double> point) {
+  const size_t dim = point.size();
+  return Dataset::FromFlat(dim, std::move(point)).value();
+}
+
 class IoCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -245,10 +250,11 @@ TEST_F(IoCorruptionTest, WritersRefuseNonFiniteCoordinate) {
   const std::string path = (dir_ / "nan.pmkb").string();
   auto writer = GridBucketWriter::Open(path, GridCellId{1, 1}, 2);
   ASSERT_TRUE(writer.ok());
-  const double good[2] = {1.0, 2.0};
-  const double bad[2] = {3.0, std::numeric_limits<double>::infinity()};
-  ASSERT_TRUE(writer->Append(good).ok());
-  const Status st = writer->Append(bad);
+  const std::vector<double> good = {1.0, 2.0};
+  const std::vector<double> bad = {3.0,
+                                   std::numeric_limits<double>::infinity()};
+  ASSERT_TRUE(writer->AppendAll(OnePoint(good)).ok());
+  const Status st = writer->AppendAll(OnePoint(bad));
   EXPECT_TRUE(st.IsInvalidArgument()) << st;
   EXPECT_NE(st.message().find("point 1, column 1"), std::string::npos) << st;
   EXPECT_EQ(writer->points_written(), 1u);  // the bad point was not written
@@ -276,8 +282,7 @@ TEST_F(IoCorruptionTest, UnclosedStreamingWriterPublishesNothing) {
   {
     auto writer = GridBucketWriter::Open(path, GridCellId{1, 1}, 2);
     ASSERT_TRUE(writer.ok());
-    const double point[2] = {1.0, 2.0};
-    ASSERT_TRUE(writer->Append(point).ok());
+    ASSERT_TRUE(writer->AppendAll(OnePoint({1.0, 2.0})).ok());
     // Writer destroyed without Close(): simulated crash mid-bucket.
   }
   EXPECT_FALSE(fs::exists(path));   // destination never appeared
@@ -289,10 +294,8 @@ TEST_F(IoCorruptionTest, ClosedStreamingWriterPublishesAtomically) {
   const std::string path = (dir_ / "done.pmkb").string();
   auto writer = GridBucketWriter::Open(path, GridCellId{1, 1}, 2);
   ASSERT_TRUE(writer.ok());
-  const double a[2] = {1.0, 2.0};
-  const double b[2] = {3.0, 4.0};
-  ASSERT_TRUE(writer->Append(a).ok());
-  ASSERT_TRUE(writer->Append(b).ok());
+  ASSERT_TRUE(writer->AppendAll(OnePoint({1.0, 2.0})).ok());
+  ASSERT_TRUE(writer->AppendAll(OnePoint({3.0, 4.0})).ok());
   ASSERT_TRUE(writer->Close().ok());
   EXPECT_TRUE(fs::exists(path));
   EXPECT_FALSE(fs::exists(path + ".tmp"));

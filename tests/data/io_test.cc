@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "data/generator.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {

@@ -58,7 +58,7 @@ class ManifestTest : public ::testing::Test {
                          Payload(i + 1, static_cast<uint8_t>(i)))
               .ok());
     }
-    EXPECT_TRUE(writer->Close().ok());
+    EXPECT_TRUE(writer->Sync().ok());
     return path;
   }
 
@@ -97,7 +97,7 @@ TEST_F(ManifestTest, GoldenHeaderAndRecordFrame) {
     ASSERT_TRUE(
         writer->Append(0x01020304u, std::vector<uint8_t>{0xde, 0xad, 0xbe})
             .ok());
-    ASSERT_TRUE(writer->Close().ok());
+    ASSERT_TRUE(writer->Sync().ok());
   }
   static const char kDigits[] = "0123456789abcdef";
   std::string hex;
@@ -151,7 +151,7 @@ TEST_F(ManifestTest, ReopenResumesSequence) {
   EXPECT_EQ(writer->recovered().epoch, 3u);
   EXPECT_EQ(writer->next_seq(), 4u);
   ASSERT_TRUE(writer->Append(9, Payload(4, 0xaa)).ok());
-  ASSERT_TRUE(writer->Close().ok());
+  ASSERT_TRUE(writer->Sync().ok());
 
   auto recovery = RecoverJournal(path);
   ASSERT_TRUE(recovery.ok());
@@ -166,7 +166,7 @@ TEST_F(ManifestTest, TruncateModeDiscardsHistory) {
   ASSERT_TRUE(writer.ok());
   EXPECT_EQ(writer->next_seq(), 1u);
   ASSERT_TRUE(writer->Append(1, Payload(1, 0)).ok());
-  ASSERT_TRUE(writer->Close().ok());
+  ASSERT_TRUE(writer->Sync().ok());
   auto recovery = RecoverJournal(path);
   ASSERT_TRUE(recovery.ok());
   EXPECT_EQ(recovery->records.size(), 1u);
@@ -207,7 +207,7 @@ TEST_F(ManifestTest, ReopenAfterTornTailTruncatesAndResumes) {
   EXPECT_EQ(writer->recovered().epoch, 2u);
   EXPECT_EQ(writer->next_seq(), 3u);
   ASSERT_TRUE(writer->Append(7, Payload(2, 0xbb)).ok());
-  ASSERT_TRUE(writer->Close().ok());
+  ASSERT_TRUE(writer->Sync().ok());
 
   auto recovery = RecoverJournal(path);
   ASSERT_TRUE(recovery.ok());
@@ -312,7 +312,7 @@ TEST_F(ManifestTest, TornWriteFaultLeavesRecoverablePrefix) {
   ASSERT_TRUE(writer.ok());
   EXPECT_EQ(writer->next_seq(), 3u);
   ASSERT_TRUE(writer->Append(5, Payload(8, 0xcc)).ok());
-  ASSERT_TRUE(writer->Close().ok());
+  ASSERT_TRUE(writer->Sync().ok());
   recovery = RecoverJournal(path);
   ASSERT_TRUE(recovery.ok());
   EXPECT_EQ(recovery->records.size(), 3u);
@@ -327,7 +327,7 @@ TEST_F(ManifestTest, AppendFaultReturnsError) {
   EXPECT_FALSE(writer->Append(1, Payload(1, 0)).ok());
   FaultRegistry::Global().Reset();
   ASSERT_TRUE(writer->Append(1, Payload(1, 0)).ok());
-  ASSERT_TRUE(writer->Close().ok());
+  ASSERT_TRUE(writer->Sync().ok());
 }
 
 TEST_F(ManifestTest, SyncFaultPropagates) {

@@ -1,4 +1,5 @@
 #include "data/misr.h"
+#include "data/synthetic.h"
 
 #include <gtest/gtest.h>
 
@@ -36,7 +37,7 @@ TEST(MisrSwathTest, DeterministicForSameSeed) {
 
 TEST(MisrSwathTest, SimulatePointsMeetsMinimum) {
   MisrSwathSimulator sim;
-  const Dataset d = sim.SimulatePoints(5000);
+  const Dataset d = SimulateSwathPoints(&sim, 5000);
   EXPECT_GE(d.size(), 5000u);
 }
 

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "data/generator.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "data/generator.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {

@@ -10,6 +10,8 @@
 #include "cluster/merge.h"
 #include "cluster/metrics.h"
 #include "data/generator.h"
+#include "data/slicing.h"
+#include "data/synthetic.h"
 
 namespace pmkm {
 namespace {
@@ -83,7 +85,7 @@ AdaptiveRun RunAdaptivePartialMerge(const Dataset& cell, size_t max_k,
   for (size_t i = 0; i < partitions; ++i) {
     const size_t begin = i * cell.size() / partitions;
     const size_t end = (i + 1) * cell.size() / partitions;
-    auto partial = FitEcvq(cell.Slice(begin, end), Config(max_k, lambda));
+    auto partial = FitEcvq(SlicePoints(cell, begin, end), Config(max_k, lambda));
     EXPECT_TRUE(partial.ok()) << partial.status();
     if (!partial.ok()) return run;
     run.partition_effective_k.push_back(partial->effective_k);

@@ -8,6 +8,7 @@
 
 #include "cluster/metrics.h"
 #include "data/misr.h"
+#include "data/synthetic.h"
 #include "histogram/histogram.h"
 #include "stream/engine.h"
 #include "stream/plan.h"
@@ -137,7 +138,7 @@ TEST_F(PipelineTest, HistogramSamplePreservesCellMoments) {
   // loop of the motivating application.
   Rng rng(5);
   MisrSwathSimulator sim;
-  const Dataset swath = sim.SimulatePoints(20000);
+  const Dataset swath = SimulateSwathPoints(&sim, 20000);
   GridIndex grid(swath.dim(), 30.0);
   ASSERT_TRUE(grid.AddAll(swath).ok());
   const Dataset* biggest = nullptr;

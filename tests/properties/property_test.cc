@@ -12,6 +12,8 @@
 #include "cluster/metrics.h"
 #include "data/generator.h"
 #include "data/io.h"
+#include "data/slicing.h"
+#include "data/synthetic.h"
 #include "stream/engine.h"
 #include "tests/bucket_files.h"
 

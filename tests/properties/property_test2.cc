@@ -12,6 +12,7 @@
 #include "cluster/kmeans.h"
 #include "cluster/metrics.h"
 #include "data/generator.h"
+#include "data/synthetic.h"
 #include "histogram/ecvq.h"
 #include "histogram/histogram.h"
 

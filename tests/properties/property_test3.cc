@@ -63,7 +63,7 @@ const char* Name(Slicing s) {
 Dataset Order(const Dataset& cell, Slicing s, size_t p, Rng* rng) {
   Dataset ordered = cell;
   if (s == Slicing::kRandom) {
-    ordered.Shuffle(rng);
+    ShufflePoints(&ordered, rng);
   } else if (s == Slicing::kSpatial || s == Slicing::kStripes) {
     const auto side = static_cast<size_t>(
         std::ceil(std::sqrt(static_cast<double>(p))));

@@ -21,6 +21,7 @@
 #include "common/fault.h"
 #include "data/generator.h"
 #include "data/io.h"
+#include "obs/json.h"
 #include "serve/daemon.h"
 #include "serve/local_service.h"
 #include "serve/protocol.h"
@@ -265,7 +266,9 @@ TEST_F(ServiceTest, LocalDrainKeepsAcceptedJobsAndRejectsNew) {
   ASSERT_TRUE(accepted.ok()) << accepted.status();
 
   service.BeginDrain();
-  EXPECT_TRUE(service.draining());
+  auto jobs = JsonValue::Parse(service.JobsJson());
+  ASSERT_TRUE(jobs.ok()) << jobs.status();
+  EXPECT_TRUE(jobs->Find("draining")->AsBool());
   // New work is refused...
   EXPECT_TRUE(
       service.SubmitJob(MakeSpec({path})).status().IsFailedPrecondition());
@@ -354,7 +357,6 @@ TEST_F(ServiceTest, RemoteMatchesLocalByteForByte) {
 
   RemoteService remote;
   ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
-  EXPECT_TRUE(remote.connected());
   EXPECT_EQ(remote.negotiated_version(), kProtocolVersion);
   EXPECT_TRUE(remote.Ping().ok());
 
@@ -570,7 +572,7 @@ TEST_F(ServiceTest, StopEndsAParkedRemoteAwaitAfterItsSlice) {
 
 TEST_F(ServiceTest, RemoteFailsFastWhenNotConnected) {
   RemoteService remote;
-  EXPECT_FALSE(remote.connected());
+  EXPECT_EQ(remote.negotiated_version(), 0u);
   EXPECT_TRUE(remote.Ping().IsFailedPrecondition());
   EXPECT_TRUE(remote.SubmitJob(MakeSpec({"x"}))
                   .status()

@@ -396,7 +396,7 @@ class CheckpointEngineTest : public CheckpointTest {
             ->Append(static_cast<uint32_t>(CheckpointRecordType::kCellComplete),
                      payload)
             .ok());
-    ASSERT_TRUE(journal->Close().ok());
+    ASSERT_TRUE(journal->Sync().ok());
   }
 
   // The model file bytes of every cell in `a` equal those in `b`.
@@ -524,7 +524,7 @@ TEST_F(CheckpointEngineTest, UnknownRecordTypesAreSkippedOnResume) {
     const std::vector<uint8_t> payload{1, 0, 0, 0, 7, 0, 0, 0};
     ASSERT_TRUE(journal->Append(3, payload).ok());
     ASSERT_TRUE(journal->Append(99, payload).ok());
-    ASSERT_TRUE(journal->Close().ok());
+    ASSERT_TRUE(journal->Sync().ok());
   }
   auto loaded = LoadCheckpoint(CkptDir());
   ASSERT_TRUE(loaded.ok()) << loaded.status();

@@ -8,14 +8,17 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "cluster/kernels.h"
 #include "cluster/kernels/kernel.h"
 #include "cluster/serialize.h"
 #include "common/flags.h"
 #include "data/generator.h"
+#include "data/synthetic.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tests/bucket_files.h"
@@ -494,6 +497,84 @@ TEST_F(ScanInputTest, SamePathListedTwiceIsADuplicate) {
   ASSERT_FALSE(run.ok());
   EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status();
 }
+
+// --- Degenerate cells: each gives a defined result on every core count ---
+
+// Every case splits its cell into several chunks, so four cores run more
+// than one partial clone.
+struct DegenerateCell {
+  const char* name;
+  Dataset points;
+  size_t k;
+  size_t chunk_points;
+};
+
+void PrintTo(const DegenerateCell& cell, std::ostream* os) {
+  *os << cell.name;
+}
+
+// `distinct` 2-D points, repeated round-robin up to `n`.
+Dataset RepeatedPoints(size_t n, size_t distinct) {
+  Dataset points(2);
+  for (size_t i = 0; i < n; ++i) {
+    const double v = static_cast<double>(i % distinct);
+    points.Append(std::vector<double>{v, -2.0 * v + 0.5});
+  }
+  return points;
+}
+
+std::vector<DegenerateCell> DegenerateCells() {
+  return {
+      {"KGreaterThanN", RepeatedPoints(5, 5), 8, 2},
+      {"AllPointsIdentical", RepeatedPoints(200, 1), 4, 50},
+      {"FewerDistinctPointsThanK", RepeatedPoints(240, 3), 6, 60},
+      {"SinglePointPartitions", RepeatedPoints(40, 40), 3, 1},
+  };
+}
+
+class DegenerateCellTest : public ::testing::TestWithParam<DegenerateCell> {
+ protected:
+  Result<StreamRunResult> Run(const std::string& path, size_t cores) {
+    const DegenerateCell& cell = GetParam();
+    EngineOptions options;
+    options.partial.k = cell.k;
+    options.partial.restarts = 3;
+    options.merge.k = cell.k;
+    options.resources.cores = cores;
+    return PipelineBuilder(options)
+        .WithChunkPoints(cell.chunk_points)
+        .Run({path});
+  }
+};
+
+TEST_P(DegenerateCellTest, ModelIsDefinedAndIdenticalAtOneAndFourCores) {
+  const DegenerateCell& cell = GetParam();
+  BucketFiles files;
+  const std::string path =
+      files.Write(GridBucket{GridCellId{0, 0}, cell.points});
+  auto one = Run(path, 1);
+  auto four = Run(path, 4);
+  ASSERT_TRUE(one.ok()) << one.status();
+  ASSERT_TRUE(four.ok()) << four.status();
+  EXPECT_GT(four->plan.partial_clones, 1u);
+  ASSERT_EQ(one->cells.size(), 1u);
+  ASSERT_EQ(four->cells.size(), 1u);
+  const ClusteringModel& model = one->cells.begin()->second.model;
+  EXPECT_TRUE(std::isfinite(model.sse)) << model.sse;
+  EXPECT_GE(model.sse, 0.0);
+  EXPECT_LE(model.k(), cell.k);
+  double mass = 0.0;
+  for (const double w : model.weights) mass += w;
+  EXPECT_EQ(mass, static_cast<double>(cell.points.size()));
+  EXPECT_EQ(EncodeModel(model),
+            EncodeModel(four->cells.begin()->second.model));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, DegenerateCellTest, ::testing::ValuesIn(DegenerateCells()),
+    [](const ::testing::TestParamInfo<DegenerateCell>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace pmkm

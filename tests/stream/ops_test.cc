@@ -8,6 +8,7 @@
 
 #include "cluster/metrics.h"
 #include "data/generator.h"
+#include "data/slicing.h"
 
 namespace pmkm {
 namespace {
@@ -208,7 +209,7 @@ TEST_F(OpsTest, MemoryScanMatchesFileScan) {
   while (auto chunk = queue->Pop()) {
     const size_t begin = 80 * id;
     EXPECT_EQ(chunk->points,
-              bucket.points.Slice(begin, std::min<size_t>(300, begin + 80)));
+              SlicePoints(bucket.points, begin, std::min<size_t>(300, begin + 80)));
     EXPECT_EQ(chunk->partition_id, id);
     EXPECT_EQ(chunk->total_partitions, 4u);
     ++id;

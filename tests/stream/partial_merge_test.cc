@@ -8,6 +8,8 @@
 
 #include "cluster/metrics.h"
 #include "data/generator.h"
+#include "data/slicing.h"
+#include "data/synthetic.h"
 #include "stream/engine.h"
 #include "tests/bucket_files.h"
 
@@ -164,7 +166,7 @@ TEST(PartialMergeTest, ContiguousStrategyUsesArrivalOrder) {
   WeightedDataset pooled(cell.dim());
   for (uint64_t p = 0; p < 4; ++p) {
     // PartialKMeansOperator's seed tag for partition p of cell {0, 0}.
-    auto part = partial.Cluster(cell.Slice(250 * p, 250 * (p + 1)), p << 17);
+    auto part = partial.Cluster(SlicePoints(cell, 250 * p, 250 * (p + 1)), p << 17);
     ASSERT_TRUE(part.ok()) << part.status();
     pooled.AppendAll(part->centroids);
   }

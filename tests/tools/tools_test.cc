@@ -85,6 +85,23 @@ TEST_F(ToolsTest, BadModeFails) {
             0);
 }
 
+TEST_F(ToolsTest, GenerateRejectsOutOfRangeSizes) {
+  // Each used to abort (exit 134) on a CHECK or an uncaught exception;
+  // now a usage error, exit 64, before anything is written.
+  for (const char* flags :
+       {"--mode=cells --n=-1", "--mode=cells --n=0", "--mode=cells --dim=0",
+        "--mode=cells --cells=-1", "--mode=swath --orbits=0",
+        "--mode=swath --min-cell-points=-1", "--mode=swath --cell-degrees=0",
+        "--mode=swath --cell-degrees=-1", "--mode=swath --cell-degrees=inf",
+        "--mode=swath --cell-degrees=nan"}) {
+    EXPECT_EQ(ExitCode(std::string(PMKM_TOOL_GENBUCKETS) + " --out=" +
+                       Dir("b") + " " + flags),
+              64)
+        << flags;
+  }
+  EXPECT_FALSE(fs::exists(Dir("b")));
+}
+
 TEST_F(ToolsTest, EndToEndClusterAndInspect) {
   ASSERT_EQ(Run(std::string(PMKM_TOOL_GENBUCKETS) + " --out=" + Dir("b") +
                 " --mode=cells --cells=2 --n=800"),
@@ -187,7 +204,7 @@ TEST_F(ToolsTest, InspectCheckpointNamesUnknownRecordTypes) {
     ASSERT_TRUE(journal->Append(1, payload).ok());  // kRunBegin
     ASSERT_TRUE(journal->Append(3, payload).ok());
     ASSERT_TRUE(journal->Append(99, payload).ok());
-    ASSERT_TRUE(journal->Close().ok());
+    ASSERT_TRUE(journal->Sync().ok());
   }
   const std::string dump = Dir("dump.json");
   ASSERT_EQ(std::system((std::string(PMKM_TOOL_INSPECT) + " checkpoint " +
@@ -291,14 +308,16 @@ TEST_F(ToolsTest, ClusterRejectsUnknownAlgo) {
 TEST_F(ToolsTest, ClusterRejectsAnEmptyBucket) {
   // A bucket whose header holds 0 points is bad input, not a cell that
   // clustered to nothing: a usage error under the default failfast.
-  ASSERT_EQ(Run(std::string(PMKM_TOOL_GENBUCKETS) + " --out=" + Dir("b") +
-                " --mode=cells --cells=2 --n=0"),
-            0);
+  fs::create_directories(Dir("b"));
   std::string paths;
-  for (const auto& e : fs::directory_iterator(Dir("b"))) {
-    paths += " " + e.path().string();
+  for (int c = 0; c < 2; ++c) {
+    GridBucket bucket;
+    bucket.cell = GridCellId{c, c};
+    bucket.points = Dataset(6);
+    const std::string path = Dir("b/" + bucket.cell.ToString() + ".pmkb");
+    ASSERT_TRUE(WriteGridBucket(path, bucket).ok());
+    paths += " " + path;
   }
-  ASSERT_FALSE(paths.empty());
   EXPECT_EQ(ExitCode(std::string(PMKM_TOOL_CLUSTER) + " --k=4 --out=" +
                      Dir("m") + paths),
             64);

@@ -6,8 +6,10 @@
 //
 //   $ pmkm_genbuckets --out=/tmp/buckets --mode=cells --cells=4 --n=20000
 
+#include <cmath>
 #include <filesystem>
 #include <iostream>
+#include <string>
 
 #include "common/flags.h"
 #include "common/status.h"
@@ -20,6 +22,33 @@ namespace {
 int Fail(const pmkm::Status& st) {
   std::cerr << "pmkm_genbuckets: " << st << "\n";
   return pmkm::StatusExitCode(st);
+}
+
+// Rejects out-of-range sizes before anything is generated, so a bad flag
+// is a usage error instead of an abort inside the generators.
+pmkm::Status CheckSizes(int64_t cells, int64_t n, int64_t dim,
+                        int64_t orbits, int64_t min_cell_points,
+                        double cell_degrees) {
+  struct Bound {
+    const char* flag;
+    int64_t value;
+    int64_t min;
+  };
+  for (const Bound& b : {Bound{"n", n, 1}, Bound{"dim", dim, 1},
+                         Bound{"orbits", orbits, 1}, Bound{"cells", cells, 0},
+                         Bound{"min-cell-points", min_cell_points, 0}}) {
+    if (b.value < b.min) {
+      return pmkm::Status::InvalidArgument(
+          std::string("--") + b.flag + " must be >= " +
+          std::to_string(b.min) + ", got " + std::to_string(b.value));
+    }
+  }
+  if (!std::isfinite(cell_degrees) || cell_degrees <= 0.0) {
+    return pmkm::Status::InvalidArgument(
+        "--cell-degrees must be finite and > 0, got " +
+        std::to_string(cell_degrees));
+  }
+  return pmkm::Status::OK();
 }
 
 }  // namespace
@@ -60,6 +89,11 @@ int main(int argc, char** argv) {
   }
   if (const pmkm::Status os = obs_flags.Apply(); !os.ok()) {
     return Fail(os);
+  }
+  if (const pmkm::Status cs = CheckSizes(cells, n, dim, orbits,
+                                         min_cell_points, cell_degrees);
+      !cs.ok()) {
+    return Fail(cs);
   }
 
   std::filesystem::create_directories(out);
