@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Randomized crash/recovery sweep (DESIGN.md §13): for each seed, a
-# pmkm_cluster --algo=stream run over the same bucket set is killed — either
+# pmkm_cluster run over the same bucket set is killed — either
 # at a deterministic fault point (SIGKILL raised inside the process via a
 # PMKM_FAULTS crash fault) or by an external, timing-based `kill -9` — then
 # resumed from its checkpoint until it exits cleanly. The sweep fails if any
@@ -55,7 +55,7 @@ BUCKETS=("${WORK}"/buckets/*.pmkb)
 
 cluster() { # out_dir [checkpoint_dir]
   local out="$1" ckpt="${2:-}"
-  local args=(--algo=stream --k=6 --restarts=2 --quiet --out="${out}")
+  local args=(--k=6 --restarts=2 --quiet --out="${out}")
   [[ -n "${ckpt}" ]] && args+=(--checkpoint_dir="${ckpt}")
   "${CLUSTER}" "${args[@]}" "${BUCKETS[@]}" > /dev/null 2>&1
 }

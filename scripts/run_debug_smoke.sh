@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Debug-server smoke test (DESIGN.md §14): start a real --algo=stream run
+# Debug-server smoke test (DESIGN.md §14): start a real pmkm_cluster run
 # with the introspection server on an ephemeral port, curl every endpoint
 # while the run is live, and assert the responses are well-formed — 200s
 # with Prometheus text / JSON bodies, 404 for unknown paths, and a second
@@ -45,7 +45,7 @@ echo "== debug smoke: ${CELLS} cells x ${POINTS} points =="
 
 # Ephemeral port; the linger keeps the server up after the run finishes so
 # slow scrapes cannot race process exit.
-"${CLUSTER}" --algo=stream --k=8 --restarts=8 --quiet \
+"${CLUSTER}" --k=8 --restarts=8 --quiet \
   --debug_port=0 --debug_linger_ms=30000 --run_id=smoke0001 \
   --out="${WORK}/models" "${WORK}"/buckets/*.pmkb \
   > "${WORK}/cluster.log" 2>&1 &

@@ -65,7 +65,7 @@ echo "== determinism check: ${CELLS} cells x ${POINTS} points =="
 ENGINE_FLAGS=(--k=6 --restarts=4 --memory-kib=512 --quiet)
 
 run_local() {  # run_local <outdir> <cores> [kernel]
-  "${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --kernel="${3:-scalar}" \
+  "${CLUSTER}" "${ENGINE_FLAGS[@]}" --kernel="${3:-scalar}" \
     --cores="$2" --out="${WORK}/$1" "${WORK}"/buckets/*.pmkb > /dev/null
 }
 
@@ -94,7 +94,7 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [[ -n "${ENDPOINT}" ]] || { echo "FAIL: no listen line"; exit 1; }
-"${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --kernel=scalar --cores=4 \
+"${CLUSTER}" "${ENGINE_FLAGS[@]}" --kernel=scalar --cores=4 \
   --server="${ENDPOINT}" --out="${WORK}/remote" \
   "${WORK}"/buckets/*.pmkb > "${WORK}/client.log" 2>&1 || {
   echo "FAIL: remote client"; cat "${WORK}/client.log"; exit 1

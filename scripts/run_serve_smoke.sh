@@ -7,10 +7,13 @@
 #      same spec (cmp on every .pmkm file);
 #   3. a remote job that names a --checkpoint_dir is rejected, and the
 #      daemon creates nothing at that path;
+#   3c. a remote job with --deadline_ms=1 fails with "deadline exceeded"
+#      (exit 70), and the next ordinary job still returns models
+#      byte-identical to the in-process run;
 #   4. an independent protocol client (python, reimplementing the framing
-#      from the spec in protocol.h) can handshake at v4, submit, cancel a
+#      from the spec in protocol.h) can handshake at v5, submit, cancel a
 #      queued job and await its terminal state with one kAwaitJob — interop,
-#      not just loopback — and a v3 client is refused after the hellos;
+#      not just loopback — and a v4 client is refused after the hellos;
 #   5. /statusz and /jobz respond on the daemon's debug server;
 #   6. SIGTERM drains gracefully: a job accepted before the signal is
 #      never lost — the client still collects its models and exits 0, and
@@ -58,7 +61,7 @@ echo "== serve smoke: ${CELLS} cells x ${POINTS} points =="
 ENGINE_FLAGS=(--k=6 --restarts=4 --kernel=scalar)
 
 # -- 0. Reference: the same spec through the in-process backend.
-"${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --quiet \
+"${CLUSTER}" "${ENGINE_FLAGS[@]}" --quiet \
   --out="${WORK}/local_models" "${WORK}"/buckets/*.pmkb > /dev/null
 
 # -- 1. Daemon on a unix socket with the debug server on an ephemeral
@@ -85,11 +88,11 @@ PORT="$(sed -n 's#^debug server listening on http://127.0.0.1:\([0-9]*\)/#\1#p' 
 echo "-- daemon on ${ENDPOINT}, debug on :${PORT}"
 
 # -- 2. Concurrent remote jobs from two clients.
-"${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --quiet \
+"${CLUSTER}" "${ENGINE_FLAGS[@]}" --quiet \
   --server="${ENDPOINT}" --out="${WORK}/remote_a" \
   "${WORK}"/buckets/*.pmkb > "${WORK}/client_a.log" 2>&1 &
 CLIENT_A=$!
-"${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --quiet \
+"${CLUSTER}" "${ENGINE_FLAGS[@]}" --quiet \
   --server="${ENDPOINT}" --out="${WORK}/remote_b" \
   "${WORK}"/buckets/*.pmkb > "${WORK}/client_b.log" 2>&1 &
 CLIENT_B=$!
@@ -117,7 +120,7 @@ echo "ok: ${MODELS} models byte-identical across local/remote backends"
 
 # -- 3b. Where the daemon writes is its own business: a client-chosen
 # checkpoint directory is refused before the job runs.
-if "${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" --quiet \
+if "${CLUSTER}" "${ENGINE_FLAGS[@]}" --quiet \
     --server="${ENDPOINT}" --checkpoint_dir="${WORK}/evil" \
     --out="${WORK}/evil_models" "${WORK}"/buckets/*.pmkb \
     > "${WORK}/evil.log" 2>&1; then
@@ -127,6 +130,38 @@ fi
   echo "FAIL: the daemon created the client's checkpoint dir"; exit 1
 }
 echo "ok: remote --checkpoint_dir rejected, nothing written"
+
+# -- 3c. The deadline bounds a job inside the daemon: a 1 ms deadline
+# aborts the run, the client exits 70 (EX_SOFTWARE) with the wire's
+# DeadlineExceeded, and the daemon serves the next job as before.
+set +e
+"${CLUSTER}" "${ENGINE_FLAGS[@]}" --quiet --deadline_ms=1 \
+  --server="${ENDPOINT}" --out="${WORK}/deadline_models" \
+  "${WORK}"/buckets/*.pmkb > "${WORK}/deadline.log" 2>&1
+CODE=$?
+set -e
+[[ "${CODE}" -eq 70 ]] || {
+  echo "FAIL: --deadline_ms=1 job exited ${CODE}, want 70"
+  cat "${WORK}/deadline.log"; exit 1
+}
+grep -q "deadline exceeded" "${WORK}/deadline.log" || {
+  echo "FAIL: no 'deadline exceeded' from the --deadline_ms=1 job"
+  cat "${WORK}/deadline.log"; exit 1
+}
+"${CLUSTER}" "${ENGINE_FLAGS[@]}" --quiet \
+  --server="${ENDPOINT}" --out="${WORK}/after_deadline" \
+  "${WORK}"/buckets/*.pmkb > "${WORK}/after_deadline.log" 2>&1 || {
+  echo "FAIL: the job after the deadline job"
+  cat "${WORK}/after_deadline.log"; exit 1
+}
+for ref in "${WORK}"/local_models/*.pmkm; do
+  base="$(basename "${ref}")"
+  cmp -s "${ref}" "${WORK}/after_deadline/${base}" || {
+    echo "FAIL: after_deadline/${base} differs from the in-process model"
+    exit 1
+  }
+done
+echo "ok: a 1 ms deadline fails its job (exit 70); the next job is byte-identical"
 
 # -- 4. Interop + cancel: an independent client implementation speaks the
 # protocol from its spec. A fifo "bucket" pins the single worker, so the
@@ -160,11 +195,12 @@ def s(x):
     return struct.pack('<I', len(b)) + b
 
 def job_spec(path):
-    # v4 JobSpec (same bytes as v2 and v3): paths, engine flags, run_id, client
-    # (protocol.h).
+    # v5 JobSpec (laid out as in v2-v4): paths, engine flags, run_id,
+    # client (protocol.h). The two u64s after the policy are max_retries
+    # and deadline_ms.
     spec = struct.pack('<I', 1) + s(path)
     spec += struct.pack('<QQQQ', 6, 4, 512, 0)   # k restarts memkib cores
-    spec += s('failfast') + struct.pack('<QQ', 2, 0)
+    spec += s('failfast') + struct.pack('<QQ', 0, 0)
     spec += s('scalar') + s('') + struct.pack('<Q', 1) + b'\x01'
     spec += s('smoke-interop') + s('python-smoke')
     return spec
@@ -179,10 +215,10 @@ def recv_exact(sock, n):
 
 conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 conn.connect(sock_path)
-conn.sendall(struct.pack('<II', 0x534B4D50, 4))
+conn.sendall(struct.pack('<II', 0x534B4D50, 5))
 magic, version = struct.unpack('<II', recv_exact(conn, 8))
 assert magic == 0x534B4D50, hex(magic)
-assert version == 4, version
+assert version == 5, version
 
 buf = b''
 def call(ftype, payload):
@@ -236,15 +272,15 @@ assert code == 4, (code, msg)  # NotFound survives the wire
 print('ok: unknown-id cancel is NotFound across the wire')
 conn.close()
 
-# A v3 peer (model sets in the old cell layout) is below the v4 floor:
-# the daemon answers with its own hello, then closes without serving a
-# frame.
+# A v4 peer (its JobSpec slot is a stall timeout, not a deadline) is
+# below the v5 floor: the daemon answers with its own hello, then closes
+# without serving a frame.
 old = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 old.settimeout(10)
 old.connect(sock_path)
-old.sendall(struct.pack('<II', 0x534B4D50, 3))
+old.sendall(struct.pack('<II', 0x534B4D50, 4))
 magic, version = struct.unpack('<II', recv_exact(old, 8))
-assert (magic, version) == (0x534B4D50, 4), (hex(magic), version)
+assert (magic, version) == (0x534B4D50, 5), (hex(magic), version)
 try:
     old.sendall(frame(1, b''))  # ping
 except (BrokenPipeError, ConnectionResetError):
@@ -253,9 +289,9 @@ try:
     rest = old.recv(65536)
 except ConnectionResetError:
     rest = b''
-assert rest == b'', 'v3 peer was served: %r' % rest
+assert rest == b'', 'v4 peer was served: %r' % rest
 old.close()
-print('ok: v3 hello refused after the hello exchange')
+print('ok: v4 hello refused after the hello exchange')
 EOF
 # Release the pinned worker: pair with its blocked open, then EOF fails
 # the fifo job (that job exists only to occupy the worker).
@@ -285,7 +321,7 @@ EOF
 
 # -- 6. Graceful drain: SIGTERM while a freshly accepted job is in
 # flight. The client must still collect its models and exit 0.
-"${CLUSTER}" --algo=stream "${ENGINE_FLAGS[@]}" \
+"${CLUSTER}" "${ENGINE_FLAGS[@]}" \
   --server="${ENDPOINT}" --out="${WORK}/drain_models" \
   "${WORK}"/buckets/*.pmkb > "${WORK}/drain.log" 2>&1 &
 DRAIN_CLIENT=$!

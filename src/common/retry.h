@@ -28,7 +28,7 @@ bool IsRetryableStatus(const Status& status);
 /// Tunable retry behavior.
 struct RetryPolicy {
   /// Total attempts including the first one (>= 1). 1 = no retries.
-  size_t max_attempts = 3;
+  size_t max_attempts = 1;
 
   /// Backoff before retry r (1-based) is
   ///   min(initial_backoff_ms * 2^(r-1), 2000 ms)

@@ -2,7 +2,7 @@
 // the shared ConnectionServer (common/connection_server.h: listener,
 // accept loop, io timeout, bounded handler pool, stop). A handler
 // performs the hello exchange, then serves request/reply frames until the
-// client hangs up. One connection = one session: a peer below the v4
+// client hangs up. One connection = one session: a peer below the v5
 // floor is dropped after the hellos, and a corrupt frame poisons only
 // that session. A kAwaitJob parks the session's handler for at most
 // kMaxAwaitSliceMs; once Stop() has begun, an await that ends with its

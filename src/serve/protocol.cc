@@ -127,7 +127,7 @@ std::vector<uint8_t> EncodeJobSpec(const JobSpec& spec) PMKM_DETERMINISTIC {
   PutU64(&out, static_cast<uint64_t>(spec.engine.cores));
   PutString(&out, spec.engine.failure_policy);
   PutU64(&out, static_cast<uint64_t>(spec.engine.max_retries));
-  PutU64(&out, static_cast<uint64_t>(spec.engine.op_timeout_ms));
+  PutU64(&out, static_cast<uint64_t>(spec.engine.deadline_ms));
   PutString(&out, spec.engine.kernel);
   PutString(&out, spec.engine.checkpoint_dir);
   PutU64(&out, static_cast<uint64_t>(spec.engine.checkpoint_sync));
@@ -153,7 +153,7 @@ Result<JobSpec> DecodeJobSpec(std::span<const uint8_t> payload) {
   PMKM_RETURN_NOT_OK(reader.ReadI64(&spec.engine.cores));
   PMKM_RETURN_NOT_OK(reader.ReadString(&spec.engine.failure_policy));
   PMKM_RETURN_NOT_OK(reader.ReadI64(&spec.engine.max_retries));
-  PMKM_RETURN_NOT_OK(reader.ReadI64(&spec.engine.op_timeout_ms));
+  PMKM_RETURN_NOT_OK(reader.ReadI64(&spec.engine.deadline_ms));
   PMKM_RETURN_NOT_OK(reader.ReadString(&spec.engine.kernel));
   PMKM_RETURN_NOT_OK(reader.ReadString(&spec.engine.checkpoint_dir));
   PMKM_RETURN_NOT_OK(reader.ReadI64(&spec.engine.checkpoint_sync));

@@ -18,8 +18,13 @@
 //       (or a bounded slice passes), replacing client-side status polling.
 //       v3 JobSpec bytes equal v2's.
 //   v4  Model sets carry each cell's .pmkm file bytes (checkpoint cell
-//       payload version 2). Every other payload equals v3's. v1-v3 peers
-//       are rejected at the hello.
+//       payload version 2). Every other payload equals v3's.
+//   v5  The JobSpec i64 slot after max_retries is deadline_ms (the job's
+//       time bound from the start of its run), where it was the stall
+//       watchdog's op_timeout_ms, and failure_policy no longer accepts
+//       "retry". The bytes are laid out as in v4; v1-v4 peers are
+//       rejected at the hello, so no old client's stall timeout is read
+//       as a deadline.
 //
 // Frames — every message after the handshake uses the journal's frame
 // discipline (data/manifest.h): length prefix, type tag, and a CRC32C
@@ -77,12 +82,12 @@ namespace serve {
 inline constexpr uint32_t kProtocolMagic = 0x534b4d50u;
 
 /// Current protocol version (history in the header comment).
-inline constexpr uint32_t kProtocolVersion = 4;
+inline constexpr uint32_t kProtocolVersion = 5;
 
-/// Oldest version this build still speaks: v4 is the floor, so every
-/// peer has kAwaitJob (no client-side polling path exists) and reads
-/// model sets as .pmkm bytes.
-inline constexpr uint32_t kMinProtocolVersion = 4;
+/// Oldest version this build still speaks: v5 is the floor, so every
+/// peer has kAwaitJob (no client-side polling path exists), reads model
+/// sets as .pmkm bytes and sends a deadline, not a stall timeout.
+inline constexpr uint32_t kMinProtocolVersion = 5;
 
 /// Longest a server parks one kAwaitJob before answering with the job's
 /// current state. A session's handler thread is already dedicated to its

@@ -213,7 +213,7 @@ Result<StreamRunResult> RunPlan(
   }
 
   const Stopwatch watch;
-  if (Status st = executor.Run(exec.cancel, exec.op_timeout_ms); !st.ok()) {
+  if (Status st = executor.Run(exec.cancel, exec.deadline_ms); !st.ok()) {
     return FailRun(exec.obs, std::move(st));
   }
 
@@ -358,29 +358,28 @@ void EngineFlags::Register(FlagParser* parser) {
   PMKM_CHECK(parser != nullptr);
   parser->AddInt("k", &k, "clusters per cell")
       .AddInt("restarts", &restarts, "random seed sets R")
-      .AddInt("memory-kib", &memory_kib,
-              "stream: per-operator memory budget")
+      .AddInt("memory-kib", &memory_kib, "per-operator memory budget")
       .AddInt("cores", &cores,
-              "stream: cores; one partial clone runs per core (never more "
-              "clones than the run has chunks), plus scan and merge "
-              "threads that mostly block (0 = autodetect)")
+              "cores; one partial clone runs per core (never more clones "
+              "than the run has chunks), plus scan and merge threads that "
+              "mostly block (0 = autodetect)")
       .AddString("failure_policy", &failure_policy,
-                 "stream: failfast | retry | skip")
+                 "after the retries: failfast (fail the run) | skip "
+                 "(quarantine the bucket, chunk or cell)")
       .AddInt("max_retries", &max_retries,
-              "stream: retries per failed bucket read or chunk fit under "
-              "--failure_policy=retry|skip (at most " +
+              "retries per failed bucket read or chunk fit (at most " +
                   std::to_string(kMaxRetries) + ")")
-      .AddInt("op_timeout_ms", &op_timeout_ms,
-              "stream: watchdog stall timeout (0 = off)")
+      .AddInt("deadline_ms", &deadline_ms,
+              "abort the run once it has run this long (0 = none)")
       .AddString("kernel", &kernel,
                  "distance kernel: scalar | avx2 | auto")
       .AddString("checkpoint_dir", &checkpoint_dir,
-                 "stream: durable checkpoint directory (empty = off)")
+                 "durable checkpoint directory (empty = off)")
       .AddInt("checkpoint_sync", &checkpoint_sync,
-              "stream: fsync the checkpoint every N cells")
+              "fsync the checkpoint every N cells")
       .AddBool("resume", &resume,
-               "stream: resume from an existing checkpoint "
-               "(--no-resume starts fresh)");
+               "resume from an existing checkpoint (--no-resume starts "
+               "fresh)");
 }
 
 Result<EngineOptions> EngineFlags::ToOptions() const {
@@ -392,7 +391,7 @@ Result<EngineOptions> EngineFlags::ToOptions() const {
        {std::pair<const char*, int64_t>{"memory-kib", memory_kib},
         {"cores", cores},
         {"max_retries", max_retries},
-        {"op_timeout_ms", op_timeout_ms}}) {
+        {"deadline_ms", deadline_ms}}) {
     if (value < 0) {
       return Status::InvalidArgument("--" + std::string(name) +
                                      " must be >= 0");
@@ -417,7 +416,7 @@ Result<EngineOptions> EngineFlags::ToOptions() const {
   PMKM_ASSIGN_OR_RETURN(options.exec.failure_policy,
                         ParseFailurePolicy(failure_policy));
   options.exec.io_retry.max_attempts = static_cast<size_t>(max_retries) + 1;
-  options.exec.op_timeout_ms = static_cast<uint64_t>(op_timeout_ms);
+  options.exec.deadline_ms = static_cast<uint64_t>(deadline_ms);
   PMKM_ASSIGN_OR_RETURN(const KernelKind kind, ParseKernelKind(kernel));
   if (!KernelAvailable(kind)) {
     return Status::InvalidArgument(

@@ -52,7 +52,7 @@ struct EngineOptions {
   /// What the planner may use (memory per operator, cores).
   ResourceModel resources;
 
-  /// Failure policy, retries, watchdog, observability sinks.
+  /// Failure policy, retries, deadline, observability sinks.
   StreamExecOptions exec;
 
   /// Force the partition size N' instead of letting the planner derive it
@@ -78,24 +78,25 @@ struct EngineFlags {
   int64_t memory_kib = 512;
   int64_t cores = 0;
   std::string failure_policy = "failfast";
-  int64_t max_retries = 2;
-  int64_t op_timeout_ms = 0;
+  int64_t max_retries = 0;
+  int64_t deadline_ms = 0;
   std::string kernel = "auto";
   std::string checkpoint_dir;
   int64_t checkpoint_sync = 1;
   bool resume = true;
 
   /// Registers --k, --restarts, --memory-kib, --cores, --failure_policy,
-  /// --max_retries, --op_timeout_ms, --kernel, --checkpoint_dir,
+  /// --max_retries, --deadline_ms, --kernel, --checkpoint_dir,
   /// --checkpoint_sync and --resume/--no-resume on `parser`.
   void Register(FlagParser* parser);
 
   /// Validates and converts the parsed values; --max_retries becomes
-  /// exec.io_retry.max_attempts = max_retries + 1, and --kernel becomes
-  /// both k-means configs' lloyd.kernel. Fails on k or restarts
-  /// below 1, a negative memory budget, core count, retry count or
-  /// timeout, a retry count above kMaxRetries, an unknown failure policy,
-  /// an unknown kernel name, or a kernel this host cannot run.
+  /// exec.io_retry.max_attempts = max_retries + 1 under either failure
+  /// policy, and --kernel becomes both k-means configs' lloyd.kernel.
+  /// Fails on k or restarts below 1, a negative memory budget, core
+  /// count, retry count or deadline, a retry count above kMaxRetries, an
+  /// unknown failure policy, an unknown kernel name, or a kernel this
+  /// host cannot run.
   Result<EngineOptions> ToOptions() const;
 };
 

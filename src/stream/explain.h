@@ -1,7 +1,7 @@
 // EXPLAIN rendering for partial/merge query plans: a textual tree in the
 // spirit of a DBMS EXPLAIN, showing what the optimizer chose (partition
 // size from the memory budget, clone count from the cores) before a plan
-// runs. Exposed through `pmkm_cluster --algo=stream --explain`.
+// runs. Exposed through `pmkm_cluster --explain`.
 
 #ifndef PMKM_STREAM_EXPLAIN_H_
 #define PMKM_STREAM_EXPLAIN_H_
@@ -33,7 +33,7 @@ std::string ExplainPartialMergePlan(size_t num_buckets,
 /// happened — per-operator rows/bytes in and out, wall / thread-CPU /
 /// queue-wait time, k-means iterations and restarts, retries and drops
 /// (partial clones aggregated, then listed per instance), and per-exchange
-/// high-water marks. Exposed through `pmkm_cluster --algo=stream --stats`.
+/// high-water marks. Exposed through `pmkm_cluster --stats`.
 std::string ExplainAnalyzePartialMerge(const KMeansConfig& partial,
                                        const MergeKMeansConfig& merge,
                                        const StreamRunResult& result);

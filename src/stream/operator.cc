@@ -1,5 +1,6 @@
 #include "stream/operator.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 
@@ -21,8 +22,6 @@ const char* FailurePolicyToString(FailurePolicy policy) {
   switch (policy) {
     case FailurePolicy::kFailFast:
       return "failfast";
-    case FailurePolicy::kRetryOperator:
-      return "retry";
     case FailurePolicy::kSkipAndContinue:
       return "skip";
   }
@@ -30,19 +29,16 @@ const char* FailurePolicyToString(FailurePolicy policy) {
 }
 
 Result<FailurePolicy> ParseFailurePolicy(const std::string& name) {
-  if (name == "failfast" || name == "fail_fast") {
-    return FailurePolicy::kFailFast;
-  }
-  if (name == "retry") return FailurePolicy::kRetryOperator;
+  if (name == "failfast") return FailurePolicy::kFailFast;
   if (name == "skip") return FailurePolicy::kSkipAndContinue;
   return Status::InvalidArgument("unknown failure policy '" + name +
-                                 "' (use failfast|retry|skip)");
+                                 "' (use failfast|skip)");
 }
 
 namespace {
 
-/// How often a supervising Executor::Run checks the token and progress.
-constexpr std::chrono::milliseconds kWatchdogPoll{10};
+/// How often a supervising Executor::Run checks the token and deadline.
+constexpr std::chrono::milliseconds kSupervisePoll{10};
 
 /// Supervision state shared by the operator threads and the supervising
 /// caller for one Executor::Run; annotated so the cross-thread accesses
@@ -62,7 +58,8 @@ struct RunState {
 }  // namespace
 
 Status Executor::Run(const std::atomic<bool>* cancel,
-                     uint64_t op_timeout_ms) {
+                     uint64_t deadline_ms) {
+  const Stopwatch since_entry;
   operator_stats_.assign(ops_.size(), OperatorStats{});
   if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
     return Status::Cancelled("run cancelled");
@@ -71,7 +68,6 @@ Status Executor::Run(const std::atomic<bool>* cancel,
 
   RunState state;
   state.running.store(ops_.size());
-  std::vector<std::atomic<bool>> done(ops_.size());
 
   auto on_error = [&](const Status& st) {
     PMKM_SCHED_POINT("executor.on_error");
@@ -111,7 +107,6 @@ Status Executor::Run(const std::atomic<bool>* cancel,
       stats.wall_seconds += wall.ElapsedSeconds();
       stats.cpu_seconds += cpu.ElapsedSeconds();
       operator_stats_[i] = stats;
-      done[i].store(true, std::memory_order_release);
       if (state.running.fetch_sub(1) == 1) {
         MutexLock lock(state.wake_mu);
         state.wake_cv.NotifyAll();
@@ -119,46 +114,32 @@ Status Executor::Run(const std::atomic<bool>* cancel,
     }, "op-worker");
   }
 
-  // The calling thread supervises: it wakes every kWatchdogPoll, or as
-  // soon as the last operator finishes, and turns a cancel or a stall into
-  // the same abort as an operator error.
+  // The calling thread supervises: it wakes every kSupervisePoll (or
+  // at a shorter deadline), or as soon as the last operator finishes, and
+  // turns a cancel or a missed deadline into the same abort as an
+  // operator error.
+  const std::chrono::milliseconds poll =
+      deadline_ms > 0
+          ? std::min(kSupervisePoll, std::chrono::milliseconds(deadline_ms))
+          : kSupervisePoll;
   auto supervise = [&]() -> Status {
-    using Clock = std::chrono::steady_clock;
-    uint64_t last_sum = 0;
-    auto last_change = Clock::now();
     MutexLock lock(state.wake_mu);
     while (state.running.load() > 0) {
-      state.wake_cv.WaitFor(state.wake_mu, kWatchdogPoll);
+      state.wake_cv.WaitFor(state.wake_mu, poll);
       if (state.running.load() == 0 || state.failed.load()) break;
       if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
         return Status::Cancelled("run cancelled");
       }
-      if (op_timeout_ms == 0) continue;
-      uint64_t sum = 0;
-      for (auto& op : ops_) sum += op->progress();
-      if (sum != last_sum) {
-        last_sum = sum;
-        last_change = Clock::now();
-        continue;
+      if (deadline_ms > 0 &&
+          since_entry.ElapsedMillis() >= static_cast<double>(deadline_ms)) {
+        return Status::DeadlineExceeded("run exceeded its deadline of " +
+                                        std::to_string(deadline_ms) +
+                                        " ms");
       }
-      if (Clock::now() - last_change <
-          std::chrono::milliseconds(op_timeout_ms)) {
-        continue;
-      }
-      std::string stalled;
-      for (size_t i = 0; i < ops_.size(); ++i) {
-        if (done[i].load(std::memory_order_acquire)) continue;
-        if (!stalled.empty()) stalled += ", ";
-        stalled += ops_[i]->name();
-      }
-      return Status::DeadlineExceeded(
-          "watchdog: no pipeline progress for " +
-          std::to_string(op_timeout_ms) +
-          " ms; stalled operator(s): " + stalled);
     }
     return Status::OK();
   };
-  if (cancel != nullptr || op_timeout_ms > 0) {
+  if (cancel != nullptr || deadline_ms > 0) {
     if (Status st = supervise(); !st.ok()) on_error(st);
   }
 

@@ -6,14 +6,14 @@
 // operator = adding another instance that shares the same input and output
 // queues; the queues' producer counting makes end-of-stream exact.
 //
-// Supervision: every operator carries a FailurePolicy and applies it to
-// its own work units (retry a bucket read or chunk fit in place, or
-// quarantine the unit). The executor runs each operator once and is the
-// one place that stops a pipeline: an operator error, a cancel token and
-// a stall (no operator makes progress for a configurable timeout) all
-// end in the same abort, which cancels every queue. Operators never read
-// the cancel token; they stop when their queues are cancelled, so a
-// cancel costs at most the chunk fit or cell merge in flight.
+// Supervision: every operator retries a failed bucket read or chunk fit in
+// place, as often as its retry budget allows, and then applies its
+// FailurePolicy (fail the run, or quarantine the unit). The executor runs
+// each operator once and is the one place that stops a pipeline: an
+// operator error, a cancel token and a run deadline all end in the same
+// abort, which cancels every queue. Operators never read the cancel token
+// or the clock; they stop when their queues are cancelled, so a cancel or
+// a missed deadline costs at most the chunk fit or cell merge in flight.
 
 #ifndef PMKM_STREAM_OPERATOR_H_
 #define PMKM_STREAM_OPERATOR_H_
@@ -30,23 +30,20 @@
 namespace pmkm {
 
 /// What an operator does when one of its work units (a bucket read, a
-/// chunk fit, a cell merge) fails. Errors that IsRetryableStatus rejects,
-/// such as non-finite data, are never retried.
+/// chunk fit, a cell merge) fails once its in-place retries (the run's
+/// retry budget, under either policy) are spent. Errors that
+/// IsRetryableStatus rejects, such as non-finite data, are never retried.
 enum class FailurePolicy {
-  /// Return the first error; the pipeline aborts.
+  /// Return the error; the pipeline aborts.
   kFailFast,
-  /// Retry the failed unit in place with backoff; once the retries are
-  /// spent, return the error.
-  kRetryOperator,
-  /// Retry like kRetryOperator, then quarantine the bucket, drop the
-  /// chunk or skip the cell, record it in the run report, and keep
-  /// clustering everything healthy.
+  /// Quarantine the bucket, drop the chunk or skip the cell, record it in
+  /// the run report, and keep clustering everything healthy.
   kSkipAndContinue,
 };
 
 const char* FailurePolicyToString(FailurePolicy policy);
 
-/// Parses "failfast" | "retry" | "skip" (case-sensitive).
+/// Parses "failfast" | "skip" (case-sensitive).
 Result<FailurePolicy> ParseFailurePolicy(const std::string& name);
 
 /// One physical operator instance. Run() executes the whole operator on
@@ -94,15 +91,7 @@ class Operator {
   /// copy in Executor::operator_stats after the pipeline joined.
   OperatorStats& mutable_stats() { return stats_; }
 
-  /// Monotonic count of completed work units; the executor declares the
-  /// pipeline stalled when the sum over all operators stops advancing.
-  uint64_t progress() const {
-    return progress_.load(std::memory_order_relaxed);
-  }
-
  protected:
-  void TickProgress() { progress_.fetch_add(1, std::memory_order_relaxed); }
-
   /// Copies the current stats into the attached RunBoard slot so the
   /// debug server's /statusz shows live per-operator progress. Call after
   /// each completed work unit (chunk/bucket/cell); no-op without a board.
@@ -111,7 +100,6 @@ class Operator {
  private:
   std::string name_;
   FailurePolicy failure_policy_ = FailurePolicy::kFailFast;
-  std::atomic<uint64_t> progress_{0};
   size_t live_slot_ = 0;
   OperatorStats stats_;
   ObsContext obs_;
@@ -128,13 +116,13 @@ class Executor {
   /// Executes every operator once, concurrently, and joins them. The
   /// first failure aborts all operators and is returned: an operator's
   /// error, Cancelled once `cancel` (nullable) is set (at entry: before
-  /// any thread starts), or DeadlineExceeded when `op_timeout_ms` > 0
-  /// and the progress sum over all operators is unchanged for that long
-  /// (it must exceed the longest single compute step, e.g. one merge
-  /// k-means fit). With a token or a timeout, the calling thread
-  /// supervises in 10 ms slices; without either, it only joins.
+  /// any thread starts), or DeadlineExceeded once `deadline_ms` > 0
+  /// milliseconds have passed since entry. With a token or a deadline,
+  /// the calling thread supervises in 10 ms slices, checking the token
+  /// first; without either, it only joins. The run returns after the
+  /// work unit in flight when the abort lands.
   Status Run(const std::atomic<bool>* cancel = nullptr,
-             uint64_t op_timeout_ms = 0);
+             uint64_t deadline_ms = 0);
 
   /// Each operator's stats after the last Run(), in Add() order.
   const std::vector<OperatorStats>& operator_stats() const {

@@ -171,7 +171,6 @@ Status ScanOperator::EmitBucketOnce(size_t index) {
     mutable_stats().bytes_out += bytes;
     ++partitions_emitted_;
     ++chunks_emitted_;
-    TickProgress();
     PublishLive();
   }
   RecordRollingUs(obs().metrics, "scan.bucket_us",
@@ -180,9 +179,6 @@ Status ScanOperator::EmitBucketOnce(size_t index) {
 }
 
 Status ScanOperator::EmitBucketWithRetry(size_t index) {
-  if (failure_policy() == FailurePolicy::kFailFast) {
-    return EmitBucketOnce(index);
-  }
   Retrier retrier(retry_, std::hash<std::string>{}(paths_[index]));
   for (;;) {
     const Status st = EmitBucketOnce(index);
@@ -222,7 +218,6 @@ Status ScanOperator::Run() {
       if (!out_->Push(std::move(marker))) {
         return Status::Cancelled("scan output queue cancelled");
       }
-      TickProgress();
     }
   }
   CloseOutputOnce();
@@ -274,11 +269,10 @@ Status PartialKMeansOperator::Run() {
       if (!out_->Push(std::move(msg))) {
         return Status::Cancelled("partial output queue cancelled");
       }
-      TickProgress();
       continue;
     }
-    // Injected stall (watchdog testing): sleep cancellably so an aborted
-    // pipeline still joins promptly.
+    // Injected stall (deadline and cancel tests): sleep cancellably so an
+    // aborted pipeline still joins promptly.
     if (uint64_t stall_ms = FaultRegistry::Global().StallMs("op.stall");
         stall_ms > 0) {
       const Stopwatch stall_watch;
@@ -317,9 +311,7 @@ Status PartialKMeansOperator::Run() {
     };
     size_t retries_used = 0;
     Result<PartialResult> result =
-        failure_policy() == FailurePolicy::kFailFast
-            ? compute()
-            : RetryCall(retry_, tag, compute, &retries_used);
+        RetryCall(retry_, tag, compute, &retries_used);
     // Done with the points on every path (fit, drop or error): the scan
     // reads a later chunk into their storage.
     buffers_->Give(std::move(partition.mutable_points()));
@@ -339,7 +331,6 @@ Status PartialKMeansOperator::Run() {
         if (!out_->Push(std::move(msg))) {
           return Status::Cancelled("partial output queue cancelled");
         }
-        TickProgress();
         continue;
       }
       return result.status();
@@ -365,7 +356,6 @@ Status PartialKMeansOperator::Run() {
     mutable_stats().rows_out += out_rows;
     mutable_stats().bytes_out += out_bytes;
     ++chunks_processed_;
-    TickProgress();
     PublishLive();
   }
 }
@@ -484,7 +474,6 @@ Status MergeKMeansOperator::Run() {
       }
       break;  // end of stream
     }
-    TickProgress();
     if (msg->dropped) {
       // Quarantine: discard everything about this cell, even a clustering
       // that already completed from (possibly corrupt) earlier partitions.

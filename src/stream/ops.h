@@ -1,14 +1,15 @@
 // Concrete operators of the partial/merge k-means query plan (paper Fig. 5):
 // scan → cloned partial k-means → merge k-means.
 //
-// Resilience: each operator applies its FailurePolicy (operator.h) to its
-// own work unit. Under kRetryOperator and kSkipAndContinue the scan
-// retries a failed bucket read and a partial clone a failed chunk fit, in
-// place with deterministic backoff. Under kSkipAndContinue the scan then
-// quarantines the bucket (emitting a dropped marker so the merge discards
-// any partitions already streamed), a partial clone drops the chunk, and
-// the merge skips a cell whose merge fails or that is incomplete at
-// end-of-stream, recording it instead of failing the run.
+// Resilience: the scan retries a failed bucket read and a partial clone a
+// failed chunk fit, in place with deterministic backoff, as often as the
+// run's retry budget allows (none by default). Then each operator applies
+// its FailurePolicy (operator.h): kFailFast returns the error, and under
+// kSkipAndContinue the scan quarantines the bucket (emitting a dropped
+// marker so the merge discards any partitions already streamed), a
+// partial clone drops the chunk, and the merge skips a cell whose merge
+// fails or that is incomplete at end-of-stream, recording it instead of
+// failing the run.
 
 #ifndef PMKM_STREAM_OPS_H_
 #define PMKM_STREAM_OPS_H_
@@ -73,14 +74,11 @@ struct QuarantinedBucket {
 /// operator). It is the engine's only scan: tools, daemon, tests and
 /// experiments all hand the engine bucket files.
 ///
-/// Failure handling by policy:
-///   kFailFast        — the first read error aborts the scan.
-///   kRetryOperator   — a failed bucket read is retried per `retry`,
-///                      resuming past the partitions already emitted
-///                      (they are never re-emitted); then the error is
-///                      returned.
-///   kSkipAndContinue — the same retries, then the bucket is quarantined
-///                      and scanning continues.
+/// A failed bucket read is retried per `retry`, resuming past the
+/// partitions already emitted (they are never re-emitted). Once the
+/// retries are spent:
+///   kFailFast        — the error aborts the scan.
+///   kSkipAndContinue — the bucket is quarantined and scanning continues.
 class ScanOperator : public Operator {
  public:
   /// `paths`: bucket files to scan. `chunk_points`: partition size N' (> 0),
@@ -90,7 +88,7 @@ class ScanOperator : public Operator {
   /// of `paths` holds the same cell (a path listed twice included).
   /// The operator registers itself as a producer of `out` at construction.
   /// Each chunk is read into a buffer taken from `buffers`. `retry` governs
-  /// per-bucket re-reads unless the policy is kFailFast.
+  /// per-bucket re-reads.
   ScanOperator(std::vector<std::string> paths, size_t chunk_points,
                size_t dim, std::shared_ptr<PointChunkQueue> out,
                std::shared_ptr<ChunkBufferPool> buffers,
@@ -144,12 +142,11 @@ class ScanOperator : public Operator {
 /// queues to clone (paper §3.4 option 1). Each chunk's storage goes back
 /// to `buffers` once its fit is done, whether the fit succeeded or not.
 ///
-/// Failure handling by policy: under kRetryOperator and kSkipAndContinue a
-/// failed chunk is retried per `retry`; once retries are exhausted,
+/// A failed chunk fit is retried per `retry`; once retries are exhausted,
 /// kSkipAndContinue drops the chunk (emitting a quarantine marker so the
-/// merge discards the whole cell) while kRetryOperator fails the pipeline.
+/// merge discards the whole cell) while kFailFast fails the pipeline.
 /// Fault sites: "op.partial" (error before clustering a chunk), "op.stall"
-/// (cancellable stall, for watchdog tests).
+/// (cancellable stall, for deadline and cancel tests).
 class PartialKMeansOperator : public Operator {
  public:
   PartialKMeansOperator(const KMeansConfig& config,
@@ -195,7 +192,7 @@ struct CellClustering {
 /// A cell dropped upstream is always recorded in skipped_cells(). Under
 /// kSkipAndContinue so is a cell whose merge fails, whose partitions are
 /// inconsistent or duplicated, or that is incomplete at end-of-stream; the
-/// merge then keeps draining its input. Other policies fail the run on
+/// merge then keeps draining its input. kFailFast fails the run on
 /// those.
 class MergeKMeansOperator : public Operator {
  public:

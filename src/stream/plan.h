@@ -8,8 +8,8 @@
 // memory) and the number of partial-operator clones.
 //
 // Execution is supervised (see operator.h): a StreamExecOptions chooses the
-// failure policy, retry budget and watchdog timeout, and every run returns
-// a RunReport describing what was retried, quarantined, or skipped.
+// failure policy, retry budget and run deadline, and every run returns a
+// RunReport describing what was retried, quarantined, or skipped.
 
 #ifndef PMKM_STREAM_PLAN_H_
 #define PMKM_STREAM_PLAN_H_
@@ -80,12 +80,15 @@ size_t PlanQueueCapacity(size_t partial_clones, size_t chunk_points,
 struct StreamExecOptions {
   FailurePolicy failure_policy = FailurePolicy::kFailFast;
 
-  /// Watchdog timeout: abort when no operator makes progress for this
-  /// long. 0 disables the watchdog.
-  uint64_t op_timeout_ms = 0;
+  /// Run deadline: the executor aborts the pipeline and the run returns
+  /// Status::DeadlineExceeded once this many milliseconds have passed
+  /// since the executor started, within one chunk fit or cell merge.
+  /// 0 = none.
+  uint64_t deadline_ms = 0;
 
   /// The one retry budget: retry/backoff for each failed bucket read and
-  /// partial chunk fit under kRetryOperator and kSkipAndContinue.
+  /// partial chunk fit, under every failure policy. The default makes one
+  /// attempt: no retries.
   RetryPolicy io_retry;
 
   /// Observability sinks, wired by PipelineBuilder::WithMetrics/WithTrace/

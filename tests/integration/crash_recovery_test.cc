@@ -65,7 +65,7 @@ class CrashRecoveryTest : public ::testing::Test {
   std::string ClusterCommand(const std::string& out,
                              bool checkpoint = true) const {
     std::string cmd = std::string(PMKM_TOOL_CLUSTER) +
-                      " --algo=stream --k=5 --restarts=2 --quiet --out=" +
+                      " --k=5 --restarts=2 --quiet --out=" +
                       out;
     if (checkpoint) cmd += " --checkpoint_dir=" + Dir("ckpt");
     return cmd;

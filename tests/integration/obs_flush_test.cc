@@ -89,7 +89,7 @@ class ObsFlushTest : public ::testing::Test {
 TEST_F(ObsFlushTest, SigkillMidRunLeavesParseableSnapshots) {
   const std::vector<std::string> buckets = MakeBuckets();
   std::string cmd = std::string(PMKM_TOOL_CLUSTER) +
-                    " --algo=stream --k=8 --restarts=6 --quiet" +
+                    " --k=8 --restarts=6 --quiet" +
                     " --out=" + Dir("models") +
                     " --run_id=killtest01" +
                     " --flush_interval_ms=20" +
@@ -132,7 +132,7 @@ TEST_F(ObsFlushTest, FailedRunStillExportsArtifacts) {
   // the failure are still exported.
   const std::string cmd =
       std::string(PMKM_TOOL_CLUSTER) +
-      " --algo=stream --k=4 --quiet --out=" + Dir("models") +
+      " --k=4 --quiet --out=" + Dir("models") +
       " --flush_interval_ms=0" +  // end-of-run-only: the failure path
       " --metrics_out=" + Dir("fail.metrics.json") + " " +
       Dir("no_such_bucket.pmkb") + " > /dev/null 2>&1";

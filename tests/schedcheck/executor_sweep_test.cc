@@ -27,7 +27,6 @@ class FailingOperator : public Operator {
  public:
   FailingOperator() : Operator("failing") {}
   Status Run() override {
-    TickProgress();
     return Status::Internal("permanent failure (seeded)");
   }
   void Abort() override {}
@@ -47,7 +46,6 @@ class ProducerOperator : public Operator {
         q_->CloseProducer();
         return Status::Cancelled("queue cancelled");
       }
-      TickProgress();
     }
     q_->CloseProducer();
     return Status::OK();
@@ -66,7 +64,6 @@ class ConsumerOperator : public Operator {
   Status Run() override {
     while (q_->Pop().has_value()) {
       ++*popped_;
-      TickProgress();
     }
     return q_->cancelled() ? Status::Cancelled("queue cancelled")
                            : Status::OK();
@@ -88,7 +85,6 @@ class CancellingOperator : public Operator {
   }
   Status Run() override {
     cancel_->store(true, std::memory_order_release);
-    TickProgress();
     q_.Pop();
     return Status::Cancelled("queue cancelled");
   }

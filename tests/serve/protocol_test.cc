@@ -1,6 +1,6 @@
 // Conformance tests for the serve wire protocol: golden byte vectors for
 // the hello, frame, JobSpec and await layouts (so an incompatible change
-// to the wire format fails loudly), version negotiation against the v4
+// to the wire format fails loudly), version negotiation against the v5
 // floor, and rejection of truncated/corrupt/oversized input on every
 // decode path.
 
@@ -27,9 +27,9 @@ TEST(HelloTest, GoldenBytes) {
   // the wire contract; a codec change that alters them breaks every
   // deployed peer.
   const std::vector<uint8_t> expected = {0x50, 0x4D, 0x4B, 0x53,
-                                         0x04, 0x00, 0x00, 0x00};
-  EXPECT_EQ(EncodeHello(4), expected);
-  EXPECT_EQ(kProtocolVersion, 4u);
+                                         0x05, 0x00, 0x00, 0x00};
+  EXPECT_EQ(EncodeHello(5), expected);
+  EXPECT_EQ(kProtocolVersion, 5u);
   EXPECT_EQ(EncodeHello(kProtocolVersion).size(), kHelloBytes);
 }
 
@@ -57,7 +57,7 @@ TEST(HelloTest, TruncatedRejected) {
 }
 
 TEST(NegotiateTest, BothDirectionsOfSkew) {
-  // v4 is both the current version and the floor: no skew below it.
+  // v5 is both the current version and the floor: no skew below it.
   EXPECT_EQ(kMinProtocolVersion, kProtocolVersion);
   auto same = NegotiateVersion(kProtocolVersion);
   ASSERT_TRUE(same.ok());
@@ -66,9 +66,10 @@ TEST(NegotiateTest, BothDirectionsOfSkew) {
   auto v99 = NegotiateVersion(99);
   ASSERT_TRUE(v99.ok());
   EXPECT_EQ(v99.value(), kProtocolVersion);
-  // Peers without kAwaitJob (v1, v2) or whose model sets use the old
-  // cell layout (v3) are below the floor: rejected.
-  for (uint32_t old_version : {0u, 1u, 2u, 3u}) {
+  // Peers without kAwaitJob (v1, v2), whose model sets use the old cell
+  // layout (v3) or whose JobSpec carries a stall timeout where v5 reads a
+  // deadline (v4) are below the floor: rejected.
+  for (uint32_t old_version : {0u, 1u, 2u, 3u, 4u}) {
     EXPECT_TRUE(NegotiateVersion(old_version).status().IsFailedPrecondition())
         << "peer v" << old_version;
   }
@@ -200,7 +201,7 @@ JobSpec MakeSpec() {
   spec.engine.cores = 4;
   spec.engine.failure_policy = "skip";
   spec.engine.max_retries = 1;
-  spec.engine.op_timeout_ms = 5000;
+  spec.engine.deadline_ms = 5000;
   spec.engine.kernel = "scalar";
   spec.engine.checkpoint_dir = "/tmp/ckpt";
   spec.engine.checkpoint_sync = 0;
@@ -218,7 +219,7 @@ void ExpectSpecEq(const JobSpec& a, const JobSpec& b) {
   EXPECT_EQ(a.engine.cores, b.engine.cores);
   EXPECT_EQ(a.engine.failure_policy, b.engine.failure_policy);
   EXPECT_EQ(a.engine.max_retries, b.engine.max_retries);
-  EXPECT_EQ(a.engine.op_timeout_ms, b.engine.op_timeout_ms);
+  EXPECT_EQ(a.engine.deadline_ms, b.engine.deadline_ms);
   EXPECT_EQ(a.engine.kernel, b.engine.kernel);
   EXPECT_EQ(a.engine.checkpoint_dir, b.engine.checkpoint_dir);
   EXPECT_EQ(a.engine.checkpoint_sync, b.engine.checkpoint_sync);
@@ -235,7 +236,8 @@ TEST(JobSpecCodecTest, RoundtripV2) {
 }
 
 TEST(JobSpecCodecTest, GoldenBytesKeepTheV2Layout) {
-  // v3 and v4 changed no JobSpec byte: paths, the engine flags in declaration
+  // v3, v4 and v5 moved no JobSpec byte (v5 reads the slot after
+  // max_retries as deadline_ms): paths, the engine flags in declaration
   // order, then run_id and client (the fields v2 added), all
   // little-endian with [u32 len] strings. Built field by field here, the
   // way an independent client would write it from protocol.h.
@@ -260,7 +262,7 @@ TEST(JobSpecCodecTest, GoldenBytesKeepTheV2Layout) {
   u64(4);    // cores
   str("skip");
   u64(1);     // max_retries
-  u64(5000);  // op_timeout_ms
+  u64(5000);  // deadline_ms
   str("scalar");
   str("/tmp/ckpt");
   u64(0);                 // checkpoint_sync

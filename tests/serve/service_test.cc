@@ -152,6 +152,10 @@ TEST_F(ServiceTest, LocalRejectsInvalidSpecs) {
   bad_retries.engine.max_retries = -1;
   EXPECT_TRUE(
       service.SubmitJob(bad_retries).status().IsInvalidArgument());
+  JobSpec bad_deadline = MakeSpec({WriteBucket(1, 100, 2)});
+  bad_deadline.engine.deadline_ms = -1;
+  EXPECT_TRUE(
+      service.SubmitJob(bad_deadline).status().IsInvalidArgument());
 
   EXPECT_TRUE(
       service.SubmitJob(MakeSpec({})).status().IsInvalidArgument());
@@ -257,6 +261,38 @@ TEST_F(ServiceTest, LocalCancelStopsARunningJobWithinOneChunk) {
   EXPECT_EQ(info->state, JobState::kCancelled);
   EXPECT_TRUE(info->status.IsCancelled()) << info->status;
   EXPECT_LE(fits_total, fits_at_cancel + 1);
+}
+
+// Every chunk fit of a job stalls 50 ms.
+FaultSpec EveryFitStalls50Ms() {
+  FaultSpec stall;
+  stall.nth = 1;
+  stall.permanent = true;
+  stall.stall_ms = 50;
+  return stall;
+}
+
+// A job's deadline bounds its whole run, not a stall: every chunk fit
+// below takes 50 ms, so the job keeps making progress for 2.5 s, and its
+// 300 ms deadline ends it kFailed with DeadlineExceeded.
+TEST_F(ServiceTest, LocalDeadlineFailsAProgressingJob) {
+  FaultRegistry::Global().Reset();
+  FaultRegistry::Global().Arm("op.stall", EveryFitStalls50Ms());
+  LocalService service(LocalServiceOptions{});
+  JobSpec spec = MakeSpec({WriteBucket(1, 500, 4)});
+  spec.engine.memory_kib = 2;  // 10-point chunks: 50 fits of 50 ms
+  spec.engine.cores = 1;
+  spec.engine.deadline_ms = 300;
+  auto job_id = service.SubmitJob(spec);
+  ASSERT_TRUE(job_id.ok()) << job_id.status();
+  auto info = service.AwaitJob(job_id.value(), 120000);
+  FaultRegistry::Global().Reset();
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->state, JobState::kFailed);
+  EXPECT_TRUE(info->status.IsDeadlineExceeded()) << info->status;
+  EXPECT_NE(info->status.message().find("deadline of 300 ms"),
+            std::string::npos)
+      << info->status;
 }
 
 TEST_F(ServiceTest, LocalDrainKeepsAcceptedJobsAndRejectsNew) {
@@ -417,6 +453,39 @@ TEST_F(ServiceTest, RemoteErrorSemanticsMatchLocal) {
   daemon.Stop();
 }
 
+// The deadline travels in the JobSpec and its DeadlineExceeded travels
+// back: the daemon's job ends kFailed, and the client sees the code.
+TEST_F(ServiceTest, RemoteDeadlineFailsAProgressingJob) {
+  ServeDaemon daemon;
+  StartDaemon(&daemon);
+  RemoteService remote;
+  ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
+
+  FaultRegistry::Global().Reset();
+  FaultRegistry::Global().Arm("op.stall", EveryFitStalls50Ms());
+  JobSpec spec = MakeSpec({WriteBucket(1, 500, 4)});
+  spec.engine.memory_kib = 2;  // 10-point chunks: 50 fits of 50 ms
+  spec.engine.cores = 1;
+  spec.engine.deadline_ms = 300;
+  auto job_id = remote.SubmitJob(spec);
+  ASSERT_TRUE(job_id.ok()) << job_id.status();
+  auto info = remote.AwaitJob(job_id.value(), 120000);
+  FaultRegistry::Global().Reset();
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->state, JobState::kFailed);
+  EXPECT_TRUE(info->status.IsDeadlineExceeded()) << info->status;
+  EXPECT_NE(info->status.message().find("deadline of 300 ms"),
+            std::string::npos)
+      << info->status;
+
+  JobSpec bad_deadline = MakeSpec({"/nonexistent.pmkb"});
+  bad_deadline.engine.deadline_ms = -1;
+  EXPECT_TRUE(remote.SubmitJob(bad_deadline).status().IsInvalidArgument());
+
+  remote.Disconnect();
+  daemon.DrainAndStop();
+}
+
 TEST_F(ServiceTest, RemoteRejectsCheckpointDirAndWritesNothing) {
   ServeDaemon daemon;
   StartDaemon(&daemon);
@@ -442,7 +511,7 @@ TEST_F(ServiceTest, RemoteAwaitSendsNoStatusFrames) {
   StartDaemon(&daemon);
   CountingRemote remote;
   ASSERT_TRUE(remote.Connect(daemon.bound_endpoint()).ok());
-  EXPECT_EQ(remote.negotiated_version(), 4u);
+  EXPECT_EQ(remote.negotiated_version(), 5u);
 
   auto job_id = remote.SubmitJob(MakeSpec({WriteBucket(1, 600, 2)}));
   ASSERT_TRUE(job_id.ok()) << job_id.status();

@@ -720,13 +720,15 @@ TEST_F(CheckpointEngineTest, AppendFailureLatchesInsteadOfFailing) {
 TEST_F(CheckpointEngineTest, AppendFailureFailsUnderRetryPolicy) {
   const std::vector<std::string> paths = WriteBuckets(2, 300);
   // kRunBegin (hit 1) succeeds; the first cell append fails. Only skip
-  // degrades a checkpoint; retry fails once it gives up, as failfast does.
+  // degrades a checkpoint; failfast with a retry budget fails, as it does
+  // without one.
   FaultRegistry::Global().Arm(
       "checkpoint.append", FaultSpec{.nth = 2, .permanent = true});
-  auto run = Builder()
-                 .WithCheckpoint(CkptDir())
-                 .WithFailurePolicy(FailurePolicy::kRetryOperator)
-                 .Run(paths);
+  StreamExecOptions exec;
+  exec.failure_policy = FailurePolicy::kFailFast;
+  exec.io_retry.max_attempts = 3;
+  auto run = Builder().WithCheckpoint(CkptDir()).WithExecution(exec).Run(
+      paths);
   FaultRegistry::Global().Reset();
   ASSERT_FALSE(run.ok());
   EXPECT_TRUE(run.status().IsIOError()) << run.status();
@@ -736,10 +738,11 @@ TEST_F(CheckpointEngineTest, FinalizeFailureFailsUnderRetryPolicy) {
   const std::vector<std::string> paths = WriteBuckets(2, 300);
   // Hits: kRunBegin, one kCellComplete per cell, then kRunEnd.
   FaultRegistry::Global().Arm("checkpoint.append", FaultSpec{.nth = 4});
-  auto run = Builder()
-                 .WithCheckpoint(CkptDir())
-                 .WithFailurePolicy(FailurePolicy::kRetryOperator)
-                 .Run(paths);
+  StreamExecOptions exec;
+  exec.failure_policy = FailurePolicy::kFailFast;
+  exec.io_retry.max_attempts = 3;
+  auto run = Builder().WithCheckpoint(CkptDir()).WithExecution(exec).Run(
+      paths);
   FaultRegistry::Global().Reset();
   ASSERT_FALSE(run.ok());
   EXPECT_TRUE(run.status().IsIOError()) << run.status();

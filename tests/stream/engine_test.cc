@@ -41,8 +41,9 @@ TEST(EngineFlagsTest, RegistersAndConverts) {
   const char* argv[] = {"prog",          "--k=7",
                         "--restarts=3",  "--memory-kib=64",
                         "--cores=5",     "--failure_policy=skip",
-                        "--kernel=scalar", "--max_retries=4"};
-  ASSERT_TRUE(parser.Parse(8, const_cast<char**>(argv)).ok());
+                        "--kernel=scalar", "--max_retries=4",
+                        "--deadline_ms=250"};
+  ASSERT_TRUE(parser.Parse(9, const_cast<char**>(argv)).ok());
   auto options = flags.ToOptions();
   ASSERT_TRUE(options.ok()) << options.status();
   EXPECT_EQ(options->partial.k, 7u);
@@ -59,6 +60,14 @@ TEST(EngineFlagsTest, RegistersAndConverts) {
   EXPECT_EQ(options->merge.lloyd.kernel->kind(), KernelKind::kScalar);
   // --max_retries is the one retry budget: attempts = retries + 1.
   EXPECT_EQ(options->exec.io_retry.max_attempts, 5u);
+  EXPECT_EQ(options->exec.deadline_ms, 250u);
+
+  // The defaults: failfast, no retry, no deadline.
+  auto defaults = EngineFlags{}.ToOptions();
+  ASSERT_TRUE(defaults.ok()) << defaults.status();
+  EXPECT_EQ(defaults->exec.failure_policy, FailurePolicy::kFailFast);
+  EXPECT_EQ(defaults->exec.io_retry.max_attempts, 1u);
+  EXPECT_EQ(defaults->exec.deadline_ms, 0u);
 }
 
 TEST(EngineFlagsTest, RejectsBadValues) {
@@ -67,10 +76,12 @@ TEST(EngineFlagsTest, RejectsBadValues) {
     flags.k = 0;
     EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument());
   }
-  {
+  // "retry" is no policy: a retry budget is --max_retries under either
+  // policy.
+  for (const char* policy : {"shrug", "retry", "fail_fast"}) {
     EngineFlags flags;
-    flags.failure_policy = "shrug";
-    EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument());
+    flags.failure_policy = policy;
+    EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument()) << policy;
   }
   {
     EngineFlags flags;
@@ -81,7 +92,7 @@ TEST(EngineFlagsTest, RejectsBadValues) {
   // values or clamped.
   for (int64_t EngineFlags::*field :
        {&EngineFlags::memory_kib, &EngineFlags::cores,
-        &EngineFlags::max_retries, &EngineFlags::op_timeout_ms}) {
+        &EngineFlags::max_retries, &EngineFlags::deadline_ms}) {
     EngineFlags flags;
     flags.*field = -1;
     EXPECT_TRUE(flags.ToOptions().status().IsInvalidArgument());

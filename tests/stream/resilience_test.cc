@@ -1,6 +1,6 @@
 // End-to-end resilience of the streamed partial/merge pipeline: injected
 // read faults, a permanently corrupt bucket, in-place retries of a bucket
-// read, a cell whose merge fails, the stall watchdog, and a cancel that
+// read, a cell whose merge fails, the run deadline, and a cancel that
 // lands mid-bucket. Every scenario is seeded and exact.
 
 #include <gtest/gtest.h>
@@ -190,22 +190,21 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesNonFiniteBucketUnretried) {
   EXPECT_EQ(run->report.io_retries, 0u);
   EXPECT_TRUE(run->report.degraded);
 
-  // Under failfast and retry alike the run fails, and retry reads no byte
-  // more than failfast: the error is not retryable. The io.read site is
-  // armed with a fault that never fires, only to count the reads.
-  auto reads_until_failure = [&](FailurePolicy policy) {
+  // Under failfast the run fails with and without a retry budget, and the
+  // budget reads no byte more: the error is not retryable. The io.read
+  // site is armed with a fault that never fires, only to count the reads.
+  auto reads_until_failure = [&](size_t max_attempts) {
     FaultRegistry::Global().Reset();
     EXPECT_TRUE(FaultRegistry::Global().ArmFromString("io.read:p=0").ok());
-    exec.failure_policy = policy;
+    exec.failure_policy = FailurePolicy::kFailFast;
+    exec.io_retry.max_attempts = max_attempts;
     const Status st = RunStream(paths, exec).status();
     EXPECT_TRUE(st.IsInvalidArgument()) << st;
     return FaultRegistry::Global().hits("io.read");
   };
-  const uint64_t failfast_reads =
-      reads_until_failure(FailurePolicy::kFailFast);
+  const uint64_t failfast_reads = reads_until_failure(1);
   EXPECT_GT(failfast_reads, 0u);
-  EXPECT_EQ(reads_until_failure(FailurePolicy::kRetryOperator),
-            failfast_reads);
+  EXPECT_EQ(reads_until_failure(8), failfast_reads);
 }
 
 TEST_F(ResilienceTest, SkipAndContinueIsDeterministicPerSeed) {
@@ -274,7 +273,7 @@ TEST_F(ResilienceTest, RetryOperatorRestartsScanAndRecoversFully) {
   ASSERT_TRUE(FaultRegistry::Global().ArmFromString("io.read:n=30").ok());
 
   StreamExecOptions exec;
-  exec.failure_policy = FailurePolicy::kRetryOperator;
+  exec.failure_policy = FailurePolicy::kFailFast;
   exec.io_retry.max_attempts = 3;
   exec.io_retry.initial_backoff_ms = 0;
   auto run = RunStream(paths, exec);
@@ -329,7 +328,7 @@ TEST_F(ResilienceTest, RetryOperatorExhaustionFailsTheRun) {
   CorruptBucket(paths[kCorruptCellLat]);  // permanent: retries can't help
 
   StreamExecOptions exec;
-  exec.failure_policy = FailurePolicy::kRetryOperator;
+  exec.failure_policy = FailurePolicy::kFailFast;
   exec.io_retry.max_attempts = 3;
   exec.io_retry.initial_backoff_ms = 0;
   auto run = RunStream(paths, exec);
@@ -344,7 +343,7 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesCellWhoseMergeFails) {
   // unchanged, so the merge's k-means is the first fit to see the
   // overflow, and it fails. Under skip the merge must quarantine that
   // cell and keep draining its input: stopping would leave the partial
-  // clones and the scan blocked on full queues until the watchdog fired.
+  // clones and the scan blocked on full queues until the deadline fired.
   constexpr size_t kDim = 6;
   constexpr size_t kHealthyCells = 20;
   BucketFiles files;
@@ -383,7 +382,7 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesCellWhoseMergeFails) {
   resources.cores = 1;
   StreamExecOptions exec;
   exec.failure_policy = FailurePolicy::kSkipAndContinue;
-  exec.op_timeout_ms = 5000;
+  exec.deadline_ms = 60000;
   auto run = PipelineBuilder()
                  .WithPartialKMeans(partial)
                  .WithMerge(merge)
@@ -405,10 +404,10 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesCellWhoseMergeFails) {
   EXPECT_TRUE(run->report.degraded);
 }
 
-TEST_F(ResilienceTest, WatchdogDetectsStalledOperator) {
+TEST_F(ResilienceTest, DeadlineStopsStalledRun) {
   // A pipeline with a 60 s stall injected into the first chunk the
-  // partial operator picks up; the watchdog must fire within the
-  // configured timeout instead of hanging for the full minute.
+  // partial operator picks up; the deadline must end the run instead of
+  // letting it hang for the full minute.
   ASSERT_TRUE(FaultRegistry::Global()
                   .ArmFromString("op.stall:n=1,stall_ms=60000")
                   .ok());
@@ -430,7 +429,7 @@ TEST_F(ResilienceTest, WatchdogDetectsStalledOperator) {
   ResourceModel resources;
   resources.cores = 1;  // one partial clone: the stall stalls the pipeline
   StreamExecOptions exec;
-  exec.op_timeout_ms = 300;
+  exec.deadline_ms = 300;
 
   const auto started = std::chrono::steady_clock::now();
   auto run = PipelineBuilder()
@@ -444,15 +443,16 @@ TEST_F(ResilienceTest, WatchdogDetectsStalledOperator) {
       std::chrono::steady_clock::now() - started);
   ASSERT_FALSE(run.ok());
   EXPECT_TRUE(run.status().IsDeadlineExceeded()) << run.status();
-  EXPECT_NE(run.status().message().find("watchdog"), std::string::npos)
+  EXPECT_NE(run.status().message().find("deadline of 300 ms"),
+            std::string::npos)
       << run.status();
-  EXPECT_LT(elapsed.count(), 30) << "watchdog took too long to fire";
+  EXPECT_LT(elapsed.count(), 30) << "the deadline took too long to fire";
 }
 
-TEST_F(ResilienceTest, WatchdogStaysQuietOnHealthyRun) {
+TEST_F(ResilienceTest, DeadlineStaysQuietOnHealthyRun) {
   std::vector<std::string> paths = WriteBuckets();
   StreamExecOptions exec;
-  exec.op_timeout_ms = 10000;
+  exec.deadline_ms = 10000;
   auto run = RunStream(paths, exec);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(run->cells.size(), kNumCells);
@@ -488,6 +488,27 @@ PipelineBuilder OneCloneBuilder(const StreamExecOptions& exec) {
       .WithExecution(exec);
 }
 
+// Every chunk fit stalls 50 ms, so the run keeps making progress for
+// 2.5 s; its 300 ms deadline still ends it.
+TEST_F(ResilienceTest, DeadlineBoundsAProgressingRun) {
+  const std::string path = (dir_ / "cell_0_0.pmkb").string();
+  ASSERT_TRUE(WriteGridBucket(path, OneBigCell()).ok());
+  FaultSpec stall;
+  stall.nth = 1;
+  stall.permanent = true;
+  stall.stall_ms = 50;
+  FaultRegistry::Global().Arm("op.stall", stall);
+  StreamExecOptions exec;
+  exec.deadline_ms = 300;
+  const auto started = std::chrono::steady_clock::now();
+  const Status st = OneCloneBuilder(exec).Run({path}).status();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - started);
+  EXPECT_TRUE(st.IsDeadlineExceeded()) << st;
+  EXPECT_LT(FaultRegistry::Global().hits("op.stall"), 50u);
+  EXPECT_LT(elapsed.count(), 2000) << "the run was not cut at its deadline";
+}
+
 // Runs the one-clone pipeline once per failure policy with every chunk
 // fit stalled 50 ms (so chunk time is fixed), and flips exec.cancel from a
 // second thread once the second chunk fit has started. The run must
@@ -497,8 +518,7 @@ TEST_F(ResilienceTest, CancelStopsOnDiskRunWithinOneChunk) {
   const std::string path = (dir_ / "cell_0_0.pmkb").string();
   ASSERT_TRUE(WriteGridBucket(path, OneBigCell()).ok());
   for (FailurePolicy policy :
-       {FailurePolicy::kFailFast, FailurePolicy::kRetryOperator,
-        FailurePolicy::kSkipAndContinue}) {
+       {FailurePolicy::kFailFast, FailurePolicy::kSkipAndContinue}) {
     SCOPED_TRACE(FailurePolicyToString(policy));
     FaultRegistry& faults = FaultRegistry::Global();
     faults.Reset();

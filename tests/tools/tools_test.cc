@@ -110,25 +110,21 @@ TEST_F(ToolsTest, EndToEndClusterAndInspect) {
   for (const auto& e : fs::directory_iterator(Dir("b"))) {
     buckets += " " + e.path().string();
   }
-  for (const std::string algo : {"serial", "stream"}) {
-    const std::string out = Dir("m_" + algo);
-    ASSERT_EQ(Run(std::string(PMKM_TOOL_CLUSTER) + " --algo=" + algo +
-                  " --k=8 --restarts=2 --out=" + out + buckets),
-              0)
-        << algo;
-    size_t models = 0;
-    for (const auto& e : fs::directory_iterator(out)) {
-      ++models;
-      auto model = LoadModel(e.path().string());
-      ASSERT_TRUE(model.ok()) << model.status();
-      EXPECT_LE(model->k(), 8u);
-      // Inspect must succeed on the model file too.
-      EXPECT_EQ(Run(std::string(PMKM_TOOL_INSPECT) + " " +
-                    e.path().string()),
-                0);
-    }
-    EXPECT_EQ(models, 2u) << algo;
+  const std::string out = Dir("m");
+  ASSERT_EQ(Run(std::string(PMKM_TOOL_CLUSTER) +
+                " --k=8 --restarts=2 --out=" + out + buckets),
+            0);
+  size_t models = 0;
+  for (const auto& e : fs::directory_iterator(out)) {
+    ++models;
+    auto model = LoadModel(e.path().string());
+    ASSERT_TRUE(model.ok()) << model.status();
+    EXPECT_LE(model->k(), 8u);
+    // Inspect must succeed on the model file too.
+    EXPECT_EQ(Run(std::string(PMKM_TOOL_INSPECT) + " " + e.path().string()),
+              0);
   }
+  EXPECT_EQ(models, 2u);
 }
 
 TEST_F(ToolsTest, StreamObservabilityOutputsAndInspect) {
@@ -145,7 +141,7 @@ TEST_F(ToolsTest, StreamObservabilityOutputsAndInspect) {
   const std::string stdout_file = Dir("cluster.out");
   // --stats goes to stdout; capture it instead of discarding.
   ASSERT_EQ(std::system((std::string(PMKM_TOOL_CLUSTER) +
-                         " --algo=stream --k=6 --restarts=2 --stats" +
+                         " --k=6 --restarts=2 --stats" +
                          " --metrics_out=" + metrics +
                          " --prom_out=" + prom + " --trace_out=" + trace +
                          " --out=" + Dir("m") + buckets + " > " +
@@ -288,21 +284,22 @@ TEST_F(ToolsTest, ClusterWithoutInputsFails) {
   EXPECT_NE(Run(std::string(PMKM_TOOL_CLUSTER) + " --k=4"), 0);
 }
 
-TEST_F(ToolsTest, ClusterRejectsUnknownAlgo) {
-  // Only the engine (stream, the default) and the serial baseline exist;
-  // any other value is a usage error, reported before reading inputs.
+TEST_F(ToolsTest, ClusterRejectsTheRetiredAlgoFlag) {
+  // The tool runs only the engine, so --algo is an unknown flag: a usage
+  // error, reported before any input is read or any output written.
   const std::string err = Dir("cluster.err");
   const int status =
-      std::system((std::string(PMKM_TOOL_CLUSTER) + " --algo=pm --out=" +
-                   Dir("m") + " " + Dir("x.pmkb") + " > /dev/null 2> " +
-                   err)
+      std::system((std::string(PMKM_TOOL_CLUSTER) +
+                   " --algo=serial --failure_policy=skip --out=" + Dir("m") +
+                   " " + Dir("x.pmkb") + " > /dev/null 2> " + err)
                       .c_str());
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 64);
+  EXPECT_FALSE(fs::exists(Dir("m")));
   std::ifstream in(err);
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("serial|stream"), std::string::npos) << text;
+  EXPECT_NE(text.find("unknown flag --algo"), std::string::npos) << text;
 }
 
 TEST_F(ToolsTest, ClusterRejectsAnEmptyBucket) {
