@@ -1,7 +1,8 @@
 // M1 — micro-benchmarks (google-benchmark) for the kernels the experiment
 // harnesses are built on: distance evaluation, the kernels' batch
 // nearest-centroid assignment (BM_AssignBlock*), the pruned pass's bound
-// test (BM_PruneBlock), one Lloyd iteration,
+// test (BM_PruneBlock) and ball scan (BM_AssignMasked), one Lloyd
+// iteration,
 // partial clustering of a chunk, the scan's bucket read per format version
 // (BM_BucketScan), queue throughput, and the observability
 // primitives (to police the zero-cost-when-disabled budget of DESIGN.md
@@ -217,53 +218,114 @@ void BM_AssignBlockSecond(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_PruneBlock(benchmark::State& state, const DistanceKernel* kernel,
-                   size_t dim) {
-  // The pruned pass's bound test for one 256-point tile, k=40, with the
-  // bounds and drift of a real pass: the tile's bounds come from a scan
-  // against the centroids after 8 Lloyd iterations, and the pass tests
-  // them against the centroids after 9.
-  const size_t n = 256;
+// The state of a real pruned pass over one paper chunk (2,730 points,
+// k=40): the bounds come from a scan against the centroids after 8 Lloyd
+// iterations, and the pass tests them against the centroids after 9.
+struct PrunedPass {
+  WeightedDataset data;
+  std::vector<uint32_t> assign;
+  std::vector<double> dist2, lower;
+  Dataset after;
+  std::vector<double> s;
+  std::vector<uint64_t> rings;
+  double shift = 0.0;
+};
+
+PrunedPass MakePrunedPass(const DistanceKernel* kernel, size_t dim) {
   const size_t k = 40;
-  const WeightedDataset data =
-      WeightedDataset::FromUnweighted(MakePoints(2730, dim, 4));
+  PrunedPass pass;
+  pass.data = WeightedDataset::FromUnweighted(MakePoints(2730, dim, 4));
+  const size_t n = pass.data.size();
   Rng seed_rng(5);
-  auto seeds = SelectSeeds(data, k, SeedingMethod::kRandom, &seed_rng);
+  auto seeds = SelectSeeds(pass.data, k, SeedingMethod::kRandom, &seed_rng);
   auto centroids_after = [&](size_t iterations) {
     LloydConfig config;
     config.epsilon = 0.0;
     config.max_iterations = iterations;
     Rng rng(6);
-    return RunWeightedLloyd(data, *seeds, config, &rng)->centroids;
+    return RunWeightedLloyd(pass.data, *seeds, config, &rng)->centroids;
   };
   const Dataset before = centroids_after(8);
-  const Dataset after = centroids_after(9);
+  pass.after = centroids_after(9);
   CentroidBlock block;
   block.Load(before);
-  std::vector<uint32_t> assign(n);
-  std::vector<double> dist2(n), lower(n);
-  kernel->AssignBlock(data.points().data(), n, dim, block, assign.data(),
-                      dist2.data(), lower.data());
-  for (double& l : lower) l = std::sqrt(l) * (1.0 - kPruneSlack);
-  block.Load(after);
-  std::vector<double> drift(k), s(k);
-  kernel->CentroidDriftAndSeparation(before.data(), after.data(), block, k,
-                                     dim, drift.data(), s.data());
-  const double shift =
+  pass.assign.resize(n);
+  pass.dist2.resize(n);
+  pass.lower.resize(n);
+  kernel->AssignBlock(pass.data.points().data(), n, dim, block,
+                      pass.assign.data(), pass.dist2.data(),
+                      pass.lower.data());
+  for (double& l : pass.lower) l = std::sqrt(l) * (1.0 - kPruneSlack);
+  block.Load(pass.after);
+  std::vector<double> drift(k);
+  pass.s.resize(k);
+  pass.rings.resize(k * kRingLevels);
+  kernel->CentroidDriftAndSeparation(before.data(), pass.after.data(), block,
+                                     k, dim, drift.data(), pass.s.data(),
+                                     pass.rings.data());
+  pass.shift =
       *std::max_element(drift.begin(), drift.end()) * (1.0 + kPruneSlack);
-  std::vector<double> decayed(n);
+  return pass;
+}
+
+void BM_PruneBlock(benchmark::State& state, const DistanceKernel* kernel,
+                   size_t dim) {
+  // The pruned pass's bound test for one 256-point tile of a real pass.
+  const size_t n = 256;
+  const PrunedPass pass = MakePrunedPass(kernel, dim);
+  std::vector<double> decayed(n), dist2(n);
   std::vector<uint32_t> rows(n);
   for (auto _ : state) {
     // Each iteration decays a fresh copy, as one pass does.
-    std::copy(lower.begin(), lower.end(), decayed.begin());
+    std::copy(pass.lower.begin(), pass.lower.begin() + n, decayed.begin());
     const size_t m = kernel->PruneBlock(
-        data.points().data(), n, dim, after.data(), assign.data(), s.data(),
-        shift, decayed.data(), dist2.data(), rows.data());
+        pass.data.points().data(), n, dim, pass.after.data(),
+        pass.assign.data(), pass.s.data(), pass.shift, decayed.data(),
+        dist2.data(), rows.data());
     benchmark::DoNotOptimize(m);
     benchmark::DoNotOptimize(rows.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_AssignMasked(benchmark::State& state, const DistanceKernel* kernel,
+                     size_t dim) {
+  // The ball scan of one paper chunk's survivors in a real pass: each
+  // survivor against the ring mask of its owner and level, grouped by
+  // (owner, level) as the Lloyd loop groups them. Items are survivors.
+  PrunedPass pass = MakePrunedPass(kernel, dim);
+  const size_t n = pass.data.size();
+  std::vector<uint32_t> rows(n);
+  std::vector<uint8_t> levels(n);
+  const size_t m = kernel->PruneBlock(
+      pass.data.points().data(), n, dim, pass.after.data(),
+      pass.assign.data(), pass.s.data(), pass.shift, pass.lower.data(),
+      pass.dist2.data(), rows.data(), levels.data());
+  std::vector<std::pair<size_t, uint32_t>> keyed;
+  for (size_t g = 0; g < m; ++g) {
+    if (levels[g] == kNoRing) continue;
+    keyed.emplace_back(pass.assign[rows[g]] * kRingLevels + levels[g],
+                       rows[g]);
+  }
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<uint32_t> ball_rows;
+  std::vector<uint64_t> masks;
+  for (const auto& [key, row] : keyed) {
+    ball_rows.push_back(row);
+    masks.push_back(pass.rings[key]);
+  }
+  for (auto _ : state) {
+    kernel->AssignMasked(pass.data.points().data(), ball_rows.size(), dim,
+                         pass.after.data(), ball_rows.data(), masks.data(),
+                         pass.assign.data(), pass.dist2.data(),
+                         pass.lower.data());
+    benchmark::DoNotOptimize(pass.assign.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * ball_rows.size());
 }
 
 void RegisterKernelSweeps() {
@@ -280,6 +342,9 @@ void RegisterKernelSweeps() {
     benchmark::RegisterBenchmark(
         ("BM_PruneBlock/" + std::string(kernel->name()) + "/d6").c_str(),
         BM_PruneBlock, kernel, size_t{6});
+    benchmark::RegisterBenchmark(
+        ("BM_AssignMasked/" + std::string(kernel->name()) + "/d6").c_str(),
+        BM_AssignMasked, kernel, size_t{6});
     // The small-k shapes of the many_cells_io (k=4) and serve (k=8)
     // benchmark workloads.
     for (size_t k : {4u, 8u}) {

@@ -16,9 +16,13 @@
 #   4. across distance kernels (--kernel=auto vs the scalar reference:
 #      the bound-pruned assignment takes a skipped point's distance from
 #      the kernel's PruneBlock and a scanned point's from its
-#      AssignBlock, so the two must agree bit for bit on every kernel).
+#      AssignBlock, so the two must agree bit for bit on every kernel);
+#   5. with the Exponion ball engaged: a k=40 leg (the k=6 legs stay below
+#      the ball's threshold, kBallMinK) whose survivors scan ring masks
+#      through AssignMasked, at --cores=1 and 4 and --kernel=auto.
 #
-# Every run is cmp'd file-by-file against the --cores=1 reference.
+# Every run is cmp'd file-by-file against the --cores=1 reference of its
+# k.
 #
 # Usage: scripts/run_determinism_check.sh [--cells N] [--points N]
 
@@ -62,11 +66,12 @@ echo "== determinism check: ${CELLS} cells x ${POINTS} points =="
 # A 512 KiB budget cuts each cell into several chunks (3 at the default
 # 6,000 points), so the core sweep really runs 1, 2, 4 and 12 partial
 # clones (clones never exceed the run's chunk count).
-ENGINE_FLAGS=(--k=6 --restarts=4 --memory-kib=512 --quiet)
+ENGINE_FLAGS=(--restarts=4 --memory-kib=512 --quiet)
 
-run_local() {  # run_local <outdir> <cores> [kernel]
+run_local() {  # run_local <outdir> <cores> [kernel] [k]
   "${CLUSTER}" "${ENGINE_FLAGS[@]}" --kernel="${3:-scalar}" \
-    --cores="$2" --out="${WORK}/$1" "${WORK}"/buckets/*.pmkb > /dev/null
+    --k="${4:-6}" --cores="$2" --out="${WORK}/$1" \
+    "${WORK}"/buckets/*.pmkb > /dev/null
 }
 
 # Reference plus the parallelism sweep; cores4 twice from two distinct
@@ -78,6 +83,10 @@ run_local cores4 4
 run_local cores4_again 4
 run_local cores16 16
 run_local kernel_auto 4 auto
+# The ball leg: k=40 from 2,730-point chunks.
+run_local k40_cores1 1 scalar 40
+run_local k40_cores4 4 scalar 40
+run_local k40_auto 4 auto 40
 
 # Remote: the same spec through a pmkm_serve daemon.
 "${SERVE}" --endpoint="unix:${WORK}/serve.sock" --workers=2 \
@@ -94,7 +103,7 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [[ -n "${ENDPOINT}" ]] || { echo "FAIL: no listen line"; exit 1; }
-"${CLUSTER}" "${ENGINE_FLAGS[@]}" --kernel=scalar --cores=4 \
+"${CLUSTER}" "${ENGINE_FLAGS[@]}" --k=6 --kernel=scalar --cores=4 \
   --server="${ENDPOINT}" --out="${WORK}/remote" \
   "${WORK}"/buckets/*.pmkb > "${WORK}/client.log" 2>&1 || {
   echo "FAIL: remote client"; cat "${WORK}/client.log"; exit 1
@@ -112,6 +121,13 @@ for ref in "${WORK}"/cores1/*.pmkm; do
       exit 1
     }
   done
+  for variant in k40_cores4 k40_auto; do
+    cmp -s "${WORK}/k40_cores1/${base}" "${WORK}/${variant}/${base}" || {
+      echo "FAIL: ${variant}/${base} differs from the k=40 --cores=1" \
+        "reference"
+      exit 1
+    }
+  done
   MODELS=$((MODELS + 1))
 done
 [[ "${MODELS}" -eq "${CELLS}" ]] || {
@@ -119,5 +135,6 @@ done
 }
 
 echo "ok: ${MODELS} models byte-identical across cores=1/2/4/16, a second"
-echo "    process invocation, --kernel=auto, and the pmkm_serve path"
+echo "    process invocation, --kernel=auto, and the pmkm_serve path; and"
+echo "    ${MODELS} k=40 models (the ball) across cores=1/4 and --kernel=auto"
 echo "== determinism check passed =="

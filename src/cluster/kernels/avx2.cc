@@ -55,7 +55,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 namespace pmkm {
@@ -70,6 +72,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // k to 8, so every pass is full).
 constexpr size_t kBlockPoints = 4;
 constexpr size_t kTileCentroids = 64;
+// AssignMasked: points per step (one per lane of two vectors), and the
+// largest dimension its transposed stack scratch holds.
+constexpr size_t kMaskedLanes = 8;
+constexpr size_t kMaskedMaxDim = 16;
 static_assert(CentroidBlock::kLanePad == 8 && kTileCentroids % 8 == 0,
               "a phase-1 pass covers 8 padded centroid columns");
 
@@ -186,6 +192,60 @@ inline void Update(LaneArgmin* st, __m256d d, __m256d j) {
   st->m = _mm256_min_pd(d, st->m);
 }
 
+// BuildRings (kernels/scalar.cc) with the levels computed in lanes: the
+// bit arithmetic of RingLevel on 4 columns at a time, its clamp by 32-bit
+// max/min (the level difference fits in 32 bits, and the high halves go
+// to 0), the low bytes of the 4 lanes packed into lv[j0, j0 + 4). Then
+// the mask of level L is one byte compare lv < L + 1 per 32 columns.
+// Columns past k hold 127, above every level.
+inline void Avx2BuildRings(const double* pair2, size_t k, size_t kp,
+                           size_t a, double s_a, uint64_t* rings) {
+  alignas(32) int8_t lv[kBallMaxK];
+  if ((s_a > kPruneMinBound) & (s_a < kPruneMaxBound)) {
+    const __m256i base = _mm256_set1_epi64x(static_cast<int64_t>(
+        (std::bit_cast<uint64_t>(s_a * s_a) >> 51) + 8));
+    const __m256i top =
+        _mm256_set1_epi64x(static_cast<int64_t>(kRingLevels) - 1);
+    // Byte 0 of each 64-bit lane to bytes 0-1 of its 128-bit half.
+    const __m256i low_bytes = _mm256_setr_epi8(
+        0, 8, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+        0, 8, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+    for (size_t j0 = 0; j0 < kp; j0 += 4) {
+      const __m256i level = _mm256_shuffle_epi8(
+          _mm256_min_epi32(
+              _mm256_max_epi32(
+                  _mm256_sub_epi64(
+                      _mm256_srli_epi64(
+                          _mm256_castpd_si256(_mm256_load_pd(pair2 + j0)),
+                          51),
+                      base),
+                  _mm256_setzero_si256()),
+              top),
+          low_bytes);
+      const uint32_t packed =
+          static_cast<uint32_t>(_mm256_extract_epi16(level, 0)) |
+          static_cast<uint32_t>(_mm256_extract_epi16(level, 8)) << 16;
+      std::memcpy(lv + j0, &packed, sizeof(packed));
+    }
+  } else {
+    std::fill(lv, lv + k, int8_t{0});
+  }
+  lv[a] = 0;
+  std::fill(lv + k, lv + kBallMaxK, int8_t{127});
+  const __m256i lo = _mm256_load_si256(reinterpret_cast<const __m256i*>(lv));
+  const __m256i hi =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(lv + 32));
+  for (size_t level = 0; level < kRingLevels; ++level) {
+    const __m256i bound = _mm256_set1_epi8(static_cast<char>(level + 1));
+    rings[level] =
+        static_cast<uint32_t>(
+            _mm256_movemask_epi8(_mm256_cmpgt_epi8(bound, lo))) |
+        static_cast<uint64_t>(static_cast<uint32_t>(
+            _mm256_movemask_epi8(_mm256_cmpgt_epi8(bound, hi))))
+            << 32;
+  }
+}
+
 // Broadcasts the minimum of v's 4 lanes (v holds no NaN).
 inline __m256d LaneMin(__m256d v) {
   v = _mm256_min_pd(v, _mm256_permute2f128_pd(v, v, 1));
@@ -261,13 +321,24 @@ class Avx2DistanceKernel final : public DistanceKernel {
   size_t PruneBlock(const double* points, size_t n, size_t dim,
                     const double* centroids, const uint32_t* assign,
                     const double* s, double shift, double* lower,
-                    double* dist2, uint32_t* rows) const override {
+                    double* dist2, uint32_t* rows,
+                    uint8_t* levels) const override {
     const bool decay = shift > 0.0;
     const __m256d shift4 = _mm256_set1_pd(shift);
     const __m256d shrink = _mm256_set1_pd(1.0 - kPruneSlack);
     const __m256d grow = _mm256_set1_pd(1.0 + kPruneSlack);
+    const __m256d ring_grow = _mm256_set1_pd(kRingGrow);
+    const __m256d all_ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    const __m256i level_offset = _mm256_set1_epi64x(8);
+    const __m256i top_level =
+        _mm256_set1_epi64x(static_cast<int64_t>(kRingLevels) - 1);
+    const __m256i no_ring_level = _mm256_set1_epi64x(kNoRing);
     const __m256d min_bound = _mm256_set1_pd(kPruneMinBound);
     const __m256d max_bound = _mm256_set1_pd(kPruneMaxBound);
+    auto in_bounds = [&](__m256d v) {
+      return _mm256_and_pd(_mm256_cmp_pd(v, min_bound, _CMP_GT_OQ),
+                           _mm256_cmp_pd(v, max_bound, _CMP_LT_OQ));
+    };
     size_t m = 0;
     size_t t = 0;
     for (; t + kBlockPoints <= n; t += kBlockPoints) {
@@ -287,20 +358,66 @@ class Avx2DistanceKernel final : public DistanceKernel {
       }
       const __m256d sa = _mm256_setr_pd(s[a0], s[a1], s[a2], s[a3]);
       const __m256d bound = _mm256_mul_pd(_mm256_max_pd(l, sa), shrink);
-      const __m256d in_range =
-          _mm256_and_pd(_mm256_cmp_pd(bound, min_bound, _CMP_GT_OQ),
-                        _mm256_cmp_pd(bound, max_bound, _CMP_LT_OQ));
-      const __m256d proven = _mm256_cmp_pd(
-          _mm256_mul_pd(_mm256_sqrt_pd(d2), grow), bound, _CMP_LT_OQ);
-      const int pruned = _mm256_movemask_pd(_mm256_and_pd(in_range, proven));
+      const __m256d u = _mm256_sqrt_pd(d2);
+      const __m256d proven =
+          _mm256_cmp_pd(_mm256_mul_pd(u, grow), bound, _CMP_LT_OQ);
+      const int pruned =
+          _mm256_movemask_pd(_mm256_and_pd(in_bounds(bound), proven));
       _mm256_storeu_pd(dist2 + t, d2);
+      if (levels == nullptr) {
+        for (size_t p = 0; p < kBlockPoints; ++p) {
+          rows[m] = static_cast<uint32_t>(t + p);
+          m += ((pruned >> p) & 1) ^ 1;
+        }
+        continue;
+      }
+      // RingLevel(R·R, s[a]) per lane. The difference of the two bit
+      // fields fits in 32 bits, so the 32-bit max/min clamp it (the high
+      // halves go to 0).
+      const __m256d r = _mm256_mul_pd(_mm256_add_pd(u, sa), ring_grow);
+      const __m256d no_ring = _mm256_andnot_pd(
+          _mm256_and_pd(in_bounds(sa), in_bounds(r)), all_ones);
+      const __m256i level = _mm256_min_epi32(
+          _mm256_max_epi32(
+              _mm256_sub_epi64(
+                  _mm256_srli_epi64(
+                      _mm256_castpd_si256(_mm256_mul_pd(r, r)), 51),
+                  _mm256_add_epi64(
+                      _mm256_srli_epi64(
+                          _mm256_castpd_si256(_mm256_mul_pd(sa, sa)), 51),
+                      level_offset)),
+              _mm256_setzero_si256()),
+          top_level);
+      alignas(32) uint64_t lane_level[kBlockPoints];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lane_level),
+                         _mm256_or_si256(level,
+                                         _mm256_and_si256(
+                                             _mm256_castpd_si256(no_ring),
+                                             no_ring_level)));
       for (size_t p = 0; p < kBlockPoints; ++p) {
         rows[m] = static_cast<uint32_t>(t + p);
+        levels[m] = static_cast<uint8_t>(lane_level[p]);
         m += ((pruned >> p) & 1) ^ 1;
       }
     }
     return PruneRows(points, t, n, dim, centroids, assign, s, shift, lower,
-                     dist2, rows, m);
+                     dist2, rows, levels, m);
+  }
+
+  void AssignMasked(const double* points, size_t n, size_t dim,
+                    const double* centroids, const uint32_t* rows,
+                    const uint64_t* masks, uint32_t* assign, double* dist2,
+                    double* lower) const override {
+    if (dim == 6) {
+      MaskedSteps<6>(points, n, 6, centroids, rows, masks, assign, dist2,
+                     lower);
+    } else if (dim <= kMaskedMaxDim) {
+      MaskedSteps<0>(points, n, dim, centroids, rows, masks, assign, dist2,
+                     lower);
+    } else {
+      AssignMaskedRows(points, n, dim, centroids, rows, masks, assign,
+                       dist2, lower);
+    }
   }
 
   void AccumulateBlock(const double* points, const double* weights,
@@ -327,9 +444,10 @@ class Avx2DistanceKernel final : public DistanceKernel {
   void CentroidDriftAndSeparation(const double* old_centroids,
                                   const double* new_centroids,
                                   const CentroidBlock& block, size_t k,
-                                  size_t dim, double* drift,
-                                  double* s) const override {
+                                  size_t dim, double* drift, double* s,
+                                  uint64_t* rings) const override {
     PMKM_DCHECK(block.k() == k && block.dim() == dim);
+    PMKM_DCHECK(rings == nullptr || k <= kBallMaxK);
     if (drift != nullptr) {
       // k×dim is tiny next to the n×k assignment scan; the scalar loop is
       // already exact and fast enough.
@@ -348,6 +466,7 @@ class Avx2DistanceKernel final : public DistanceKernel {
     const double* ct = block.transposed();
     const __m256d inf = _mm256_set1_pd(kInf);
     const __m256i step = _mm256_set1_epi64x(4);
+    alignas(32) double pair2[kBallMaxK];  // row j's, with rings
     for (size_t j = 0; j < k; ++j) {
       const double* c = new_centroids + j * dim;
       const __m256i self = _mm256_set1_epi64x(static_cast<int64_t>(j));
@@ -355,11 +474,14 @@ class Avx2DistanceKernel final : public DistanceKernel {
       __m256d nearest = inf;
       for (size_t j0 = 0; j0 < kp; j0 += 4) {
         __m256d d4 = Distance4(c, ct, kp, dim, j0);
+        if (rings != nullptr) _mm256_store_pd(pair2 + j0, d4);
         // Mask out the self-distance lane (j2 == j).
         const __m256d is_self =
             _mm256_castsi256_pd(_mm256_cmpeq_epi64(j_vec, self));
         d4 = _mm256_blendv_pd(d4, inf, is_self);
-        nearest = _mm256_min_pd(nearest, d4);
+        // MINPD returns its second operand when either is NaN: a NaN
+        // distance leaves the lane as it was, as the scalar scan skips it.
+        nearest = _mm256_min_pd(d4, nearest);
         j_vec = _mm256_add_epi64(j_vec, step);
       }
       alignas(32) double nd[4];
@@ -369,6 +491,116 @@ class Avx2DistanceKernel final : public DistanceKernel {
         if (nd[l] < min_sq) min_sq = nd[l];
       }
       s[j] = 0.5 * std::sqrt(min_sq);
+      if (rings != nullptr) {
+        Avx2BuildRings(pair2, k, kp, j, s[j], rings + j * kRingLevels);
+      }
+    }
+  }
+
+ private:
+  // AssignMasked for dim ≤ kMaskedMaxDim, 8 points per step, one per
+  // lane; kDim = 0 reads the dimension at run time. Each lane keeps its
+  // point's minimum, second and index with AssignBlock's Update, over
+  // the union of the step's masks in ascending index. A lane whose own
+  // mask lacks j sees NaN for it, which leaves its state unchanged, so
+  // every lane returns the scan of exactly its own mask. A short tail
+  // repeats its last point; only real rows are written back.
+  template <size_t kDim>
+  static void MaskedSteps(const double* points, size_t n, size_t dim_arg,
+                          const double* centroids, const uint32_t* rows,
+                          const uint64_t* masks, uint32_t* assign,
+                          double* dist2, double* lower) {
+    const size_t dim = kDim != 0 ? kDim : dim_arg;
+    const __m256d inf = _mm256_set1_pd(kInf);
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d shrink = _mm256_set1_pd(1.0 - kPruneSlack);
+    // Coordinate d of the step's points: lanes 0-3 at xt[d], 4-7 at
+    // xt[d] + 4, written with full-width stores so the scan's loads
+    // forward from them.
+    alignas(32) double xt[kMaskedMaxDim][kMaskedLanes];
+    for (size_t i = 0; i < n; i += kMaskedLanes) {
+      const size_t live = std::min(kMaskedLanes, n - i);
+      const double* x[kMaskedLanes];
+      uint64_t mask[kMaskedLanes];
+      uint64_t any = 0;
+      bool uniform = true;
+      for (size_t p = 0; p < kMaskedLanes; ++p) {
+        const size_t r = i + std::min(p, live - 1);
+        x[p] = points + rows[r] * dim;
+        mask[p] = masks[r];
+        any |= mask[p];
+        uniform &= mask[p] == mask[0];
+      }
+      size_t d = 0;
+      for (; d + 2 <= dim; d += 2) {
+        __m256d lo0, hi0, lo1, hi1;
+        LoadColumnPair(x, d, &lo0, &hi0);
+        LoadColumnPair(x + 4, d, &lo1, &hi1);
+        _mm256_store_pd(xt[d], lo0);
+        _mm256_store_pd(xt[d] + 4, lo1);
+        _mm256_store_pd(xt[d + 1], hi0);
+        _mm256_store_pd(xt[d + 1] + 4, hi1);
+      }
+      if (d < dim) {
+        _mm256_store_pd(xt[d], _mm256_setr_pd(x[0][d], x[1][d], x[2][d],
+                                              x[3][d]));
+        _mm256_store_pd(xt[d] + 4, _mm256_setr_pd(x[4][d], x[5][d],
+                                                  x[6][d], x[7][d]));
+      }
+      const __m256i mask_lo =
+          _mm256_setr_epi64x(static_cast<int64_t>(mask[0]),
+                             static_cast<int64_t>(mask[1]),
+                             static_cast<int64_t>(mask[2]),
+                             static_cast<int64_t>(mask[3]));
+      const __m256i mask_hi =
+          _mm256_setr_epi64x(static_cast<int64_t>(mask[4]),
+                             static_cast<int64_t>(mask[5]),
+                             static_cast<int64_t>(mask[6]),
+                             static_cast<int64_t>(mask[7]));
+      // Lanes without j in their mask get all-ones bits: a NaN.
+      auto gate = [&](int j, __m256d* acc_lo, __m256d* acc_hi) {
+        if (uniform) return;
+        const __m256i bit =
+            _mm256_set1_epi64x(static_cast<int64_t>(uint64_t{1} << j));
+        const __m256i none = _mm256_setzero_si256();
+        *acc_lo = _mm256_or_pd(*acc_lo,
+                               _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                                   _mm256_and_si256(mask_lo, bit), none)));
+        *acc_hi = _mm256_or_pd(*acc_hi,
+                               _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                                   _mm256_and_si256(mask_hi, bit), none)));
+      };
+      LaneArgmin lo = {inf, inf, zero}, hi = lo;
+      for (uint64_t bits = any; bits != 0; bits &= bits - 1) {
+        const int j = std::countr_zero(bits);
+        const double* c = centroids + static_cast<size_t>(j) * dim;
+        __m256d acc_lo = _mm256_setzero_pd(), acc_hi = acc_lo;
+#pragma GCC unroll 16
+        for (size_t e = 0; e < dim; ++e) {
+          const __m256d ce = _mm256_broadcast_sd(c + e);
+          acc_lo = AddSquaredDiff(acc_lo, _mm256_load_pd(xt[e]), ce);
+          acc_hi = AddSquaredDiff(acc_hi, _mm256_load_pd(xt[e] + 4), ce);
+        }
+        gate(j, &acc_lo, &acc_hi);
+        const __m256d jv = _mm256_set1_pd(static_cast<double>(j));
+        Update(&lo, acc_lo, jv);
+        Update(&hi, acc_hi, jv);
+      }
+      alignas(32) double best[kMaskedLanes], idx[kMaskedLanes],
+          bound[kMaskedLanes];
+      _mm256_store_pd(best, lo.m);
+      _mm256_store_pd(best + 4, hi.m);
+      _mm256_store_pd(idx, lo.idx);
+      _mm256_store_pd(idx + 4, hi.idx);
+      _mm256_store_pd(bound, _mm256_mul_pd(_mm256_sqrt_pd(lo.s), shrink));
+      _mm256_store_pd(bound + 4,
+                      _mm256_mul_pd(_mm256_sqrt_pd(hi.s), shrink));
+      for (size_t p = 0; p < live; ++p) {
+        const uint32_t row = rows[i + p];
+        assign[row] = static_cast<uint32_t>(idx[p]);
+        dist2[row] = best[p];
+        lower[row] = bound[p];
+      }
     }
   }
 };

@@ -15,13 +15,21 @@ const DistanceKernel* ScalarKernel();  // never null
 const DistanceKernel* Avx2Kernel();    // null unless built for x86-64
 
 /// PruneBlock's reference semantics for tile rows [begin, n): appends
-/// the indices of the points not pruned to rows[m, ...) and returns the
-/// new count. The scalar kernel runs it on the whole tile, the AVX2
-/// kernel on its tail of fewer than 4 points.
+/// the indices of the points not pruned to rows[m, ...) (and their ring
+/// levels to levels[m, ...) when non-null) and returns the new count.
+/// The scalar kernel runs it on the whole tile, the AVX2 kernel on its
+/// tail of fewer than 4 points.
 size_t PruneRows(const double* points, size_t begin, size_t n, size_t dim,
                  const double* centroids, const uint32_t* assign,
                  const double* s, double shift, double* lower,
-                 double* dist2, uint32_t* rows, size_t m);
+                 double* dist2, uint32_t* rows, uint8_t* levels, size_t m);
+
+/// AssignMasked's reference semantics. The AVX2 kernel runs it for
+/// dimensions above its transposed scratch.
+void AssignMaskedRows(const double* points, size_t n, size_t dim,
+                      const double* centroids, const uint32_t* rows,
+                      const uint64_t* masks, uint32_t* assign,
+                      double* dist2, double* lower);
 
 /// Runtime CPU probe for the AVX2+FMA path (build-time support is a
 /// separate question answered by Avx2Kernel() != nullptr).

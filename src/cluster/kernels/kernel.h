@@ -26,10 +26,24 @@
 //    (cluster/lloyd.cc) relies on this: PruneBlock computes a skipped
 //    point's distance to its own centroid in the same per-lane operation
 //    order, and AssignBlock scans the survivors through their row list.
+//  - The Exponion ball (DESIGN.md §10): from kBallMinK centroids on, a
+//    pruned pass scans each survivor against only the centroids of one
+//    ring mask — the centroids whose distance from the survivor's own
+//    centroid c_a falls at or below the survivor's ring level — through
+//    AssignMasked. PruneBlock emits the survivor's level and
+//    CentroidDriftAndSeparation the masks; both quantize a distance with
+//    the one monotone RingLevel below, so a mask is a superset of the
+//    ball B(c_a, 2u + 2s_a) that holds the nearest and second-nearest
+//    centroids. AssignMasked scans a mask in ascending index with a
+//    strict <, AssignBlock's tie rule, so it returns AssignBlock's
+//    assign, dist2 and second2 bit for bit (kernels/scalar.cc has the
+//    argument).
 
 #ifndef PMKM_CLUSTER_KERNELS_KERNEL_H_
 #define PMKM_CLUSTER_KERNELS_KERNEL_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -60,6 +74,36 @@ Result<KernelKind> ParseKernelKind(const std::string& name);
 inline constexpr double kPruneSlack = 1e-9;
 inline constexpr double kPruneMinBound = 1e-100;
 inline constexpr double kPruneMaxBound = 1e100;
+
+/// The ring levels of the Exponion ball. A squared distance r² from c_a
+/// gets the level of r² relative to s[a]²: the top 13 bits of r²'s IEEE
+/// pattern (exponent and one mantissa bit, so a level spans a factor of
+/// about 2^¼ in r) minus those of s[a]·s[a], minus 8 so that r = 4·s[a]
+/// — the smallest ball radius a survivor can have — is level 0, clamped
+/// to [0, kRingLevels). For non-negative doubles the bit pattern orders
+/// like the value, so the level is monotone in r² for a fixed s[a]:
+/// r² ≤ R² implies level(r²) ≤ level(R²). The top level, R ≳ 14·s[a],
+/// holds every centroid; on the paper cell no survivor got past level 6.
+/// Levels are stored per survivor as one byte; kNoRing marks a survivor
+/// the ball cannot serve (its R or s[a] outside the bound range).
+inline constexpr size_t kRingLevels = 8;
+inline constexpr uint8_t kNoRing = 0xff;
+/// A survivor's ball radius is R = (√dist2 + s[a])·kRingGrow: twice the
+/// 2u + 2s_a of the argument, inflated by δ.
+inline constexpr double kRingGrow = 2.0 * (1.0 + kPruneSlack);
+/// The ball engages from this many centroids up to 64 (one mask word).
+/// Below it the ring build and the grouping eat what the ball saves: at
+/// k = 8 to 16 the two paths measured even (EXPERIMENTS L5).
+inline constexpr size_t kBallMinK = 20;
+inline constexpr size_t kBallMaxK = 64;
+
+inline uint8_t RingLevel(double r2, double s_a) {
+  const int64_t level =
+      static_cast<int64_t>(std::bit_cast<uint64_t>(r2) >> 51) -
+      static_cast<int64_t>(std::bit_cast<uint64_t>(s_a * s_a) >> 51) - 8;
+  return static_cast<uint8_t>(std::clamp<int64_t>(
+      level, 0, static_cast<int64_t>(kRingLevels) - 1));
+}
 
 /// Centroids repacked for the kernels: transposed (coordinate-major) and
 /// padded to a lane multiple. Element (j, d) lives at
@@ -121,11 +165,33 @@ class DistanceKernel {
   /// point is pruned iff b = max(s[a], l)·(1 − δ) lies strictly between
   /// kPruneMinBound and kPruneMaxBound and √dist2[t]·(1 + δ) < b. The
   /// tile indices of the points not pruned go to rows[0, m) in ascending
-  /// order, and m is returned; `rows` must hold n entries.
+  /// order, and m is returned; `rows` must hold n entries. `levels`, when
+  /// non-null, also holds n entries and receives each survivor's ring
+  /// level beside its row: levels[g] = RingLevel(R·R, s[a]) with
+  /// R = (√dist2 + s[a])·kRingGrow, or kNoRing unless both s[a] and R lie
+  /// strictly between kPruneMinBound and kPruneMaxBound.
   virtual size_t PruneBlock(const double* points, size_t n, size_t dim,
                             const double* centroids, const uint32_t* assign,
                             const double* s, double shift, double* lower,
-                            double* dist2, uint32_t* rows) const
+                            double* dist2, uint32_t* rows,
+                            uint8_t* levels = nullptr) const
+      PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
+
+  /// The ball scan of a pruned pass's survivors. For each p < n, the
+  /// point at points + rows[p]·dim is scanned against the centroids
+  /// whose bits are set in masks[p], in ascending index, and the results
+  /// are written in place: assign[rows[p]] gets the nearest (ties to the
+  /// lower index; 0 when no distance is below +inf), dist2[rows[p]] its
+  /// squared distance, and lower[rows[p]] = √second2·(1 − δ) with
+  /// second2 the second-smallest squared distance in the mask.
+  /// `centroids` is row-major and every mask bit must index one of its
+  /// rows. Distances and compares are AssignBlock's, so when a mask holds
+  /// a point's nearest and second-nearest centroids the outputs are
+  /// AssignBlock's bit for bit.
+  virtual void AssignMasked(const double* points, size_t n, size_t dim,
+                            const double* centroids, const uint32_t* rows,
+                            const uint64_t* masks, uint32_t* assign,
+                            double* dist2, double* lower) const
       PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
 
   /// Weighted-sum scatter for a tile: for each point i,
@@ -141,13 +207,18 @@ class DistanceKernel {
   /// The two per-centroid arrays Hamerly's bounds need:
   /// drift[j] = ‖old_j − new_j‖ and s[j] = ½·min_{j2≠j} ‖new_j − new_j2‖.
   /// `block` must hold the *new* centroids. drift may be null (skip it,
-  /// e.g. on the first iteration).
+  /// e.g. on the first iteration). `rings`, when non-null, requires
+  /// k ≤ kBallMaxK and receives the ball's ring masks, kRingLevels words
+  /// per centroid: bit j of rings[a·kRingLevels + L] is set iff
+  /// RingLevel(‖new_a − new_j‖², s[a]) ≤ L, so j = a is in every mask.
+  /// An owner whose s[a] lies outside (kPruneMinBound, kPruneMaxBound)
+  /// gets all k bits at every level.
   virtual void CentroidDriftAndSeparation(const double* old_centroids,
                                           const double* new_centroids,
                                           const CentroidBlock& block,
                                           size_t k, size_t dim,
-                                          double* drift,
-                                          double* s) const = 0;
+                                          double* drift, double* s,
+                                          uint64_t* rings = nullptr) const = 0;
 };
 
 /// Returns the kernel for `kind`; kAuto resolves to the best implementation

@@ -16,6 +16,7 @@
 //    bits and the same decisions.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -51,12 +52,44 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 //
 // The compaction is branch-free: every point writes rows[m], and only a
 // point that needs the scan advances m.
+//
+// Exactness of the Exponion ball (AssignMasked over a ring mask). Write
+// U = ‖x − c_a‖ and S = ½·min_{j≠a} ‖c_a − c_j‖, exactly, and let D₂ be
+// the second-smallest exact distance from x to a centroid. If a is not
+// the nearest, the nearest and a are two centroids within U, so D₂ ≤ U;
+// if a is the nearest, a's nearest other centroid is within U + 2S. So
+// D₂ ≤ U + 2S, and every centroid j with D_j ≤ D₂ has
+// ‖c_a − c_j‖ ≤ U + D_j ≤ 2U + 2S. The scan's outputs (the lowest index
+// of the smallest computed distance, that distance, and the second of
+// the multiset of computed distances) depend only on the centroids whose
+// computed distance is at most the computed second; each of those has
+// D_j ≤ D₂·(1 + 2γ), so it lies within (2U + 2S)·(1 + 2γ) of c_a. A
+// scan of any superset of those centroids in ascending index with a
+// strict < therefore returns AssignBlock's outputs: the smallest
+// distance and all its ties are in the set, and so is a witness of the
+// second. A mask is such a superset:
+//  - R = (√dist2 + s[a])·kRingGrow is at least (2U + 2S)·(1 + δ/2), so
+//    fl(R·R) ≥ (2U + 2S)²·(1 + δ/2), while a mask's column value, the
+//    computed p_j = fl(‖c_a − c_j‖²), is at most ‖c_a − c_j‖²·(1 + γ);
+//    δ ≫ γ absorbs every rounding in between. So a centroid that
+//    matters has p_j < fl(R·R).
+//  - RingLevel(·, s[a]) is monotone in its first argument, so
+//    level(p_j) ≤ level(fl(R·R)), and the mask of the survivor's level
+//    holds j.
+//  - Survivors with s[a] or R outside (kPruneMinBound, kPruneMaxBound)
+//    take AssignBlock (kNoRing): within the range no square overflows,
+//    and a subnormal square's absolute error (below 1e-300) is far
+//    below δ·R² (R > 2e-100).
+//  - A NaN distance never wins or becomes second, so a centroid with a
+//    NaN coordinate may sit at any level; a column p_j = +inf (or NaN)
+//    lands on the top level, and an excluded one is farther than R.
 size_t PruneRows(const double* points, size_t begin, size_t n, size_t dim,
                  const double* centroids, const uint32_t* assign,
                  const double* s, double shift, double* lower,
-                 double* dist2, uint32_t* rows, size_t m) {
+                 double* dist2, uint32_t* rows, uint8_t* levels, size_t m) {
   for (size_t t = begin; t < n; ++t) {
     const double* x = points + t * dim;
+    const double s_a = s[assign[t]];
     const double* c = centroids + assign[t] * dim;
     double d2 = 0.0;
     for (size_t d = 0; d < dim; ++d) {
@@ -64,15 +97,77 @@ size_t PruneRows(const double* points, size_t begin, size_t n, size_t dim,
       d2 += diff * diff;
     }
     if (shift > 0.0) lower[t] = (lower[t] - shift) * (1.0 - kPruneSlack);
-    const double bound = std::max(s[assign[t]], lower[t]) *
-                         (1.0 - kPruneSlack);
+    const double bound = std::max(s_a, lower[t]) * (1.0 - kPruneSlack);
+    const double u = std::sqrt(d2);
     const bool pruned = (bound > kPruneMinBound) & (bound < kPruneMaxBound) &
-                        (std::sqrt(d2) * (1.0 + kPruneSlack) < bound);
+                        (u * (1.0 + kPruneSlack) < bound);
     dist2[t] = d2;
     rows[m] = static_cast<uint32_t>(t);
+    if (levels != nullptr) {
+      const double r = (u + s_a) * kRingGrow;
+      const bool ring = (s_a > kPruneMinBound) & (s_a < kPruneMaxBound) &
+                        (r > kPruneMinBound) & (r < kPruneMaxBound);
+      levels[m] = ring ? RingLevel(r * r, s_a) : kNoRing;
+    }
     m += !pruned;
   }
   return m;
+}
+
+namespace {
+
+// Owner a's kRingLevels ring masks (CentroidDriftAndSeparation's `rings`)
+// from its k squared pair distances pair2[j]; pair2[a] is not read.
+// at[L] holds the columns of level L. An owner the ball cannot serve gets
+// every column at level 0.
+void BuildRings(const double* pair2, size_t k, size_t a, double s_a,
+                uint64_t* rings) {
+  uint64_t at[kRingLevels] = {};
+  const bool ring = (s_a > kPruneMinBound) & (s_a < kPruneMaxBound);
+  for (size_t j = 0; j < k; ++j) {
+    const uint8_t level = ring && j != a ? RingLevel(pair2[j], s_a) : 0;
+    at[level] |= uint64_t{1} << j;
+  }
+  uint64_t mask = 0;
+  for (size_t level = 0; level < kRingLevels; ++level) {
+    mask |= at[level];
+    rings[level] = mask;
+  }
+}
+
+}  // namespace
+
+// AssignBlock's scan restricted to each row's mask; the AVX2 kernel runs
+// it for dimensions its transposed scratch does not hold.
+void AssignMaskedRows(const double* points, size_t n, size_t dim,
+                      const double* centroids, const uint32_t* rows,
+                      const uint64_t* masks, uint32_t* assign,
+                      double* dist2, double* lower) {
+  for (size_t p = 0; p < n; ++p) {
+    const double* x = points + rows[p] * dim;
+    uint32_t best = 0;
+    double d_best = kInf;
+    double d_second = kInf;
+    for (uint64_t bits = masks[p]; bits != 0; bits &= bits - 1) {
+      const uint32_t j = static_cast<uint32_t>(std::countr_zero(bits));
+      const double* c = centroids + j * dim;
+      double acc = 0.0;
+      for (size_t d = 0; d < dim; ++d) {
+        const double diff = x[d] - c[d];
+        acc += diff * diff;
+      }
+      if (acc < d_best) {
+        d_second = d_best;
+        d_best = acc;
+        best = j;
+      } else if (acc < d_second) {
+        d_second = acc;
+      }
+    }
+    assign[rows[p]] = best;
+    dist2[rows[p]] = d_best;
+    lower[rows[p]] = std::sqrt(d_second) * (1.0 - kPruneSlack);
+  }
 }
 
 // External linkage on purpose: these member functions are the
@@ -121,9 +216,18 @@ class ScalarDistanceKernel final : public DistanceKernel {
   size_t PruneBlock(const double* points, size_t n, size_t dim,
                     const double* centroids, const uint32_t* assign,
                     const double* s, double shift, double* lower,
-                    double* dist2, uint32_t* rows) const override {
+                    double* dist2, uint32_t* rows,
+                    uint8_t* levels) const override {
     return PruneRows(points, 0, n, dim, centroids, assign, s, shift, lower,
-                     dist2, rows, 0);
+                     dist2, rows, levels, 0);
+  }
+
+  void AssignMasked(const double* points, size_t n, size_t dim,
+                    const double* centroids, const uint32_t* rows,
+                    const uint64_t* masks, uint32_t* assign, double* dist2,
+                    double* lower) const override {
+    AssignMaskedRows(points, n, dim, centroids, rows, masks, assign, dist2,
+                     lower);
   }
 
   void AccumulateBlock(const double* points, const double* weights,
@@ -141,9 +245,10 @@ class ScalarDistanceKernel final : public DistanceKernel {
   void CentroidDriftAndSeparation(const double* old_centroids,
                                   const double* new_centroids,
                                   const CentroidBlock& block, size_t k,
-                                  size_t dim, double* drift,
-                                  double* s) const override {
+                                  size_t dim, double* drift, double* s,
+                                  uint64_t* rings) const override {
     PMKM_DCHECK(block.k() == k && block.dim() == dim);
+    PMKM_DCHECK(rings == nullptr || k <= kBallMaxK);
     if (drift != nullptr) {
       for (size_t j = 0; j < k; ++j) {
         const double* o = old_centroids + j * dim;
@@ -158,6 +263,7 @@ class ScalarDistanceKernel final : public DistanceKernel {
     }
     const size_t kp = block.padded_k();
     const double* ct = block.transposed();
+    double pair2[kBallMaxK];  // row j's squared pair distances
     for (size_t j = 0; j < k; ++j) {
       const double* c = new_centroids + j * dim;
       double nearest = kInf;
@@ -169,8 +275,12 @@ class ScalarDistanceKernel final : public DistanceKernel {
           acc += diff * diff;
         }
         if (acc < nearest) nearest = acc;
+        if (rings != nullptr) pair2[j2] = acc;
       }
       s[j] = k > 1 ? 0.5 * std::sqrt(nearest) : kInf;
+      if (rings != nullptr) {
+        BuildRings(pair2, k, j, s[j], rings + j * kRingLevels);
+      }
     }
   }
 };

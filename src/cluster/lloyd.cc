@@ -1,6 +1,7 @@
 #include "cluster/lloyd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -11,7 +12,7 @@ namespace pmkm {
 namespace {
 
 /// Points per AssignBlock call: large enough to amortize the virtual call,
-/// small enough that assign/dist2 scratch stays in L1/L2.
+/// small enough that the scan's scratch stays in L1/L2.
 constexpr size_t kAssignTile = 256;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -20,26 +21,40 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // point, exactly the (assign, dist2) a full kernel.AssignBlock scan would.
 // With pruning on, it keeps Hamerly's lower bound l[i] on the distance from
 // point i to every centroid other than its own, and skips the k-way scan
-// for points whose bounds prove the nearest centroid unchanged.
+// for points whose bounds prove the nearest centroid unchanged. From
+// kBallMinK to kBallMaxK centroids, a survivor then scans only the ring
+// mask of its owner and ring level (the Exponion ball, kernel.h).
 class Assigner {
  public:
   Assigner(const DistanceKernel& kernel, const WeightedDataset& data,
            size_t k, bool prune)
       : kernel_(kernel),
         points_(data.points().data()),
+        n_(data.size()),
         k_(k),
         dim_(data.dim()),
-        prune_(prune) {
+        prune_(prune),
+        ball_(prune && k >= kBallMinK && k <= kBallMaxK) {
     if (!prune_) return;
-    const size_t tile_cap = std::min(data.size(), kAssignTile);
-    lower_.resize(data.size());
+    const size_t tile_cap = std::min(n_, kAssignTile);
+    lower_.resize(n_);
     centroids_.resize(k * dim_);
     drift_.resize(k);
     s_.resize(k);
     second2_.resize(tile_cap);
-    rows_.resize(tile_cap);
+    rows_.resize(n_);
     scan_assign_.resize(tile_cap);
     scan_dist2_.resize(tile_cap);
+    if (!ball_) return;
+    levels_.resize(n_);
+    keys_.resize(n_);
+    rank_.resize(n_);
+    // One bucket per (owner, level), and a last one for the survivors
+    // the ball cannot serve; its empty mask counts no distances.
+    rings_.assign(k * kRingLevels + 1, 0);
+    bucket_.resize(k * kRingLevels + 1);
+    sorted_rows_.resize(n_);
+    sorted_masks_.resize(n_);
   }
 
   /// Starts a pass against `centroids`. The pass scans every point unless
@@ -53,7 +68,8 @@ class Assigner {
     bounds_valid_ = true;
     if (pruned_pass_) {
       kernel_.CentroidDriftAndSeparation(centroids_.data(), c, block_, k_,
-                                         dim_, drift_.data(), s_.data());
+                                         dim_, drift_.data(), s_.data(),
+                                         ball_ ? rings_.data() : nullptr);
       double max_drift = 0.0;
       for (double d : drift_) {
         max_drift = std::isnan(d) ? kInf : std::max(max_drift, d);
@@ -68,58 +84,122 @@ class Assigner {
   /// arguing its bound still holds.
   void Invalidate() { bounds_valid_ = false; }
 
-  /// Fills assign[i0, i0 + tile) and dist2[0, tile). assign holds the
-  /// previous pass's assignments on entry.
-  void AssignTile(size_t i0, size_t tile, uint32_t* assign, double* dist2) {
-    const double* points = points_ + i0 * dim_;
-    double* lower = lower_.data() + i0;
+  /// Fills assign[0, n) and dist2[0, n). assign holds the previous pass's
+  /// assignments on entry.
+  void Pass(uint32_t* assign, double* dist2) {
     if (!pruned_pass_) {
-      kernel_.AssignBlock(points, tile, dim_, block_, assign + i0, dist2,
-                          prune_ ? second2_.data() : nullptr);
-      if (prune_) {
+      for (size_t i0 = 0; i0 < n_; i0 += kAssignTile) {
+        const size_t tile = std::min(kAssignTile, n_ - i0);
+        kernel_.AssignBlock(points_ + i0 * dim_, tile, dim_, block_,
+                            assign + i0, dist2 + i0,
+                            prune_ ? second2_.data() : nullptr);
+        if (!prune_) continue;
         for (size_t t = 0; t < tile; ++t) {
-          lower[t] = std::sqrt(second2_[t]) * (1.0 - kPruneSlack);
+          lower_[i0 + t] = std::sqrt(second2_[t]) * (1.0 - kPruneSlack);
         }
       }
       return;
     }
-    // The points PruneBlock cannot prove stable are scanned in place,
-    // through their row list; its exactness argument is in
-    // kernels/scalar.cc.
-    const size_t m = kernel_.PruneBlock(points, tile, dim_,
-                                        centroids_.data(), assign + i0,
-                                        s_.data(), shift_, lower, dist2,
-                                        rows_.data());
-    if (m == 0) return;
-    kernel_.AssignBlock(points, m, dim_, block_, scan_assign_.data(),
-                        scan_dist2_.data(), second2_.data(), rows_.data());
-    for (size_t g = 0; g < m; ++g) {
-      const size_t t = rows_[g];
-      assign[i0 + t] = scan_assign_[g];
-      dist2[t] = scan_dist2_[g];
-      lower[t] = std::sqrt(second2_[g]) * (1.0 - kPruneSlack);
+    // The bound test over the whole pass first; its exactness argument
+    // is in kernels/scalar.cc.
+    const size_t m = kernel_.PruneBlock(
+        points_, n_, dim_, centroids_.data(), assign, s_.data(), shift_,
+        lower_.data(), dist2, rows_.data(), ball_ ? levels_.data() : nullptr);
+    counts_.pruned_points += n_;
+    counts_.survivors += m;
+    const uint32_t* scan_rows = rows_.data();
+    size_t scan = m;
+    if (ball_ && m > 0) {
+      const size_t balls = GroupByRing(m, assign);
+      kernel_.AssignMasked(points_, balls, dim_, centroids_.data(),
+                           sorted_rows_.data(), sorted_masks_.data(), assign,
+                           dist2, lower_.data());
+      scan_rows = sorted_rows_.data() + balls;
+      scan = m - balls;
+    }
+    // The rest scan all k centroids through their row list.
+    counts_.survivor_distances += scan * k_;
+    for (size_t g0 = 0; g0 < scan; g0 += kAssignTile) {
+      const size_t tile = std::min(kAssignTile, scan - g0);
+      kernel_.AssignBlock(points_, tile, dim_, block_, scan_assign_.data(),
+                          scan_dist2_.data(), second2_.data(),
+                          scan_rows + g0);
+      for (size_t g = 0; g < tile; ++g) {
+        const size_t i = scan_rows[g0 + g];
+        assign[i] = scan_assign_[g];
+        dist2[i] = scan_dist2_[g];
+        lower_[i] = std::sqrt(second2_[g]) * (1.0 - kPruneSlack);
+      }
     }
   }
 
+  const LloydCounters& counts() const { return counts_; }
+
  private:
+  // A stable counting sort of the m survivors in rows_ by (owner, ring
+  // level): the ones the ball serves go to sorted_rows_[0, balls) with
+  // their masks beside them, the rest (kNoRing) after them in row order.
+  // Returns balls. Each survivor's rank within its bucket is taken while
+  // counting, so the placement loop reads the buckets without updating
+  // them.
+  size_t GroupByRing(size_t m, const uint32_t* assign) {
+    const uint16_t no_ring = static_cast<uint16_t>(k_ * kRingLevels);
+    std::fill(bucket_.begin(), bucket_.end(), 0);
+    for (size_t g = 0; g < m; ++g) {
+      const uint8_t level = levels_[g];
+      const uint16_t key =
+          level == kNoRing
+              ? no_ring
+              : static_cast<uint16_t>(assign[rows_[g]] * kRingLevels + level);
+      keys_[g] = key;
+      rank_[g] = bucket_[key]++;
+    }
+    uint32_t start = 0;
+    for (size_t key = 0; key <= no_ring; ++key) {
+      const uint32_t count = bucket_[key];
+      counts_.survivor_distances +=
+          uint64_t{count} * static_cast<uint64_t>(std::popcount(rings_[key]));
+      bucket_[key] = start;
+      start += count;
+    }
+    for (size_t g = 0; g < m; ++g) {
+      const uint32_t pos = bucket_[keys_[g]] + rank_[g];
+      sorted_rows_[pos] = rows_[g];
+      sorted_masks_[pos] = rings_[keys_[g]];
+    }
+    return bucket_[no_ring];
+  }
+
   const DistanceKernel& kernel_;
   const double* points_;
+  const size_t n_;
   const size_t k_;
   const size_t dim_;
   const bool prune_;
+  const bool ball_;
   bool bounds_valid_ = false;
   bool pruned_pass_ = false;
   double shift_ = 0.0;  // this pass's bound decay; 0: no centroid moved
+  LloydCounters counts_;
   CentroidBlock block_;
   std::vector<double> lower_;      // l[i], per point
   std::vector<double> centroids_;  // the centroids l[] refers to
   std::vector<double> drift_;
   std::vector<double> s_;
   std::vector<double> second2_;
-  // A tile's points that need the scan, and the scan's packed results.
+  // The pass's survivors, and the packed results of a row-list scan.
   std::vector<uint32_t> rows_;
   std::vector<uint32_t> scan_assign_;
   std::vector<double> scan_dist2_;
+  // The ball: survivors' ring levels, sort keys and ranks, the ring masks
+  // per (owner, level), the counting sort's buckets and its output.
+  std::vector<uint8_t> levels_;
+  std::vector<uint16_t> keys_;
+  std::vector<uint32_t> rank_;
+  std::vector<uint64_t> rings_;
+  std::vector<uint32_t> bucket_;
+  std::vector<uint32_t> sorted_rows_;
+  std::vector<uint64_t> sorted_masks_;
 };
 
 }  // namespace
@@ -150,7 +230,7 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
   model.weights.assign(k, 0.0);
 
   std::vector<uint32_t> assign(n, 0);
-  std::vector<double> dist2(std::min(n, kAssignTile));
+  std::vector<double> dist2(n);
   std::vector<double> sums(k * dim);
   std::vector<double> cluster_weight(k);
   // Farthest assigned point per cluster: the donor pool for re-seeding
@@ -171,18 +251,14 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
     std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
     std::fill(farthest_dist.begin(), farthest_dist.end(), -1.0);
     assigner.BeginPass(model.centroids);
+    assigner.Pass(assign.data(), dist2.data());
     sse = 0.0;
-    for (size_t i0 = 0; i0 < n; i0 += kAssignTile) {
-      const size_t tile = std::min(kAssignTile, n - i0);
-      assigner.AssignTile(i0, tile, assign.data(), dist2.data());
-      for (size_t t = 0; t < tile; ++t) {
-        const size_t i = i0 + t;
-        const size_t j = assign[i];
-        sse += weights[i] * dist2[t];
-        if (dist2[t] > farthest_dist[j]) {
-          farthest_dist[j] = dist2[t];
-          farthest_idx[j] = i;
-        }
+    for (size_t i = 0; i < n; ++i) {
+      const size_t j = assign[i];
+      sse += weights[i] * dist2[i];
+      if (dist2[i] > farthest_dist[j]) {
+        farthest_dist[j] = dist2[i];
+        farthest_idx[j] = i;
       }
     }
     kernel.AccumulateBlock(points, weights, n, dim, assign.data(),
@@ -248,16 +324,12 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
   // Final bookkeeping against the final centroids.
   {
     assigner.BeginPass(model.centroids);
+    assigner.Pass(assign.data(), dist2.data());
     std::fill(model.weights.begin(), model.weights.end(), 0.0);
     double final_sse = 0.0;
-    for (size_t i0 = 0; i0 < n; i0 += kAssignTile) {
-      const size_t tile = std::min(kAssignTile, n - i0);
-      assigner.AssignTile(i0, tile, assign.data(), dist2.data());
-      for (size_t t = 0; t < tile; ++t) {
-        const size_t i = i0 + t;
-        model.weights[assign[i]] += weights[i];
-        final_sse += weights[i] * dist2[t];
-      }
+    for (size_t i = 0; i < n; ++i) {
+      model.weights[assign[i]] += weights[i];
+      final_sse += weights[i] * dist2[i];
     }
     model.sse = final_sse;
     const double total_weight = data.TotalWeight();
@@ -265,6 +337,7 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
         total_weight > 0.0 ? final_sse / total_weight : 0.0;
   }
   model.iterations = std::min(iter + 1, config.max_iterations);
+  if (config.counters != nullptr) *config.counters += assigner.counts();
   if (config.track_assignments) model.assignments = std::move(assign);
   return model;
 }

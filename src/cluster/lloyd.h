@@ -9,12 +9,16 @@
 // of every point against all k centroids, or that scan pruned by Hamerly's
 // triangle-inequality bounds (Hamerly, SDM'10) — one of the "improvements
 // for step 2 that limit the points that have to be re-sorted" the paper
-// names but does not use (§2, §4). The pruned step reproduces every
-// point's assignment and squared distance bit for bit, so both produce
-// identical models; LloydConfig::accelerate picks one.
+// names but does not use (§2, §4); from kBallMinK centroids the points
+// the bounds cannot skip scan only the centroids inside Exponion's ball
+// (cluster/kernels/kernel.h). The pruned step reproduces every point's
+// assignment and squared distance bit for bit, so both produce identical
+// models; LloydConfig::accelerate picks one.
 
 #ifndef PMKM_CLUSTER_LLOYD_H_
 #define PMKM_CLUSTER_LLOYD_H_
+
+#include <cstdint>
 
 #include "cluster/model.h"
 #include "common/result.h"
@@ -24,6 +28,25 @@
 namespace pmkm {
 
 class DistanceKernel;
+
+/// What the pruned assignment passes of some fits did: the raw counts
+/// behind the scan fraction (survivors ÷ pruned_points) and the
+/// distances per survivor (survivor_distances ÷ survivors).
+struct LloydCounters {
+  /// Points a pruned pass tested against their bounds.
+  uint64_t pruned_points = 0;
+  /// Of those, the points the bounds could not prove stable: scanned.
+  uint64_t survivors = 0;
+  /// Point-to-centroid distances the survivors' scans computed.
+  uint64_t survivor_distances = 0;
+
+  LloydCounters& operator+=(const LloydCounters& other) {
+    pruned_points += other.pruned_points;
+    survivors += other.survivors;
+    survivor_distances += other.survivor_distances;
+    return *this;
+  }
+};
 
 /// Parameters of one Lloyd run (seed selection happens outside).
 struct LloydConfig {
@@ -51,6 +74,11 @@ struct LloydConfig {
   /// many optimizations such as improved search mechanism for finding the
   /// nearest centroid"), kept for timing the T2/F6 reproduction.
   bool accelerate = true;
+
+  /// When non-null, each fit adds its pruned passes' counts here on
+  /// success. Not synchronized: the owner (a stream operator) runs its
+  /// fits on one thread.
+  LloydCounters* counters = nullptr;
 };
 
 /// Runs weighted Lloyd from the given initial centroids until convergence.

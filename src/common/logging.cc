@@ -117,14 +117,23 @@ void SetLogRunId(const std::string& run_id) {
 namespace internal {
 
 std::string FormatLogTimestamp(int64_t unix_millis) {
-  const time_t secs = static_cast<time_t>(unix_millis / 1000);
-  const int millis = static_cast<int>(unix_millis % 1000);
+  // Floor division: C++ / and % truncate toward zero, which would render
+  // 1 ms before the epoch as second 0 with millisecond -1.
+  int64_t secs = unix_millis / 1000;
+  int64_t millis = unix_millis % 1000;
+  if (millis < 0) {
+    --secs;
+    millis += 1000;
+  }
+  const time_t time = static_cast<time_t>(secs);
   std::tm tm_utc{};
-  gmtime_r(&secs, &tm_utc);
-  char buf[40];
+  gmtime_r(&time, &tm_utc);
+  // Room for every int field at full width: any year fits.
+  char buf[96];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday,
-                tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec, millis);
+                tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec,
+                static_cast<int>(millis));
   return buf;
 }
 

@@ -17,6 +17,9 @@ void OperatorStats::MergeFrom(const OperatorStats& other) {
   queue_wait_seconds += other.queue_wait_seconds;
   kmeans_iterations += other.kmeans_iterations;
   kmeans_restarts += other.kmeans_restarts;
+  pruned_points += other.pruned_points;
+  survivors += other.survivors;
+  survivor_distances += other.survivor_distances;
   retries += other.retries;
   items_dropped += other.items_dropped;
 }
@@ -64,6 +67,19 @@ std::string OperatorStats::ToString() const {
     out += " iters=" + std::to_string(kmeans_iterations);
     out += " kmeans_restarts=" + std::to_string(kmeans_restarts);
   }
+  if (pruned_points > 0) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), " scan_frac=%.3f",
+                  static_cast<double>(survivors) /
+                      static_cast<double>(pruned_points));
+    out += buf;
+    if (survivors > 0) {
+      std::snprintf(buf, sizeof(buf), " dist/survivor=%.2f",
+                    static_cast<double>(survivor_distances) /
+                        static_cast<double>(survivors));
+      out += buf;
+    }
+  }
   out += " retries=" + std::to_string(retries);
   if (items_dropped > 0) {
     out += " dropped=" + std::to_string(items_dropped);
@@ -84,6 +100,9 @@ JsonValue OperatorStats::ToJson() const {
   j.Set("queue_wait_seconds", queue_wait_seconds);
   j.Set("kmeans_iterations", kmeans_iterations);
   j.Set("kmeans_restarts", kmeans_restarts);
+  j.Set("pruned_points", pruned_points);
+  j.Set("survivors", survivors);
+  j.Set("survivor_distances", survivor_distances);
   j.Set("retries", retries);
   j.Set("items_dropped", items_dropped);
   return j;
@@ -105,6 +124,10 @@ void OperatorStats::ExportTo(MetricsRegistry* registry) const {
   registry->counter(prefix + "kmeans_iterations")
       .Increment(kmeans_iterations);
   registry->counter(prefix + "kmeans_restarts").Increment(kmeans_restarts);
+  registry->counter(prefix + "pruned_points").Increment(pruned_points);
+  registry->counter(prefix + "survivors").Increment(survivors);
+  registry->counter(prefix + "survivor_distances")
+      .Increment(survivor_distances);
   registry->counter(prefix + "retries").Increment(retries);
   registry->counter(prefix + "items_dropped").Increment(items_dropped);
 }

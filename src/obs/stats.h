@@ -71,6 +71,13 @@ struct OperatorStats {
   /// Seed-set restarts those fits ran (R per chunk/merge).
   uint64_t kmeans_restarts = 0;
 
+  /// The pruned assignment passes of those fits (LloydCounters): points
+  /// tested against their bounds, the survivors scanned, and the
+  /// point-to-centroid distances the survivors' scans computed.
+  uint64_t pruned_points = 0;
+  uint64_t survivors = 0;
+  uint64_t survivor_distances = 0;
+
   /// Retry grants absorbed (bucket re-reads, chunk re-computes).
   uint64_t retries = 0;
   /// Work items abandoned (quarantined buckets, dropped chunks,

@@ -238,6 +238,7 @@ Result<StreamRunResult> RunPlan(
   }
   for (PartialKMeansOperator* partial : partial_raw) {
     report.chunks_dropped += partial->chunks_dropped();
+    report.partial_lloyd += partial->lloyd_counters();
   }
   // Cells the merge skipped (dropped upstream, failed or incomplete) that
   // the scan did not already report.

@@ -108,6 +108,11 @@ JsonValue RunReportToJson(const RunReport& report) {
   out.Set("cells_clustered", report.cells_clustered);
   out.Set("io_retries", report.io_retries);
   out.Set("chunks_dropped", report.chunks_dropped);
+  JsonValue lloyd = JsonValue::Object();
+  lloyd.Set("pruned_points", report.partial_lloyd.pruned_points);
+  lloyd.Set("survivors", report.partial_lloyd.survivors);
+  lloyd.Set("survivor_distances", report.partial_lloyd.survivor_distances);
+  out.Set("partial_lloyd", std::move(lloyd));
   out.Set("degraded", report.degraded);
   JsonValue quarantined = JsonValue::Array();
   for (const QuarantinedCellReport& q : report.quarantined) {

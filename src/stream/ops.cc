@@ -32,6 +32,20 @@ size_t WeightedBytes(size_t rows, size_t dim) {
   return rows * (dim + 1) * sizeof(double);
 }
 
+// `config` with its fits counting their pruned passes into `counters`.
+template <typename Config>
+Config CountingInto(Config config, LloydCounters* counters) {
+  config.lloyd.counters = counters;
+  return config;
+}
+
+// Copies an operator's LloydCounters into its stats.
+void RecordLloyd(const LloydCounters& counters, OperatorStats* stats) {
+  stats->pruned_points = counters.pruned_points;
+  stats->survivors = counters.survivors;
+  stats->survivor_distances = counters.survivor_distances;
+}
+
 // Records one work-unit latency into the named rolling histogram (last-
 // minute percentiles on /metrics and /statusz); no-op without a registry.
 void RecordRollingUs(MetricsRegistry* metrics, const char* name,
@@ -235,7 +249,7 @@ PartialKMeansOperator::PartialKMeansOperator(
     std::shared_ptr<CentroidQueue> out, std::string name,
     RetryPolicy retry)
     : Operator(std::move(name)),
-      partial_(config),
+      partial_(CountingInto(config, &lloyd_counters_)),
       in_(std::move(in)),
       buffers_(std::move(buffers)),
       out_(std::move(out)),
@@ -336,6 +350,7 @@ Status PartialKMeansOperator::Run() {
       return result.status();
     }
     mutable_stats().kmeans_iterations += result->iterations;
+    RecordLloyd(lloyd_counters_, &mutable_stats());
     mutable_stats().kmeans_restarts += partial_.config().restarts;
     RecordRollingUs(obs().metrics, "partial.chunk_us",
                     chunk_watch.ElapsedSeconds());
@@ -374,7 +389,9 @@ void PartialKMeansOperator::Abort() {
 
 MergeKMeansOperator::MergeKMeansOperator(const MergeKMeansConfig& config,
                                          std::shared_ptr<CentroidQueue> in)
-    : Operator("merge-kmeans"), merger_(config), in_(std::move(in)) {
+    : Operator("merge-kmeans"),
+      merger_(CountingInto(config, &lloyd_counters_)),
+      in_(std::move(in)) {
   PMKM_CHECK(in_ != nullptr);
 }
 
@@ -402,6 +419,7 @@ Status MergeKMeansOperator::MergeCell(GridCellId cell) {
   PMKM_ASSIGN_OR_RETURN(ClusteringModel model, merger_.Merge(pooled));
   RecordRollingUs(obs().metrics, "merge.cell_us", watch.ElapsedSeconds());
   mutable_stats().kmeans_iterations += model.iterations;
+  RecordLloyd(lloyd_counters_, &mutable_stats());
   mutable_stats().kmeans_restarts += merger_.config().restarts;
   mutable_stats().rows_out += model.centroids.size();
   mutable_stats().bytes_out +=

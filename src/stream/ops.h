@@ -165,7 +165,12 @@ class PartialKMeansOperator : public Operator {
   /// Chunks dropped (cell quarantined) under kSkipAndContinue.
   size_t chunks_dropped() const { return chunks_dropped_; }
 
+  /// What the pruned assignment passes of this clone's fits did.
+  const LloydCounters& lloyd_counters() const { return lloyd_counters_; }
+
  private:
+  // Declared before partial_, whose LloydConfig points at it.
+  LloydCounters lloyd_counters_;
   PartialKMeans partial_;
   std::shared_ptr<PointChunkQueue> in_;
   std::shared_ptr<ChunkBufferPool> buffers_;
@@ -232,6 +237,8 @@ class MergeKMeansOperator : public Operator {
   // completed, and records why.
   void SkipCell(GridCellId cell, std::string reason);
 
+  // Declared before merger_, whose LloydConfig points at it.
+  LloydCounters lloyd_counters_;
   MergeKMeans merger_;
   std::shared_ptr<CentroidQueue> in_;
   CheckpointWriter* checkpoint_ = nullptr;

@@ -1,6 +1,7 @@
 #include "stream/plan.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
 #include <thread>
 
@@ -81,6 +82,18 @@ std::string RunReport::Summary() const {
   out += ", quarantined=" + std::to_string(quarantined.size());
   out += ", io_retries=" + std::to_string(io_retries);
   out += ", chunks_dropped=" + std::to_string(chunks_dropped);
+  if (partial_lloyd.pruned_points > 0) {
+    char buf[96];
+    std::snprintf(
+        buf, sizeof(buf), ", partial.scan_frac=%.3f, dist/survivor=%.2f",
+        static_cast<double>(partial_lloyd.survivors) /
+            static_cast<double>(partial_lloyd.pruned_points),
+        partial_lloyd.survivors > 0
+            ? static_cast<double>(partial_lloyd.survivor_distances) /
+                  static_cast<double>(partial_lloyd.survivors)
+            : 0.0);
+    out += buf;
+  }
   if (cells_resumed > 0 || checkpoint_cells > 0 || checkpoint_degraded) {
     out += ", cells_resumed=" + std::to_string(cells_resumed);
     out += ", checkpointed=" + std::to_string(checkpoint_cells);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/lloyd.h"
 #include "obs/stats.h"
 #include "stream/ops.h"
 
@@ -119,6 +120,11 @@ struct RunReport {
   std::vector<QuarantinedCellReport> quarantined;
   size_t io_retries = 0;         // scan read retries absorbed
   size_t chunks_dropped = 0;     // partial chunks discarded
+
+  /// The partial clones' pruned assignment passes, summed: the scan
+  /// fraction is survivors ÷ pruned_points (partial.scan_frac), and
+  /// survivor_distances ÷ survivors the distances per survivor.
+  LloydCounters partial_lloyd;
 
   // Checkpoint/resume accounting (all zero/false for uncheckpointed runs).
   size_t cells_resumed = 0;      // cells restored from the journal

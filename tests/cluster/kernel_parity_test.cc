@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -120,15 +121,36 @@ TEST_P(KernelParityTest, DriftAndSeparationBitwiseMatchesScalar) {
 
   const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
   std::vector<double> ref_drift(k), ref_s(k);
+  std::vector<uint64_t> ref_rings(k * kRingLevels);
   scalar.CentroidDriftAndSeparation(old_c.data(), new_c.data(), block, k,
-                                    dim, ref_drift.data(), ref_s.data());
+                                    dim, ref_drift.data(), ref_s.data(),
+                                    ref_rings.data());
+  // The masks are the ring levels of the pair distances, nested by level.
+  for (size_t a = 0; a < k; ++a) {
+    for (size_t j = 0; j < k; ++j) {
+      const double pair2 = SquaredL2(new_c.Row(a), new_c.Row(j));
+      const size_t level = j == a ? 0 : RingLevel(pair2, ref_s[a]);
+      for (size_t l = 0; l < kRingLevels; ++l) {
+        EXPECT_EQ(((ref_rings[a * kRingLevels + l] >> j) & 1) != 0,
+                  l >= level)
+            << "owner " << a << " column " << j << " level " << l;
+      }
+    }
+  }
 
   for (const DistanceKernel* kernel : AvailableKernels()) {
     SCOPED_TRACE(kernel->name());
     std::vector<double> drift(k), s(k);
+    std::vector<uint64_t> rings(k * kRingLevels);
+    kernel->CentroidDriftAndSeparation(old_c.data(), new_c.data(), block,
+                                       k, dim, drift.data(), s.data(),
+                                       rings.data());
+    EXPECT_EQ(drift, ref_drift);
+    EXPECT_EQ(s, ref_s);
+    EXPECT_EQ(rings, ref_rings);
+    // Without rings, the same drift and separation.
     kernel->CentroidDriftAndSeparation(old_c.data(), new_c.data(), block,
                                        k, dim, drift.data(), s.data());
-    EXPECT_EQ(drift, ref_drift);
     EXPECT_EQ(s, ref_s);
   }
 }
@@ -193,6 +215,47 @@ TEST_P(KernelParityTest, HamerlyFitIdenticalAcrossKernels) {
     EXPECT_EQ(model->assignments, ref->assignments);
     EXPECT_EQ(model->sse, ref->sse);
     EXPECT_EQ(model->iterations, ref->iterations);
+  }
+}
+
+// Ring masks over degenerate centroid sets: a duplicated centroid
+// (s = 0: all bits at every level), an infinite and a NaN coordinate, at
+// the smallest and largest k the ball serves.
+TEST(RingParityTest, DegenerateCentroidsBitwiseMatchScalar) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t k : {kBallMinK, kBallMaxK}) {
+    for (size_t dim : {1u, 6u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " dim=" + std::to_string(dim));
+      std::vector<double> values = MakePoints(k, dim, 400 + k).values();
+      std::copy(values.begin(), values.begin() + dim,
+                values.begin() + 5 * dim);  // centroid 5 = centroid 0
+      values[7 * dim] = kInf;
+      values[9 * dim] = kNan;
+      auto centroids = Dataset::FromFlat(dim, std::move(values));
+      ASSERT_TRUE(centroids.ok()) << centroids.status();
+      CentroidBlock block;
+      block.Load(*centroids);
+      const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
+      std::vector<double> ref_s(k);
+      std::vector<uint64_t> ref_rings(k * kRingLevels);
+      scalar.CentroidDriftAndSeparation(nullptr, centroids->data(), block, k,
+                                        dim, nullptr, ref_s.data(),
+                                        ref_rings.data());
+      const uint64_t all = k == 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
+      EXPECT_EQ(ref_rings[0], all);  // s[0] = 0
+      EXPECT_EQ(ref_rings[5 * kRingLevels + kRingLevels - 1], all);
+      for (const DistanceKernel* kernel : AvailableKernels()) {
+        SCOPED_TRACE(kernel->name());
+        std::vector<double> s(k);
+        std::vector<uint64_t> rings(k * kRingLevels);
+        kernel->CentroidDriftAndSeparation(nullptr, centroids->data(), block,
+                                           k, dim, nullptr, s.data(),
+                                           rings.data());
+        EXPECT_EQ(0, std::memcmp(s.data(), ref_s.data(), k * sizeof(double)));
+        EXPECT_EQ(rings, ref_rings);
+      }
+    }
   }
 }
 
@@ -437,6 +500,7 @@ TEST(PruneBlockParityTest, PruneBlockBitwiseMatchesScalar) {
   const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
   size_t total_pruned = 0;
   size_t total_kept = 0;
+  size_t total_no_ring = 0;
   for (size_t dim : {1u, 5u, 6u, 8u, 17u}) {
     const Dataset centroids = MakePoints(kK, dim, 110 + dim);
     CentroidBlock block;
@@ -470,34 +534,251 @@ TEST(PruneBlockParityTest, PruneBlockBitwiseMatchesScalar) {
                      " shift=" + std::to_string(shift));
         std::vector<double> ref_lower = lower0, ref_dist2(n, -1.0);
         std::vector<uint32_t> ref_rows(n);
+        std::vector<uint8_t> ref_levels(n);
         const size_t ref_m = scalar.PruneBlock(
             points.data(), n, dim, centroids.data(), assign.data(), s.data(),
-            shift, ref_lower.data(), ref_dist2.data(), ref_rows.data());
+            shift, ref_lower.data(), ref_dist2.data(), ref_rows.data(),
+            ref_levels.data());
         ASSERT_LE(ref_m, n);
         total_kept += ref_m;
         total_pruned += n - ref_m;
+        for (size_t g = 0; g < ref_m; ++g) {
+          const size_t t = ref_rows[g];
+          const double s_a = s[assign[t]];
+          const double r = (std::sqrt(ref_dist2[t]) + s_a) * kRingGrow;
+          const bool ring = s_a > kPruneMinBound && s_a < kPruneMaxBound &&
+                            r > kPruneMinBound && r < kPruneMaxBound;
+          EXPECT_EQ(ref_levels[g], ring ? RingLevel(r * r, s_a) : kNoRing);
+          total_no_ring += !ring;
+        }
         for (const DistanceKernel* kernel : AvailableKernels()) {
           SCOPED_TRACE(kernel->name());
-          std::vector<double> lower = lower0, dist2(n, -1.0);
-          std::vector<uint32_t> rows(n, 0xdeadbeef);
-          const size_t m = kernel->PruneBlock(
-              points.data(), n, dim, centroids.data(), assign.data(),
-              s.data(), shift, lower.data(), dist2.data(), rows.data());
-          ASSERT_EQ(m, ref_m);
-          EXPECT_EQ(0, std::memcmp(rows.data(), ref_rows.data(),
-                                   m * sizeof(uint32_t)));
-          EXPECT_EQ(0, std::memcmp(lower.data(), ref_lower.data(),
-                                   n * sizeof(double)));
-          EXPECT_EQ(0, std::memcmp(dist2.data(), ref_dist2.data(),
-                                   n * sizeof(double)));
+          for (bool with_levels : {true, false}) {
+            std::vector<double> lower = lower0, dist2(n, -1.0);
+            std::vector<uint32_t> rows(n, 0xdeadbeef);
+            std::vector<uint8_t> levels(n, 0xee);
+            const size_t m = kernel->PruneBlock(
+                points.data(), n, dim, centroids.data(), assign.data(),
+                s.data(), shift, lower.data(), dist2.data(), rows.data(),
+                with_levels ? levels.data() : nullptr);
+            ASSERT_EQ(m, ref_m);
+            EXPECT_EQ(0, std::memcmp(rows.data(), ref_rows.data(),
+                                     m * sizeof(uint32_t)));
+            EXPECT_EQ(0, std::memcmp(lower.data(), ref_lower.data(),
+                                     n * sizeof(double)));
+            EXPECT_EQ(0, std::memcmp(dist2.data(), ref_dist2.data(),
+                                     n * sizeof(double)));
+            if (with_levels) {
+              EXPECT_EQ(0, std::memcmp(levels.data(), ref_levels.data(), m));
+            } else {
+              EXPECT_TRUE(std::all_of(levels.begin(), levels.end(),
+                                      [](uint8_t l) { return l == 0xee; }));
+            }
+          }
         }
       }
     }
   }
-  // The inputs exercise both outcomes.
+  // The inputs exercise both outcomes, and survivors the ball refuses.
   EXPECT_GT(total_pruned, 0u);
   EXPECT_GT(total_kept, 0u);
+  EXPECT_GT(total_no_ring, 0u);
+  EXPECT_LT(total_no_ring, total_kept);
 }
+
+// AssignMasked parity: every kernel's assign, dist2 and lower bytes
+// (memcmp) must equal the scalar reference's, rows the call does not
+// name must stay untouched, over dims 1-9 (the AVX2 kernel's D = 6 path
+// and its general one), masks of 1 to 64 bits, exact ties from
+// duplicated centroids and from points mirrored between two centroids,
+// and 8-point steps whose lanes belong to different owners.
+class AssignMaskedTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  static constexpr size_t kK = 64;
+
+  // Centroids on a small integer grid, with duplicates: rows 40-63 copy
+  // rows 0-23. Integer coordinates keep every distance exact.
+  static Dataset GridCentroids(size_t dim, uint64_t seed) {
+    Rng rng(seed);
+    Dataset c(dim);
+    std::vector<double> row(dim);
+    for (size_t j = 0; j < kK; ++j) {
+      for (size_t d = 0; d < dim; ++d) {
+        row[d] = j >= 40 ? c.Row(j - 40)[d]
+                         : static_cast<double>(rng.UniformInt(7)) - 3.0;
+      }
+      c.Append(row);
+    }
+    return c;
+  }
+
+  // Points midway between two centroids (mirrored: equidistant from
+  // both), on a centroid, or at a random half-integer offset.
+  static std::vector<double> TiedPoints(size_t n, const Dataset& c,
+                                        uint64_t seed) {
+    const size_t dim = c.dim();
+    Rng rng(seed);
+    std::vector<double> x(n * dim);
+    for (size_t i = 0; i < n; ++i) {
+      const auto a = c.Row(rng.UniformInt(kK));
+      const auto b = c.Row(rng.UniformInt(kK));
+      const uint64_t kind = rng.UniformInt(3);
+      for (size_t d = 0; d < dim; ++d) {
+        x[i * dim + d] =
+            kind == 0   ? 0.5 * (a[d] + b[d])
+            : kind == 1 ? a[d]
+                        : a[d] + 0.5 * static_cast<double>(rng.UniformInt(3));
+      }
+    }
+    return x;
+  }
+
+  // A mask of exactly `bits` of the 64 centroids.
+  static uint64_t RandomMask(size_t bits, Rng* rng) {
+    uint64_t mask = 0;
+    while (static_cast<size_t>(std::popcount(mask)) < bits) {
+      mask |= uint64_t{1} << rng->UniformInt(kK);
+    }
+    return mask;
+  }
+
+  struct Outputs {
+    std::vector<uint32_t> assign;
+    std::vector<double> dist2;
+    std::vector<double> lower;
+  };
+
+  static Outputs Run(const DistanceKernel& kernel,
+                     const std::vector<double>& points, size_t dim,
+                     const Dataset& centroids,
+                     const std::vector<uint32_t>& rows,
+                     const std::vector<uint64_t>& masks) {
+    const size_t n = points.size() / dim;
+    Outputs out{std::vector<uint32_t>(n, 0xdeadbeef),
+                std::vector<double>(n, -1.0), std::vector<double>(n, -2.0)};
+    kernel.AssignMasked(points.data(), rows.size(), dim, centroids.data(),
+                        rows.data(), masks.data(), out.assign.data(),
+                        out.dist2.data(), out.lower.data());
+    return out;
+  }
+
+  static void ExpectSame(const Outputs& a, const Outputs& b) {
+    ASSERT_EQ(a.assign.size(), b.assign.size());
+    const size_t n = a.assign.size();
+    EXPECT_EQ(0, std::memcmp(a.assign.data(), b.assign.data(),
+                             n * sizeof(uint32_t)));
+    EXPECT_EQ(0, std::memcmp(a.dist2.data(), b.dist2.data(),
+                             n * sizeof(double)));
+    EXPECT_EQ(0, std::memcmp(a.lower.data(), b.lower.data(),
+                             n * sizeof(double)));
+  }
+};
+
+TEST_P(AssignMaskedTest, BitwiseMatchesScalar) {
+  const size_t dim = GetParam();
+  const Dataset centroids = GridCentroids(dim, 200 + dim);
+  const size_t n = 301;
+  const std::vector<double> points = TiedPoints(n, centroids, 210 + dim);
+  Rng rng(220 + dim);
+  // Rows out of order with gaps (every third point is never named); each
+  // run of 5 rows shares a mask, so most 8-point steps mix masks.
+  std::vector<uint32_t> rows;
+  std::vector<uint64_t> masks;
+  uint64_t mask = 0;
+  for (size_t i = n; i-- > 0;) {
+    if (i % 3 == 1) continue;
+    if (rows.size() % 5 == 0) mask = RandomMask(1 + rows.size() % kK, &rng);
+    rows.push_back(static_cast<uint32_t>(i));
+    masks.push_back(mask);
+  }
+  // Every popcount from 1 to 64 once more, one row each, and a final
+  // step of 8 lanes from two owners' rings.
+  for (size_t bits = 1; bits <= kK; ++bits) {
+    rows.push_back(static_cast<uint32_t>(rng.UniformInt(n)));
+    masks.push_back(RandomMask(bits, &rng));
+  }
+  for (size_t p = 0; p < 8; ++p) {
+    rows.push_back(static_cast<uint32_t>(3 * p));
+    masks.push_back(p < 3 ? 0x00000000ffff0001ULL : 0x8000ffff00000000ULL);
+  }
+  const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
+  const Outputs ref = Run(scalar, points, dim, centroids, rows, masks);
+  // Rows the call does not name stay untouched.
+  std::vector<bool> named(n, false);
+  for (uint32_t r : rows) named[r] = true;
+  size_t untouched = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (named[i]) continue;
+    ++untouched;
+    EXPECT_EQ(ref.assign[i], 0xdeadbeef);
+    EXPECT_EQ(ref.dist2[i], -1.0);
+    EXPECT_EQ(ref.lower[i], -2.0);
+  }
+  EXPECT_GT(untouched, 0u);
+  for (const DistanceKernel* kernel : AvailableKernels()) {
+    SCOPED_TRACE(kernel->name());
+    ExpectSame(Run(*kernel, points, dim, centroids, rows, masks), ref);
+    // Tails: every prefix length up to two steps.
+    for (size_t len = 1; len <= 16; ++len) {
+      SCOPED_TRACE("prefix " + std::to_string(len));
+      const std::vector<uint32_t> r(rows.end() - len, rows.end());
+      const std::vector<uint64_t> m(masks.end() - len, masks.end());
+      ExpectSame(Run(*kernel, points, dim, centroids, r, m),
+                 Run(scalar, points, dim, centroids, r, m));
+    }
+  }
+}
+
+// The property the ball rests on: a mask that holds a point's nearest
+// and second-nearest centroids gives AssignBlock's assign, dist2 and
+// second2 (as the bound √second2·(1 − δ)), on every kernel.
+TEST_P(AssignMaskedTest, EqualsAssignBlockWhenMaskHoldsNearestTwo) {
+  const size_t dim = GetParam();
+  const Dataset centroids = GridCentroids(dim, 300 + dim);
+  const size_t n = 203;
+  const std::vector<double> points = TiedPoints(n, centroids, 310 + dim);
+  CentroidBlock block;
+  block.Load(centroids);
+  std::vector<uint32_t> ref_assign(n);
+  std::vector<double> ref_dist2(n), ref_second2(n);
+  GetKernel(KernelKind::kScalar)
+      .AssignBlock(points.data(), n, dim, block, ref_assign.data(),
+                   ref_dist2.data(), ref_second2.data());
+  Rng rng(320 + dim);
+  std::vector<uint32_t> rows(n);
+  std::vector<uint64_t> masks(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows[i] = static_cast<uint32_t>(i);
+    // The nearest, and a centroid other than it at the second distance.
+    uint64_t mask = uint64_t{1} << ref_assign[i];
+    const double* x = points.data() + i * dim;
+    for (size_t j = 0; j < kK; ++j) {
+      if (j != ref_assign[i] &&
+          SquaredL2({x, dim}, centroids.Row(j)) == ref_second2[i]) {
+        mask |= uint64_t{1} << j;
+        break;
+      }
+    }
+    masks[i] = mask | RandomMask(rng.UniformInt(12), &rng);
+  }
+  for (const DistanceKernel* kernel : AvailableKernels()) {
+    SCOPED_TRACE(kernel->name());
+    const Outputs out = Run(*kernel, points, dim, centroids, rows, masks);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out.assign[i], ref_assign[i]) << "point " << i;
+      ASSERT_EQ(out.dist2[i], ref_dist2[i]) << "point " << i;
+      ASSERT_EQ(out.lower[i],
+                std::sqrt(ref_second2[i]) * (1.0 - kPruneSlack))
+          << "point " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, AssignMaskedTest,
+                         ::testing::Range<size_t>(1, 10),
+                         [](const auto& info) {
+                           return "d" + std::to_string(info.param);
+                         });
 
 TEST(KernelParityEndToEnd, FitEqualAcrossKernelFlagValues) {
   // The user-facing contract: KMeans().Fit under --kernel=scalar equals

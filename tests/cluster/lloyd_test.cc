@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -238,8 +239,9 @@ void ExpectBitwiseEqual(const ClusteringModel& a, const ClusteringModel& b) {
   EXPECT_EQ(a.assignments, b.assignments);
 }
 
-// The scalar kernel, counting the points it is asked to scan: shows how
-// much work the bounds saved without instrumenting the loop.
+// The scalar kernel, counting the points it is asked to scan and the
+// point-to-centroid distances those scans compute: shows how much work
+// the bounds and the ball saved without instrumenting the loop.
 class CountingKernel final : public DistanceKernel {
  public:
   const char* name() const override { return "counting"; }
@@ -250,6 +252,7 @@ class CountingKernel final : public DistanceKernel {
                    double* dist2, double* second2,
                    const uint32_t* rows) const override {
     scanned += n;
+    distances += n * centroids.k();
     base_.AssignBlock(points, n, dim, centroids, assign, dist2, second2,
                       rows);
   }
@@ -257,9 +260,20 @@ class CountingKernel final : public DistanceKernel {
   size_t PruneBlock(const double* points, size_t n, size_t dim,
                     const double* centroids, const uint32_t* assign,
                     const double* s, double shift, double* lower,
-                    double* dist2, uint32_t* rows) const override {
+                    double* dist2, uint32_t* rows,
+                    uint8_t* levels) const override {
     return base_.PruneBlock(points, n, dim, centroids, assign, s, shift,
-                            lower, dist2, rows);
+                            lower, dist2, rows, levels);
+  }
+
+  void AssignMasked(const double* points, size_t n, size_t dim,
+                    const double* centroids, const uint32_t* rows,
+                    const uint64_t* masks, uint32_t* assign, double* dist2,
+                    double* lower) const override {
+    scanned += n;
+    for (size_t p = 0; p < n; ++p) distances += std::popcount(masks[p]);
+    base_.AssignMasked(points, n, dim, centroids, rows, masks, assign,
+                       dist2, lower);
   }
 
   void AccumulateBlock(const double* points, const double* weights,
@@ -272,13 +286,14 @@ class CountingKernel final : public DistanceKernel {
   void CentroidDriftAndSeparation(const double* old_centroids,
                                   const double* new_centroids,
                                   const CentroidBlock& block, size_t k,
-                                  size_t dim, double* drift,
-                                  double* s) const override {
+                                  size_t dim, double* drift, double* s,
+                                  uint64_t* rings) const override {
     base_.CentroidDriftAndSeparation(old_centroids, new_centroids, block, k,
-                                     dim, drift, s);
+                                     dim, drift, s, rings);
   }
 
   mutable size_t scanned = 0;
+  mutable size_t distances = 0;
 
  private:
   const DistanceKernel& base_ = GetKernel(KernelKind::kScalar);
@@ -287,10 +302,13 @@ class CountingKernel final : public DistanceKernel {
 struct ScanCounts {
   size_t full = 0;    // points scanned with pruning off
   size_t pruned = 0;  // ... and on
+  size_t pruned_distances = 0;  // the distances those scans computed
+  LloydCounters lloyd;          // the pruned fit's own accounting
 };
 
 // Fits from `seeds` with pruning off and on and expects bitwise-equal
-// models.
+// models. The pruned fit's LloydCounters must account for exactly the
+// survivor scans the kernel saw: everything else is a full first pass.
 ScanCounts ExpectPruningExact(const WeightedDataset& data,
                               const Dataset& seeds, LloydConfig config) {
   CountingKernel full, pruned;
@@ -299,14 +317,21 @@ ScanCounts ExpectPruningExact(const WeightedDataset& data,
   config.accelerate = false;
   Rng r1(1);
   auto a = RunWeightedLloyd(data, seeds, config, &r1);
+  LloydCounters counters;
   config.kernel = &pruned;
   config.accelerate = true;
+  config.counters = &counters;
   Rng r2(1);
   auto b = RunWeightedLloyd(data, seeds, config, &r2);
   EXPECT_TRUE(a.ok()) << a.status();
   EXPECT_TRUE(b.ok()) << b.status();
   if (a.ok() && b.ok()) ExpectBitwiseEqual(*a, *b);
-  return {full.scanned, pruned.scanned};
+  const size_t full_passes = pruned.scanned - counters.survivors;
+  EXPECT_EQ(full_passes % data.size(), 0u);
+  EXPECT_EQ(pruned.distances - counters.survivor_distances,
+            full_passes * seeds.size());
+  EXPECT_LE(counters.survivors, counters.pruned_points);
+  return {full.scanned, pruned.scanned, pruned.distances, counters};
 }
 
 TEST(HamerlyTest, SingleClusterIsWeightedMean) {
@@ -329,19 +354,36 @@ TEST_P(HamerlyEquivalence, MatchesPlainLloydFixedPoint) {
   Rng data_rng(static_cast<uint64_t>(n));
   const WeightedDataset data = WeightedDataset::FromUnweighted(
       GenerateMisrLikeCell(static_cast<size_t>(n), &data_rng));
-  Rng seed_rng(77);
-  auto seeds = SelectSeeds(data, 15, SeedingMethod::kRandom, &seed_rng);
-  ASSERT_TRUE(seeds.ok());
-  LloydConfig config;
-  config.max_iterations = 500;
-  const ScanCounts scans = ExpectPruningExact(data, *seeds, config);
-  EXPECT_LT(scans.pruned, scans.full);  // the bounds actually did something
-  // The counts a per-point scalar bound test recorded: equal counts show
-  // that no pruning decision moved.
-  const std::map<int, ScanCounts> recorded = {
-      {300, {2700, 846}}, {1500, {25500, 4494}}, {6000, {150000, 24390}}};
-  EXPECT_EQ(scans.full, recorded.at(n).full);
-  EXPECT_EQ(scans.pruned, recorded.at(n).pruned);
+  // k = 15 runs below kBallMinK, so every survivor scans all k; k = 40
+  // sends the survivors through the ball.
+  for (size_t k : {15u, 40u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    Rng seed_rng(77);
+    auto seeds = SelectSeeds(data, k, SeedingMethod::kRandom, &seed_rng);
+    ASSERT_TRUE(seeds.ok());
+    LloydConfig config;
+    config.max_iterations = 500;
+    const ScanCounts scans = ExpectPruningExact(data, *seeds, config);
+    EXPECT_LT(scans.pruned, scans.full);  // the bounds did something
+    // The point counts a per-point scalar bound test recorded: equal
+    // counts show that no pruning decision moved. The k = 15 distances
+    // are the full scans', 15 per scanned point; the k = 40 ones, as the
+    // ball first recorded them, pin its width: a looser ball scans more.
+    struct Recorded {
+      size_t full, pruned, pruned_distances;
+    };
+    const std::map<std::pair<int, size_t>, Recorded> recorded = {
+        {{300, 15}, {2700, 846, 12690}},
+        {{1500, 15}, {25500, 4494, 67410}},
+        {{6000, 15}, {150000, 24390, 365850}},
+        {{300, 40}, {2700, 1317, 19806}},
+        {{1500, 40}, {31500, 9781, 120243}},
+        {{6000, 40}, {228000, 55482, 758446}}};
+    const Recorded& want = recorded.at({n, k});
+    EXPECT_EQ(scans.full, want.full);
+    EXPECT_EQ(scans.pruned, want.pruned);
+    EXPECT_EQ(scans.pruned_distances, want.pruned_distances);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, HamerlyEquivalence,
@@ -547,10 +589,53 @@ DiffCase MakeDiffCase(const std::string& name) {
     c.data =
         WeightedDataset::FromUnweighted(GenerateMisrLikeCell(1027, &rng, spec));
     c.seeds = RandomSeeds(c.data, 7);
+  } else if (name == "ball_duplicate_seeds") {
+    // k = 24 above kBallMinK with 8 seeds repeated: a duplicated owner
+    // has s = 0 and takes the full scan, the others the ball.
+    Rng rng(39);
+    c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(3000, &rng));
+    c.seeds = Dataset(c.data.dim());
+    for (size_t i = 0; i < 24; ++i) c.seeds.Append(c.data.Row((i % 16) * 181));
+  } else if (name == "ball_duplicate_points") {
+    // Every point three times over, k = 30: exact ties between points.
+    Rng rng(40);
+    const Dataset points = GenerateMisrLikeCell(900, &rng);
+    c.data = WeightedDataset(points.dim());
+    for (int copy = 0; copy < 3; ++copy) {
+      for (size_t i = 0; i < points.size(); ++i) {
+        c.data.Append(points.Row(i), 1.0);
+      }
+    }
+    c.seeds = RandomSeeds(c.data, 30);
+  } else if (name == "k64" || name == "k65") {
+    // The widest ring mask, and one centroid past it (no ball).
+    Rng rng(41);
+    c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(4000, &rng));
+    c.seeds = RandomSeeds(c.data, name == "k64" ? 64 : 65);
   } else {
     PMKM_CHECK(false) << "unknown case " << name;
   }
   return c;
+}
+
+// The ball's own cases through the counting kernel: the models match the
+// full scan, and the survivors' distances show whether the ball served
+// them (fewer than k each) or the full scan did (exactly k each).
+TEST(BallTest, ExactAndEngagedOnlyWhereItMay) {
+  for (const char* name : {"ball_duplicate_seeds", "ball_duplicate_points",
+                           "k64", "k65", "weighted_merge", "chunk_2730"}) {
+    SCOPED_TRACE(name);
+    const DiffCase c = MakeDiffCase(name);
+    const LloydCounters counters =
+        ExpectPruningExact(c.data, c.seeds, c.config).lloyd;
+    const size_t k = c.seeds.size();
+    ASSERT_GT(counters.survivors, 0u);
+    if (k > kBallMaxK) {
+      EXPECT_EQ(counters.survivor_distances, counters.survivors * k);
+    } else {
+      EXPECT_LT(2 * counters.survivor_distances, counters.survivors * k);
+    }
+  }
 }
 
 class PruningDifferential : public ::testing::TestWithParam<const char*> {};
@@ -584,7 +669,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "fixed_point_tie", "fixed_point_tie_swapped",
                       "fewer_distinct_than_k", "k1", "k13_d5", "offset_1e6",
                       "weighted_merge", "epsilon0", "chunk_2730",
-                      "n1027_d1"),
+                      "n1027_d1", "ball_duplicate_seeds",
+                      "ball_duplicate_points", "k64", "k65"),
     [](const auto& info) { return std::string(info.param); });
 
 TEST(PrunedPipelineTest, SavedModelsMatchFullScanAtOneAndFourCores) {

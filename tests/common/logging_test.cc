@@ -22,6 +22,20 @@ TEST(LogTimestampTest, FormatsUtcMilliseconds) {
   EXPECT_EQ(FormatLogTimestamp(0), "1970-01-01T00:00:00.000Z");
 }
 
+TEST(LogTimestampTest, FloorsTimesBeforeTheEpoch) {
+  // Truncating division would print second 0 with millisecond -1.
+  EXPECT_EQ(FormatLogTimestamp(-1), "1969-12-31T23:59:59.999Z");
+  EXPECT_EQ(FormatLogTimestamp(-1000), "1969-12-31T23:59:59.000Z");
+  EXPECT_EQ(FormatLogTimestamp(-1001), "1969-12-31T23:59:58.999Z");
+  EXPECT_EQ(FormatLogTimestamp(-86400000), "1969-12-31T00:00:00.000Z");
+  EXPECT_EQ(FormatLogTimestamp(999), "1970-01-01T00:00:00.999Z");
+}
+
+TEST(LogTimestampTest, RendersFiveDigitYears) {
+  // 10000-01-01T00:00:00.000Z: the buffer holds any year.
+  EXPECT_EQ(FormatLogTimestamp(253402300800000), "10000-01-01T00:00:00.000Z");
+}
+
 TEST(RenderLogLineTest, TextFormat) {
   const std::string line =
       RenderLogLine(LogLevel::kWarning, "ops.cc", 217, "queue stalled",

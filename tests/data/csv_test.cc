@@ -50,7 +50,7 @@ TEST(CsvTest, FailedWriteKeepsThePreviousFile) {
   const std::string before = read_all();
 
   data.Append(std::vector<double>{3.0}, 4.0);
-  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1});
+  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1, .message = ""});
   const Status st = WriteWeightedCsv(path, data);
   FaultRegistry::Global().Reset();
   EXPECT_TRUE(st.IsIOError()) << st;

@@ -297,7 +297,8 @@ TEST_F(ManifestTest, TornWriteFaultLeavesRecoverablePrefix) {
   {
     auto writer = JournalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    FaultRegistry::Global().Arm("journal.torn", FaultSpec{.nth = 1});
+    FaultRegistry::Global().Arm("journal.torn",
+                                FaultSpec{.nth = 1, .message = ""});
     EXPECT_FALSE(writer->Append(5, Payload(8, 0xcc)).ok());
     FaultRegistry::Global().Reset();
   }
@@ -323,7 +324,8 @@ TEST_F(ManifestTest, AppendFaultReturnsError) {
   const std::string path = JournalPath();
   auto writer = JournalWriter::Open(path);
   ASSERT_TRUE(writer.ok());
-  FaultRegistry::Global().Arm("journal.append", FaultSpec{.nth = 1});
+  FaultRegistry::Global().Arm("journal.append",
+                              FaultSpec{.nth = 1, .message = ""});
   EXPECT_FALSE(writer->Append(1, Payload(1, 0)).ok());
   FaultRegistry::Global().Reset();
   ASSERT_TRUE(writer->Append(1, Payload(1, 0)).ok());
@@ -335,7 +337,7 @@ TEST_F(ManifestTest, SyncFaultPropagates) {
   auto writer = JournalWriter::Open(path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->Append(1, Payload(1, 0)).ok());
-  FaultRegistry::Global().Arm("io.fsync", FaultSpec{.nth = 1});
+  FaultRegistry::Global().Arm("io.fsync", FaultSpec{.nth = 1, .message = ""});
   EXPECT_FALSE(writer->Sync().ok());
   FaultRegistry::Global().Reset();
   EXPECT_TRUE(writer->Sync().ok());
@@ -360,13 +362,13 @@ TEST_F(ManifestTest, AtomicWriteFileFaultsLeaveTargetUntouched) {
   const std::string path = (dir_ / "blob.bin").string();
   ASSERT_TRUE(AtomicWriteFile(path, std::string("v1")).ok());
 
-  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1});
+  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1, .message = ""});
   EXPECT_FALSE(AtomicWriteFile(path, std::string("v2")).ok());
   FaultRegistry::Global().Reset();
   const std::vector<char> read = ReadAll(path);
   EXPECT_EQ(std::string(read.begin(), read.end()), "v1");
 
-  FaultRegistry::Global().Arm("io.fsync", FaultSpec{.nth = 1});
+  FaultRegistry::Global().Arm("io.fsync", FaultSpec{.nth = 1, .message = ""});
   EXPECT_FALSE(AtomicWriteFile(path, std::string("v3")).ok());
   FaultRegistry::Global().Reset();
   const std::vector<char> read2 = ReadAll(path);

@@ -155,7 +155,7 @@ TEST_F(SnapshotFlusherTest, FailedFlushKeepsThePreviousSnapshot) {
   const std::string before = ReadAll(Path("m.json"));
 
   registry.counter("rows").Increment(41);
-  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1});
+  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1, .message = ""});
   const Status st = flusher.FlushNow();
   FaultRegistry::Global().Reset();
   EXPECT_TRUE(st.IsIOError()) << st;

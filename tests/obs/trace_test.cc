@@ -133,7 +133,7 @@ TEST(TraceRecorderTest, FailedWriteKeepsThePreviousFile) {
   const std::string before = read_all();
 
   { ScopedSpan s(&recorder, "second"); }
-  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1});
+  FaultRegistry::Global().Arm("io.rename", FaultSpec{.nth = 1, .message = ""});
   const Status st = recorder.WriteJson(path);
   FaultRegistry::Global().Reset();
   EXPECT_TRUE(st.IsIOError()) << st;

@@ -681,12 +681,14 @@ TEST_F(CheckpointEngineTest, ResumeStillRejectsTwoBucketsOfOneCell) {
 TEST_F(CheckpointEngineTest, OpenFailureDegradesUnderSkipPolicy) {
   const std::vector<std::string> paths = WriteBuckets(2, 300);
   // The kRunBegin append in Open() hits "checkpoint.append" first.
-  FaultRegistry::Global().Arm("checkpoint.append", FaultSpec{.nth = 1});
+  FaultRegistry::Global().Arm("checkpoint.append",
+                              FaultSpec{.nth = 1, .message = ""});
   auto failfast = Builder().WithCheckpoint(CkptDir()).Run(paths);
   EXPECT_FALSE(failfast.ok());
 
   FaultRegistry::Global().Reset();
-  FaultRegistry::Global().Arm("checkpoint.append", FaultSpec{.nth = 1});
+  FaultRegistry::Global().Arm("checkpoint.append",
+                              FaultSpec{.nth = 1, .message = ""});
   auto tolerant = Builder()
                       .WithCheckpoint(CkptDir())
                       .WithFailurePolicy(FailurePolicy::kSkipAndContinue)
@@ -701,7 +703,8 @@ TEST_F(CheckpointEngineTest, AppendFailureLatchesInsteadOfFailing) {
   const std::vector<std::string> paths = WriteBuckets(2, 300);
   // kRunBegin (hit 1) succeeds; every cell append after that fails.
   FaultRegistry::Global().Arm(
-      "checkpoint.append", FaultSpec{.nth = 2, .permanent = true});
+      "checkpoint.append", FaultSpec{.nth = 2, .permanent = true,
+                                     .message = ""});
   auto run = Builder()
                  .WithCheckpoint(CkptDir())
                  .WithFailurePolicy(FailurePolicy::kSkipAndContinue)
@@ -723,7 +726,8 @@ TEST_F(CheckpointEngineTest, AppendFailureFailsUnderRetryPolicy) {
   // degrades a checkpoint; failfast with a retry budget fails, as it does
   // without one.
   FaultRegistry::Global().Arm(
-      "checkpoint.append", FaultSpec{.nth = 2, .permanent = true});
+      "checkpoint.append", FaultSpec{.nth = 2, .permanent = true,
+                                     .message = ""});
   StreamExecOptions exec;
   exec.failure_policy = FailurePolicy::kFailFast;
   exec.io_retry.max_attempts = 3;
@@ -737,7 +741,8 @@ TEST_F(CheckpointEngineTest, AppendFailureFailsUnderRetryPolicy) {
 TEST_F(CheckpointEngineTest, FinalizeFailureFailsUnderRetryPolicy) {
   const std::vector<std::string> paths = WriteBuckets(2, 300);
   // Hits: kRunBegin, one kCellComplete per cell, then kRunEnd.
-  FaultRegistry::Global().Arm("checkpoint.append", FaultSpec{.nth = 4});
+  FaultRegistry::Global().Arm("checkpoint.append",
+                              FaultSpec{.nth = 4, .message = ""});
   StreamExecOptions exec;
   exec.failure_policy = FailurePolicy::kFailFast;
   exec.io_retry.max_attempts = 3;

@@ -83,14 +83,30 @@ TEST(ObservabilityTest, InMemoryRunPopulatesOperatorAndQueueStats) {
 
   uint64_t partial_rows_in = 0;
   uint64_t partial_iters = 0;
+  OperatorStats partial_total;
   for (const OperatorStats& s : result->operator_stats) {
     if (s.name.rfind("partial-kmeans", 0) == 0) {
       partial_rows_in += s.rows_in;
       partial_iters += s.kmeans_iterations;
+      partial_total.MergeFrom(s);
     }
   }
   EXPECT_EQ(partial_rows_in, 1200u);
   EXPECT_GT(partial_iters, 0u);
+
+  // The clones' pruned passes, as the operators counted them, add up to
+  // the run report's partial counters.
+  const LloydCounters& lloyd = result->report.partial_lloyd;
+  EXPECT_GT(lloyd.pruned_points, 0u);
+  EXPECT_GT(lloyd.survivors, 0u);
+  EXPECT_LE(lloyd.survivors, lloyd.pruned_points);
+  EXPECT_GE(lloyd.survivor_distances, lloyd.survivors);
+  EXPECT_EQ(partial_total.pruned_points, lloyd.pruned_points);
+  EXPECT_EQ(partial_total.survivors, lloyd.survivors);
+  EXPECT_EQ(partial_total.survivor_distances, lloyd.survivor_distances);
+  EXPECT_NE(partial_total.ToString().find(" scan_frac="), std::string::npos);
+  EXPECT_NE(result->report.Summary().find("partial.scan_frac="),
+            std::string::npos);
 
   const OperatorStats* merge = FindStats(*result, "merge-kmeans");
   ASSERT_NE(merge, nullptr);
