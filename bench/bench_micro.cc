@@ -1,8 +1,8 @@
 // M1 — micro-benchmarks (google-benchmark) for the kernels the experiment
 // harnesses are built on: distance evaluation, the kernels' batch
 // nearest-centroid assignment (BM_AssignBlock*), the pruned pass's bound
-// test (BM_PruneBlock) and ball scan (BM_AssignMasked), one Lloyd
-// iteration,
+// test (BM_PruneBlock) and ball scan (BM_AssignMasked), the scatter that
+// also sums the pass's SSE (BM_AccumulateBlock), one Lloyd iteration,
 // partial clustering of a chunk, the scan's bucket read per format version
 // (BM_BucketScan), queue throughput, and the observability
 // primitives (to police the zero-cost-when-disabled budget of DESIGN.md
@@ -328,6 +328,27 @@ void BM_AssignMasked(benchmark::State& state, const DistanceKernel* kernel,
   state.SetItemsProcessed(state.iterations() * ball_rows.size());
 }
 
+void BM_AccumulateBlock(benchmark::State& state,
+                        const DistanceKernel* kernel, size_t dim) {
+  // The centroid update's scatter and the SSE sum over one paper chunk,
+  // from a real pass's assign and dist2. Items are points.
+  const PrunedPass pass = MakePrunedPass(kernel, dim);
+  const size_t n = pass.data.size();
+  const size_t k = pass.after.size();
+  std::vector<double> sums(k * dim), cluster_weight(k);
+  for (auto _ : state) {
+    std::fill(sums.begin(), sums.end(), 0.0);
+    std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
+    const double sse = kernel->AccumulateBlock(
+        pass.data.points().data(), pass.data.weights().data(),
+        pass.dist2.data(), n, dim, pass.assign.data(), sums.data(),
+        cluster_weight.data());
+    benchmark::DoNotOptimize(sse);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 void RegisterKernelSweeps() {
   for (const DistanceKernel* kernel : AvailableKernels()) {
     for (size_t dim : {6u, 16u, 64u}) {
@@ -345,6 +366,9 @@ void RegisterKernelSweeps() {
     benchmark::RegisterBenchmark(
         ("BM_AssignMasked/" + std::string(kernel->name()) + "/d6").c_str(),
         BM_AssignMasked, kernel, size_t{6});
+    benchmark::RegisterBenchmark(
+        ("BM_AccumulateBlock/" + std::string(kernel->name()) + "/d6").c_str(),
+        BM_AccumulateBlock, kernel, size_t{6});
     // The small-k shapes of the many_cells_io (k=4) and serve (k=8)
     // benchmark workloads.
     for (size_t k : {4u, 8u}) {

@@ -420,12 +420,16 @@ class Avx2DistanceKernel final : public DistanceKernel {
     }
   }
 
-  void AccumulateBlock(const double* points, const double* weights,
-                       size_t n, size_t dim, const uint32_t* assign,
-                       double* sums, double* cluster_weight) const override {
+  double AccumulateBlock(const double* points, const double* weights,
+                         const double* dist2, size_t n, size_t dim,
+                         const uint32_t* assign, double* sums,
+                         double* cluster_weight) const override {
+    // The SSE's add chain is latency-bound; the scatter's loads and
+    // stores are not, so the chain runs in their shadow.
+    double sse = 0.0;
     for (size_t i = 0; i < n; ++i) {
       const double* x = points + i * dim;
-      const double w = weights != nullptr ? weights[i] : 1.0;
+      const double w = weights[i];
       double* sum = sums + assign[i] * dim;
       const __m256d wv = _mm256_set1_pd(w);
       size_t d = 0;
@@ -438,7 +442,9 @@ class Avx2DistanceKernel final : public DistanceKernel {
       }
       for (; d < dim; ++d) sum[d] += w * x[d];
       cluster_weight[assign[i]] += w;
+      sse += w * dist2[i];
     }
+    return sse;
   }
 
   void CentroidDriftAndSeparation(const double* old_centroids,

@@ -194,14 +194,17 @@ class DistanceKernel {
                             double* dist2, double* lower) const
       PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
 
-  /// Weighted-sum scatter for a tile: for each point i,
-  /// sums[assign[i]*dim + d] += w_i * x_i[d] and
-  /// cluster_weight[assign[i]] += w_i, in ascending i order. `weights` may
-  /// be null (unit weights).
-  virtual void AccumulateBlock(const double* points, const double* weights,
-                               size_t n, size_t dim, const uint32_t* assign,
-                               double* sums,
-                               double* cluster_weight) const PMKM_WAITFREE
+  /// The centroid update's weighted-sum scatter, and the pass's weighted
+  /// SSE in the same sweep: for each point i in ascending order,
+  /// sums[assign[i]*dim + d] += w_i * x_i[d],
+  /// cluster_weight[assign[i]] += w_i and sse += w_i * dist2[i], each a
+  /// multiply and then an add. Returns sse, starting from +0.0 (so n = 0
+  /// returns +0.0). `weights` and `dist2` hold n entries each; unit
+  /// weights are an array of ones.
+  virtual double AccumulateBlock(const double* points, const double* weights,
+                                 const double* dist2, size_t n, size_t dim,
+                                 const uint32_t* assign, double* sums,
+                                 double* cluster_weight) const PMKM_WAITFREE
       PMKM_DETERMINISTIC = 0;
 
   /// The two per-centroid arrays Hamerly's bounds need:

@@ -8,7 +8,9 @@
 //  - the argmin scans j in ascending order and replaces only on a strictly
 //    smaller distance, so ties break toward the lower centroid index;
 //  - AccumulateBlock applies exactly one w·x[d] multiply and one add per
-//    (point, coordinate), in ascending point order;
+//    (point, coordinate), in ascending point order, and sums the weighted
+//    SSE in the same ascending order into one accumulator that starts at
+//    +0.0: sse += w·dist2[i], one multiply and one add per point;
 //  - PruneBlock (PruneRows below) computes each point's distance to its
 //    own centroid as one such distance, and its bound arithmetic with
 //    correctly rounded IEEE operations only (−, ·, √, ordered compares),
@@ -230,16 +232,20 @@ class ScalarDistanceKernel final : public DistanceKernel {
                      lower);
   }
 
-  void AccumulateBlock(const double* points, const double* weights,
-                       size_t n, size_t dim, const uint32_t* assign,
-                       double* sums, double* cluster_weight) const override {
+  double AccumulateBlock(const double* points, const double* weights,
+                         const double* dist2, size_t n, size_t dim,
+                         const uint32_t* assign, double* sums,
+                         double* cluster_weight) const override {
+    double sse = 0.0;
     for (size_t i = 0; i < n; ++i) {
       const double* x = points + i * dim;
-      const double w = weights != nullptr ? weights[i] : 1.0;
+      const double w = weights[i];
       double* sum = sums + assign[i] * dim;
       for (size_t d = 0; d < dim; ++d) sum[d] += w * x[d];
       cluster_weight[assign[i]] += w;
+      sse += w * dist2[i];
     }
+    return sse;
   }
 
   void CentroidDriftAndSeparation(const double* old_centroids,

@@ -234,10 +234,11 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
   std::vector<double> sums(k * dim);
   std::vector<double> cluster_weight(k);
   // Farthest assigned point per cluster: the donor pool for re-seeding
-  // starved centroids.
+  // starved centroids, searched only in a pass that starved one.
   std::vector<double> farthest_dist(k);
   std::vector<size_t> farthest_idx(k);
   Assigner assigner(kernel, data, k, config.accelerate);
+  uint64_t empty_repairs = 0;
 
   double prev_sse = std::numeric_limits<double>::infinity();
   double sse = prev_sse;
@@ -249,26 +250,30 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
     // --- Assignment step -------------------------------------------------
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
-    std::fill(farthest_dist.begin(), farthest_dist.end(), -1.0);
     assigner.BeginPass(model.centroids);
     assigner.Pass(assign.data(), dist2.data());
-    sse = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t j = assign[i];
-      sse += weights[i] * dist2[i];
-      if (dist2[i] > farthest_dist[j]) {
-        farthest_dist[j] = dist2[i];
-        farthest_idx[j] = i;
-      }
-    }
-    kernel.AccumulateBlock(points, weights, n, dim, assign.data(),
-                           sums.data(), cluster_weight.data());
+    sse = kernel.AccumulateBlock(points, weights, dist2.data(), n, dim,
+                                 assign.data(), sums.data(),
+                                 cluster_weight.data());
 
     // --- Empty-cluster repair --------------------------------------------
     // Re-seed each starved centroid to the globally farthest point, then
     // continue iterating (its sum/weight are patched as a singleton).
+    bool farthest_found = false;
     for (size_t j = 0; j < k; ++j) {
       if (cluster_weight[j] > 0.0) continue;
+      // Each cluster's farthest point under this pass's assignment,
+      // found before the first repair moves a point.
+      if (!farthest_found) {
+        farthest_found = true;
+        std::fill(farthest_dist.begin(), farthest_dist.end(), -1.0);
+        for (size_t i = 0; i < n; ++i) {
+          if (dist2[i] > farthest_dist[assign[i]]) {
+            farthest_dist[assign[i]] = dist2[i];
+            farthest_idx[assign[i]] = i;
+          }
+        }
+      }
       // Donor: cluster with the largest farthest-point distance.
       size_t donor = k;
       double best = -1.0;
@@ -299,6 +304,7 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
       assigner.Invalidate();
       sse -= w * farthest_dist[donor];
       farthest_dist[donor] = 0.0;  // donor no longer eligible this round
+      ++empty_repairs;
     }
 
     // --- Centroid recalculation ------------------------------------------
@@ -337,7 +343,10 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
         total_weight > 0.0 ? final_sse / total_weight : 0.0;
   }
   model.iterations = std::min(iter + 1, config.max_iterations);
-  if (config.counters != nullptr) *config.counters += assigner.counts();
+  if (config.counters != nullptr) {
+    *config.counters += assigner.counts();
+    config.counters->empty_repairs += empty_repairs;
+  }
   if (config.track_assignments) model.assignments = std::move(assign);
   return model;
 }

@@ -29,9 +29,9 @@ namespace pmkm {
 
 class DistanceKernel;
 
-/// What the pruned assignment passes of some fits did: the raw counts
-/// behind the scan fraction (survivors ÷ pruned_points) and the
-/// distances per survivor (survivor_distances ÷ survivors).
+/// What some fits did: the raw counts behind the pruned passes' scan
+/// fraction (survivors ÷ pruned_points) and distances per survivor
+/// (survivor_distances ÷ survivors), and the empty-cluster repairs.
 struct LloydCounters {
   /// Points a pruned pass tested against their bounds.
   uint64_t pruned_points = 0;
@@ -39,11 +39,14 @@ struct LloydCounters {
   uint64_t survivors = 0;
   /// Point-to-centroid distances the survivors' scans computed.
   uint64_t survivor_distances = 0;
+  /// Starved centroids re-seeded to a donor cluster's farthest point.
+  uint64_t empty_repairs = 0;
 
   LloydCounters& operator+=(const LloydCounters& other) {
     pruned_points += other.pruned_points;
     survivors += other.survivors;
     survivor_distances += other.survivor_distances;
+    empty_repairs += other.empty_repairs;
     return *this;
   }
 };
@@ -75,9 +78,9 @@ struct LloydConfig {
   /// nearest centroid"), kept for timing the T2/F6 reproduction.
   bool accelerate = true;
 
-  /// When non-null, each fit adds its pruned passes' counts here on
-  /// success. Not synchronized: the owner (a stream operator) runs its
-  /// fits on one thread.
+  /// When non-null, each fit adds its counts here on success. Not
+  /// synchronized: the owner (a stream operator) runs its fits on one
+  /// thread.
   LloydCounters* counters = nullptr;
 };
 

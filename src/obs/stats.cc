@@ -20,6 +20,7 @@ void OperatorStats::MergeFrom(const OperatorStats& other) {
   pruned_points += other.pruned_points;
   survivors += other.survivors;
   survivor_distances += other.survivor_distances;
+  empty_repairs += other.empty_repairs;
   retries += other.retries;
   items_dropped += other.items_dropped;
 }
@@ -66,6 +67,7 @@ std::string OperatorStats::ToString() const {
   if (kmeans_iterations > 0) {
     out += " iters=" + std::to_string(kmeans_iterations);
     out += " kmeans_restarts=" + std::to_string(kmeans_restarts);
+    out += " empty_repairs=" + std::to_string(empty_repairs);
   }
   if (pruned_points > 0) {
     char buf[64];
@@ -103,6 +105,7 @@ JsonValue OperatorStats::ToJson() const {
   j.Set("pruned_points", pruned_points);
   j.Set("survivors", survivors);
   j.Set("survivor_distances", survivor_distances);
+  j.Set("empty_repairs", empty_repairs);
   j.Set("retries", retries);
   j.Set("items_dropped", items_dropped);
   return j;
@@ -128,6 +131,7 @@ void OperatorStats::ExportTo(MetricsRegistry* registry) const {
   registry->counter(prefix + "survivors").Increment(survivors);
   registry->counter(prefix + "survivor_distances")
       .Increment(survivor_distances);
+  registry->counter(prefix + "empty_repairs").Increment(empty_repairs);
   registry->counter(prefix + "retries").Increment(retries);
   registry->counter(prefix + "items_dropped").Increment(items_dropped);
 }

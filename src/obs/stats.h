@@ -77,6 +77,9 @@ struct OperatorStats {
   uint64_t pruned_points = 0;
   uint64_t survivors = 0;
   uint64_t survivor_distances = 0;
+  /// Starved centroids those fits re-seeded (LloydCounters::empty_repairs):
+  /// a quality signal, zero on a well-seeded fit.
+  uint64_t empty_repairs = 0;
 
   /// Retry grants absorbed (bucket re-reads, chunk re-computes).
   uint64_t retries = 0;

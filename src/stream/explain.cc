@@ -112,6 +112,7 @@ JsonValue RunReportToJson(const RunReport& report) {
   lloyd.Set("pruned_points", report.partial_lloyd.pruned_points);
   lloyd.Set("survivors", report.partial_lloyd.survivors);
   lloyd.Set("survivor_distances", report.partial_lloyd.survivor_distances);
+  lloyd.Set("empty_repairs", report.partial_lloyd.empty_repairs);
   out.Set("partial_lloyd", std::move(lloyd));
   out.Set("degraded", report.degraded);
   JsonValue quarantined = JsonValue::Array();

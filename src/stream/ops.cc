@@ -44,6 +44,7 @@ void RecordLloyd(const LloydCounters& counters, OperatorStats* stats) {
   stats->pruned_points = counters.pruned_points;
   stats->survivors = counters.survivors;
   stats->survivor_distances = counters.survivor_distances;
+  stats->empty_repairs = counters.empty_repairs;
 }
 
 // Records one work-unit latency into the named rolling histogram (last-

@@ -94,6 +94,10 @@ std::string RunReport::Summary() const {
             : 0.0);
     out += buf;
   }
+  if (partial_lloyd.empty_repairs > 0) {
+    out += ", partial.empty_repairs=" +
+           std::to_string(partial_lloyd.empty_repairs);
+  }
   if (cells_resumed > 0 || checkpoint_cells > 0 || checkpoint_degraded) {
     out += ", cells_resumed=" + std::to_string(cells_resumed);
     out += ", checkpointed=" + std::to_string(checkpoint_cells);

@@ -121,9 +121,10 @@ struct RunReport {
   size_t io_retries = 0;         // scan read retries absorbed
   size_t chunks_dropped = 0;     // partial chunks discarded
 
-  /// The partial clones' pruned assignment passes, summed: the scan
-  /// fraction is survivors ÷ pruned_points (partial.scan_frac), and
-  /// survivor_distances ÷ survivors the distances per survivor.
+  /// The partial clones' Lloyd counters, summed: the scan fraction is
+  /// survivors ÷ pruned_points (partial.scan_frac), survivor_distances ÷
+  /// survivors the distances per survivor, and empty_repairs the starved
+  /// centroids re-seeded (partial.empty_repairs).
   LloydCounters partial_lloyd;
 
   // Checkpoint/resume accounting (all zero/false for uncheckpointed runs).

@@ -1,6 +1,6 @@
 // Kernel parity: every SIMD distance kernel must be bitwise-identical to
 // the scalar reference — same assignments, same squared distances, same
-// accumulated sums, same drift/separation — on randomized weighted
+// accumulated sums and SSE, same drift/separation — on randomized weighted
 // datasets across dimensionalities, and end-to-end Fit results must not
 // depend on the kernel at all. This is the contract that makes --kernel
 // a pure speed knob.
@@ -83,31 +83,101 @@ TEST_P(KernelParityTest, AssignBlockBitwiseMatchesScalar) {
   }
 }
 
-TEST_P(KernelParityTest, AccumulateBlockBitwiseMatchesScalar) {
-  const size_t dim = GetParam();
-  const size_t n = 3000;
-  const size_t k = 17;
-  const Dataset points = MakePoints(n, dim, 13);
-  const WeightedDataset data = MakeWeighted(points, 14);
-  Rng rng(15);
-  std::vector<uint32_t> assign(n);
-  for (size_t i = 0; i < n; ++i) {
-    assign[i] = static_cast<uint32_t>(rng.UniformInt(k));
+// AccumulateBlock's inputs for one dim: n = 0 and n off every multiple of
+// 4 and 8, weighted and unit weights. dist2 spans twelve decades, so a sum
+// taken in any other order than ascending i would round differently.
+class AccumulateInputs {
+ public:
+  struct Outputs {
+    std::vector<double> sums, cluster_weight;
+    double sse = 0.0;
+  };
+
+  static constexpr size_t kK = 17;
+
+  explicit AccumulateInputs(size_t dim)
+      : points_(MakePoints(3000, dim, 13)),
+        weighted_(MakeWeighted(points_, 14)) {
+    Rng rng(15);
+    for (size_t i = 0; i < points_.size(); ++i) {
+      assign_.push_back(static_cast<uint32_t>(rng.UniformInt(kK)));
+      dist2_.push_back(rng.UniformDouble() *
+                       std::pow(10.0, static_cast<double>(
+                                          rng.UniformInt(12)) - 6.0));
+    }
   }
 
-  const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
-  std::vector<double> ref_sums(k * dim, 0.0), ref_w(k, 0.0);
-  scalar.AccumulateBlock(data.points().data(), data.weights().data(), n,
-                         dim, assign.data(), ref_sums.data(),
-                         ref_w.data());
+  static std::vector<size_t> Sizes() {
+    return {0, 1, 3, 5, 13, 250, 1003, 3000};
+  }
 
-  for (const DistanceKernel* kernel : AvailableKernels()) {
-    SCOPED_TRACE(kernel->name());
-    std::vector<double> sums(k * dim, 0.0), w(k, 0.0);
-    kernel->AccumulateBlock(data.points().data(), data.weights().data(), n,
-                            dim, assign.data(), sums.data(), w.data());
-    EXPECT_EQ(sums, ref_sums);
-    EXPECT_EQ(w, ref_w);
+  Outputs Run(const DistanceKernel& kernel, size_t n, bool unit) const {
+    const size_t dim = points_.dim();
+    const std::vector<double> ones(n, 1.0);
+    Outputs out;
+    out.sums.assign(kK * dim, 0.0);
+    out.cluster_weight.assign(kK, 0.0);
+    out.sse = kernel.AccumulateBlock(
+        points_.data(), unit ? ones.data() : weighted_.weights().data(),
+        dist2_.data(), n, dim, assign_.data(), out.sums.data(),
+        out.cluster_weight.data());
+    return out;
+  }
+
+  // The plain ascending loop the Lloyd pass summed its SSE with before
+  // the sum moved into the scatter.
+  double AscendingSse(size_t n, bool unit) const {
+    double sse = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      sse += (unit ? 1.0 : weighted_.weights()[i]) * dist2_[i];
+    }
+    return sse;
+  }
+
+ private:
+  Dataset points_;
+  WeightedDataset weighted_;
+  std::vector<uint32_t> assign_;
+  std::vector<double> dist2_;
+};
+
+TEST_P(KernelParityTest, AccumulateBlockBitwiseMatchesScalar) {
+  const AccumulateInputs inputs(GetParam());
+  for (bool unit : {false, true}) {
+    for (size_t n : AccumulateInputs::Sizes()) {
+      SCOPED_TRACE("n=" + std::to_string(n) + (unit ? " unit" : " weighted"));
+      const auto ref = inputs.Run(GetKernel(KernelKind::kScalar), n, unit);
+      if (n == 0) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(ref.sse), uint64_t{0});
+      }
+      for (const DistanceKernel* kernel : AvailableKernels()) {
+        SCOPED_TRACE(kernel->name());
+        const auto out = inputs.Run(*kernel, n, unit);
+        EXPECT_EQ(std::bit_cast<uint64_t>(out.sse),
+                  std::bit_cast<uint64_t>(ref.sse));
+        EXPECT_EQ(0, std::memcmp(out.sums.data(), ref.sums.data(),
+                                 out.sums.size() * sizeof(double)));
+        EXPECT_EQ(0, std::memcmp(out.cluster_weight.data(),
+                                 ref.cluster_weight.data(),
+                                 out.cluster_weight.size() * sizeof(double)));
+      }
+    }
+  }
+}
+
+// The returned SSE is the plain ascending loop's, bit for bit.
+TEST_P(KernelParityTest, AccumulateBlockSseEqualsAscendingLoop) {
+  const AccumulateInputs inputs(GetParam());
+  for (bool unit : {false, true}) {
+    for (size_t n : AccumulateInputs::Sizes()) {
+      SCOPED_TRACE("n=" + std::to_string(n) + (unit ? " unit" : " weighted"));
+      const double sse = inputs.AscendingSse(n, unit);
+      for (const DistanceKernel* kernel : AvailableKernels()) {
+        SCOPED_TRACE(kernel->name());
+        EXPECT_EQ(std::bit_cast<uint64_t>(inputs.Run(*kernel, n, unit).sse),
+                  std::bit_cast<uint64_t>(sse));
+      }
+    }
   }
 }
 
@@ -259,8 +329,11 @@ TEST(RingParityTest, DegenerateCentroidsBitwiseMatchScalar) {
   }
 }
 
+// Dims 1 to 9 cover every split of the AVX2 bodies' 4-wide steps and
+// scalar tails; 17 is a long row with a one-element tail.
 INSTANTIATE_TEST_SUITE_P(Dims, KernelParityTest,
-                         ::testing::Values(1u, 5u, 6u, 8u, 17u),
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u,
+                                           9u, 17u),
                          [](const auto& info) {
                            return "d" + std::to_string(info.param);
                          });

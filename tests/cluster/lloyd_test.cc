@@ -276,11 +276,12 @@ class CountingKernel final : public DistanceKernel {
                        dist2, lower);
   }
 
-  void AccumulateBlock(const double* points, const double* weights,
-                       size_t n, size_t dim, const uint32_t* assign,
-                       double* sums, double* cluster_weight) const override {
-    base_.AccumulateBlock(points, weights, n, dim, assign, sums,
-                          cluster_weight);
+  double AccumulateBlock(const double* points, const double* weights,
+                         const double* dist2, size_t n, size_t dim,
+                         const uint32_t* assign, double* sums,
+                         double* cluster_weight) const override {
+    return base_.AccumulateBlock(points, weights, dist2, n, dim, assign,
+                                 sums, cluster_weight);
   }
 
   void CentroidDriftAndSeparation(const double* old_centroids,
@@ -672,6 +673,109 @@ INSTANTIATE_TEST_SUITE_P(
                       "n1027_d1", "ball_duplicate_seeds",
                       "ball_duplicate_points", "k64", "k65"),
     [](const auto& info) { return std::string(info.param); });
+
+// Fits in which centroids starve, each pinned to the XXH64 of the
+// EncodeModel bytes it produced at commit 48fe7cf. There every pass summed
+// the SSE and tracked each cluster's farthest point in a loop of its own;
+// now AccumulateBlock returns the SSE and the farthest-point search runs
+// only in a pass that starved a centroid, so the repairs must still pick
+// the same donors and subtract the same SSE.
+struct StarvationCase {
+  WeightedDataset data{1};
+  Dataset seeds{1};
+  uint64_t digest = 0;         // at 48fe7cf, on every kernel, pruned or not
+  size_t calm_passes = 0;      // leading passes that starve no centroid
+  uint64_t first_repairs = 0;  // repairs in the pass after them
+};
+
+StarvationCase MakeStarvationCase(const std::string& name) {
+  StarvationCase c;
+  if (name == "mid_run") {
+    // 600 points and 40 random seeds: the first two passes feed every
+    // centroid, and the third starves one.
+    Rng rng(38);
+    c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(600, &rng));
+    Rng seed_rng(1038);
+    c.seeds = *SelectSeeds(c.data, 40, SeedingMethod::kRandom, &seed_rng);
+    c.digest = 0x2a28dd8bf6823893;
+    c.calm_passes = 2;
+    c.first_repairs = 1;
+  } else if (name == "far_and_duplicate_seeds") {
+    // Seeds 1 and 2 repeat seed 0 and the last lies 1e3 away from every
+    // point: the first pass starves three centroids, and each repair
+    // takes a different donor.
+    Rng rng(44);
+    c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(2000, &rng));
+    const Dataset random = RandomSeeds(c.data, 16);
+    c.seeds = Dataset(c.data.dim());
+    for (size_t j = 0; j < random.size(); ++j) {
+      std::vector<double> seed(random.Row(j < 3 ? 0 : j).begin(),
+                               random.Row(j < 3 ? 0 : j).end());
+      if (j + 1 == random.size()) {
+        for (double& v : seed) v += 1e3;
+      }
+      c.seeds.Append(seed);
+    }
+    c.digest = 0x810625ddf470b96b;
+    c.first_repairs = 3;
+  } else {
+    PMKM_CHECK(false) << "unknown case " << name;
+  }
+  return c;
+}
+
+uint64_t ModelDigest(const ClusteringModel& model) {
+  const std::vector<uint8_t> bytes = EncodeModel(model);
+  internal::Xxh64 hash;
+  hash.Update(bytes.data(), bytes.size());
+  return hash.Digest();
+}
+
+class StarvationDifferential
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(StarvationDifferential, ModelBytesMatchPinnedDigestOnEveryKernel) {
+  const StarvationCase c = MakeStarvationCase(GetParam());
+  for (const DistanceKernel* kernel : AvailableKernels()) {
+    for (bool accelerate : {false, true}) {
+      SCOPED_TRACE(std::string(kernel->name()) +
+                   (accelerate ? " pruned" : " full scan"));
+      LloydConfig config;
+      config.kernel = kernel;
+      config.accelerate = accelerate;
+      LloydCounters counters;
+      config.counters = &counters;
+      Rng rng(1);
+      auto model = RunWeightedLloyd(c.data, c.seeds, config, &rng);
+      ASSERT_TRUE(model.ok()) << model.status();
+      EXPECT_EQ(ModelDigest(*model), c.digest)
+          << std::hex << "digest 0x" << ModelDigest(*model);
+      // The repairs happen where the case says: none in the calm passes
+      // and first_repairs in the next.
+      LloydCounters calm, next;
+      config.max_iterations = c.calm_passes;
+      config.counters = &calm;
+      if (c.calm_passes > 0) {
+        Rng calm_rng(1);
+        ASSERT_TRUE(RunWeightedLloyd(c.data, c.seeds, config, &calm_rng).ok());
+      }
+      config.max_iterations = c.calm_passes + 1;
+      config.counters = &next;
+      Rng next_rng(1);
+      ASSERT_TRUE(RunWeightedLloyd(c.data, c.seeds, config, &next_rng).ok());
+      EXPECT_EQ(calm.empty_repairs, 0u);
+      EXPECT_EQ(next.empty_repairs, c.first_repairs);
+      EXPECT_GE(counters.empty_repairs, next.empty_repairs);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, StarvationDifferential,
+                         ::testing::Values("mid_run",
+                                           "far_and_duplicate_seeds"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(PrunedPipelineTest, SavedModelsMatchFullScanAtOneAndFourCores) {
   // The production path: PipelineBuilder::Run, then SaveModel per cell.

@@ -147,6 +147,65 @@ TEST(ObservabilityTest, InMemoryRunPopulatesOperatorAndQueueStats) {
   EXPECT_FALSE(result->report.degraded);
 }
 
+TEST(ObservabilityTest, EmptyRepairsAddUpAcrossClonesIntoRunReport) {
+  // Every point four times over: random seeds land on copies of one
+  // point, and all but the lowest-indexed of the tied centroids starve
+  // and are re-seeded.
+  std::vector<GridBucket> buckets;
+  for (int c = 0; c < 2; ++c) {
+    GridBucket bucket = MakeBucket(c, -c, 300, 30 + c);
+    Dataset repeated(bucket.points.dim());
+    for (int copy = 0; copy < 4; ++copy) repeated.AppendAll(bucket.points);
+    bucket.points = std::move(repeated);
+    buckets.push_back(std::move(bucket));
+  }
+  BucketFiles files;
+  const std::vector<std::string> paths = files.Write(buckets);
+  KMeansConfig partial = PartialConfig();
+  partial.k = 20;
+  partial.restarts = 3;
+  ResourceModel resources;
+  resources.cores = 3;
+  MetricsRegistry registry;
+  auto result = PipelineBuilder()
+                    .WithPartialKMeans(partial)
+                    .WithMerge(MergeConfig())
+                    .WithResources(resources)
+                    .WithChunkPoints(400)
+                    .WithMetrics(&registry)
+                    .Run(paths);
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  const uint64_t repairs = result->report.partial_lloyd.empty_repairs;
+  EXPECT_GT(repairs, 0u);
+  OperatorStats partial_total;
+  uint64_t exported = 0;
+  size_t clones = 0;
+  for (const OperatorStats& s : result->operator_stats) {
+    if (s.name.rfind("partial-kmeans", 0) != 0) continue;
+    ++clones;
+    partial_total.MergeFrom(s);
+    exported += registry.counter("op." + s.name + ".empty_repairs").value();
+  }
+  EXPECT_GT(clones, 1u);
+  EXPECT_EQ(partial_total.empty_repairs, repairs);
+  EXPECT_EQ(exported, repairs);
+  const std::string count = std::to_string(repairs);
+  EXPECT_NE(partial_total.ToString().find(" empty_repairs=" + count + " "),
+            std::string::npos)
+      << partial_total.ToString();
+  EXPECT_DOUBLE_EQ(partial_total.ToJson().Find("empty_repairs")->AsDouble(),
+                   static_cast<double>(repairs));
+  EXPECT_NE(result->report.Summary().find(", partial.empty_repairs=" + count),
+            std::string::npos)
+      << result->report.Summary();
+  EXPECT_DOUBLE_EQ(RunReportToJson(result->report)
+                       .Find("partial_lloyd")
+                       ->Find("empty_repairs")
+                       ->AsDouble(),
+                   static_cast<double>(repairs));
+}
+
 TEST(ObservabilityTest, OnDiskRunPopulatesStatsAndExplainAnalyze) {
   const std::string dir = testing::TempDir() + "/pmkm_obs_it";
   std::filesystem::create_directories(dir);
