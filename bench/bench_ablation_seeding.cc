@@ -4,17 +4,46 @@
 // account which data points are likely to represent significant cluster
 // centroids already"). This harness quantifies that design choice:
 // heaviest-weight vs uniform-random vs k-means++ merge seeding, same
-// partial outputs.
+// partial outputs. The pool is built as the engine builds it (contiguous
+// chunks of the shuffled cell, each fit by PartialKMeans under the
+// operator's seed tag, pooled in partition order), and every variant
+// fits that one pool: MergeKMeans for the paper's rule, KMeans for
+// random seeds, FitKMeansPlusPlus for k-means++.
 
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "cluster/kmeans_plus_plus.h"
+#include "cluster/merge.h"
 #include "cluster/metrics.h"
+#include "cluster/partial.h"
+#include "common/stopwatch.h"
 #include "data/slicing.h"
 
 namespace pmkm {
 namespace bench {
 namespace {
+
+// The merge operator's input for `cell` cut into `splits` contiguous
+// chunks of ceil(N/splits) points: each chunk fit by PartialKMeans under
+// the seed tag PartialKMeansOperator gives partition p of cell {0, 0},
+// the results appended in partition order.
+WeightedDataset PoolPartials(const Dataset& cell, int64_t splits,
+                             const KMeansConfig& config) {
+  const size_t chunk = (cell.size() + static_cast<size_t>(splits) - 1) /
+                       static_cast<size_t>(splits);
+  const PartialKMeans partial(config);
+  WeightedDataset pool(cell.dim());
+  for (uint64_t p = 0; p * chunk < cell.size(); ++p) {
+    const size_t end = std::min(cell.size(), (p + 1) * chunk);
+    auto result = partial.Cluster(SlicePoints(cell, p * chunk, end), p << 17);
+    PMKM_CHECK(result.ok()) << result.status();
+    pool.AppendAll(result->centroids);
+  }
+  return pool;
+}
 
 int Main(int argc, char** argv) {
   ExperimentGrid grid;
@@ -34,17 +63,34 @@ int Main(int argc, char** argv) {
               "merge-step seeding: heaviest-weight (paper) vs random vs "
               "k-means++", grid);
 
+  enum class Seeding { kHeaviest, kRandom, kKMeansPlusPlus };
   struct Variant {
     const char* name;
-    SeedingMethod method;
+    Seeding seeding;
     size_t restarts;
   };
   const Variant variants[] = {
-      {"heaviest (paper)", SeedingMethod::kHeaviestWeight, 1},
-      {"random, R=1", SeedingMethod::kRandom, 1},
-      {"random, R=10", SeedingMethod::kRandom, 10},
-      {"kmeans++, R=1", SeedingMethod::kKMeansPlusPlus, 1},
+      {"heaviest (paper)", Seeding::kHeaviest, 1},
+      {"random, R=1", Seeding::kRandom, 1},
+      {"random, R=10", Seeding::kRandom, 10},
+      {"kmeans++, R=1", Seeding::kKMeansPlusPlus, 1},
   };
+
+  KMeansConfig partial;
+  partial.k = static_cast<size_t>(grid.k);
+  partial.restarts = static_cast<size_t>(grid.restarts);
+  partial.lloyd.accelerate = grid.accelerate;
+  // Per version: the cell and the one pool every variant fits.
+  std::vector<Dataset> cells;
+  std::vector<WeightedDataset> pools;
+  for (int64_t v = 0; v < grid.versions; ++v) {
+    cells.push_back(MakeCell(n, grid, v));
+    Dataset shuffled = cells.back();
+    Rng rng(77 + static_cast<uint64_t>(v));
+    ShufflePoints(&shuffled, &rng);
+    partial.seed = 5000 + static_cast<uint64_t>(v);
+    pools.push_back(PoolPartials(shuffled, splits, partial));
+  }
 
   std::cout << " variant           |     E_pm     |   SSE(raw)   | merge "
                "iters | merge(ms)\n";
@@ -53,29 +99,35 @@ int Main(int argc, char** argv) {
   for (const Variant& variant : variants) {
     double e_pm = 0.0, sse_raw = 0.0, iters = 0.0, ms = 0.0;
     for (int64_t v = 0; v < grid.versions; ++v) {
-      const Dataset cell = MakeCell(n, grid, v);
-      KMeansConfig partial;
-      partial.k = static_cast<size_t>(grid.k);
-      partial.restarts = static_cast<size_t>(grid.restarts);
-      partial.seed = 5000 + static_cast<uint64_t>(v);
-      partial.lloyd.accelerate = grid.accelerate;
-      MergeKMeansConfig merge;
-      merge.k = partial.k;
-      merge.lloyd.accelerate = grid.accelerate;
-      merge.seeding = variant.method;
-      merge.restarts = variant.restarts;
-      merge.seed = 99 + static_cast<uint64_t>(v);
-      Dataset shuffled = cell;
-      Rng rng(77 + static_cast<uint64_t>(v));
-      ShufflePoints(&shuffled, &rng);
-      RunStats stats;
-      const ClusteringModel model =
-          RunOnEngine(std::move(shuffled), static_cast<size_t>(splits),
-                      partial, merge, &stats);
-      e_pm += model.sse;
-      sse_raw += Sse(model.centroids, cell);
-      iters += static_cast<double>(model.iterations);
-      ms += stats.merge_ms;
+      const WeightedDataset& pool = pools[static_cast<size_t>(v)];
+      const uint64_t seed = 99 + static_cast<uint64_t>(v);
+      auto fit = [&]() -> Result<ClusteringModel> {
+        switch (variant.seeding) {
+          case Seeding::kHeaviest: {
+            MergeKMeansConfig merge;
+            merge.k = partial.k;
+            merge.lloyd = partial.lloyd;
+            return MergeKMeans(merge).Merge(pool);
+          }
+          case Seeding::kRandom: {
+            KMeansConfig random = partial;
+            random.restarts = variant.restarts;
+            random.seed = seed;
+            return KMeans(random).FitWeighted(pool);
+          }
+          case Seeding::kKMeansPlusPlus:
+            return FitKMeansPlusPlus(pool, partial.k, variant.restarts, seed,
+                                     partial.lloyd);
+        }
+        return Status::Internal("unknown seeding");
+      };
+      const Stopwatch watch;
+      const Result<ClusteringModel> model = fit();
+      ms += watch.ElapsedMillis();
+      PMKM_CHECK(model.ok()) << model.status();
+      e_pm += model->sse;
+      sse_raw += Sse(model->centroids, cells[static_cast<size_t>(v)]);
+      iters += static_cast<double>(model->iterations);
     }
     const double inv = 1.0 / static_cast<double>(grid.versions);
     std::string name = variant.name;

@@ -74,11 +74,9 @@ int Main(int argc, char** argv) {
       LloydConfig refine;
       refine.max_iterations = 3;
       refine.accelerate = grid.accelerate;
-      Rng rng(seed);
       const Stopwatch watch;
       auto refined = RunWeightedLloyd(WeightedDataset::FromUnweighted(cell),
-                                      std::move(merged.centroids), refine,
-                                      &rng);
+                                      std::move(merged.centroids), refine);
       PMKM_CHECK(refined.ok()) << refined.status();
       add(2, "pm 10-split + refine3", s.total_ms + watch.ElapsedMillis(),
           Sse(refined->centroids, cell));

@@ -26,6 +26,7 @@
 #include "cluster/kmeans.h"
 #include "cluster/merge.h"
 #include "cluster/partial.h"
+#include "cluster/seeding.h"
 #include "common/logging.h"
 #include "data/generator.h"
 #include "data/io.h"
@@ -66,12 +67,11 @@ void BM_LloydIteration(benchmark::State& state) {
   const Dataset points = MakePoints(n, 6, 4);
   const WeightedDataset data = WeightedDataset::FromUnweighted(points);
   Rng rng(5);
-  auto seeds = SelectSeeds(data, 40, SeedingMethod::kRandom, &rng);
+  auto seeds = RandomSeeds(data, 40, &rng);
   LloydConfig config;
   config.max_iterations = 1;
   for (auto _ : state) {
-    Rng iter_rng(6);
-    auto model = RunWeightedLloyd(data, *seeds, config, &iter_rng);
+    auto model = RunWeightedLloyd(data, *seeds, config);
     benchmark::DoNotOptimize(model);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -87,12 +87,11 @@ void BM_LloydFit(benchmark::State& state) {
   const Dataset points = MakePoints(n, 6, 4);
   const WeightedDataset data = WeightedDataset::FromUnweighted(points);
   Rng rng(5);
-  auto seeds = SelectSeeds(data, 40, SeedingMethod::kRandom, &rng);
+  auto seeds = RandomSeeds(data, 40, &rng);
   LloydConfig config;
   config.accelerate = state.range(1) != 0;
   for (auto _ : state) {
-    Rng iter_rng(6);
-    auto model = RunWeightedLloyd(data, *seeds, config, &iter_rng);
+    auto model = RunWeightedLloyd(data, *seeds, config);
     benchmark::DoNotOptimize(model);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -237,13 +236,12 @@ PrunedPass MakePrunedPass(const DistanceKernel* kernel, size_t dim) {
   pass.data = WeightedDataset::FromUnweighted(MakePoints(2730, dim, 4));
   const size_t n = pass.data.size();
   Rng seed_rng(5);
-  auto seeds = SelectSeeds(pass.data, k, SeedingMethod::kRandom, &seed_rng);
+  auto seeds = RandomSeeds(pass.data, k, &seed_rng);
   auto centroids_after = [&](size_t iterations) {
     LloydConfig config;
     config.epsilon = 0.0;
     config.max_iterations = iterations;
-    Rng rng(6);
-    return RunWeightedLloyd(pass.data, *seeds, config, &rng)->centroids;
+    return RunWeightedLloyd(pass.data, *seeds, config)->centroids;
   };
   const Dataset before = centroids_after(8);
   pass.after = centroids_after(9);

@@ -4,8 +4,8 @@
 
 #include "cluster/experiment_metrics.h"
 #include "cluster/kernels/kernel.h"
+#include "cluster/kmeans_plus_plus.h"
 #include "cluster/metrics.h"
-#include "cluster/seeding.h"
 
 namespace pmkm {
 
@@ -24,8 +24,8 @@ Result<ClusteringModel> MiniBatchKMeans(const Dataset& data,
 
   PMKM_ASSIGN_OR_RETURN(
       Dataset centroids,
-      SelectSeeds(WeightedDataset::FromUnweighted(data), config.k,
-                  SeedingMethod::kKMeansPlusPlus, &rng));
+      KMeansPlusPlusSeeds(WeightedDataset::FromUnweighted(data), config.k,
+                          &rng));
 
   std::vector<double> counts(config.k, 0.0);  // per-centre update counts
   Dataset batch(dim);

@@ -67,9 +67,8 @@ Result<WeightedDataset> LocalSearchKMedian(const WeightedDataset& data,
   // Degenerate chunk: every point is a median.
   if (n <= k) return data;
 
-  // Initial medoids: weight-aware k-means++ indices. SelectSeeds returns
-  // points; we need indices, so re-derive by matching — instead pick
-  // directly here with the same D² rule.
+  // Initial medoids: k-means++'s sampling rule on weight times distance
+  // (not its square, the k-median cost), the first drawn uniformly.
   std::vector<size_t> medoids;
   {
     std::vector<double> dist(n, std::numeric_limits<double>::infinity());

@@ -6,7 +6,7 @@
 
 #include "cluster/distance.h"
 #include "cluster/kernels/kernel.h"
-#include "cluster/seeding.h"
+#include "cluster/kmeans_plus_plus.h"
 
 namespace pmkm {
 
@@ -29,9 +29,7 @@ Result<EcvqResult> FitEcvq(const WeightedDataset& data,
   Rng rng(config.seed);
 
   const size_t k0 = std::min(config.max_k, n);
-  PMKM_ASSIGN_OR_RETURN(
-      Dataset codebook,
-      SelectSeeds(data, k0, SeedingMethod::kKMeansPlusPlus, &rng));
+  PMKM_ASSIGN_OR_RETURN(Dataset codebook, KMeansPlusPlusSeeds(data, k0, &rng));
   // Uniform initial code lengths.
   std::vector<double> probs(codebook.size(),
                             1.0 / static_cast<double>(codebook.size()));

@@ -4,8 +4,8 @@
 // calling DecodeModel, so mutations reach the parser instead of stopping
 // at the checksum. A hostile header must be rejected before it can drive
 // an allocation, and an accepted model must be finite and consistent:
-// k > 0 centroids of dim finite values, k finite non-negative weights,
-// and assignments below k.
+// k > 0 centroids of dim finite values and k finite non-negative
+// weights.
 
 #include <cmath>
 #include <cstdint>
@@ -37,9 +37,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   for (double w : model.weights) {
     if (!std::isfinite(w) || w < 0.0) std::abort();
-  }
-  for (uint32_t a : model.assignments) {
-    if (a >= k) std::abort();
   }
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "cluster/kmeans.h"
 
+#include "cluster/seeding.h"
+
 namespace pmkm {
 
 Result<ClusteringModel> KMeans::FitWeighted(
@@ -14,12 +16,10 @@ Result<ClusteringModel> KMeans::FitWeighted(
   ClusteringModel best;
   for (size_t r = 0; r < config_.restarts; ++r) {
     Rng rng = master.Fork(r + 1);
-    PMKM_ASSIGN_OR_RETURN(
-        Dataset seeds,
-        SelectSeeds(data, config_.k, config_.seeding, &rng));
+    PMKM_ASSIGN_OR_RETURN(Dataset seeds, RandomSeeds(data, config_.k, &rng));
     PMKM_ASSIGN_OR_RETURN(
         ClusteringModel model,
-        RunWeightedLloyd(data, std::move(seeds), config_.lloyd, &rng));
+        RunWeightedLloyd(data, std::move(seeds), config_.lloyd));
     if (model.sse < best.sse) best = std::move(model);
   }
   // Only a non-finite SSE fails `< +inf` in every restart: the data holds

@@ -1,9 +1,10 @@
 // KMeans: the multi-restart k-means used both as the paper's serial
 // baseline and, applied per partition, as the clustering inside the partial
-// operator. Runs R restarts with independent random seed sets and keeps the
-// representation with minimal error (paper §2 / §5.2: "we ran the serial
-// k-means with 10 different sets of initial seeds, and selected the
-// representation with the minimum mean square error").
+// operator. Runs R restarts, each seeded with k random data points
+// (cluster/seeding.h), and keeps the representation with minimal error
+// (paper §2 / §5.2: "we ran the serial k-means with 10 different sets of
+// initial seeds, and selected the representation with the minimum mean
+// square error").
 //
 // Each restart runs the one weighted Lloyd loop (cluster/lloyd.h), whose
 // assignment step is bound-pruned by default; lloyd.accelerate = false
@@ -14,7 +15,6 @@
 #define PMKM_CLUSTER_KMEANS_H_
 
 #include "cluster/lloyd.h"
-#include "cluster/seeding.h"
 #include "common/result.h"
 
 namespace pmkm {
@@ -23,10 +23,8 @@ struct KMeansConfig {
   /// Number of clusters (paper: k = 40 for all experiments).
   size_t k = 40;
 
-  /// Restarts with independent seed sets (paper: R = 10).
+  /// Restarts with independent random seed sets (paper: R = 10).
   size_t restarts = 10;
-
-  SeedingMethod seeding = SeedingMethod::kRandom;
 
   LloydConfig lloyd;
 

@@ -206,8 +206,7 @@ class Assigner {
 
 Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
                                          Dataset initial_centroids,
-                                         const LloydConfig& config,
-                                         Rng* rng) {
+                                         const LloydConfig& config) {
   const size_t n = data.size();
   const size_t k = initial_centroids.size();
   const size_t dim = data.dim();
@@ -219,7 +218,6 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
   if (config.epsilon < 0.0) {
     return Status::InvalidArgument("epsilon must be non-negative");
   }
-  PMKM_CHECK(rng != nullptr);
 
   const DistanceKernel& kernel = config.kernel != nullptr
                                      ? *config.kernel
@@ -347,7 +345,6 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
     *config.counters += assigner.counts();
     config.counters->empty_repairs += empty_repairs;
   }
-  if (config.track_assignments) model.assignments = std::move(assign);
   return model;
 }
 

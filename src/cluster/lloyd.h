@@ -22,7 +22,6 @@
 
 #include "cluster/model.h"
 #include "common/result.h"
-#include "common/rng.h"
 #include "data/weighted.h"
 
 namespace pmkm {
@@ -62,9 +61,6 @@ struct LloydConfig {
   /// oscillation.
   size_t max_iterations = 300;
 
-  /// Record per-point assignments in the returned model.
-  bool track_assignments = false;
-
   /// Distance kernel for the assignment hot path; nullptr means the best
   /// one the host supports (GetKernel(KernelKind::kAuto)).
   /// Assignments are bit-identical across kernels, so this only affects
@@ -91,11 +87,12 @@ struct LloydConfig {
 /// farthest from its centroid, keeping k constant as the paper's
 /// formulation requires ("k disjoint non-empty subsets").
 ///
-/// Fails if `data` is empty, dimensionalities mismatch, or k = 0.
+/// Deterministic: it draws no random number, so the same data, seeds and
+/// config give the same model bytes. Fails if `data` is empty,
+/// dimensionalities mismatch, or k = 0.
 Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
                                          Dataset initial_centroids,
-                                         const LloydConfig& config,
-                                         Rng* rng);
+                                         const LloydConfig& config);
 
 }  // namespace pmkm
 

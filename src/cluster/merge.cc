@@ -3,6 +3,8 @@
 #include <cmath>
 #include <string>
 
+#include "cluster/seeding.h"
+
 namespace pmkm {
 
 Result<ClusteringModel> MergeKMeans::Merge(
@@ -31,13 +33,18 @@ Result<ClusteringModel> MergeKMeans::Merge(
     return model;
   }
 
-  KMeansConfig cfg;
-  cfg.k = config_.k;
-  cfg.restarts = config_.restarts;
-  cfg.seeding = config_.seeding;
-  cfg.lloyd = config_.lloyd;
-  cfg.seed = config_.seed;
-  return KMeans(cfg).FitWeighted(pooled);
+  PMKM_ASSIGN_OR_RETURN(Dataset seeds, HeaviestSeeds(pooled, config_.k));
+  PMKM_ASSIGN_OR_RETURN(
+      ClusteringModel model,
+      RunWeightedLloyd(pooled, std::move(seeds), config_.lloyd));
+  // KMeans::FitWeighted's error, word for word: a quarantine reason reads
+  // the same whichever fit failed.
+  if (!std::isfinite(model.sse)) {
+    return Status::InvalidArgument(
+        "k-means error is not finite in any restart: the data contains a "
+        "non-finite coordinate or weight");
+  }
+  return model;
 }
 
 }  // namespace pmkm

@@ -1,11 +1,12 @@
 // ClusteringModel: the result of any clustering run in pmkm (serial
 // k-means, partial/merge, baselines). Centroids are weighted so a model can
-// itself be fed into a merge step or a histogram builder.
+// itself be fed into a merge step or a histogram builder. A model keeps no
+// per-point assignment: the nearest centroid (cluster/distance.h) of a
+// training point is its cluster.
 
 #ifndef PMKM_CLUSTER_MODEL_H_
 #define PMKM_CLUSTER_MODEL_H_
 
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -23,10 +24,6 @@ struct ClusteringModel {
 
   /// Per-centroid weight: total (weighted) count of assigned points.
   std::vector<double> weights;
-
-  /// Optional per-training-point assignment (centroid index); empty unless
-  /// requested via the config's track_assignments.
-  std::vector<uint32_t> assignments;
 
   /// The paper's error function E: total (weighted) squared distance of
   /// training points to their centroid. This is what Table 2 reports as

@@ -1,5 +1,7 @@
 #include "cluster/partial.h"
 
+#include "common/rng.h"
+
 namespace pmkm {
 
 Result<PartialResult> PartialKMeans::Cluster(

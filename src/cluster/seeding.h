@@ -1,10 +1,11 @@
-// Seed selection for Lloyd iterations.
+// Seed selection for Lloyd iterations: one function per step of the paper.
 //
-// The paper uses two strategies: uniformly random data points for the
-// serial/partial steps (§2 step 1) and the k heaviest weighted centroids
-// for the merge step (§3.3 step 1, "forces the algorithm to take into
-// account which data points are likely to represent significant cluster
-// centroids already"). k-means++ is provided for ablations.
+// The serial and partial steps seed with uniformly random data points
+// (§2 step 1); the merge step with the k heaviest weighted centroids
+// (§3.3 step 1, "forces the algorithm to take into account which data
+// points are likely to represent significant cluster centroids already").
+// k-means++ is an ablation and lives with the experiments
+// (bench/lib/cluster/kmeans_plus_plus.h).
 
 #ifndef PMKM_CLUSTER_SEEDING_H_
 #define PMKM_CLUSTER_SEEDING_H_
@@ -15,19 +16,13 @@
 
 namespace pmkm {
 
-enum class SeedingMethod {
-  kRandom,         // k distinct points chosen uniformly
-  kHeaviestWeight, // the k points with the largest weights (merge step)
-  kKMeansPlusPlus, // D² sampling (Arthur & Vassilvitskii), weight-aware
-};
+/// k distinct points of `data` chosen uniformly (weights are ignored).
+/// Fails if k = 0 or data has fewer than k points.
+Result<Dataset> RandomSeeds(const WeightedDataset& data, size_t k, Rng* rng);
 
-const char* SeedingMethodToString(SeedingMethod method);
-
-/// Picks k initial centroids from `data` (weights are ignored by kRandom,
-/// define the ranking for kHeaviestWeight, and scale the D² probabilities
-/// for kKMeansPlusPlus). Fails if data has fewer than k points.
-Result<Dataset> SelectSeeds(const WeightedDataset& data, size_t k,
-                            SeedingMethod method, Rng* rng);
+/// The k points with the largest weights, the lower index first among
+/// equal weights. Draws no random number. Fails as RandomSeeds does.
+Result<Dataset> HeaviestSeeds(const WeightedDataset& data, size_t k);
 
 }  // namespace pmkm
 

@@ -16,7 +16,6 @@ namespace {
 
 constexpr uint32_t kModelMagic = 0x4d4b4d50;  // "PMKM"
 constexpr uint32_t kModelVersion = 1;
-constexpr uint32_t kFlagHasAssignments = 1u << 0;
 
 // Parses the FNV-checked body of a model file into `model`.
 Status ReadModel(ByteReader* reader, ClusteringModel* model) {
@@ -54,28 +53,16 @@ Status ReadModel(ByteReader* reader, ClusteringModel* model) {
                            ", dim=" + std::to_string(dim) +
                            ") exceeds its payload");
   }
+  if (flags != 0) {  // no flag bit is defined (serialize.h)
+    return Status::IOError("model flags " + std::to_string(flags) +
+                           " are not 0");
+  }
   std::vector<double> centroid_values(k * dim);
   for (double& v : centroid_values) PMKM_RETURN_NOT_OK(reader->ReadF64(&v));
   PMKM_ASSIGN_OR_RETURN(model->centroids,
                         Dataset::FromFlat(dim, std::move(centroid_values)));
   model->weights.resize(k);
   for (double& w : model->weights) PMKM_RETURN_NOT_OK(reader->ReadF64(&w));
-  if (flags & kFlagHasAssignments) {
-    uint64_t n = 0;
-    PMKM_RETURN_NOT_OK(reader->ReadU64(&n));
-    if (n > reader->remaining() / sizeof(uint32_t)) {
-      return Status::IOError("model header claims " + std::to_string(n) +
-                             " assignments, more than its payload holds");
-    }
-    model->assignments.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      PMKM_RETURN_NOT_OK(reader->ReadU32(&model->assignments[i]));
-      if (model->assignments[i] >= k) {
-        return Status::IOError("assignment of point " + std::to_string(i) +
-                               " is not below k=" + std::to_string(k));
-      }
-    }
-  }
   return Status::OK();
 }
 
@@ -116,9 +103,7 @@ std::vector<uint8_t> EncodeModel(
   PutU32(&buf, kModelVersion);
   PutU64(&buf, model.k());
   PutU64(&buf, model.dim());
-  const uint32_t flags =
-      model.assignments.empty() ? 0u : kFlagHasAssignments;
-  PutU32(&buf, flags);
+  PutU32(&buf, 0);  // flags
   PutU32(&buf, 0);
   PutF64(&buf, model.sse);
   PutF64(&buf, model.mse_per_point);
@@ -127,10 +112,6 @@ std::vector<uint8_t> EncodeModel(
   PutU32(&buf, 0);
   for (double v : model.centroids.values()) PutF64(&buf, v);
   for (double w : model.weights) PutF64(&buf, w);
-  if (flags & kFlagHasAssignments) {
-    PutU64(&buf, model.assignments.size());
-    for (uint32_t a : model.assignments) PutU32(&buf, a);
-  }
   PutU64(&buf,
          internal::Fnv1a64(buf.data(), buf.size(), internal::kFnvOffset));
   return buf;

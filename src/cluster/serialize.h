@@ -9,11 +9,14 @@
 // (stream/checkpoint.h) and the serve wire's model set
 // (serve/protocol.h), so DecodeModel is the only model decoder.
 //
-//   [magic "PMKM"] [version u32] [k u64] [dim u64]
-//   [flags u32: bit0 = has assignments] [pad u32]
+//   [magic "PMKM"] [version u32] [k u64] [dim u64] [flags u32 = 0] [pad u32]
 //   [sse f64] [mse_per_point f64] [iterations u64] [converged u32] [pad u32]
-//   [k*dim f64 centroids] [k f64 weights] [n u64 + n u32 assignments]?
+//   [k*dim f64 centroids] [k f64 weights]
 //   [fnv1a-64 checksum]
+//
+// The flags word is always 0. Bit 0 once announced a per-point assignment
+// section after the weights; no shipped binary ever wrote one, and a
+// decoder now rejects any set bit.
 
 #ifndef PMKM_CLUSTER_SERIALIZE_H_
 #define PMKM_CLUSTER_SERIALIZE_H_
@@ -29,16 +32,15 @@
 namespace pmkm {
 
 /// The model's bytes in the layout above, checksum trailer included.
-/// Assignments are included only if present in the model. The encoder is
-/// faithful: a model with no centroids or a NaN weight is encoded as is,
-/// and DecodeModel rejects it.
+/// The encoder is faithful: a model with no centroids or a NaN weight is
+/// encoded as is, and DecodeModel rejects it.
 std::vector<uint8_t> EncodeModel(const ClusteringModel& model);
 
 /// Parses bytes written by EncodeModel: checks the trailer, then the
 /// header and payload (sizes are bounded by the bytes present before
-/// anything is allocated), then the values — at least one centroid, one
-/// weight per centroid, finite coordinates, weights finite and >= 0,
-/// assignments below k. Any failure is IOError.
+/// anything is allocated) and a flags word of 0, then the values — at
+/// least one centroid, one weight per centroid, finite coordinates,
+/// weights finite and >= 0. Any failure is IOError.
 Result<ClusteringModel> DecodeModel(std::span<const uint8_t> bytes);
 
 /// Publishes EncodeModel(model) at `path` atomically, overwriting.

@@ -68,7 +68,9 @@ struct OperatorStats {
 
   /// Lloyd iterations executed by this operator's k-means fits.
   uint64_t kmeans_iterations = 0;
-  /// Seed-set restarts those fits ran (R per chunk/merge).
+  /// Seed-set restarts those fits ran: R per chunk of more than k points,
+  /// 1 per merge of more than k centroids. A chunk or pool of at most k
+  /// passes through without a fit and counts 0.
   uint64_t kmeans_restarts = 0;
 
   /// The pruned assignment passes of those fits (LloydCounters): points

@@ -75,20 +75,23 @@ Status FailRun(const ObsContext& obs, Status status) {
 // kernel and LloydConfig::accelerate are deliberately excluded (the
 // assignments are bit-identical across kernels and with or without
 // pruning) and so is the clone count (the merge pools partitions in id
-// order, independent of arrival interleaving).
+// order, independent of arrival interleaving). The four constants hold
+// the slots of settings that each step now fixes (the partial's random
+// seeding; the merge's one restart, heaviest seeding and seed), so a
+// journal written while they were settable still resumes.
 uint64_t ConfigFingerprint(const EngineOptions& options,
                            const PhysicalPlan& plan) {
   std::vector<uint8_t> fields;
   PutU64(&fields, options.partial.k);
   PutU64(&fields, options.partial.restarts);
-  PutU64(&fields, static_cast<uint64_t>(options.partial.seeding));
+  PutU64(&fields, 0);  // seeding: random
   PutU64(&fields, options.partial.seed);
   PutF64(&fields, options.partial.lloyd.epsilon);
   PutU64(&fields, options.partial.lloyd.max_iterations);
   PutU64(&fields, options.merge.k);
-  PutU64(&fields, options.merge.restarts);
-  PutU64(&fields, static_cast<uint64_t>(options.merge.seeding));
-  PutU64(&fields, options.merge.seed);
+  PutU64(&fields, 1);  // restarts
+  PutU64(&fields, 1);  // seeding: heaviest
+  PutU64(&fields, 1);  // seed
   PutF64(&fields, options.merge.lloyd.epsilon);
   PutU64(&fields, options.merge.lloyd.max_iterations);
   PutU64(&fields, plan.chunk_points);

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "cluster/kernels/kernel.h"
-#include "cluster/seeding.h"
 
 namespace pmkm {
 
@@ -32,9 +31,7 @@ std::string ExplainPartialMergePlan(size_t num_buckets,
                                     const MergeKMeansConfig& merge,
                                     const PhysicalPlan& plan) {
   std::ostringstream os;
-  os << "merge-kmeans (k=" << merge.k
-     << ", seeding=" << SeedingMethodToString(merge.seeding)
-     << ", restarts=" << merge.restarts << ")\n";
+  os << "merge-kmeans (k=" << merge.k << ", seeding=heaviest, restarts=1)\n";
   os << "└─ exchange (queue cap " << plan.queue_capacity
      << ", centroid sets)\n";
   const DistanceKernel& kernel = partial.lloyd.kernel != nullptr
@@ -74,9 +71,7 @@ std::string ExplainAnalyzePartialMerge(const KMeansConfig& partial,
   }
 
   std::ostringstream os;
-  os << "merge-kmeans (k=" << merge.k
-     << ", seeding=" << SeedingMethodToString(merge.seeding)
-     << ", restarts=" << merge.restarts << ")\n";
+  os << "merge-kmeans (k=" << merge.k << ", seeding=heaviest, restarts=1)\n";
   os << "│    " << merge_stats.ToString() << "\n";
   os << "└─ " << ExchangeLine(result, "centroids", "centroid sets") << "\n";
   os << "   └─ partial-kmeans ×" << partial_instances.size() << " clone"

@@ -352,7 +352,10 @@ Status PartialKMeansOperator::Run() {
     }
     mutable_stats().kmeans_iterations += result->iterations;
     RecordLloyd(lloyd_counters_, &mutable_stats());
-    mutable_stats().kmeans_restarts += partial_.config().restarts;
+    // A chunk of at most k points passes through without a fit.
+    if (result->input_points > partial_.config().k) {
+      mutable_stats().kmeans_restarts += partial_.config().restarts;
+    }
     RecordRollingUs(obs().metrics, "partial.chunk_us",
                     chunk_watch.ElapsedSeconds());
     CentroidMessage msg;
@@ -421,7 +424,8 @@ Status MergeKMeansOperator::MergeCell(GridCellId cell) {
   RecordRollingUs(obs().metrics, "merge.cell_us", watch.ElapsedSeconds());
   mutable_stats().kmeans_iterations += model.iterations;
   RecordLloyd(lloyd_counters_, &mutable_stats());
-  mutable_stats().kmeans_restarts += merger_.config().restarts;
+  // One fit, unless the pool (at most k centroids) passed through.
+  if (pooled.size() > merger_.config().k) ++mutable_stats().kmeans_restarts;
   mutable_stats().rows_out += model.centroids.size();
   mutable_stats().bytes_out +=
       WeightedBytes(model.centroids.size(), model.centroids.dim());

@@ -230,25 +230,22 @@ TEST_P(KernelParityTest, WeightedLloydFitIdenticalAcrossKernels) {
   const Dataset points = MakePoints(2000, dim, 18);
   const WeightedDataset data = MakeWeighted(points, 19);
   Rng seed_rng(20);
-  auto seeds = SelectSeeds(data, 8, SeedingMethod::kRandom, &seed_rng);
+  auto seeds = RandomSeeds(data, 8, &seed_rng);
   ASSERT_TRUE(seeds.ok()) << seeds.status();
 
   LloydConfig ref_config;
-  ref_config.track_assignments = true;
   ref_config.kernel = &GetKernel(KernelKind::kScalar);
-  Rng ref_rng(21);
-  auto ref = RunWeightedLloyd(data, *seeds, ref_config, &ref_rng);
+  auto ref = RunWeightedLloyd(data, *seeds, ref_config);
   ASSERT_TRUE(ref.ok()) << ref.status();
 
   for (const DistanceKernel* kernel : AvailableKernels()) {
     SCOPED_TRACE(kernel->name());
     LloydConfig config = ref_config;
     config.kernel = kernel;
-    Rng rng(21);
-    auto model = RunWeightedLloyd(data, *seeds, config, &rng);
+    auto model = RunWeightedLloyd(data, *seeds, config);
     ASSERT_TRUE(model.ok()) << model.status();
     EXPECT_EQ(model->centroids, ref->centroids);
-    EXPECT_EQ(model->assignments, ref->assignments);
+    EXPECT_EQ(model->weights, ref->weights);
     EXPECT_EQ(model->sse, ref->sse);
     EXPECT_EQ(model->iterations, ref->iterations);
   }
@@ -262,15 +259,13 @@ TEST_P(KernelParityTest, HamerlyFitIdenticalAcrossKernels) {
   const Dataset points = MakePoints(2000, dim, 22);
   const WeightedDataset data = MakeWeighted(points, 23);
   Rng seed_rng(24);
-  auto seeds = SelectSeeds(data, 8, SeedingMethod::kRandom, &seed_rng);
+  auto seeds = RandomSeeds(data, 8, &seed_rng);
   ASSERT_TRUE(seeds.ok()) << seeds.status();
 
   LloydConfig ref_config;
-  ref_config.track_assignments = true;
   ref_config.accelerate = false;
   ref_config.kernel = &GetKernel(KernelKind::kScalar);
-  Rng ref_rng(25);
-  auto ref = RunWeightedLloyd(data, *seeds, ref_config, &ref_rng);
+  auto ref = RunWeightedLloyd(data, *seeds, ref_config);
   ASSERT_TRUE(ref.ok()) << ref.status();
 
   for (const DistanceKernel* kernel : AvailableKernels()) {
@@ -278,11 +273,10 @@ TEST_P(KernelParityTest, HamerlyFitIdenticalAcrossKernels) {
     LloydConfig config = ref_config;
     config.accelerate = true;
     config.kernel = kernel;
-    Rng rng(25);
-    auto model = RunWeightedLloyd(data, *seeds, config, &rng);
+    auto model = RunWeightedLloyd(data, *seeds, config);
     ASSERT_TRUE(model.ok()) << model.status();
     EXPECT_EQ(model->centroids, ref->centroids);
-    EXPECT_EQ(model->assignments, ref->assignments);
+    EXPECT_EQ(model->weights, ref->weights);
     EXPECT_EQ(model->sse, ref->sse);
     EXPECT_EQ(model->iterations, ref->iterations);
   }

@@ -17,7 +17,9 @@
 #include "cluster/kernels.h"
 #include "cluster/kernels/kernel.h"
 #include "cluster/kmeans.h"
+#include "cluster/kmeans_plus_plus.h"
 #include "cluster/metrics.h"
+#include "cluster/seeding.h"
 #include "cluster/serialize.h"
 #include "data/generator.h"
 #include "data/io.h"
@@ -34,39 +36,37 @@ Dataset MakeCentroids(std::vector<std::vector<double>> rows) {
 }
 
 TEST(LloydTest, ValidatesInput) {
-  Rng rng(1);
   const LloydConfig config;
   WeightedDataset empty(2);
   EXPECT_TRUE(
-      RunWeightedLloyd(empty, MakeCentroids({{0.0, 0.0}}), config, &rng)
+      RunWeightedLloyd(empty, MakeCentroids({{0.0, 0.0}}), config)
           .status()
           .IsInvalidArgument());
 
   WeightedDataset data(2);
   data.Append(std::vector<double>{1.0, 1.0}, 1.0);
-  EXPECT_TRUE(RunWeightedLloyd(data, Dataset(2), config, &rng)
+  EXPECT_TRUE(RunWeightedLloyd(data, Dataset(2), config)
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(
-      RunWeightedLloyd(data, MakeCentroids({{1.0}}), config, &rng)
+      RunWeightedLloyd(data, MakeCentroids({{1.0}}), config)
           .status()
           .IsInvalidArgument());
 
   LloydConfig bad = config;
   bad.epsilon = -1.0;
   EXPECT_TRUE(
-      RunWeightedLloyd(data, MakeCentroids({{0.0, 0.0}}), bad, &rng)
+      RunWeightedLloyd(data, MakeCentroids({{0.0, 0.0}}), bad)
           .status()
           .IsInvalidArgument());
 }
 
 TEST(LloydTest, SingleClusterConvergesToWeightedMean) {
-  Rng rng(2);
   WeightedDataset data(1);
   data.Append(std::vector<double>{0.0}, 1.0);
   data.Append(std::vector<double>{10.0}, 3.0);
   auto model = RunWeightedLloyd(data, MakeCentroids({{100.0}}),
-                                LloydConfig{}, &rng);
+                                LloydConfig{});
   ASSERT_TRUE(model.ok());
   EXPECT_NEAR(model->centroids(0, 0), 7.5, 1e-12);  // (0·1+10·3)/4
   EXPECT_DOUBLE_EQ(model->weights[0], 4.0);
@@ -74,12 +74,11 @@ TEST(LloydTest, SingleClusterConvergesToWeightedMean) {
 }
 
 TEST(LloydTest, TwoObviousClusters) {
-  Rng rng(3);
   WeightedDataset data(1);
   for (double x : {0.0, 1.0, 2.0}) data.Append({&x, 1}, 1.0);
   for (double x : {100.0, 101.0, 102.0}) data.Append({&x, 1}, 1.0);
   auto model = RunWeightedLloyd(data, MakeCentroids({{0.0}, {90.0}}),
-                                LloydConfig{}, &rng);
+                                LloydConfig{});
   ASSERT_TRUE(model.ok());
   std::vector<double> c{model->centroids(0, 0), model->centroids(1, 0)};
   std::sort(c.begin(), c.end());
@@ -95,7 +94,7 @@ TEST(LloydTest, SseMatchesIndependentMetric) {
   Dataset seeds(3);
   for (size_t i = 0; i < 8; ++i) seeds.Append(points.Row(i * 11));
   auto model =
-      RunWeightedLloyd(data, std::move(seeds), LloydConfig{}, &rng);
+      RunWeightedLloyd(data, std::move(seeds), LloydConfig{});
   ASSERT_TRUE(model.ok());
   EXPECT_NEAR(model->sse, Sse(model->centroids, points),
               1e-6 * (1.0 + model->sse));
@@ -111,7 +110,7 @@ TEST(LloydTest, SseNeverIncreasesAcrossRuns) {
   Dataset seeds(points.dim());
   for (size_t i = 0; i < 10; ++i) seeds.Append(points.Row(i * 37));
   const double initial_sse = Sse(seeds, points);
-  auto model = RunWeightedLloyd(data, seeds, LloydConfig{}, &rng);
+  auto model = RunWeightedLloyd(data, seeds, LloydConfig{});
   ASSERT_TRUE(model.ok());
   EXPECT_LE(model->sse, initial_sse * (1.0 + 1e-12));
 }
@@ -126,7 +125,7 @@ TEST(LloydTest, WeightsSumToTotalWeight) {
   Dataset seeds(2);
   for (size_t i = 0; i < 5; ++i) seeds.Append(data.Row(i));
   auto model =
-      RunWeightedLloyd(data, std::move(seeds), LloydConfig{}, &rng);
+      RunWeightedLloyd(data, std::move(seeds), LloydConfig{});
   ASSERT_TRUE(model.ok());
   double sum = 0.0;
   for (double w : model->weights) sum += w;
@@ -144,7 +143,7 @@ TEST(LloydTest, EmptyClusterIsRepaired) {
     data.Append(std::vector<double>{rng.Normal(50.0, 0.1)}, 1.0);
   }
   auto model = RunWeightedLloyd(
-      data, MakeCentroids({{-1000.0}, {-1000.0}}), LloydConfig{}, &rng);
+      data, MakeCentroids({{-1000.0}, {-1000.0}}), LloydConfig{});
   ASSERT_TRUE(model.ok());
   EXPECT_GT(model->weights[0], 0.0);
   EXPECT_GT(model->weights[1], 0.0);
@@ -157,31 +156,15 @@ TEST(LloydTest, EmptyClusterIsRepaired) {
 TEST(LloydTest, DuplicatePointsFewerThanK) {
   // 3 identical points, k=2: one cluster must stay empty (weight 0) and
   // the run must still terminate cleanly.
-  Rng rng(8);
   WeightedDataset data(1);
   for (int i = 0; i < 3; ++i) {
     data.Append(std::vector<double>{5.0}, 1.0);
   }
   auto model = RunWeightedLloyd(data, MakeCentroids({{5.0}, {9.0}}),
-                                LloydConfig{}, &rng);
+                                LloydConfig{});
   ASSERT_TRUE(model.ok());
   EXPECT_NEAR(model->sse, 0.0, 1e-12);
   EXPECT_DOUBLE_EQ(model->weights[0] + model->weights[1], 3.0);
-}
-
-TEST(LloydTest, TracksAssignmentsWhenAsked) {
-  Rng rng(9);
-  WeightedDataset data(1);
-  for (double x : {0.0, 1.0, 100.0, 101.0}) data.Append({&x, 1}, 1.0);
-  LloydConfig config;
-  config.track_assignments = true;
-  auto model = RunWeightedLloyd(data, MakeCentroids({{0.0}, {100.0}}),
-                                config, &rng);
-  ASSERT_TRUE(model.ok());
-  ASSERT_EQ(model->assignments.size(), 4u);
-  EXPECT_EQ(model->assignments[0], model->assignments[1]);
-  EXPECT_EQ(model->assignments[2], model->assignments[3]);
-  EXPECT_NE(model->assignments[0], model->assignments[2]);
 }
 
 TEST(LloydTest, MaxIterationsRespected) {
@@ -192,7 +175,7 @@ TEST(LloydTest, MaxIterationsRespected) {
   for (size_t i = 0; i < 20; ++i) seeds.Append(points.Row(i * 71));
   LloydConfig config;
   config.max_iterations = 2;
-  auto model = RunWeightedLloyd(data, std::move(seeds), config, &rng);
+  auto model = RunWeightedLloyd(data, std::move(seeds), config);
   ASSERT_TRUE(model.ok());
   EXPECT_LE(model->iterations, 2u);
 }
@@ -206,11 +189,11 @@ TEST(LloydTest, ConvergedRunIsFixedPoint) {
   Dataset seeds(points.dim());
   for (size_t i = 0; i < 12; ++i) seeds.Append(points.Row(i * 101));
   auto first =
-      RunWeightedLloyd(data, std::move(seeds), LloydConfig{}, &rng);
+      RunWeightedLloyd(data, std::move(seeds), LloydConfig{});
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first->converged);
   auto second =
-      RunWeightedLloyd(data, first->centroids, LloydConfig{}, &rng);
+      RunWeightedLloyd(data, first->centroids, LloydConfig{});
   ASSERT_TRUE(second.ok());
   EXPECT_NEAR(second->sse, first->sse, 1e-6 * (1.0 + first->sse));
 }
@@ -236,7 +219,6 @@ void ExpectBitwiseEqual(const ClusteringModel& a, const ClusteringModel& b) {
   EXPECT_EQ(Bits({a.sse, a.mse_per_point}), Bits({b.sse, b.mse_per_point}));
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.assignments, b.assignments);
 }
 
 // The scalar kernel, counting the points it is asked to scan and the
@@ -313,17 +295,14 @@ struct ScanCounts {
 ScanCounts ExpectPruningExact(const WeightedDataset& data,
                               const Dataset& seeds, LloydConfig config) {
   CountingKernel full, pruned;
-  config.track_assignments = true;
   config.kernel = &full;
   config.accelerate = false;
-  Rng r1(1);
-  auto a = RunWeightedLloyd(data, seeds, config, &r1);
+  auto a = RunWeightedLloyd(data, seeds, config);
   LloydCounters counters;
   config.kernel = &pruned;
   config.accelerate = true;
   config.counters = &counters;
-  Rng r2(1);
-  auto b = RunWeightedLloyd(data, seeds, config, &r2);
+  auto b = RunWeightedLloyd(data, seeds, config);
   EXPECT_TRUE(a.ok()) << a.status();
   EXPECT_TRUE(b.ok()) << b.status();
   if (a.ok() && b.ok()) ExpectBitwiseEqual(*a, *b);
@@ -336,13 +315,12 @@ ScanCounts ExpectPruningExact(const WeightedDataset& data,
 }
 
 TEST(HamerlyTest, SingleClusterIsWeightedMean) {
-  Rng rng(2);
   WeightedDataset data(1);
   data.Append(std::vector<double>{0.0}, 1.0);
   data.Append(std::vector<double>{10.0}, 3.0);
   LloydConfig config;
   config.accelerate = true;
-  auto model = RunWeightedLloyd(data, MakeCentroids({{-50.0}}), config, &rng);
+  auto model = RunWeightedLloyd(data, MakeCentroids({{-50.0}}), config);
   ASSERT_TRUE(model.ok());
   EXPECT_NEAR(model->centroids(0, 0), 7.5, 1e-12);
   EXPECT_TRUE(model->converged);
@@ -360,7 +338,7 @@ TEST_P(HamerlyEquivalence, MatchesPlainLloydFixedPoint) {
   for (size_t k : {15u, 40u}) {
     SCOPED_TRACE("k=" + std::to_string(k));
     Rng seed_rng(77);
-    auto seeds = SelectSeeds(data, k, SeedingMethod::kRandom, &seed_rng);
+    auto seeds = RandomSeeds(data, k, &seed_rng);
     ASSERT_TRUE(seeds.ok());
     LloydConfig config;
     config.max_iterations = 500;
@@ -399,7 +377,7 @@ TEST(HamerlyTest, WeightedEquivalenceWithLloyd) {
                 1.0 + rng.UniformInt(9));
   }
   Rng seed_rng(5);
-  auto seeds = SelectSeeds(data, 8, SeedingMethod::kRandom, &seed_rng);
+  auto seeds = RandomSeeds(data, 8, &seed_rng);
   ASSERT_TRUE(seeds.ok());
   ExpectPruningExact(data, *seeds, LloydConfig{});
 }
@@ -411,8 +389,7 @@ TEST(HamerlyTest, SkipsDominateOnWellSeparatedData) {
   const WeightedDataset data = WeightedDataset::FromUnweighted(
       GenerateSeparatedClusters(5000, 4, 8, 500.0, 1.0, &rng));
   Rng seed_rng(6);
-  auto seeds =
-      SelectSeeds(data, 8, SeedingMethod::kKMeansPlusPlus, &seed_rng);
+  auto seeds = KMeansPlusPlusSeeds(data, 8, &seed_rng);
   ASSERT_TRUE(seeds.ok());
   const ScanCounts scans = ExpectPruningExact(data, *seeds, LloydConfig{});
   EXPECT_LT(2 * scans.pruned, scans.full);
@@ -432,7 +409,7 @@ TEST(HamerlyTest, EmptyClusterRepaired) {
   LloydConfig config;
   config.accelerate = true;
   auto model = RunWeightedLloyd(
-      data, MakeCentroids({{-500.0}, {-500.0}}), config, &rng);
+      data, MakeCentroids({{-500.0}, {-500.0}}), config);
   ASSERT_TRUE(model.ok());
   EXPECT_GT(model->weights[0], 0.0);
   EXPECT_GT(model->weights[1], 0.0);
@@ -440,26 +417,6 @@ TEST(HamerlyTest, EmptyClusterRepaired) {
   std::sort(c.begin(), c.end());
   EXPECT_NEAR(c[0], 0.0, 1.0);
   EXPECT_NEAR(c[1], 80.0, 1.0);
-}
-
-TEST(HamerlyTest, TrackAssignmentsMatchesNearest) {
-  Rng rng(6);
-  const Dataset points = GenerateMisrLikeCell(500, &rng);
-  const WeightedDataset data = WeightedDataset::FromUnweighted(points);
-  Rng seed_rng(7);
-  auto seeds = SelectSeeds(data, 6, SeedingMethod::kRandom, &seed_rng);
-  ASSERT_TRUE(seeds.ok());
-  LloydConfig config;
-  config.track_assignments = true;
-  config.accelerate = true;
-  Rng r(1);
-  auto model = RunWeightedLloyd(data, *seeds, config, &r);
-  ASSERT_TRUE(model.ok());
-  ASSERT_EQ(model->assignments.size(), 500u);
-  for (size_t i = 0; i < 500; ++i) {
-    EXPECT_EQ(model->assignments[i],
-              NearestCentroidIndex(points.Row(i), model->centroids));
-  }
 }
 
 TEST(HamerlyTest, AcceleratedKMeansEndToEnd) {
@@ -486,10 +443,9 @@ struct DiffCase {
   LloydConfig config;
 };
 
-Dataset RandomSeeds(const WeightedDataset& data, size_t k,
-                    SeedingMethod method = SeedingMethod::kRandom) {
+Dataset SeedsFor(const WeightedDataset& data, size_t k) {
   Rng rng(k);
-  auto seeds = SelectSeeds(data, k, method, &rng);
+  auto seeds = RandomSeeds(data, k, &rng);
   PMKM_CHECK(seeds.ok()) << seeds.status();
   return std::move(seeds).value();
 }
@@ -541,13 +497,13 @@ DiffCase MakeDiffCase(const std::string& name) {
   } else if (name == "k1") {
     Rng rng(32);
     c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(500, &rng));
-    c.seeds = RandomSeeds(c.data, 1);
+    c.seeds = SeedsFor(c.data, 1);
   } else if (name == "k13_d5") {
     Rng rng(33);
     spec.dim = 5;
     c.data =
         WeightedDataset::FromUnweighted(GenerateMisrLikeCell(2000, &rng, spec));
-    c.seeds = RandomSeeds(c.data, 13);
+    c.seeds = SeedsFor(c.data, 13);
   } else if (name == "offset_1e6") {
     // Distances are tiny next to the coordinates, so every difference
     // cancels most of its bits.
@@ -559,7 +515,7 @@ DiffCase MakeDiffCase(const std::string& name) {
       }
     }
     c.data = WeightedDataset::FromUnweighted(std::move(points));
-    c.seeds = RandomSeeds(c.data, 10);
+    c.seeds = SeedsFor(c.data, 10);
   } else if (name == "weighted_merge") {
     // A merge step's input: 28 partitions' worth of weighted centroids,
     // seeded with the heaviest 40.
@@ -569,12 +525,12 @@ DiffCase MakeDiffCase(const std::string& name) {
     for (size_t i = 0; i < pooled.size(); ++i) {
       c.data.Append(pooled.Row(i), 1.0 + rng.UniformInt(500));
     }
-    c.seeds = RandomSeeds(c.data, 40, SeedingMethod::kHeaviestWeight);
+    c.seeds = *HeaviestSeeds(c.data, 40);
   } else if (name == "epsilon0") {
     // Runs to the iteration cap, so drift accumulates in the bounds.
     Rng rng(36);
     c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(3000, &rng));
-    c.seeds = RandomSeeds(c.data, 20);
+    c.seeds = SeedsFor(c.data, 20);
     c.config.epsilon = 0.0;
     c.config.max_iterations = 300;
   } else if (name == "chunk_2730") {
@@ -582,14 +538,14 @@ DiffCase MakeDiffCase(const std::string& name) {
     // points, 2 past a multiple of 4.
     Rng rng(37);
     c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(2730, &rng));
-    c.seeds = RandomSeeds(c.data, 40);
+    c.seeds = SeedsFor(c.data, 40);
   } else if (name == "n1027_d1") {
     // 3 points past a multiple of 4, one coordinate each.
     Rng rng(38);
     spec.dim = 1;
     c.data =
         WeightedDataset::FromUnweighted(GenerateMisrLikeCell(1027, &rng, spec));
-    c.seeds = RandomSeeds(c.data, 7);
+    c.seeds = SeedsFor(c.data, 7);
   } else if (name == "ball_duplicate_seeds") {
     // k = 24 above kBallMinK with 8 seeds repeated: a duplicated owner
     // has s = 0 and takes the full scan, the others the ball.
@@ -607,12 +563,12 @@ DiffCase MakeDiffCase(const std::string& name) {
         c.data.Append(points.Row(i), 1.0);
       }
     }
-    c.seeds = RandomSeeds(c.data, 30);
+    c.seeds = SeedsFor(c.data, 30);
   } else if (name == "k64" || name == "k65") {
     // The widest ring mask, and one centroid past it (no ball).
     Rng rng(41);
     c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(4000, &rng));
-    c.seeds = RandomSeeds(c.data, name == "k64" ? 64 : 65);
+    c.seeds = SeedsFor(c.data, name == "k64" ? 64 : 65);
   } else {
     PMKM_CHECK(false) << "unknown case " << name;
   }
@@ -644,11 +600,9 @@ class PruningDifferential : public ::testing::TestWithParam<const char*> {};
 TEST_P(PruningDifferential, BitwiseEqualToFullScanOnEveryKernel) {
   const DiffCase c = MakeDiffCase(GetParam());
   LloydConfig config = c.config;
-  config.track_assignments = true;
   config.accelerate = false;
   config.kernel = &GetKernel(KernelKind::kScalar);
-  Rng ref_rng(1);
-  auto ref = RunWeightedLloyd(c.data, c.seeds, config, &ref_rng);
+  auto ref = RunWeightedLloyd(c.data, c.seeds, config);
   ASSERT_TRUE(ref.ok()) << ref.status();
   for (const DistanceKernel* kernel : AvailableKernels()) {
     for (bool accelerate : {false, true}) {
@@ -656,8 +610,7 @@ TEST_P(PruningDifferential, BitwiseEqualToFullScanOnEveryKernel) {
                    (accelerate ? " pruned" : " full scan"));
       config.kernel = kernel;
       config.accelerate = accelerate;
-      Rng rng(1);
-      auto model = RunWeightedLloyd(c.data, c.seeds, config, &rng);
+      auto model = RunWeightedLloyd(c.data, c.seeds, config);
       ASSERT_TRUE(model.ok()) << model.status();
       ExpectBitwiseEqual(*ref, *model);
     }
@@ -696,7 +649,7 @@ StarvationCase MakeStarvationCase(const std::string& name) {
     Rng rng(38);
     c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(600, &rng));
     Rng seed_rng(1038);
-    c.seeds = *SelectSeeds(c.data, 40, SeedingMethod::kRandom, &seed_rng);
+    c.seeds = *RandomSeeds(c.data, 40, &seed_rng);
     c.digest = 0x2a28dd8bf6823893;
     c.calm_passes = 2;
     c.first_repairs = 1;
@@ -706,7 +659,7 @@ StarvationCase MakeStarvationCase(const std::string& name) {
     // takes a different donor.
     Rng rng(44);
     c.data = WeightedDataset::FromUnweighted(GenerateMisrLikeCell(2000, &rng));
-    const Dataset random = RandomSeeds(c.data, 16);
+    const Dataset random = SeedsFor(c.data, 16);
     c.seeds = Dataset(c.data.dim());
     for (size_t j = 0; j < random.size(); ++j) {
       std::vector<double> seed(random.Row(j < 3 ? 0 : j).begin(),
@@ -745,8 +698,7 @@ TEST_P(StarvationDifferential, ModelBytesMatchPinnedDigestOnEveryKernel) {
       config.accelerate = accelerate;
       LloydCounters counters;
       config.counters = &counters;
-      Rng rng(1);
-      auto model = RunWeightedLloyd(c.data, c.seeds, config, &rng);
+      auto model = RunWeightedLloyd(c.data, c.seeds, config);
       ASSERT_TRUE(model.ok()) << model.status();
       EXPECT_EQ(ModelDigest(*model), c.digest)
           << std::hex << "digest 0x" << ModelDigest(*model);
@@ -756,13 +708,11 @@ TEST_P(StarvationDifferential, ModelBytesMatchPinnedDigestOnEveryKernel) {
       config.max_iterations = c.calm_passes;
       config.counters = &calm;
       if (c.calm_passes > 0) {
-        Rng calm_rng(1);
-        ASSERT_TRUE(RunWeightedLloyd(c.data, c.seeds, config, &calm_rng).ok());
+        ASSERT_TRUE(RunWeightedLloyd(c.data, c.seeds, config).ok());
       }
       config.max_iterations = c.calm_passes + 1;
       config.counters = &next;
-      Rng next_rng(1);
-      ASSERT_TRUE(RunWeightedLloyd(c.data, c.seeds, config, &next_rng).ok());
+      ASSERT_TRUE(RunWeightedLloyd(c.data, c.seeds, config).ok());
       EXPECT_EQ(calm.empty_repairs, 0u);
       EXPECT_EQ(next.empty_repairs, c.first_repairs);
       EXPECT_GE(counters.empty_repairs, next.empty_repairs);

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "cluster/kmeans_plus_plus.h"
 #include "data/generator.h"
 
 namespace pmkm {
@@ -20,18 +21,20 @@ WeightedDataset MakeWeighted(std::vector<double> weights) {
 TEST(SeedingTest, RejectsInvalidRequests) {
   Rng rng(1);
   const auto data = MakeWeighted({1, 1, 1});
-  EXPECT_TRUE(SelectSeeds(data, 0, SeedingMethod::kRandom, &rng)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(SelectSeeds(data, 4, SeedingMethod::kRandom, &rng)
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(RandomSeeds(data, 0, &rng).status().IsInvalidArgument());
+  EXPECT_TRUE(RandomSeeds(data, 4, &rng).status().IsInvalidArgument());
+  EXPECT_TRUE(HeaviestSeeds(data, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(HeaviestSeeds(data, 4).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      KMeansPlusPlusSeeds(data, 0, &rng).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      KMeansPlusPlusSeeds(data, 4, &rng).status().IsInvalidArgument());
 }
 
 TEST(SeedingTest, RandomSeedsAreDistinctDataPoints) {
   Rng rng(2);
   const auto data = MakeWeighted(std::vector<double>(20, 1.0));
-  auto seeds = SelectSeeds(data, 10, SeedingMethod::kRandom, &rng);
+  auto seeds = RandomSeeds(data, 10, &rng);
   ASSERT_TRUE(seeds.ok());
   ASSERT_EQ(seeds->size(), 10u);
   std::set<double> values;
@@ -45,10 +48,8 @@ TEST(SeedingTest, RandomSeedsAreDistinctDataPoints) {
 }
 
 TEST(SeedingTest, HeaviestWeightPicksTopK) {
-  Rng rng(3);
   const auto data = MakeWeighted({5.0, 50.0, 1.0, 30.0, 2.0});
-  auto seeds =
-      SelectSeeds(data, 2, SeedingMethod::kHeaviestWeight, &rng);
+  auto seeds = HeaviestSeeds(data, 2);
   ASSERT_TRUE(seeds.ok());
   std::set<double> values;
   for (size_t i = 0; i < seeds->size(); ++i) values.insert((*seeds)(i, 0));
@@ -58,19 +59,16 @@ TEST(SeedingTest, HeaviestWeightPicksTopK) {
 }
 
 TEST(SeedingTest, HeaviestWeightIsDeterministic) {
-  Rng r1(1), r2(99);  // rng must not matter
   const auto data = MakeWeighted({5.0, 50.0, 1.0, 30.0, 2.0});
-  auto a = SelectSeeds(data, 3, SeedingMethod::kHeaviestWeight, &r1);
-  auto b = SelectSeeds(data, 3, SeedingMethod::kHeaviestWeight, &r2);
+  auto a = HeaviestSeeds(data, 3);
+  auto b = HeaviestSeeds(data, 3);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(*a, *b);
 }
 
 TEST(SeedingTest, HeaviestWeightTieBreaksByIndex) {
-  Rng rng(4);
   const auto data = MakeWeighted({7.0, 7.0, 7.0, 7.0});
-  auto seeds =
-      SelectSeeds(data, 2, SeedingMethod::kHeaviestWeight, &rng);
+  auto seeds = HeaviestSeeds(data, 2);
   ASSERT_TRUE(seeds.ok());
   EXPECT_DOUBLE_EQ((*seeds)(0, 0), 0.0);
   EXPECT_DOUBLE_EQ((*seeds)(1, 0), 1.0);
@@ -88,8 +86,7 @@ TEST(SeedingTest, KMeansPlusPlusSpreadsSeeds) {
   int both_blobs = 0;
   for (int trial = 0; trial < 20; ++trial) {
     Rng trial_rng(100 + trial);
-    auto seeds =
-        SelectSeeds(data, 2, SeedingMethod::kKMeansPlusPlus, &trial_rng);
+    auto seeds = KMeansPlusPlusSeeds(data, 2, &trial_rng);
     ASSERT_TRUE(seeds.ok());
     const bool a_low = (*seeds)(0, 0) < 500.0;
     const bool b_low = (*seeds)(1, 0) < 500.0;
@@ -104,8 +101,7 @@ TEST(SeedingTest, KMeansPlusPlusHandlesDuplicatePoints) {
   for (int i = 0; i < 10; ++i) {
     data.Append(std::vector<double>{42.0}, 1.0);
   }
-  auto seeds =
-      SelectSeeds(data, 3, SeedingMethod::kKMeansPlusPlus, &rng);
+  auto seeds = KMeansPlusPlusSeeds(data, 3, &rng);
   ASSERT_TRUE(seeds.ok());  // falls back to uniform when all D² mass is 0
   EXPECT_EQ(seeds->size(), 3u);
 }
@@ -113,16 +109,17 @@ TEST(SeedingTest, KMeansPlusPlusHandlesDuplicatePoints) {
 TEST(SeedingTest, KEqualsNReturnsEverything) {
   Rng rng(7);
   const auto data = MakeWeighted({1.0, 2.0, 3.0});
-  for (auto method :
-       {SeedingMethod::kRandom, SeedingMethod::kHeaviestWeight,
-        SeedingMethod::kKMeansPlusPlus}) {
-    auto seeds = SelectSeeds(data, 3, method, &rng);
-    ASSERT_TRUE(seeds.ok());
+  const std::pair<const char*, Result<Dataset>> all[] = {
+      {"random", RandomSeeds(data, 3, &rng)},
+      {"heaviest", HeaviestSeeds(data, 3)},
+      {"kmeans++", KMeansPlusPlusSeeds(data, 3, &rng)}};
+  for (const auto& [name, seeds] : all) {
+    ASSERT_TRUE(seeds.ok()) << name;
     std::set<double> values;
     for (size_t i = 0; i < seeds->size(); ++i) {
       values.insert((*seeds)(i, 0));
     }
-    EXPECT_EQ(values.size(), 3u) << SeedingMethodToString(method);
+    EXPECT_EQ(values.size(), 3u) << name;
   }
 }
 

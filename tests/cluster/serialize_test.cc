@@ -34,20 +34,19 @@ class SerializeTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-ClusteringModel FitSample(bool with_assignments) {
+ClusteringModel FitSample() {
   Rng rng(1);
   const Dataset cell = GenerateMisrLikeCell(500, &rng);
   KMeansConfig config;
   config.k = 7;
   config.restarts = 2;
-  config.lloyd.track_assignments = with_assignments;
   auto model = KMeans(config).Fit(cell);
   PMKM_CHECK(model.ok());
   return std::move(model).value();
 }
 
 TEST_F(SerializeTest, RoundTripWithoutAssignments) {
-  const ClusteringModel original = FitSample(false);
+  const ClusteringModel original = FitSample();
   const std::string path = Path("m.pmkm");
   ASSERT_TRUE(SaveModel(path, original).ok());
   auto loaded = LoadModel(path);
@@ -58,17 +57,6 @@ TEST_F(SerializeTest, RoundTripWithoutAssignments) {
   EXPECT_DOUBLE_EQ(loaded->mse_per_point, original.mse_per_point);
   EXPECT_EQ(loaded->iterations, original.iterations);
   EXPECT_EQ(loaded->converged, original.converged);
-  EXPECT_TRUE(loaded->assignments.empty());
-}
-
-TEST_F(SerializeTest, RoundTripWithAssignments) {
-  const ClusteringModel original = FitSample(true);
-  ASSERT_FALSE(original.assignments.empty());
-  const std::string path = Path("ma.pmkm");
-  ASSERT_TRUE(SaveModel(path, original).ok());
-  auto loaded = LoadModel(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->assignments, original.assignments);
 }
 
 TEST_F(SerializeTest, EmptyModelRejected) {
@@ -79,7 +67,7 @@ TEST_F(SerializeTest, EmptyModelRejected) {
 TEST_F(SerializeTest, UnloadableModelIsNotSaved) {
   // SaveModel applies LoadModel's value checks, so it never publishes a
   // file that could not be read back.
-  ClusteringModel model = FitSample(false);
+  ClusteringModel model = FitSample();
   model.weights[1] = std::numeric_limits<double>::quiet_NaN();
   const std::string path = Path("nan_weight.pmkm");
   const Status st = SaveModel(path, model);
@@ -101,7 +89,7 @@ TEST_F(SerializeTest, GarbageFileRejected) {
 }
 
 TEST_F(SerializeTest, BitFlipDetectedByChecksum) {
-  const ClusteringModel original = FitSample(false);
+  const ClusteringModel original = FitSample();
   const std::string path = Path("flip.pmkm");
   ASSERT_TRUE(SaveModel(path, original).ok());
   {
@@ -119,7 +107,7 @@ TEST_F(SerializeTest, BitFlipDetectedByChecksum) {
 }
 
 TEST_F(SerializeTest, TruncationDetected) {
-  const ClusteringModel original = FitSample(false);
+  const ClusteringModel original = FitSample();
   const std::string path = Path("trunc.pmkm");
   ASSERT_TRUE(SaveModel(path, original).ok());
   std::filesystem::resize_file(path,
@@ -172,13 +160,13 @@ void ExpectRejected(const Status& st, const std::string& path,
 
 TEST_F(SerializeTest, ReHashedOriginalStillLoads) {
   const std::string path = Path("same.pmkm");
-  ASSERT_TRUE(SaveModel(path, FitSample(true)).ok());
+  ASSERT_TRUE(SaveModel(path, FitSample()).ok());
   EXPECT_TRUE(CraftedModel(path).Load().ok());
 }
 
 TEST_F(SerializeTest, HugeHeaderShapeRejectedBeforeAllocating) {
   const std::string path = Path("huge.pmkm");
-  ASSERT_TRUE(SaveModel(path, FitSample(false)).ok());
+  ASSERT_TRUE(SaveModel(path, FitSample()).ok());
   {
     // k = 2^40 used to reach a k·dim allocation and abort the process
     // with std::bad_alloc.
@@ -201,7 +189,7 @@ TEST_F(SerializeTest, HugeHeaderShapeRejectedBeforeAllocating) {
 }
 
 TEST_F(SerializeTest, NonFiniteCentroidRejected) {
-  const ClusteringModel model = FitSample(false);
+  const ClusteringModel model = FitSample();
   const std::string path = Path("nan.pmkm");
   ASSERT_TRUE(SaveModel(path, model).ok());
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
@@ -216,7 +204,7 @@ TEST_F(SerializeTest, NonFiniteCentroidRejected) {
 }
 
 TEST_F(SerializeTest, BadWeightRejected) {
-  const ClusteringModel model = FitSample(false);
+  const ClusteringModel model = FitSample();
   const std::string path = Path("w.pmkm");
   ASSERT_TRUE(SaveModel(path, model).ok());
   const size_t weights = kOffCentroids + model.k() * model.dim() * 8;
@@ -232,28 +220,10 @@ TEST_F(SerializeTest, BadWeightRejected) {
   EXPECT_TRUE(m.Load().ok());
 }
 
-TEST_F(SerializeTest, BadAssignmentsRejected) {
-  const ClusteringModel model = FitSample(true);
-  const std::string path = Path("a.pmkm");
-  ASSERT_TRUE(SaveModel(path, model).ok());
-  const size_t count = kOffCentroids + model.k() * (model.dim() + 1) * 8;
-  {
-    CraftedModel m(path);
-    m.Put<uint32_t>(count + 8 + 5 * sizeof(uint32_t),
-                    static_cast<uint32_t>(model.k()));
-    ExpectRejected(m.Load(), path, "assignment of point 5");
-  }
-  {
-    CraftedModel m(path);
-    m.Put<uint64_t>(count, uint64_t{1} << 40);
-    ExpectRejected(m.Load(), path, "assignments");
-  }
-}
-
 // The on-disk bytes of a small hand-built model, pinned as hex. The
 // layout is the one serialize.h documents; a codec change that moves any
 // byte (including the FNV-1a trailer) fails here.
-ClusteringModel GoldenModel(bool with_assignments) {
+ClusteringModel GoldenModel() {
   ClusteringModel model;
   auto centroids = Dataset::FromFlat(2, {1.5, -0.0, 0.1 + 0.2, 4.9e-324});
   PMKM_CHECK(centroids.ok());
@@ -263,7 +233,6 @@ ClusteringModel GoldenModel(bool with_assignments) {
   model.mse_per_point = 0.0625;
   model.iterations = 5;
   model.converged = true;
-  if (with_assignments) model.assignments = {1, 0, 1};
   return model;
 }
 
@@ -279,9 +248,16 @@ std::string FileHex(const std::string& path) {
   return hex;
 }
 
+void WriteHex(const std::string& path, const std::string& hex) {
+  std::ofstream out(path, std::ios::binary);
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.put(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+}
+
 TEST_F(SerializeTest, GoldenBytesWithoutAssignments) {
   const std::string path = Path("golden.pmkm");
-  ASSERT_TRUE(SaveModel(path, GoldenModel(false)).ok());
+  ASSERT_TRUE(SaveModel(path, GoldenModel()).ok());
   EXPECT_EQ(FileHex(path),
       "504d4b4d010000000200000000000000020000000000000000000000"
       "000000000000000000000240000000000000b03f0500000000000000"
@@ -290,21 +266,50 @@ TEST_F(SerializeTest, GoldenBytesWithoutAssignments) {
       "026e334634f558ca");
 }
 
+// The same model with flags bit 0 and three per-point assignments after
+// the weights, as the codec once wrote it when asked to: no shipped
+// binary did, and the decoder now rejects the flag.
 TEST_F(SerializeTest, GoldenBytesWithAssignments) {
   const std::string path = Path("golden_a.pmkm");
-  ASSERT_TRUE(SaveModel(path, GoldenModel(true)).ok());
-  EXPECT_EQ(FileHex(path),
+  WriteHex(path,
       "504d4b4d010000000200000000000000020000000000000001000000"
       "000000000000000000000240000000000000b03f0500000000000000"
       "0100000000000000000000000000f83f000000000000008034333333"
       "3333d33f01000000000000000000000000000840000000000000e03f"
       "0300000000000000010000000000000001000000e8c5256672942bbf");
+  ExpectRejected(LoadModel(path).status(), path, "flags");
+}
+
+// Every seed of the model fuzz corpus loads or is rejected as its name
+// says: valid.pmkm is a well-formed model, huge_k.pmkm claims 2^40
+// centroids, and assignments_flag.pmkm carries the retired flag bit 0 with
+// its assignment section.
+TEST_F(SerializeTest, FuzzCorpusSeedsLoadOrRejectAsNamed) {
+  const std::filesystem::path dir = PMKM_MODEL_CORPUS_DIR;
+  size_t seeds = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    ++seeds;
+    const std::string path = entry.path().string();
+    const std::string name = entry.path().filename().string();
+    SCOPED_TRACE(name);
+    const Status st = LoadModel(path).status();
+    if (name == "valid.pmkm") {
+      EXPECT_TRUE(st.ok()) << st;
+    } else if (name == "huge_k.pmkm") {
+      ExpectRejected(st, path, "exceeds its payload");
+    } else if (name == "assignments_flag.pmkm") {
+      ExpectRejected(st, path, "flags");
+    } else {
+      ADD_FAILURE() << "unexpected seed " << name;
+    }
+  }
+  EXPECT_EQ(seeds, 3u);
 }
 
 TEST_F(SerializeTest, LoadedModelPredictsIdentically) {
   Rng rng(2);
   const Dataset cell = GenerateMisrLikeCell(300, &rng);
-  const ClusteringModel original = FitSample(false);
+  const ClusteringModel original = FitSample();
   const std::string path = Path("pred.pmkm");
   ASSERT_TRUE(SaveModel(path, original).ok());
   auto loaded = LoadModel(path);

@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "cluster/metrics.h"
+#include "cluster/seeding.h"
 #include "data/generator.h"
 #include "data/io.h"
 #include "data/slicing.h"
@@ -104,16 +105,14 @@ TEST_P(LloydMonotoneProperty, SseNonIncreasingInIterationBudget) {
   const Dataset points = GenerateMisrLikeCell(static_cast<size_t>(n), &rng);
   const WeightedDataset data = WeightedDataset::FromUnweighted(points);
   Rng seed_rng(7);
-  auto seeds =
-      SelectSeeds(data, 12, SeedingMethod::kRandom, &seed_rng);
+  auto seeds = RandomSeeds(data, 12, &seed_rng);
   ASSERT_TRUE(seeds.ok());
 
   double prev = std::numeric_limits<double>::infinity();
   for (size_t budget : {1u, 2u, 4u, 8u, 16u, 64u}) {
     LloydConfig config;
     config.max_iterations = budget;
-    Rng lloyd_rng(11);
-    auto model = RunWeightedLloyd(data, *seeds, config, &lloyd_rng);
+    auto model = RunWeightedLloyd(data, *seeds, config);
     ASSERT_TRUE(model.ok());
     EXPECT_LE(model->sse, prev * (1.0 + 1e-9))
         << "budget " << budget << " worsened the error";

@@ -136,9 +136,8 @@ TEST_P(RefineProperty, RawErrorNonIncreasingInBudget) {
   for (size_t budget : {1u, 3u, 10u}) {
     LloydConfig refine;
     refine.max_iterations = budget;
-    Rng lloyd_rng(1);
     auto refined = RunWeightedLloyd(WeightedDataset::FromUnweighted(cell),
-                                    merged, refine, &lloyd_rng);
+                                    merged, refine);
     ASSERT_TRUE(refined.ok());
     const double raw = Sse(refined->centroids, cell);
     EXPECT_LE(raw, prev * (1.0 + 1e-9)) << "budget " << budget;

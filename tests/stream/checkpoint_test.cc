@@ -648,6 +648,21 @@ TEST_F(CheckpointEngineTest, DifferentConfigDoesNotResume) {
   }
 }
 
+// The fingerprint a default-configured run journals (MISR-like D = 6, so
+// N' = 16 MiB / (6 * 8 * 4) points). It hashes the partial's random
+// seeding and the merge's one restart, heaviest seeding and seed 1 as
+// constants in the slots they held while they were settable; a change
+// here would discard every journal written before it instead of resuming.
+TEST_F(CheckpointEngineTest, DefaultConfigFingerprintIsPinned) {
+  const std::vector<std::string> paths = WriteBuckets(1, 60);
+  auto run = PipelineBuilder().WithCheckpoint(CkptDir()).Run(paths);
+  ASSERT_TRUE(run.ok()) << run.status();
+  auto loaded = LoadCheckpoint(CkptDir());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(loaded->fingerprint_known);
+  EXPECT_EQ(loaded->config_fingerprint, 0xd7df6484901a23e8ull);
+}
+
 TEST_F(CheckpointEngineTest, ResumeStillRejectsTwoBucketsOfOneCell) {
   // A degraded run (its empty bucket is quarantined) journals cells 1 and
   // 2 and leaves the journal open. The next run lists a second bucket of

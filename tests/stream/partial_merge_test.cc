@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "cluster/kmeans_plus_plus.h"
 #include "cluster/metrics.h"
 #include "data/generator.h"
 #include "data/slicing.h"
@@ -121,14 +123,34 @@ TEST(PartialMergeTest, RecoversWellSeparatedClusters) {
   const Dataset cell =
       GenerateSeparatedClusters(3000, 4, 6, 150.0, 1.0, &rng, &centers);
   // Random seeds land one per blob in a chunk with probability 6!/6^6 per
-  // restart, so the partial step seeds with k-means++ (which does, on
-  // every seed tried) and the merge keeps the paper's heaviest-k rule.
-  PipelineBuilder builder = Pipeline(3000, 6, 6);
-  KMeansConfig partial = builder.options().partial;
-  partial.seeding = SeedingMethod::kKMeansPlusPlus;
-  auto run = RunCell(builder.WithPartialKMeans(partial), cell);
-  ASSERT_TRUE(run.ok());
-  const ClusteringModel& model = run->cells.at(kCell).model;
+  // restart, so each of the six 500-point chunks is fit from k-means++
+  // seeds (which do, on every seed tried) and the merge keeps the paper's
+  // heaviest-k rule. The engine seeds its partials at random only, so the
+  // chunks are fit here, each with the R and the seed stream
+  // PartialKMeans would give it, and pooled as the merge operator pools
+  // them.
+  const PipelineBuilder builder = Pipeline(3000, 6, 6);
+  const KMeansConfig& partial = builder.options().partial;
+  WeightedDataset pooled(cell.dim());
+  for (uint64_t p = 0; p < 6; ++p) {
+    // PartialKMeansOperator's seed tag for partition p of cell {0, 0},
+    // mixed into the master seed as PartialKMeans::Cluster does.
+    const uint64_t seed =
+        Rng(partial.seed).Fork((p << 17) ^ 0x70617274ULL).Next();
+    auto fit = FitKMeansPlusPlus(
+        WeightedDataset::FromUnweighted(SlicePoints(cell, 500 * p,
+                                                    500 * (p + 1))),
+        partial.k, partial.restarts, seed, partial.lloyd);
+    ASSERT_TRUE(fit.ok()) << fit.status();
+    for (size_t j = 0; j < fit->k(); ++j) {
+      if (fit->weights[j] > 0.0) {
+        pooled.Append(fit->centroids.Row(j), fit->weights[j]);
+      }
+    }
+  }
+  auto merged = MergeKMeans(builder.options().merge).Merge(pooled);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  const ClusteringModel& model = *merged;
   for (const auto& truth : centers) {
     double best = 1e30;
     for (size_t j = 0; j < model.k(); ++j) {
@@ -206,11 +228,34 @@ TEST(PartialMergeTest, PartitionDiagnosticsFilled) {
     partial_seen = true;
     EXPECT_EQ(stats.rows_in, 1500u);
     EXPECT_EQ(stats.rows_out, run->cells.at(kCell).pooled_centroids);
-    EXPECT_EQ(stats.kmeans_restarts, 5u * 3u);  // R per chunk
+    EXPECT_EQ(stats.kmeans_restarts, 5u * 3u);  // R per fitted chunk
     EXPECT_GE(stats.kmeans_iterations, 5u);     // ≥ 1 per chunk
     EXPECT_GT(stats.cpu_seconds, 0.0);
   }
   EXPECT_TRUE(partial_seen);
+}
+
+TEST(PartialMergeTest, RestartsCountOnlyFitsThatRan) {
+  // A chunk or a pool of at most k points passes through without a fit,
+  // so it adds no restarts; the merge's one fit adds one.
+  struct Case {
+    size_t n, k, splits;
+    uint64_t partial_restarts, merge_restarts;
+  };
+  for (const Case& c : {Case{4, 4, 2, 0, 0}, Case{3, 2, 10, 0, 1}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " k=" + std::to_string(c.k));
+    Rng rng(13);
+    auto run = RunCell(Pipeline(c.n, c.k, c.splits),
+                       GenerateUniform(c.n, 2, 0.0, 1.0, &rng));
+    ASSERT_TRUE(run.ok()) << run.status();
+    for (const OperatorStats& stats : run->operator_stats) {
+      if (stats.name.starts_with("partial-kmeans")) {
+        EXPECT_EQ(stats.kmeans_restarts, c.partial_restarts);
+      } else if (stats.name == "merge-kmeans") {
+        EXPECT_EQ(stats.kmeans_restarts, c.merge_restarts);
+      }
+    }
+  }
 }
 
 TEST(PartialMergeTest, MergeKCanDiffer) {
@@ -234,9 +279,8 @@ TEST(PartialMergeTest, RefinementNeverHurtsRawError) {
   const ClusteringModel& merged = run->cells.at(kCell).model;
   LloydConfig refine;
   refine.max_iterations = 5;
-  Rng lloyd_rng(1);
   auto refined = RunWeightedLloyd(WeightedDataset::FromUnweighted(cell),
-                                  merged.centroids, refine, &lloyd_rng);
+                                  merged.centroids, refine);
   ASSERT_TRUE(refined.ok());
   const double raw_plain = Sse(merged.centroids, cell);
   const double raw_refined = Sse(refined->centroids, cell);

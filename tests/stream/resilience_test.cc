@@ -116,7 +116,6 @@ class ResilienceTest : public ::testing::Test {
   static MergeKMeansConfig MergeConfig() {
     MergeKMeansConfig config;
     config.k = 2;
-    config.restarts = 2;
     return config;
   }
 
@@ -377,7 +376,6 @@ TEST_F(ResilienceTest, SkipAndContinueQuarantinesCellWhoseMergeFails) {
   partial.restarts = 1;
   MergeKMeansConfig merge;
   merge.k = 40;
-  merge.restarts = 1;
   ResourceModel resources;
   resources.cores = 1;
   StreamExecOptions exec;

@@ -93,12 +93,7 @@ pmkm::Status InspectModel(const std::string& path) {
             << "  E (sse)    : " << model->sse << "\n"
             << "  E / weight : " << model->mse_per_point << "\n"
             << "  iterations : " << model->iterations
-            << (model->converged ? " (converged)" : " (cap hit)") << "\n"
-            << "  assignments: "
-            << (model->assignments.empty()
-                    ? std::string("none")
-                    : std::to_string(model->assignments.size()))
-            << "\n";
+            << (model->converged ? " (converged)" : " (cap hit)") << "\n";
   std::vector<size_t> order(model->k());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
