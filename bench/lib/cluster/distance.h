@@ -1,15 +1,16 @@
-// Distance arithmetic: the one squared-distance formula in pmkm.
+// Distance arithmetic: the scalar form of the one squared-distance formula
+// in pmkm, for the experiments and tests (src/ computes every distance in
+// a DistanceKernel, cluster/kernels/kernel.h).
 //
-// Every distance in src/ is SquaredL2's subtract-square sum, in the
-// operation order of every DistanceKernel lane, so a point's distance to
-// a centroid has the same bits wherever it is computed. Batch
-// nearest-centroid queries (metrics, histograms, baselines) go
-// through AssignNearest on the DistanceKernel (cluster/kernels/kernel.h);
-// queries of one point at a time use NearestCentroidIndex below, the
-// scalar scan the kernels reproduce.
+// SquaredL2 is the subtract-square sum in the operation order of every
+// DistanceKernel lane, so a point's distance to a centroid has the same
+// bits wherever it is computed. Batch nearest-centroid queries (metrics,
+// histograms, baselines) go through AssignNearest (kernel.h); queries of
+// one point at a time use NearestCentroidIndex below, the scalar scan the
+// kernels reproduce.
 
-#ifndef PMKM_CLUSTER_DISTANCE_H_
-#define PMKM_CLUSTER_DISTANCE_H_
+#ifndef PMKM_BENCH_LIB_CLUSTER_DISTANCE_H_
+#define PMKM_BENCH_LIB_CLUSTER_DISTANCE_H_
 
 #include <cstddef>
 #include <limits>
@@ -22,7 +23,8 @@ namespace pmkm {
 /// ‖a − b‖² for raw pointers of length `dim`. Uses the operation order of
 /// every DistanceKernel lane (one accumulator, ascending d, separate
 /// multiply and add), so it is bitwise equal to the kernels' distance for
-/// the pair — which holds only because src/ builds with -ffp-contract=off.
+/// the pair — which holds only because src/ and bench/lib/ build with
+/// -ffp-contract=off.
 inline double SquaredL2(const double* a, const double* b, size_t dim) {
   double acc = 0.0;
   for (size_t d = 0; d < dim; ++d) {
@@ -63,4 +65,4 @@ inline size_t NearestCentroidIndex(std::span<const double> x,
 
 }  // namespace pmkm
 
-#endif  // PMKM_CLUSTER_DISTANCE_H_
+#endif  // PMKM_BENCH_LIB_CLUSTER_DISTANCE_H_

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Link check (DESIGN.md §17): src/ is exactly what the shipped binaries
-# call. Fails when any global function defined in src/ is in none of them.
+# call. Fails when any global function defined in src/ is in none of them,
+# or when any src/ header is included by none of their sources.
 #
 #   1. Configures the root project with tests, benchmarks and examples
 #      off, at Debug (-O0, so no function is inlined away into its
@@ -12,6 +13,10 @@
 #      pmkm_schedcheck, which is test-only instrumentation.
 #   3. Fails, naming each function and its object file, if any of them is
 #      in none of the five binaries.
+#   4. Fails, naming each header, if a src/ header (outside
+#      common/schedcheck/) is in no compiler dependency file (<object>.o.d)
+#      of the two builds: no translation unit of theirs includes it, even
+#      through another header.
 #
 # The check works on single functions. Both projects set
 # CMAKE_ENABLE_EXPORTS (-rdynamic, which the profiler's dladdr needs), and
@@ -22,9 +27,10 @@
 # demangled names, which spell the Itanium constructor (C1/C2/C3) and
 # destructor (D0/D1/D2) variants alike: a constructor or destructor counts
 # as linked when any of its variants is. Code only the experiments,
-# examples or tests need belongs in bench/lib/; a test hook is declared in
-# its src/ header and defined in tests/support/. There is no baseline
-# file: any function in the set fails the check.
+# examples or tests need belongs in bench/lib/, and so does a header only
+# they include; a test hook is declared in its src/ header and defined in
+# tests/support/. There is no baseline file: any function or header in
+# either set fails the check.
 #
 # Usage:
 #   scripts/run_link_check.sh [BUILD_DIR]    (default: build-link)
@@ -71,7 +77,8 @@ fi
 # Demangled names hold spaces, so the lists below are tab-separated.
 tab=$'\t'
 linked="$(mktemp)"
-trap 'rm -f "${linked}"' EXIT
+included="$(mktemp)"
+trap 'rm -f "${linked}" "${included}"' EXIT
 for bin in "${binaries[@]}"; do
   nm --defined-only "${bin}" | awk '{ print $NF }'
 done | c++filt | sort -u > "${linked}"
@@ -88,12 +95,37 @@ defined="$(
 )"
 unlinked="$(join -t "${tab}" -v 1 - "${linked}" <<< "${defined}")"
 
+# Every header a compiled object read, as its path under src/. A
+# dependency file is "<object>: <source> <header> ... \" lines; the paths
+# are canonicalized so a symlinked checkout still matches.
+mapfile -t depfiles < <(find "${out}/project" "${out}/benchmark" \
+                          -name '*.o.d')
+if [[ "${#depfiles[@]}" -eq 0 ]]; then
+  echo "FAIL: no compiler dependency files under ${out}" >&2
+  exit 1
+fi
+src_dir="$(realpath src)"
+cat "${depfiles[@]}" | tr -s ' \\' '\n\n' | grep '\.h$' | sort -u |
+  xargs realpath -m | sed -n "s|^${src_dir}/||p" | sort -u > "${included}"
+headers="$(find src -name '*.h' ! -path 'src/common/schedcheck/*' |
+           sed 's|^src/||' | sort)"
+unincluded="$(comm -23 - "${included}" <<< "${headers}")"
+
+status=0
 if [[ -n "${unlinked}" ]]; then
   echo "FAIL: src/ functions that no shipped binary calls (move them to" \
        "bench/lib/, define them in tests/support/, or delete them):" >&2
   awk -F "${tab}" '{ print "  " $2 ": " $1 }' <<< "${unlinked}" | sort >&2
-  exit 1
+  status=1
 fi
+if [[ -n "${unincluded}" ]]; then
+  echo "FAIL: src/ headers that no shipped binary's sources include (move" \
+       "them to bench/lib/ or delete them):" >&2
+  sed 's/^/  /' <<< "${unincluded}" >&2
+  status=1
+fi
+[[ "${status}" -eq 0 ]] || exit 1
 echo "link check: OK ($(wc -l <<< "${defined}") global functions in" \
      "${#libraries[@]} src/ libraries, all linked by the" \
-     "${#binaries[@]} binaries)"
+     "${#binaries[@]} binaries; $(wc -l <<< "${headers}") src/ headers," \
+     "all included by their sources)"

@@ -13,7 +13,9 @@
 // the bounds cannot skip scan only the centroids inside Exponion's ball
 // (cluster/kernels/kernel.h). The pruned step reproduces every point's
 // assignment and squared distance bit for bit, so both produce identical
-// models; LloydConfig::accelerate picks one.
+// models; LloydConfig::accelerate picks one. A fit adds what its pruned
+// passes and repairs did to LloydConfig::counters (LloydCounters,
+// obs/stats.h).
 
 #ifndef PMKM_CLUSTER_LLOYD_H_
 #define PMKM_CLUSTER_LLOYD_H_
@@ -23,32 +25,11 @@
 #include "cluster/model.h"
 #include "common/result.h"
 #include "data/weighted.h"
+#include "obs/stats.h"  // LloydCounters
 
 namespace pmkm {
 
 class DistanceKernel;
-
-/// What some fits did: the raw counts behind the pruned passes' scan
-/// fraction (survivors ÷ pruned_points) and distances per survivor
-/// (survivor_distances ÷ survivors), and the empty-cluster repairs.
-struct LloydCounters {
-  /// Points a pruned pass tested against their bounds.
-  uint64_t pruned_points = 0;
-  /// Of those, the points the bounds could not prove stable: scanned.
-  uint64_t survivors = 0;
-  /// Point-to-centroid distances the survivors' scans computed.
-  uint64_t survivor_distances = 0;
-  /// Starved centroids re-seeded to a donor cluster's farthest point.
-  uint64_t empty_repairs = 0;
-
-  LloydCounters& operator+=(const LloydCounters& other) {
-    pruned_points += other.pruned_points;
-    survivors += other.survivors;
-    survivor_distances += other.survivor_distances;
-    empty_repairs += other.empty_repairs;
-    return *this;
-  }
-};
 
 /// Parameters of one Lloyd run (seed selection happens outside).
 struct LloydConfig {
@@ -75,8 +56,8 @@ struct LloydConfig {
   bool accelerate = true;
 
   /// When non-null, each fit adds its counts here on success. Not
-  /// synchronized: the owner (a stream operator) runs its fits on one
-  /// thread.
+  /// synchronized: the owner runs its fits on one thread. A stream
+  /// operator points it at its own OperatorStats::lloyd.
   LloydCounters* counters = nullptr;
 };
 

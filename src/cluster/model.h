@@ -1,8 +1,8 @@
 // ClusteringModel: the result of any clustering run in pmkm (serial
 // k-means, partial/merge, baselines). Centroids are weighted so a model can
 // itself be fed into a merge step or a histogram builder. A model keeps no
-// per-point assignment: the nearest centroid (cluster/distance.h) of a
-// training point is its cluster.
+// per-point assignment: the nearest centroid (AssignNearest,
+// cluster/kernels/kernel.h) of a training point is its cluster.
 
 #ifndef PMKM_CLUSTER_MODEL_H_
 #define PMKM_CLUSTER_MODEL_H_

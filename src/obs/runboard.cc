@@ -35,7 +35,6 @@ void RunBoard::BeginRun(const std::string& run_id,
     operators_.push_back(std::move(stats));
   }
   have_result_ = false;
-  have_checkpoint_ = false;
 }
 
 void RunBoard::PublishOperator(const std::string& run_id, size_t slot,
@@ -44,14 +43,6 @@ void RunBoard::PublishOperator(const std::string& run_id, size_t slot,
   PMKM_SCHED_POINT("runboard.publish");
   if (run_id != run_id_ || slot >= operators_.size()) return;
   operators_[slot] = stats;
-}
-
-void RunBoard::PublishCheckpoint(const std::string& run_id,
-                                 JsonValue state) {
-  MutexLock lock(mu_);
-  if (run_id != run_id_) return;
-  checkpoint_ = std::move(state);
-  have_checkpoint_ = true;
 }
 
 void RunBoard::EndRun(const std::string& run_id, bool ok,
@@ -104,7 +95,6 @@ JsonValue RunBoard::ToJson() const {
   }
   root.Set("operators", std::move(operators));
   if (have_result_) root.Set("result", result_);
-  if (have_checkpoint_) root.Set("checkpoint", checkpoint_);
   return root;
 }
 

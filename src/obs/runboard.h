@@ -2,14 +2,14 @@
 //
 // The engine publishes into the board as a run progresses — BeginRun with
 // the run id and plan summary, per-operator OperatorStats copies after
-// every chunk/cell, checkpoint state, and EndRun with the full result
-// JSON — and the server's /statusz and /runz handlers read consistent
-// snapshots out. It shows the most recently started run, and ignores
-// publishes and EndRun from any other (pmkm_serve's workers share one
-// board). The board deliberately speaks only obs-layer types
-// (OperatorStats, JsonValue): the stream layer converts its
-// StreamRunResult to JSON before publishing, so obs stays free of stream
-// dependencies.
+// every chunk/cell, and EndRun with the full result JSON, whose report
+// carries the checkpoint numbers — and the server's /statusz and /runz
+// handlers read consistent snapshots out. It shows the most recently
+// started run, and ignores publishes and EndRun from any other
+// (pmkm_serve's workers share one board). The board deliberately speaks
+// only obs-layer types (OperatorStats, JsonValue): the stream layer
+// converts its StreamRunResult to JSON before publishing, so obs stays
+// free of stream dependencies.
 //
 // Cost model: operators publish once per chunk/cell (hundreds to
 // thousands of times per run), each publish copying one OperatorStats
@@ -45,10 +45,6 @@ class RunBoard {
   void PublishOperator(const std::string& run_id, size_t slot,
                        const OperatorStats& stats) PMKM_EXCLUDES(mu_);
 
-  /// Checkpoint/resume state as JSON (shown verbatim under /runz).
-  void PublishCheckpoint(const std::string& run_id, JsonValue state)
-      PMKM_EXCLUDES(mu_);
-
   /// Ends the shown run. `result` is the full StreamRunResult JSON (or
   /// an error object for a failed run); it stays served by /runz until
   /// the next BeginRun.
@@ -70,7 +66,8 @@ class RunBoard {
   StatusSnapshot TakeStatus() const PMKM_EXCLUDES(mu_);
 
   /// /runz payload: {"active":..., "run_id":..., "operators":[...],
-  /// "result": <last EndRun JSON>, "checkpoint": <last published state>}.
+  /// "result": <last EndRun JSON>}; a run's checkpoint numbers are in
+  /// result.report.checkpoint.
   JsonValue ToJson() const PMKM_EXCLUDES(mu_);
 
  private:
@@ -85,9 +82,7 @@ class RunBoard {
   bool last_ok_ PMKM_GUARDED_BY(mu_) = false;
   std::vector<OperatorStats> operators_ PMKM_GUARDED_BY(mu_);
   JsonValue result_ PMKM_GUARDED_BY(mu_);
-  JsonValue checkpoint_ PMKM_GUARDED_BY(mu_);
   bool have_result_ PMKM_GUARDED_BY(mu_) = false;
-  bool have_checkpoint_ PMKM_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace obs

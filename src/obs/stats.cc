@@ -17,10 +17,7 @@ void OperatorStats::MergeFrom(const OperatorStats& other) {
   queue_wait_seconds += other.queue_wait_seconds;
   kmeans_iterations += other.kmeans_iterations;
   kmeans_restarts += other.kmeans_restarts;
-  pruned_points += other.pruned_points;
-  survivors += other.survivors;
-  survivor_distances += other.survivor_distances;
-  empty_repairs += other.empty_repairs;
+  lloyd += other.lloyd;
   retries += other.retries;
   items_dropped += other.items_dropped;
 }
@@ -67,18 +64,18 @@ std::string OperatorStats::ToString() const {
   if (kmeans_iterations > 0) {
     out += " iters=" + std::to_string(kmeans_iterations);
     out += " kmeans_restarts=" + std::to_string(kmeans_restarts);
-    out += " empty_repairs=" + std::to_string(empty_repairs);
+    out += " empty_repairs=" + std::to_string(lloyd.empty_repairs);
   }
-  if (pruned_points > 0) {
+  if (lloyd.pruned_points > 0) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), " scan_frac=%.3f",
-                  static_cast<double>(survivors) /
-                      static_cast<double>(pruned_points));
+                  static_cast<double>(lloyd.survivors) /
+                      static_cast<double>(lloyd.pruned_points));
     out += buf;
-    if (survivors > 0) {
+    if (lloyd.survivors > 0) {
       std::snprintf(buf, sizeof(buf), " dist/survivor=%.2f",
-                    static_cast<double>(survivor_distances) /
-                        static_cast<double>(survivors));
+                    static_cast<double>(lloyd.survivor_distances) /
+                        static_cast<double>(lloyd.survivors));
       out += buf;
     }
   }
@@ -102,10 +99,10 @@ JsonValue OperatorStats::ToJson() const {
   j.Set("queue_wait_seconds", queue_wait_seconds);
   j.Set("kmeans_iterations", kmeans_iterations);
   j.Set("kmeans_restarts", kmeans_restarts);
-  j.Set("pruned_points", pruned_points);
-  j.Set("survivors", survivors);
-  j.Set("survivor_distances", survivor_distances);
-  j.Set("empty_repairs", empty_repairs);
+  j.Set("pruned_points", lloyd.pruned_points);
+  j.Set("survivors", lloyd.survivors);
+  j.Set("survivor_distances", lloyd.survivor_distances);
+  j.Set("empty_repairs", lloyd.empty_repairs);
   j.Set("retries", retries);
   j.Set("items_dropped", items_dropped);
   return j;
@@ -127,11 +124,11 @@ void OperatorStats::ExportTo(MetricsRegistry* registry) const {
   registry->counter(prefix + "kmeans_iterations")
       .Increment(kmeans_iterations);
   registry->counter(prefix + "kmeans_restarts").Increment(kmeans_restarts);
-  registry->counter(prefix + "pruned_points").Increment(pruned_points);
-  registry->counter(prefix + "survivors").Increment(survivors);
+  registry->counter(prefix + "pruned_points").Increment(lloyd.pruned_points);
+  registry->counter(prefix + "survivors").Increment(lloyd.survivors);
   registry->counter(prefix + "survivor_distances")
-      .Increment(survivor_distances);
-  registry->counter(prefix + "empty_repairs").Increment(empty_repairs);
+      .Increment(lloyd.survivor_distances);
+  registry->counter(prefix + "empty_repairs").Increment(lloyd.empty_repairs);
   registry->counter(prefix + "retries").Increment(retries);
   registry->counter(prefix + "items_dropped").Increment(items_dropped);
 }

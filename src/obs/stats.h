@@ -2,7 +2,12 @@
 // and the machine-readable run stats. Each physical operator instance owns
 // one OperatorStats; only its executor thread writes it while running, and
 // the executor copies it into Executor::operator_stats for after the join —
-// so the fields need no atomics.
+// so the fields need no atomics. It is the only place a run counter is
+// tallied: the engine derives RunReport's retries, dropped chunks and
+// partial Lloyd counts from these copies (stream/engine.cc).
+//
+// Header-only for the cluster layer: cluster/lloyd.h includes it for
+// LloydCounters and links nothing of pmkm_obs.
 
 #ifndef PMKM_OBS_STATS_H_
 #define PMKM_OBS_STATS_H_
@@ -21,6 +26,31 @@ class TraceRecorder;
 namespace obs {
 class RunBoard;
 }  // namespace obs
+
+/// What some k-means fits did: the raw counts behind the pruned passes'
+/// scan fraction (survivors ÷ pruned_points) and distances per survivor
+/// (survivor_distances ÷ survivors), and the empty-cluster repairs.
+/// RunWeightedLloyd adds to one through LloydConfig::counters
+/// (cluster/lloyd.h); an operator's lives in its OperatorStats.
+struct LloydCounters {
+  /// Points a pruned pass tested against their bounds.
+  uint64_t pruned_points = 0;
+  /// Of those, the points the bounds could not prove stable: scanned.
+  uint64_t survivors = 0;
+  /// Point-to-centroid distances the survivors' scans computed.
+  uint64_t survivor_distances = 0;
+  /// Starved centroids re-seeded to a donor cluster's farthest point: a
+  /// quality signal, zero on a well-seeded fit.
+  uint64_t empty_repairs = 0;
+
+  LloydCounters& operator+=(const LloydCounters& other) {
+    pruned_points += other.pruned_points;
+    survivors += other.survivors;
+    survivor_distances += other.survivor_distances;
+    empty_repairs += other.empty_repairs;
+    return *this;
+  }
+};
 
 /// Optional observability sinks threaded through a pipeline run. All
 /// pointers may be null (the default): a disabled pipeline pays one
@@ -73,15 +103,10 @@ struct OperatorStats {
   /// passes through without a fit and counts 0.
   uint64_t kmeans_restarts = 0;
 
-  /// The pruned assignment passes of those fits (LloydCounters): points
-  /// tested against their bounds, the survivors scanned, and the
-  /// point-to-centroid distances the survivors' scans computed.
-  uint64_t pruned_points = 0;
-  uint64_t survivors = 0;
-  uint64_t survivor_distances = 0;
-  /// Starved centroids those fits re-seeded (LloydCounters::empty_repairs):
-  /// a quality signal, zero on a well-seeded fit.
-  uint64_t empty_repairs = 0;
+  /// What those fits' pruned passes and empty-cluster repairs did. The
+  /// partial and merge operators point their fits' LloydConfig::counters
+  /// here, so every fit counts, a failed one included.
+  LloydCounters lloyd;
 
   /// Retry grants absorbed (bucket re-reads, chunk re-computes).
   uint64_t retries = 0;

@@ -289,8 +289,6 @@ void LocalService::RunJob(Job* job) {
   if (options_.debug_server != nullptr) {
     builder.WithDebugServer(options_.debug_server);
   }
-  if (options_.metrics != nullptr) builder.WithMetrics(options_.metrics);
-  if (options_.trace != nullptr) builder.WithTrace(options_.trace);
 
   Result<StreamRunResult> result = builder.Run(job->spec.bucket_paths);
 

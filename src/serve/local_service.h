@@ -35,9 +35,6 @@
 
 namespace pmkm {
 
-class MetricsRegistry;
-class TraceRecorder;
-
 namespace obs {
 class DebugServer;
 }  // namespace obs
@@ -72,12 +69,6 @@ struct LocalServiceOptions {
   /// server's RunBoard (/runz, /statusz). Not owned; must outlive the
   /// service.
   obs::DebugServer* debug_server = nullptr;
-
-  /// Optional shared observability sinks wired into every job's run
-  /// (PipelineBuilder::WithMetrics/WithTrace). Not owned; concurrent
-  /// jobs record into the same registry/recorder.
-  MetricsRegistry* metrics = nullptr;
-  TraceRecorder* trace = nullptr;
 };
 
 class LocalService : public ClusterService {

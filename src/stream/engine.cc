@@ -188,7 +188,6 @@ Result<StreamRunResult> RunPlan(
   std::vector<std::string> operator_names{scan->name()};
   ScanOperator* scan_raw = scan.get();
   executor.Add(std::move(scan));
-  std::vector<PartialKMeansOperator*> partial_raw;
   for (size_t c = 0; c < plan.partial_clones; ++c) {
     auto partial = std::make_unique<PartialKMeansOperator>(
         options.partial, points, buffers, centroids,
@@ -197,7 +196,6 @@ Result<StreamRunResult> RunPlan(
     partial->set_obs(exec.obs);
     partial->set_live_slot(operator_names.size());
     operator_names.push_back(partial->name());
-    partial_raw.push_back(partial.get());
     executor.Add(std::move(partial));
   }
   auto merge = std::make_unique<MergeKMeansOperator>(options.merge,
@@ -231,17 +229,20 @@ Result<StreamRunResult> RunPlan(
     out.cells.emplace(cell, std::move(clustering));
   }
 
+  // The report's counters are the operators' own stats: the scan's slot
+  // and the partial clones' slots after it.
+  out.operator_stats = executor.operator_stats();
   RunReport& report = out.report;
   report.failure_policy = exec.failure_policy;
   report.cells_clustered = out.cells.size();
-  report.io_retries = scan_raw->io_retries();
+  report.io_retries = out.operator_stats[0].retries;
   for (const QuarantinedBucket& q : scan_raw->quarantined()) {
     report.quarantined.push_back(QuarantinedCellReport{
         q.path, q.cell, q.cell_known, q.error.ToString()});
   }
-  for (PartialKMeansOperator* partial : partial_raw) {
-    report.chunks_dropped += partial->chunks_dropped();
-    report.partial_lloyd += partial->lloyd_counters();
+  for (size_t c = 1; c <= plan.partial_clones; ++c) {
+    report.chunks_dropped += out.operator_stats[c].items_dropped;
+    report.partial_lloyd += out.operator_stats[c].lloyd;
   }
   // Cells the merge skipped (dropped upstream, failed or incomplete) that
   // the scan did not already report.
@@ -278,7 +279,6 @@ Result<StreamRunResult> RunPlan(
                        exec.obs, &report);
   report.degraded = run_degraded;
 
-  out.operator_stats = executor.operator_stats();
   out.queues.push_back(QueueStatsSnapshot{
       "points", points->capacity(), points->HighWaterMark(),
       points->total_pushed()});
@@ -297,14 +297,6 @@ Result<StreamRunResult> RunPlan(
     }
   }
   if (exec.obs.board != nullptr) {
-    if (checkpoint != nullptr) {
-      JsonValue ckpt = JsonValue::Object();
-      ckpt.Set("cells_journaled", checkpoint->cells_appended());
-      ckpt.Set("epoch", checkpoint->epoch());
-      ckpt.Set("cells_resumed", out.report.cells_resumed);
-      ckpt.Set("degraded", out.report.checkpoint_degraded);
-      exec.obs.board->PublishCheckpoint(exec.obs.run_id, std::move(ckpt));
-    }
     exec.obs.board->EndRun(
         exec.obs.run_id, true, out.report.degraded ? "ok (degraded)" : "ok",
         StreamRunResultToJson(out));

@@ -32,19 +32,11 @@ size_t WeightedBytes(size_t rows, size_t dim) {
   return rows * (dim + 1) * sizeof(double);
 }
 
-// `config` with its fits counting their pruned passes into `counters`.
+// `config` with its fits counting into `counters`.
 template <typename Config>
 Config CountingInto(Config config, LloydCounters* counters) {
   config.lloyd.counters = counters;
   return config;
-}
-
-// Copies an operator's LloydCounters into its stats.
-void RecordLloyd(const LloydCounters& counters, OperatorStats* stats) {
-  stats->pruned_points = counters.pruned_points;
-  stats->survivors = counters.survivors;
-  stats->survivor_distances = counters.survivor_distances;
-  stats->empty_repairs = counters.empty_repairs;
 }
 
 // Records one work-unit latency into the named rolling histogram (last-
@@ -185,7 +177,6 @@ Status ScanOperator::EmitBucketOnce(size_t index) {
     mutable_stats().rows_out += rows;
     mutable_stats().bytes_out += bytes;
     ++partitions_emitted_;
-    ++chunks_emitted_;
     PublishLive();
   }
   RecordRollingUs(obs().metrics, "scan.bucket_us",
@@ -199,7 +190,6 @@ Status ScanOperator::EmitBucketWithRetry(size_t index) {
     const Status st = EmitBucketOnce(index);
     if (st.ok() || st.IsCancelled()) return st;
     if (!retrier.AllowRetry(st)) return st;
-    ++io_retries_;
     ++mutable_stats().retries;
   }
 }
@@ -250,7 +240,7 @@ PartialKMeansOperator::PartialKMeansOperator(
     std::shared_ptr<CentroidQueue> out, std::string name,
     RetryPolicy retry)
     : Operator(std::move(name)),
-      partial_(CountingInto(config, &lloyd_counters_)),
+      partial_(CountingInto(config, &mutable_stats().lloyd)),
       in_(std::move(in)),
       buffers_(std::move(buffers)),
       out_(std::move(out)),
@@ -333,7 +323,6 @@ Status PartialKMeansOperator::Run() {
     mutable_stats().retries += retries_used;
     if (!result.ok()) {
       if (failure_policy() == FailurePolicy::kSkipAndContinue) {
-        ++chunks_dropped_;
         ++mutable_stats().items_dropped;
         PMKM_LOG(Warning) << name() << ": dropping chunk "
                           << chunk->partition_id << " of cell "
@@ -351,7 +340,6 @@ Status PartialKMeansOperator::Run() {
       return result.status();
     }
     mutable_stats().kmeans_iterations += result->iterations;
-    RecordLloyd(lloyd_counters_, &mutable_stats());
     // A chunk of at most k points passes through without a fit.
     if (result->input_points > partial_.config().k) {
       mutable_stats().kmeans_restarts += partial_.config().restarts;
@@ -374,7 +362,6 @@ Status PartialKMeansOperator::Run() {
     }
     mutable_stats().rows_out += out_rows;
     mutable_stats().bytes_out += out_bytes;
-    ++chunks_processed_;
     PublishLive();
   }
 }
@@ -394,7 +381,7 @@ void PartialKMeansOperator::Abort() {
 MergeKMeansOperator::MergeKMeansOperator(const MergeKMeansConfig& config,
                                          std::shared_ptr<CentroidQueue> in)
     : Operator("merge-kmeans"),
-      merger_(CountingInto(config, &lloyd_counters_)),
+      merger_(CountingInto(config, &mutable_stats().lloyd)),
       in_(std::move(in)) {
   PMKM_CHECK(in_ != nullptr);
 }
@@ -402,7 +389,7 @@ MergeKMeansOperator::MergeKMeansOperator(const MergeKMeansConfig& config,
 void MergeKMeansOperator::SkipCell(GridCellId cell, std::string reason) {
   PMKM_LOG(Warning) << "merge: skipping cell " << cell.ToString() << ": "
                     << reason;
-  skipped_.insert_or_assign(cell, std::move(reason));
+  skipped_.emplace(cell, std::move(reason));
   pending_.erase(cell);
   results_.erase(cell);
   ++mutable_stats().items_dropped;
@@ -423,7 +410,6 @@ Status MergeKMeansOperator::MergeCell(GridCellId cell) {
   PMKM_ASSIGN_OR_RETURN(ClusteringModel model, merger_.Merge(pooled));
   RecordRollingUs(obs().metrics, "merge.cell_us", watch.ElapsedSeconds());
   mutable_stats().kmeans_iterations += model.iterations;
-  RecordLloyd(lloyd_counters_, &mutable_stats());
   // One fit, unless the pool (at most k centroids) passed through.
   if (pooled.size() > merger_.config().k) ++mutable_stats().kmeans_restarts;
   mutable_stats().rows_out += model.centroids.size();
@@ -497,6 +483,10 @@ Status MergeKMeansOperator::Run() {
       }
       break;  // end of stream
     }
+    // Stragglers of a skipped cell, a second dropped marker included (one
+    // per failed chunk): the cell is logged and counted once, with its
+    // first reason.
+    if (skipped_.count(msg->cell) > 0) continue;
     if (msg->dropped) {
       // Quarantine: discard everything about this cell, even a clustering
       // that already completed from (possibly corrupt) earlier partitions.
@@ -504,7 +494,6 @@ Status MergeKMeansOperator::Run() {
                                                    : msg->drop_reason);
       continue;
     }
-    if (skipped_.count(msg->cell) > 0) continue;  // stragglers
     // Under skip a failed cell is recorded and the merge keeps draining its
     // input: returning would leave the partial clones and the scan blocked
     // on full queues.

@@ -10,6 +10,10 @@
 // partial clone drops the chunk, and the merge skips a cell whose merge
 // fails or that is incomplete at end-of-stream, recording it instead of
 // failing the run.
+//
+// Accounting: each operator counts what it did (rows, retries, dropped
+// units, its fits' LloydCounters) only into its OperatorStats
+// (obs/stats.h); the run report is derived from those.
 
 #ifndef PMKM_STREAM_OPS_H_
 #define PMKM_STREAM_OPS_H_
@@ -98,15 +102,10 @@ class ScanOperator : public Operator {
   void Abort() override;
   void Finish() override;
 
-  size_t chunks_emitted() const { return chunks_emitted_; }
-
   /// Buckets quarantined under kSkipAndContinue.
   const std::vector<QuarantinedBucket>& quarantined() const {
     return quarantined_;
   }
-
-  /// Read retries absorbed (per-bucket Retrier grants).
-  size_t io_retries() const { return io_retries_; }
 
  private:
   // Emits paths_[index], resuming past partitions_emitted_ already-pushed
@@ -121,8 +120,6 @@ class ScanOperator : public Operator {
   std::shared_ptr<PointChunkQueue> out_;
   std::shared_ptr<ChunkBufferPool> buffers_;
   RetryPolicy retry_;
-  size_t chunks_emitted_ = 0;
-  size_t io_retries_ = 0;
   bool output_closed_ = false;
 
   // State of the current bucket, kept across its read attempts.
@@ -160,24 +157,12 @@ class PartialKMeansOperator : public Operator {
   void Finish() override;
   void Abort() override;
 
-  size_t chunks_processed() const { return chunks_processed_; }
-
-  /// Chunks dropped (cell quarantined) under kSkipAndContinue.
-  size_t chunks_dropped() const { return chunks_dropped_; }
-
-  /// What the pruned assignment passes of this clone's fits did.
-  const LloydCounters& lloyd_counters() const { return lloyd_counters_; }
-
  private:
-  // Declared before partial_, whose LloydConfig points at it.
-  LloydCounters lloyd_counters_;
   PartialKMeans partial_;
   std::shared_ptr<PointChunkQueue> in_;
   std::shared_ptr<ChunkBufferPool> buffers_;
   std::shared_ptr<CentroidQueue> out_;
   RetryPolicy retry_;
-  size_t chunks_processed_ = 0;
-  size_t chunks_dropped_ = 0;
 };
 
 /// Final clustering of one grid cell, produced by the merge operator.
@@ -234,11 +219,10 @@ class MergeKMeansOperator : public Operator {
   Status AddPartition(CentroidMessage* msg);
   Status MergeCell(GridCellId cell);
   // Discards everything about `cell`, even a clustering that already
-  // completed, and records why.
+  // completed, and records why. Once per cell: Run drops every later
+  // message of a skipped cell.
   void SkipCell(GridCellId cell, std::string reason);
 
-  // Declared before merger_, whose LloydConfig points at it.
-  LloydCounters lloyd_counters_;
   MergeKMeans merger_;
   std::shared_ptr<CentroidQueue> in_;
   CheckpointWriter* checkpoint_ = nullptr;

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/lloyd.h"
 #include "obs/stats.h"
 #include "stream/ops.h"
 
@@ -113,15 +112,17 @@ struct QuarantinedCellReport {
   std::string reason;
 };
 
-/// Per-run resilience accounting, surfaced by tools/pmkm_cluster.
+/// Per-run resilience accounting, surfaced by tools/pmkm_cluster. Its
+/// counters are derived from the operators' OperatorStats, never tallied
+/// a second time.
 struct RunReport {
   FailurePolicy failure_policy = FailurePolicy::kFailFast;
   size_t cells_clustered = 0;
   std::vector<QuarantinedCellReport> quarantined;
-  size_t io_retries = 0;         // scan read retries absorbed
-  size_t chunks_dropped = 0;     // partial chunks discarded
+  size_t io_retries = 0;         // the scan's retries
+  size_t chunks_dropped = 0;     // the partial clones' items_dropped
 
-  /// The partial clones' Lloyd counters, summed: the scan fraction is
+  /// The partial clones' OperatorStats::lloyd, summed: the scan fraction is
   /// survivors ÷ pruned_points (partial.scan_frac), survivor_distances ÷
   /// survivors the distances per survivor, and empty_repairs the starved
   /// centroids re-seeded (partial.empty_repairs).

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "data/generator.h"
 #include "data/io.h"
@@ -101,9 +102,9 @@ TEST(ObservabilityTest, InMemoryRunPopulatesOperatorAndQueueStats) {
   EXPECT_GT(lloyd.survivors, 0u);
   EXPECT_LE(lloyd.survivors, lloyd.pruned_points);
   EXPECT_GE(lloyd.survivor_distances, lloyd.survivors);
-  EXPECT_EQ(partial_total.pruned_points, lloyd.pruned_points);
-  EXPECT_EQ(partial_total.survivors, lloyd.survivors);
-  EXPECT_EQ(partial_total.survivor_distances, lloyd.survivor_distances);
+  EXPECT_EQ(partial_total.lloyd.pruned_points, lloyd.pruned_points);
+  EXPECT_EQ(partial_total.lloyd.survivors, lloyd.survivors);
+  EXPECT_EQ(partial_total.lloyd.survivor_distances, lloyd.survivor_distances);
   EXPECT_NE(partial_total.ToString().find(" scan_frac="), std::string::npos);
   EXPECT_NE(result->report.Summary().find("partial.scan_frac="),
             std::string::npos);
@@ -188,7 +189,7 @@ TEST(ObservabilityTest, EmptyRepairsAddUpAcrossClonesIntoRunReport) {
     exported += registry.counter("op." + s.name + ".empty_repairs").value();
   }
   EXPECT_GT(clones, 1u);
-  EXPECT_EQ(partial_total.empty_repairs, repairs);
+  EXPECT_EQ(partial_total.lloyd.empty_repairs, repairs);
   EXPECT_EQ(exported, repairs);
   const std::string count = std::to_string(repairs);
   EXPECT_NE(partial_total.ToString().find(" empty_repairs=" + count + " "),
@@ -204,6 +205,111 @@ TEST(ObservabilityTest, EmptyRepairsAddUpAcrossClonesIntoRunReport) {
                        ->Find("empty_repairs")
                        ->AsDouble(),
                    static_cast<double>(repairs));
+}
+
+// One clone (cores=1) under skip, chunk 200: cell_0_0 holds 400 healthy
+// points, then cell_9_9 400 points on the corners of {±1e200}^4. Those
+// are finite, so the scan accepts them, but their squared distances
+// overflow: both of cell_9_9's chunk fits run their Lloyd passes and then
+// fail with "k-means error is not finite", and each drop sends the merge
+// a marker for the cell.
+Result<StreamRunResult> RunWithFailingChunkFits(BucketFiles* files) {
+  GridBucket bad;
+  bad.cell = GridCellId{9, 9};
+  bad.points = Dataset(4);
+  for (uint32_t i = 0; i < 400; ++i) {
+    std::vector<double> point(4);
+    for (size_t d = 0; d < 4; ++d) {
+      point[d] = ((i >> d) & 1u) != 0 ? 1e200 : -1e200;
+    }
+    bad.points.Append(point);
+  }
+  ResourceModel resources;
+  resources.cores = 1;
+  return PipelineBuilder()
+      .WithPartialKMeans(PartialConfig())
+      .WithMerge(MergeConfig())
+      .WithResources(resources)
+      .WithChunkPoints(200)
+      .WithFailurePolicy(FailurePolicy::kSkipAndContinue)
+      .Run(files->Write({MakeBucket(0, 0, 400, 7), std::move(bad)}));
+}
+
+// The run report's counters equal the operators' own: the partial clones'
+// Lloyd counters and dropped chunks summed, and the scan's retries.
+void ExpectReportIsSumOfOperatorStats(const StreamRunResult& result) {
+  OperatorStats partials;
+  size_t clones = 0;
+  for (const OperatorStats& s : result.operator_stats) {
+    if (s.name.rfind("partial-kmeans", 0) != 0) continue;
+    ++clones;
+    partials.MergeFrom(s);
+  }
+  EXPECT_EQ(clones, result.plan.partial_clones);
+  const RunReport& report = result.report;
+  EXPECT_GT(report.partial_lloyd.pruned_points, 0u);
+  EXPECT_EQ(report.partial_lloyd.pruned_points, partials.lloyd.pruned_points);
+  EXPECT_EQ(report.partial_lloyd.survivors, partials.lloyd.survivors);
+  EXPECT_EQ(report.partial_lloyd.survivor_distances,
+            partials.lloyd.survivor_distances);
+  EXPECT_EQ(report.partial_lloyd.empty_repairs,
+            partials.lloyd.empty_repairs);
+  EXPECT_EQ(report.chunks_dropped, partials.items_dropped);
+  const OperatorStats* scan = FindStats(result, "scan");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(report.io_retries, scan->retries);
+}
+
+TEST(ObservabilityTest, RunReportIsTheSumOfOperatorStats) {
+  {
+    // Three clones; one read fault, which the scan's retry absorbs.
+    FaultRegistry::Global().Reset();
+    ASSERT_TRUE(FaultRegistry::Global().ArmFromString("io.read:n=4").ok());
+    BucketFiles files;
+    ResourceModel resources;
+    resources.cores = 3;
+    StreamExecOptions exec;
+    exec.io_retry.max_attempts = 2;
+    exec.io_retry.initial_backoff_ms = 0;
+    auto result = PipelineBuilder()
+                      .WithPartialKMeans(PartialConfig())
+                      .WithMerge(MergeConfig())
+                      .WithResources(resources)
+                      .WithExecution(exec)
+                      .WithChunkPoints(200)
+                      .Run(files.Write({MakeBucket(0, 0, 600, 1),
+                                        MakeBucket(1, 1, 600, 2)}));
+    FaultRegistry::Global().Reset();
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->plan.partial_clones, 3u);
+    EXPECT_EQ(result->report.io_retries, 1u);
+    EXPECT_FALSE(result->report.degraded);
+    ExpectReportIsSumOfOperatorStats(*result);
+  }
+  {
+    // The failed fits' passes count on both sides.
+    BucketFiles files;
+    auto result = RunWithFailingChunkFits(&files);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->report.chunks_dropped, 2u);
+    ExpectReportIsSumOfOperatorStats(*result);
+  }
+}
+
+TEST(ObservabilityTest, MergeSkipsACellDroppedTwiceOnce) {
+  BucketFiles files;
+  auto result = RunWithFailingChunkFits(&files);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->report.quarantined.size(), 1u)
+      << result->report.Summary();
+  const QuarantinedCellReport& q = result->report.quarantined[0];
+  EXPECT_EQ(q.cell, (GridCellId{9, 9}));
+  EXPECT_NE(q.reason.find("k-means error is not finite"), std::string::npos)
+      << q.reason;
+  EXPECT_EQ(result->cells.size(), 1u);
+  const OperatorStats* merge = FindStats(*result, "merge-kmeans");
+  ASSERT_NE(merge, nullptr);
+  EXPECT_EQ(merge->items_dropped, 1u);
 }
 
 TEST(ObservabilityTest, OnDiskRunPopulatesStatsAndExplainAnalyze) {

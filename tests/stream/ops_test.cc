@@ -61,7 +61,7 @@ TEST_F(OpsTest, ScanEmitsAllChunksWithMetadata) {
   auto out = std::make_shared<PointChunkQueue>(64);
   ScanOperator scan({path}, 30, kMisrDim, out, buffers_);
   ASSERT_TRUE(scan.Run().ok());
-  EXPECT_EQ(scan.chunks_emitted(), 4u);  // ceil(100/30)
+  EXPECT_EQ(out->total_pushed(), 4u);  // ceil(100/30)
 
   size_t total = 0;
   uint32_t next_id = 0;
@@ -80,7 +80,7 @@ TEST_F(OpsTest, ScanMultipleFiles) {
   auto out = std::make_shared<PointChunkQueue>(64);
   ScanOperator scan({p1, p2}, 25, kMisrDim, out, buffers_);
   ASSERT_TRUE(scan.Run().ok());
-  EXPECT_EQ(scan.chunks_emitted(), 5u);  // 2 + 3
+  EXPECT_EQ(out->total_pushed(), 5u);  // 2 + 3
 }
 
 TEST(ChunkBufferPoolTest, PreallocatesAndRecyclesUpToCapacity) {
