@@ -1,7 +1,8 @@
 // M1 — micro-benchmarks (google-benchmark) for the kernels the experiment
 // harnesses are built on: distance evaluation, the kernels' batch
 // nearest-centroid assignment (BM_AssignBlock*), the pruned pass's bound
-// test (BM_PruneBlock) and ball scan (BM_AssignMasked), the scatter that
+// test (BM_PruneBlock) and survivor scan (BM_AssignMasked, through the
+// ball or, with /all, against every centroid), the scatter that
 // also sums the pass's SSE (BM_AccumulateBlock), one Lloyd iteration,
 // partial clustering of a chunk, the scan's bucket read per format version
 // (BM_BucketScan), queue throughput, and the observability
@@ -79,15 +80,16 @@ void BM_LloydIteration(benchmark::State& state) {
 BENCHMARK(BM_LloydIteration)->Arg(2500)->Arg(12500)->Arg(50000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_LloydFit(benchmark::State& state) {
-  // Full run to convergence, same seeds, with the assignment step's bound
-  // pruning off (second arg 0) and on (1): ablation A6 (EXPERIMENTS.md).
-  // lloyd_test holds the two models bitwise equal.
+void BM_LloydFit(benchmark::State& state, size_t k) {
+  // Full run to convergence of N points (first arg), same seeds, with the
+  // assignment step's bound pruning off (second arg 0) and on (1):
+  // ablation A6 (EXPERIMENTS.md). lloyd_test holds the two models bitwise
+  // equal. Registered in RegisterSweeps.
   const size_t n = static_cast<size_t>(state.range(0));
   const Dataset points = MakePoints(n, 6, 4);
   const WeightedDataset data = WeightedDataset::FromUnweighted(points);
   Rng rng(5);
-  auto seeds = RandomSeeds(data, 40, &rng);
+  auto seeds = RandomSeeds(data, k, &rng);
   LloydConfig config;
   config.accelerate = state.range(1) != 0;
   for (auto _ : state) {
@@ -96,8 +98,6 @@ void BM_LloydFit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_LloydFit)->ArgsProduct({{2500, 12500, 50000}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_PartialChunk(benchmark::State& state) {
   // Full multi-restart partial k-means of one memory-sized chunk.
@@ -218,8 +218,9 @@ void BM_AssignBlockSecond(benchmark::State& state,
 }
 
 // The state of a real pruned pass over one paper chunk (2,730 points,
-// k=40): the bounds come from a scan against the centroids after 8 Lloyd
-// iterations, and the pass tests them against the centroids after 9.
+// k=40, or k=8 as a serve chunk): the bounds come from a scan against the
+// centroids after `iterations` Lloyd iterations (8 unless given), and the
+// pass tests them against the centroids after one more.
 struct PrunedPass {
   WeightedDataset data;
   std::vector<uint32_t> assign;
@@ -230,8 +231,8 @@ struct PrunedPass {
   double shift = 0.0;
 };
 
-PrunedPass MakePrunedPass(const DistanceKernel* kernel, size_t dim) {
-  const size_t k = 40;
+PrunedPass MakePrunedPass(const DistanceKernel* kernel, size_t dim,
+                          size_t k = 40, size_t iterations = 8) {
   PrunedPass pass;
   pass.data = WeightedDataset::FromUnweighted(MakePoints(2730, dim, 4));
   const size_t n = pass.data.size();
@@ -243,8 +244,8 @@ PrunedPass MakePrunedPass(const DistanceKernel* kernel, size_t dim) {
     config.max_iterations = iterations;
     return RunWeightedLloyd(pass.data, *seeds, config)->centroids;
   };
-  const Dataset before = centroids_after(8);
-  pass.after = centroids_after(9);
+  const Dataset before = centroids_after(iterations);
+  pass.after = centroids_after(iterations + 1);
   CentroidBlock block;
   block.Load(before);
   pass.assign.resize(n);
@@ -317,13 +318,38 @@ void BM_AssignMasked(benchmark::State& state, const DistanceKernel* kernel,
   }
   for (auto _ : state) {
     kernel->AssignMasked(pass.data.points().data(), ball_rows.size(), dim,
-                         pass.after.data(), ball_rows.data(), masks.data(),
+                         pass.after.data(), pass.after.size(),
+                         ball_rows.data(), masks.data(),
                          pass.assign.data(), pass.dist2.data(),
                          pass.lower.data());
     benchmark::DoNotOptimize(pass.assign.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * ball_rows.size());
+}
+
+void BM_AssignMaskedAll(benchmark::State& state,
+                        const DistanceKernel* kernel, size_t dim) {
+  // The survivors of one serve chunk's real pass (k=8, below the ball),
+  // each against every centroid: AssignMasked with no mask. Items are
+  // survivors. The pass is the third, not the tenth: by then a k=8 fit
+  // prunes every point.
+  PrunedPass pass = MakePrunedPass(kernel, dim, 8, 2);
+  const size_t n = pass.data.size();
+  std::vector<uint32_t> rows(n);
+  const size_t m = kernel->PruneBlock(
+      pass.data.points().data(), n, dim, pass.after.data(),
+      pass.assign.data(), pass.s.data(), pass.shift, pass.lower.data(),
+      pass.dist2.data(), rows.data());
+  for (auto _ : state) {
+    kernel->AssignMasked(pass.data.points().data(), m, dim,
+                         pass.after.data(), pass.after.size(), rows.data(),
+                         nullptr, pass.assign.data(), pass.dist2.data(),
+                         pass.lower.data());
+    benchmark::DoNotOptimize(pass.assign.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m);
 }
 
 void BM_AccumulateBlock(benchmark::State& state,
@@ -347,7 +373,14 @@ void BM_AccumulateBlock(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void RegisterKernelSweeps() {
+void RegisterSweeps() {
+  benchmark::RegisterBenchmark("BM_LloydFit", BM_LloydFit, size_t{40})
+      ->ArgsProduct({{2500, 12500, 50000}, {0, 1}})
+      ->Unit(benchmark::kMillisecond);
+  // One serve chunk (k=8, 2,730 points).
+  benchmark::RegisterBenchmark("BM_LloydFit/k8", BM_LloydFit, size_t{8})
+      ->ArgsProduct({{2730}, {0, 1}})
+      ->Unit(benchmark::kMillisecond);
   for (const DistanceKernel* kernel : AvailableKernels()) {
     for (size_t dim : {6u, 16u, 64u}) {
       const std::string tag =
@@ -364,6 +397,10 @@ void RegisterKernelSweeps() {
     benchmark::RegisterBenchmark(
         ("BM_AssignMasked/" + std::string(kernel->name()) + "/d6").c_str(),
         BM_AssignMasked, kernel, size_t{6});
+    benchmark::RegisterBenchmark(
+        ("BM_AssignMasked/" + std::string(kernel->name()) + "/d6/all")
+            .c_str(),
+        BM_AssignMaskedAll, kernel, size_t{6});
     benchmark::RegisterBenchmark(
         ("BM_AccumulateBlock/" + std::string(kernel->name()) + "/d6").c_str(),
         BM_AccumulateBlock, kernel, size_t{6});
@@ -501,7 +538,7 @@ BENCHMARK(BM_ProfilerOff);
 }  // namespace pmkm
 
 int main(int argc, char** argv) {
-  pmkm::RegisterKernelSweeps();
+  pmkm::RegisterSweeps();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

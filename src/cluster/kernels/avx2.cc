@@ -72,10 +72,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // k to 8, so every pass is full).
 constexpr size_t kBlockPoints = 4;
 constexpr size_t kTileCentroids = 64;
-// AssignMasked: points per step (one per lane of two vectors), and the
-// largest dimension its transposed stack scratch holds.
+// AssignMasked: points per step (one per lane of two vectors), the
+// coordinates its transposed stack scratch holds, and centroids per tile
+// (one mask word).
 constexpr size_t kMaskedLanes = 8;
 constexpr size_t kMaskedMaxDim = 16;
+constexpr size_t kMaskedTile = 64;
 static_assert(CentroidBlock::kLanePad == 8 && kTileCentroids % 8 == 0,
               "a phase-1 pass covers 8 padded centroid columns");
 
@@ -266,8 +268,7 @@ class Avx2DistanceKernel final : public DistanceKernel {
 
   void AssignBlock(const double* points, size_t n, size_t dim,
                    const CentroidBlock& centroids, uint32_t* assign,
-                   double* dist2, double* second2,
-                   const uint32_t* rows) const override {
+                   double* dist2, double* second2) const override {
     const size_t k = centroids.k();
     const size_t kp = centroids.padded_k();
     const double* ct = centroids.transposed();
@@ -283,8 +284,7 @@ class Avx2DistanceKernel final : public DistanceKernel {
       const size_t live = std::min(kBlockPoints, n - i);
       const double* x[kBlockPoints];
       for (size_t p = 0; p < kBlockPoints; ++p) {
-        const size_t r = i + std::min(p, live - 1);
-        x[p] = points + (rows != nullptr ? rows[r] : r) * dim;
+        x[p] = points + (i + std::min(p, live - 1)) * dim;
       }
       LaneArgmin st[kBlockPoints];
       for (LaneArgmin& lane : st) lane = {inf, inf, lanes};
@@ -405,18 +405,15 @@ class Avx2DistanceKernel final : public DistanceKernel {
   }
 
   void AssignMasked(const double* points, size_t n, size_t dim,
-                    const double* centroids, const uint32_t* rows,
+                    const double* centroids, size_t k, const uint32_t* rows,
                     const uint64_t* masks, uint32_t* assign, double* dist2,
                     double* lower) const override {
     if (dim == 6) {
-      MaskedSteps<6>(points, n, 6, centroids, rows, masks, assign, dist2,
-                     lower);
-    } else if (dim <= kMaskedMaxDim) {
-      MaskedSteps<0>(points, n, dim, centroids, rows, masks, assign, dist2,
+      MaskedSteps<6>(points, n, 6, centroids, k, rows, masks, assign, dist2,
                      lower);
     } else {
-      AssignMaskedRows(points, n, dim, centroids, rows, masks, assign,
-                       dist2, lower);
+      MaskedSteps<0>(points, n, dim, centroids, k, rows, masks, assign,
+                     dist2, lower);
     }
   }
 
@@ -424,27 +421,10 @@ class Avx2DistanceKernel final : public DistanceKernel {
                          const double* dist2, size_t n, size_t dim,
                          const uint32_t* assign, double* sums,
                          double* cluster_weight) const override {
-    // The SSE's add chain is latency-bound; the scatter's loads and
-    // stores are not, so the chain runs in their shadow.
-    double sse = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double* x = points + i * dim;
-      const double w = weights[i];
-      double* sum = sums + assign[i] * dim;
-      const __m256d wv = _mm256_set1_pd(w);
-      size_t d = 0;
-      for (; d + 4 <= dim; d += 4) {
-        const __m256d xv = _mm256_loadu_pd(x + d);
-        const __m256d sv = _mm256_loadu_pd(sum + d);
-        // mul + add (not FMA): bitwise-equal to the scalar kernel.
-        _mm256_storeu_pd(sum + d,
-                         _mm256_add_pd(sv, _mm256_mul_pd(wv, xv)));
-      }
-      for (; d < dim; ++d) sum[d] += w * x[d];
-      cluster_weight[assign[i]] += w;
-      sse += w * dist2[i];
-    }
-    return sse;
+    return dim == 6 ? AccumulateSteps<6>(points, weights, dist2, n, 6,
+                                         assign, sums, cluster_weight)
+                    : AccumulateSteps<0>(points, weights, dist2, n, dim,
+                                         assign, sums, cluster_weight);
   }
 
   void CentroidDriftAndSeparation(const double* old_centroids,
@@ -504,26 +484,71 @@ class Avx2DistanceKernel final : public DistanceKernel {
   }
 
  private:
-  // AssignMasked for dim ≤ kMaskedMaxDim, 8 points per step, one per
-  // lane; kDim = 0 reads the dimension at run time. Each lane keeps its
-  // point's minimum, second and index with AssignBlock's Update, over
-  // the union of the step's masks in ascending index. A lane whose own
-  // mask lacks j sees NaN for it, which leaves its state unchanged, so
-  // every lane returns the scan of exactly its own mask. A short tail
-  // repeats its last point; only real rows are written back.
+  // AccumulateBlock; kDim = 0 reads the dimension at run time. The D = 6
+  // body does one 256-bit and one 128-bit multiply-then-add per point.
+  // The SSE's add chain is latency-bound; the scatter's loads and stores
+  // are not, so the chain runs in their shadow.
+  template <size_t kDim>
+  static double AccumulateSteps(const double* points, const double* weights,
+                                const double* dist2, size_t n,
+                                size_t dim_arg, const uint32_t* assign,
+                                double* sums, double* cluster_weight) {
+    const size_t dim = kDim != 0 ? kDim : dim_arg;
+    double sse = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double* x = points + i * dim;
+      const double w = weights[i];
+      double* sum = sums + assign[i] * dim;
+      const __m256d wv = _mm256_set1_pd(w);
+      size_t d = 0;
+      for (; d + 4 <= dim; d += 4) {
+        const __m256d xv = _mm256_loadu_pd(x + d);
+        const __m256d sv = _mm256_loadu_pd(sum + d);
+        // mul + add (not FMA): bitwise-equal to the scalar kernel.
+        _mm256_storeu_pd(sum + d,
+                         _mm256_add_pd(sv, _mm256_mul_pd(wv, xv)));
+      }
+      if constexpr (kDim == 6) {
+        _mm_storeu_pd(sum + 4,
+                      _mm_add_pd(_mm_loadu_pd(sum + 4),
+                                 _mm_mul_pd(_mm256_castpd256_pd128(wv),
+                                            _mm_loadu_pd(x + 4))));
+      } else {
+        for (; d < dim; ++d) sum[d] += w * x[d];
+      }
+      cluster_weight[assign[i]] += w;
+      sse += w * dist2[i];
+    }
+    return sse;
+  }
+
+  // AssignMasked, 8 points per step, one per lane; kDim = 0 reads the
+  // dimension at run time. Each lane keeps its point's minimum, second
+  // and index with AssignBlock's Update, over the centroids in
+  // ascending index: the union of the step's masks, or every j < k
+  // with no masks, in tiles of kMaskedTile. A lane whose own mask lacks
+  // j sees NaN for it, which leaves its state unchanged, so every lane
+  // returns the scan of exactly its own mask. The step's points are
+  // transposed kMaskedMaxDim coordinates at a time; above that, a
+  // tile's distances carry over between the chunks in `partial`, so
+  // each lane still adds its coordinates in ascending order. A short
+  // tail repeats its last point; only real rows are written back.
   template <size_t kDim>
   static void MaskedSteps(const double* points, size_t n, size_t dim_arg,
-                          const double* centroids, const uint32_t* rows,
-                          const uint64_t* masks, uint32_t* assign,
-                          double* dist2, double* lower) {
+                          const double* centroids, size_t k,
+                          const uint32_t* rows, const uint64_t* masks,
+                          uint32_t* assign, double* dist2, double* lower) {
     const size_t dim = kDim != 0 ? kDim : dim_arg;
+    // With masks, only the first tile can hold a bit.
+    const size_t span = masks != nullptr ? std::min(k, kMaskedTile) : k;
     const __m256d inf = _mm256_set1_pd(kInf);
     const __m256d zero = _mm256_setzero_pd();
     const __m256d shrink = _mm256_set1_pd(1.0 - kPruneSlack);
-    // Coordinate d of the step's points: lanes 0-3 at xt[d], 4-7 at
-    // xt[d] + 4, written with full-width stores so the scan's loads
+    // Coordinate e0 + e of the step's points: lanes 0-3 at xt[e], 4-7
+    // at xt[e] + 4, written with full-width stores so the scan's loads
     // forward from them.
     alignas(32) double xt[kMaskedMaxDim][kMaskedLanes];
+    alignas(32) double partial[kMaskedTile][kMaskedLanes];
     for (size_t i = 0; i < n; i += kMaskedLanes) {
       const size_t live = std::min(kMaskedLanes, n - i);
       const double* x[kMaskedLanes];
@@ -533,25 +558,9 @@ class Avx2DistanceKernel final : public DistanceKernel {
       for (size_t p = 0; p < kMaskedLanes; ++p) {
         const size_t r = i + std::min(p, live - 1);
         x[p] = points + rows[r] * dim;
-        mask[p] = masks[r];
+        mask[p] = masks != nullptr ? masks[r] : 0;
         any |= mask[p];
         uniform &= mask[p] == mask[0];
-      }
-      size_t d = 0;
-      for (; d + 2 <= dim; d += 2) {
-        __m256d lo0, hi0, lo1, hi1;
-        LoadColumnPair(x, d, &lo0, &hi0);
-        LoadColumnPair(x + 4, d, &lo1, &hi1);
-        _mm256_store_pd(xt[d], lo0);
-        _mm256_store_pd(xt[d] + 4, lo1);
-        _mm256_store_pd(xt[d + 1], hi0);
-        _mm256_store_pd(xt[d + 1] + 4, hi1);
-      }
-      if (d < dim) {
-        _mm256_store_pd(xt[d], _mm256_setr_pd(x[0][d], x[1][d], x[2][d],
-                                              x[3][d]));
-        _mm256_store_pd(xt[d] + 4, _mm256_setr_pd(x[4][d], x[5][d],
-                                                  x[6][d], x[7][d]));
       }
       const __m256i mask_lo =
           _mm256_setr_epi64x(static_cast<int64_t>(mask[0]),
@@ -564,7 +573,7 @@ class Avx2DistanceKernel final : public DistanceKernel {
                              static_cast<int64_t>(mask[6]),
                              static_cast<int64_t>(mask[7]));
       // Lanes without j in their mask get all-ones bits: a NaN.
-      auto gate = [&](int j, __m256d* acc_lo, __m256d* acc_hi) {
+      auto gate = [&](size_t j, __m256d* acc_lo, __m256d* acc_hi) {
         if (uniform) return;
         const __m256i bit =
             _mm256_set1_epi64x(static_cast<int64_t>(uint64_t{1} << j));
@@ -577,20 +586,60 @@ class Avx2DistanceKernel final : public DistanceKernel {
                                    _mm256_and_si256(mask_hi, bit), none)));
       };
       LaneArgmin lo = {inf, inf, zero}, hi = lo;
-      for (uint64_t bits = any; bits != 0; bits &= bits - 1) {
-        const int j = std::countr_zero(bits);
-        const double* c = centroids + static_cast<size_t>(j) * dim;
-        __m256d acc_lo = _mm256_setzero_pd(), acc_hi = acc_lo;
+      for (size_t j0 = 0; j0 < span; j0 += kMaskedTile) {
+        const size_t width = std::min(kMaskedTile, span - j0);
+        const uint64_t tile =
+            masks != nullptr ? any
+            : width == kMaskedTile ? ~uint64_t{0}
+                                   : (uint64_t{1} << width) - 1;
+        for (size_t e0 = 0; e0 < dim; e0 += kMaskedMaxDim) {
+          const size_t chunk = std::min(kMaskedMaxDim, dim - e0);
+          size_t e = 0;
+          for (; e + 2 <= chunk; e += 2) {
+            __m256d lo0, hi0, lo1, hi1;
+            LoadColumnPair(x, e0 + e, &lo0, &hi0);
+            LoadColumnPair(x + 4, e0 + e, &lo1, &hi1);
+            _mm256_store_pd(xt[e], lo0);
+            _mm256_store_pd(xt[e] + 4, lo1);
+            _mm256_store_pd(xt[e + 1], hi0);
+            _mm256_store_pd(xt[e + 1] + 4, hi1);
+          }
+          if (e < chunk) {
+            const size_t d = e0 + e;
+            _mm256_store_pd(xt[e], _mm256_setr_pd(x[0][d], x[1][d],
+                                                  x[2][d], x[3][d]));
+            _mm256_store_pd(xt[e] + 4, _mm256_setr_pd(x[4][d], x[5][d],
+                                                      x[6][d], x[7][d]));
+          }
+          const bool last = e0 + chunk == dim;
+          const double* tile_c = centroids + j0 * dim + e0;
+          for (uint64_t bits = tile; bits != 0; bits &= bits - 1) {
+            const size_t t = static_cast<size_t>(std::countr_zero(bits));
+            const size_t j = j0 + t;
+            const double* c = tile_c + t * dim;
+            __m256d acc_lo = zero, acc_hi = zero;
+            if (e0 > 0) {
+              acc_lo = _mm256_load_pd(partial[t]);
+              acc_hi = _mm256_load_pd(partial[t] + 4);
+            }
 #pragma GCC unroll 16
-        for (size_t e = 0; e < dim; ++e) {
-          const __m256d ce = _mm256_broadcast_sd(c + e);
-          acc_lo = AddSquaredDiff(acc_lo, _mm256_load_pd(xt[e]), ce);
-          acc_hi = AddSquaredDiff(acc_hi, _mm256_load_pd(xt[e] + 4), ce);
+            for (size_t f = 0; f < chunk; ++f) {
+              const __m256d cf = _mm256_broadcast_sd(c + f);
+              acc_lo = AddSquaredDiff(acc_lo, _mm256_load_pd(xt[f]), cf);
+              acc_hi = AddSquaredDiff(acc_hi, _mm256_load_pd(xt[f] + 4), cf);
+            }
+            if (!last) {
+              _mm256_store_pd(partial[t], acc_lo);
+              _mm256_store_pd(partial[t] + 4, acc_hi);
+              continue;
+            }
+            gate(j, &acc_lo, &acc_hi);
+            const __m256d jv =
+                _mm256_set1_pd(static_cast<double>(static_cast<int64_t>(j)));
+            Update(&lo, acc_lo, jv);
+            Update(&hi, acc_hi, jv);
+          }
         }
-        gate(j, &acc_lo, &acc_hi);
-        const __m256d jv = _mm256_set1_pd(static_cast<double>(j));
-        Update(&lo, acc_lo, jv);
-        Update(&hi, acc_hi, jv);
       }
       alignas(32) double best[kMaskedLanes], idx[kMaskedLanes],
           bound[kMaskedLanes];

@@ -24,13 +24,6 @@ size_t PruneRows(const double* points, size_t begin, size_t n, size_t dim,
                  const double* s, double shift, double* lower,
                  double* dist2, uint32_t* rows, uint8_t* levels, size_t m);
 
-/// AssignMasked's reference semantics. The AVX2 kernel runs it for
-/// dimensions above its transposed scratch.
-void AssignMaskedRows(const double* points, size_t n, size_t dim,
-                      const double* centroids, const uint32_t* rows,
-                      const uint64_t* masks, uint32_t* assign,
-                      double* dist2, double* lower);
-
 /// Runtime CPU probe for the AVX2+FMA path (build-time support is a
 /// separate question answered by Avx2Kernel() != nullptr).
 bool CpuSupportsAvx2();

@@ -25,7 +25,8 @@
 //    identical across scalar and AVX2. The pruned Lloyd assignment
 //    (cluster/lloyd.cc) relies on this: PruneBlock computes a skipped
 //    point's distance to its own centroid in the same per-lane operation
-//    order, and AssignBlock scans the survivors through their row list.
+//    order, and AssignMasked scans the survivors through their row list,
+//    each against a ring mask or, with no mask, against every centroid.
 //  - The Exponion ball (DESIGN.md §10): from kBallMinK centroids on, a
 //    pruned pass scans each survivor against only the centroids of one
 //    ring mask — the centroids whose distance from the survivor's own
@@ -37,7 +38,9 @@
 //    centroids. AssignMasked scans a mask in ascending index with a
 //    strict <, AssignBlock's tie rule, so it returns AssignBlock's
 //    assign, dist2 and second2 bit for bit (kernels/scalar.cc has the
-//    argument).
+//    argument). Below kBallMinK and above kBallMaxK the survivors take
+//    AssignMasked with no mask, and the kNoRing ones a mask of all k:
+//    every centroid, which is AssignBlock's scan itself.
 
 #ifndef PMKM_CLUSTER_KERNELS_KERNEL_H_
 #define PMKM_CLUSTER_KERNELS_KERNEL_H_
@@ -146,13 +149,10 @@ class DistanceKernel {
   /// Assignment for a tile: for each of the n row-major points, the index
   /// of the nearest centroid (ties to the lower index) and its exact
   /// squared distance. `second2`, when non-null, additionally receives the
-  /// second-smallest squared distance (the Hamerly lower bound). `rows`,
-  /// when non-null, selects the points: output p is for the point at
-  /// points + rows[p]·dim.
+  /// second-smallest squared distance (the Hamerly lower bound).
   virtual void AssignBlock(const double* points, size_t n, size_t dim,
                            const CentroidBlock& centroids, uint32_t* assign,
-                           double* dist2, double* second2 = nullptr,
-                           const uint32_t* rows = nullptr) const
+                           double* dist2, double* second2 = nullptr) const
       PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
 
   /// The bound test of a pruned Lloyd pass over a tile of n row-major
@@ -177,21 +177,23 @@ class DistanceKernel {
                             uint8_t* levels = nullptr) const
       PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
 
-  /// The ball scan of a pruned pass's survivors. For each p < n, the
-  /// point at points + rows[p]·dim is scanned against the centroids
-  /// whose bits are set in masks[p], in ascending index, and the results
-  /// are written in place: assign[rows[p]] gets the nearest (ties to the
-  /// lower index; 0 when no distance is below +inf), dist2[rows[p]] its
-  /// squared distance, and lower[rows[p]] = √second2·(1 − δ) with
-  /// second2 the second-smallest squared distance in the mask.
-  /// `centroids` is row-major and every mask bit must index one of its
-  /// rows. Distances and compares are AssignBlock's, so when a mask holds
-  /// a point's nearest and second-nearest centroids the outputs are
-  /// AssignBlock's bit for bit.
+  /// The scan of a pruned pass's survivors. For each p < n, the point
+  /// at points + rows[p]·dim is scanned against the centroids whose bits
+  /// are set in masks[p] or, when `masks` is null, against every
+  /// centroid j < k, in ascending index, and the results are written in
+  /// place: assign[rows[p]] gets the nearest (ties to the lower index; 0
+  /// when no distance is below +inf), dist2[rows[p]] its squared
+  /// distance, and lower[rows[p]] = √second2·(1 − δ) with second2 the
+  /// second-smallest squared distance scanned. `centroids` is row-major
+  /// k×dim, so a mask bit must index one of the first min(k, 64) rows.
+  /// Distances and compares are AssignBlock's, so with no mask, or with
+  /// a mask holding a point's nearest and second-nearest centroids, the
+  /// outputs are AssignBlock's bit for bit.
   virtual void AssignMasked(const double* points, size_t n, size_t dim,
-                            const double* centroids, const uint32_t* rows,
-                            const uint64_t* masks, uint32_t* assign,
-                            double* dist2, double* lower) const
+                            const double* centroids, size_t k,
+                            const uint32_t* rows, const uint64_t* masks,
+                            uint32_t* assign, double* dist2,
+                            double* lower) const
       PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
 
   /// The centroid update's weighted-sum scatter, and the pass's weighted

@@ -79,7 +79,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 //    level(p_j) ≤ level(fl(R·R)), and the mask of the survivor's level
 //    holds j.
 //  - Survivors with s[a] or R outside (kPruneMinBound, kPruneMaxBound)
-//    take AssignBlock (kNoRing): within the range no square overflows,
+//    scan every centroid (kNoRing): within the range no square overflows,
 //    and a subnormal square's absolute error (below 1e-300) is far
 //    below δ·R² (R > 2e-100).
 //  - A NaN distance never wins or becomes second, so a centroid with a
@@ -139,39 +139,6 @@ void BuildRings(const double* pair2, size_t k, size_t a, double s_a,
 
 }  // namespace
 
-// AssignBlock's scan restricted to each row's mask; the AVX2 kernel runs
-// it for dimensions its transposed scratch does not hold.
-void AssignMaskedRows(const double* points, size_t n, size_t dim,
-                      const double* centroids, const uint32_t* rows,
-                      const uint64_t* masks, uint32_t* assign,
-                      double* dist2, double* lower) {
-  for (size_t p = 0; p < n; ++p) {
-    const double* x = points + rows[p] * dim;
-    uint32_t best = 0;
-    double d_best = kInf;
-    double d_second = kInf;
-    for (uint64_t bits = masks[p]; bits != 0; bits &= bits - 1) {
-      const uint32_t j = static_cast<uint32_t>(std::countr_zero(bits));
-      const double* c = centroids + j * dim;
-      double acc = 0.0;
-      for (size_t d = 0; d < dim; ++d) {
-        const double diff = x[d] - c[d];
-        acc += diff * diff;
-      }
-      if (acc < d_best) {
-        d_second = d_best;
-        d_best = acc;
-        best = j;
-      } else if (acc < d_second) {
-        d_second = acc;
-      }
-    }
-    assign[rows[p]] = best;
-    dist2[rows[p]] = d_best;
-    lower[rows[p]] = std::sqrt(d_second) * (1.0 - kPruneSlack);
-  }
-}
-
 // External linkage on purpose: these member functions are the
 // assignment hot path, and the sampling profiler's dladdr
 // symbolization only resolves dynamic-table symbols — an
@@ -184,14 +151,13 @@ class ScalarDistanceKernel final : public DistanceKernel {
 
   void AssignBlock(const double* points, size_t n, size_t dim,
                    const CentroidBlock& centroids, uint32_t* assign,
-                   double* dist2, double* second2,
-                   const uint32_t* rows) const override {
+                   double* dist2, double* second2) const override {
     const size_t k = centroids.k();
     const size_t kp = centroids.padded_k();
     const double* ct = centroids.transposed();
     PMKM_DCHECK(k > 0 && centroids.dim() == dim);
     for (size_t i = 0; i < n; ++i) {
-      const double* x = points + (rows != nullptr ? rows[i] : i) * dim;
+      const double* x = points + i * dim;
       size_t best = 0;
       double d_best = kInf;
       double d_second = kInf;
@@ -225,11 +191,40 @@ class ScalarDistanceKernel final : public DistanceKernel {
   }
 
   void AssignMasked(const double* points, size_t n, size_t dim,
-                    const double* centroids, const uint32_t* rows,
+                    const double* centroids, size_t k, const uint32_t* rows,
                     const uint64_t* masks, uint32_t* assign, double* dist2,
                     double* lower) const override {
-    AssignMaskedRows(points, n, dim, centroids, rows, masks, assign, dist2,
-                     lower);
+    for (size_t p = 0; p < n; ++p) {
+      const double* x = points + rows[p] * dim;
+      uint32_t best = 0;
+      double d_best = kInf;
+      double d_second = kInf;
+      auto scan = [&](size_t j) {
+        const double* c = centroids + j * dim;
+        double acc = 0.0;
+        for (size_t d = 0; d < dim; ++d) {
+          const double diff = x[d] - c[d];
+          acc += diff * diff;
+        }
+        if (acc < d_best) {
+          d_second = d_best;
+          d_best = acc;
+          best = static_cast<uint32_t>(j);
+        } else if (acc < d_second) {
+          d_second = acc;
+        }
+      };
+      if (masks == nullptr) {
+        for (size_t j = 0; j < k; ++j) scan(j);
+      } else {
+        for (uint64_t bits = masks[p]; bits != 0; bits &= bits - 1) {
+          scan(static_cast<size_t>(std::countr_zero(bits)));
+        }
+      }
+      assign[rows[p]] = best;
+      dist2[rows[p]] = d_best;
+      lower[rows[p]] = std::sqrt(d_second) * (1.0 - kPruneSlack);
+    }
   }
 
   double AccumulateBlock(const double* points, const double* weights,

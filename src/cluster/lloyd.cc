@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "cluster/kernels/kernel.h"
@@ -21,9 +22,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // point, exactly the (assign, dist2) a full kernel.AssignBlock scan would.
 // With pruning on, it keeps Hamerly's lower bound l[i] on the distance from
 // point i to every centroid other than its own, and skips the k-way scan
-// for points whose bounds prove the nearest centroid unchanged. From
-// kBallMinK to kBallMaxK centroids, a survivor then scans only the ring
-// mask of its owner and ring level (the Exponion ball, kernel.h).
+// for points whose bounds prove the nearest centroid unchanged. The
+// survivors scan through AssignMasked: from kBallMinK to kBallMaxK
+// centroids, each against the ring mask of its owner and ring level (the
+// Exponion ball, kernel.h), or every centroid when the ball cannot serve
+// it; otherwise against every centroid, with no mask.
 class Assigner {
  public:
   Assigner(const DistanceKernel& kernel, const WeightedDataset& data,
@@ -43,15 +46,14 @@ class Assigner {
     s_.resize(k);
     second2_.resize(tile_cap);
     rows_.resize(n_);
-    scan_assign_.resize(tile_cap);
-    scan_dist2_.resize(tile_cap);
     if (!ball_) return;
     levels_.resize(n_);
     keys_.resize(n_);
     rank_.resize(n_);
     // One bucket per (owner, level), and a last one for the survivors
-    // the ball cannot serve; its empty mask counts no distances.
+    // the ball cannot serve, whose mask holds every centroid.
     rings_.assign(k * kRingLevels + 1, 0);
+    rings_.back() = k == 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
     bucket_.resize(k * kRingLevels + 1);
     sorted_rows_.resize(n_);
     sorted_masks_.resize(n_);
@@ -84,6 +86,13 @@ class Assigner {
   /// arguing its bound still holds.
   void Invalidate() { bounds_valid_ = false; }
 
+  /// True when `centroids` are, bit for bit, the ones the last pass ran
+  /// against. Only a pruning Assigner keeps those.
+  bool Repeats(const Dataset& centroids) const {
+    return prune_ && std::memcmp(centroids.data(), centroids_.data(),
+                                 k_ * dim_ * sizeof(double)) == 0;
+  }
+
   /// Fills assign[0, n) and dist2[0, n). assign holds the previous pass's
   /// assignments on entry.
   void Pass(uint32_t* assign, double* dist2) {
@@ -107,42 +116,28 @@ class Assigner {
         lower_.data(), dist2, rows_.data(), ball_ ? levels_.data() : nullptr);
     counts_.pruned_points += n_;
     counts_.survivors += m;
-    const uint32_t* scan_rows = rows_.data();
-    size_t scan = m;
-    if (ball_ && m > 0) {
-      const size_t balls = GroupByRing(m, assign);
-      kernel_.AssignMasked(points_, balls, dim_, centroids_.data(),
+    if (m == 0) return;
+    if (ball_) {
+      GroupByRing(m, assign);
+      kernel_.AssignMasked(points_, m, dim_, centroids_.data(), k_,
                            sorted_rows_.data(), sorted_masks_.data(), assign,
                            dist2, lower_.data());
-      scan_rows = sorted_rows_.data() + balls;
-      scan = m - balls;
+      return;
     }
-    // The rest scan all k centroids through their row list.
-    counts_.survivor_distances += scan * k_;
-    for (size_t g0 = 0; g0 < scan; g0 += kAssignTile) {
-      const size_t tile = std::min(kAssignTile, scan - g0);
-      kernel_.AssignBlock(points_, tile, dim_, block_, scan_assign_.data(),
-                          scan_dist2_.data(), second2_.data(),
-                          scan_rows + g0);
-      for (size_t g = 0; g < tile; ++g) {
-        const size_t i = scan_rows[g0 + g];
-        assign[i] = scan_assign_[g];
-        dist2[i] = scan_dist2_[g];
-        lower_[i] = std::sqrt(second2_[g]) * (1.0 - kPruneSlack);
-      }
-    }
+    counts_.survivor_distances += m * k_;
+    kernel_.AssignMasked(points_, m, dim_, centroids_.data(), k_,
+                         rows_.data(), nullptr, assign, dist2, lower_.data());
   }
 
   const LloydCounters& counts() const { return counts_; }
 
  private:
   // A stable counting sort of the m survivors in rows_ by (owner, ring
-  // level): the ones the ball serves go to sorted_rows_[0, balls) with
-  // their masks beside them, the rest (kNoRing) after them in row order.
-  // Returns balls. Each survivor's rank within its bucket is taken while
-  // counting, so the placement loop reads the buckets without updating
-  // them.
-  size_t GroupByRing(size_t m, const uint32_t* assign) {
+  // level) into sorted_rows_, each with its mask beside it; the ones the
+  // ball cannot serve (kNoRing) go last, in row order. Each survivor's
+  // rank within its bucket is taken while counting, so the placement
+  // loop reads the buckets without updating them.
+  void GroupByRing(size_t m, const uint32_t* assign) {
     const uint16_t no_ring = static_cast<uint16_t>(k_ * kRingLevels);
     std::fill(bucket_.begin(), bucket_.end(), 0);
     for (size_t g = 0; g < m; ++g) {
@@ -167,7 +162,6 @@ class Assigner {
       sorted_rows_[pos] = rows_[g];
       sorted_masks_[pos] = rings_[keys_[g]];
     }
-    return bucket_[no_ring];
   }
 
   const DistanceKernel& kernel_;
@@ -186,11 +180,8 @@ class Assigner {
   std::vector<double> centroids_;  // the centroids l[] refers to
   std::vector<double> drift_;
   std::vector<double> s_;
-  std::vector<double> second2_;
-  // The pass's survivors, and the packed results of a row-list scan.
-  std::vector<uint32_t> rows_;
-  std::vector<uint32_t> scan_assign_;
-  std::vector<double> scan_dist2_;
+  std::vector<double> second2_;     // a full pass's, per tile
+  std::vector<uint32_t> rows_;      // the pass's survivors
   // The ball: survivors' ring levels, sort keys and ranks, the ring masks
   // per (owner, level), the counting sort's buckets and its output.
   std::vector<uint8_t> levels_;
@@ -243,8 +234,33 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
   const double* points = data.points().data();
   const double* weights = data.weights().data();
 
+  bool starved = false;   // the last iteration found a starved cluster
+  bool repeated = false;  // the loop stopped before a repeated pass
   size_t iter = 0;
   for (iter = 0; iter < config.max_iterations; ++iter) {
+    // --- Repeat skip -----------------------------------------------------
+    // When the centroids equal, bit for bit, the ones the last pass ran
+    // against, this iteration and the final bookkeeping pass are both
+    // determined already. A pass returns what a full scan against its
+    // centroids returns, a function of the points and those bits only;
+    // with no starved cluster last iteration, no repair moved a point
+    // or patched a sum after that pass. So this iteration's pass would
+    // return the held assign and dist2, its sweep the held sums,
+    // weights and SSE (the same operations in the same order), it would
+    // starve no cluster, and its centroids would come out unchanged. Its
+    // stop test would then read sse − sse ≤ ε, false for a ±inf or NaN
+    // SSE; when it holds, the loop would stop in this iteration with
+    // converged set, as breaking here does (so iterations comes out the
+    // same), and the final pass would return the held arrays once more.
+    // Only the pruning Assigner keeps the last pass's centroids, so the
+    // paper's unpruned loop runs its passes as before.
+    if (iter > 0 && !starved && sse - sse <= config.epsilon &&
+        assigner.Repeats(model.centroids)) {
+      model.converged = true;
+      repeated = true;
+      break;
+    }
+
     // --- Assignment step -------------------------------------------------
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
@@ -258,8 +274,10 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
     // Re-seed each starved centroid to the globally farthest point, then
     // continue iterating (its sum/weight are patched as a singleton).
     bool farthest_found = false;
+    starved = false;
     for (size_t j = 0; j < k; ++j) {
       if (cluster_weight[j] > 0.0) continue;
+      starved = true;
       // Each cluster's farthest point under this pass's assignment,
       // found before the first repair moves a point.
       if (!farthest_found) {
@@ -325,10 +343,13 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
     prev_sse = sse;
   }
 
-  // Final bookkeeping against the final centroids.
+  // Final bookkeeping against the final centroids, whose assign and
+  // dist2 a repeated pass already holds.
   {
-    assigner.BeginPass(model.centroids);
-    assigner.Pass(assign.data(), dist2.data());
+    if (!repeated) {
+      assigner.BeginPass(model.centroids);
+      assigner.Pass(assign.data(), dist2.data());
+    }
     std::fill(model.weights.begin(), model.weights.end(), 0.0);
     double final_sse = 0.0;
     for (size_t i = 0; i < n; ++i) {

@@ -9,12 +9,17 @@
 // of every point against all k centroids, or that scan pruned by Hamerly's
 // triangle-inequality bounds (Hamerly, SDM'10) — one of the "improvements
 // for step 2 that limit the points that have to be re-sorted" the paper
-// names but does not use (§2, §4); from kBallMinK centroids the points
-// the bounds cannot skip scan only the centroids inside Exponion's ball
+// names but does not use (§2, §4). The points the bounds cannot skip
+// scan through AssignMasked: from kBallMinK to kBallMaxK centroids only
+// the centroids inside Exponion's ball, otherwise all k
 // (cluster/kernels/kernel.h). The pruned step reproduces every point's
 // assignment and squared distance bit for bit, so both produce identical
-// models; LloydConfig::accelerate picks one. A fit adds what its pruned
-// passes and repairs did to LloydConfig::counters (LloydCounters,
+// models; LloydConfig::accelerate picks one. With pruning on, a fit also
+// stops before a pass that would repeat the previous one bit for bit,
+// skipping that iteration and the final pass, whose results it already
+// holds (the argument is next to the loop in lloyd.cc); the model is
+// the one the unpruned loop reaches by running them. A fit adds what its
+// pruned passes and repairs did to LloydConfig::counters (LloydCounters,
 // obs/stats.h).
 
 #ifndef PMKM_CLUSTER_LLOYD_H_
@@ -48,11 +53,13 @@ struct LloydConfig {
   /// speed.
   const DistanceKernel* kernel = nullptr;
 
-  /// Prune the assignment step with Hamerly's bounds. Exact: the model is
+  /// Prune the assignment step with Hamerly's bounds, and skip the
+  /// passes that would repeat the previous one. Exact: the model is
   /// bitwise identical either way, so this too only affects speed. false
   /// is the paper's unoptimised configuration (§4: "we do not exploit
   /// many optimizations such as improved search mechanism for finding the
-  /// nearest centroid"), kept for timing the T2/F6 reproduction.
+  /// nearest centroid"), kept for timing the T2/F6 reproduction: it runs
+  /// every pass.
   bool accelerate = true;
 
   /// When non-null, each fit adds its counts here on success. Not

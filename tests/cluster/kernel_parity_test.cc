@@ -346,28 +346,42 @@ class AssignBlockAdversarialTest : public ::testing::Test {
   // Points drawn near the centroids, so duplicates are often nearest.
   static std::vector<double> NearPoints(size_t n, const Dataset& centroids,
                                         uint64_t seed) {
+    const size_t dim = centroids.dim();
     Rng rng(seed);
-    std::vector<double> x(n * kDim);
+    std::vector<double> x(n * dim);
     for (size_t i = 0; i < n; ++i) {
       const auto c = centroids.Row(rng.UniformInt(centroids.size()));
-      for (size_t d = 0; d < kDim; ++d) {
-        x[i * kDim + d] = c[d] + (rng.UniformInt(5) == 0
-                                      ? 0.0
-                                      : rng.UniformDouble() - 0.5);
+      for (size_t d = 0; d < dim; ++d) {
+        x[i * dim + d] = c[d] + (rng.UniformInt(5) == 0
+                                     ? 0.0
+                                     : rng.UniformDouble() - 0.5);
       }
     }
     return x;
   }
 
+  // One non-finite coordinate per point for 40 points, in every
+  // coordinate position, at positions that land in every lane of a
+  // 4-point block and of an 8-point step.
+  static void PoisonPoints(std::vector<double>* points, size_t dim) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                               kInf, -kInf};
+    for (size_t i = 0; i < 40; ++i) {
+      (*points)[(6 * i + i % 4) * dim + i % dim] = specials[i % 3];
+    }
+  }
+
   static void ExpectBitwiseParity(const std::vector<double>& points,
                                   const Dataset& centroids) {
-    const size_t n = points.size() / kDim;
+    const size_t dim = centroids.dim();
+    const size_t n = points.size() / dim;
     CentroidBlock block;
     block.Load(centroids);
     const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
     std::vector<uint32_t> ref_assign(n);
     std::vector<double> ref_dist2(n), ref_second2(n);
-    scalar.AssignBlock(points.data(), n, kDim, block, ref_assign.data(),
+    scalar.AssignBlock(points.data(), n, dim, block, ref_assign.data(),
                        ref_dist2.data(), ref_second2.data());
     for (const DistanceKernel* kernel : AvailableKernels()) {
       SCOPED_TRACE(kernel->name());
@@ -375,7 +389,7 @@ class AssignBlockAdversarialTest : public ::testing::Test {
         SCOPED_TRACE(with_second ? "with second2" : "without second2");
         std::vector<uint32_t> assign(n, 0xdeadbeef);
         std::vector<double> dist2(n, -1.0), second2(n, -1.0);
-        kernel->AssignBlock(points.data(), n, kDim, block, assign.data(),
+        kernel->AssignBlock(points.data(), n, dim, block, assign.data(),
                             dist2.data(),
                             with_second ? second2.data() : nullptr);
         EXPECT_EQ(0, std::memcmp(assign.data(), ref_assign.data(),
@@ -391,35 +405,37 @@ class AssignBlockAdversarialTest : public ::testing::Test {
         }
       }
     }
-    // Through a row list (the pruned pass's survivors): descending, with
-    // gaps and a repeated row, so the block tails land differently. Each
-    // kernel must return what it returns on a gathered copy.
+    // AssignMasked with no mask, through a row list (the pruned pass's
+    // survivors that scan every centroid): descending, with gaps and a
+    // repeated row, so its 8-point steps mix far-apart rows. Each named
+    // row gets AssignBlock's assign, dist2 and √second2·(1 − δ); the rest
+    // stay untouched.
     std::vector<uint32_t> rows;
     for (size_t i = n; i-- > 0;) {
       if (i % 3 != 1) rows.push_back(static_cast<uint32_t>(i));
     }
     rows.push_back(0);
-    const size_t m = rows.size();
-    std::vector<double> gathered;
+    std::vector<uint32_t> want_assign(n, 0xdeadbeef);
+    std::vector<double> want_dist2(n, -1.0), want_lower(n, -2.0);
     for (uint32_t r : rows) {
-      gathered.insert(gathered.end(), points.begin() + r * kDim,
-                      points.begin() + (r + 1) * kDim);
+      want_assign[r] = ref_assign[r];
+      want_dist2[r] = ref_dist2[r];
+      want_lower[r] = std::sqrt(ref_second2[r]) * (1.0 - kPruneSlack);
     }
     for (const DistanceKernel* kernel : AvailableKernels()) {
-      SCOPED_TRACE(std::string(kernel->name()) + " through rows");
-      std::vector<uint32_t> ref_a(m), assign(m, 0xdeadbeef);
-      std::vector<double> ref_d(m), ref_s(m), dist2(m, -1.0),
-          second2(m, -1.0);
-      kernel->AssignBlock(gathered.data(), m, kDim, block, ref_a.data(),
-                          ref_d.data(), ref_s.data());
-      kernel->AssignBlock(points.data(), m, kDim, block, assign.data(),
-                          dist2.data(), second2.data(), rows.data());
-      EXPECT_EQ(0, std::memcmp(assign.data(), ref_a.data(),
-                               m * sizeof(uint32_t)));
-      EXPECT_EQ(0, std::memcmp(dist2.data(), ref_d.data(),
-                               m * sizeof(double)));
-      EXPECT_EQ(0, std::memcmp(second2.data(), ref_s.data(),
-                               m * sizeof(double)));
+      SCOPED_TRACE(std::string(kernel->name()) + " AssignMasked, no mask");
+      std::vector<uint32_t> assign(n, 0xdeadbeef);
+      std::vector<double> dist2(n, -1.0), lower(n, -2.0);
+      kernel->AssignMasked(points.data(), rows.size(), dim,
+                           centroids.data(), centroids.size(), rows.data(),
+                           nullptr, assign.data(), dist2.data(),
+                           lower.data());
+      EXPECT_EQ(0, std::memcmp(assign.data(), want_assign.data(),
+                               n * sizeof(uint32_t)));
+      EXPECT_EQ(0, std::memcmp(dist2.data(), want_dist2.data(),
+                               n * sizeof(double)));
+      EXPECT_EQ(0, std::memcmp(lower.data(), want_lower.data(),
+                               n * sizeof(double)));
     }
     // The per-point scan (Predict, online k-means, histogram encoding)
     // is one more implementation of the same query.
@@ -427,7 +443,7 @@ class AssignBlockAdversarialTest : public ::testing::Test {
     for (size_t i = 0; i < n; ++i) {
       double d2 = -1.0;
       const size_t j = NearestCentroidIndex(
-          {points.data() + i * kDim, kDim}, centroids, &d2);
+          {points.data() + i * dim, dim}, centroids, &d2);
       EXPECT_EQ(j, ref_assign[i]) << "point " << i;
       EXPECT_EQ(0, std::memcmp(&d2, &ref_dist2[i], sizeof(double)))
           << "point " << i;
@@ -508,12 +524,7 @@ TEST_F(AssignBlockAdversarialTest, NonFinitePointsAndCentroids) {
   for (size_t k : {1u, 3u, 9u, 40u, 65u}) {
     const Dataset centroids = MakePoints(k, kDim, 90 + k);
     std::vector<double> points = NearPoints(257, centroids, 100 + k);
-    // One non-finite coordinate per point, in every coordinate position,
-    // at positions that land in every lane of a 4-point block.
-    const double specials[] = {kNan, kInf, -kInf};
-    for (size_t i = 0; i < 40; ++i) {
-      points[(6 * i + i % 4) * kDim + i % kDim] = specials[i % 3];
-    }
+    PoisonPoints(&points, kDim);
     SCOPED_TRACE("k=" + std::to_string(k));
     ExpectBitwiseParity(points, centroids);
 
@@ -533,6 +544,32 @@ TEST_F(AssignBlockAdversarialTest, NonFinitePointsAndCentroids) {
       auto with_nan = Dataset::FromFlat(kDim, std::move(values));
       ASSERT_TRUE(with_nan.ok()) << with_nan.status();
       ExpectBitwiseParity(points, *with_nan);
+    }
+  }
+}
+
+// AssignMasked with no mask is AssignBlock's scan through a row list, on
+// every kernel, for any k (one mask word holds 64) and any dimension
+// (the AVX2 kernel transposes 16 coordinates at a time), with tails off
+// the 8-lane step, and with non-finite points and centroids.
+TEST_F(AssignBlockAdversarialTest, AssignMaskedWithoutMaskIsAssignBlock) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t dim : {1u, 5u, 6u, 8u, 16u, 17u, 40u}) {
+    for (size_t k : {1u, 2u, 7u, 8u, 9u, 19u, 20u, 64u, 65u, 100u}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) + " k=" + std::to_string(k));
+      const Dataset centroids = MakePoints(k, dim, 400 + 7 * dim + k);
+      std::vector<double> points = NearPoints(251, centroids, 500 + k);
+      PoisonPoints(&points, dim);
+      ExpectBitwiseParity(points, centroids);
+      // A first centroid with a NaN coordinate and a last row of +inf
+      // (the tail of a tile, or a tile of its own at k = 65).
+      std::vector<double> values = centroids.values();
+      std::fill(values.end() - static_cast<std::ptrdiff_t>(dim),
+                values.end(), kInf);
+      values[dim / 2] = std::numeric_limits<double>::quiet_NaN();
+      auto poisoned = Dataset::FromFlat(dim, std::move(values));
+      ASSERT_TRUE(poisoned.ok()) << poisoned.status();
+      ExpectBitwiseParity(points, *poisoned);
     }
   }
 }
@@ -724,8 +761,9 @@ class AssignMaskedTest : public ::testing::TestWithParam<size_t> {
     Outputs out{std::vector<uint32_t>(n, 0xdeadbeef),
                 std::vector<double>(n, -1.0), std::vector<double>(n, -2.0)};
     kernel.AssignMasked(points.data(), rows.size(), dim, centroids.data(),
-                        rows.data(), masks.data(), out.assign.data(),
-                        out.dist2.data(), out.lower.data());
+                        centroids.size(), rows.data(), masks.data(),
+                        out.assign.data(), out.dist2.data(),
+                        out.lower.data());
     return out;
   }
 

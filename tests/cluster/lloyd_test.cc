@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -231,12 +232,10 @@ class CountingKernel final : public DistanceKernel {
 
   void AssignBlock(const double* points, size_t n, size_t dim,
                    const CentroidBlock& centroids, uint32_t* assign,
-                   double* dist2, double* second2,
-                   const uint32_t* rows) const override {
+                   double* dist2, double* second2) const override {
     scanned += n;
     distances += n * centroids.k();
-    base_.AssignBlock(points, n, dim, centroids, assign, dist2, second2,
-                      rows);
+    base_.AssignBlock(points, n, dim, centroids, assign, dist2, second2);
   }
 
   size_t PruneBlock(const double* points, size_t n, size_t dim,
@@ -249,12 +248,14 @@ class CountingKernel final : public DistanceKernel {
   }
 
   void AssignMasked(const double* points, size_t n, size_t dim,
-                    const double* centroids, const uint32_t* rows,
+                    const double* centroids, size_t k, const uint32_t* rows,
                     const uint64_t* masks, uint32_t* assign, double* dist2,
                     double* lower) const override {
     scanned += n;
-    for (size_t p = 0; p < n; ++p) distances += std::popcount(masks[p]);
-    base_.AssignMasked(points, n, dim, centroids, rows, masks, assign,
+    for (size_t p = 0; p < n; ++p) {
+      distances += masks != nullptr ? std::popcount(masks[p]) : k;
+    }
+    base_.AssignMasked(points, n, dim, centroids, k, rows, masks, assign,
                        dist2, lower);
   }
 
@@ -726,6 +727,124 @@ INSTANTIATE_TEST_SUITE_P(Cases, StarvationDifferential,
                          [](const auto& info) {
                            return std::string(info.param);
                          });
+
+// ---- Repeat skip ------------------------------------------------------
+//
+// A pruned fit stops before a pass that would repeat the previous one bit
+// for bit, and skips the final pass with it (RunWeightedLloyd). Its model
+// must equal the unpruned loop's, which runs both passes.
+
+// The passes the pruned fit behind `scans` ran over n points: its full
+// scans (the counting kernel's points less the survivors) and its pruned
+// passes.
+size_t PassesRun(const ScanCounts& scans, size_t n) {
+  return (scans.pruned - scans.lloyd.survivors) / n +
+         scans.lloyd.pruned_points / n;
+}
+
+TEST(RepeatSkipTest, FitConvergedByRepetitionSkipsTwoPasses) {
+  // A serve-shaped chunk at k = 8, whose last pass repeats the one
+  // before it.
+  Rng rng(46);
+  const WeightedDataset data =
+      WeightedDataset::FromUnweighted(GenerateMisrLikeCell(2730, &rng));
+  const size_t n = data.size();
+  const Dataset seeds = SeedsFor(data, 8);
+  LloydConfig config;
+  const ScanCounts scans = ExpectPruningExact(data, seeds, config);
+  auto model = RunWeightedLloyd(data, seeds, config);
+  ASSERT_TRUE(model.ok()) << model.status();
+  ASSERT_TRUE(model->converged);
+  const size_t iterations = model->iterations;
+  EXPECT_EQ(iterations, 18u);
+  // The unpruned loop runs every iteration and the final pass, 19
+  // passes; the pruned one stops two passes short, so its pruned_points
+  // drops by exactly 2n: 16 pruned passes after its one full scan, where
+  // running every pass would make 18.
+  EXPECT_EQ(scans.full, (iterations + 1) * n);
+  EXPECT_EQ(PassesRun(scans, n), iterations - 1);
+  EXPECT_EQ(scans.lloyd.pruned_points, 16u * n);
+  // Capped at the last iteration run (t + 1 = iterations − 1), the loop
+  // stops before it can skip, unconverged, and runs its final pass;
+  // capped at t + 2, it skips as before.
+  for (size_t cap : {iterations - 1, iterations}) {
+    SCOPED_TRACE("max_iterations=" + std::to_string(cap));
+    config.max_iterations = cap;
+    const ScanCounts capped = ExpectPruningExact(data, seeds, config);
+    auto capped_model = RunWeightedLloyd(data, seeds, config);
+    ASSERT_TRUE(capped_model.ok()) << capped_model.status();
+    EXPECT_EQ(capped_model->iterations, cap);
+    EXPECT_EQ(capped_model->converged, cap == iterations);
+    EXPECT_EQ(PassesRun(capped, n), cap == iterations ? cap - 1 : cap + 1);
+  }
+}
+
+TEST(RepeatSkipTest, RepairInSecondToLastIterationBlocksTheSkip) {
+  // y = 49·(1/49) is one ulp below 1. Centroids 0 and 1 both sit at y,
+  // so the point x = 1 (weight 49) goes to centroid 0 on a tie and
+  // centroid 1 starves. Its repair moves x to centroid 1, whose new
+  // position 49·(1/49) is y again, and leaves centroid 0 without weight,
+  // so it stays put: the centroids come out bit for bit as they went
+  // in, but assign no longer says what a pass returns. The next
+  // iteration must run: it finds the same starved centroid, repairs it
+  // again and converges, and its final pass puts x back on centroid 0.
+  const double y = 49.0 * (1.0 / 49.0);
+  ASSERT_NE(y, 1.0);
+  WeightedDataset data(1);
+  data.Append(std::vector<double>{1.0}, 49.0);
+  data.Append(std::vector<double>{5.0}, 1.0);
+  const Dataset seeds = MakeCentroids({{y}, {y}, {5.0}});
+  const ScanCounts scans = ExpectPruningExact(data, seeds, LloydConfig{});
+  EXPECT_EQ(scans.lloyd.empty_repairs, 2u);
+  EXPECT_EQ(PassesRun(scans, data.size()), 3u);
+  auto model = RunWeightedLloyd(data, seeds, LloydConfig{});
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_TRUE(model->converged);
+  EXPECT_EQ(model->iterations, 2u);
+  EXPECT_EQ(model->centroids.values(), seeds.values());
+  EXPECT_EQ(model->weights, (std::vector<double>{49.0, 0.0, 1.0}));
+}
+
+TEST(RepeatSkipTest, InfiniteSseNeverSkips) {
+  // Corners of {±1e200}^6: finite points whose squared distances
+  // overflow, so the SSE is +inf from the first pass on. The centroids
+  // settle, but sse − sse is NaN: the stop test never holds, so neither
+  // may the skip. Both loops run to the cap, and the multi-restart fit
+  // fails as the unpruned one does.
+  WeightedDataset data(6);
+  for (uint32_t corner = 0; corner < 60; ++corner) {
+    std::vector<double> point(6);
+    for (size_t d = 0; d < 6; ++d) {
+      point[d] = ((corner >> d) & 1u) != 0 ? 1e200 : -1e200;
+    }
+    data.Append(point, 1.0);
+  }
+  const Dataset seeds = SeedsFor(data, 8);
+  LloydConfig config;
+  config.max_iterations = 20;
+  const ScanCounts scans = ExpectPruningExact(data, seeds, config);
+  EXPECT_EQ(PassesRun(scans, data.size()), 21u);
+  auto model = RunWeightedLloyd(data, seeds, config);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->sse, std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(model->converged);
+  EXPECT_EQ(model->iterations, 20u);
+  Dataset points(6);
+  for (size_t i = 0; i < data.size(); ++i) points.Append(data.Row(i));
+  for (bool accelerate : {false, true}) {
+    SCOPED_TRACE(accelerate ? "pruned" : "full scan");
+    KMeansConfig fit;
+    fit.k = 8;
+    fit.restarts = 2;
+    fit.lloyd.accelerate = accelerate;
+    auto result = KMeans(fit).Fit(points);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
+    EXPECT_NE(result.status().ToString().find("not finite"),
+              std::string::npos)
+        << result.status();
+  }
+}
 
 TEST(PrunedPipelineTest, SavedModelsMatchFullScanAtOneAndFourCores) {
   // The production path: PipelineBuilder::Run, then SaveModel per cell.
