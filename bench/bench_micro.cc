@@ -377,10 +377,14 @@ void RegisterSweeps() {
   benchmark::RegisterBenchmark("BM_LloydFit", BM_LloydFit, size_t{40})
       ->ArgsProduct({{2500, 12500, 50000}, {0, 1}})
       ->Unit(benchmark::kMillisecond);
-  // One serve chunk (k=8, 2,730 points).
-  benchmark::RegisterBenchmark("BM_LloydFit/k8", BM_LloydFit, size_t{8})
-      ->ArgsProduct({{2730}, {0, 1}})
-      ->Unit(benchmark::kMillisecond);
+  // One serve chunk (k=8, 2,730 points) and one many_cells_io fit (k=4),
+  // where a scan that pads k shows.
+  for (size_t k : {4u, 8u}) {
+    benchmark::RegisterBenchmark(("BM_LloydFit/k" + std::to_string(k)).c_str(),
+                                 BM_LloydFit, k)
+        ->ArgsProduct({{2730}, {0, 1}})
+        ->Unit(benchmark::kMillisecond);
+  }
   for (const DistanceKernel* kernel : AvailableKernels()) {
     for (size_t dim : {6u, 16u, 64u}) {
       const std::string tag =

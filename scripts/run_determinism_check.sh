@@ -16,8 +16,9 @@
 #   4. across distance kernels (--kernel=auto vs the scalar reference:
 #      the bound-pruned assignment takes a skipped point's distance from
 #      the kernel's PruneBlock and a scanned point's from its
-#      AssignMasked, which scans every centroid below the ball's
-#      threshold, so the two must agree bit for bit on every kernel);
+#      AssignMasked, the one scan of every pass — full passes and, below
+#      the ball's threshold, survivors against every centroid — so the
+#      two must agree bit for bit on every kernel);
 #   5. with the Exponion ball engaged: a k=40 leg (the k=6 legs stay below
 #      the ball's threshold, kBallMinK) whose survivors scan ring masks
 #      through AssignMasked, at --cores=1 and 4 and --kernel=auto.

@@ -3,17 +3,12 @@
 // stays portable; availability is re-checked at runtime via CPUID before
 // dispatch ever lands here.
 //
-// AssignBlock runs in two phases per block of 4 points:
-//  1. Distances. Each pass computes 4 points × 8 centroids: the two 4-lane
-//     centroid vectors of coordinate d are loaded once and reused by all
-//     4 points, which keeps 8 independent accumulators in flight. The
-//     distances go to a fixed-size stack scratch that tiles over
-//     centroids, so its size does not depend on k.
-//  2. Argmin, branch-free. Lane l of a point's state sees centroids
-//     j ≡ l (mod 4) in ascending order and keeps its minimum m, its
-//     second-smallest value s and the index of m (held as an exact
-//     double): idx = d < m ? j : idx, s = min(max(m, d), s),
-//     m = min(d, m). Permutes then reduce the 4 lanes.
+// AssignBlock and AssignMasked run one scan body (MaskedSteps): 8 points
+// per step, one per lane of two 4-wide vectors, against the row-major
+// centroids in ascending index. Each lane accumulates its point's
+// distance to centroid j and updates its state branch-free: the minimum
+// m, the second-smallest value s and the index of m (held as an exact
+// double): idx = d < m ? j : idx, s = min(max(m, d), s), m = min(d, m).
 //
 // Determinism (must match kernels/scalar.cc bit-for-bit):
 //  - every lane accumulates (x[d] − c[d])² over d in ascending order with
@@ -25,19 +20,12 @@
 //    +inf) and the second-smallest value of the multiset of distances
 //    (a tie with the minimum counts). NaN distances never compare less,
 //    so they are simply absent from that multiset;
-//  - a lane's update keeps exactly the two smallest of its own distances,
-//    with the lowest index of its minimum (strict <). MINPD/MAXPD return
-//    the second operand when either is NaN, so with the operand order
-//    above a NaN d leaves m, s and idx unchanged;
-//  - the reduction takes M = min over lanes of m, then the lowest idx
-//    among lanes whose m equals M (lanes that never won still hold their
-//    initial idx 0..3, so an all-inf or all-NaN point gets index 0), and
-//    the second as min(s of that lane, m of the other lanes) — the second
-//    of a union of lanes is either the winner lane's own second or
-//    another lane's minimum;
-//  - padded lanes (CentroidBlock columns j >= k hold +inf coordinates)
-//    produce +inf or NaN distances and can never win or become second
-//    ahead of a real centroid's finite distance.
+//  - a lane sees its point's centroids in that same ascending order and
+//    its update keeps exactly the two smallest distances, with the lowest
+//    index of the minimum (strict <; idx starts at 0). MINPD/MAXPD
+//    return the second operand when either is NaN, so with the operand
+//    order above a NaN d leaves m, s and idx unchanged — which is also
+//    how a lane skips a centroid outside its own mask.
 //
 // PruneBlock runs the scalar reference's per-point arithmetic (PruneRows
 // in kernels/scalar.cc) 4 points at a time, one point per lane: the same
@@ -67,19 +55,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Points per register block, and centroids per stack-scratch tile (a
-// multiple of the 8 centroids one phase-1 pass covers; CentroidBlock pads
-// k to 8, so every pass is full).
+// Points per PruneBlock step (one per lane).
 constexpr size_t kBlockPoints = 4;
-constexpr size_t kTileCentroids = 64;
-// AssignMasked: points per step (one per lane of two vectors), the
+// MaskedSteps: points per step (one per lane of two vectors), the
 // coordinates its transposed stack scratch holds, and centroids per tile
 // (one mask word).
 constexpr size_t kMaskedLanes = 8;
 constexpr size_t kMaskedMaxDim = 16;
 constexpr size_t kMaskedTile = 64;
-static_assert(CentroidBlock::kLanePad == 8 && kTileCentroids % 8 == 0,
-              "a phase-1 pass covers 8 padded centroid columns");
 
 // Squared distances of point x to the 4 centroids starting at padded
 // column j0, accumulated in ascending-d order (one mul + one add per
@@ -140,45 +123,7 @@ inline __m256d PairDistances(const double* const x[kBlockPoints],
   return acc;
 }
 
-// Phase 1: out[p][j − j_begin] = ‖x[p] − c_j‖² for the 4 points and the
-// padded columns [j_begin, j_end).
-inline void DistanceTile(const double* const x[kBlockPoints],
-                         const double* ct, size_t kp, size_t dim,
-                         size_t j_begin, size_t j_end,
-                         double (*out)[kTileCentroids]) {
-  for (size_t j0 = j_begin; j0 < j_end; j0 += 8) {
-    __m256d a00 = _mm256_setzero_pd(), a01 = a00, a10 = a00, a11 = a00;
-    __m256d a20 = a00, a21 = a00, a30 = a00, a31 = a00;
-    for (size_t d = 0; d < dim; ++d) {
-      const double* c = ct + d * kp + j0;
-      const __m256d c0 = _mm256_loadu_pd(c);
-      const __m256d c1 = _mm256_loadu_pd(c + 4);
-      const __m256d x0 = _mm256_set1_pd(x[0][d]);
-      a00 = AddSquaredDiff(a00, x0, c0);
-      a01 = AddSquaredDiff(a01, x0, c1);
-      const __m256d x1 = _mm256_set1_pd(x[1][d]);
-      a10 = AddSquaredDiff(a10, x1, c0);
-      a11 = AddSquaredDiff(a11, x1, c1);
-      const __m256d x2 = _mm256_set1_pd(x[2][d]);
-      a20 = AddSquaredDiff(a20, x2, c0);
-      a21 = AddSquaredDiff(a21, x2, c1);
-      const __m256d x3 = _mm256_set1_pd(x[3][d]);
-      a30 = AddSquaredDiff(a30, x3, c0);
-      a31 = AddSquaredDiff(a31, x3, c1);
-    }
-    const size_t o = j0 - j_begin;
-    _mm256_store_pd(out[0] + o, a00);
-    _mm256_store_pd(out[0] + o + 4, a01);
-    _mm256_store_pd(out[1] + o, a10);
-    _mm256_store_pd(out[1] + o + 4, a11);
-    _mm256_store_pd(out[2] + o, a20);
-    _mm256_store_pd(out[2] + o + 4, a21);
-    _mm256_store_pd(out[3] + o, a30);
-    _mm256_store_pd(out[3] + o + 4, a31);
-  }
-}
-
-// One point's per-lane argmin state (phase 2).
+// The per-lane argmin state of 4 points.
 struct LaneArgmin {
   __m256d m;    // smallest distance seen by the lane
   __m256d s;    // second smallest
@@ -248,12 +193,6 @@ inline void Avx2BuildRings(const double* pair2, size_t k, size_t kp,
   }
 }
 
-// Broadcasts the minimum of v's 4 lanes (v holds no NaN).
-inline __m256d LaneMin(__m256d v) {
-  v = _mm256_min_pd(v, _mm256_permute2f128_pd(v, v, 1));
-  return _mm256_min_pd(v, _mm256_permute_pd(v, 0x5));
-}
-
 }  // namespace
 
 // External linkage on purpose: these member functions are the
@@ -269,53 +208,10 @@ class Avx2DistanceKernel final : public DistanceKernel {
   void AssignBlock(const double* points, size_t n, size_t dim,
                    const CentroidBlock& centroids, uint32_t* assign,
                    double* dist2, double* second2) const override {
-    const size_t k = centroids.k();
-    const size_t kp = centroids.padded_k();
-    const double* ct = centroids.transposed();
-    PMKM_DCHECK(k > 0 && centroids.dim() == dim && kp % 8 == 0);
-
-    alignas(32) double scratch[kBlockPoints][kTileCentroids];
-    const __m256d inf = _mm256_set1_pd(kInf);
-    const __m256d lanes = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
-    const __m256d four = _mm256_set1_pd(4.0);
-    for (size_t i = 0; i < n; i += kBlockPoints) {
-      // A short tail block repeats its last point; only real rows are
-      // written back.
-      const size_t live = std::min(kBlockPoints, n - i);
-      const double* x[kBlockPoints];
-      for (size_t p = 0; p < kBlockPoints; ++p) {
-        x[p] = points + (i + std::min(p, live - 1)) * dim;
-      }
-      LaneArgmin st[kBlockPoints];
-      for (LaneArgmin& lane : st) lane = {inf, inf, lanes};
-      for (size_t t0 = 0; t0 < kp; t0 += kTileCentroids) {
-        const size_t t1 = std::min(kp, t0 + kTileCentroids);
-        DistanceTile(x, ct, kp, dim, t0, t1, scratch);
-        __m256d j = _mm256_add_pd(
-            _mm256_set1_pd(static_cast<double>(t0)), lanes);
-        for (size_t o = 0; o < t1 - t0; o += 4) {
-          Update(&st[0], _mm256_load_pd(scratch[0] + o), j);
-          Update(&st[1], _mm256_load_pd(scratch[1] + o), j);
-          Update(&st[2], _mm256_load_pd(scratch[2] + o), j);
-          Update(&st[3], _mm256_load_pd(scratch[3] + o), j);
-          j = _mm256_add_pd(j, four);
-        }
-      }
-      for (size_t p = 0; p < live; ++p) {
-        const __m256d best = LaneMin(st[p].m);
-        const __m256d tied = _mm256_cmp_pd(st[p].m, best, _CMP_EQ_OQ);
-        const __m256d j = LaneMin(_mm256_blendv_pd(inf, st[p].idx, tied));
-        assign[i + p] = static_cast<uint32_t>(_mm256_cvtsd_f64(j));
-        dist2[i + p] = _mm256_cvtsd_f64(best);
-        if (second2 != nullptr) {
-          // Lane indices are distinct mod 4, so exactly one lane won.
-          const __m256d won = _mm256_cmp_pd(st[p].idx, j, _CMP_EQ_OQ);
-          second2[i + p] =
-              _mm256_cvtsd_f64(LaneMin(_mm256_blendv_pd(st[p].m, st[p].s,
-                                                        won)));
-        }
-      }
-    }
+    PMKM_DCHECK(centroids.k() > 0 && centroids.dim() == dim);
+    Masked<false, false>(points, n, dim, centroids.row_major(),
+                         centroids.k(), nullptr, nullptr, assign, dist2,
+                         second2);
   }
 
   size_t PruneBlock(const double* points, size_t n, size_t dim,
@@ -408,12 +304,12 @@ class Avx2DistanceKernel final : public DistanceKernel {
                     const double* centroids, size_t k, const uint32_t* rows,
                     const uint64_t* masks, uint32_t* assign, double* dist2,
                     double* lower) const override {
-    if (dim == 6) {
-      MaskedSteps<6>(points, n, 6, centroids, k, rows, masks, assign, dist2,
-                     lower);
+    if (rows != nullptr) {
+      Masked<true, true>(points, n, dim, centroids, k, rows, masks, assign,
+                         dist2, lower);
     } else {
-      MaskedSteps<0>(points, n, dim, centroids, k, rows, masks, assign,
-                     dist2, lower);
+      Masked<false, true>(points, n, dim, centroids, k, nullptr, masks,
+                          assign, dist2, lower);
     }
   }
 
@@ -522,22 +418,39 @@ class Avx2DistanceKernel final : public DistanceKernel {
     return sse;
   }
 
-  // AssignMasked, 8 points per step, one per lane; kDim = 0 reads the
-  // dimension at run time. Each lane keeps its point's minimum, second
-  // and index with AssignBlock's Update, over the centroids in
-  // ascending index: the union of the step's masks, or every j < k
-  // with no masks, in tiles of kMaskedTile. A lane whose own mask lacks
-  // j sees NaN for it, which leaves its state unchanged, so every lane
+  // MaskedSteps with its dimension fixed at D = 6, the MISR cells', or
+  // read at run time (kDim = 0).
+  template <bool kRows, bool kLower>
+  static void Masked(const double* points, size_t n, size_t dim,
+                     const double* centroids, size_t k, const uint32_t* rows,
+                     const uint64_t* masks, uint32_t* assign, double* dist2,
+                     double* second) {
+    if (dim == 6) {
+      MaskedSteps<6, kRows, kLower>(points, n, 6, centroids, k, rows, masks,
+                                    assign, dist2, second);
+    } else {
+      MaskedSteps<0, kRows, kLower>(points, n, dim, centroids, k, rows,
+                                    masks, assign, dist2, second);
+    }
+  }
+
+  // The scan of both primitives, 8 points per step, one per lane: point
+  // p is row rows[p] when kRows, and row p otherwise. Each lane keeps its
+  // point's minimum, second and index with Update, over the centroids in
+  // ascending index: the union of the step's masks, or every j < k with
+  // no masks, in tiles of kMaskedTile. A lane whose own mask lacks j
+  // sees NaN for it, which leaves its state unchanged, so every lane
   // returns the scan of exactly its own mask. The step's points are
-  // transposed kMaskedMaxDim coordinates at a time; above that, a
-  // tile's distances carry over between the chunks in `partial`, so
-  // each lane still adds its coordinates in ascending order. A short
-  // tail repeats its last point; only real rows are written back.
-  template <size_t kDim>
+  // transposed kMaskedMaxDim coordinates at a time; above that, a tile's
+  // distances carry over between the chunks in `partial`, so each lane
+  // still adds its coordinates in ascending order. A short tail repeats
+  // its last point; only real rows are written back. `second`, when
+  // non-null, gets √s·(1 − δ) when kLower and s itself otherwise.
+  template <size_t kDim, bool kRows, bool kLower>
   static void MaskedSteps(const double* points, size_t n, size_t dim_arg,
                           const double* centroids, size_t k,
                           const uint32_t* rows, const uint64_t* masks,
-                          uint32_t* assign, double* dist2, double* lower) {
+                          uint32_t* assign, double* dist2, double* second) {
     const size_t dim = kDim != 0 ? kDim : dim_arg;
     // With masks, only the first tile can hold a bit.
     const size_t span = masks != nullptr ? std::min(k, kMaskedTile) : k;
@@ -557,7 +470,7 @@ class Avx2DistanceKernel final : public DistanceKernel {
       bool uniform = true;
       for (size_t p = 0; p < kMaskedLanes; ++p) {
         const size_t r = i + std::min(p, live - 1);
-        x[p] = points + rows[r] * dim;
+        x[p] = points + (kRows ? rows[r] : r) * dim;
         mask[p] = masks != nullptr ? masks[r] : 0;
         any |= mask[p];
         uniform &= mask[p] == mask[0];
@@ -642,19 +555,23 @@ class Avx2DistanceKernel final : public DistanceKernel {
         }
       }
       alignas(32) double best[kMaskedLanes], idx[kMaskedLanes],
-          bound[kMaskedLanes];
+          out[kMaskedLanes];
       _mm256_store_pd(best, lo.m);
       _mm256_store_pd(best + 4, hi.m);
       _mm256_store_pd(idx, lo.idx);
       _mm256_store_pd(idx + 4, hi.idx);
-      _mm256_store_pd(bound, _mm256_mul_pd(_mm256_sqrt_pd(lo.s), shrink));
-      _mm256_store_pd(bound + 4,
-                      _mm256_mul_pd(_mm256_sqrt_pd(hi.s), shrink));
+      if constexpr (kLower) {
+        _mm256_store_pd(out, _mm256_mul_pd(_mm256_sqrt_pd(lo.s), shrink));
+        _mm256_store_pd(out + 4, _mm256_mul_pd(_mm256_sqrt_pd(hi.s), shrink));
+      } else {
+        _mm256_store_pd(out, lo.s);
+        _mm256_store_pd(out + 4, hi.s);
+      }
       for (size_t p = 0; p < live; ++p) {
-        const uint32_t row = rows[i + p];
+        const size_t row = kRows ? rows[i + p] : i + p;
         assign[row] = static_cast<uint32_t>(idx[p]);
         dist2[row] = best[p];
-        lower[row] = bound[p];
+        if (second != nullptr) second[row] = out[p];
       }
     }
   }

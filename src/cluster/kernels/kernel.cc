@@ -14,6 +14,7 @@ void CentroidBlock::Load(const double* centroids, size_t k, size_t dim) {
   k_ = k;
   dim_ = dim;
   padded_k_ = (k + kLanePad - 1) / kLanePad * kLanePad;
+  row_major_.assign(centroids, centroids + k * dim);
   transposed_.assign(padded_k_ * dim,
                      std::numeric_limits<double>::infinity());
   for (size_t d = 0; d < dim; ++d) {

@@ -7,26 +7,31 @@
 //    on x86-64; every other host runs the scalar kernel. The
 //    implementation is chosen once per process via CPUID, overridable
 //    with --kernel.
-//  - Layout contract: centroids are repacked *transposed and padded*
-//    (CentroidBlock): coordinate d of all centroids is contiguous, k padded
-//    to a lane multiple with +inf coordinates, so SIMD lanes sweep
-//    centroids with aligned contiguous loads while each lane accumulates
-//    its (point, centroid) distance in strict coordinate order.
+//  - Layout contract: the nearest-centroid scans read row-major
+//    centroids; the AVX2 kernel sweeps 8 points per step, one per lane,
+//    so each lane accumulates its (point, centroid) distance in strict
+//    coordinate order. CentroidBlock holds the centroids in both
+//    layouts: row-major for AssignBlock, and transposed and padded
+//    (coordinate d of all centroids contiguous, k padded to a lane
+//    multiple with +inf coordinates) for CentroidDriftAndSeparation's
+//    pair distances.
+//  - One scan body per kernel. AssignBlock is AssignMasked over every
+//    point in order and every centroid, with the second-smallest squared
+//    distance written raw; both primitives run the same loop.
 //  - Determinism guarantee: every kernel computes bit-identical squared
 //    distances (same per-pair operation order, no FMA contraction in the
 //    accumulation) and returns what the scalar ascending-index scan
 //    returns — strictly smaller distance wins, ties break toward the
 //    lower centroid index, NaN distances never win or become second. How
-//    a kernel gets there is its own business: the AVX2 kernel computes a
-//    register block of 4 points × 8 centroids into a stack scratch, then
-//    reduces it with a branch-free per-lane min/second/index update and a
-//    permute-based cross-lane reduction (kernels/avx2.cc shows why that
-//    equals the scan). Assignments, and therefore centroids, are bitwise
-//    identical across scalar and AVX2. The pruned Lloyd assignment
-//    (cluster/lloyd.cc) relies on this: PruneBlock computes a skipped
-//    point's distance to its own centroid in the same per-lane operation
-//    order, and AssignMasked scans the survivors through their row list,
-//    each against a ring mask or, with no mask, against every centroid.
+//    a kernel gets there is its own business: the AVX2 kernel keeps a
+//    branch-free min/second/index state per lane (kernels/avx2.cc shows
+//    why that equals the scan). Assignments, and therefore centroids, are
+//    bitwise identical across scalar and AVX2. The pruned Lloyd
+//    assignment (cluster/lloyd.cc) relies on this: PruneBlock computes a
+//    skipped point's distance to its own centroid in the same per-lane
+//    operation order, and AssignMasked scans the survivors through their
+//    row list, each against a ring mask or, with no mask, against every
+//    centroid.
 //  - The Exponion ball (DESIGN.md §10): from kBallMinK centroids on, a
 //    pruned pass scans each survivor against only the centroids of one
 //    ring mask — the centroids whose distance from the survivor's own
@@ -36,11 +41,11 @@
 //    the one monotone RingLevel below, so a mask is a superset of the
 //    ball B(c_a, 2u + 2s_a) that holds the nearest and second-nearest
 //    centroids. AssignMasked scans a mask in ascending index with a
-//    strict <, AssignBlock's tie rule, so it returns AssignBlock's
-//    assign, dist2 and second2 bit for bit (kernels/scalar.cc has the
-//    argument). Below kBallMinK and above kBallMaxK the survivors take
-//    AssignMasked with no mask, and the kNoRing ones a mask of all k:
-//    every centroid, which is AssignBlock's scan itself.
+//    strict <, so it returns the full scan's assign, dist2 and second2
+//    bit for bit (kernels/scalar.cc has the argument). Below kBallMinK
+//    and above kBallMaxK the survivors take AssignMasked with no mask,
+//    and the kNoRing ones a mask of all k: every centroid, which is the
+//    full scan itself.
 
 #ifndef PMKM_CLUSTER_KERNELS_KERNEL_H_
 #define PMKM_CLUSTER_KERNELS_KERNEL_H_
@@ -108,15 +113,16 @@ inline uint8_t RingLevel(double r2, double s_a) {
       level, 0, static_cast<int64_t>(kRingLevels) - 1));
 }
 
-/// Centroids repacked for the kernels: transposed (coordinate-major) and
-/// padded to a lane multiple. Element (j, d) lives at
-/// transposed()[d * padded_k() + j]; padding columns j >= k() hold +inf so
-/// a padded lane can never win an argmin. Reusable across iterations —
-/// Load() only reallocates when the shape grows.
+/// Centroids loaded for the kernels, in two layouts. row_major() is a
+/// copy of the k×dim rows, which AssignBlock scans. transposed() is
+/// coordinate-major and padded to a lane multiple: element (j, d) lives at
+/// transposed()[d * padded_k() + j], and padding columns j >= k() hold
+/// +inf so a padded lane can never win a min; CentroidDriftAndSeparation
+/// reads its pair distances from it. Reusable across iterations — Load()
+/// only reallocates when the shape grows.
 class CentroidBlock {
  public:
-  /// Pad k to a multiple of 8: the AVX2 kernel's 8-centroid register
-  /// block (two 4-wide vectors).
+  /// Pad k to a multiple of 8, two of the AVX2 kernel's 4-wide vectors.
   static constexpr size_t kLanePad = 8;
 
   void Load(const double* centroids, size_t k, size_t dim);
@@ -127,9 +133,11 @@ class CentroidBlock {
   size_t k() const { return k_; }
   size_t dim() const { return dim_; }
   size_t padded_k() const { return padded_k_; }
+  const double* row_major() const { return row_major_.data(); }
   const double* transposed() const { return transposed_.data(); }
 
  private:
+  std::vector<double> row_major_;
   std::vector<double> transposed_;
   size_t k_ = 0;
   size_t dim_ = 0;
@@ -149,7 +157,9 @@ class DistanceKernel {
   /// Assignment for a tile: for each of the n row-major points, the index
   /// of the nearest centroid (ties to the lower index) and its exact
   /// squared distance. `second2`, when non-null, additionally receives the
-  /// second-smallest squared distance (the Hamerly lower bound).
+  /// second-smallest squared distance (the Hamerly lower bound). This is
+  /// AssignMasked's scan with null rows and masks over
+  /// centroids.row_major(), with second2 written raw.
   virtual void AssignBlock(const double* points, size_t n, size_t dim,
                            const CentroidBlock& centroids, uint32_t* assign,
                            double* dist2, double* second2 = nullptr) const
@@ -177,18 +187,18 @@ class DistanceKernel {
                             uint8_t* levels = nullptr) const
       PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
 
-  /// The scan of a pruned pass's survivors. For each p < n, the point
-  /// at points + rows[p]·dim is scanned against the centroids whose bits
-  /// are set in masks[p] or, when `masks` is null, against every
-  /// centroid j < k, in ascending index, and the results are written in
-  /// place: assign[rows[p]] gets the nearest (ties to the lower index; 0
-  /// when no distance is below +inf), dist2[rows[p]] its squared
-  /// distance, and lower[rows[p]] = √second2·(1 − δ) with second2 the
-  /// second-smallest squared distance scanned. `centroids` is row-major
-  /// k×dim, so a mask bit must index one of the first min(k, 64) rows.
-  /// Distances and compares are AssignBlock's, so with no mask, or with
-  /// a mask holding a point's nearest and second-nearest centroids, the
-  /// outputs are AssignBlock's bit for bit.
+  /// The nearest-two scan of a Lloyd pass. For each p < n, the point at
+  /// points + r·dim, with r = rows[p] or, when `rows` is null, r = p, is
+  /// scanned against the centroids whose bits are set in masks[p] or,
+  /// when `masks` is null, against every centroid j < k, in ascending
+  /// index, and the results are written in place: assign[r] gets the
+  /// nearest (ties to the lower index; 0 when no distance is below
+  /// +inf), dist2[r] its squared distance, and lower[r], when `lower` is
+  /// non-null, √second2·(1 − δ) with second2 the second-smallest squared
+  /// distance scanned. `centroids` is row-major k×dim, so a mask bit must
+  /// index one of the first min(k, 64) rows. With no mask, or with a mask
+  /// holding a point's nearest and second-nearest centroids, the outputs
+  /// are the full scan's (AssignBlock's) bit for bit.
   virtual void AssignMasked(const double* points, size_t n, size_t dim,
                             const double* centroids, size_t k,
                             const uint32_t* rows, const uint64_t* masks,

@@ -6,7 +6,10 @@
 //    into a single accumulator, with no FMA contraction (this TU builds
 //    with -ffp-contract=off);
 //  - the argmin scans j in ascending order and replaces only on a strictly
-//    smaller distance, so ties break toward the lower centroid index;
+//    smaller distance, so ties break toward the lower centroid index; one
+//    loop (Scan below) serves AssignBlock and AssignMasked, which differ
+//    only in which rows and centroids they name and in what they write
+//    for the second-smallest distance;
 //  - AccumulateBlock applies exactly one w·x[d] multiply and one add per
 //    (point, coordinate), in ascending point order, and sums the weighted
 //    SSE in the same ascending order into one accumulator that starts at
@@ -34,7 +37,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 // Exactness of the pruning test. Let D_j be the exact distance from x to
-// centroid j and a the point's previous assignment. The AssignBlock scan
+// centroid j and a the point's previous assignment. The full scan
 // returns (a, fl(d²_a)) iff fl(d²_j) > fl(d²_a) for every j ≠ a (strict,
 // so tie-breaking by index never comes into play). A computed squared
 // distance is within a relative γ ≈ (dim + 2)·2⁻⁵³ of D², so
@@ -67,7 +70,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // computed distance is at most the computed second; each of those has
 // D_j ≤ D₂·(1 + 2γ), so it lies within (2U + 2S)·(1 + 2γ) of c_a. A
 // scan of any superset of those centroids in ascending index with a
-// strict < therefore returns AssignBlock's outputs: the smallest
+// strict < therefore returns the full scan's outputs: the smallest
 // distance and all its ties are in the set, and so is a witness of the
 // second. A mask is such a superset:
 //  - R = (√dist2 + s[a])·kRingGrow is at least (2U + 2S)·(1 + δ/2), so
@@ -152,33 +155,9 @@ class ScalarDistanceKernel final : public DistanceKernel {
   void AssignBlock(const double* points, size_t n, size_t dim,
                    const CentroidBlock& centroids, uint32_t* assign,
                    double* dist2, double* second2) const override {
-    const size_t k = centroids.k();
-    const size_t kp = centroids.padded_k();
-    const double* ct = centroids.transposed();
-    PMKM_DCHECK(k > 0 && centroids.dim() == dim);
-    for (size_t i = 0; i < n; ++i) {
-      const double* x = points + i * dim;
-      size_t best = 0;
-      double d_best = kInf;
-      double d_second = kInf;
-      for (size_t j = 0; j < k; ++j) {
-        double acc = 0.0;
-        for (size_t d = 0; d < dim; ++d) {
-          const double diff = x[d] - ct[d * kp + j];
-          acc += diff * diff;
-        }
-        if (acc < d_best) {
-          d_second = d_best;
-          d_best = acc;
-          best = j;
-        } else if (acc < d_second) {
-          d_second = acc;
-        }
-      }
-      assign[i] = static_cast<uint32_t>(best);
-      dist2[i] = d_best;
-      if (second2 != nullptr) second2[i] = d_second;
-    }
+    PMKM_DCHECK(centroids.k() > 0 && centroids.dim() == dim);
+    Scan(points, n, dim, centroids.row_major(), centroids.k(), nullptr,
+         nullptr, assign, dist2, second2, /*lower=*/false);
   }
 
   size_t PruneBlock(const double* points, size_t n, size_t dim,
@@ -194,37 +173,8 @@ class ScalarDistanceKernel final : public DistanceKernel {
                     const double* centroids, size_t k, const uint32_t* rows,
                     const uint64_t* masks, uint32_t* assign, double* dist2,
                     double* lower) const override {
-    for (size_t p = 0; p < n; ++p) {
-      const double* x = points + rows[p] * dim;
-      uint32_t best = 0;
-      double d_best = kInf;
-      double d_second = kInf;
-      auto scan = [&](size_t j) {
-        const double* c = centroids + j * dim;
-        double acc = 0.0;
-        for (size_t d = 0; d < dim; ++d) {
-          const double diff = x[d] - c[d];
-          acc += diff * diff;
-        }
-        if (acc < d_best) {
-          d_second = d_best;
-          d_best = acc;
-          best = static_cast<uint32_t>(j);
-        } else if (acc < d_second) {
-          d_second = acc;
-        }
-      };
-      if (masks == nullptr) {
-        for (size_t j = 0; j < k; ++j) scan(j);
-      } else {
-        for (uint64_t bits = masks[p]; bits != 0; bits &= bits - 1) {
-          scan(static_cast<size_t>(std::countr_zero(bits)));
-        }
-      }
-      assign[rows[p]] = best;
-      dist2[rows[p]] = d_best;
-      lower[rows[p]] = std::sqrt(d_second) * (1.0 - kPruneSlack);
-    }
+    Scan(points, n, dim, centroids, k, rows, masks, assign, dist2, lower,
+         /*lower=*/true);
   }
 
   double AccumulateBlock(const double* points, const double* weights,
@@ -281,6 +231,51 @@ class ScalarDistanceKernel final : public DistanceKernel {
       s[j] = k > 1 ? 0.5 * std::sqrt(nearest) : kInf;
       if (rings != nullptr) {
         BuildRings(pair2, k, j, s[j], rings + j * kRingLevels);
+      }
+    }
+  }
+
+ private:
+  // The one nearest-two scan of both primitives (AssignMasked's contract
+  // in kernel.h). `second`, when non-null, receives √second2·(1 − δ)
+  // when `lower` is set, and second2 itself otherwise.
+  static void Scan(const double* points, size_t n, size_t dim,
+                   const double* centroids, size_t k, const uint32_t* rows,
+                   const uint64_t* masks, uint32_t* assign, double* dist2,
+                   double* second, bool lower) {
+    for (size_t p = 0; p < n; ++p) {
+      const size_t r = rows != nullptr ? rows[p] : p;
+      const double* x = points + r * dim;
+      uint32_t best = 0;
+      double d_best = kInf;
+      double d_second = kInf;
+      auto scan = [&](size_t j) {
+        const double* c = centroids + j * dim;
+        double acc = 0.0;
+        for (size_t d = 0; d < dim; ++d) {
+          const double diff = x[d] - c[d];
+          acc += diff * diff;
+        }
+        if (acc < d_best) {
+          d_second = d_best;
+          d_best = acc;
+          best = static_cast<uint32_t>(j);
+        } else if (acc < d_second) {
+          d_second = acc;
+        }
+      };
+      if (masks == nullptr) {
+        for (size_t j = 0; j < k; ++j) scan(j);
+      } else {
+        for (uint64_t bits = masks[p]; bits != 0; bits &= bits - 1) {
+          scan(static_cast<size_t>(std::countr_zero(bits)));
+        }
+      }
+      assign[r] = best;
+      dist2[r] = d_best;
+      if (second != nullptr) {
+        second[r] =
+            lower ? std::sqrt(d_second) * (1.0 - kPruneSlack) : d_second;
       }
     }
   }

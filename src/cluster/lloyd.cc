@@ -12,21 +12,19 @@ namespace pmkm {
 
 namespace {
 
-/// Points per AssignBlock call: large enough to amortize the virtual call,
-/// small enough that the scan's scratch stays in L1/L2.
-constexpr size_t kAssignTile = 256;
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The assignment step (the paper's step 2). Every pass yields, for each
-// point, exactly the (assign, dist2) a full kernel.AssignBlock scan would.
-// With pruning on, it keeps Hamerly's lower bound l[i] on the distance from
-// point i to every centroid other than its own, and skips the k-way scan
-// for points whose bounds prove the nearest centroid unchanged. The
-// survivors scan through AssignMasked: from kBallMinK to kBallMaxK
-// centroids, each against the ring mask of its owner and ring level (the
-// Exponion ball, kernel.h), or every centroid when the ball cannot serve
-// it; otherwise against every centroid, with no mask.
+// The assignment step (the paper's step 2). Every pass scans through
+// kernel.AssignMasked and yields, for each point, exactly the
+// (assign, dist2) a scan of every point against every centroid would. A
+// full pass is that scan: null rows and masks. With pruning on, it keeps
+// Hamerly's lower bound l[i] on the distance from point i to every
+// centroid other than its own, and skips the k-way scan for points whose
+// bounds prove the nearest centroid unchanged. The survivors scan through
+// their row list: from kBallMinK to kBallMaxK centroids, each against the
+// ring mask of its owner and ring level (the Exponion ball, kernel.h), or
+// every centroid when the ball cannot serve it; otherwise against every
+// centroid, with no mask.
 class Assigner {
  public:
   Assigner(const DistanceKernel& kernel, const WeightedDataset& data,
@@ -37,14 +35,12 @@ class Assigner {
         k_(k),
         dim_(data.dim()),
         prune_(prune),
-        ball_(prune && k >= kBallMinK && k <= kBallMaxK) {
+        ball_(prune && k >= kBallMinK && k <= kBallMaxK),
+        centroids_(k * dim_) {
     if (!prune_) return;
-    const size_t tile_cap = std::min(n_, kAssignTile);
     lower_.resize(n_);
-    centroids_.resize(k * dim_);
     drift_.resize(k);
     s_.resize(k);
-    second2_.resize(tile_cap);
     rows_.resize(n_);
     if (!ball_) return;
     levels_.resize(n_);
@@ -63,12 +59,11 @@ class Assigner {
   /// the bounds left by the previous pass are still valid; then PruneBlock
   /// lowers each bound by the largest centroid drift as it tests it.
   void BeginPass(const Dataset& centroids) {
-    block_.Load(centroids);
-    if (!prune_) return;
     const double* c = centroids.data();
-    pruned_pass_ = bounds_valid_;
+    pruned_pass_ = prune_ && bounds_valid_;
     bounds_valid_ = true;
     if (pruned_pass_) {
+      block_.Load(centroids);
       kernel_.CentroidDriftAndSeparation(centroids_.data(), c, block_, k_,
                                          dim_, drift_.data(), s_.data(),
                                          ball_ ? rings_.data() : nullptr);
@@ -87,7 +82,8 @@ class Assigner {
   void Invalidate() { bounds_valid_ = false; }
 
   /// True when `centroids` are, bit for bit, the ones the last pass ran
-  /// against. Only a pruning Assigner keeps those.
+  /// against. Only a pruning Assigner says so: the unpruned loop runs
+  /// every pass.
   bool Repeats(const Dataset& centroids) const {
     return prune_ && std::memcmp(centroids.data(), centroids_.data(),
                                  k_ * dim_ * sizeof(double)) == 0;
@@ -97,16 +93,9 @@ class Assigner {
   /// assignments on entry.
   void Pass(uint32_t* assign, double* dist2) {
     if (!pruned_pass_) {
-      for (size_t i0 = 0; i0 < n_; i0 += kAssignTile) {
-        const size_t tile = std::min(kAssignTile, n_ - i0);
-        kernel_.AssignBlock(points_ + i0 * dim_, tile, dim_, block_,
-                            assign + i0, dist2 + i0,
-                            prune_ ? second2_.data() : nullptr);
-        if (!prune_) continue;
-        for (size_t t = 0; t < tile; ++t) {
-          lower_[i0 + t] = std::sqrt(second2_[t]) * (1.0 - kPruneSlack);
-        }
-      }
+      kernel_.AssignMasked(points_, n_, dim_, centroids_.data(), k_, nullptr,
+                           nullptr, assign, dist2,
+                           prune_ ? lower_.data() : nullptr);
       return;
     }
     // The bound test over the whole pass first; its exactness argument
@@ -175,12 +164,11 @@ class Assigner {
   bool pruned_pass_ = false;
   double shift_ = 0.0;  // this pass's bound decay; 0: no centroid moved
   LloydCounters counts_;
-  CentroidBlock block_;
+  CentroidBlock block_;  // a pruned pass's, for the pair distances
   std::vector<double> lower_;      // l[i], per point
-  std::vector<double> centroids_;  // the centroids l[] refers to
+  std::vector<double> centroids_;  // the pass's, which l[] refers to
   std::vector<double> drift_;
   std::vector<double> s_;
-  std::vector<double> second2_;     // a full pass's, per tile
   std::vector<uint32_t> rows_;      // the pass's survivors
   // The ball: survivors' ring levels, sort keys and ranks, the ring masks
   // per (owner, level), the counting sort's buckets and its output.
@@ -252,8 +240,8 @@ Result<ClusteringModel> RunWeightedLloyd(const WeightedDataset& data,
     // SSE; when it holds, the loop would stop in this iteration with
     // converged set, as breaking here does (so iterations comes out the
     // same), and the final pass would return the held arrays once more.
-    // Only the pruning Assigner keeps the last pass's centroids, so the
-    // paper's unpruned loop runs its passes as before.
+    // Only the pruning Assigner reports a repeat, so the paper's unpruned
+    // loop runs its passes as before.
     if (iter > 0 && !starved && sse - sse <= config.epsilon &&
         assigner.Repeats(model.centroids)) {
       model.converged = true;

@@ -5,13 +5,14 @@
 // µ_j = Σ w_i c_i / Σ w_i, and the convergence criterion
 // MSE(n-1) − MSE(n) ≤ ε with ε = 1e-9 (paper §2/§3.3).
 //
-// This is the only Lloyd loop. Its assignment step is either a full scan
-// of every point against all k centroids, or that scan pruned by Hamerly's
+// This is the only Lloyd loop, and every pass scans through the kernel's
+// AssignMasked. Its assignment step is either a full scan of every point
+// against all k centroids, or that scan pruned by Hamerly's
 // triangle-inequality bounds (Hamerly, SDM'10) — one of the "improvements
 // for step 2 that limit the points that have to be re-sorted" the paper
 // names but does not use (§2, §4). The points the bounds cannot skip
-// scan through AssignMasked: from kBallMinK to kBallMaxK centroids only
-// the centroids inside Exponion's ball, otherwise all k
+// scan, from kBallMinK to kBallMaxK centroids, only the centroids inside
+// Exponion's ball, and otherwise all k
 // (cluster/kernels/kernel.h). The pruned step reproduces every point's
 // assignment and squared distance bit for bit, so both produce identical
 // models; LloydConfig::accelerate picks one. With pruning on, a fit also

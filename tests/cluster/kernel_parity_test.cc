@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -437,6 +438,41 @@ class AssignBlockAdversarialTest : public ::testing::Test {
       EXPECT_EQ(0, std::memcmp(lower.data(), want_lower.data(),
                                n * sizeof(double)));
     }
+    // Null rows: every point in order, the same bytes as the row list
+    // 0..n−1 and as AssignBlock's scan; a null `lower` writes only
+    // assign and dist2.
+    std::vector<uint32_t> in_order(n);
+    std::iota(in_order.begin(), in_order.end(), 0u);
+    for (uint32_t r = 0; r < n; ++r) {
+      want_assign[r] = ref_assign[r];
+      want_dist2[r] = ref_dist2[r];
+      want_lower[r] = std::sqrt(ref_second2[r]) * (1.0 - kPruneSlack);
+    }
+    for (const DistanceKernel* kernel : AvailableKernels()) {
+      SCOPED_TRACE(std::string(kernel->name()) + " AssignMasked, null rows");
+      const uint32_t* const rows_args[] = {in_order.data(), nullptr};
+      for (const uint32_t* rows_arg : rows_args) {
+        for (bool with_lower : {true, false}) {
+          std::vector<uint32_t> assign(n, 0xdeadbeef);
+          std::vector<double> dist2(n, -1.0), lower(n, -2.0);
+          kernel->AssignMasked(points.data(), n, dim, centroids.data(),
+                               centroids.size(), rows_arg, nullptr,
+                               assign.data(), dist2.data(),
+                               with_lower ? lower.data() : nullptr);
+          EXPECT_EQ(0, std::memcmp(assign.data(), want_assign.data(),
+                                   n * sizeof(uint32_t)));
+          EXPECT_EQ(0, std::memcmp(dist2.data(), want_dist2.data(),
+                                   n * sizeof(double)));
+          if (with_lower) {
+            EXPECT_EQ(0, std::memcmp(lower.data(), want_lower.data(),
+                                     n * sizeof(double)));
+          } else {
+            EXPECT_TRUE(std::all_of(lower.begin(), lower.end(),
+                                    [](double v) { return v == -2.0; }));
+          }
+        }
+      }
+    }
     // The per-point scan (Predict, online k-means, histogram encoding)
     // is one more implementation of the same query.
     SCOPED_TRACE("NearestCentroidIndex");
@@ -695,7 +731,8 @@ TEST(PruneBlockParityTest, PruneBlockBitwiseMatchesScalar) {
 // name must stay untouched, over dims 1-9 (the AVX2 kernel's D = 6 path
 // and its general one), masks of 1 to 64 bits, exact ties from
 // duplicated centroids and from points mirrored between two centroids,
-// and 8-point steps whose lanes belong to different owners.
+// and 8-point steps whose lanes belong to different owners; and null rows
+// (every point in order) give the row list 0..n−1's bytes.
 class AssignMaskedTest : public ::testing::TestWithParam<size_t> {
  protected:
   static constexpr size_t kK = 64;
@@ -757,11 +794,28 @@ class AssignMaskedTest : public ::testing::TestWithParam<size_t> {
                      const Dataset& centroids,
                      const std::vector<uint32_t>& rows,
                      const std::vector<uint64_t>& masks) {
+    return Run(kernel, points, dim, centroids, rows.size(), rows.data(),
+               masks);
+  }
+
+  // With null rows: the first masks.size() points, in order.
+  static Outputs RunInOrder(const DistanceKernel& kernel,
+                            const std::vector<double>& points, size_t dim,
+                            const Dataset& centroids,
+                            const std::vector<uint64_t>& masks) {
+    return Run(kernel, points, dim, centroids, masks.size(), nullptr, masks);
+  }
+
+  static Outputs Run(const DistanceKernel& kernel,
+                     const std::vector<double>& points, size_t dim,
+                     const Dataset& centroids, size_t count,
+                     const uint32_t* rows,
+                     const std::vector<uint64_t>& masks) {
     const size_t n = points.size() / dim;
     Outputs out{std::vector<uint32_t>(n, 0xdeadbeef),
                 std::vector<double>(n, -1.0), std::vector<double>(n, -2.0)};
-    kernel.AssignMasked(points.data(), rows.size(), dim, centroids.data(),
-                        centroids.size(), rows.data(), masks.data(),
+    kernel.AssignMasked(points.data(), count, dim, centroids.data(),
+                        centroids.size(), rows, masks.data(),
                         out.assign.data(), out.dist2.data(),
                         out.lower.data());
     return out;
@@ -829,6 +883,31 @@ TEST_P(AssignMaskedTest, BitwiseMatchesScalar) {
       const std::vector<uint32_t> r(rows.end() - len, rows.end());
       const std::vector<uint64_t> m(masks.end() - len, masks.end());
       ExpectSame(Run(*kernel, points, dim, centroids, r, m),
+                 Run(scalar, points, dim, centroids, r, m));
+    }
+  }
+  // Null rows: every point in order, each under its own mask, is the row
+  // list 0..n−1 on every kernel, over every prefix up to two steps too.
+  std::vector<uint32_t> in_order(n);
+  std::iota(in_order.begin(), in_order.end(), 0u);
+  std::vector<uint64_t> point_masks(n);
+  for (size_t i = 0; i < n; ++i) {
+    point_masks[i] = RandomMask(1 + (i / 3) % kK, &rng);
+  }
+  const Outputs listed =
+      Run(scalar, points, dim, centroids, in_order, point_masks);
+  for (const DistanceKernel* kernel : AvailableKernels()) {
+    SCOPED_TRACE(std::string(kernel->name()) + " null rows");
+    ExpectSame(Run(*kernel, points, dim, centroids, in_order, point_masks),
+               listed);
+    ExpectSame(RunInOrder(*kernel, points, dim, centroids, point_masks),
+               listed);
+    for (size_t len = 1; len <= 16; ++len) {
+      SCOPED_TRACE("prefix " + std::to_string(len));
+      const std::vector<uint32_t> r(in_order.begin(), in_order.begin() + len);
+      const std::vector<uint64_t> m(point_masks.begin(),
+                                    point_masks.begin() + len);
+      ExpectSame(RunInOrder(*kernel, points, dim, centroids, m),
                  Run(scalar, points, dim, centroids, r, m));
     }
   }
@@ -951,6 +1030,15 @@ TEST(CentroidBlockTest, TransposesAndPadsWithInfinity) {
       EXPECT_TRUE(std::isinf(t[d * block.padded_k() + j]));
     }
   }
+  // The row-major copy AssignBlock scans.
+  EXPECT_EQ(0, std::memcmp(block.row_major(), centroids.data(),
+                           5 * 3 * sizeof(double)));
+  // A reload with a smaller shape replaces both layouts.
+  const Dataset fewer = MakePoints(2, 3, 41);
+  block.Load(fewer);
+  EXPECT_EQ(0, std::memcmp(block.row_major(), fewer.data(),
+                           2 * 3 * sizeof(double)));
+  EXPECT_EQ(block.transposed()[block.padded_k() + 1], fewer.Row(1)[1]);
 }
 
 }  // namespace

@@ -233,6 +233,7 @@ class CountingKernel final : public DistanceKernel {
   void AssignBlock(const double* points, size_t n, size_t dim,
                    const CentroidBlock& centroids, uint32_t* assign,
                    double* dist2, double* second2) const override {
+    ++assign_block_calls;
     scanned += n;
     distances += n * centroids.k();
     base_.AssignBlock(points, n, dim, centroids, assign, dist2, second2);
@@ -276,6 +277,7 @@ class CountingKernel final : public DistanceKernel {
                                      dim, drift, s, rings);
   }
 
+  mutable size_t assign_block_calls = 0;
   mutable size_t scanned = 0;
   mutable size_t distances = 0;
 
@@ -312,7 +314,26 @@ ScanCounts ExpectPruningExact(const WeightedDataset& data,
   EXPECT_EQ(pruned.distances - counters.survivor_distances,
             full_passes * seeds.size());
   EXPECT_LE(counters.survivors, counters.pruned_points);
+  // Every pass scans through AssignMasked.
+  EXPECT_EQ(full.assign_block_calls, 0u);
+  EXPECT_EQ(pruned.assign_block_calls, 0u);
   return {full.scanned, pruned.scanned, pruned.distances, counters};
+}
+
+// Every Lloyd pass scans through AssignMasked, first passes included:
+// ExpectPruningExact finds no AssignBlock call, pruned or not, below the
+// ball (k = 4) and inside it (k = 40).
+TEST(HamerlyTest, LloydLoopMakesNoAssignBlockCall) {
+  Rng data_rng(12);
+  const WeightedDataset data =
+      WeightedDataset::FromUnweighted(GenerateMisrLikeCell(1500, &data_rng));
+  for (size_t k : {4u, 40u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    Rng seed_rng(13);
+    auto seeds = RandomSeeds(data, k, &seed_rng);
+    ASSERT_TRUE(seeds.ok());
+    ExpectPruningExact(data, *seeds, LloydConfig{});
+  }
 }
 
 TEST(HamerlyTest, SingleClusterIsWeightedMean) {

@@ -29,7 +29,7 @@ from roots annotated in src/common/annotations.h:
                        they ARE the blocking primitives this rule models
                        (allowlist policy, DESIGN.md §16).
   wait-free            PMKM_WAITFREE roots (RollingHistogram::Record,
-                       kernel AssignBlock/PruneBlock, metric
+                       kernel AssignMasked/PruneBlock, metric
                        instruments) never allocate, lock, block, throw,
                        or call through an escaping callable. Unknown external calls are
                        tolerated (unlike signal-safe): pure math does not

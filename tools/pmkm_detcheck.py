@@ -11,8 +11,8 @@ nondeterministic byte poisons a cache key or cross-node merge forever).
 Roots are annotated PMKM_DETERMINISTIC in src/common/annotations.h:
 the model codec (EncodeModel), the checkpoint cell-complete encoder,
 the serve protocol encoders, and the kernel
-AssignBlock/PruneBlock/AccumulateBlock hot path. Four rules are checked over the
-shared call graph (tools/pmkm_callgraph.py, the engine pmkm_ctxcheck
+AssignMasked/PruneBlock/AccumulateBlock hot path. Four rules are checked over
+the shared call graph (tools/pmkm_callgraph.py, the engine pmkm_ctxcheck
 also uses):
 
   unordered-iter  D1: no iteration over a hash-ordered container
