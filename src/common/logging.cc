@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <iostream>
+#include <utility>
 
 #include "common/annotations.h"
 
@@ -22,12 +23,17 @@ Mutex& LogMutex() {
   return m;
 }
 
-// The run id is read on every emitted line (sink already serialized), so
-// it shares the sink mutex instead of adding a second lock.
+// The process default run id is read on every emitted line (sink already
+// serialized), so it shares the sink mutex instead of adding a second
+// lock.
 std::string& RunIdStorage() {
   static std::string id;
   return id;
 }
+
+// The calling thread's run id while a ScopedLogRunId is in scope; null
+// means the process default.
+thread_local const std::string* t_run_id = nullptr;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -114,6 +120,13 @@ void SetLogRunId(const std::string& run_id) {
   RunIdStorage() = run_id;
 }
 
+ScopedLogRunId::ScopedLogRunId(std::string run_id)
+    : run_id_(std::move(run_id)), previous_(t_run_id) {
+  if (!run_id_.empty()) t_run_id = &run_id_;
+}
+
+ScopedLogRunId::~ScopedLogRunId() { t_run_id = previous_; }
+
 namespace internal {
 
 std::string FormatLogTimestamp(int64_t unix_millis) {
@@ -176,10 +189,11 @@ LogMessage::~LogMessage() {
   if (enabled_) {
     const int64_t now_ms = NowUnixMillis();
     const LogFormat format = GetLogFormat();
+    const std::string* scoped_run_id = t_run_id;
     MutexLock lock(LogMutex());
     const std::string rendered = RenderLogLine(
-        level_, file_base_, line_, stream_.str(), format, RunIdStorage(),
-        now_ms);
+        level_, file_base_, line_, stream_.str(), format,
+        scoped_run_id != nullptr ? *scoped_run_id : RunIdStorage(), now_ms);
     // The logging sink itself: the one sanctioned stderr writer. LogMutex
     // exists solely to keep these lines interleaving-free, so the write
     // IS the critical section; nothing else ever blocks under it.

@@ -1,7 +1,8 @@
 // Leveled, structured logging plus CHECK macros.
 //
 // Every line carries a UTC timestamp, level, source location and (when
-// set) the per-run id that also tags metrics/trace/checkpoint artifacts.
+// set) the id of the run whose thread wrote it, which also tags that
+// run's metrics/trace/checkpoint artifacts.
 // Two wire formats, switchable at runtime (`pmkm_cluster
 // --log_format=json`):
 //
@@ -43,10 +44,29 @@ LogFormat GetLogFormat();
 /// Parses "text" | "json".
 bool ParseLogFormat(const std::string& name, LogFormat* out);
 
-/// Tags every subsequent log line with the run id (empty = untagged).
-/// The same id should tag the metrics registry, trace and checkpoint
-/// artifacts of the run (PipelineBuilder::WithRunId wires all of them).
+/// Sets the process default run id (empty = untagged): it tags the log
+/// lines written outside any run (`--run_id`, ObsFlags::Apply). A line
+/// written inside a run carries that run's id instead (ScopedLogRunId).
 void SetLogRunId(const std::string& run_id);
+
+/// Tags the log lines the calling thread writes with `run_id` while in
+/// scope, over the process default, and restores the thread's previous
+/// tag on exit; an empty id leaves the tag as it was. PipelineBuilder::Run
+/// holds one on its calling thread and the Executor one on each operator
+/// thread, so the concurrent runs of one process (the serve daemon's
+/// workers) each log under their own id.
+class ScopedLogRunId {
+ public:
+  explicit ScopedLogRunId(std::string run_id);
+  ~ScopedLogRunId();
+
+  ScopedLogRunId(const ScopedLogRunId&) = delete;
+  ScopedLogRunId& operator=(const ScopedLogRunId&) = delete;
+
+ private:
+  const std::string run_id_;
+  const std::string* previous_;
+};
 
 namespace internal {
 

@@ -68,10 +68,6 @@ struct ObsContext {
   /// up in log lines, the metrics export, the trace file and the
   /// checkpoint journal so artifacts of one run correlate.
   std::string run_id;
-
-  bool enabled() const {
-    return metrics != nullptr || trace != nullptr || board != nullptr;
-  }
 };
 
 /// What one operator instance did during a run. Rows are the operator's
@@ -93,7 +89,11 @@ struct OperatorStats {
   double wall_seconds = 0.0;
   /// Thread-CPU time of Run(): actual compute, excluding blocked waits.
   double cpu_seconds = 0.0;
-  /// Time spent inside queue Push/Pop calls (back-pressure + starvation).
+  /// Time this operator's thread was blocked in exchange-queue Push/Pop
+  /// calls: on a full queue (back-pressure) or on an empty one whose
+  /// producers are still live (starvation). The queue times each wait and
+  /// adds it here (stream/queue.h); a call that does not block adds
+  /// nothing, so uncontended lock acquisition is not counted.
   double queue_wait_seconds = 0.0;
 
   /// Lloyd iterations executed by this operator's k-means fits.

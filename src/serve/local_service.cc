@@ -79,7 +79,7 @@ Result<std::map<GridCellId, CellClustering>> LocalService::FetchModel(
   }
   switch (job->info.state) {
     case JobState::kDone:
-      return job->result.cells;
+      return job->cells;
     case JobState::kFailed:
     case JobState::kCancelled:
       return job->info.status;
@@ -123,17 +123,10 @@ Result<std::vector<JobInfo>> LocalService::ListJobs() {
   MutexLock lock(mu_);
   std::vector<JobInfo> jobs;
   jobs.reserve(jobs_.size());
+  // jobs_ is a std::map keyed by id: ascending ids, as service.h promises.
   for (const auto& [id, job] : jobs_) {
     jobs.push_back(job->info);
   }
-  // jobs_ is an ordered std::map keyed by id, so the loop above already
-  // yields ascending ids — but the ascending-id contract (service.h) must
-  // not silently rot if the container is ever swapped for a hash map, so
-  // enforce it explicitly rather than inherit it.
-  std::sort(jobs.begin(), jobs.end(),
-            [](const JobInfo& a, const JobInfo& b) {
-              return a.job_id < b.job_id;
-            });
   return jobs;
 }
 
@@ -199,16 +192,9 @@ std::string LocalService::JobsJson() {
   root.Set("draining", draining_);
   root.Set("queued", queue_.size());
   root.Set("running", running_);
-  // Same explicit ascending-id contract as ListJobs (service.h): /jobz
-  // consumers diff scrapes, so the array order must survive any future
-  // change to the jobs_ container.
-  std::vector<uint64_t> ids;
-  ids.reserve(jobs_.size());
-  for (const auto& [id, job] : jobs_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  // Ascending ids, as in ListJobs: /jobz consumers diff scrapes.
   JsonValue jobs = JsonValue::Array();
-  for (const uint64_t id : ids) {
-    const std::unique_ptr<Job>& job = jobs_.at(id);
+  for (const auto& [id, job] : jobs_) {
     JsonValue j = JsonValue::Object();
     j.Set("job_id", id);
     j.Set("state", JobStateToString(job->info.state));
@@ -294,12 +280,12 @@ void LocalService::RunJob(Job* job) {
 
   MutexLock lock(mu_);
   if (result.ok()) {
-    job->result = std::move(result).value();
     job->info.state = JobState::kDone;
     job->info.status = Status::OK();
-    job->info.run_id = job->result.run_id;
-    job->info.cells = job->result.cells.size();
-    job->info.wall_seconds = job->result.wall_seconds;
+    job->info.run_id = result->run_id;
+    job->info.cells = result->cells.size();
+    job->info.wall_seconds = result->wall_seconds;
+    job->cells = std::move(result->cells);
   } else if (result.error().IsCancelled()) {
     job->info.state = JobState::kCancelled;
     job->info.status = result.error();

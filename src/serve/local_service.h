@@ -115,8 +115,8 @@ class LocalService : public ClusterService {
     /// Cooperative cancel token handed to the engine via WithCancelToken;
     /// stable address because jobs live behind unique_ptr.
     std::atomic<bool> cancel{false};
-    /// Engine output, populated on kDone.
-    StreamRunResult result;
+    /// The run's cells, populated on kDone; FetchModel returns them.
+    std::map<GridCellId, CellClustering> cells;
   };
 
   void WorkerLoop();

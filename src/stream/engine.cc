@@ -41,12 +41,24 @@ std::string GenerateRunId() {
   return buf;
 }
 
-// Stamps the run id onto every attached artifact sink: log lines, the
-// metrics export (pmkm_run_info) and the trace file.
+// Stamps the run id onto the attached artifact sinks: the metrics export
+// (pmkm_run_info) and the trace file. Log lines take it per thread
+// (ScopedLogRunId in PipelineBuilder::Run and the Executor).
 void ApplyRunIdTags(const ObsContext& obs) {
-  SetLogRunId(obs.run_id);
   if (obs.metrics != nullptr) obs.metrics->SetRunId(obs.run_id);
   if (obs.trace != nullptr) obs.trace->SetRunId(obs.run_id);
+}
+
+// The instruments of the exchange queue `name`: none without a registry.
+// They live in the registry, so they outlive the queue and show up in the
+// metrics export.
+QueueMetrics ExchangeMetrics(MetricsRegistry* registry,
+                             const std::string& name) {
+  if (registry == nullptr) return {};
+  const std::string prefix = "queue." + name + ".";
+  return QueueMetrics{&registry->gauge(prefix + "depth"),
+                      &registry->histogram(prefix + "push_block_us"),
+                      &registry->histogram(prefix + "pop_wait_us")};
 }
 
 std::string PlanSummary(const PhysicalPlan& plan) {
@@ -164,22 +176,8 @@ Result<StreamRunResult> RunPlan(
     std::map<GridCellId, CellClustering> restored,
     bool checkpoint_degraded) {
   const StreamExecOptions& exec = options.exec;
-  auto centroids =
-      std::make_shared<CentroidQueue>(plan.queue_capacity);
-
-  // Queue instruments live in the registry, so they survive the queues
-  // themselves and show up in the metrics export.
-  if (exec.obs.metrics != nullptr) {
-    MetricsRegistry* reg = exec.obs.metrics;
-    points->AttachMetrics(QueueMetrics{
-        &reg->gauge("queue.points.depth"),
-        &reg->histogram("queue.points.push_block_us"),
-        &reg->histogram("queue.points.pop_wait_us")});
-    centroids->AttachMetrics(QueueMetrics{
-        &reg->gauge("queue.centroids.depth"),
-        &reg->histogram("queue.centroids.push_block_us"),
-        &reg->histogram("queue.centroids.pop_wait_us")});
-  }
+  auto centroids = std::make_shared<CentroidQueue>(
+      plan.queue_capacity, ExchangeMetrics(exec.obs.metrics, "centroids"));
 
   Executor executor;
   scan->set_failure_policy(exec.failure_policy);
@@ -446,6 +444,7 @@ Result<StreamRunResult> PipelineBuilder::Run(
     options.exec.obs.run_id = GenerateRunId();
   }
   ApplyRunIdTags(options.exec.obs);
+  const ScopedLogRunId log_run_id(options.exec.obs.run_id);
   // The plan is always computed from the FULL input list, even when the
   // checkpoint lets the scan skip buckets: the probed bucket (and with it
   // the partition size N') must not depend on how far the previous run
@@ -486,7 +485,8 @@ Result<StreamRunResult> PipelineBuilder::Run(
   // When the journal restored every cell, the scan runs over zero buckets
   // and RunPlan assembles the result (and re-seals the journal) as usual.
   const PhysicalPlan& plan = probed.plan;
-  auto points = std::make_shared<PointChunkQueue>(plan.queue_capacity);
+  auto points = std::make_shared<PointChunkQueue>(
+      plan.queue_capacity, ExchangeMetrics(options.exec.obs.metrics, "points"));
   // The chunk buffers: at most a full queue, one per clone and the one the
   // scan is reading are alive at once, and never more than the run has
   // chunks. They are allocated here, on the thread that starts the run,

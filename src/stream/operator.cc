@@ -5,6 +5,7 @@
 #include <chrono>
 
 #include "common/annotations.h"
+#include "common/logging.h"
 #include "common/schedcheck/thread.h"
 #include "common/stopwatch.h"
 #include "obs/runboard.h"
@@ -88,6 +89,7 @@ Status Executor::Run(const std::atomic<bool>* cancel,
   for (size_t i = 0; i < ops_.size(); ++i) {
     threads.emplace_back([&, i] {
       Operator* op = ops_[i].get();
+      const ScopedLogRunId log_run_id(op->obs().run_id);
       // Wall/CPU clocks bracket Run(); the span makes the operator's
       // lifetime a row in the trace viewer.
       const Stopwatch wall;

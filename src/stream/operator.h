@@ -105,7 +105,9 @@ class Operator {
   ObsContext obs_;
 };
 
-/// Runs a set of operator instances to completion, one thread each.
+/// Runs a set of operator instances to completion, one thread each. Each
+/// thread's log lines carry its operator's obs().run_id (ScopedLogRunId,
+/// common/logging.h).
 class Executor {
  public:
   /// Adds an operator instance to the pipeline (before Run).

@@ -163,10 +163,7 @@ Status ScanOperator::EmitBucketOnce(size_t index) {
     msg.partition_id = id++;
     msg.total_partitions = total;
     msg.points = std::move(chunk);
-    const Stopwatch push_watch;
-    const bool pushed = out_->Push(std::move(msg));
-    mutable_stats().queue_wait_seconds += push_watch.ElapsedSeconds();
-    if (!pushed) {
+    if (!out_->Push(std::move(msg), &mutable_stats().queue_wait_seconds)) {
       return Status::Cancelled("scan output queue cancelled");
     }
     // Taken only once the push has gone through, so a scan blocked on a
@@ -220,7 +217,8 @@ Status ScanOperator::Run() {
       marker.cell = current_cell_;
       marker.dropped = true;
       marker.drop_reason = st.ToString();
-      if (!out_->Push(std::move(marker))) {
+      if (!out_->Push(std::move(marker),
+                      &mutable_stats().queue_wait_seconds)) {
         return Status::Cancelled("scan output queue cancelled");
       }
     }
@@ -256,9 +254,8 @@ Status PartialKMeansOperator::Run() {
           .name();
 
   for (;;) {
-    const Stopwatch pop_watch;
-    std::optional<PointChunk> chunk = in_->Pop();
-    mutable_stats().queue_wait_seconds += pop_watch.ElapsedSeconds();
+    std::optional<PointChunk> chunk =
+        in_->Pop(&mutable_stats().queue_wait_seconds);
     if (!chunk.has_value()) {
       if (in_->cancelled()) {
         return Status::Cancelled("partial input queue cancelled");
@@ -271,7 +268,7 @@ Status PartialKMeansOperator::Run() {
       msg.cell = chunk->cell;
       msg.dropped = true;
       msg.drop_reason = std::move(chunk->drop_reason);
-      if (!out_->Push(std::move(msg))) {
+      if (!out_->Push(std::move(msg), &mutable_stats().queue_wait_seconds)) {
         return Status::Cancelled("partial output queue cancelled");
       }
       continue;
@@ -332,7 +329,8 @@ Status PartialKMeansOperator::Run() {
         msg.cell = chunk->cell;
         msg.dropped = true;
         msg.drop_reason = result.status().ToString();
-        if (!out_->Push(std::move(msg))) {
+        if (!out_->Push(std::move(msg),
+                        &mutable_stats().queue_wait_seconds)) {
           return Status::Cancelled("partial output queue cancelled");
         }
         continue;
@@ -354,10 +352,7 @@ Status PartialKMeansOperator::Run() {
     msg.input_points = result->input_points;
     const size_t out_rows = msg.centroids.size();
     const size_t out_bytes = WeightedBytes(out_rows, msg.centroids.dim());
-    const Stopwatch push_watch;
-    const bool pushed = out_->Push(std::move(msg));
-    mutable_stats().queue_wait_seconds += push_watch.ElapsedSeconds();
-    if (!pushed) {
+    if (!out_->Push(std::move(msg), &mutable_stats().queue_wait_seconds)) {
       return Status::Cancelled("partial output queue cancelled");
     }
     mutable_stats().rows_out += out_rows;
@@ -474,9 +469,8 @@ Status MergeKMeansOperator::Run() {
           .name();
   const bool skip = failure_policy() == FailurePolicy::kSkipAndContinue;
   for (;;) {
-    const Stopwatch pop_watch;
-    std::optional<CentroidMessage> msg = in_->Pop();
-    mutable_stats().queue_wait_seconds += pop_watch.ElapsedSeconds();
+    std::optional<CentroidMessage> msg =
+        in_->Pop(&mutable_stats().queue_wait_seconds);
     if (!msg.has_value()) {
       if (in_->cancelled()) {
         return Status::Cancelled("merge input queue cancelled");

@@ -13,7 +13,9 @@
 //
 // Accounting: each operator counts what it did (rows, retries, dropped
 // units, its fits' LloydCounters) only into its OperatorStats
-// (obs/stats.h); the run report is derived from those.
+// (obs/stats.h); the run report is derived from those. Queue waits are
+// the queues' to time: every Push and Pop passes the operator's
+// queue_wait_seconds, and the queue adds the time the call blocked.
 
 #ifndef PMKM_STREAM_OPS_H_
 #define PMKM_STREAM_OPS_H_

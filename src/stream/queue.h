@@ -5,10 +5,11 @@
 //
 // Observability: the queue always tracks its high-water mark and total
 // pushed count (one compare and one increment under the mutex it already
-// holds). Optionally AttachMetrics() wires a depth gauge and block-time
-// histograms; the blocked-wait clock is only read when a producer or
-// consumer actually has to wait AND a histogram is attached, so an
-// uninstrumented queue pays nothing beyond a null check.
+// holds). Its instruments, a depth gauge and block-time histograms, are
+// fixed at construction. The queue is the one clock for its waits: a Push
+// or Pop that has to block reads the clock before and after the wait and
+// feeds that one reading to the histogram (if any) and to the caller's
+// wait total (if given). A call that does not block reads no clock.
 //
 // Concurrency contract: every mutable field is PMKM_GUARDED_BY(mu_) and
 // verified by Clang thread-safety analysis (DESIGN.md §11).
@@ -26,7 +27,8 @@
 
 namespace pmkm {
 
-/// Optional instruments for one queue; any pointer may be null.
+/// Optional instruments for one queue, fixed at construction; any pointer
+/// may be null.
 struct QueueMetrics {
   Gauge* depth = nullptr;             ///< current depth (max = high water)
   Histogram* push_block_us = nullptr; ///< producer time blocked on full
@@ -37,7 +39,8 @@ struct QueueMetrics {
 template <typename T>
 class BoundedBlockingQueue {
  public:
-  explicit BoundedBlockingQueue(size_t capacity) : capacity_(capacity) {
+  explicit BoundedBlockingQueue(size_t capacity, QueueMetrics metrics = {})
+      : capacity_(capacity), metrics_(metrics) {
     PMKM_CHECK(capacity >= 1);
   }
 
@@ -57,36 +60,17 @@ class BoundedBlockingQueue {
     if (--producers_ == 0) not_empty_.NotifyAll();
   }
 
-  /// Attaches observability instruments. Synchronized: safe to call while
-  /// producers and consumers are already running (instruments only start
-  /// recording from the next operation).
-  void AttachMetrics(const QueueMetrics& metrics) PMKM_EXCLUDES(mu_) {
-    PMKM_SCHED_POINT("queue.attach_metrics");
-    MutexLock lock(mu_);
-    metrics_ = metrics;
-  }
-
-  /// Blocks while full; returns false if the queue was cancelled.
-  bool Push(T item) PMKM_EXCLUDES(mu_) {
+  /// Blocks while full; returns false if the queue was cancelled. Adds
+  /// the seconds it blocked to `*waited` when given.
+  bool Push(T item, double* waited = nullptr) PMKM_EXCLUDES(mu_) {
     PMKM_SCHED_POINT("queue.push");
     MutexLock lock(mu_);
     if (items_.size() >= capacity_ && !cancelled_) {
-      // Capture the instrument before waiting: Wait releases mu_, so a
-      // concurrent AttachMetrics may swap metrics_ out from under us.
-      // Registry-owned instruments are never destroyed, so the captured
-      // pointer stays valid across the wait.
-      if (Histogram* push_block_us = metrics_.push_block_us;
-          push_block_us != nullptr) {
-        const Stopwatch blocked;
-        while (items_.size() >= capacity_ && !cancelled_) {
-          not_full_.Wait(mu_);
-        }
-        push_block_us->Record(static_cast<double>(blocked.ElapsedMicros()));
-      } else {
-        while (items_.size() >= capacity_ && !cancelled_) {
-          not_full_.Wait(mu_);
-        }
+      const Stopwatch blocked;
+      while (items_.size() >= capacity_ && !cancelled_) {
+        not_full_.Wait(mu_);
       }
+      RecordWait(blocked, metrics_.push_block_us, waited);
     }
     if (cancelled_) return false;
     items_.push_back(std::move(item));
@@ -100,25 +84,17 @@ class BoundedBlockingQueue {
   }
 
   /// Blocks while empty and producers remain; nullopt = end of stream (all
-  /// producers closed and queue drained) or cancelled.
-  std::optional<T> Pop() PMKM_EXCLUDES(mu_) {
+  /// producers closed and queue drained) or cancelled. Adds the seconds
+  /// it blocked to `*waited` when given.
+  std::optional<T> Pop(double* waited = nullptr) PMKM_EXCLUDES(mu_) {
     PMKM_SCHED_POINT("queue.pop");
     MutexLock lock(mu_);
     if (items_.empty() && producers_ > 0 && !cancelled_) {
-      // Same capture-before-wait rule as Push: metrics_ may be swapped by
-      // AttachMetrics while the condvar wait has mu_ released.
-      if (Histogram* pop_wait_us = metrics_.pop_wait_us;
-          pop_wait_us != nullptr) {
-        const Stopwatch waited;
-        while (items_.empty() && producers_ > 0 && !cancelled_) {
-          not_empty_.Wait(mu_);
-        }
-        pop_wait_us->Record(static_cast<double>(waited.ElapsedMicros()));
-      } else {
-        while (items_.empty() && producers_ > 0 && !cancelled_) {
-          not_empty_.Wait(mu_);
-        }
+      const Stopwatch blocked;
+      while (items_.empty() && producers_ > 0 && !cancelled_) {
+        not_empty_.Wait(mu_);
       }
+      RecordWait(blocked, metrics_.pop_wait_us, waited);
     }
     if (cancelled_ || items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
@@ -150,9 +126,6 @@ class BoundedBlockingQueue {
     return items_.size();
   }
 
-  /// Synonym for size(), named for the depth gauge it feeds.
-  size_t Depth() const PMKM_EXCLUDES(mu_) { return size(); }
-
   /// Deepest the queue has ever been: how hard back-pressure was leaned
   /// on. Capacity-bounded by construction.
   size_t HighWaterMark() const PMKM_EXCLUDES(mu_) {
@@ -169,7 +142,17 @@ class BoundedBlockingQueue {
   size_t capacity() const { return capacity_; }
 
  private:
+  // One reading of the blocked time, into the histogram and the caller's
+  // total alike.
+  static void RecordWait(const Stopwatch& blocked, Histogram* histogram,
+                         double* waited) {
+    const double seconds = blocked.ElapsedSeconds();
+    if (histogram != nullptr) histogram->Record(seconds * 1e6);
+    if (waited != nullptr) *waited += seconds;
+  }
+
   const size_t capacity_;
+  const QueueMetrics metrics_;
   mutable Mutex mu_;
   CondVar not_empty_;
   CondVar not_full_;
@@ -178,7 +161,6 @@ class BoundedBlockingQueue {
   bool cancelled_ PMKM_GUARDED_BY(mu_) = false;
   size_t high_water_ PMKM_GUARDED_BY(mu_) = 0;
   uint64_t total_pushed_ PMKM_GUARDED_BY(mu_) = 0;
-  QueueMetrics metrics_ PMKM_GUARDED_BY(mu_);
 };
 
 }  // namespace pmkm

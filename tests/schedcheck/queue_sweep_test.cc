@@ -1,7 +1,7 @@
 // Schedule sweeps over the *real* BoundedBlockingQueue (DESIGN.md §12).
 //
 // These drive the production queue — not a double — through its
-// shutdown, cancel, and metrics-attach paths under thousands of seeded
+// shutdown, cancel, and instrumented wait paths under thousands of seeded
 // schedules. They need the pmkm::Mutex/CondVar hooks, which are compiled
 // in only under PMKM_SCHEDCHECK=ON; in other builds they skip.
 //
@@ -105,41 +105,48 @@ TEST_F(QueueSweepTest, CancelUnblocksEveryParty) {
       << "seed " << res.failing_seed << ": " << res.detail;
 }
 
-// Attach path: AttachMetrics racing live producers/consumers. This is the
-// production code whose pre-fix shapes are re-created as seeded-bug
-// doubles in seeded_bugs_test.cc; the fixed code must survive the same
-// schedules with instruments recording sane values.
-TEST_F(QueueSweepTest, AttachMetricsRacesPushPop) {
+// Instrumented path: a queue built with its instruments, under a live
+// producer and consumer. The instruments are fixed at construction, so
+// the pre-fix attach races re-created as seeded-bug doubles in
+// seeded_bugs_test.cc cannot arise here; what every schedule must show is
+// the instruments recording sane values as the wait paths run.
+TEST_F(QueueSweepTest, InstrumentedQueueRecordsPushPop) {
   MetricsRegistry registry;
-  QueueMetrics metrics;
-  metrics.depth = &registry.gauge("queue_depth");
-  metrics.push_block_us = &registry.histogram("push_block_us");
-  metrics.pop_wait_us = &registry.histogram("pop_wait_us");
+  Histogram& push_block_us = registry.histogram("push_block_us");
+  Histogram& pop_wait_us = registry.histogram("pop_wait_us");
+  const QueueMetrics metrics{&registry.gauge("queue_depth"), &push_block_us,
+                             &pop_wait_us};
+  // Every schedule's waits, summed per side.
+  double push_waited = 0.0;
+  double pop_waited = 0.0;
 
   SweepOptions options;
-  options.name = "queue_attach_metrics";
+  options.name = "queue_instrumented";
   options.num_seeds = schedcheck::SeedsFromEnvOr(1000);
-  const SweepResult res = SweepSchedules(options, [&metrics] {
-    BoundedBlockingQueue<int> q(1);
+  const SweepResult res = SweepSchedules(options, [&] {
+    BoundedBlockingQueue<int> q(1, metrics);
     q.AddProducer();
     schedcheck::Thread producer(
         [&] {
-          for (int i = 0; i < 3; ++i) q.Push(i);
+          for (int i = 0; i < 3; ++i) q.Push(i, &push_waited);
           q.CloseProducer();
         },
         "producer");
-    schedcheck::Thread attacher([&] { q.AttachMetrics(metrics); },
-                                "attacher");
     int popped = 0;
-    while (q.Pop().has_value()) ++popped;
+    while (q.Pop(&pop_waited).has_value()) ++popped;
     producer.Join();
-    attacher.Join();
     return popped != 3;
   });
   EXPECT_FALSE(res.bug_found)
       << "seed " << res.failing_seed << ": " << res.detail;
   // The gauge only saw real depths (capacity 1): high water <= 1.
   EXPECT_LE(registry.gauge("queue_depth").max(), 1);
+  // Each wait fed its histogram and its caller's total the same reading.
+  EXPECT_GT(push_block_us.count() + pop_wait_us.count(), 0u);
+  EXPECT_NEAR(push_block_us.sum(), push_waited * 1e6,
+              static_cast<double>(push_block_us.count()));
+  EXPECT_NEAR(pop_wait_us.sum(), pop_waited * 1e6,
+              static_cast<double>(pop_wait_us.count()));
 }
 
 }  // namespace

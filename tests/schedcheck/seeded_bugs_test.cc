@@ -15,6 +15,10 @@
 // post-wait dereference crashed. The fix captures the pointer before
 // waiting.
 //
+// The production queue (stream/queue.h) now fixes its instruments at
+// construction and has no attach at all, so neither bug can recur there;
+// the doubles stay as regressions of the explorer itself.
+//
 // Built on the always-instrumented doubles in schedcheck/sync.h, so these
 // regressions run in every build configuration, not just PMKM_SCHEDCHECK.
 

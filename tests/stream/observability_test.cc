@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "data/generator.h"
 #include "data/io.h"
@@ -134,6 +137,23 @@ TEST(ObservabilityTest, InMemoryRunPopulatesOperatorAndQueueStats) {
                        ->AsDouble(),
                    1200.0);
   EXPECT_TRUE(parsed->Find("histograms")->Has("queue.points.pop_wait_us"));
+
+  // The queues time every blocked wait once, into their histograms and
+  // the waiting operator's queue_wait_seconds alike.
+  double operators_wait_us = 0.0;
+  for (const OperatorStats& s : result->operator_stats) {
+    operators_wait_us += s.queue_wait_seconds * 1e6;
+  }
+  double histograms_wait_us = 0.0;
+  uint64_t waits = 0;
+  for (const char* name :
+       {"queue.points.push_block_us", "queue.points.pop_wait_us",
+        "queue.centroids.push_block_us", "queue.centroids.pop_wait_us"}) {
+    histograms_wait_us += registry.histogram(name).sum();
+    waits += registry.histogram(name).count();
+  }
+  EXPECT_NEAR(operators_wait_us, histograms_wait_us,
+              static_cast<double>(waits));
 
   // The trace saw operator lifetimes and per-chunk/cell spans.
   EXPECT_GT(tracer.size(), 0u);
@@ -374,6 +394,68 @@ TEST(ObservabilityTest, DisabledObsLeavesSinksUntouchedButKeepsStats) {
   const OperatorStats* scan = FindStats(*result, "scan");
   ASSERT_NE(scan, nullptr);
   EXPECT_EQ(scan->rows_out, 300u);
+}
+
+// Log lines carry the id of the run whose thread wrote them; a line
+// written after the run carries none of it.
+TEST(ObservabilityTest, RunIdDoesNotOutliveItsRunInLogLines) {
+  BucketFiles files;
+  auto result = PipelineBuilder()
+                    .WithPartialKMeans(PartialConfig())
+                    .WithMerge(MergeConfig())
+                    .WithRunId("aaaa")
+                    .Run({files.Write(MakeBucket(5, 6, 300, 9))});
+  ASSERT_TRUE(result.ok()) << result.status();
+  testing::internal::CaptureStderr();
+  PMKM_LOG(Warning) << "after the run";
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("after the run"), std::string::npos) << log;
+  EXPECT_EQ(log.find("run=aaaa"), std::string::npos) << log;
+}
+
+// Two runs at once in one process, as the serve daemon's workers run
+// jobs: each quarantine warning names the run whose scan wrote it.
+TEST(ObservabilityTest, ConcurrentRunsLogUnderTheirOwnRunIds) {
+  BucketFiles files;
+  struct Job {
+    std::string run_id;
+    std::vector<std::string> paths;  // a good bucket, then a missing one
+  };
+  const std::vector<Job> jobs = {
+      {"aaaa", {files.Write(MakeBucket(1, 1, 300, 1)),
+                (files.dir() / "missing_aaaa.pmkb").string()}},
+      {"bbbb", {files.Write(MakeBucket(2, 2, 300, 2)),
+                (files.dir() / "missing_bbbb.pmkb").string()}}};
+  testing::internal::CaptureStderr();
+  std::vector<std::thread> threads;
+  for (const Job& job : jobs) {
+    threads.emplace_back([&job] {
+      auto result = PipelineBuilder()
+                        .WithPartialKMeans(PartialConfig())
+                        .WithMerge(MergeConfig())
+                        .WithFailurePolicy(FailurePolicy::kSkipAndContinue)
+                        .WithChunkPoints(100)
+                        .WithRunId(job.run_id)
+                        .Run(job.paths);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(result->report.quarantined.size(), 1u);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::string log = testing::internal::GetCapturedStderr();
+  size_t quarantine_lines = 0;
+  std::istringstream lines(log);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("quarantining bucket") == std::string::npos) continue;
+    ++quarantine_lines;
+    for (const Job& job : jobs) {
+      if (line.find(job.paths[1]) != std::string::npos) {
+        EXPECT_NE(line.find(" run=" + job.run_id + "]"), std::string::npos)
+            << line;
+      }
+    }
+  }
+  EXPECT_EQ(quarantine_lines, 2u) << log;
 }
 
 }  // namespace

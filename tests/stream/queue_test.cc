@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -150,17 +151,17 @@ TEST(QueueTest, SizeAndCapacity) {
 
 TEST(QueueTest, DepthAndHighWaterMarkSingleThread) {
   BoundedBlockingQueue<int> q(4);
-  EXPECT_EQ(q.Depth(), 0u);
+  EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.HighWaterMark(), 0u);
   q.AddProducer();
   q.Push(1);
   q.Push(2);
   q.Push(3);
-  EXPECT_EQ(q.Depth(), 3u);
+  EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.HighWaterMark(), 3u);
   q.Pop();
   q.Pop();
-  EXPECT_EQ(q.Depth(), 1u);
+  EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.HighWaterMark(), 3u);  // sticky after draining
   q.Push(4);
   EXPECT_EQ(q.HighWaterMark(), 3u);  // depth 2 < previous peak
@@ -198,26 +199,64 @@ TEST(QueueTest, HighWaterMarkUnderConcurrentPushPop) {
   EXPECT_LE(q.HighWaterMark(), kCapacity);
 }
 
-TEST(QueueTest, AttachMetricsRecordsDepthAndBlockTimes) {
+TEST(QueueTest, ConstructedWithMetricsRecordsDepthAndBlockTimes) {
   MetricsRegistry registry;
-  BoundedBlockingQueue<int> q(1);
-  q.AttachMetrics(QueueMetrics{&registry.gauge("q.depth"),
-                               &registry.histogram("q.push_block_us"),
-                               &registry.histogram("q.pop_wait_us")});
+  Histogram& push_block_us = registry.histogram("q.push_block_us");
+  Histogram& pop_wait_us = registry.histogram("q.pop_wait_us");
+  BoundedBlockingQueue<int> q(
+      1, QueueMetrics{&registry.gauge("q.depth"), &push_block_us,
+                      &pop_wait_us});
   q.AddProducer();
-  ASSERT_TRUE(q.Push(1));
+  constexpr std::chrono::milliseconds kSleep{15};
+  const double sleep_seconds = std::chrono::duration<double>(kSleep).count();
+  double push_waited = 0.0;
+  double pop_waited = 0.0;
+
+  // A call that finds room or an item adds exactly nothing.
+  ASSERT_TRUE(q.Push(1, &push_waited));
   EXPECT_EQ(registry.gauge("q.depth").value(), 1);
-  std::thread producer([&] { ASSERT_TRUE(q.Push(2)); });  // blocks on full
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  EXPECT_EQ(q.Pop(), 1);
+  EXPECT_EQ(q.Pop(&pop_waited), 1);
+  EXPECT_EQ(push_waited, 0.0);
+  EXPECT_EQ(pop_waited, 0.0);
+  EXPECT_EQ(push_block_us.count(), 0u);
+  EXPECT_EQ(pop_wait_us.count(), 0u);
+
+  // Full queue: this thread blocks until the other, which starts its
+  // sleep once the push is under way, pops.
+  ASSERT_TRUE(q.Push(2));
+  std::atomic<bool> pushing{false};
+  std::thread consumer([&] {
+    while (!pushing.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(kSleep);
+    EXPECT_EQ(q.Pop(), 2);
+  });
+  pushing.store(true);
+  ASSERT_TRUE(q.Push(3, &push_waited));
+  consumer.join();
+  EXPECT_GE(push_waited, sleep_seconds);
+
+  // Empty queue with a live producer: the same, popping.
+  EXPECT_EQ(q.Pop(), 3);
+  std::atomic<bool> popping{false};
+  std::thread producer([&] {
+    while (!popping.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(kSleep);
+    EXPECT_TRUE(q.Push(4));
+  });
+  popping.store(true);
+  EXPECT_EQ(q.Pop(&pop_waited), 4);
   producer.join();
-  EXPECT_EQ(q.Pop(), 2);
+  EXPECT_GE(pop_waited, sleep_seconds);
+
   q.CloseProducer();
-  EXPECT_EQ(q.Pop(), std::nullopt);
+  EXPECT_EQ(q.Pop(&pop_waited), std::nullopt);  // end of stream: no wait
   EXPECT_EQ(registry.gauge("q.depth").max(), 1);
-  // The producer blocked ~15ms before the pop made room.
-  ASSERT_GE(registry.histogram("q.push_block_us").count(), 1u);
-  EXPECT_GE(registry.histogram("q.push_block_us").max(), 1000.0);
+  // One reading per wait feeds both sinks: each histogram's sum (µs) is
+  // its caller's total, within 1 µs per record.
+  ASSERT_EQ(push_block_us.count(), 1u);
+  ASSERT_EQ(pop_wait_us.count(), 1u);
+  EXPECT_NEAR(push_block_us.sum(), push_waited * 1e6, 1.0);
+  EXPECT_NEAR(pop_wait_us.sum(), pop_waited * 1e6, 1.0);
 }
 
 }  // namespace

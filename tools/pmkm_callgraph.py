@@ -144,8 +144,10 @@ SOURCE_EXTENSIONS = (".h", ".cc", ".cpp")
 
 
 def strip_comments_and_strings(text):
-    """Blank comments and string/char literals, preserving line structure
-    (same technique as pmkm_lint)."""
+    """Returns `text` with comments and string/char literals blanked out
+    (replaced by spaces), preserving line structure so line numbers hold.
+    String literals become `""` so literal-shaped regexes still anchor.
+    The one lexer of the gates: pmkm_lint and pmkm_ctxcheck import it."""
     out = []
     i, n = 0, len(text)
     state = "code"
@@ -1292,6 +1294,8 @@ def dump_callgraph(prog, path):
 
 
 class SysexitsParser(argparse.ArgumentParser):
+    """argparse exits 2 on bad usage; the pmkm tools contract is 64."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -120,7 +120,12 @@ import os
 import re
 import sys
 
-EX_OK, EX_USAGE, EX_DATAERR, EX_IOERR = 0, 64, 65, 74
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+# The gates' one C++ lexer and their sysexits argument parser.
+from pmkm_callgraph import (  # noqa: E402
+    SysexitsParser, strip_comments_and_strings)
+
+EX_OK, EX_DATAERR, EX_IOERR = 0, 65, 74
 
 # (rule id, human description) — keep in sync with the docstring.
 RULES = {
@@ -192,81 +197,6 @@ CANCEL_POLL_RE = re.compile(r"\bcancel\w*\s*(?:->|\.)\s*load\s*\(")
 ISA_INTRINSICS_RE = re.compile(
     r"#\s*include\s*<(?:immintrin|x86intrin|arm_\w+)\.h>|"
     r"\b__builtin_cpu_supports\b")
-
-
-def strip_comments_and_strings(text):
-    """Returns `text` with comments and string/char literals blanked out
-    (replaced by spaces), preserving line structure so line numbers hold.
-    String literals become `""` so literal-shaped regexes still anchor."""
-    out = []
-    i, n = 0, len(text)
-    state = "code"  # code | line_comment | block_comment | string | char
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = "string"
-                out.append('"')
-                i += 1
-                continue
-            if c == "'":
-                state = "char"
-                out.append("'")
-                i += 1
-                continue
-            out.append(c)
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-                continue
-            out.append(c if c == "\n" else " ")
-        elif state == "string":
-            if c == "\\":
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = "code"
-                out.append('"')
-            elif c == "\n":  # unterminated; recover
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        elif state == "char":
-            if c == "\\":
-                out.append("  ")
-                i += 2
-                continue
-            if c == "'":
-                state = "code"
-                out.append("'")
-            elif c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        i += 1
-    return "".join(out)
 
 
 def expected_guard(relpath):
@@ -498,14 +428,6 @@ def collect_files(root, args_files):
                 if name.endswith(SOURCE_EXTENSIONS):
                     yield os.path.relpath(
                         os.path.join(dirpath, name), root)
-
-
-class SysexitsParser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; the pmkm tools contract is 64."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def main(argv=None):
