@@ -1,13 +1,14 @@
 // M1 — micro-benchmarks (google-benchmark) for the kernels the experiment
 // harnesses are built on: distance evaluation, the kernels' batch
-// nearest-centroid assignment (BM_AssignBlock*), the pruned pass's bound
-// test (BM_PruneBlock) and survivor scan (BM_AssignMasked, through the
-// ball or, with /all, against every centroid), the scatter that
-// also sums the pass's SSE (BM_AccumulateBlock), one Lloyd iteration,
-// partial clustering of a chunk, the scan's bucket read per format version
-// (BM_BucketScan), queue throughput, and the observability
-// primitives (to police the zero-cost-when-disabled budget of DESIGN.md
-// §9).
+// nearest-centroid assignment (BM_AssignBlock, and
+// BM_AssignMasked/.../full with the bound a pruning fit keeps), the
+// pruned pass's pair distances (BM_DriftAndSeparation), bound test
+// (BM_PruneBlock) and survivor scan (BM_AssignMasked, through the ball
+// or, with /all, against every centroid), the scatter that also sums the
+// pass's SSE (BM_AccumulateBlock), one Lloyd iteration, partial
+// clustering of a chunk, the scan's bucket read per format version
+// (BM_BucketScan), queue throughput, and the observability primitives
+// (to police the zero-cost-when-disabled budget of DESIGN.md §9).
 
 #include <benchmark/benchmark.h>
 
@@ -198,20 +199,19 @@ void BM_AssignBlock(benchmark::State& state, const DistanceKernel* kernel,
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_AssignBlockSecond(benchmark::State& state,
-                          const DistanceKernel* kernel, size_t dim,
-                          size_t k) {
-  // Same, with the second-best distance Hamerly's lower bound needs.
+void BM_AssignMaskedFull(benchmark::State& state,
+                         const DistanceKernel* kernel, size_t dim,
+                         size_t k) {
+  // Same, as a full pass of a pruning fit runs it: AssignMasked over
+  // every point and centroid, with the lower bound √second2·(1 − δ).
   const size_t n = 4096;
   const Dataset points = MakePoints(n, dim, 4);
   const Dataset centroids = MakePoints(k, dim, 2);
-  CentroidBlock block;
-  block.Load(centroids);
   std::vector<uint32_t> assign(n);
-  std::vector<double> dist2(n), second2(n);
+  std::vector<double> dist2(n), lower(n);
   for (auto _ : state) {
-    kernel->AssignBlock(points.data(), n, dim, block, assign.data(),
-                        dist2.data(), second2.data());
+    kernel->AssignMasked(points.data(), n, dim, centroids.data(), k, nullptr,
+                         nullptr, assign.data(), dist2.data(), lower.data());
     benchmark::DoNotOptimize(assign.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -225,7 +225,7 @@ struct PrunedPass {
   WeightedDataset data;
   std::vector<uint32_t> assign;
   std::vector<double> dist2, lower;
-  Dataset after;
+  Dataset before, after;
   std::vector<double> s;
   std::vector<uint64_t> rings;
   double shift = 0.0;
@@ -244,27 +244,44 @@ PrunedPass MakePrunedPass(const DistanceKernel* kernel, size_t dim,
     config.max_iterations = iterations;
     return RunWeightedLloyd(pass.data, *seeds, config)->centroids;
   };
-  const Dataset before = centroids_after(iterations);
+  pass.before = centroids_after(iterations);
   pass.after = centroids_after(iterations + 1);
-  CentroidBlock block;
-  block.Load(before);
   pass.assign.resize(n);
   pass.dist2.resize(n);
   pass.lower.resize(n);
-  kernel->AssignBlock(pass.data.points().data(), n, dim, block,
-                      pass.assign.data(), pass.dist2.data(),
-                      pass.lower.data());
-  for (double& l : pass.lower) l = std::sqrt(l) * (1.0 - kPruneSlack);
-  block.Load(pass.after);
+  kernel->AssignMasked(pass.data.points().data(), n, dim,
+                       pass.before.data(), k, nullptr, nullptr,
+                       pass.assign.data(), pass.dist2.data(),
+                       pass.lower.data());
   std::vector<double> drift(k);
   pass.s.resize(k);
   pass.rings.resize(k * kRingLevels);
-  kernel->CentroidDriftAndSeparation(before.data(), pass.after.data(), block,
-                                     k, dim, drift.data(), pass.s.data(),
+  kernel->CentroidDriftAndSeparation(pass.before.data(), pass.after.data(), k,
+                                     dim, drift.data(), pass.s.data(),
                                      pass.rings.data());
   pass.shift =
       *std::max_element(drift.begin(), drift.end()) * (1.0 + kPruneSlack);
   return pass;
+}
+
+void BM_DriftAndSeparation(benchmark::State& state,
+                           const DistanceKernel* kernel, size_t dim,
+                           size_t k) {
+  // A pruned pass's BeginPass: drift and separation of a real pass's
+  // centroids, with the ring masks when k is inside the ball, as the
+  // Lloyd loop asks for them. Items are centroids.
+  const PrunedPass pass = MakePrunedPass(kernel, dim, k);
+  const bool ball = k >= kBallMinK && k <= kBallMaxK;
+  std::vector<double> drift(k), s(k);
+  std::vector<uint64_t> rings(k * kRingLevels);
+  for (auto _ : state) {
+    kernel->CentroidDriftAndSeparation(pass.before.data(), pass.after.data(),
+                                       k, dim, drift.data(), s.data(),
+                                       ball ? rings.data() : nullptr);
+    benchmark::DoNotOptimize(s.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * k);
 }
 
 void BM_PruneBlock(benchmark::State& state, const DistanceKernel* kernel,
@@ -391,8 +408,8 @@ void RegisterSweeps() {
           std::string(kernel->name()) + "/d" + std::to_string(dim);
       benchmark::RegisterBenchmark(("BM_AssignBlock/" + tag).c_str(),
                                    BM_AssignBlock, kernel, dim);
-      benchmark::RegisterBenchmark(("BM_AssignBlockSecond/" + tag).c_str(),
-                                   BM_AssignBlockSecond, kernel, dim,
+      benchmark::RegisterBenchmark(("BM_AssignMasked/" + tag + "/full").c_str(),
+                                   BM_AssignMaskedFull, kernel, dim,
                                    size_t{40});
     }
     benchmark::RegisterBenchmark(
@@ -411,11 +428,20 @@ void RegisterSweeps() {
     // The small-k shapes of the many_cells_io (k=4) and serve (k=8)
     // benchmark workloads.
     for (size_t k : {4u, 8u}) {
-      const std::string tag = std::string(kernel->name()) + "/d6/k" +
-                              std::to_string(k);
-      benchmark::RegisterBenchmark(("BM_AssignBlockSecond/" + tag).c_str(),
-                                   BM_AssignBlockSecond, kernel, size_t{6},
-                                   k);
+      benchmark::RegisterBenchmark(
+          ("BM_AssignMasked/" + std::string(kernel->name()) + "/d6/full/k" +
+           std::to_string(k))
+              .c_str(),
+          BM_AssignMaskedFull, kernel, size_t{6}, k);
+    }
+    // BeginPass of a serve chunk (k=8) and of a paper chunk (k=40, with
+    // rings).
+    for (size_t k : {8u, 40u}) {
+      benchmark::RegisterBenchmark(
+          ("BM_DriftAndSeparation/" + std::string(kernel->name()) + "/d6/k" +
+           std::to_string(k))
+              .c_str(),
+          BM_DriftAndSeparation, kernel, size_t{6}, k);
     }
   }
 }

@@ -38,18 +38,29 @@ struct AssignInfo {
 AssignInfo Assign(const WeightedDataset& data,
                   const std::vector<size_t>& medoids) {
   const size_t n = data.size();
-  Dataset rows(data.dim());
-  for (size_t m : medoids) rows.Append(data.Row(m));
   AssignInfo info;
   info.nearest.resize(n);
   info.nearest_d.resize(n);
   info.second_d.resize(n);
-  AssignNearest(data.points().data(), n, data.dim(), rows,
-                info.nearest.data(), info.nearest_d.data(),
-                info.second_d.data());
   for (size_t i = 0; i < n; ++i) {
-    info.nearest_d[i] = std::sqrt(info.nearest_d[i]);
-    info.second_d[i] = std::sqrt(info.second_d[i]);
+    // The kernels' nearest-two scan: ascending index, strictly smaller
+    // wins, so a tie with the nearest becomes the second.
+    uint32_t best = 0;
+    double d_best = std::numeric_limits<double>::infinity();
+    double d_second = d_best;
+    for (size_t j = 0; j < medoids.size(); ++j) {
+      const double d2 = SquaredL2(data.Row(i), data.Row(medoids[j]));
+      if (d2 < d_best) {
+        d_second = d_best;
+        d_best = d2;
+        best = static_cast<uint32_t>(j);
+      } else if (d2 < d_second) {
+        d_second = d2;
+      }
+    }
+    info.nearest[i] = best;
+    info.nearest_d[i] = std::sqrt(d_best);
+    info.second_d[i] = std::sqrt(d_second);
     info.cost += data.weight(i) * info.nearest_d[i];
   }
   return info;

@@ -3,12 +3,12 @@
 // stays portable; availability is re-checked at runtime via CPUID before
 // dispatch ever lands here.
 //
-// AssignBlock and AssignMasked run one scan body (MaskedSteps): 8 points
-// per step, one per lane of two 4-wide vectors, against the row-major
-// centroids in ascending index. Each lane accumulates its point's
-// distance to centroid j and updates its state branch-free: the minimum
-// m, the second-smallest value s and the index of m (held as an exact
-// double): idx = d < m ? j : idx, s = min(max(m, d), s), m = min(d, m).
+// AssignMasked runs one scan body (MaskedSteps): 8 points per step, one
+// per lane of two 4-wide vectors, against the row-major centroids in
+// ascending index. Each lane accumulates its point's distance to
+// centroid j and updates its state branch-free: the minimum m, the
+// second-smallest value s and the index of m (held as an exact double):
+// idx = d < m ? j : idx, s = min(max(m, d), s), m = min(d, m).
 //
 // Determinism (must match kernels/scalar.cc bit-for-bit):
 //  - every lane accumulates (x[d] − c[d])² over d in ascending order with
@@ -30,11 +30,18 @@
 // PruneBlock runs the scalar reference's per-point arithmetic (PruneRows
 // in kernels/scalar.cc) 4 points at a time, one point per lane: the same
 // ascending-d mul + add distance to the point's own centroid (the 4 rows
-// are transposed into lanes two coordinates at a time), _mm256_sqrt_pd
-// (IEEE √ is correctly rounded, like std::sqrt), ordered compares (false
-// on NaN), and _mm256_max_pd(l, s), which returns s unless l > s —
-// exactly std::max(s, l). A tail of fewer than 4 points runs the
-// reference.
+// go into lanes two coordinates at a time), _mm256_sqrt_pd (IEEE √ is
+// correctly rounded, like std::sqrt), ordered compares (false on NaN),
+// and _mm256_max_pd(l, s), which returns s unless l > s — exactly
+// std::max(s, l). A tail of fewer than 4 points runs the reference.
+//
+// CentroidDriftAndSeparation puts owners in lanes the same way: 4 owner
+// centroids per step, one per lane, their coordinates moved into lanes
+// once per step, and every centroid j broadcast from its row-major row.
+// Lane p accumulates (c_{a0+p}[d] − c_j[d])² in ascending d, the scalar
+// kernel's operand order, so the pair distances, s and the ring masks
+// equal its bits. A tail of fewer than 4 owners repeats its last owner;
+// only real owners are written.
 
 #include "cluster/kernels/internal.h"
 
@@ -55,29 +62,16 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Points per PruneBlock step (one per lane).
+// Points per PruneBlock step, and owners per CentroidDriftAndSeparation
+// step (one per lane).
 constexpr size_t kBlockPoints = 4;
-// MaskedSteps: points per step (one per lane of two vectors), the
-// coordinates its transposed stack scratch holds, and centroids per tile
-// (one mask word).
+// MaskedSteps: points per step (one per lane of two vectors); both
+// MaskedSteps and CentroidDriftAndSeparation: the coordinates their
+// lane-major stack scratch holds, and centroids per tile (one mask
+// word).
 constexpr size_t kMaskedLanes = 8;
 constexpr size_t kMaskedMaxDim = 16;
 constexpr size_t kMaskedTile = 64;
-
-// Squared distances of point x to the 4 centroids starting at padded
-// column j0, accumulated in ascending-d order (one mul + one add per
-// coordinate, matching the scalar kernel).
-inline __m256d Distance4(const double* x, const double* ct, size_t kp,
-                         size_t dim, size_t j0) {
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t d = 0; d < dim; ++d) {
-    const __m256d xd = _mm256_set1_pd(x[d]);
-    const __m256d c = _mm256_loadu_pd(ct + d * kp + j0);
-    const __m256d diff = _mm256_sub_pd(xd, c);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
-  }
-  return acc;
-}
 
 // acc += (x − c)², lane-wise, as one mul and one add.
 inline __m256d AddSquaredDiff(__m256d acc, __m256d x, __m256d c) {
@@ -85,7 +79,7 @@ inline __m256d AddSquaredDiff(__m256d acc, __m256d x, __m256d c) {
   return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
 }
 
-// Coordinates d and d + 1 of 4 rows, transposed into lanes: *lo holds
+// Coordinates d and d + 1 of 4 rows, one row per lane: *lo holds
 // row p's coordinate d in lane p, *hi its coordinate d + 1. Two 128-bit
 // inserts and two in-lane unpacks, where building each column from 4
 // scalars would take 3 cross-lane shuffles.
@@ -99,6 +93,25 @@ inline void LoadColumnPair(const double* const rows[kBlockPoints], size_t d,
       _mm_loadu_pd(rows[3] + d), 1);
   *lo = _mm256_unpacklo_pd(r02, r13);
   *hi = _mm256_unpackhi_pd(r02, r13);
+}
+
+// Coordinates [e0, e0 + chunk) of 4 rows, one row per lane: lane p of
+// coordinate e0 + e goes to out[e·stride + p], in full-width stores so
+// the loads that read them back forward from them.
+inline void StoreLanes(const double* const rows[kBlockPoints], size_t e0,
+                       size_t chunk, double* out, size_t stride) {
+  size_t e = 0;
+  for (; e + 2 <= chunk; e += 2) {
+    __m256d lo, hi;
+    LoadColumnPair(rows, e0 + e, &lo, &hi);
+    _mm256_store_pd(out + e * stride, lo);
+    _mm256_store_pd(out + (e + 1) * stride, hi);
+  }
+  if (e < chunk) {
+    const size_t d = e0 + e;
+    _mm256_store_pd(out + e * stride, _mm256_setr_pd(rows[0][d], rows[1][d],
+                                                     rows[2][d], rows[3][d]));
+  }
 }
 
 // Lane p: ‖x[p] − c[p]‖², accumulated in ascending-d order (one mul + one
@@ -142,9 +155,10 @@ inline void Update(LaneArgmin* st, __m256d d, __m256d j) {
 // BuildRings (kernels/scalar.cc) with the levels computed in lanes: the
 // bit arithmetic of RingLevel on 4 columns at a time, its clamp by 32-bit
 // max/min (the level difference fits in 32 bits, and the high halves go
-// to 0), the low bytes of the 4 lanes packed into lv[j0, j0 + 4). Then
-// the mask of level L is one byte compare lv < L + 1 per 32 columns.
-// Columns past k hold 127, above every level.
+// to 0), the low bytes of the 4 lanes packed into lv[j0, j0 + 4), over
+// pair2's kp columns, k rounded up to a multiple of 4. Then the mask of
+// level L is one byte compare lv < L + 1 per 32 columns. Columns past k
+// hold 127, above every level.
 inline void Avx2BuildRings(const double* pair2, size_t k, size_t kp,
                            size_t a, double s_a, uint64_t* rings) {
   alignas(32) int8_t lv[kBallMaxK];
@@ -204,15 +218,6 @@ class Avx2DistanceKernel final : public DistanceKernel {
  public:
   const char* name() const override { return "avx2"; }
   KernelKind kind() const override { return KernelKind::kAvx2; }
-
-  void AssignBlock(const double* points, size_t n, size_t dim,
-                   const CentroidBlock& centroids, uint32_t* assign,
-                   double* dist2, double* second2) const override {
-    PMKM_DCHECK(centroids.k() > 0 && centroids.dim() == dim);
-    Masked<false, false>(points, n, dim, centroids.row_major(),
-                         centroids.k(), nullptr, nullptr, assign, dist2,
-                         second2);
-  }
 
   size_t PruneBlock(const double* points, size_t n, size_t dim,
                     const double* centroids, const uint32_t* assign,
@@ -305,11 +310,11 @@ class Avx2DistanceKernel final : public DistanceKernel {
                     const uint64_t* masks, uint32_t* assign, double* dist2,
                     double* lower) const override {
     if (rows != nullptr) {
-      Masked<true, true>(points, n, dim, centroids, k, rows, masks, assign,
-                         dist2, lower);
+      Masked<true>(points, n, dim, centroids, k, rows, masks, assign, dist2,
+                   lower);
     } else {
-      Masked<false, true>(points, n, dim, centroids, k, nullptr, masks,
-                          assign, dist2, lower);
+      Masked<false>(points, n, dim, centroids, k, nullptr, masks, assign,
+                    dist2, lower);
     }
   }
 
@@ -324,57 +329,87 @@ class Avx2DistanceKernel final : public DistanceKernel {
   }
 
   void CentroidDriftAndSeparation(const double* old_centroids,
-                                  const double* new_centroids,
-                                  const CentroidBlock& block, size_t k,
+                                  const double* new_centroids, size_t k,
                                   size_t dim, double* drift, double* s,
                                   uint64_t* rings) const override {
-    PMKM_DCHECK(block.k() == k && block.dim() == dim);
     PMKM_DCHECK(rings == nullptr || k <= kBallMaxK);
     if (drift != nullptr) {
-      // k×dim is tiny next to the n×k assignment scan; the scalar loop is
-      // already exact and fast enough.
-      for (size_t j = 0; j < k; ++j) {
-        const double* o = old_centroids + j * dim;
-        const double* c = new_centroids + j * dim;
-        double acc = 0.0;
-        for (size_t d = 0; d < dim; ++d) {
-          const double diff = o[d] - c[d];
-          acc += diff * diff;
-        }
-        drift[j] = std::sqrt(acc);
-      }
+      CentroidDrift(old_centroids, new_centroids, k, dim, drift);
     }
-    const size_t kp = block.padded_k();
-    const double* ct = block.transposed();
     const __m256d inf = _mm256_set1_pd(kInf);
-    const __m256i step = _mm256_set1_epi64x(4);
-    alignas(32) double pair2[kBallMaxK];  // row j's, with rings
-    for (size_t j = 0; j < k; ++j) {
-      const double* c = new_centroids + j * dim;
-      const __m256i self = _mm256_set1_epi64x(static_cast<int64_t>(j));
-      __m256i j_vec = _mm256_setr_epi64x(0, 1, 2, 3);
+    const size_t kp = (k + kBlockPoints - 1) / kBlockPoints * kBlockPoints;
+    // The step's owner coordinates e0 + e, lane p at ot[e][p]; a tile's
+    // distances carried between coordinate chunks; and, with rings, the
+    // step's pair distances by column (pair[j][p]) and by owner
+    // (row[p][j]).
+    alignas(32) double ot[kMaskedMaxDim][kBlockPoints];
+    alignas(32) double partial[kMaskedTile][kBlockPoints];
+    alignas(32) double pair[kBallMaxK][kBlockPoints];
+    alignas(32) double row[kBlockPoints][kBallMaxK];
+    for (size_t a0 = 0; a0 < k; a0 += kBlockPoints) {
+      const size_t live = std::min(kBlockPoints, k - a0);
+      const double* o[kBlockPoints];
+      for (size_t p = 0; p < kBlockPoints; ++p) {
+        o[p] = new_centroids + (a0 + std::min(p, live - 1)) * dim;
+      }
+      const __m256i owner = _mm256_setr_epi64x(
+          static_cast<int64_t>(a0), static_cast<int64_t>(a0 + 1),
+          static_cast<int64_t>(a0 + 2), static_cast<int64_t>(a0 + 3));
       __m256d nearest = inf;
-      for (size_t j0 = 0; j0 < kp; j0 += 4) {
-        __m256d d4 = Distance4(c, ct, kp, dim, j0);
-        if (rings != nullptr) _mm256_store_pd(pair2 + j0, d4);
-        // Mask out the self-distance lane (j2 == j).
-        const __m256d is_self =
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(j_vec, self));
-        d4 = _mm256_blendv_pd(d4, inf, is_self);
-        // MINPD returns its second operand when either is NaN: a NaN
-        // distance leaves the lane as it was, as the scalar scan skips it.
-        nearest = _mm256_min_pd(d4, nearest);
-        j_vec = _mm256_add_epi64(j_vec, step);
+      for (size_t j0 = 0; j0 < k; j0 += kMaskedTile) {
+        const size_t width = std::min(kMaskedTile, k - j0);
+        for (size_t e0 = 0; e0 < dim; e0 += kMaskedMaxDim) {
+          const size_t chunk = std::min(kMaskedMaxDim, dim - e0);
+          StoreLanes(o, e0, chunk, ot[0], kBlockPoints);
+          const bool last = e0 + chunk == dim;
+          for (size_t t = 0; t < width; ++t) {
+            const size_t j = j0 + t;
+            const double* c = new_centroids + j * dim + e0;
+            __m256d acc =
+                e0 > 0 ? _mm256_load_pd(partial[t]) : _mm256_setzero_pd();
+#pragma GCC unroll 16
+            for (size_t f = 0; f < chunk; ++f) {
+              acc = AddSquaredDiff(acc, _mm256_load_pd(ot[f]),
+                                   _mm256_broadcast_sd(c + f));
+            }
+            if (!last) {
+              _mm256_store_pd(partial[t], acc);
+              continue;
+            }
+            if (rings != nullptr) _mm256_store_pd(pair[j], acc);
+            // The self lane (owner j) reads +inf. MINPD returns its second
+            // operand when either is NaN: a NaN distance leaves the lane
+            // as it was, as the scalar scan skips it.
+            const __m256d is_self = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                owner, _mm256_set1_epi64x(static_cast<int64_t>(j))));
+            nearest = _mm256_min_pd(_mm256_blendv_pd(acc, inf, is_self),
+                                    nearest);
+          }
+        }
       }
-      alignas(32) double nd[4];
+      alignas(32) double nd[kBlockPoints];
       _mm256_store_pd(nd, nearest);
-      double min_sq = nd[0];
-      for (int l = 1; l < 4; ++l) {
-        if (nd[l] < min_sq) min_sq = nd[l];
+      for (size_t p = 0; p < live; ++p) s[a0 + p] = 0.5 * std::sqrt(nd[p]);
+      if (rings == nullptr) continue;
+      for (size_t j = k; j < kp; ++j) _mm256_store_pd(pair[j], inf);
+      // pair's 4×4 blocks, turned into the owners' rows.
+      for (size_t j0 = 0; j0 < kp; j0 += 4) {
+        const __m256d r0 = _mm256_load_pd(pair[j0]);
+        const __m256d r1 = _mm256_load_pd(pair[j0 + 1]);
+        const __m256d r2 = _mm256_load_pd(pair[j0 + 2]);
+        const __m256d r3 = _mm256_load_pd(pair[j0 + 3]);
+        const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
+        const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
+        const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+        const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+        _mm256_store_pd(row[0] + j0, _mm256_permute2f128_pd(t0, t2, 0x20));
+        _mm256_store_pd(row[1] + j0, _mm256_permute2f128_pd(t1, t3, 0x20));
+        _mm256_store_pd(row[2] + j0, _mm256_permute2f128_pd(t0, t2, 0x31));
+        _mm256_store_pd(row[3] + j0, _mm256_permute2f128_pd(t1, t3, 0x31));
       }
-      s[j] = 0.5 * std::sqrt(min_sq);
-      if (rings != nullptr) {
-        Avx2BuildRings(pair2, k, kp, j, s[j], rings + j * kRingLevels);
+      for (size_t p = 0; p < live; ++p) {
+        Avx2BuildRings(row[p], k, kp, a0 + p, s[a0 + p],
+                       rings + (a0 + p) * kRingLevels);
       }
     }
   }
@@ -420,37 +455,37 @@ class Avx2DistanceKernel final : public DistanceKernel {
 
   // MaskedSteps with its dimension fixed at D = 6, the MISR cells', or
   // read at run time (kDim = 0).
-  template <bool kRows, bool kLower>
+  template <bool kRows>
   static void Masked(const double* points, size_t n, size_t dim,
                      const double* centroids, size_t k, const uint32_t* rows,
                      const uint64_t* masks, uint32_t* assign, double* dist2,
-                     double* second) {
+                     double* lower) {
     if (dim == 6) {
-      MaskedSteps<6, kRows, kLower>(points, n, 6, centroids, k, rows, masks,
-                                    assign, dist2, second);
+      MaskedSteps<6, kRows>(points, n, 6, centroids, k, rows, masks, assign,
+                            dist2, lower);
     } else {
-      MaskedSteps<0, kRows, kLower>(points, n, dim, centroids, k, rows,
-                                    masks, assign, dist2, second);
+      MaskedSteps<0, kRows>(points, n, dim, centroids, k, rows, masks,
+                            assign, dist2, lower);
     }
   }
 
-  // The scan of both primitives, 8 points per step, one per lane: point
-  // p is row rows[p] when kRows, and row p otherwise. Each lane keeps its
-  // point's minimum, second and index with Update, over the centroids in
+  // AssignMasked's scan, 8 points per step, one per lane: point p is row
+  // rows[p] when kRows, and row p otherwise. Each lane keeps its point's
+  // minimum, second and index with Update, over the centroids in
   // ascending index: the union of the step's masks, or every j < k with
   // no masks, in tiles of kMaskedTile. A lane whose own mask lacks j
   // sees NaN for it, which leaves its state unchanged, so every lane
-  // returns the scan of exactly its own mask. The step's points are
-  // transposed kMaskedMaxDim coordinates at a time; above that, a tile's
+  // returns the scan of exactly its own mask. The step's points go into
+  // lanes kMaskedMaxDim coordinates at a time; above that, a tile's
   // distances carry over between the chunks in `partial`, so each lane
   // still adds its coordinates in ascending order. A short tail repeats
-  // its last point; only real rows are written back. `second`, when
-  // non-null, gets √s·(1 − δ) when kLower and s itself otherwise.
-  template <size_t kDim, bool kRows, bool kLower>
+  // its last point; only real rows are written back. `lower`, when
+  // non-null, gets √s·(1 − δ).
+  template <size_t kDim, bool kRows>
   static void MaskedSteps(const double* points, size_t n, size_t dim_arg,
                           const double* centroids, size_t k,
                           const uint32_t* rows, const uint64_t* masks,
-                          uint32_t* assign, double* dist2, double* second) {
+                          uint32_t* assign, double* dist2, double* lower) {
     const size_t dim = kDim != 0 ? kDim : dim_arg;
     // With masks, only the first tile can hold a bit.
     const size_t span = masks != nullptr ? std::min(k, kMaskedTile) : k;
@@ -458,8 +493,7 @@ class Avx2DistanceKernel final : public DistanceKernel {
     const __m256d zero = _mm256_setzero_pd();
     const __m256d shrink = _mm256_set1_pd(1.0 - kPruneSlack);
     // Coordinate e0 + e of the step's points: lanes 0-3 at xt[e], 4-7
-    // at xt[e] + 4, written with full-width stores so the scan's loads
-    // forward from them.
+    // at xt[e] + 4.
     alignas(32) double xt[kMaskedMaxDim][kMaskedLanes];
     alignas(32) double partial[kMaskedTile][kMaskedLanes];
     for (size_t i = 0; i < n; i += kMaskedLanes) {
@@ -507,23 +541,8 @@ class Avx2DistanceKernel final : public DistanceKernel {
                                    : (uint64_t{1} << width) - 1;
         for (size_t e0 = 0; e0 < dim; e0 += kMaskedMaxDim) {
           const size_t chunk = std::min(kMaskedMaxDim, dim - e0);
-          size_t e = 0;
-          for (; e + 2 <= chunk; e += 2) {
-            __m256d lo0, hi0, lo1, hi1;
-            LoadColumnPair(x, e0 + e, &lo0, &hi0);
-            LoadColumnPair(x + 4, e0 + e, &lo1, &hi1);
-            _mm256_store_pd(xt[e], lo0);
-            _mm256_store_pd(xt[e] + 4, lo1);
-            _mm256_store_pd(xt[e + 1], hi0);
-            _mm256_store_pd(xt[e + 1] + 4, hi1);
-          }
-          if (e < chunk) {
-            const size_t d = e0 + e;
-            _mm256_store_pd(xt[e], _mm256_setr_pd(x[0][d], x[1][d],
-                                                  x[2][d], x[3][d]));
-            _mm256_store_pd(xt[e] + 4, _mm256_setr_pd(x[4][d], x[5][d],
-                                                      x[6][d], x[7][d]));
-          }
+          StoreLanes(x, e0, chunk, xt[0], kMaskedLanes);
+          StoreLanes(x + 4, e0, chunk, xt[0] + 4, kMaskedLanes);
           const bool last = e0 + chunk == dim;
           const double* tile_c = centroids + j0 * dim + e0;
           for (uint64_t bits = tile; bits != 0; bits &= bits - 1) {
@@ -560,18 +579,13 @@ class Avx2DistanceKernel final : public DistanceKernel {
       _mm256_store_pd(best + 4, hi.m);
       _mm256_store_pd(idx, lo.idx);
       _mm256_store_pd(idx + 4, hi.idx);
-      if constexpr (kLower) {
-        _mm256_store_pd(out, _mm256_mul_pd(_mm256_sqrt_pd(lo.s), shrink));
-        _mm256_store_pd(out + 4, _mm256_mul_pd(_mm256_sqrt_pd(hi.s), shrink));
-      } else {
-        _mm256_store_pd(out, lo.s);
-        _mm256_store_pd(out + 4, hi.s);
-      }
+      _mm256_store_pd(out, _mm256_mul_pd(_mm256_sqrt_pd(lo.s), shrink));
+      _mm256_store_pd(out + 4, _mm256_mul_pd(_mm256_sqrt_pd(hi.s), shrink));
       for (size_t p = 0; p < live; ++p) {
         const size_t row = kRows ? rows[i + p] : i + p;
         assign[row] = static_cast<uint32_t>(idx[p]);
         dist2[row] = best[p];
-        if (second != nullptr) second[row] = out[p];
+        if (lower != nullptr) lower[row] = out[p];
       }
     }
   }

@@ -24,6 +24,12 @@ size_t PruneRows(const double* points, size_t begin, size_t n, size_t dim,
                  const double* s, double shift, double* lower,
                  double* dist2, uint32_t* rows, uint8_t* levels, size_t m);
 
+/// CentroidDriftAndSeparation's drift half, drift[j] = ‖old_j − new_j‖.
+/// Both kernels run this scalar loop: k×dim is tiny next to the n×k
+/// scan.
+void CentroidDrift(const double* old_centroids, const double* new_centroids,
+                   size_t k, size_t dim, double* drift);
+
 /// Runtime CPU probe for the AVX2+FMA path (build-time support is a
 /// separate question answered by Avx2Kernel() != nullptr).
 bool CpuSupportsAvx2();

@@ -1,9 +1,7 @@
-// Kernel dispatch: CentroidBlock repacking, the CPUID-driven kAuto
-// resolution, and the AssignNearest batch query on the kAuto kernel.
+// Kernel dispatch: the CPUID-driven kAuto resolution, the AssignBlock
+// shim, and the AssignNearest batch query on the kAuto kernel.
 
 #include "cluster/kernels/kernel.h"
-
-#include <limits>
 
 #include "cluster/kernels/internal.h"
 
@@ -13,14 +11,15 @@ void CentroidBlock::Load(const double* centroids, size_t k, size_t dim) {
   PMKM_CHECK(k > 0 && dim > 0);
   k_ = k;
   dim_ = dim;
-  padded_k_ = (k + kLanePad - 1) / kLanePad * kLanePad;
   row_major_.assign(centroids, centroids + k * dim);
-  transposed_.assign(padded_k_ * dim,
-                     std::numeric_limits<double>::infinity());
-  for (size_t d = 0; d < dim; ++d) {
-    double* col = transposed_.data() + d * padded_k_;
-    for (size_t j = 0; j < k; ++j) col[j] = centroids[j * dim + d];
-  }
+}
+
+void DistanceKernel::AssignBlock(const double* points, size_t n, size_t dim,
+                                 const CentroidBlock& centroids,
+                                 uint32_t* assign, double* dist2) const {
+  PMKM_DCHECK(centroids.k() > 0 && centroids.dim() == dim);
+  AssignMasked(points, n, dim, centroids.row_major(), centroids.k(), nullptr,
+               nullptr, assign, dist2, nullptr);
 }
 
 const char* KernelKindToString(KernelKind kind) {
@@ -87,12 +86,11 @@ const DistanceKernel& GetKernel(KernelKind kind) {
 
 void AssignNearest(const double* points, size_t n, size_t dim,
                    const Dataset& centroids, uint32_t* assign,
-                   double* dist2, double* second2) {
-  PMKM_CHECK(centroids.dim() == dim);
-  CentroidBlock block;
-  block.Load(centroids);
+                   double* dist2) {
+  PMKM_CHECK(!centroids.empty() && centroids.dim() == dim);
   GetKernel(KernelKind::kAuto)
-      .AssignBlock(points, n, dim, block, assign, dist2, second2);
+      .AssignMasked(points, n, dim, centroids.data(), centroids.size(),
+                    nullptr, nullptr, assign, dist2, nullptr);
 }
 
 std::string HostIsaDescription() {

@@ -7,17 +7,16 @@
 //    on x86-64; every other host runs the scalar kernel. The
 //    implementation is chosen once per process via CPUID, overridable
 //    with --kernel.
-//  - Layout contract: the nearest-centroid scans read row-major
-//    centroids; the AVX2 kernel sweeps 8 points per step, one per lane,
-//    so each lane accumulates its (point, centroid) distance in strict
-//    coordinate order. CentroidBlock holds the centroids in both
-//    layouts: row-major for AssignBlock, and transposed and padded
-//    (coordinate d of all centroids contiguous, k padded to a lane
-//    multiple with +inf coordinates) for CentroidDriftAndSeparation's
-//    pair distances.
-//  - One scan body per kernel. AssignBlock is AssignMasked over every
-//    point in order and every centroid, with the second-smallest squared
-//    distance written raw; both primitives run the same loop.
+//  - Layout contract: one centroid layout, row-major k×dim, which every
+//    primitive reads. The AVX2 kernel puts what it sweeps in lanes: the
+//    nearest-centroid scan 8 points per step and the pair distances 4
+//    owner centroids per step, one per lane, so each lane accumulates its
+//    distance in strict coordinate order against a broadcast centroid
+//    row.
+//  - Four primitives (PruneBlock, AssignMasked, AccumulateBlock and
+//    CentroidDriftAndSeparation) and one nearest-two scan: AssignBlock is
+//    a non-virtual shim that runs AssignMasked over every point and every
+//    centroid.
 //  - Determinism guarantee: every kernel computes bit-identical squared
 //    distances (same per-pair operation order, no FMA contraction in the
 //    accumulation) and returns what the scalar ascending-index scan
@@ -113,18 +112,11 @@ inline uint8_t RingLevel(double r2, double s_a) {
       level, 0, static_cast<int64_t>(kRingLevels) - 1));
 }
 
-/// Centroids loaded for the kernels, in two layouts. row_major() is a
-/// copy of the k×dim rows, which AssignBlock scans. transposed() is
-/// coordinate-major and padded to a lane multiple: element (j, d) lives at
-/// transposed()[d * padded_k() + j], and padding columns j >= k() hold
-/// +inf so a padded lane can never win a min; CentroidDriftAndSeparation
-/// reads its pair distances from it. Reusable across iterations — Load()
-/// only reallocates when the shape grows.
+/// A row-major copy of k×dim centroids: AssignBlock's argument.
+/// Reusable across iterations — Load() only reallocates when the shape
+/// grows.
 class CentroidBlock {
  public:
-  /// Pad k to a multiple of 8, two of the AVX2 kernel's 4-wide vectors.
-  static constexpr size_t kLanePad = 8;
-
   void Load(const double* centroids, size_t k, size_t dim);
   void Load(const Dataset& centroids) {
     Load(centroids.data(), centroids.size(), centroids.dim());
@@ -132,16 +124,12 @@ class CentroidBlock {
 
   size_t k() const { return k_; }
   size_t dim() const { return dim_; }
-  size_t padded_k() const { return padded_k_; }
   const double* row_major() const { return row_major_.data(); }
-  const double* transposed() const { return transposed_.data(); }
 
  private:
   std::vector<double> row_major_;
-  std::vector<double> transposed_;
   size_t k_ = 0;
   size_t dim_ = 0;
-  size_t padded_k_ = 0;
 };
 
 /// One distance-kernel implementation. Stateless and thread-safe: cloned
@@ -156,14 +144,11 @@ class DistanceKernel {
 
   /// Assignment for a tile: for each of the n row-major points, the index
   /// of the nearest centroid (ties to the lower index) and its exact
-  /// squared distance. `second2`, when non-null, additionally receives the
-  /// second-smallest squared distance (the Hamerly lower bound). This is
-  /// AssignMasked's scan with null rows and masks over
-  /// centroids.row_major(), with second2 written raw.
-  virtual void AssignBlock(const double* points, size_t n, size_t dim,
-                           const CentroidBlock& centroids, uint32_t* assign,
-                           double* dist2, double* second2 = nullptr) const
-      PMKM_WAITFREE PMKM_DETERMINISTIC = 0;
+  /// squared distance. A shim over AssignMasked with null rows, masks and
+  /// `lower`, so every kernel runs it as its one scan.
+  void AssignBlock(const double* points, size_t n, size_t dim,
+                   const CentroidBlock& centroids, uint32_t* assign,
+                   double* dist2) const PMKM_WAITFREE PMKM_DETERMINISTIC;
 
   /// The bound test of a pruned Lloyd pass over a tile of n row-major
   /// points. `centroids` is row-major k×dim, assign[t] is point t's
@@ -198,7 +183,7 @@ class DistanceKernel {
   /// distance scanned. `centroids` is row-major k×dim, so a mask bit must
   /// index one of the first min(k, 64) rows. With no mask, or with a mask
   /// holding a point's nearest and second-nearest centroids, the outputs
-  /// are the full scan's (AssignBlock's) bit for bit.
+  /// are the full scan's bit for bit.
   virtual void AssignMasked(const double* points, size_t n, size_t dim,
                             const double* centroids, size_t k,
                             const uint32_t* rows, const uint64_t* masks,
@@ -220,9 +205,9 @@ class DistanceKernel {
       PMKM_DETERMINISTIC = 0;
 
   /// The two per-centroid arrays Hamerly's bounds need:
-  /// drift[j] = ‖old_j − new_j‖ and s[j] = ½·min_{j2≠j} ‖new_j − new_j2‖.
-  /// `block` must hold the *new* centroids. drift may be null (skip it,
-  /// e.g. on the first iteration). `rings`, when non-null, requires
+  /// drift[j] = ‖old_j − new_j‖ and s[j] = ½·min_{j2≠j} ‖new_j − new_j2‖,
+  /// from row-major k×dim old and new centroids. drift may be null (skip
+  /// it, e.g. on the first iteration). `rings`, when non-null, requires
   /// k ≤ kBallMaxK and receives the ball's ring masks, kRingLevels words
   /// per centroid: bit j of rings[a·kRingLevels + L] is set iff
   /// RingLevel(‖new_a − new_j‖², s[a]) ≤ L, so j = a is in every mask.
@@ -230,7 +215,6 @@ class DistanceKernel {
   /// gets all k bits at every level.
   virtual void CentroidDriftAndSeparation(const double* old_centroids,
                                           const double* new_centroids,
-                                          const CentroidBlock& block,
                                           size_t k, size_t dim,
                                           double* drift, double* s,
                                           uint64_t* rings = nullptr) const = 0;
@@ -245,14 +229,14 @@ const DistanceKernel& GetKernel(KernelKind kind);
 bool KernelAvailable(KernelKind kind);
 
 /// The nearest centroid of each of the n row-major `points`, computed by
-/// GetKernel(KernelKind::kAuto).AssignBlock: the batch query behind every
-/// metric, histogram and baseline outside the Lloyd loop. Every kernel
-/// returns the same assignments and distances, so they are the ones
-/// training saw under any kernel. `second2` as in AssignBlock.
-/// Requires a non-empty centroid set of dimension `dim`.
+/// GetKernel(KernelKind::kAuto).AssignMasked against every centroid: the
+/// batch query behind every metric, histogram and baseline outside the
+/// Lloyd loop. Every kernel returns the same assignments and distances,
+/// so they are the ones training saw under any kernel. Requires a
+/// non-empty centroid set of dimension `dim`.
 void AssignNearest(const double* points, size_t n, size_t dim,
                    const Dataset& centroids, uint32_t* assign,
-                   double* dist2, double* second2 = nullptr);
+                   double* dist2);
 
 /// Short host-ISA description for bench provenance, e.g.
 /// "x86-64 (avx2+fma)" or "aarch64".

@@ -7,9 +7,10 @@
 //    with -ffp-contract=off);
 //  - the argmin scans j in ascending order and replaces only on a strictly
 //    smaller distance, so ties break toward the lower centroid index; one
-//    loop (Scan below) serves AssignBlock and AssignMasked, which differ
-//    only in which rows and centroids they name and in what they write
-//    for the second-smallest distance;
+//    loop (AssignMasked below) is the nearest-two scan of every caller;
+//  - CentroidDriftAndSeparation reads the row-major centroids, the one
+//    layout every primitive takes, and accumulates (c_a[d] − c_j[d])² for
+//    owner a in ascending d;
 //  - AccumulateBlock applies exactly one w·x[d] multiply and one add per
 //    (point, coordinate), in ascending point order, and sums the weighted
 //    SSE in the same ascending order into one accumulator that starts at
@@ -119,6 +120,20 @@ size_t PruneRows(const double* points, size_t begin, size_t n, size_t dim,
   return m;
 }
 
+void CentroidDrift(const double* old_centroids, const double* new_centroids,
+                   size_t k, size_t dim, double* drift) {
+  for (size_t j = 0; j < k; ++j) {
+    const double* o = old_centroids + j * dim;
+    const double* c = new_centroids + j * dim;
+    double acc = 0.0;
+    for (size_t d = 0; d < dim; ++d) {
+      const double diff = o[d] - c[d];
+      acc += diff * diff;
+    }
+    drift[j] = std::sqrt(acc);
+  }
+}
+
 namespace {
 
 // Owner a's kRingLevels ring masks (CentroidDriftAndSeparation's `rings`)
@@ -152,14 +167,6 @@ class ScalarDistanceKernel final : public DistanceKernel {
   const char* name() const override { return "scalar"; }
   KernelKind kind() const override { return KernelKind::kScalar; }
 
-  void AssignBlock(const double* points, size_t n, size_t dim,
-                   const CentroidBlock& centroids, uint32_t* assign,
-                   double* dist2, double* second2) const override {
-    PMKM_DCHECK(centroids.k() > 0 && centroids.dim() == dim);
-    Scan(points, n, dim, centroids.row_major(), centroids.k(), nullptr,
-         nullptr, assign, dist2, second2, /*lower=*/false);
-  }
-
   size_t PruneBlock(const double* points, size_t n, size_t dim,
                     const double* centroids, const uint32_t* assign,
                     const double* s, double shift, double* lower,
@@ -173,76 +180,6 @@ class ScalarDistanceKernel final : public DistanceKernel {
                     const double* centroids, size_t k, const uint32_t* rows,
                     const uint64_t* masks, uint32_t* assign, double* dist2,
                     double* lower) const override {
-    Scan(points, n, dim, centroids, k, rows, masks, assign, dist2, lower,
-         /*lower=*/true);
-  }
-
-  double AccumulateBlock(const double* points, const double* weights,
-                         const double* dist2, size_t n, size_t dim,
-                         const uint32_t* assign, double* sums,
-                         double* cluster_weight) const override {
-    double sse = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double* x = points + i * dim;
-      const double w = weights[i];
-      double* sum = sums + assign[i] * dim;
-      for (size_t d = 0; d < dim; ++d) sum[d] += w * x[d];
-      cluster_weight[assign[i]] += w;
-      sse += w * dist2[i];
-    }
-    return sse;
-  }
-
-  void CentroidDriftAndSeparation(const double* old_centroids,
-                                  const double* new_centroids,
-                                  const CentroidBlock& block, size_t k,
-                                  size_t dim, double* drift, double* s,
-                                  uint64_t* rings) const override {
-    PMKM_DCHECK(block.k() == k && block.dim() == dim);
-    PMKM_DCHECK(rings == nullptr || k <= kBallMaxK);
-    if (drift != nullptr) {
-      for (size_t j = 0; j < k; ++j) {
-        const double* o = old_centroids + j * dim;
-        const double* c = new_centroids + j * dim;
-        double acc = 0.0;
-        for (size_t d = 0; d < dim; ++d) {
-          const double diff = o[d] - c[d];
-          acc += diff * diff;
-        }
-        drift[j] = std::sqrt(acc);
-      }
-    }
-    const size_t kp = block.padded_k();
-    const double* ct = block.transposed();
-    double pair2[kBallMaxK];  // row j's squared pair distances
-    for (size_t j = 0; j < k; ++j) {
-      const double* c = new_centroids + j * dim;
-      double nearest = kInf;
-      for (size_t j2 = 0; j2 < k; ++j2) {
-        if (j2 == j) continue;
-        double acc = 0.0;
-        for (size_t d = 0; d < dim; ++d) {
-          const double diff = c[d] - ct[d * kp + j2];
-          acc += diff * diff;
-        }
-        if (acc < nearest) nearest = acc;
-        if (rings != nullptr) pair2[j2] = acc;
-      }
-      s[j] = k > 1 ? 0.5 * std::sqrt(nearest) : kInf;
-      if (rings != nullptr) {
-        BuildRings(pair2, k, j, s[j], rings + j * kRingLevels);
-      }
-    }
-  }
-
- private:
-  // The one nearest-two scan of both primitives (AssignMasked's contract
-  // in kernel.h). `second`, when non-null, receives √second2·(1 − δ)
-  // when `lower` is set, and second2 itself otherwise.
-  static void Scan(const double* points, size_t n, size_t dim,
-                   const double* centroids, size_t k, const uint32_t* rows,
-                   const uint64_t* masks, uint32_t* assign, double* dist2,
-                   double* second, bool lower) {
     for (size_t p = 0; p < n; ++p) {
       const size_t r = rows != nullptr ? rows[p] : p;
       const double* x = points + r * dim;
@@ -273,9 +210,54 @@ class ScalarDistanceKernel final : public DistanceKernel {
       }
       assign[r] = best;
       dist2[r] = d_best;
-      if (second != nullptr) {
-        second[r] =
-            lower ? std::sqrt(d_second) * (1.0 - kPruneSlack) : d_second;
+      if (lower != nullptr) {
+        lower[r] = std::sqrt(d_second) * (1.0 - kPruneSlack);
+      }
+    }
+  }
+
+  double AccumulateBlock(const double* points, const double* weights,
+                         const double* dist2, size_t n, size_t dim,
+                         const uint32_t* assign, double* sums,
+                         double* cluster_weight) const override {
+    double sse = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double* x = points + i * dim;
+      const double w = weights[i];
+      double* sum = sums + assign[i] * dim;
+      for (size_t d = 0; d < dim; ++d) sum[d] += w * x[d];
+      cluster_weight[assign[i]] += w;
+      sse += w * dist2[i];
+    }
+    return sse;
+  }
+
+  void CentroidDriftAndSeparation(const double* old_centroids,
+                                  const double* new_centroids, size_t k,
+                                  size_t dim, double* drift, double* s,
+                                  uint64_t* rings) const override {
+    PMKM_DCHECK(rings == nullptr || k <= kBallMaxK);
+    if (drift != nullptr) {
+      CentroidDrift(old_centroids, new_centroids, k, dim, drift);
+    }
+    double pair2[kBallMaxK];  // row j's squared pair distances
+    for (size_t j = 0; j < k; ++j) {
+      const double* c = new_centroids + j * dim;
+      double nearest = kInf;
+      for (size_t j2 = 0; j2 < k; ++j2) {
+        if (j2 == j) continue;
+        const double* c2 = new_centroids + j2 * dim;
+        double acc = 0.0;
+        for (size_t d = 0; d < dim; ++d) {
+          const double diff = c[d] - c2[d];
+          acc += diff * diff;
+        }
+        if (acc < nearest) nearest = acc;
+        if (rings != nullptr) pair2[j2] = acc;
+      }
+      s[j] = k > 1 ? 0.5 * std::sqrt(nearest) : kInf;
+      if (rings != nullptr) {
+        BuildRings(pair2, k, j, s[j], rings + j * kRingLevels);
       }
     }
   }

@@ -63,9 +63,8 @@ class Assigner {
     pruned_pass_ = prune_ && bounds_valid_;
     bounds_valid_ = true;
     if (pruned_pass_) {
-      block_.Load(centroids);
-      kernel_.CentroidDriftAndSeparation(centroids_.data(), c, block_, k_,
-                                         dim_, drift_.data(), s_.data(),
+      kernel_.CentroidDriftAndSeparation(centroids_.data(), c, k_, dim_,
+                                         drift_.data(), s_.data(),
                                          ball_ ? rings_.data() : nullptr);
       double max_drift = 0.0;
       for (double d : drift_) {
@@ -164,7 +163,6 @@ class Assigner {
   bool pruned_pass_ = false;
   double shift_ = 0.0;  // this pass's bound decay; 0: no centroid moved
   LloydCounters counts_;
-  CentroidBlock block_;  // a pruned pass's, for the pair distances
   std::vector<double> lower_;      // l[i], per point
   std::vector<double> centroids_;  // the pass's, which l[] refers to
   std::vector<double> drift_;

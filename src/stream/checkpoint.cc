@@ -146,6 +146,9 @@ Result<CheckpointWriter> CheckpointWriter::Open(
   if (!options.enabled()) {
     return Status::InvalidArgument("checkpoint directory not set");
   }
+  if (options.sync_interval == 0) {
+    return Status::InvalidArgument("checkpoint sync interval must be >= 1");
+  }
   std::error_code ec;
   std::filesystem::create_directories(options.dir, ec);
   if (ec) {
@@ -222,7 +225,7 @@ Status CheckpointWriter::Append(CheckpointRecordType type,
     obs_.metrics->histogram("checkpoint.append_us").Record(us);
   }
   ++unsynced_;
-  if (unsynced_ >= std::max<size_t>(1, options_.sync_interval)) {
+  if (unsynced_ >= options_.sync_interval) {
     return SyncNow();
   }
   return Status::OK();

@@ -60,7 +60,7 @@ struct CheckpointOptions {
 
   /// fsync the journal every N appended cell records (1 = every cell:
   /// maximum durability; larger values batch fsyncs and bound data loss
-  /// to the last N cells).
+  /// to the last N cells). CheckpointWriter::Open rejects 0.
   size_t sync_interval = 1;
 
   /// When false, an existing journal is discarded and the run starts

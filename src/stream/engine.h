@@ -161,7 +161,7 @@ class PipelineBuilder {
   /// and configuration resumes from the journal instead of restarting
   /// (skipping already-clustered buckets; final results are
   /// bitwise-identical to an uninterrupted run). `sync_interval` batches
-  /// journal fsyncs (1 = fsync every cell).
+  /// journal fsyncs (1 = fsync every cell; 0 is InvalidArgument).
   PipelineBuilder& WithCheckpoint(std::string dir,
                                   size_t sync_interval = 1) {
     options_.checkpoint.dir = std::move(dir);

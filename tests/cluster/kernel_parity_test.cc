@@ -48,6 +48,24 @@ WeightedDataset MakeWeighted(const Dataset& points, uint64_t seed) {
 
 class KernelParityTest : public ::testing::TestWithParam<size_t> {};
 
+// The scalar kernel's full scan: AssignMasked over every point in order
+// and every centroid, with the bound √second2·(1 − δ).
+struct FullScan {
+  std::vector<uint32_t> assign;
+  std::vector<double> dist2, lower;
+};
+
+FullScan ScalarFullScan(const double* points, size_t n, size_t dim,
+                        const Dataset& centroids) {
+  FullScan ref{std::vector<uint32_t>(n), std::vector<double>(n),
+               std::vector<double>(n)};
+  GetKernel(KernelKind::kScalar)
+      .AssignMasked(points, n, dim, centroids.data(), centroids.size(),
+                    nullptr, nullptr, ref.assign.data(), ref.dist2.data(),
+                    ref.lower.data());
+  return ref;
+}
+
 TEST_P(KernelParityTest, AssignBlockBitwiseMatchesScalar) {
   const size_t dim = GetParam();
   const size_t n = 3000;
@@ -56,31 +74,26 @@ TEST_P(KernelParityTest, AssignBlockBitwiseMatchesScalar) {
   const Dataset centroids = MakePoints(k, dim, 12);
   CentroidBlock block;
   block.Load(centroids);
-
-  const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
-  std::vector<uint32_t> ref_assign(n);
-  std::vector<double> ref_dist2(n), ref_second2(n);
-  scalar.AssignBlock(points.data(), n, dim, block, ref_assign.data(),
-                     ref_dist2.data(), ref_second2.data());
+  const FullScan ref = ScalarFullScan(points.data(), n, dim, centroids);
 
   for (const DistanceKernel* kernel : AvailableKernels()) {
     SCOPED_TRACE(kernel->name());
     std::vector<uint32_t> assign(n);
-    std::vector<double> dist2(n), second2(n);
-    kernel->AssignBlock(points.data(), n, dim, block, assign.data(),
-                        dist2.data(), second2.data());
+    std::vector<double> dist2(n), lower(n);
+    kernel->AssignMasked(points.data(), n, dim, centroids.data(), k, nullptr,
+                         nullptr, assign.data(), dist2.data(), lower.data());
     for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(assign[i], ref_assign[i]) << "point " << i;
-      ASSERT_EQ(dist2[i], ref_dist2[i]) << "point " << i;
-      ASSERT_EQ(second2[i], ref_second2[i]) << "point " << i;
+      ASSERT_EQ(assign[i], ref.assign[i]) << "point " << i;
+      ASSERT_EQ(dist2[i], ref.dist2[i]) << "point " << i;
+      ASSERT_EQ(lower[i], ref.lower[i]) << "point " << i;
     }
-    // The no-second-best entry point must agree with itself too.
+    // AssignBlock, the shim over the same scan, agrees too.
     std::vector<uint32_t> assign2(n);
     std::vector<double> dist2b(n);
     kernel->AssignBlock(points.data(), n, dim, block, assign2.data(),
                         dist2b.data());
-    EXPECT_EQ(assign2, ref_assign);
-    EXPECT_EQ(dist2b, ref_dist2);
+    EXPECT_EQ(assign2, ref.assign);
+    EXPECT_EQ(dist2b, ref.dist2);
   }
 }
 
@@ -182,47 +195,95 @@ TEST_P(KernelParityTest, AccumulateBlockSseEqualsAscendingLoop) {
   }
 }
 
-TEST_P(KernelParityTest, DriftAndSeparationBitwiseMatchesScalar) {
-  const size_t dim = GetParam();
-  const size_t k = 40;
-  const Dataset old_c = MakePoints(k, dim, 16);
-  const Dataset new_c = MakePoints(k, dim, 17);
-  CentroidBlock block;
-  block.Load(new_c);
-
+// Every kernel's drift, s and rings (memcmp) equal the scalar kernel's
+// for `new_c` of k rows, with rings whenever k allows them, and without.
+void ExpectDriftAndSeparationParity(const Dataset& old_c,
+                                    const Dataset& new_c) {
+  const size_t k = new_c.size();
+  const size_t dim = new_c.dim();
+  const bool with_rings = k <= kBallMaxK;
   const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
   std::vector<double> ref_drift(k), ref_s(k);
-  std::vector<uint64_t> ref_rings(k * kRingLevels);
-  scalar.CentroidDriftAndSeparation(old_c.data(), new_c.data(), block, k,
-                                    dim, ref_drift.data(), ref_s.data(),
-                                    ref_rings.data());
-  // The masks are the ring levels of the pair distances, nested by level.
-  for (size_t a = 0; a < k; ++a) {
-    for (size_t j = 0; j < k; ++j) {
-      const double pair2 = SquaredL2(new_c.Row(a), new_c.Row(j));
-      const size_t level = j == a ? 0 : RingLevel(pair2, ref_s[a]);
-      for (size_t l = 0; l < kRingLevels; ++l) {
-        EXPECT_EQ(((ref_rings[a * kRingLevels + l] >> j) & 1) != 0,
-                  l >= level)
-            << "owner " << a << " column " << j << " level " << l;
+  std::vector<uint64_t> ref_rings(k * kRingLevels, 0xeeee);
+  scalar.CentroidDriftAndSeparation(old_c.data(), new_c.data(), k, dim,
+                                    ref_drift.data(), ref_s.data(),
+                                    with_rings ? ref_rings.data() : nullptr);
+  for (const DistanceKernel* kernel : AvailableKernels()) {
+    SCOPED_TRACE(kernel->name());
+    std::vector<double> drift(k, -1.0), s(k, -1.0);
+    std::vector<uint64_t> rings(k * kRingLevels, 0xeeee);
+    kernel->CentroidDriftAndSeparation(old_c.data(), new_c.data(), k, dim,
+                                       drift.data(), s.data(),
+                                       with_rings ? rings.data() : nullptr);
+    EXPECT_EQ(0, std::memcmp(drift.data(), ref_drift.data(),
+                             k * sizeof(double)));
+    EXPECT_EQ(0, std::memcmp(s.data(), ref_s.data(), k * sizeof(double)));
+    EXPECT_EQ(0, std::memcmp(rings.data(), ref_rings.data(),
+                             k * kRingLevels * sizeof(uint64_t)));
+    // Without drift or rings, the same separation.
+    std::vector<double> s_only(k, -1.0);
+    kernel->CentroidDriftAndSeparation(nullptr, new_c.data(), k, dim, nullptr,
+                                       s_only.data());
+    EXPECT_EQ(0, std::memcmp(s_only.data(), ref_s.data(),
+                             k * sizeof(double)));
+  }
+}
+
+TEST_P(KernelParityTest, DriftAndSeparationBitwiseMatchesScalar) {
+  const size_t dim = GetParam();
+  {
+    // The masks are the ring levels of the pair distances, nested by level.
+    const size_t k = 40;
+    const Dataset new_c = MakePoints(k, dim, 17);
+    std::vector<double> s(k);
+    std::vector<uint64_t> rings(k * kRingLevels);
+    GetKernel(KernelKind::kScalar)
+        .CentroidDriftAndSeparation(nullptr, new_c.data(), k, dim, nullptr,
+                                    s.data(), rings.data());
+    for (size_t a = 0; a < k; ++a) {
+      for (size_t j = 0; j < k; ++j) {
+        const double pair2 = SquaredL2(new_c.Row(a), new_c.Row(j));
+        const size_t level = j == a ? 0 : RingLevel(pair2, s[a]);
+        for (size_t l = 0; l < kRingLevels; ++l) {
+          EXPECT_EQ(((rings[a * kRingLevels + l] >> j) & 1) != 0, l >= level)
+              << "owner " << a << " column " << j << " level " << l;
+        }
       }
     }
   }
-
-  for (const DistanceKernel* kernel : AvailableKernels()) {
-    SCOPED_TRACE(kernel->name());
-    std::vector<double> drift(k), s(k);
-    std::vector<uint64_t> rings(k * kRingLevels);
-    kernel->CentroidDriftAndSeparation(old_c.data(), new_c.data(), block,
-                                       k, dim, drift.data(), s.data(),
-                                       rings.data());
-    EXPECT_EQ(drift, ref_drift);
-    EXPECT_EQ(s, ref_s);
-    EXPECT_EQ(rings, ref_rings);
-    // Without rings, the same drift and separation.
-    kernel->CentroidDriftAndSeparation(old_c.data(), new_c.data(), block,
-                                       k, dim, drift.data(), s.data());
-    EXPECT_EQ(s, ref_s);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  // Every tail of the 4-owner step, one to two mask words and beyond.
+  for (size_t k : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 19u, 20u, 21u, 40u, 63u,
+                   64u, 65u, 100u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const Dataset old_c = MakePoints(k, dim, 16 + k);
+    const Dataset new_c = MakePoints(k, dim, 17 + k);
+    {
+      SCOPED_TRACE("random");
+      ExpectDriftAndSeparationParity(old_c, new_c);
+    }
+    // Degenerate rows, each where k has room for it: a duplicate of row
+    // 0, a row of NaN, one of +inf, one of −inf, and corners of
+    // {±1e200}^dim, whose squared pair distances overflow.
+    std::vector<double> values = new_c.values();
+    auto fill_row = [&](size_t j, auto coordinate) {
+      if (j >= k) return;
+      for (size_t d = 0; d < dim; ++d) values[j * dim + d] = coordinate(d);
+    };
+    fill_row(1, [&](size_t d) { return values[d]; });
+    fill_row(2, [](size_t) { return kNan; });
+    fill_row(3, [](size_t) { return kInf; });
+    fill_row(4, [](size_t) { return -kInf; });
+    for (size_t j = 5; j < std::min<size_t>(k, 9); ++j) {
+      fill_row(j, [&](size_t d) {
+        return ((j + d) & 1) != 0 ? 1e200 : -1e200;
+      });
+    }
+    auto degenerate = Dataset::FromFlat(dim, std::move(values));
+    ASSERT_TRUE(degenerate.ok()) << degenerate.status();
+    SCOPED_TRACE("degenerate");
+    ExpectDriftAndSeparationParity(old_c, *degenerate);
   }
 }
 
@@ -299,13 +360,11 @@ TEST(RingParityTest, DegenerateCentroidsBitwiseMatchScalar) {
       values[9 * dim] = kNan;
       auto centroids = Dataset::FromFlat(dim, std::move(values));
       ASSERT_TRUE(centroids.ok()) << centroids.status();
-      CentroidBlock block;
-      block.Load(*centroids);
       const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
       std::vector<double> ref_s(k);
       std::vector<uint64_t> ref_rings(k * kRingLevels);
-      scalar.CentroidDriftAndSeparation(nullptr, centroids->data(), block, k,
-                                        dim, nullptr, ref_s.data(),
+      scalar.CentroidDriftAndSeparation(nullptr, centroids->data(), k, dim,
+                                        nullptr, ref_s.data(),
                                         ref_rings.data());
       const uint64_t all = k == 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
       EXPECT_EQ(ref_rings[0], all);  // s[0] = 0
@@ -314,8 +373,8 @@ TEST(RingParityTest, DegenerateCentroidsBitwiseMatchScalar) {
         SCOPED_TRACE(kernel->name());
         std::vector<double> s(k);
         std::vector<uint64_t> rings(k * kRingLevels);
-        kernel->CentroidDriftAndSeparation(nullptr, centroids->data(), block,
-                                           k, dim, nullptr, s.data(),
+        kernel->CentroidDriftAndSeparation(nullptr, centroids->data(), k,
+                                           dim, nullptr, s.data(),
                                            rings.data());
         EXPECT_EQ(0, std::memcmp(s.data(), ref_s.data(), k * sizeof(double)));
         EXPECT_EQ(rings, ref_rings);
@@ -333,13 +392,13 @@ INSTANTIATE_TEST_SUITE_P(Dims, KernelParityTest,
                            return "d" + std::to_string(info.param);
                          });
 
-// Adversarial AssignBlock parity: every kernel's assign/dist2/second2
-// bytes (memcmp, so NaN payloads and signed zeros count) must equal the
-// scalar scan's, with and without second2 — and so must the per-point
-// NearestCentroidIndex scan's (assign, dist2) — over tails (n not a
-// multiple of any block size), padded lanes and padded centroid blocks (k
-// not a multiple of 4 or 8), duplicate centroids across lanes and blocks,
-// and non-finite points and centroids.
+// Adversarial scan parity: every kernel's AssignBlock assign/dist2 bytes
+// and AssignMasked assign/dist2/lower bytes (memcmp, so NaN payloads and
+// signed zeros count) must equal the scalar full scan's — and so must the
+// per-point NearestCentroidIndex scan's (assign, dist2) — over tails (n
+// not a multiple of any block size), short lanes (k not a multiple of 4
+// or 8), duplicate centroids across lanes and tiles, and non-finite
+// points and centroids.
 class AssignBlockAdversarialTest : public ::testing::Test {
  protected:
   static constexpr size_t kDim = 3;
@@ -379,38 +438,23 @@ class AssignBlockAdversarialTest : public ::testing::Test {
     const size_t n = points.size() / dim;
     CentroidBlock block;
     block.Load(centroids);
-    const DistanceKernel& scalar = GetKernel(KernelKind::kScalar);
-    std::vector<uint32_t> ref_assign(n);
-    std::vector<double> ref_dist2(n), ref_second2(n);
-    scalar.AssignBlock(points.data(), n, dim, block, ref_assign.data(),
-                       ref_dist2.data(), ref_second2.data());
+    const FullScan ref = ScalarFullScan(points.data(), n, dim, centroids);
     for (const DistanceKernel* kernel : AvailableKernels()) {
-      SCOPED_TRACE(kernel->name());
-      for (bool with_second : {true, false}) {
-        SCOPED_TRACE(with_second ? "with second2" : "without second2");
-        std::vector<uint32_t> assign(n, 0xdeadbeef);
-        std::vector<double> dist2(n, -1.0), second2(n, -1.0);
-        kernel->AssignBlock(points.data(), n, dim, block, assign.data(),
-                            dist2.data(),
-                            with_second ? second2.data() : nullptr);
-        EXPECT_EQ(0, std::memcmp(assign.data(), ref_assign.data(),
-                                 n * sizeof(uint32_t)));
-        EXPECT_EQ(0, std::memcmp(dist2.data(), ref_dist2.data(),
-                                 n * sizeof(double)));
-        if (with_second) {
-          EXPECT_EQ(0, std::memcmp(second2.data(), ref_second2.data(),
-                                   n * sizeof(double)));
-        } else {
-          EXPECT_TRUE(std::all_of(second2.begin(), second2.end(),
-                                  [](double v) { return v == -1.0; }));
-        }
-      }
+      SCOPED_TRACE(std::string(kernel->name()) + " AssignBlock");
+      std::vector<uint32_t> assign(n, 0xdeadbeef);
+      std::vector<double> dist2(n, -1.0);
+      kernel->AssignBlock(points.data(), n, dim, block, assign.data(),
+                          dist2.data());
+      EXPECT_EQ(0, std::memcmp(assign.data(), ref.assign.data(),
+                               n * sizeof(uint32_t)));
+      EXPECT_EQ(0, std::memcmp(dist2.data(), ref.dist2.data(),
+                               n * sizeof(double)));
     }
     // AssignMasked with no mask, through a row list (the pruned pass's
     // survivors that scan every centroid): descending, with gaps and a
     // repeated row, so its 8-point steps mix far-apart rows. Each named
-    // row gets AssignBlock's assign, dist2 and √second2·(1 − δ); the rest
-    // stay untouched.
+    // row gets the full scan's assign, dist2 and lower; the rest stay
+    // untouched.
     std::vector<uint32_t> rows;
     for (size_t i = n; i-- > 0;) {
       if (i % 3 != 1) rows.push_back(static_cast<uint32_t>(i));
@@ -419,9 +463,9 @@ class AssignBlockAdversarialTest : public ::testing::Test {
     std::vector<uint32_t> want_assign(n, 0xdeadbeef);
     std::vector<double> want_dist2(n, -1.0), want_lower(n, -2.0);
     for (uint32_t r : rows) {
-      want_assign[r] = ref_assign[r];
-      want_dist2[r] = ref_dist2[r];
-      want_lower[r] = std::sqrt(ref_second2[r]) * (1.0 - kPruneSlack);
+      want_assign[r] = ref.assign[r];
+      want_dist2[r] = ref.dist2[r];
+      want_lower[r] = ref.lower[r];
     }
     for (const DistanceKernel* kernel : AvailableKernels()) {
       SCOPED_TRACE(std::string(kernel->name()) + " AssignMasked, no mask");
@@ -439,15 +483,10 @@ class AssignBlockAdversarialTest : public ::testing::Test {
                                n * sizeof(double)));
     }
     // Null rows: every point in order, the same bytes as the row list
-    // 0..n−1 and as AssignBlock's scan; a null `lower` writes only
+    // 0..n−1 and as the scalar full scan; a null `lower` writes only
     // assign and dist2.
     std::vector<uint32_t> in_order(n);
     std::iota(in_order.begin(), in_order.end(), 0u);
-    for (uint32_t r = 0; r < n; ++r) {
-      want_assign[r] = ref_assign[r];
-      want_dist2[r] = ref_dist2[r];
-      want_lower[r] = std::sqrt(ref_second2[r]) * (1.0 - kPruneSlack);
-    }
     for (const DistanceKernel* kernel : AvailableKernels()) {
       SCOPED_TRACE(std::string(kernel->name()) + " AssignMasked, null rows");
       const uint32_t* const rows_args[] = {in_order.data(), nullptr};
@@ -459,12 +498,12 @@ class AssignBlockAdversarialTest : public ::testing::Test {
                                centroids.size(), rows_arg, nullptr,
                                assign.data(), dist2.data(),
                                with_lower ? lower.data() : nullptr);
-          EXPECT_EQ(0, std::memcmp(assign.data(), want_assign.data(),
+          EXPECT_EQ(0, std::memcmp(assign.data(), ref.assign.data(),
                                    n * sizeof(uint32_t)));
-          EXPECT_EQ(0, std::memcmp(dist2.data(), want_dist2.data(),
+          EXPECT_EQ(0, std::memcmp(dist2.data(), ref.dist2.data(),
                                    n * sizeof(double)));
           if (with_lower) {
-            EXPECT_EQ(0, std::memcmp(lower.data(), want_lower.data(),
+            EXPECT_EQ(0, std::memcmp(lower.data(), ref.lower.data(),
                                      n * sizeof(double)));
           } else {
             EXPECT_TRUE(std::all_of(lower.begin(), lower.end(),
@@ -480,8 +519,8 @@ class AssignBlockAdversarialTest : public ::testing::Test {
       double d2 = -1.0;
       const size_t j = NearestCentroidIndex(
           {points.data() + i * dim, dim}, centroids, &d2);
-      EXPECT_EQ(j, ref_assign[i]) << "point " << i;
-      EXPECT_EQ(0, std::memcmp(&d2, &ref_dist2[i], sizeof(double)))
+      EXPECT_EQ(j, ref.assign[i]) << "point " << i;
+      EXPECT_EQ(0, std::memcmp(&d2, &ref.dist2[i], sizeof(double)))
           << "point " << i;
     }
   }
@@ -527,15 +566,14 @@ TEST_F(AssignBlockAdversarialTest, DuplicateCentroidsTieToLowerIndex) {
     }
     ExpectBitwiseParity(points, centroids);
 
-    CentroidBlock block;
-    block.Load(centroids);
     const size_t n = points.size() / kDim;
     for (const DistanceKernel* kernel : AvailableKernels()) {
       SCOPED_TRACE(kernel->name());
       std::vector<uint32_t> assign(n);
-      std::vector<double> dist2(n), second2(n);
-      kernel->AssignBlock(points.data(), n, kDim, block, assign.data(),
-                          dist2.data(), second2.data());
+      std::vector<double> dist2(n), lower(n);
+      kernel->AssignMasked(points.data(), n, kDim, centroids.data(), k,
+                           nullptr, nullptr, assign.data(), dist2.data(),
+                           lower.data());
       // A point on a duplicated centroid goes to the lowest index of its
       // duplicate set at distance 0, with a second-best of 0.
       for (size_t t = 0; t < on.size(); ++t) {
@@ -548,7 +586,7 @@ TEST_F(AssignBlockAdversarialTest, DuplicateCentroidsTieToLowerIndex) {
         }
         EXPECT_EQ(assign[i], lowest) << "on centroid " << on[t];
         EXPECT_EQ(dist2[i], 0.0);
-        EXPECT_EQ(second2[i], 0.0);
+        EXPECT_EQ(lower[i], 0.0);
       }
     }
   }
@@ -584,7 +622,7 @@ TEST_F(AssignBlockAdversarialTest, NonFinitePointsAndCentroids) {
   }
 }
 
-// AssignMasked with no mask is AssignBlock's scan through a row list, on
+// AssignMasked with no mask is the full scan through a row list, on
 // every kernel, for any k (one mask word holds 64) and any dimension
 // (the AVX2 kernel transposes 16 coordinates at a time), with tails off
 // the 8-lane step, and with non-finite points and centroids.
@@ -643,11 +681,9 @@ TEST(PruneBlockParityTest, PruneBlockBitwiseMatchesScalar) {
   size_t total_no_ring = 0;
   for (size_t dim : {1u, 5u, 6u, 8u, 17u}) {
     const Dataset centroids = MakePoints(kK, dim, 110 + dim);
-    CentroidBlock block;
-    block.Load(centroids);
     std::vector<double> s(kK);
-    scalar.CentroidDriftAndSeparation(nullptr, centroids.data(), block, kK,
-                                      dim, nullptr, s.data());
+    scalar.CentroidDriftAndSeparation(nullptr, centroids.data(), kK, dim,
+                                      nullptr, s.data());
     s[1] = kNan;
     s[2] = kInf;
     s[3] = kPruneMinBound;
@@ -914,46 +950,38 @@ TEST_P(AssignMaskedTest, BitwiseMatchesScalar) {
 }
 
 // The property the ball rests on: a mask that holds a point's nearest
-// and second-nearest centroids gives AssignBlock's assign, dist2 and
-// second2 (as the bound √second2·(1 − δ)), on every kernel.
+// and second-nearest centroids gives the full scan's assign, dist2 and
+// lower, on every kernel.
 TEST_P(AssignMaskedTest, EqualsAssignBlockWhenMaskHoldsNearestTwo) {
   const size_t dim = GetParam();
   const Dataset centroids = GridCentroids(dim, 300 + dim);
   const size_t n = 203;
   const std::vector<double> points = TiedPoints(n, centroids, 310 + dim);
-  CentroidBlock block;
-  block.Load(centroids);
-  std::vector<uint32_t> ref_assign(n);
-  std::vector<double> ref_dist2(n), ref_second2(n);
-  GetKernel(KernelKind::kScalar)
-      .AssignBlock(points.data(), n, dim, block, ref_assign.data(),
-                   ref_dist2.data(), ref_second2.data());
+  const FullScan ref = ScalarFullScan(points.data(), n, dim, centroids);
   Rng rng(320 + dim);
   std::vector<uint32_t> rows(n);
   std::vector<uint64_t> masks(n);
   for (size_t i = 0; i < n; ++i) {
     rows[i] = static_cast<uint32_t>(i);
-    // The nearest, and a centroid other than it at the second distance.
-    uint64_t mask = uint64_t{1} << ref_assign[i];
+    // The nearest, and the nearest other centroid: the second.
     const double* x = points.data() + i * dim;
+    size_t second = ref.assign[i] == 0 ? 1 : 0;
     for (size_t j = 0; j < kK; ++j) {
-      if (j != ref_assign[i] &&
-          SquaredL2({x, dim}, centroids.Row(j)) == ref_second2[i]) {
-        mask |= uint64_t{1} << j;
-        break;
+      if (j != ref.assign[i] && SquaredL2({x, dim}, centroids.Row(j)) <
+                                    SquaredL2({x, dim}, centroids.Row(second))) {
+        second = j;
       }
     }
-    masks[i] = mask | RandomMask(rng.UniformInt(12), &rng);
+    masks[i] = (uint64_t{1} << ref.assign[i]) | (uint64_t{1} << second) |
+               RandomMask(rng.UniformInt(12), &rng);
   }
   for (const DistanceKernel* kernel : AvailableKernels()) {
     SCOPED_TRACE(kernel->name());
     const Outputs out = Run(*kernel, points, dim, centroids, rows, masks);
     for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out.assign[i], ref_assign[i]) << "point " << i;
-      ASSERT_EQ(out.dist2[i], ref_dist2[i]) << "point " << i;
-      ASSERT_EQ(out.lower[i],
-                std::sqrt(ref_second2[i]) * (1.0 - kPruneSlack))
-          << "point " << i;
+      ASSERT_EQ(out.assign[i], ref.assign[i]) << "point " << i;
+      ASSERT_EQ(out.dist2[i], ref.dist2[i]) << "point " << i;
+      ASSERT_EQ(out.lower[i], ref.lower[i]) << "point " << i;
     }
   }
 }
@@ -1014,31 +1042,31 @@ TEST(KernelRegistry, ParseRoundTripsAndRejectsUnknown) {
   EXPECT_TRUE(ParseKernelKind("neon").status().IsInvalidArgument());
 }
 
-TEST(CentroidBlockTest, TransposesAndPadsWithInfinity) {
+TEST(CentroidBlockTest, CopiesRowMajor) {
   const Dataset centroids = MakePoints(5, 3, 40);
   CentroidBlock block;
   block.Load(centroids);
   EXPECT_EQ(block.k(), 5u);
   EXPECT_EQ(block.dim(), 3u);
-  EXPECT_EQ(block.padded_k() % CentroidBlock::kLanePad, 0u);
-  const double* t = block.transposed();
-  for (size_t d = 0; d < 3; ++d) {
-    for (size_t j = 0; j < 5; ++j) {
-      EXPECT_EQ(t[d * block.padded_k() + j], centroids.Row(j)[d]);
-    }
-    for (size_t j = 5; j < block.padded_k(); ++j) {
-      EXPECT_TRUE(std::isinf(t[d * block.padded_k() + j]));
-    }
-  }
-  // The row-major copy AssignBlock scans.
   EXPECT_EQ(0, std::memcmp(block.row_major(), centroids.data(),
                            5 * 3 * sizeof(double)));
-  // A reload with a smaller shape replaces both layouts.
+  // A reload with a smaller shape replaces the copy.
   const Dataset fewer = MakePoints(2, 3, 41);
   block.Load(fewer);
+  EXPECT_EQ(block.k(), 2u);
   EXPECT_EQ(0, std::memcmp(block.row_major(), fewer.data(),
                            2 * 3 * sizeof(double)));
-  EXPECT_EQ(block.transposed()[block.padded_k() + 1], fewer.Row(1)[1]);
+}
+
+// AssignNearest's precondition: a non-empty centroid set of the points'
+// dimension. An empty one would leave every point at index 0.
+TEST(AssignNearestDeathTest, EmptyCentroidsDie) {
+  const Dataset points = MakePoints(4, 3, 42);
+  std::vector<uint32_t> assign(4);
+  std::vector<double> dist2(4);
+  EXPECT_DEATH(AssignNearest(points.data(), 4, 3, Dataset(3), assign.data(),
+                             dist2.data()),
+               "Check failed: !centroids.empty\\(\\)");
 }
 
 }  // namespace

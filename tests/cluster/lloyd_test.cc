@@ -230,15 +230,6 @@ class CountingKernel final : public DistanceKernel {
   const char* name() const override { return "counting"; }
   KernelKind kind() const override { return KernelKind::kScalar; }
 
-  void AssignBlock(const double* points, size_t n, size_t dim,
-                   const CentroidBlock& centroids, uint32_t* assign,
-                   double* dist2, double* second2) const override {
-    ++assign_block_calls;
-    scanned += n;
-    distances += n * centroids.k();
-    base_.AssignBlock(points, n, dim, centroids, assign, dist2, second2);
-  }
-
   size_t PruneBlock(const double* points, size_t n, size_t dim,
                     const double* centroids, const uint32_t* assign,
                     const double* s, double shift, double* lower,
@@ -252,6 +243,7 @@ class CountingKernel final : public DistanceKernel {
                     const double* centroids, size_t k, const uint32_t* rows,
                     const uint64_t* masks, uint32_t* assign, double* dist2,
                     double* lower) const override {
+    unbounded_scans += lower == nullptr;
     scanned += n;
     for (size_t p = 0; p < n; ++p) {
       distances += masks != nullptr ? std::popcount(masks[p]) : k;
@@ -269,15 +261,16 @@ class CountingKernel final : public DistanceKernel {
   }
 
   void CentroidDriftAndSeparation(const double* old_centroids,
-                                  const double* new_centroids,
-                                  const CentroidBlock& block, size_t k,
+                                  const double* new_centroids, size_t k,
                                   size_t dim, double* drift, double* s,
                                   uint64_t* rings) const override {
-    base_.CentroidDriftAndSeparation(old_centroids, new_centroids, block, k,
-                                     dim, drift, s, rings);
+    base_.CentroidDriftAndSeparation(old_centroids, new_centroids, k, dim,
+                                     drift, s, rings);
   }
 
-  mutable size_t assign_block_calls = 0;
+  // AssignMasked calls without `lower`: AssignBlock's form, which a
+  // pruned fit, whose every scan refreshes the bounds, never makes.
+  mutable size_t unbounded_scans = 0;
   mutable size_t scanned = 0;
   mutable size_t distances = 0;
 
@@ -314,9 +307,11 @@ ScanCounts ExpectPruningExact(const WeightedDataset& data,
   EXPECT_EQ(pruned.distances - counters.survivor_distances,
             full_passes * seeds.size());
   EXPECT_LE(counters.survivors, counters.pruned_points);
-  // Every pass scans through AssignMasked.
-  EXPECT_EQ(full.assign_block_calls, 0u);
-  EXPECT_EQ(pruned.assign_block_calls, 0u);
+  // Every pass scans through AssignMasked: the unpruned fit's scans are
+  // whole passes, and the pruned fit makes no AssignBlock call.
+  EXPECT_GT(full.scanned, 0u);
+  EXPECT_EQ(full.scanned % data.size(), 0u);
+  EXPECT_EQ(pruned.unbounded_scans, 0u);
   return {full.scanned, pruned.scanned, pruned.distances, counters};
 }
 

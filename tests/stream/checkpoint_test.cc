@@ -621,6 +621,16 @@ TEST_F(CheckpointEngineTest, NoResumeRecomputesEverything) {
   EXPECT_EQ(second->report.checkpoint_cells, 2u);
 }
 
+// A zero sync interval is refused, not read as 1: the flag path
+// (--checkpoint_sync=0) already rejects it, and so does the builder.
+TEST_F(CheckpointEngineTest, ZeroSyncIntervalIsInvalidArgument) {
+  const std::vector<std::string> paths = WriteBuckets(2, 300);
+  auto run = Builder().WithCheckpoint(CkptDir(), 0).Run(paths);
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status();
+  EXPECT_FALSE(fs::exists(CheckpointJournalPath(CkptDir())));
+}
+
 TEST_F(CheckpointEngineTest, DifferentConfigDoesNotResume) {
   const std::vector<std::string> paths = WriteBuckets(2, 300);
   auto first = Builder().WithCheckpoint(CkptDir()).Run(paths);
