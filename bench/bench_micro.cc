@@ -7,21 +7,26 @@
 // or, with /all, against every centroid), the scatter that also sums the
 // pass's SSE (BM_AccumulateBlock), one Lloyd iteration, partial
 // clustering of a chunk, the scan's bucket read per format version
-// (BM_BucketScan), queue throughput, and the observability primitives
-// (to police the zero-cost-when-disabled budget of DESIGN.md §9).
+// (BM_BucketScan), queue throughput, one serve job's pipeline run back
+// to back and after an idle gap (BM_PipelineRun), and the observability
+// primitives (to police the zero-cost-when-disabled budget of DESIGN.md
+// §9).
 
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "cluster/distance.h"
 #include "cluster/kernels.h"
 #include "cluster/kernels/kernel.h"
@@ -36,6 +41,7 @@
 #include "obs/profiler.h"
 #include "obs/rolling.h"
 #include "obs/trace.h"
+#include "stream/engine.h"
 #include "stream/queue.h"
 
 namespace pmkm {
@@ -390,7 +396,48 @@ void BM_AccumulateBlock(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+void BM_PipelineRun(benchmark::State& state, bool idle_gap) {
+  // One serve_open job in process: PipelineBuilder::Run over two
+  // 10,000-point buckets at k=8, R=5 and two clones, as the daemon runs
+  // it. idle_gap starts each run 160 ms after the last one ends (6 jobs/s),
+  // when the scheduler tends to leave fresh threads on the spawner's CPU
+  // unless the clones' core lease moves them (DESIGN.md §10).
+  const bench::TempBucket a(
+      GridBucket{GridCellId{0, 0}, MakePoints(10000, 6, 20)});
+  const bench::TempBucket b(
+      GridBucket{GridCellId{0, 1}, MakePoints(10000, 6, 21)});
+  EngineFlags flags;
+  flags.k = 8;
+  flags.restarts = 5;
+  flags.cores = 2;
+  const Result<EngineOptions> options = flags.ToOptions();
+  PMKM_CHECK(options.ok()) << options.status();
+  for (auto _ : state) {
+    if (idle_gap) {
+      state.PauseTiming();
+      std::this_thread::sleep_for(std::chrono::milliseconds(160));
+      state.ResumeTiming();
+    }
+    auto run = PipelineBuilder(*options).Run({a.path(), b.path()});
+    if (!run.ok()) {
+      state.SkipWithError(run.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(run->cells.size());
+  }
+  state.SetItemsProcessed(state.iterations() * 20000);
+}
+
 void RegisterSweeps() {
+  for (const bool idle_gap : {false, true}) {
+    benchmark::RegisterBenchmark(
+        idle_gap ? "BM_PipelineRun/serve_shape/idle_gap"
+                 : "BM_PipelineRun/serve_shape/back_to_back",
+        BM_PipelineRun, idle_gap)
+        ->Iterations(30)
+        ->UseRealTime()
+        ->Unit(benchmark::kMillisecond);
+  }
   benchmark::RegisterBenchmark("BM_LloydFit", BM_LloydFit, size_t{40})
       ->ArgsProduct({{2500, 12500, 50000}, {0, 1}})
       ->Unit(benchmark::kMillisecond);

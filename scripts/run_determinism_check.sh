@@ -21,7 +21,11 @@
 #      two must agree bit for bit on every kernel);
 #   5. with the Exponion ball engaged: a k=40 leg (the k=6 legs stay below
 #      the ball's threshold, kBallMinK) whose survivors scan ring masks
-#      through AssignMasked, at --cores=1 and 4 and --kernel=auto.
+#      through AssignMasked, at --cores=1 and 4 and --kernel=auto;
+#   6. inside a one-CPU affinity mask (taskset -c 0): --cores=0 plans one
+#      clone from the mask, and --cores=4 runs four clones on one CPU,
+#      where the partial clones' core lease moves nothing. Skipped, with
+#      a message, without taskset or with one CPU online.
 #
 # Every run is cmp'd file-by-file against the --cores=1 reference of its
 # k.
@@ -90,6 +94,21 @@ run_local k40_cores1 1 scalar 40
 run_local k40_cores4 4 scalar 40
 run_local k40_auto 4 auto 40
 
+# The restricted-mask leg.
+MASKED=()
+if ! command -v taskset > /dev/null; then
+  echo "skip: the one-CPU mask leg needs taskset"
+elif [[ "$(getconf _NPROCESSORS_ONLN)" -lt 2 ]]; then
+  echo "skip: the one-CPU mask leg needs 2 CPUs online"
+else
+  for cores in 0 4; do
+    taskset -c 0 "${CLUSTER}" "${ENGINE_FLAGS[@]}" --kernel=scalar --k=6 \
+      --cores="${cores}" --out="${WORK}/masked_cores${cores}" \
+      "${WORK}"/buckets/*.pmkb > /dev/null
+    MASKED+=("masked_cores${cores}")
+  done
+fi
+
 # Remote: the same spec through a pmkm_serve daemon.
 "${SERVE}" --endpoint="unix:${WORK}/serve.sock" --workers=2 \
   > "${WORK}/serve.log" 2>&1 &
@@ -117,7 +136,8 @@ SERVE_PID=""
 MODELS=0
 for ref in "${WORK}"/cores1/*.pmkm; do
   base="$(basename "${ref}")"
-  for variant in cores2 cores4 cores4_again cores16 kernel_auto remote; do
+  for variant in cores2 cores4 cores4_again cores16 kernel_auto remote \
+                 "${MASKED[@]}"; do
     cmp -s "${ref}" "${WORK}/${variant}/${base}" || {
       echo "FAIL: ${variant}/${base} differs from the --cores=1 reference"
       exit 1
@@ -137,6 +157,7 @@ done
 }
 
 echo "ok: ${MODELS} models byte-identical across cores=1/2/4/16, a second"
-echo "    process invocation, --kernel=auto, and the pmkm_serve path; and"
+echo "    process invocation, --kernel=auto, the pmkm_serve path and"
+echo "    ${#MASKED[@]} runs in a one-CPU mask; and"
 echo "    ${MODELS} k=40 models (the ball) across cores=1/4 and --kernel=auto"
 echo "== determinism check passed =="

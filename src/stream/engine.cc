@@ -356,7 +356,7 @@ void EngineFlags::Register(FlagParser* parser) {
       .AddInt("cores", &cores,
               "cores; one partial clone runs per core (never more clones "
               "than the run has chunks), plus scan and merge threads that "
-              "mostly block (0 = autodetect)")
+              "mostly block (0 = the CPUs this process may run on)")
       .AddString("failure_policy", &failure_policy,
                  "after the retries: failfast (fail the run) | skip "
                  "(quarantine the bucket, chunk or cell)")

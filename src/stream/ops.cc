@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "cluster/kernels/kernel.h"
+#include "common/cores.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -248,6 +249,9 @@ PartialKMeansOperator::PartialKMeansOperator(
 }
 
 Status PartialKMeansOperator::Run() {
+  // One clone per core from the first chunk on, not once the balancer
+  // notices (DESIGN.md §10).
+  const CoreLease lease;
   const LloydConfig& lloyd = partial_.config().lloyd;
   mutable_stats().kernel =
       (lloyd.kernel != nullptr ? *lloyd.kernel : GetKernel(KernelKind::kAuto))

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <thread>
+
+#include "common/cores.h"
 
 namespace pmkm {
 
 size_t ResourceModel::EffectiveCores() const {
-  if (cores > 0) return cores;
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : hc;
+  return cores > 0 ? cores : AllowedCpuCount();
 }
 
 PhysicalPlan PlanPartialMerge(size_t dim, size_t expected_points_per_cell,

@@ -30,7 +30,8 @@ struct ResourceModel {
   size_t memory_bytes_per_operator = 16ULL << 20;  // 16 MiB
 
   /// Worker cores available for cloned operators: one partial clone runs
-  /// per core, up to the run's chunk count (0 = autodetect).
+  /// per core, up to the run's chunk count (0 = the CPUs the calling
+  /// thread may run on: its affinity mask, as `taskset` sets it).
   size_t cores = 0;
 
   size_t EffectiveCores() const;

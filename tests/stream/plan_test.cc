@@ -1,6 +1,7 @@
 #include "stream/plan.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -18,6 +19,27 @@ TEST(ResourceModelTest, EffectiveCoresAutodetectsPositive) {
   EXPECT_GE(r.EffectiveCores(), 1u);
   r.cores = 3;
   EXPECT_EQ(r.EffectiveCores(), 3u);
+}
+
+TEST(ResourceModelTest, AutodetectCountsTheAffinityMask) {
+  // `taskset -c 0 pmkm_cluster --cores=0`: one allowed CPU plans one
+  // clone, however many the machine has online.
+  cpu_set_t inherited;
+  CPU_ZERO(&inherited);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(inherited), &inherited), 0);
+  if (CPU_COUNT(&inherited) < 2) GTEST_SKIP() << "needs 2 allowed CPUs";
+  int first = 0;
+  while (!CPU_ISSET(first, &inherited)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const ResourceModel r;  // cores = 0
+  const size_t cores = r.EffectiveCores();
+  const size_t clones = PlanPartialMerge(6, 100000, 16, r).partial_clones;
+  ASSERT_EQ(sched_setaffinity(0, sizeof(inherited), &inherited), 0);
+  EXPECT_EQ(cores, 1u);
+  EXPECT_EQ(clones, 1u);
 }
 
 TEST(PlanTest, PartitionSizeScalesWithMemory) {
